@@ -36,8 +36,10 @@ telemetry-smoke:
 
 # quick end-to-end check of the distributed runtime: negotiate the Fig. 4
 # tree over in-process queues and over real loopback TCP sockets, then the
-# runtime suite + the E25 cross-substrate bench.  `timeout` hard-bounds the
-# wall clock so a hung socket fails fast instead of wedging CI.
+# runtime suite + the E25 cross-substrate bench, then the end-to-end
+# benchmark's own wire workloads at smoke scale (== bw_first, exactly-once
+# ledger, Prop. 3 bound, on both wires).  `timeout` hard-bounds the wall
+# clock so a hung socket fails fast instead of wedging CI.
 runtime-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	timeout 300 sh -c "\
@@ -49,7 +51,10 @@ runtime-smoke:
 		PYTHONPATH=src python -m repro runtime $$tmp/fig4.json \
 			--transport tcp && \
 		PYTHONPATH=src pytest tests/test_runtime.py \
-			benchmarks/bench_e25_runtime.py -q"
+			tests/test_tcp_edges.py tests/test_codec_splitter.py \
+			benchmarks/bench_e25_runtime.py -q && \
+		python3 benchmarks/e2e/__main__.py --workload wire-tcp --smoke && \
+		python3 benchmarks/e2e/__main__.py --workload wire-inproc --smoke"
 
 # perf regression gate for the incremental solver + the integer timeline
 # kernel: the E26 and E27 gate tests plus their unit suites, hard-bounded

@@ -14,11 +14,10 @@ entry), so the federation frame bound is its own, larger constant.
 from __future__ import annotations
 
 import json
-import zlib
 from typing import Optional
 
 from ..exceptions import CodecError
-from ..runtime.codec import FRAME_HEADER, encode_blob
+from ..runtime.codec import FrameSplitter, encode_blob
 
 #: Upper bound on a federation frame body: recursive solution payloads and
 #: whole-tree onboarding requests are far bigger than negotiation frames.
@@ -28,21 +27,17 @@ MAX_FEDERATION_FRAME = 1 << 26
 def decode_blob(data: bytes, max_frame: int = MAX_FEDERATION_FRAME) -> bytes:
     """Synchronous inverse of :func:`~repro.runtime.codec.encode_blob` for
     message-oriented transports that deliver whole frames (the pipes of
-    the federation service): validate header, bound and CRC32, return the
-    body.  Every malformation raises
-    :class:`~repro.exceptions.CodecError`."""
-    if len(data) < FRAME_HEADER.size:
-        raise CodecError(f"truncated frame header ({len(data)} bytes)")
-    length, crc = FRAME_HEADER.unpack_from(data)
-    body = data[FRAME_HEADER.size:]
-    if length != len(body):
+    the federation service): the codec's
+    :class:`~repro.runtime.codec.FrameSplitter` validates header, bound and
+    CRC32; here *data* must additionally be exactly one frame.  Every
+    malformation raises :class:`~repro.exceptions.CodecError`."""
+    splitter = FrameSplitter(max_frame)
+    splitter.feed(data)
+    body = splitter.next_body()
+    if body is None or splitter.pending:
         raise CodecError(
-            f"frame length {length} disagrees with body of {len(body)} bytes")
-    if length > max_frame:
-        raise CodecError(
-            f"frame of {length} bytes exceeds {max_frame}", recoverable=False)
-    if zlib.crc32(body) != crc:
-        raise CodecError(f"checksum mismatch on frame {body[:80]!r}")
+            f"{len(data)} bytes are not exactly one frame (truncated, or "
+            "trailing octets after the body)")
     return body
 
 

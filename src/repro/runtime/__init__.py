@@ -4,12 +4,16 @@ Executes the paper's negotiation as genuinely concurrent peers instead of
 a virtual-time simulation:
 
 * :mod:`~repro.runtime.codec` — CRC32-checksummed, length-prefixed JSON
-  wire frames carrying exact rationals; hostile bytes raise a typed
+  wire frames carrying exact rationals, read from a ``StreamReader``
+  (:func:`read_blob`) or split synchronously out of arbitrary chunks
+  (:class:`FrameSplitter`); hostile bytes raise a typed
   :class:`~repro.exceptions.CodecError` instead of killing a reader;
 * :mod:`~repro.runtime.transport` — the pluggable :class:`Transport` ABC
   with :class:`InProcTransport` (asyncio queues, optional seeded
   delay/loss) and :class:`TcpTransport` (one loopback socket per tree
-  edge, drain-and-close shutdown);
+  edge, listeners only where a child dials, a fail-closed handshake,
+  frames decoded in ``data_received`` with no reader tasks,
+  flush-and-close shutdown);
 * :mod:`~repro.runtime.runtime` — the :class:`Runtime` orchestrator:
   mailbox-driven actor fleet, wall-clock
   :class:`~repro.protocol.retry.RetryPolicy` timeouts, verification
@@ -25,6 +29,7 @@ Quick use::
 
 from ..exceptions import CodecError
 from .codec import (
+    FrameSplitter,
     decode_message,
     encode_blob,
     encode_frame,
@@ -54,5 +59,6 @@ __all__ = [
     "encode_blob",
     "read_frame",
     "read_blob",
+    "FrameSplitter",
     "CodecError",
 ]

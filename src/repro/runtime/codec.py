@@ -36,6 +36,11 @@ dying.  ``CodecError.recoverable`` says whether the framing survived (the
 bad frame was fully consumed) or the stream must be abandoned (the length
 prefix itself cannot be trusted).  Errors that mean the stream is simply
 gone (EOF mid-frame) stay plain :class:`~repro.exceptions.ProtocolError`.
+
+Two readers share these failure modes: the :func:`read_blob` coroutines on
+an :class:`asyncio.StreamReader`, and the synchronous
+:class:`FrameSplitter` for callers handed bytes in arbitrary chunks (the
+TCP transport's ``data_received``) or whole frames (the federation pipes).
 """
 
 from __future__ import annotations
@@ -240,6 +245,65 @@ def encode_any(obj) -> bytes:
         raise ProtocolError(f"cannot encode {obj!r}")
     body = json.dumps(to_payload(), separators=(",", ":")).encode("utf-8")
     return encode_blob(body)
+
+
+class FrameSplitter:
+    """Synchronous inverse of :func:`encode_blob` over a byte stream that
+    arrives in arbitrary chunks — the one place that validates a frame's
+    header, size bound and CRC32 for callers without a ``StreamReader``
+    (the TCP transport's ``data_received``, the federation's whole-frame
+    pipes).
+
+    :meth:`feed` buffers a chunk; :meth:`next_body` takes the next frame
+    out of the buffer and fails exactly as :func:`read_blob` does:
+
+    * ``None`` — no whole frame is buffered yet.  At end of stream,
+      :attr:`pending` ``== 0`` is :func:`read_blob`'s clean EOF and
+      anything else its "connection closed mid-frame";
+    * an oversized length prefix raises a **non-recoverable**
+      :class:`~repro.exceptions.CodecError` as soon as the header is in,
+      and again on every later call — the stream cannot be resynchronised;
+    * a checksum mismatch raises a **recoverable** ``CodecError`` with the
+      bad frame already consumed, so the next call yields the next frame.
+    """
+
+    __slots__ = ("max_frame", "_buffer", "_start")
+
+    def __init__(self, max_frame: int = MAX_FRAME):
+        self.max_frame = max_frame
+        self._buffer = bytearray()
+        self._start = 0  # consumed prefix, dropped on the next feed
+
+    def feed(self, data: bytes) -> None:
+        if self._start:
+            del self._buffer[:self._start]
+            self._start = 0
+        self._buffer += data
+
+    @property
+    def pending(self) -> int:
+        """Buffered octets not yet returned as (or rejected with) a frame."""
+        return len(self._buffer) - self._start
+
+    def next_body(self) -> Optional[bytes]:
+        buffer = self._buffer
+        body_at = self._start + FRAME_HEADER.size
+        if len(buffer) < body_at:
+            return None
+        length, crc = FRAME_HEADER.unpack_from(buffer, self._start)
+        if length > self.max_frame:
+            raise CodecError(
+                f"frame of {length} bytes exceeds {self.max_frame}",
+                recoverable=False,
+            )
+        end = body_at + length
+        if len(buffer) < end:
+            return None
+        body = bytes(buffer[body_at:end])
+        self._start = end
+        if zlib.crc32(body) != crc:
+            raise CodecError(f"checksum mismatch on frame {body[:80]!r}")
+        return body
 
 
 async def read_blob(reader: asyncio.StreamReader) -> Optional[bytes]:

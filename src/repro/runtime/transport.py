@@ -9,12 +9,11 @@ mailboxes (one :class:`asyncio.Queue` per node, owned by the
   seeded per-message delivery delay, giving drop/duplication/reordering
   parity with the simulated :class:`~repro.faults.inject.FaultyNetwork`
   while running genuinely concurrently;
-* :class:`TcpTransport` — one loopback TCP socket per tree edge, carrying
-  the length-prefixed JSON frames of :mod:`repro.runtime.codec`.  The
-  child endpoint of every edge dials its parent's listener and introduces
-  itself with a hello frame; after the handshake both directions of the
-  edge ride the same socket.  ``close()`` drains every writer before
-  closing, so no ack is lost to shutdown.
+* :class:`TcpTransport` — one loopback TCP socket per tree edge, both
+  directions on the same socket, carrying the length|CRC32-framed JSON of
+  :mod:`repro.runtime.codec`; each end decodes frames synchronously into
+  its owner's mailbox.  Who listens, the handshake and the shutdown order
+  are described on the class.
 
 Both transports tally ``messages_sent`` / ``bytes_sent`` (the *model*
 bytes of :func:`~repro.protocol.messages.wire_size`, so counters are
@@ -47,14 +46,15 @@ from __future__ import annotations
 import asyncio
 import json
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Dict, Hashable, Optional, Set, Tuple
 
-from ..exceptions import CodecError, ProtocolError
+from ..exceptions import CodecError, ProtocolError, ReproError
 from ..faults.inject import LinkFaultDecider
 from ..faults.plan import FaultPlan
 from ..platform.tree import Tree
 from ..protocol.messages import Acknowledgment, Message, Proposal, wire_size
-from .codec import encode_any, encode_blob, read_blob, read_any
+from .codec import FrameSplitter, decode_body, encode_any, encode_blob
 
 
 def _is_control(message) -> bool:
@@ -222,22 +222,135 @@ class InProcTransport(Transport):
         self._pending.clear()
 
 
+class _EdgeEnd(asyncio.Protocol):
+    """*owner*'s end of one edge's socket: ``data_received`` splits frames
+    synchronously out of one buffer and puts the decoded messages straight
+    into *owner*'s mailbox.  On an accepted (parent) end the first frame is
+    the hello naming the child that dialled.
+
+    Hostile bytes stop here: a recoverable :class:`CodecError` skips the
+    frame and feeds the quarantine streak, a non-recoverable one firewalls
+    the edge.  No actor ever sees a frame that failed validation — at
+    worst the peer's retries time out, which is the crash-detection path.
+    """
+
+    def __init__(self, hub: "TcpTransport", owner: Hashable,
+                 hello_due: bool):
+        self.hub, self.owner, self.hello_due = hub, owner, hello_due
+        self.edge_child = owner  # an accepting end learns it from the hello
+        self.mailbox = hub.mailboxes[owner]
+        self.splitter = FrameSplitter()
+        self.streak = 0
+        self.deaf = False  # firewalled or refused: discard what arrives
+        self.resumed: Optional[asyncio.Future] = None  # set while paused
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.hub._ends.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        hub, splitter = self.hub, self.splitter
+        if not self.deaf:
+            splitter.feed(data)
+        while not self.deaf:
+            try:
+                body = splitter.next_body()
+                if body is None:
+                    return
+                if self.hello_due:
+                    self._hello(body)
+                    continue
+                message = decode_body(body)
+            except CodecError as exc:
+                if self.hello_due:
+                    self._refuse(exc)
+                    return
+                hub.corrupt_frames += 1
+                self.streak += 1
+                limit = hub.quarantine_after
+                if not exc.recoverable or (limit is not None
+                                           and self.streak >= limit):
+                    # framing lost or a hostile link: retries will prune
+                    hub.quarantined.add(self.edge_child)
+                    self.deaf = True
+                continue
+            self.streak = 0
+            if self.edge_child in hub.quarantined:
+                hub.quarantine_dropped += 1
+            else:
+                self.mailbox.put_nowait(message)
+
+    def _hello(self, body: bytes) -> None:
+        """Fail closed: only a not yet connected child of *owner* may
+        introduce itself on *owner*'s listener."""
+        hub, owner = self.hub, self.owner
+        try:
+            peer = json.loads(body)["hello"]
+            if (hub.tree.parent(peer) != owner
+                    or (owner, peer) in hub._writers):
+                raise ProtocolError(f"{peer!r} is no unconnected child")
+        except (ValueError, LookupError, TypeError, ReproError) as exc:
+            return self._refuse(exc)
+        self.hello_due = False
+        self.edge_child = peer
+        hub._writers[(owner, peer)] = self
+        hub._hellos_due -= 1
+        if not hub._hellos_due and not hub._ready.done():
+            hub._ready.set_result(None)
+
+    def _refuse(self, cause: BaseException) -> None:
+        """Hang up on a bad hello and fail a :meth:`TcpTransport.start`
+        still waiting (a later stranger is just hung up on)."""
+        self.deaf = True
+        self.transport.close()
+        if not self.hub._ready.done():
+            failure = ProtocolError(
+                f"bad handshake on {self.owner!r}'s listener")
+            failure.__cause__ = cause
+            self.hub._ready.set_result(failure)
+
+    def eof_received(self) -> None:
+        if self.hello_due:
+            self._refuse(ProtocolError("connection closed before hello"))
+        elif not self.deaf and self.splitter.pending:
+            self.hub.dead_streams += 1  # peer vanished mid-frame
+
+    def pause_writing(self) -> None:
+        self.resumed = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        self.resumed.set_result(None)
+        self.resumed = None
+
+    def connection_lost(self, exc) -> None:
+        hub = self.hub
+        if self.resumed is not None:
+            self.resume_writing()
+        hub._ends.discard(self)
+        if not hub._ends and hub._all_lost is not None:
+            hub._all_lost.set_result(None)
+            hub._all_lost = None
+
+
 class TcpTransport(Transport):
-    """One loopback TCP socket per tree edge, length-prefixed JSON frames.
+    """One loopback TCP socket per tree edge, length|CRC32-framed JSON.
 
-    Every node runs a listener; during :meth:`start`, the child endpoint
-    of each edge dials its parent and sends a hello frame naming itself.
-    Start returns only once every edge is connected in both directions, so
-    the negotiation never races the handshake.
+    Only nodes somebody dials listen: those with children, plus any node
+    named in *ports*.  :meth:`start` dials every edge concurrently from
+    its child endpoint, which introduces itself with a hello frame; a
+    listener accepts only a hello naming a not yet connected child of its
+    owner.  Start returns once every edge is connected in both directions,
+    so the negotiation never races the handshake; if a dial or a handshake
+    fails it closes what it opened and raises.  Each end of an edge is one
+    :class:`asyncio.Protocol`; the transport owns no tasks.
 
-    *plan* injects the fault plan's drop model **at the sender**, before
-    the frame reaches the socket — TCP itself never loses data, so this is
-    how a lossy control plane is staged for wall-clock retry testing.
-    Duplication writes the frame twice.  Corruption flips one body byte
-    after the CRC32 header is computed, so the receiver's checksum fails
-    and the frame dies in the reader loop — real garbled octets on a real
-    socket, never reaching an actor.  *quarantine_after* arms the
-    receiver-side firewall described in the module docstring.
+    *plan* stages the fault plan **at the sender** — TCP itself never
+    loses data: a dropped frame is never written, a duplicated one is
+    written twice, a corrupted one has a body byte flipped after its CRC32
+    was computed, so it dies in the receiver's ``data_received`` — real
+    garbled octets on a real socket, never reaching an actor.
+    *quarantine_after* arms the receiver-side firewall described in the
+    module docstring.
     """
 
     def __init__(self, host: str = "127.0.0.1",
@@ -250,8 +363,8 @@ class TcpTransport(Transport):
         self.host = host
         self.plan = plan
         self.quarantine_after = quarantine_after
-        #: requested listener port per node (0/omitted = ephemeral); after
-        #: :meth:`start`, :attr:`bound_ports` holds the ports actually bound
+        #: requested listener port per node (0 = ephemeral); after
+        #: :meth:`start`, :attr:`bound_ports` holds every listener's port
         self.ports: Dict[Hashable, int] = dict(ports or {})
         self.bound_ports: Dict[Hashable, int] = {}
         self._decider = LinkFaultDecider(plan) if plan is not None else None
@@ -261,114 +374,55 @@ class TcpTransport(Transport):
         #: ``runtime.tcp.edge_octets`` counters
         self.octets_by_edge: Dict[Tuple[Hashable, Hashable], int] = {}
         self._servers: Dict[Hashable, asyncio.AbstractServer] = {}
-        self._writers: Dict[Tuple[Hashable, Hashable],
-                            asyncio.StreamWriter] = {}
-        self._readers: Set[asyncio.Task] = set()
-        self._edges_ready: Optional[asyncio.Event] = None
-        self._expected_edges = 0
-        self._failure: Optional[BaseException] = None
+        #: the end each directed edge (sender, receiver) writes through
+        self._writers: Dict[Tuple[Hashable, Hashable], _EdgeEnd] = {}
+        self._ends: Set[_EdgeEnd] = set()  # open connections, greeted or not
+        self._hellos_due = 0
+        #: resolved by the last good hello with ``None``, or by the first
+        #: bad one with its :class:`ProtocolError`
+        self._ready: Optional[asyncio.Future] = None
+        self._all_lost: Optional[asyncio.Future] = None
 
     # ------------------------------------------------------------------
     async def start(self, tree: Tree,
                     mailboxes: Dict[Hashable, asyncio.Queue]) -> None:
         await super().start(tree, mailboxes)
-        self._edges_ready = asyncio.Event()
+        loop = asyncio.get_running_loop()
         edges = [(tree.parent(n), n) for n in tree.nodes()
                  if tree.parent(n) is not None]
-        self._expected_edges = len(edges)
-        ports: Dict[Hashable, int] = {}
-        for node in tree.nodes():
-            server = await asyncio.start_server(
-                self._make_accept_handler(node), host=self.host,
-                port=self.ports.get(node, 0),
-            )
-            self._servers[node] = server
-            ports[node] = server.sockets[0].getsockname()[1]
-        self.bound_ports = dict(ports)
-        for parent, child in edges:
-            reader, writer = await asyncio.open_connection(
-                self.host, ports[parent]
-            )
-            hello = json.dumps({"hello": child},
-                               separators=(",", ":")).encode("utf-8")
-            writer.write(encode_blob(hello))
-            await writer.drain()
-            self._writers[(child, parent)] = writer
-            self._spawn_reader(child, parent, reader)
-        if self._expected_edges == 0:
-            self._edges_ready.set()
-        await self._edges_ready.wait()
-        if self._failure is not None:
-            raise self._failure
-
-    def _make_accept_handler(self, owner: Hashable):
-        async def accept(reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-            try:
-                blob = await read_blob(reader)
-                if blob is None:
-                    raise ProtocolError("connection closed before hello")
-                hello = json.loads(blob.decode("utf-8"))
-                peer = hello["hello"]
-            except (ProtocolError, ValueError, KeyError) as exc:
-                self._failure = ProtocolError(
-                    f"bad handshake on {owner!r}'s listener"
-                )
-                self._failure.__cause__ = exc
-                self._edges_ready.set()
-                writer.close()
-                return
-            self._writers[(owner, peer)] = writer
-            self._spawn_reader(owner, peer, reader)
-            if len(self._writers) >= 2 * self._expected_edges:
-                self._edges_ready.set()
-
-        return accept
-
-    def _spawn_reader(self, owner: Hashable, peer: Hashable,
-                      reader: asyncio.StreamReader) -> None:
-        task = asyncio.ensure_future(self._read_loop(owner, peer, reader))
-        self._readers.add(task)
-        task.add_done_callback(self._readers.discard)
-
-    async def _read_loop(self, owner: Hashable, peer: Hashable,
-                         reader: asyncio.StreamReader) -> None:
-        """Decode frames arriving at *owner*'s end of one edge.
-
-        Hostile bytes stop here: a recoverable :class:`CodecError` skips
-        the frame (and feeds the quarantine streak); a non-recoverable one
-        abandons the stream.  Either way no actor coroutine ever sees a
-        frame that failed validation — at worst the peer's retries time
-        out, which is the crash-detection path.
-        """
-        mailbox = self.mailboxes[owner]
-        edge_child = peer if self.tree.parent(peer) == owner else owner
-        streak = 0
-        while True:
-            try:
-                message = await read_any(reader)
-            except CodecError as exc:
-                self.corrupt_frames += 1
-                streak += 1
-                if not exc.recoverable:
-                    # framing lost — firewall the edge, retries will prune
-                    self.quarantined.add(edge_child)
-                    return
-                if (self.quarantine_after is not None
-                        and streak >= self.quarantine_after):
-                    self.quarantined.add(edge_child)
-                    return
-                continue
-            except ProtocolError:
-                self.dead_streams += 1  # peer vanished mid-frame
-                return
-            if message is None:
-                return  # peer drained and closed: clean shutdown
-            streak = 0
-            if edge_child in self.quarantined:
-                self.quarantine_dropped += 1
-                continue
-            mailbox.put_nowait(message)
+        self._hellos_due = len(edges)
+        self._ready = loop.create_future()
+        if not edges:
+            self._ready.set_result(None)
+        try:
+            for node in tree.nodes():
+                fanout = len(tree.children(node))
+                if not fanout and node not in self.ports:
+                    continue  # nobody dials a leaf
+                # all children dial at once: an accept queue shorter than
+                # that drops SYNs and waits out their retransmission
+                server = await loop.create_server(
+                    partial(_EdgeEnd, self, node, True), host=self.host,
+                    port=self.ports.get(node, 0), backlog=max(100, fanout))
+                self._servers[node] = server
+                self.bound_ports[node] = server.sockets[0].getsockname()[1]
+            dials = await asyncio.gather(*(
+                loop.create_connection(partial(_EdgeEnd, self, child, False),
+                                       self.host, self.bound_ports[parent])
+                for parent, child in edges), return_exceptions=True)
+            for (parent, child), dial in zip(edges, dials):
+                if isinstance(dial, BaseException):
+                    raise dial
+                transport, end = dial
+                hello = json.dumps({"hello": child}, separators=(",", ":"))
+                transport.write(encode_blob(hello.encode("utf-8")))
+                self._writers[(child, parent)] = end
+            failure = await self._ready
+            if failure is not None:
+                raise failure
+        except BaseException:
+            await self.close()
+            raise
 
     # ------------------------------------------------------------------
     async def send(self, message: Message) -> None:
@@ -378,11 +432,10 @@ class TcpTransport(Transport):
         if child is None:
             self._deliver_local(message)
             return
-        writer = self._writers.get((message.sender, message.receiver))
-        if writer is None:
-            raise ProtocolError(
-                f"no socket for edge {message.sender!r}→{message.receiver!r}"
-            )
+        edge = (message.sender, message.receiver)
+        end = self._writers.get(edge)
+        if end is None:
+            raise ProtocolError(f"no socket for edge {edge!r}")
         copies = 1
         corrupt = False
         if not _is_control(message):
@@ -400,38 +453,34 @@ class TcpTransport(Transport):
         frame = encode_any(message)
         if corrupt:
             # flip a body bit *after* the CRC header was computed: the
-            # receiver's checksum fails and the frame dies in its reader
+            # receiver's checksum fails and the frame dies in its splitter
             self.corrupted_sent += 1
             frame = frame[:-1] + bytes([frame[-1] ^ 0x01])
-        edge = (message.sender, message.receiver)
+        if end.transport.is_closing():
+            raise ConnectionResetError(f"socket of edge {edge!r} lost")
         for _ in range(copies):
-            writer.write(frame)
-            self.octets_sent += len(frame)
-            self.octets_by_edge[edge] = (
-                self.octets_by_edge.get(edge, 0) + len(frame)
-            )
-        await writer.drain()
+            end.transport.write(frame)
+        octets = copies * len(frame)
+        self.octets_sent += octets
+        self.octets_by_edge[edge] = self.octets_by_edge.get(edge, 0) + octets
+        if end.resumed is not None:
+            await end.resumed  # back-pressure: the socket buffer is full
 
     async def close(self) -> None:
-        """Drain-and-close: flush every socket, then tear down listeners."""
-        for writer in self._writers.values():
-            try:
-                await writer.drain()
-                writer.close()
-            except (ConnectionError, RuntimeError):
-                pass
-        for writer in self._writers.values():
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-        self._writers.clear()
-        for task in list(self._readers):
-            task.cancel()
-        if self._readers:
-            await asyncio.gather(*self._readers, return_exceptions=True)
+        """Stop listening, hang up every edge from its child's end — the
+        parent's end flushes and follows on EOF — and wait until the last
+        connection is gone.  Whoever hangs up first keeps the socket in
+        TIME_WAIT for a minute; left on listener ports, tens of thousands
+        of those make every later ``bind`` to port 0 crawl."""
         for server in self._servers.values():
             server.close()
+        for end in list(self._ends):
+            if end.edge_child == end.owner:  # dialled, or never greeted
+                end.transport.close()
+        if self._ends:
+            self._all_lost = asyncio.get_running_loop().create_future()
+            await self._all_lost
         for server in self._servers.values():
             await server.wait_closed()
         self._servers.clear()
+        self._writers.clear()

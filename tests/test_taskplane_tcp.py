@@ -111,7 +111,7 @@ class TestShutdown:
         transport = asyncio.run(scenario())
         assert transport._writers == {}
         assert transport._servers == {}
-        assert not transport._readers
+        assert not transport._ends  # no connection left open
 
     def test_close_is_reentrant_safe(self):
         async def scenario():
