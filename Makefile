@@ -56,19 +56,22 @@ runtime-smoke:
 		python3 benchmarks/e2e/__main__.py --workload wire-tcp --smoke && \
 		python3 benchmarks/e2e/__main__.py --workload wire-inproc --smoke"
 
-# perf regression gate for the incremental solver + the integer timeline
-# kernel: the E26 and E27 gate tests plus their unit suites, hard-bounded
-# by `timeout` so a pathological regression fails fast instead of wedging
-# CI.  The E26 gate asserts node_evals(incremental) < node_evals(full) on
-# a single-leaf mutation (a count, so it cannot flake on slow runners);
-# the E27 gate asserts the int kernel's best-of-3 run() CPU time strictly
-# beats the Fraction kernel's (an expected ~2-3x gap, so noise cannot
-# invert it) and that a leaf mutation recomputes strictly fewer schedule
-# fragments than a full rebuild.  The E31 gate asserts the array kernel
-# strictly beats the int kernel at 10k nodes (~3x expected) and that a
-# 100k-node, >=1M-event array run completes inside the timeout; a second
-# pytest leg re-runs the engine/timeline suites with REPRO_NO_NUMPY=1 so
-# the pure-Python array backend stays green on hosts without numpy.
+# perf regression gate for the incremental solver + the simulation kernel:
+# the E26, E27 and E31 gate tests plus their unit suites, hard-bounded by
+# `timeout` so a pathological regression fails fast instead of wedging CI.
+# The E26 gate asserts node_evals(incremental) < node_evals(full) on a
+# single-leaf mutation (a count, so it cannot flake on slow runners); the
+# E27 gate asserts the production (array) kernel's best-of-3 run() CPU
+# time strictly beats the Fraction reference's (an expected ~5x gap, so
+# noise cannot invert it) and that a leaf mutation recomputes strictly
+# fewer schedule fragments than a full rebuild.  The E31 gate asserts the
+# 10k-node counts-only run agrees with an event-recording run and that a
+# 100k-node, >=1M-event run completes inside the timeout, both without an
+# int64 fallback.  A second pytest leg re-runs every suite that drives the
+# simulator with REPRO_NO_NUMPY=1 — "array" is the default kernel, so
+# these execute the pure-Python duration tables on hosts without numpy —
+# and the end-to-end benchmark's coldscale workload runs at smoke scale so
+# its own rate == optimum check guards every PR.
 perf-smoke:
 	timeout 600 sh -c "\
 		PYTHONPATH=src pytest \
@@ -78,10 +81,12 @@ perf-smoke:
 			'benchmarks/bench_e31_arraykernel.py::test_e31_100k_nodes_million_events' \
 			tests/test_incremental.py tests/test_timeline.py -q && \
 		PYTHONPATH=src REPRO_NO_NUMPY=1 pytest \
-			tests/test_engine.py tests/test_timeline.py -q && \
+			tests/test_engine.py tests/test_timeline.py \
+			tests/test_simulator.py tests/test_faults.py \
+			tests/test_fault_recovery.py tests/test_online.py -q && \
 		PYTHONPATH=src python -m repro bench-incr --nodes 200 --mutations 5 && \
 		PYTHONPATH=src python -m repro bench-timeline --nodes 200 && \
-		PYTHONPATH=src python -m repro bench-timeline --nodes 200 --kernel array"
+		python3 benchmarks/e2e/__main__.py --workload coldscale --smoke"
 
 # the self-healing gate: 100 seeded random fault sequences (crashes,
 # rejoins, root failover, hostile links, background loss) must EVERY one

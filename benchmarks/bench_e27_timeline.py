@@ -3,11 +3,11 @@
 Two claims, both measured on a 1000-node communication-rich tree:
 
 * **simulator wall-clock** — running the event-driven schedule on the
-  ``"int"`` kernel (plain integer ticks over one global denominator,
-  :mod:`repro.core.timeline`) is **≥3×** faster than the ``Fraction``
-  reference kernel over a multi-period horizon, with every observable
-  ``==`` (completions, end time; full segment equality is asserted
-  separately with recording on);
+  production ``"array"`` kernel (plain integer ticks over one global
+  denominator, :mod:`repro.core.timeline`, struct-of-arrays state) is
+  **≥3×** faster than the ``Fraction`` reference simulator over a
+  multi-period horizon, with every observable ``==`` (completions, end
+  time; full segment equality is asserted separately with recording on);
 * **schedule reconstruction** — after a single-leaf mutation, the
   fragment-caching :class:`~repro.schedule.incremental.IncrementalScheduleBuilder`
   recomputes **≥5×** fewer per-node period/schedule fragments than a full
@@ -19,7 +19,7 @@ The E27 platform family uses *smooth* weights (powers of 2·3 times 1024)
 over unit/binary link costs: every node is active and the global period
 stays small, so the horizon covers full steady-state periods without the
 period lcm itself dominating the run.  ``test_e27_perf_smoke_gate`` is the
-coarse CI gate (strictly-faster int kernel + strictly-fewer fragment
+coarse CI gate (strictly-faster array kernel + strictly-fewer fragment
 recomputes, small sizes, best-of-3 ``process_time``); recorded baselines
 live in ``BENCH_e27_timeline.json`` (see ``benchmarks/record_baseline.py``
 and ``docs/perf.md``).
@@ -36,7 +36,7 @@ from repro.core.incremental import IncrementalSolver
 from repro.platform.generators import smooth_tree
 from repro.schedule.eventdriven import build_schedules
 from repro.schedule.periods import global_period, tree_periods
-from repro.sim.simulator import Simulation
+from repro.sim import KERNELS
 from repro.util.text import render_table
 
 from .conftest import emit
@@ -66,9 +66,9 @@ def best_run_seconds(tree, schedules, periods, horizon, kernel,
     best = None
     result = None
     for _ in range(repeats):
-        sim = Simulation(tree, dict(schedules), dict(periods),
-                         horizon=horizon, kernel=kernel,
-                         record_segments=False, record_buffers=False)
+        sim = KERNELS[kernel](tree, dict(schedules), dict(periods),
+                              horizon=horizon, record_segments=False,
+                              record_buffers=False)
         gc.collect()
         gc.disable()
         try:
@@ -86,11 +86,11 @@ def test_e27_traces_exactly_equal():
     speedup numbers compare *identical* computations."""
     tree, periods, schedules, horizon = e27_setup(nodes=200, periods=1)
     traces = {}
-    for kernel in ("int", "fraction"):
-        sim = Simulation(tree, dict(schedules), dict(periods),
-                         horizon=horizon, kernel=kernel)
+    for kernel, simulation_class in KERNELS.items():
+        sim = simulation_class(tree, dict(schedules), dict(periods),
+                               horizon=horizon)
         traces[kernel] = sim.run().trace
-    a, b = traces["int"], traces["fraction"]
+    a, b = traces["array"], traces["fraction"]
     assert a.segments == b.segments
     assert a.completions == b.completions
     assert a.buffer_deltas == b.buffer_deltas
@@ -104,13 +104,14 @@ def test_e27_simulator_speedup_1000_nodes():
 
     wall = {}
     results = {}
-    for kernel in ("int", "fraction"):
+    for kernel in KERNELS:
         wall[kernel], results[kernel] = best_run_seconds(
             tree, schedules, periods, horizon, kernel)
-    assert results["int"].trace.completions == results["fraction"].trace.completions
-    assert results["int"].trace.end_time == results["fraction"].trace.end_time
+    assert (results["array"].trace.completions
+            == results["fraction"].trace.completions)
+    assert results["array"].trace.end_time == results["fraction"].trace.end_time
 
-    ratio = wall["fraction"] / wall["int"]
+    ratio = wall["fraction"] / wall["array"]
     emit(
         f"E27: {E27_NODES}-node simulator, horizon {E27_PERIODS} global "
         f"periods (seed {E27_SEED})",
@@ -118,11 +119,11 @@ def test_e27_simulator_speedup_1000_nodes():
             ["kernel", "best-of-3 run() s", "tasks"],
             [["fraction", f"{wall['fraction']:.3f}",
               str(results["fraction"].trace.completed)],
-             ["int", f"{wall['int']:.3f}",
-              str(results["int"].trace.completed)]],
+             ["array", f"{wall['array']:.3f}",
+              str(results["array"].trace.completed)]],
         ) + f"\nspeedup: {ratio:.2f}x (bar: >=3x)",
     )
-    assert ratio >= 3, f"int-kernel speedup {ratio:.2f}x below the 3x bar"
+    assert ratio >= 3, f"array-kernel speedup {ratio:.2f}x below the 3x bar"
 
 
 def test_e27_incremental_reconstruction_churn():
@@ -160,20 +161,21 @@ def test_e27_incremental_reconstruction_churn():
 
 
 def test_e27_perf_smoke_gate():
-    """The CI regression gate, sized for slow runners: the int kernel must
-    be strictly faster (best-of-3 CPU time, ~2-3x expected so noise cannot
-    invert it), and a leaf mutation must recompute strictly fewer fragments
-    than a full rebuild."""
+    """The CI regression gate, sized for slow runners: the array kernel
+    must be strictly faster than the reference (best-of-3 CPU time, ~5x
+    expected so noise cannot invert it), and a leaf mutation must recompute
+    strictly fewer fragments than a full rebuild."""
     tree, periods, schedules, horizon = e27_setup(nodes=300, periods=1)
     wall = {}
     results = {}
-    for kernel in ("int", "fraction"):
+    for kernel in KERNELS:
         wall[kernel], results[kernel] = best_run_seconds(
             tree, schedules, periods, horizon, kernel)
-    assert results["int"].trace.completions == results["fraction"].trace.completions
-    assert wall["int"] < wall["fraction"], (
-        f"int kernel ({wall['int']:.3f}s) must beat the Fraction kernel "
-        f"({wall['fraction']:.3f}s)")
+    assert (results["array"].trace.completions
+            == results["fraction"].trace.completions)
+    assert wall["array"] < wall["fraction"], (
+        f"array kernel ({wall['array']:.3f}s) must beat the Fraction "
+        f"reference ({wall['fraction']:.3f}s)")
 
     solver = IncrementalSolver(smooth_tree(300, E27_SEED))
     builder = solver.schedule_builder()

@@ -37,6 +37,7 @@ from repro.protocol import run_protocol
 from repro.runtime import negotiate
 from repro.schedule.eventdriven import build_schedules
 from repro.schedule.periods import global_period, tree_periods
+from repro.sim import KERNELS
 from repro.sim.simulator import Simulation
 
 E26_PARAMS = dict(max_children=4, w_numerator_range=(2000, 6000),
@@ -125,7 +126,7 @@ def record_e25(sizes=(14, 50)):
 
 
 def record_e27(nodes=1000, seed=1, periods=3, repeats=3, mutations=10):
-    """Integer-timeline kernel: simulator run() wall-clock per kernel, and
+    """Production vs reference kernel: simulator run() wall-clock each, and
     fragment recomputations per single-leaf mutation (full vs incremental
     schedule reconstruction)."""
     import gc
@@ -138,12 +139,12 @@ def record_e27(nodes=1000, seed=1, periods=3, repeats=3, mutations=10):
     schedules = build_schedules(allocation, periods=period_map)
     horizon = Fraction(global_period(period_map)) * periods
     wall = {}
-    for kernel in ("int", "fraction"):
+    for kernel, simulation_class in KERNELS.items():
         best, result = None, None
         for _ in range(repeats):
-            sim = Simulation(tree, dict(schedules), dict(period_map),
-                             horizon=horizon, kernel=kernel,
-                             record_segments=False, record_buffers=False)
+            sim = simulation_class(tree, dict(schedules), dict(period_map),
+                                   horizon=horizon, record_segments=False,
+                                   record_buffers=False)
             gc.collect()
             gc.disable()  # keep cycle-GC pauses off the timed run
             try:
@@ -160,10 +161,10 @@ def record_e27(nodes=1000, seed=1, periods=3, repeats=3, mutations=10):
             wall_s=round(best, 6),
             node_evals=result.trace.completed,
         ))
-    sim_ratio = wall["fraction"] / wall["int"]
+    sim_ratio = wall["fraction"] / wall["array"]
     print(f"e27 simulate n={nodes}: fraction {wall['fraction']*1e3:.1f}ms "
-          f"vs int {wall['int']*1e3:.1f}ms ({sim_ratio:.2f}x)")
-    assert sim_ratio >= 3, f"int-kernel speedup {sim_ratio:.2f}x below 3x"
+          f"vs array {wall['array']*1e3:.1f}ms ({sim_ratio:.2f}x)")
+    assert sim_ratio >= 3, f"array-kernel speedup {sim_ratio:.2f}x below 3x"
 
     solver = IncrementalSolver(smooth_tree(nodes, seed))
     builder = solver.schedule_builder()
@@ -203,8 +204,8 @@ def record_e27(nodes=1000, seed=1, periods=3, repeats=3, mutations=10):
 
 def record_e31(nodes=10_000, big_nodes=100_000, seed=1, periods=3,
                big_periods=7, repeats=3):
-    """Array kernel vs int kernel at 10k nodes (burst pacing, counts-only),
-    plus the 100k-node scale leg.  ``node_evals`` stores the engine's
+    """The production kernel at 10k nodes (burst pacing, counts-only), plus
+    the 100k-node scale leg.  ``node_evals`` stores the engine's
     processed-event count — deterministic per (nodes, seed, periods), so a
     change means kernel behaviour changed, not the host."""
     import gc
@@ -217,46 +218,38 @@ def record_e31(nodes=10_000, big_nodes=100_000, seed=1, periods=3,
         horizon = Fraction(global_period(period_map)) * n_periods
         return tree, period_map, schedules, horizon
 
-    def counts_sim(tree, period_map, schedules, horizon, kernel):
+    def counts_sim(tree, period_map, schedules, horizon):
         return Simulation(tree, dict(schedules), dict(period_map),
-                          horizon=horizon, kernel=kernel,
-                          root_pacing="burst", record_segments=False,
-                          record_buffers=False, record_events=False)
+                          horizon=horizon, root_pacing="burst",
+                          record_segments=False, record_buffers=False,
+                          record_events=False)
 
     records = []
     tree, period_map, schedules, horizon = setup(nodes, periods)
-    wall, sims, results = {}, {}, {}
-    for kernel in ("int", "array"):
-        best, sim, result = None, None, None
-        for _ in range(repeats):
-            sim = counts_sim(tree, period_map, schedules, horizon, kernel)
-            gc.collect()
-            gc.disable()
-            try:
-                t0 = time.process_time()
-                result = sim.run()
-                dt = time.process_time() - t0
-            finally:
-                gc.enable()
-            best = dt if best is None else min(best, dt)
-        wall[kernel], sims[kernel], results[kernel] = best, sim, result
-        records.append(dict(
-            params=dict(nodes=nodes, seed=seed, periods=periods,
-                        family="e31", pacing="burst", kernel=kernel),
-            wall_s=round(wall[kernel], 6),
-            node_evals=sims[kernel].engine.processed,
-        ))
-    assert (results["array"].trace.completed
-            == results["int"].trace.completed)
-    assert sims["array"].engine.processed == sims["int"].engine.processed
-    ratio = wall["int"] / wall["array"]
-    print(f"e31 n={nodes}: int {wall['int']*1e3:.1f}ms vs array "
-          f"{wall['array']*1e3:.1f}ms ({ratio:.2f}x, "
-          f"backend={sims['array']._astate.backend})")
-    assert ratio >= 3, f"array-kernel speedup {ratio:.2f}x below 3x"
+    best, sim = None, None
+    for _ in range(repeats):
+        sim = counts_sim(tree, period_map, schedules, horizon)
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.process_time()
+            sim.run()
+            dt = time.process_time() - t0
+        finally:
+            gc.enable()
+        best = dt if best is None else min(best, dt)
+    records.append(dict(
+        params=dict(nodes=nodes, seed=seed, periods=periods,
+                    family="e31", pacing="burst", kernel="array"),
+        wall_s=round(best, 6),
+        node_evals=sim.engine.processed,
+    ))
+    print(f"e31 n={nodes}: array {best*1e3:.1f}ms, "
+          f"{sim.engine.processed} events (backend={sim.backend})")
+    assert sim.int64_fallbacks == 0
 
     tree, period_map, schedules, horizon = setup(big_nodes, big_periods)
-    sim = counts_sim(tree, period_map, schedules, horizon, "array")
+    sim = counts_sim(tree, period_map, schedules, horizon)
     result, big_wall = timed(sim.run)
     assert sim.engine.processed >= 1_000_000
     records.append(dict(

@@ -32,7 +32,7 @@ Sub-commands:
 * ``bench-incr --nodes N --mutations M`` — churn a random tree with
   single-leaf prunes and compare the incremental solver's node
   evaluations against full ``bw_first`` re-solves (experiment E26);
-* ``bench-timeline --nodes N [--json]`` — time the scaled-integer
+* ``bench-timeline --nodes N [--json]`` — time the production
   simulation kernel against the ``Fraction`` reference and count the
   schedule fragments the incremental builder splices from cache on
   single-leaf prune churn (experiment E27);
@@ -292,7 +292,6 @@ def _cmd_dash(args: argparse.Namespace) -> int:
         baseline_dir=args.baselines,
         interval=args.interval,
         workload=not args.no_workload,
-        kernel=args.kernel,
     )
     print(f"repro dash: serving {dash.url}")
     print(f"  workload: {args.nodes}-node seeded chaos/recovery "
@@ -470,7 +469,7 @@ def _cmd_bench_timeline(args: argparse.Namespace) -> int:
 
     from .core.incremental import IncrementalSolver
     from .platform.generators import smooth_tree
-    from .sim.simulator import Simulation
+    from .sim import KERNELS
     from .util.text import render_table
 
     tree = smooth_tree(args.nodes, args.seed)
@@ -479,16 +478,15 @@ def _cmd_bench_timeline(args: argparse.Namespace) -> int:
     schedules = build_schedules(allocation, periods=periods)
     horizon = Fraction(global_period(periods)) * args.periods
 
-    fast = args.kernel
     wall = {}
     tasks = {}
     with _profiled(args):
-        for kernel in (fast, "fraction"):
+        for kernel, simulation_class in KERNELS.items():
             best = None
             for _ in range(args.repeats):
-                sim = Simulation(tree, dict(schedules), dict(periods),
-                                 horizon=horizon, kernel=kernel,
-                                 record_segments=False, record_buffers=False)
+                sim = simulation_class(
+                    tree, dict(schedules), dict(periods), horizon=horizon,
+                    record_segments=False, record_buffers=False)
                 _gc.collect()
                 _gc.disable()  # keep cycle-GC pauses off the timed run
                 try:
@@ -500,7 +498,7 @@ def _cmd_bench_timeline(args: argparse.Namespace) -> int:
                 best = dt if best is None else min(best, dt)
             wall[kernel] = best
             tasks[kernel] = result.trace.completed
-    speedup = wall["fraction"] / max(wall[fast], 1e-12)
+    speedup = wall["fraction"] / max(wall["array"], 1e-12)
 
     solver = IncrementalSolver(smooth_tree(args.nodes, args.seed))
     builder = solver.schedule_builder()
@@ -521,10 +519,9 @@ def _cmd_bench_timeline(args: argparse.Namespace) -> int:
         print(_json.dumps(dict(
             nodes=args.nodes, seed=args.seed, periods=args.periods,
             repeats=args.repeats, mutations=args.mutations,
-            kernel=fast,
             wall_s_fraction=round(wall["fraction"], 6),
-            **{f"wall_s_{fast}": round(wall[fast], 6)},
-            tasks=tasks[fast],
+            wall_s_array=round(wall["array"], 6),
+            tasks=tasks["array"],
             simulator_speedup=round(speedup, 3),
             fragments_full=full_frags,
             fragments_recomputed=incr_frags,
@@ -534,8 +531,8 @@ def _cmd_bench_timeline(args: argparse.Namespace) -> int:
         return 0
     print(render_table(
         ["kernel", f"best-of-{args.repeats} run() s", "tasks"],
-        [["fraction", f"{wall['fraction']:.4f}", str(tasks["fraction"])],
-         [fast, f"{wall[fast]:.4f}", str(tasks[fast])]]))
+        [[kernel, f"{wall[kernel]:.4f}", str(tasks[kernel])]
+         for kernel in ("fraction", "array")]))
     print(f"\nsimulator speedup over {args.periods} global period(s): "
           f"{speedup:.2f}x")
     print(f"schedule fragments over {args.mutations} single-leaf prunes: "
@@ -927,10 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-workload", action="store_true",
                    help="serve panels only; instrument your own run against "
                         "the dashboard registry instead")
-    p.add_argument("--kernel", choices=("int", "fraction", "array"),
-                   default="array",
-                   help="time kernel for the supervised simulation "
-                        "(default array, the fastest at dashboard scale)")
     p.set_defaults(func=_cmd_dash)
 
     p = sub.add_parser("runtime",
@@ -965,8 +958,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench-timeline",
-        help="int vs Fraction simulation kernels + fragment-cached "
-             "schedule rebuilds (experiment E27)",
+        help="production vs reference simulation kernels + "
+             "fragment-cached schedule rebuilds (experiment E27)",
     )
     p.add_argument("--nodes", type=int, default=1000,
                    help="tree size (default 1000, the E27 family)")
@@ -977,9 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="best-of-N timing repeats (default 3)")
     p.add_argument("--mutations", type=int, default=5,
                    help="single-leaf prunes for the rebuild churn (default 5)")
-    p.add_argument("--kernel", choices=("int", "array"), default="int",
-                   help="exact fast kernel to pit against the Fraction "
-                        "baseline (default int)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
     _add_profile_options(p)

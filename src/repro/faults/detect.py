@@ -101,8 +101,8 @@ class HeartbeatMonitor:
             return
         self.heartbeats += 1
         now = self.sim.engine.now
-        for name, state in self.sim.nodes.items():
-            if state.dead and name not in self._suspected:
+        for name in self.sim.dead_nodes():
+            if name not in self._suspected:
                 self._suspected.add(name)
                 self.sim.engine.schedule_in(
                     self.timeout, lambda n=name: self._declare(n)

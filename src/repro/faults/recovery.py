@@ -60,7 +60,7 @@ from ..protocol.retry import RetryPolicy
 from ..protocol.runner import run_protocol
 from ..schedule.eventdriven import build_schedules
 from ..schedule.periods import global_period, tree_periods
-from ..sim.simulator import Simulation
+from ..sim.simulator import kernel_class
 from ..telemetry.core import Registry
 from .detect import HeartbeatMonitor, detection_time
 from .inject import FaultyNetwork, apply_to_simulation
@@ -183,7 +183,7 @@ def resilient_run(
     runtime: Optional[str] = None,
     solver=None,
     quarantine_after: int = 3,
-    kernel: str = "int",
+    kernel: str = "array",
 ) -> RecoveryReport:
     """Run *tree* under *plan* with automatic detection and re-negotiation.
 
@@ -204,10 +204,10 @@ def resilient_run(
       *after_periods* / *settle_periods* to shorten the horizon;
     * *quarantine_after* — consecutive corrupt frames on a link before its
       child is declared hostile and pruned;
-    * *kernel* selects the supervised simulation's time kernel
-      (``"int"`` default, ``"fraction"``, or ``"array"`` for the
-      struct-of-arrays kernel — all three are bit-identical, see
-      :mod:`repro.sim.arraystate`).
+    * *kernel* names the supervised simulation's class in
+      :data:`repro.sim.KERNELS`: ``"array"`` (default, the production
+      :class:`~repro.sim.simulator.Simulation`) or ``"fraction"`` (the
+      slower reference oracle, bit-identical by test).
 
     The plan must contain something to recover from: a crash, a root
     failover, or a hostile (corrupting) link.
@@ -255,6 +255,7 @@ def resilient_run(
     exactly equal — the solvers are interchangeable by construction.
     """
     plan.validate(tree)
+    simulation_class = kernel_class(kernel)
     if not plan.crashes and plan.failover is None and not plan.hostile:
         raise FaultError("the plan crashes nothing — nothing to recover from")
     if quarantine_after < 1:
@@ -666,9 +667,9 @@ def resilient_run(
     # ------------------------------------------------------------------
     # the supervised simulation
     # ------------------------------------------------------------------
-    sim = Simulation(
+    sim = simulation_class(
         tree.copy(), dict(old_schedules), dict(old_periods), horizon=horizon,
-        max_events=max_events, telemetry=telemetry, kernel=kernel,
+        max_events=max_events, telemetry=telemetry,
     )
     apply_to_simulation(sim, plan)  # crashes, rejoins, failover, windows
     monitor = HeartbeatMonitor(

@@ -10,6 +10,11 @@ evaluation (Section 9).  Design choices:
   simulation is a pure function of its inputs;
 * **callbacks, not processes** — events carry a zero-argument callable;
   there is no coroutine machinery to keep the core small and auditable.
+
+:class:`Engine` is the heap loop over ``Fraction`` time (the reference
+simulator, the protocol network and the baselines run on it);
+:class:`ArrayEngine` is its integer-tick, bucketed twin behind the
+production simulator — same public clock API, same ``(time, seq)`` order.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ class Engine:
 
     def push(self, time, fn: Event) -> Timer:
         """Raw scheduling hot path: *time* is already in this engine's
-        internal units (a ``Fraction`` here; ticks in :class:`IntEngine`).
+        internal units (a ``Fraction`` here; ticks in :class:`ArrayEngine`).
         The simulator uses this to skip per-event coercion."""
         if time < self._now:
             raise SimulationError(f"cannot schedule at {time} < now {self._now}")
@@ -172,8 +177,8 @@ class Engine:
 
         The :meth:`step` loop is inlined here — one Python frame per event
         is measurable on million-event runs.  ``self._heap`` is re-read
-        every iteration on purpose: a mid-run rescale (:class:`IntEngine`)
-        rebinds it.
+        every iteration on purpose: a cancellation inside a callback may
+        compact the queue, which rebinds it.
         """
         count = 0
         pop = heapq.heappop
@@ -194,70 +199,22 @@ class Engine:
                 )
 
 
-class IntEngine(Engine):
-    """The event loop of the scaled-integer kernel: the heap holds plain
-    ``int`` tick timestamps over an :class:`~repro.core.timeline.IntTimeline`.
+class ArrayEngine(Engine):
+    """Bucketed (calendar-queue) event loop over integer ticks — the
+    production simulator's engine.
 
-    The *public* clock API is unchanged — :meth:`schedule_at` /
-    :meth:`schedule_in` / :meth:`run_until` accept ordinary time values and
-    ``now`` returns an exact :class:`~fractions.Fraction` — so external
-    consumers (heartbeat monitors, fault plans, tests) interoperate with
-    either engine.  Only the simulator's hot path talks ticks directly via
-    :meth:`~Engine.push` and ``_now``.
+    Timestamps are plain ``int`` ticks over an
+    :class:`~repro.core.timeline.IntTimeline`.  The *public* clock API is
+    the heap engine's — :meth:`schedule_at` / :meth:`schedule_in` /
+    :meth:`run_until` accept ordinary time values and ``now`` returns an
+    exact :class:`~fractions.Fraction` — so external consumers (heartbeat
+    monitors, fault plans, tests) interoperate with either engine.  Only
+    the simulator's hot path talks ticks directly via :meth:`defer`,
+    :meth:`push` and ``_now``.
 
     When the timeline grows its scale mid-run, the engine multiplies its
-    clock and every queued timestamp by the factor; multiplication by a
-    positive integer preserves heap order, so the heap stays valid as-is.
-    """
-
-    __slots__ = ("timeline",)
-
-    def __init__(self, timeline) -> None:
-        super().__init__()
-        self.timeline = timeline
-        self._now = 0  # ticks
-        timeline.on_rescale(self._rescale)
-
-    def _rescale(self, factor: int) -> None:
-        self._now *= factor
-        if self._heap:
-            self._heap = [(t * factor, seq, fn, timer)
-                          for t, seq, fn, timer in self._heap]
-
-    @property
-    def now(self) -> Fraction:
-        """Current simulation time as an exact rational (boundary view)."""
-        return self.timeline.to_fraction(self._now)
-
-    def schedule_at(self, time, fn: Event) -> Timer:
-        return self.push(self.timeline.ensure(as_fraction(time)), fn)
-
-    def schedule_in(self, delay, fn: Event) -> Timer:
-        d = self.timeline.ensure(as_fraction(delay))
-        if d < 0:
-            raise SimulationError(f"negative delay {as_fraction(delay)}")
-        return self.push(self._now + d, fn)
-
-    def run_until(self, time) -> None:
-        # compare in Fractions: an event run inside the loop may grow the
-        # timeline's scale, which would invalidate a pre-converted tick
-        horizon = as_fraction(time)
-        if horizon < self.now:
-            raise SimulationError(f"cannot run backwards to {horizon}")
-        while self._heap:
-            while self._heap and self._heap[0][3]._cancelled:
-                heapq.heappop(self._heap)
-                if self._stale:
-                    self._stale -= 1
-            if not self._heap or self.timeline.to_fraction(
-                    self._heap[0][0]) > horizon:
-                break
-            self.step()
-        self._now = self.timeline.ensure(horizon)
-
-
-class ArrayEngine(IntEngine):
-    """Bucketed (calendar-queue) event loop for the array kernel.
+    clock and every queued tick by the factor; multiplication by a
+    positive integer preserves all orderings, so the queue stays valid.
 
     Events live in a dict keyed by integer tick — one list (bucket) per
     distinct timestamp — plus a min-heap of the tick keys.  The loop pops
@@ -268,32 +225,48 @@ class ArrayEngine(IntEngine):
 
     Entries are ``(fn, arg, timer)`` triples called as ``fn(arg)``.  The
     :meth:`defer` hot path allocates **no Timer and no closure** — the
-    simulator passes a bound method plus a small argument (a dense node id
-    or a tuple) and ``timer`` stays ``None``.  The public :meth:`push` /
-    :meth:`schedule_at` / :meth:`schedule_in` API is unchanged: it wraps
-    the zero-argument callback via :func:`_invoke` and returns a live
+    simulator passes a handler plus a small argument (a dense node id or
+    a tuple) and ``timer`` stays ``None``.  :meth:`push` wraps a
+    zero-argument callback via :func:`_invoke` and returns a live
     :class:`Timer`, so heartbeats, fault plans and crash hooks work as on
-    the heap engines.
+    the heap engine.
 
-    Ordering is identical to the heap engines' ``(time, seq)``: buckets
+    Ordering is identical to the heap engine's ``(time, seq)``: buckets
     are FIFO, and a same-tick event scheduled *while the current bucket
     drains* lands in a fresh bucket whose tick is re-pushed on the heap
     and therefore runs right after the current batch — exactly where the
     sequence number would have put it.
     """
 
-    __slots__ = ("_buckets", "_tick_heap", "_size", "_cur_tick")
+    __slots__ = ("timeline", "_buckets", "_tick_heap", "_size", "_cur_tick")
 
     def __init__(self, timeline) -> None:
-        super().__init__(timeline)
+        super().__init__()
+        self.timeline = timeline
+        self._now = 0  # ticks
         self._buckets: dict = {}      # tick -> [(fn, arg, timer), ...]
         self._tick_heap: List[int] = []
         self._size = 0
         self._cur_tick = 0
+        timeline.on_rescale(self._rescale)
+
+    @property
+    def now(self) -> Fraction:
+        """Current simulation time as an exact rational (boundary view)."""
+        return self.timeline.to_fraction(self._now)
 
     @property
     def pending(self) -> int:
         return self._size
+
+    def schedule_at(self, time, fn: Event) -> Timer:
+        return self.push(self.timeline.ensure(as_fraction(time)), fn)
+
+    def schedule_in(self, delay, fn: Event) -> Timer:
+        d = self.timeline.ensure(as_fraction(delay))
+        if d < 0:
+            raise SimulationError(f"negative delay {as_fraction(delay)}")
+        return self.push(self._now + d, fn)
 
     def defer(self, time: int, fn, arg=None) -> None:
         """Schedule ``fn(arg)`` at tick *time* with no cancellation handle.
@@ -430,7 +403,7 @@ class ArrayEngine(IntEngine):
 
     def _next_live_tick(self) -> Optional[int]:
         """Tick of the next live event, dropping cancelled heads and stale
-        heap entries on the way (mirrors the heap engines' head-popping)."""
+        heap entries on the way (mirrors the heap engine's head-popping)."""
         heap = self._tick_heap
         while heap:
             tick = heap[0]

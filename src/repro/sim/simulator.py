@@ -33,182 +33,184 @@ strategy (Section 7: every node applies its event-driven schedule from the
 beginning, computing immediately) and the traditional baseline (a node
 computes nothing until it has buffered its steady-state task count χ_in).
 
-Three exact time kernels drive the event loop (the ``kernel`` parameter):
+One production kernel, one reference.  :class:`Simulation` is the kernel
+everything runs — and is benchmarked — on:
 
-* ``"int"`` (default) — the scaled-integer kernel of
-  :mod:`repro.core.timeline`: every duration is normalised once to ticks
-  over a global denominator ``D``, the event heap and all clock arithmetic
-  run on plain Python ints, and ``Fraction`` views are materialised only at
-  the API boundaries (the recorded trace, ``engine.now``, telemetry).  A
-  value with an incommensurate denominator appearing mid-run (an injected
-  control latency, a link-degradation factor) grows the scale in place;
-* ``"array"`` — the struct-of-arrays kernel of
-  :mod:`repro.sim.arraystate`: the same integer ticks, but per-node state
-  lives in flat parallel arrays indexed by dense node id and the event
-  loop runs over a bucketed (calendar) queue that drains all same-tick
-  events per heap pop.  Fastest at scale (10k–100k nodes); numpy-backed
-  when importable (``pip install repro[fast]``), pure-Python otherwise;
-* ``"fraction"`` — the original ``Fraction``-per-event loop.
+* **time is integer ticks** over one global denominator
+  (:mod:`repro.core.timeline`): every duration is normalised once, the
+  event queue and all clock arithmetic run on plain Python ints, and
+  ``Fraction`` views are materialised only at the API boundaries (the
+  recorded trace, ``engine.now``, telemetry).  A value with an
+  incommensurate denominator appearing mid-run (an injected control
+  latency, a link-degradation factor) grows the scale in place;
+* **per-node state lives in flat parallel arrays** indexed by a dense
+  node id (:func:`~repro.core.timeline.dense_index`), from the constructor
+  on: ``bytearray`` flags (dead/computing/sending/receiving/overlap),
+  plain-int lists (compute queue depth, arrival/buffer counters), send
+  queues of dense child ids and :class:`DurationTable` tick tables for
+  compute/transfer durations;
+* **the event loop is the bucketed** :class:`~repro.sim.engine.ArrayEngine`
+  — same-tick events drain in one batch, and the hot events are scheduled
+  as ``(handler, small_arg)`` pairs: no Timer, no closure, no per-event
+  allocation beyond one tuple;
+* **routing is precompiled**: each node's bunch order is translated once
+  into a dense-id route table, so the per-task destination lookup is two
+  list indexes instead of a dict walk through schedule objects (a custom
+  :class:`Controller` transparently takes the generic per-event path).
 
-All kernels produce **bit-identical** results — same trace, same event
-order, same rationals — as the property suite in ``tests/test_timeline.py``
-asserts; the int kernel is simply several times faster and the array
-kernel faster still (see ``benchmarks/bench_e27_timeline.py``,
-``benchmarks/bench_e31_arraykernel.py`` and ``docs/perf.md``).
+Duration tables are int64-packed for bulk rescales — numpy when
+importable (the ``repro[fast]`` extra), ``array('q')`` otherwise or under
+``REPRO_NO_NUMPY=1`` — and fall back to exact Python ints on overflow:
+see :class:`DurationTable` and :attr:`Simulation.backend`.
+
+:class:`~repro.sim.reference.ReferenceSimulation` is the independent
+``Fraction``-per-event oracle.  The two are **bit-identical** — same
+trace, same event order, same rationals, including crashes, rejoin,
+reconfiguration and mid-run rescales — property-tested across 25 seeds in
+``tests/test_timeline.py``; :data:`KERNELS` names them (``"array"``,
+``"fraction"``) for the callers that let a test pick (see
+``benchmarks/bench_e27_timeline.py`` and ``docs/perf.md`` for the gap).
 """
 
 from __future__ import annotations
 
+import os
+import warnings
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Deque, Dict, Hashable, Mapping, Optional
+from heapq import heappush
+from typing import Callable, Dict, Hashable, List, Mapping, Optional
 
 from ..core.allocation import Allocation
 from ..core.rates import ZERO, is_infinite
-from ..core.timeline import timeline_for
+from ..core.timeline import dense_index, timeline_for
 from ..exceptions import SimulationError
 from ..platform.tree import Tree
 from ..schedule.eventdriven import NodeSchedule, build_schedules
 from ..schedule.local import interleaved_order
 from ..schedule.periods import NodePeriods, tree_periods
 from ..telemetry.core import Registry
-from .engine import ArrayEngine, Engine, IntEngine
-from .tracing import COMPUTE, CTRL, RECV, SEND, Trace
-
-#: kernels accepted by :class:`Simulation`
-KERNELS = ("int", "fraction", "array")
+from .base import (
+    BufferedStartController,
+    Controller,
+    SimulationBase,
+    SimulationResult,
+)
+from .engine import ArrayEngine
+from .reference import ReferenceSimulation
+from .tracing import COMPUTE, CTRL, RECV, SEND
 
 #: tick→Fraction memo bound: cleared (cheap, regrows warm) when exceeded
 _FRAC_MEMO_CAP = 1 << 18
 
 
-def _identity(value):
-    return value
+try:  # pragma: no cover - exercised via both CI legs
+    import numpy as _np
+except Exception:  # pragma: no cover
+    _np = None
+
+_I64_MAX = 2**63 - 1
 
 
-class _SimNode:
-    """Mutable per-node simulation state."""
-
-    __slots__ = (
-        "name", "w", "w_units", "compute_queue", "send_queue", "computing",
-        "sending", "receiving", "arrivals", "buffered", "overlap", "dead",
-    )
-
-    def __init__(self, name: Hashable, w, overlap: bool = True) -> None:
-        self.name = name
-        self.w = w
-        self.w_units = w  # compute duration in kernel units (ticks or Fraction)
-        self.compute_queue = 0
-        self.send_queue: Deque[Hashable] = deque()
-        self.computing = False
-        self.sending = False
-        self.receiving = False
-        self.arrivals = 0  # tasks received (or released, for the root)
-        self.buffered = 0  # tasks currently held at the node
-        self.overlap = overlap  # can compute and communicate simultaneously
-        self.dead = False  # crashed: drops everything, does nothing
+def _numpy():
+    """The numpy module, or ``None`` when absent or disabled via the
+    ``REPRO_NO_NUMPY`` environment variable (checked per call so tests and
+    the no-numpy CI leg can flip it without reimporting)."""
+    if _np is None or os.environ.get("REPRO_NO_NUMPY"):
+        return None
+    return _np
 
 
-class Controller:
-    """Routing policy: decides each task's destination and compute gating.
+class DurationTable:
+    """Per-node integer tick durations: int64 bulk storage + exact reads.
 
-    The default implementation routes by the event-driven bunch order and
-    always allows computing (the paper's Section 7 strategy).
+    ``values`` is *always* a plain Python list of exact ints — the hot
+    path indexes it directly, so no ``np.int64`` (whose arithmetic can
+    silently wrap) ever reaches tick math.  The packed store (numpy int64
+    array or ``array('q')``) is the bulk layer: :meth:`rescale` multiplies
+    it in one vectorised operation and regenerates ``values`` via
+    ``tolist()``.  When a value would exceed int64 — a huge denominator
+    joining the timeline mid-run — the table drops to ``mode="object"``
+    (plain-int bulk loop) and reports the fallback once through
+    *on_fallback*; exactness is never at stake, only the bulk speed.
+
+    ``values`` keeps its identity for the table's lifetime (every update
+    is a slice assignment): the compiled hot handlers close over it.
     """
 
-    def __init__(self, schedules: Mapping[Hashable, NodeSchedule]):
-        self.schedules = schedules
+    __slots__ = ("values", "mode", "_store", "_on_fallback")
 
-    def destination(self, node: Hashable, arrival_index: int) -> Hashable:
-        """Destination of the ``arrival_index``-th task received by *node*."""
-        schedule = self.schedules.get(node)
-        if schedule is None:
-            retired = getattr(self, "retired", {}).get(node)
-            if retired is not None:
-                return retired.destination(arrival_index)
-            raise SimulationError(
-                f"task delivered to {node!r}, which has no schedule"
-            )
-        return schedule.destination(arrival_index)
+    def __init__(self, size: int, on_fallback: Optional[Callable] = None):
+        self.values: List[int] = [0] * size
+        self._on_fallback = on_fallback
+        self._store = None
+        self.mode = "object"  # until the first load() packs it
 
-    def may_compute(self, state: _SimNode) -> bool:
-        """Whether *state*'s node may start computing right now."""
-        return True
+    def load(self, values) -> None:
+        """Replace every duration (construction, failover, platform swap)."""
+        self.values[:] = [int(v) for v in values]
+        np = _numpy()
+        try:
+            if np is not None:
+                self._store = np.array(self.values, dtype=np.int64)
+                self.mode = "numpy"
+            else:
+                self._store = array("q", self.values)
+                self.mode = "array"
+        except (OverflowError, ValueError):
+            # values too large to pack
+            self._to_object()
+
+    def _to_object(self) -> None:
+        self._store = None
+        self.mode = "object"
+        hook = self._on_fallback
+        if hook is not None:
+            self._on_fallback = None  # report each table's fallback once
+            hook()
+
+    def rescale(self, factor: int) -> None:
+        """Multiply every duration by a positive int *factor* (a timeline
+        scale growth), falling back to object mode on int64 overflow."""
+        mode = self.mode
+        if mode == "numpy":
+            store = self._store
+            if len(store) == 0:
+                return
+            if int(store.max()) * factor > _I64_MAX:
+                self._to_object()
+            else:
+                store *= factor
+                self.values[:] = store.tolist()
+                return
+        elif mode == "array":
+            try:
+                self._store = array("q", (v * factor for v in self.values))
+            except OverflowError:
+                self._to_object()
+            else:
+                self.values[:] = self._store.tolist()
+                return
+        # object mode (possibly just entered): exact, unbounded
+        self.values[:] = [v * factor for v in self.values]
 
 
-class BufferedStartController(Controller):
-    """The traditional start-up baseline (Section 7's strawman).
+class Simulation(SimulationBase):
+    """The production simulator: integer ticks, struct-of-arrays state.
 
-    A node performs no useful computation until it has received its full
-    steady-state buffer of ``χ_in`` tasks; forwarding is unrestricted.  The
-    root (which holds the supply) computes from the start.
+    All internal clock arithmetic happens in ticks; ``self._units(value)``
+    converts a rational into ticks (growing the timeline's scale when
+    needed) and ``self._frac(ticks)`` materialises the exact rational
+    view.  Per-node state is a set of parallel arrays indexed by dense
+    node id (``self._index[name]``); ``send_queue`` entries are dense
+    child ids, not names.  See the module docstring for the layout and
+    :class:`~repro.sim.base.SimulationBase` for the parameters.
+
+    *kernel* is accepted only as the checked no-op ``"array"`` (callers
+    that name the production kernel explicitly); the ``Fraction`` oracle is
+    :class:`~repro.sim.reference.ReferenceSimulation`.
     """
-
-    def __init__(
-        self,
-        schedules: Mapping[Hashable, NodeSchedule],
-        thresholds: Mapping[Hashable, int],
-        root: Hashable,
-    ):
-        super().__init__(schedules)
-        self.thresholds = thresholds
-        self.root = root
-
-    def may_compute(self, state: _SimNode) -> bool:
-        if state.name == self.root:
-            return True
-        return state.arrivals >= self.thresholds.get(state.name, 0)
-
-
-@dataclass
-class SimulationResult:
-    """Everything a simulation run produced."""
-
-    trace: Trace
-    tree: Tree
-    schedules: Mapping[Hashable, NodeSchedule]
-    periods: Mapping[Hashable, NodePeriods]
-    released: int
-    stop_time: Optional[Fraction]  # when the root stopped releasing
-    end_time: Fraction
-    tasks_lost: int = 0  # tasks destroyed by node crashes (incl. in flight)
-    failed_at: Mapping[Hashable, Fraction] = field(default_factory=dict)
-
-    @property
-    def completed(self) -> int:
-        return self.trace.completed
-
-    @property
-    def wind_down(self) -> Optional[Fraction]:
-        """Time from supply cut-off to the last task completion."""
-        if self.stop_time is None or not self.trace.completions:
-            return None
-        return max(self.end_time - self.stop_time, ZERO)
-
-
-class Simulation:
-    """One configured simulation run over a tree + schedules.
-
-    All internal clock arithmetic happens in *kernel units*: plain int
-    ticks for ``kernel="int"``, :class:`~fractions.Fraction` for
-    ``kernel="fraction"``.  ``self._units(fraction)`` converts a rational
-    into kernel units (growing the int timeline's scale when needed) and
-    ``self._frac(units)`` materialises the exact rational view — the trace,
-    ``failed_at``, telemetry values and every public attribute are always
-    Fractions, whichever kernel runs.
-
-    ``kernel="array"`` transparently constructs the struct-of-arrays
-    subclass (:class:`~repro.sim.arraystate.ArraySimulation`): same
-    constructor, same public surface, hot state in flat arrays.
-    """
-
-    def __new__(cls, *args, **kwargs):
-        if cls is Simulation and kwargs.get("kernel") == "array":
-            # lazy import: arraystate imports this module at load time
-            from .arraystate import ArraySimulation
-            return object.__new__(ArraySimulation)
-        return object.__new__(cls)
 
     def __init__(
         self,
@@ -225,97 +227,71 @@ class Simulation:
         record_events: bool = True,
         max_events: int = 5_000_000,
         telemetry: Optional[Registry] = None,
-        kernel: str = "int",
+        kernel: str = "array",
     ):
-        if horizon is None and supply is None:
-            raise SimulationError("give a horizon, a supply, or both")
-        if root_pacing not in ("even", "marks", "burst"):
-            raise SimulationError(f"unknown root pacing {root_pacing!r}")
-        if kernel not in KERNELS:
+        if kernel != "array":
             raise SimulationError(
-                f"unknown kernel {kernel!r} (expected one of {KERNELS})")
-        if not record_events and (record_segments or record_buffers):
-            raise SimulationError(
-                "record_events=False (counts-only tracing) requires "
-                "record_segments=False and record_buffers=False")
-        self.root_pacing = root_pacing
-        self._record_segments = record_segments
-        self._record_buffers = record_buffers
-        self._record_events = record_events
-        self.tree = tree
-        self.schedules = schedules
-        self.periods = periods
-        self.controller = controller or Controller(schedules)
-        self.horizon = Fraction(horizon) if horizon is not None else None
-        self.supply = supply
-        self.max_events = max_events
-        self.kernel = kernel
+                f"Simulation is the 'array' kernel (got kernel={kernel!r}); "
+                "for the Fraction oracle construct ReferenceSimulation, or "
+                f"pick a class by name from repro.sim.KERNELS {tuple(KERNELS)}")
+        super().__init__(tree, schedules, periods, controller, horizon,
+                         supply, overlap, root_pacing, record_segments,
+                         record_buffers, record_events, max_events, telemetry)
 
-        self.trace = Trace(record_segments=record_segments,
-                           record_buffers=record_buffers,
-                           record_events=record_events)
-        overlap = overlap or {}
-        self.nodes: Dict[Hashable, _SimNode] = {
-            n: _SimNode(n, tree.w(n), overlap=overlap.get(n, True))
-            for n in tree.nodes()
-        }
-        #: optional live metrics: per-node task/busy/buffer counters land in
-        #: this registry as the run unfolds (None = seed behaviour, no cost)
-        self.telemetry = telemetry
-        self._released = 0
-        self._stop_time: Optional[Fraction] = None
-        self._generation = 0  # bumped by reconfigure() to retire old chains
-        self._control_jobs: Dict[Hashable, Deque] = {}
-        self.tasks_lost = 0
-        self.failed_at: Dict[Hashable, Fraction] = {}
-        #: optional (parent, child, now) → Fraction multiplier on transfer
-        #: times, used by fault injection for transient link degradation
-        self._link_factor: Optional[Callable] = None
-        #: cached (root schedule, T^w, release offsets) in kernel units
+    def _build_state(self, overlap) -> None:
+        tree = self.tree
+        self._timeline = timeline_for(tree, self.schedules,
+                                      horizon=self.horizon)
+        # the engine registers for rescales first: by the time _on_rescale
+        # runs, the clock and the queue are already at the new scale
+        self.engine = ArrayEngine(self._timeline)
+        self._frac_memo: Dict[int, Fraction] = {}
+        self._names, self._index = dense_index(tree.nodes())
+        n = len(self._names)
+        self._parent = [-1] * n
+        self._dead = bytearray(n)
+        self._computing = bytearray(n)
+        self._sending = bytearray(n)
+        self._receiving = bytearray(n)
+        self._overlap = bytearray(
+            bool(overlap.get(name, True)) for name in self._names)
+        self._w_inf = bytearray(n)
+        self._compute_queue = [0] * n
+        self._arrivals = [0] * n  # tasks received (or released, for the root)
+        self._buffered = [0] * n  # tasks currently held at the node
+        self._send_queue = [deque() for _ in range(n)]
+        self._w_frac: List = [None] * n
+        self._int64_fallbacks = 0
+        self._w_ticks = DurationTable(n, self._note_int64_fallback)
+        self._cost_ticks = DurationTable(n, self._note_int64_fallback)
+        self._routes: List[Optional[list]] = [None] * n
+        # one-element / two-element cells: the compiled handlers (see
+        # _bind_hot) close over these lists, so a value that moves mid-run
+        # is written *into* them.  [fast_routes, default_may_compute]:
+        self._route_flags = [True, True]
+        #: with segment recording off: max segment end in ticks, flushed
+        #: into the trace's end-time bookkeeping by :meth:`run`
+        self._seg_end_max = [0]
+        self._horizon_units: Optional[int] = None
+        #: cached (root schedule, T^w, release offsets) in ticks
         self._grid_cache = None
-        #: with segment recording off: max segment end in kernel units,
-        #: flushed into the trace's end-time bookkeeping by :meth:`run`
-        self._seg_end_max = ZERO if kernel == "fraction" else 0
-
-        self._cost_units: Dict = {}
-        self._horizon_units = None
-        if kernel != "fraction":
-            # "int" and "array" share the scaled-integer time plumbing;
-            # they differ in the engine's queue layout and (for "array")
-            # the per-node state representation
-            self._timeline = timeline_for(tree, schedules, horizon=self.horizon)
-            if kernel == "array":
-                self.engine: Engine = ArrayEngine(self._timeline)
-            else:
-                self.engine = IntEngine(self._timeline)
-            self._frac_memo: Dict[int, Fraction] = {}
-            self._units = self._ensure_units
-            self._frac = self._tick_fraction
-            self._timeline.on_rescale(self._on_rescale)
-            self._fill_duration_tables()
-            if telemetry is not None:
-                telemetry.gauge("timeline.scale_bits").set(
-                    self._timeline.scale.bit_length())
-        else:
-            self._timeline = None
-            self.engine = Engine()
-            self._units = Fraction
-            self._frac = _identity
-            self._cost_units = {
-                (tree.parent(n), n): tree.c(n)
-                for n in tree.nodes() if tree.parent(n) is not None
-            }
-        self._horizon_units = (
-            None if self.horizon is None else self._units(self.horizon))
+        self._timeline.on_rescale(self._on_rescale)
+        self._platform_changed()
+        if self.horizon is not None:
+            self._horizon_units = self._units(self.horizon)
+        if self.telemetry is not None:
+            self.telemetry.gauge("timeline.scale_bits").set(
+                self._timeline.scale.bit_length())
+        self._bind_hot()
 
     # ------------------------------------------------------------------
-    # kernel plumbing
+    # scaled-integer plumbing
     # ------------------------------------------------------------------
-    def _ensure_units(self, value) -> int:
+    def _units(self, value) -> int:
         return self._timeline.ensure(
             value if isinstance(value, Fraction) else Fraction(value))
 
-    def _tick_fraction(self, ticks: int) -> Fraction:
+    def _frac(self, ticks: int) -> Fraction:
         memo = self._frac_memo
         f = memo.get(ticks)
         if f is None:
@@ -324,44 +300,56 @@ class Simulation:
             f = memo[ticks] = Fraction(ticks, self._timeline.scale)
         return f
 
-    def _fill_duration_tables(self) -> None:
-        """Precompute every known duration in ticks with one joint rescale."""
-        tree = self.tree
-        finite = [n for n in tree.nodes() if not is_infinite(tree.w(n))]
-        edges = [n for n in tree.nodes() if tree.parent(n) is not None]
-        ticks = self._timeline.ensure_all(
-            [tree.w(n) for n in finite] + [tree.c(n) for n in edges])
-        for node, w_ticks in zip(finite, ticks):
-            self.nodes[node].w_units = w_ticks
-        self._cost_units = {
-            (tree.parent(n), n): c_ticks
-            for n, c_ticks in zip(edges, ticks[len(finite):])
-        }
-
-    def _rescale_node_tables(self, factor: int) -> None:
-        """Bring the per-node duration caches to the new scale.
-
-        A hook so the array kernel can rescale its flat tables in one bulk
-        multiply instead of one Python loop iteration per node."""
-        for state in self.nodes.values():
-            if not is_infinite(state.w_units):
-                state.w_units *= factor
-        self._cost_units = {k: v * factor for k, v in self._cost_units.items()}
+    def _platform_changed(self) -> None:
+        """(Re)read everything derived from ``self.tree``: parent ids,
+        weights, every known duration in ticks (one joint rescale), the
+        root id, and the compiled routes.  Runs at construction, after a
+        failover and after a platform swap."""
+        tree, index = self.tree, self._index
+        n = len(self._names)
+        parent = [-1] * n
+        finite, edges, durations, costs = [], [], [], []
+        for name in tree.nodes():
+            i = index[name]
+            w = self._w_frac[i] = tree.w(name)
+            if is_infinite(w):
+                self._w_inf[i] = 1
+            else:
+                self._w_inf[i] = 0
+                finite.append(i)
+                durations.append(w)
+            p = tree.parent(name)
+            if p is not None:
+                parent[i] = index[p]
+                edges.append(i)
+                costs.append(tree.c(name))
+        self._parent[:] = parent
+        ticks = self._timeline.ensure_all(durations + costs)
+        w_ticks, cost_ticks = [0] * n, [0] * n
+        for i, t in zip(finite, ticks):
+            w_ticks[i] = t
+        for i, t in zip(edges, ticks[len(finite):]):
+            cost_ticks[i] = t
+        self._w_ticks.load(w_ticks)
+        self._cost_ticks.load(cost_ticks)
+        self._root_idx = index[tree.root]
+        self._rebuild_routes()
 
     def _on_rescale(self, factor: int) -> None:
         """The timeline grew: bring every cached tick value to the new scale.
 
-        (The engine rescaled its clock and heap already — it registered
+        (The engine rescaled its clock and queue already — it registered
         first.)  Multiplication by a positive int preserves all orderings,
         so state machines in flight are unaffected."""
-        self._rescale_node_tables(factor)
+        self._w_ticks.rescale(factor)
+        self._cost_ticks.rescale(factor)
         if self._horizon_units is not None:
             self._horizon_units *= factor
         if self._grid_cache is not None:
             schedule, t_w, offsets = self._grid_cache
             self._grid_cache = (schedule, t_w * factor,
                                 [o * factor for o in offsets])
-        self._seg_end_max *= factor
+        self._seg_end_max[0] *= factor
         for node, jobs in self._control_jobs.items():
             self._control_jobs[node] = deque(
                 (duration * factor, cb) for duration, cb in jobs)
@@ -372,59 +360,76 @@ class Simulation:
                 self._timeline.scale.bit_length())
 
     # ------------------------------------------------------------------
-    # telemetry
+    # int64 overflow fallback reporting
     # ------------------------------------------------------------------
-    def _tel_buffer(self, node: Hashable, level: int) -> None:
-        """Track a node's buffer occupancy (gauge: current; histogram:
-        distribution of levels seen)."""
-        self.telemetry.gauge("sim.buffer", node=node).set(level)
-        self.telemetry.histogram("sim.buffer_levels", node=node).observe(level)
+    @property
+    def backend(self) -> str:
+        """Bulk storage of the duration tables: ``"numpy"``, ``"array"``
+        (``array('q')``: numpy absent or ``REPRO_NO_NUMPY`` set) or
+        ``"object"`` while a tick magnitude exceeds int64."""
+        modes = (self._w_ticks.mode, self._cost_ticks.mode)
+        return "object" if "object" in modes else modes[0]
+
+    @property
+    def int64_fallbacks(self) -> int:
+        """How many duration tables fell back to arbitrary-precision ints."""
+        return self._int64_fallbacks
+
+    def _note_int64_fallback(self) -> None:
+        self._int64_fallbacks += 1
+        if self._int64_fallbacks == 1:
+            warnings.warn(
+                "kernel='array': tick magnitudes exceeded int64; duration "
+                "tables fell back to exact arbitrary-precision ints "
+                "(results stay exact, bulk rescales lose vectorisation)",
+                RuntimeWarning, stacklevel=3)
+        if self.telemetry is not None:
+            self.telemetry.counter("sim.int64_fallbacks").inc()
+
+    # ------------------------------------------------------------------
+    # precompiled routing
+    # ------------------------------------------------------------------
+    def _rebuild_routes(self) -> None:
+        """Translate every node's bunch order into dense ids, validated
+        once: an entry is an ``int`` destination id when the per-event
+        checks (self-route on a finite-w node, or a genuine child) are
+        known to pass, else the raw destination name so the generic path
+        raises the routing error lazily at event time."""
+        index = self._index
+        tree = self.tree
+        tree_nodes = set(tree.nodes())
+        routes: List[Optional[list]] = [None] * len(self._names)
+        for name, schedule in self.schedules.items():
+            i = index.get(name)
+            order = schedule.order
+            if i is None or not order or name not in tree_nodes:
+                continue
+            children = set(tree.children(name))
+            entries: list = []
+            for dest in order:
+                if dest == name and not self._w_inf[i]:
+                    entries.append(i)
+                elif dest in children:
+                    entries.append(index[dest])
+                else:
+                    entries.append(dest)
+            routes[i] = entries
+        # in-place: the compiled hot handlers close over the route list
+        # and the flag cell, so both identities must survive a rebuild
+        self._routes[:] = routes
+        controller = self.controller
+        self._route_flags[0] = (
+            type(controller).destination is Controller.destination)
+        self._route_flags[1] = (
+            type(controller).may_compute is Controller.may_compute)
 
     # ------------------------------------------------------------------
     # root release driver
     # ------------------------------------------------------------------
-    def _root_schedule(self) -> NodeSchedule:
-        schedule = self.schedules.get(self.tree.root)
-        if schedule is None:
-            raise SimulationError("the root has no schedule — empty allocation?")
-        return schedule
-
-    def _release_offsets(self, schedule: NodeSchedule) -> list:
-        """Within-period release times of the root's bunch, per pacing mode.
-
-        * ``even`` (default): the j-th designation at ``j·T^w/Ψ`` — uniform
-          dissemination along the period;
-        * ``marks``: at the interleave mark positions ``k/(ψ+1)`` scaled to
-          ``T^w`` (Section 6.3's geometric construction taken literally);
-        * ``burst``: the whole bunch at the period start (a naive clocked
-          root; the steady rates still hold, buffering suffers).
-
-        Pure rational values, independent of the running kernel; the cached
-        :meth:`_root_grid` holds their kernel-unit conversions.
-        """
-        t_w = Fraction(schedule.periods.t_consume)
-        bunch = schedule.bunch
-        if self.root_pacing == "even":
-            spacing = t_w / bunch
-            return [j * spacing for j in range(bunch)]
-        if self.root_pacing == "burst":
-            return [ZERO] * bunch
-        if self.root_pacing == "marks":
-            marks = []
-            for i, dest in enumerate(
-                [d for d in schedule.quantities]
-            ):
-                count = schedule.quantities[dest]
-                delta = Fraction(1, count + 1)
-                for k in range(1, count + 1):
-                    marks.append((k * delta, count, i))
-            marks.sort()
-            return [pos * t_w for pos, _, _ in marks]
-        raise SimulationError(f"unknown root pacing {self.root_pacing!r}")
-
     def _root_grid(self, schedule: NodeSchedule):
-        """``(T^w, release offsets)`` of *schedule* in kernel units, cached
-        per schedule object (rebuilt after a reconfiguration or rescale)."""
+        """``(T^w, release offsets)`` of *schedule* in ticks, cached per
+        schedule object (a reconfiguration or failover installs a new one;
+        a rescale multiplies the cached ticks)."""
         cached = self._grid_cache
         if cached is not None and cached[0] is schedule:
             return cached[1], cached[2]
@@ -441,10 +446,9 @@ class Simulation:
         else:
             t_w = units(Fraction(schedule.periods.t_consume))
             offsets = [units(o) for o in self._release_offsets(schedule)]
-            if self._timeline is not None:
-                # a conversion above may have rescaled: re-read at final scale
-                t_w = units(Fraction(schedule.periods.t_consume))
-                offsets = [units(o) for o in self._release_offsets(schedule)]
+            # a conversion above may have rescaled: re-read at final scale
+            t_w = units(Fraction(schedule.periods.t_consume))
+            offsets = [units(o) for o in self._release_offsets(schedule)]
         self._grid_cache = (schedule, t_w, offsets)
         return t_w, offsets
 
@@ -455,8 +459,8 @@ class Simulation:
         *origin* anchors the period grid (non-zero after a reconfiguration);
         a stale *generation* means :meth:`reconfigure` retired this chain.
         *origin* is carried as a Fraction across periods — it is converted
-        to kernel units afresh each call, so a mid-run rescale between two
-        periods cannot stale it.
+        to ticks afresh each call, so a mid-run rescale between two periods
+        cannot stale it.
         """
         if generation != self._generation:
             return
@@ -467,7 +471,9 @@ class Simulation:
         t_w, offsets = self._root_grid(schedule)
         start = self._units(origin) + k * t_w
         stopped = False
-        for j, dest in enumerate(schedule.order):
+        engine = self.engine
+        route = self._routes[self._root_idx]  # None only for an empty order
+        for j in range(len(schedule.order)):
             t = start + offsets[j]
             if self._horizon_units is not None and t >= self._horizon_units:
                 stopped = True
@@ -476,28 +482,33 @@ class Simulation:
                 stopped = True
                 break
             self._released += 1
-            self.engine.push(
-                t, lambda d=dest, g=generation, tt=t: self._release(d, tt, g)
-            )
+            d = route[j]
+            if type(d) is int:
+                engine.defer(t, self._release, (d, generation))
+            else:
+                engine.defer(t, self._release_slow, (d, generation))
         if stopped:
             # remember when the supply was effectively cut
             if self._stop_time is None:
                 self._stop_time = self._frac(t)
         else:
-            self.engine.push(
-                start + t_w,
-                lambda g=generation: self._schedule_period(k + 1, origin, g),
-            )
+            engine.defer(start + t_w, self._next_period,
+                         (k + 1, origin, generation))
 
-    def _release(self, dest: Hashable, time, generation: int = 0) -> None:
-        """The root releases one task designated for *dest*."""
+    def _next_period(self, arg) -> None:
+        self._schedule_period(*arg)
+
+    def _release_slow(self, arg) -> None:
+        """Generic release: the destination name goes through the full
+        per-event checks of :meth:`_route_by_name`."""
+        dest, generation = arg
         if generation != self._generation:
             self._released -= 1  # the retired chain never released this task
             return
-        root = self.tree.root
-        state = self.nodes[root]
-        state.arrivals += 1
-        state.buffered += 1
+        ri = self._root_idx
+        self._arrivals[ri] += 1
+        self._buffered[ri] += 1
+        root = self._names[ri]
         if self._record_events:
             now = self._frac(self.engine._now)
             self.trace.add_release(now, dest)
@@ -505,258 +516,398 @@ class Simulation:
                 self.trace.add_buffer_delta(now, root, +1)
         if self.telemetry is not None:
             self.telemetry.counter("sim.tasks_released", node=root).inc()
-            self._tel_buffer(root, state.buffered)
-        self._route(root, dest)
+            self._tel_buffer(root, self._buffered[ri])
+        self._route_by_name(ri, dest)
 
     # ------------------------------------------------------------------
     # task movement
     # ------------------------------------------------------------------
-    def _route(self, node: Hashable, dest: Hashable) -> None:
-        state = self.nodes[node]
-        if dest == node:
-            if is_infinite(state.w):
-                raise SimulationError(f"switch {node!r} was routed a compute task")
-            state.compute_queue += 1
-            self._try_start_compute(node)
+    def _route_by_name(self, i: int, dest) -> None:
+        """The one slow routing path: a destination *name* (custom
+        controller, retired schedule, or an order entry the route compiler
+        could not validate), checked per event."""
+        name = self._names[i]
+        if dest == name:
+            if self._w_inf[i]:
+                raise SimulationError(
+                    f"switch {name!r} was routed a compute task")
+            self._compute_queue[i] += 1
+            self._try_compute(i)
         else:
-            if dest not in self.tree.children(node):
-                raise SimulationError(f"{node!r} cannot send to non-child {dest!r}")
-            state.send_queue.append(dest)
-            self._try_start_send(node)
-
-    def _deliver(self, node: Hashable) -> None:
-        """A task transfer to *node* just completed."""
-        state = self.nodes[node]
-        if state.dead:
-            self.tasks_lost += 1  # delivered into a crashed node
-            if self.telemetry is not None:
-                self.telemetry.counter("sim.tasks_lost", node=node).inc()
-            return
-        index = state.arrivals
-        state.arrivals += 1
-        state.buffered += 1
-        if self._record_events:
-            now = self._frac(self.engine._now)
-            self.trace.add_arrival(now, node)
-            if self._record_buffers:
-                self.trace.add_buffer_delta(now, node, +1)
-        if self.telemetry is not None:
-            self.telemetry.counter("sim.tasks_received", node=node).inc()
-            self._tel_buffer(node, state.buffered)
-        dest = self.controller.destination(node, index)
-        self._route(node, dest)
-        # a threshold controller may have just unblocked computing
-        self._try_start_compute(node)
-
-    def _try_start_compute(self, node: Hashable) -> None:
-        state = self.nodes[node]
-        if state.dead:
-            return
-        if state.computing or state.compute_queue == 0:
-            return
-        if not state.overlap and (state.sending or state.receiving):
-            return  # a no-overlap node cannot compute while communicating
-        if not self.controller.may_compute(state):
-            return
-        state.computing = True
-        state.compute_queue -= 1
-        start = self.engine._now
-        end = start + state.w_units
-        if self._record_segments:
-            self.trace.add_segment(node, COMPUTE, self._frac(start),
-                                   self._frac(end))
-        elif end > self._seg_end_max:
-            self._seg_end_max = end
-        if self.telemetry is not None:
-            self.telemetry.counter("sim.busy_time", node=node,
-                                   resource="cpu").inc(state.w)
-        self.engine.push(end, lambda: self._compute_done(node))
-
-    def _compute_done(self, node: Hashable) -> None:
-        state = self.nodes[node]
-        if state.dead:
-            return  # the task died with the node (already counted lost)
-        state.computing = False
-        state.buffered -= 1
-        if self._record_events:
-            now = self._frac(self.engine._now)
-            self.trace.add_completion(now, node)
-            if self._record_buffers:
-                self.trace.add_buffer_delta(now, node, -1)
-        else:
-            self.trace.count_completion()
-        if self.telemetry is not None:
-            now = self._frac(self.engine._now)
-            self.telemetry.counter("sim.tasks_computed", node=node).inc()
-            self._tel_buffer(node, state.buffered)
-            # live-throughput probes: the engine's event cursor and the
-            # virtual clock, refreshed on every completion so a streaming
-            # registry can render progress and event rate without touching
-            # the hot path of untelemetered runs
-            self.telemetry.gauge("sim.events_processed").set(
-                self.engine.processed)
-            self.telemetry.gauge("sim.clock").set(now)
-        # communication gets priority at a no-overlap node: first release a
-        # parent transfer held back by our computing, then our own port,
-        # then (if still allowed) the next local task
-        parent = self.tree.parent(node)
-        if parent is not None:
-            self._try_start_send(parent)
-        self._try_start_send(node)
-        self._try_start_compute(node)
-
-    def _try_start_send(self, node: Hashable) -> None:
-        state = self.nodes[node]
-        if state.dead or state.sending:
-            return
-        if not state.overlap and state.computing:
-            return  # a no-overlap node cannot send while computing
-        # control messages (reconfiguration traffic) pre-empt task transfers
-        # (outer guard: the jobs dict is empty in the vast majority of runs)
-        jobs = self._control_jobs.get(node) if self._control_jobs else None
-        if jobs:
-            duration, callback = jobs.popleft()
-            state.sending = True
-            start = self.engine._now
-            end = start + duration
-            if self._record_segments:
-                self.trace.add_segment(node, CTRL, self._frac(start),
-                                       self._frac(end))
-            elif end > self._seg_end_max:
-                self._seg_end_max = end
-            if self.telemetry is not None:
-                self.telemetry.counter("sim.ctrl_jobs", node=node).inc()
-                self.telemetry.counter("sim.busy_time", node=node,
-                                       resource="send").inc(self._frac(duration))
-
-            def ctrl_done() -> None:
-                state.sending = False
-                if callback is not None:
-                    callback()
-                self._try_start_send(node)
-                self._try_start_compute(node)
-
-            self.engine.push(end, ctrl_done)
-            return
-        if not state.send_queue:
-            return
-        # an in-order transfer to a no-overlap child waits for its CPU
-        head = state.send_queue[0]
-        head_state = self.nodes[head]
-        if not head_state.overlap and head_state.computing:
-            return  # the child's compute completion will wake us
-        child = state.send_queue.popleft()
-        state.sending = True
-        self.nodes[child].receiving = True
-        cost = self._cost_units[(node, child)]
-        if self._link_factor is not None:
-            # the factor callback sees the exact rational time; converting
-            # its (possibly incommensurate) result may grow the scale, so
-            # only read the tick clock afterwards
-            start_frac = self._frac(self.engine._now)
-            cost = self._units(
-                self.tree.edge_cost(node, child)
-                * Fraction(self._link_factor(node, child, start_frac))
-            )
-        start = self.engine._now
-        end = start + cost
-        if self._record_segments:
-            start_f, end_f = self._frac(start), self._frac(end)
-            self.trace.add_segment(node, SEND, start_f, end_f, peer=child)
-            self.trace.add_segment(child, RECV, start_f, end_f, peer=node)
-        elif end > self._seg_end_max:
-            self._seg_end_max = end
-        if self.telemetry is not None:
-            cost_frac = self._frac(cost)
-            self.telemetry.counter("sim.busy_time", node=node,
-                                   resource="send").inc(cost_frac)
-            self.telemetry.counter("sim.busy_time", node=child,
-                                   resource="recv").inc(cost_frac)
-        self.engine.push(end, lambda: self._send_done(node, child))
-
-    def _send_done(self, node: Hashable, child: Hashable) -> None:
-        state = self.nodes[node]
-        if state.dead:
-            # the sender crashed mid-transfer: the task was counted lost at
-            # crash time; just release the child's receive port
-            self.nodes[child].receiving = False
-            return
-        state.sending = False
-        state.buffered -= 1
-        self.nodes[child].receiving = False
-        if self._record_buffers:
-            self.trace.add_buffer_delta(self._frac(self.engine._now), node, -1)
-        if self.telemetry is not None:
-            self.telemetry.counter("sim.tasks_forwarded", node=node,
-                                   child=child).inc()
-            self._tel_buffer(node, state.buffered)
-        self._deliver(child)
-        self._try_start_send(node)
-        # a no-overlap node's CPU may have been waiting on the port
-        self._try_start_compute(node)
+            if dest not in self.tree.children(name):
+                raise SimulationError(
+                    f"{name!r} cannot send to non-child {dest!r}")
+            self._send_queue[i].append(self._index[dest])
+            self._try_send(i)
 
     # ------------------------------------------------------------------
-    # fault injection (used by repro.faults)
+    # compiled hot handlers
     # ------------------------------------------------------------------
-    def fail_node(self, node: Hashable) -> None:
-        """Crash *node* right now (fail-stop).
+    def _bind_hot(self) -> None:
+        """Compile the five per-event handlers into closures.
 
-        Everything the node holds is destroyed and counted in
-        ``tasks_lost``: its buffered tasks (including the one being
-        computed and the one its port is pushing out), its compute queue
-        and its send queue.  A transfer *into* the node that is already on
-        the wire completes at the parent — single-port sends are
-        non-interruptible — and the task is lost on delivery.  The node's
-        descendants keep running; until a recovery prunes them they starve,
-        which is exactly the behaviour :func:`~repro.faults.recovery.resilient_run`
-        measures.  The root cannot fail (it owns the task supply; a dead
-        root is a dead application, not a recoverable fault).
+        CPython resolves closure cells several times faster than instance
+        attributes, and these handlers run once per task movement — the
+        whole point of the array layout.  Everything captured here is
+        identity-stable for the simulation's lifetime: the state arrays
+        and duration ``values`` lists are only ever updated in place, the
+        engine swaps its bucket dict/heap in place on compaction and
+        rescale, and the route table and flag/segment cells are list
+        objects whose contents (not identity) change on reconfiguration.
+        Scalars that genuinely move mid-run (generation, root id, link
+        factor, controller) are read through ``sim`` on every call.
+
+        Guard order and side-effect order match the reference simulator
+        exactly — the cross-kernel equivalence property suite pins this.
         """
-        if node == self.tree.root:
-            raise SimulationError("the root cannot fail: it owns the supply")
-        if node not in self.nodes:
-            raise SimulationError(f"cannot fail unknown node {node!r}")
-        if self.nodes[node].dead:
-            return
-        self._kill(node)
+        sim = self
+        engine = self.engine
+        buckets = engine._buckets
+        tick_heap = engine._tick_heap
+        names = self._names
+        parent = self._parent
+        dead = self._dead
+        computing = self._computing
+        sending = self._sending
+        receiving = self._receiving
+        overlap = self._overlap
+        compute_queue = self._compute_queue
+        arrivals = self._arrivals
+        buffered = self._buffered
+        send_queue = self._send_queue
+        w_vals = self._w_ticks.values
+        cost_vals = self._cost_ticks.values
+        w_frac = self._w_frac
+        routes = self._routes
+        flags = self._route_flags
+        seg = self._seg_end_max
+        jobs = self._control_jobs
+        trace = self.trace
+        tel = self.telemetry
+        frac = self._frac
+        rec_events = self._record_events
+        rec_buffers = self._record_buffers
+        rec_segments = self._record_segments
+        count_completion = trace.count_completion
+        # lean == the transfer-start tail has no observers (no segments,
+        # no telemetry): send_done may then start follow-up transfers in
+        # place instead of re-entering try_send (the link factor, which
+        # can be installed mid-run, is re-checked per use)
+        lean = tel is None and not rec_segments
+
+        def release(arg):
+            # hot release: destination id pre-validated by the route table
+            di, generation = arg
+            if generation != sim._generation:
+                sim._released -= 1  # the retired chain never released it
+                return
+            ri = sim._root_idx
+            arrivals[ri] += 1
+            buffered[ri] += 1
+            if rec_events:
+                now = frac(engine._now)
+                trace.add_release(now, names[di])
+                if rec_buffers:
+                    trace.add_buffer_delta(now, names[ri], +1)
+            if tel is not None:
+                root = names[ri]
+                tel.counter("sim.tasks_released", node=root).inc()
+                sim._tel_buffer(root, buffered[ri])
+            if di == ri:
+                compute_queue[ri] += 1
+                if not computing[ri]:
+                    try_compute(ri)
+            else:
+                send_queue[ri].append(di)
+                if not sending[ri]:
+                    try_send(ri)
+
+        def try_compute(i):
+            if dead[i] or computing[i] or not compute_queue[i]:
+                return
+            if not overlap[i] and (sending[i] or receiving[i]):
+                return  # a no-overlap node cannot compute while communicating
+            if not flags[1] and not sim.controller.may_compute(
+                    names[i], arrivals[i]):
+                return
+            computing[i] = 1
+            compute_queue[i] -= 1
+            start = engine._now
+            end = start + w_vals[i]
+            if rec_segments:
+                trace.add_segment(names[i], COMPUTE, frac(start), frac(end))
+            elif end > seg[0]:
+                seg[0] = end
+            if tel is not None:
+                tel.counter("sim.busy_time", node=names[i],
+                            resource="cpu").inc(w_frac[i])
+            # inline ArrayEngine.defer: end >= now by construction, so the
+            # past-time check is unnecessary
+            b = buckets.get(end)
+            if b is None:
+                buckets[end] = [(compute_done, i, None)]
+                heappush(tick_heap, end)
+            else:
+                b.append((compute_done, i, None))
+            engine._size += 1
+
+        def compute_done(i):
+            if dead[i]:
+                return  # the task died with the node (already counted lost)
+            computing[i] = 0
+            buffered[i] -= 1
+            if rec_events:
+                now = frac(engine._now)
+                trace.add_completion(now, names[i])
+                if rec_buffers:
+                    trace.add_buffer_delta(now, names[i], -1)
+            else:
+                count_completion()
+            if tel is not None:
+                name = names[i]
+                tel.counter("sim.tasks_computed", node=name).inc()
+                sim._tel_buffer(name, buffered[i])
+                tel.gauge("sim.events_processed").set(engine.processed)
+                tel.gauge("sim.clock").set(frac(engine._now))
+            # wake order matches the reference: parent's port, own port, own
+            # CPU (each call guarded by the callee's cheap reject so idle
+            # wakes cost no call)
+            p = parent[i]
+            if p >= 0 and not sending[p] and (send_queue[p] or jobs):
+                try_send(p)
+            if not sending[i] and (send_queue[i] or jobs):
+                try_send(i)
+            if compute_queue[i] and not computing[i]:
+                try_compute(i)
+
+        def try_send(i):
+            if dead[i] or sending[i]:
+                return
+            if not overlap[i] and computing[i]:
+                return  # a no-overlap node cannot send while computing
+            if jobs:
+                # control messages pre-empt task transfers (cold path)
+                j = jobs.get(names[i])
+                if j:
+                    duration, callback = j.popleft()
+                    sending[i] = 1
+                    name = names[i]
+                    start = engine._now
+                    end = start + duration
+                    if rec_segments:
+                        trace.add_segment(name, CTRL, frac(start),
+                                          frac(end))
+                    elif end > seg[0]:
+                        seg[0] = end
+                    if tel is not None:
+                        tel.counter("sim.ctrl_jobs", node=name).inc()
+                        tel.counter("sim.busy_time", node=name,
+                                    resource="send").inc(frac(duration))
+
+                    def ctrl_done(_arg, i=i, callback=callback):
+                        sending[i] = 0
+                        if callback is not None:
+                            callback()
+                        try_send(i)
+                        try_compute(i)
+
+                    engine.defer(end, ctrl_done)
+                    return
+            queue = send_queue[i]
+            if not queue:
+                return
+            # an in-order transfer to a no-overlap child waits for its CPU
+            ci = queue[0]
+            if not overlap[ci] and computing[ci]:
+                return  # the child's compute completion will wake us
+            queue.popleft()
+            sending[i] = 1
+            receiving[ci] = 1
+            cost = cost_vals[ci]
+            if sim._link_factor is not None:
+                # the factor callback sees the exact rational time;
+                # converting its (possibly incommensurate) result may grow
+                # the scale, so only read the tick clock afterwards
+                name, child = names[i], names[ci]
+                start_frac = frac(engine._now)
+                cost = sim._units(
+                    sim.tree.edge_cost(name, child)
+                    * Fraction(sim._link_factor(name, child, start_frac))
+                )
+            start = engine._now
+            end = start + cost
+            if rec_segments:
+                name, child = names[i], names[ci]
+                start_f, end_f = frac(start), frac(end)
+                trace.add_segment(name, SEND, start_f, end_f, peer=child)
+                trace.add_segment(child, RECV, start_f, end_f, peer=name)
+            elif end > seg[0]:
+                seg[0] = end
+            if tel is not None:
+                name, child = names[i], names[ci]
+                cost_frac = frac(cost)
+                tel.counter("sim.busy_time", node=name,
+                            resource="send").inc(cost_frac)
+                tel.counter("sim.busy_time", node=child,
+                            resource="recv").inc(cost_frac)
+            # inline ArrayEngine.defer: end >= now by construction
+            b = buckets.get(end)
+            if b is None:
+                buckets[end] = [(send_done, (i, ci), None)]
+                heappush(tick_heap, end)
+            else:
+                b.append((send_done, (i, ci), None))
+            engine._size += 1
+
+        def send_done(arg):
+            # the single hottest event: one call per task transfer.  The
+            # delivery to the child is inlined and the wake-up calls are
+            # guarded by their cheap reject conditions, so the common case
+            # runs with no Python call beyond the queue insert.  Observable
+            # order matches the reference: deliver child (route, child
+            # port, child CPU), own port, own CPU.
+            i, ci = arg
+            if dead[i]:
+                # the sender crashed mid-transfer: the task was counted
+                # lost at crash time; just release the child's receive port
+                receiving[ci] = 0
+                return
+            sending[i] = 0
+            buffered[i] -= 1
+            receiving[ci] = 0
+            if rec_buffers:
+                trace.add_buffer_delta(frac(engine._now), names[i], -1)
+            if tel is not None:
+                tel.counter("sim.tasks_forwarded", node=names[i],
+                            child=names[ci]).inc()
+                sim._tel_buffer(names[i], buffered[i])
+            # --- deliver to the child ---
+            if dead[ci]:
+                sim.tasks_lost += 1  # delivered into a crashed node
+                if tel is not None:
+                    tel.counter("sim.tasks_lost", node=names[ci]).inc()
+            else:
+                index = arrivals[ci]
+                arrivals[ci] = index + 1
+                buffered[ci] += 1
+                if rec_events:
+                    now = frac(engine._now)
+                    trace.add_arrival(now, names[ci])
+                    if rec_buffers:
+                        trace.add_buffer_delta(now, names[ci], +1)
+                if tel is not None:
+                    tel.counter("sim.tasks_received",
+                                node=names[ci]).inc()
+                    sim._tel_buffer(names[ci], buffered[ci])
+                route = routes[ci] if flags[0] else None
+                if route is not None:
+                    d = route[index % len(route)]
+                    if type(d) is int:
+                        if d == ci:
+                            compute_queue[ci] += 1
+                        else:
+                            send_queue[ci].append(d)
+                            if not sending[ci]:
+                                # forwarders relay every task: start the
+                                # child's transfer in place when nothing
+                                # observes the start (try_send otherwise —
+                                # the guards below mirror its rejects)
+                                if (lean and not jobs
+                                        and sim._link_factor is None):
+                                    if overlap[ci] or not computing[ci]:
+                                        cj = send_queue[ci][0]
+                                        if overlap[cj] or not computing[cj]:
+                                            send_queue[ci].popleft()
+                                            sending[ci] = 1
+                                            receiving[cj] = 1
+                                            end = engine._now + cost_vals[cj]
+                                            if end > seg[0]:
+                                                seg[0] = end
+                                            b = buckets.get(end)
+                                            if b is None:
+                                                buckets[end] = [
+                                                    (send_done, (ci, cj),
+                                                     None)]
+                                                heappush(tick_heap, end)
+                                            else:
+                                                b.append((send_done,
+                                                          (ci, cj), None))
+                                            engine._size += 1
+                                else:
+                                    try_send(ci)
+                    else:
+                        sim._route_by_name(ci, d)
+                else:
+                    # generic path: custom controller or retired schedule
+                    sim._route_by_name(
+                        ci, sim.controller.destination(names[ci], index))
+                if compute_queue[ci] and not computing[ci]:
+                    try_compute(ci)
+            # --- wake the sender's port, then (no-overlap) its CPU ---
+            if not sending[i] and (send_queue[i] or jobs):
+                if (lean and not jobs and sim._link_factor is None
+                        and not dead[i]):
+                    # start the sender's next queued transfer in place
+                    if overlap[i] or not computing[i]:
+                        ck = send_queue[i][0]
+                        if overlap[ck] or not computing[ck]:
+                            send_queue[i].popleft()
+                            sending[i] = 1
+                            receiving[ck] = 1
+                            end = engine._now + cost_vals[ck]
+                            if end > seg[0]:
+                                seg[0] = end
+                            b = buckets.get(end)
+                            if b is None:
+                                buckets[end] = [(send_done, (i, ck), None)]
+                                heappush(tick_heap, end)
+                            else:
+                                b.append((send_done, (i, ck), None))
+                            engine._size += 1
+                else:
+                    try_send(i)
+            if compute_queue[i] and not computing[i]:
+                try_compute(i)
+
+        self._release = release
+        self._try_compute = try_compute
+        self._try_send = try_send
+
+    # ------------------------------------------------------------------
+    # fault injection and online reconfiguration: the state-touching halves
+    # ------------------------------------------------------------------
+    def _is_dead(self, node: Hashable):
+        i = self._index.get(node)
+        return None if i is None else bool(self._dead[i])
+
+    def dead_nodes(self) -> List[Hashable]:
+        """Every currently-crashed node, in tree order."""
+        return [name for name, dead in zip(self._names, self._dead) if dead]
 
     def _kill(self, node: Hashable) -> None:
-        """Shared fail-stop body: destroy *node*'s state, count the losses."""
-        state = self.nodes[node]
+        """Fail-stop body: destroy *node*'s state, count the losses."""
+        i = self._index[node]
         now = self._frac(self.engine._now)
-        state.dead = True
+        buffered = self._buffered[i]
+        self._dead[i] = 1
         self.failed_at[node] = now
         if self.telemetry is not None:
             self.telemetry.counter("sim.crashes", node=node).inc()
             self.telemetry.record_span("crash", now, now, node=node,
-                                       buffered=state.buffered)
-        if state.buffered > 0:
-            self.tasks_lost += state.buffered
-            self.trace.add_buffer_delta(now, node, -state.buffered)
+                                       buffered=buffered)
+        if buffered > 0:
+            self.tasks_lost += buffered
+            self.trace.add_buffer_delta(now, node, -buffered)
             if self.telemetry is not None:
                 self.telemetry.counter("sim.tasks_lost",
-                                       node=node).inc(state.buffered)
+                                       node=node).inc(buffered)
                 self._tel_buffer(node, 0)
-            state.buffered = 0
-        state.compute_queue = 0
-        state.send_queue.clear()
-        state.computing = False
-        state.sending = False  # _send_done's dead-sender guard frees the child
+            self._buffered[i] = 0
+        self._compute_queue[i] = 0
+        self._send_queue[i].clear()
+        self._computing[i] = 0
+        self._sending[i] = 0  # send_done's dead-sender guard frees the child
         self._control_jobs.pop(node, None)
-
-    def fail_root(self) -> None:
-        """Crash the acting master right now (the root-failover scenario).
-
-        Unlike :meth:`fail_node`, here the root *is* allowed to die — the
-        caller promises an election follows (:meth:`failover_root` plus
-        :meth:`reconfigure` at the recovery switch).  The release chain is
-        retired immediately: a dead master releases nothing.
-        """
-        root = self.tree.root
-        if self.nodes[root].dead:
-            return
-        self._generation += 1  # retire pending release chains
-        self._kill(root)
 
     def revive_node(self, node: Hashable) -> None:
         """Bring a crashed *node* back, repaired and empty.
@@ -767,65 +918,20 @@ class Simulation:
         It rejoins the *task flow* only once a reconfiguration routes work
         to it again.
         """
-        if node not in self.nodes:
+        i = self._index.get(node)
+        if i is None:
             raise SimulationError(f"cannot revive unknown node {node!r}")
-        state = self.nodes[node]
-        if not state.dead:
+        if not self._dead[i]:
             return
-        state.dead = False
-        state.receiving = False
-        state.computing = False
-        state.sending = False
+        self._dead[i] = 0
+        self._receiving[i] = 0
+        self._computing[i] = 0
+        self._sending[i] = 0
         if self.telemetry is not None:
             now = self._frac(self.engine._now)
             self.telemetry.counter("sim.revivals", node=node).inc()
             self.telemetry.record_span("revive", now, now, node=node)
 
-    def failover_root(self, new_root: Hashable) -> None:
-        """Promote *new_root* after the master died (the election outcome).
-
-        Requires the current root to be dead (:meth:`fail_root` ran) and
-        *new_root* to be one of its live children.  The tree is re-rooted
-        in place — the old root leaves, its remaining children re-parent
-        under *new_root* at their original edge costs — and the duration
-        tables are refreshed.  The caller installs the new root's schedules
-        via :meth:`reconfigure`, typically in the same callback, so no
-        release can fall in between.
-        """
-        root = self.tree.root
-        if not self.nodes[root].dead:
-            raise SimulationError(
-                "failover requires the current root to be dead"
-            )
-        if new_root not in self.nodes or self.nodes[new_root].dead:
-            raise SimulationError(f"cannot elect {new_root!r}: unknown or dead")
-        self.tree.failover_root(new_root)
-        if self._timeline is not None:
-            self._fill_duration_tables()
-        else:
-            tree = self.tree
-            self._cost_units = {
-                (tree.parent(n), n): tree.c(n)
-                for n in tree.nodes() if tree.parent(n) is not None
-            }
-        self._grid_cache = None
-        if self.telemetry is not None:
-            self.telemetry.counter("sim.failovers").inc()
-
-    def schedule_failure(self, node: Hashable, time) -> None:
-        """Arrange for *node* to crash at virtual *time*."""
-        self.engine.schedule_at(Fraction(time), lambda: self.fail_node(node))
-
-    def set_link_time_factor(self, factor: Optional[Callable]) -> None:
-        """Install a ``(parent, child, start_time) → Fraction`` multiplier
-        applied to every task-transfer duration — transient link
-        degradation.  ``None`` removes it.  Transfers already in progress
-        keep their original duration."""
-        self._link_factor = factor
-
-    # ------------------------------------------------------------------
-    # online reconfiguration (used by repro.extensions.online)
-    # ------------------------------------------------------------------
     def inject_control(self, node: Hashable, duration,
                        callback=None) -> None:
         """Queue a control-plane job on *node*'s send port.
@@ -835,7 +941,8 @@ class Simulation:
         recorded as ``CTRL`` segments.  Jobs for a dead node are dropped —
         its port no longer exists (the callback never fires).
         """
-        if self.nodes[node].dead:
+        i = self._index[node]
+        if self._dead[i]:
             return
         # convert BEFORE touching the queue dict: a rescale triggered by the
         # conversion replaces every queued deque with a scaled copy, so a
@@ -844,90 +951,35 @@ class Simulation:
         self._control_jobs.setdefault(node, deque()).append(
             (duration_units, callback)
         )
-        self._try_start_send(node)
+        self._try_send(i)
 
-    def swap_platform(self, tree: Tree) -> None:
-        """The physical platform drifted: costs/weights change in place.
+    def reconfigure(self, schedules, periods) -> None:
+        super().reconfigure(schedules, periods)
+        self._rebuild_routes()
 
-        *tree* must have the same topology; transfers and computations
-        already in progress finish at their old durations, new ones use the
-        new values.
-        """
-        if set(tree.nodes()) != set(self.tree.nodes()):
-            raise SimulationError("swap_platform requires the same topology")
-        self.tree = tree
-        for node in tree.nodes():
-            self.nodes[node].w = tree.w(node)
-        if self._timeline is not None:
-            self._fill_duration_tables()
-        else:
-            for node in tree.nodes():
-                self.nodes[node].w_units = self.nodes[node].w
-            self._cost_units = {
-                (tree.parent(n), n): tree.c(n)
-                for n in tree.nodes() if tree.parent(n) is not None
-            }
-
-    def reconfigure(self, schedules: Mapping[Hashable, NodeSchedule],
-                    periods: Mapping[Hashable, NodePeriods]) -> None:
-        """Switch every node to new event-driven *schedules* right now.
-
-        The old root release chain is retired and a new one starts
-        immediately, anchored at the current time; clock-free nodes keep
-        their arrival counters and simply continue into the new bunch
-        orders (nodes dropped from the new schedules drain residual tasks
-        by their retired orders).
-        """
-        # merge with schedules retired by earlier reconfigurations: a node
-        # pruned two epochs ago may still be draining its residual buffer
-        retired = dict(getattr(self.controller, "retired", None) or {})
-        retired.update(self.schedules)
-        self.schedules = dict(schedules)
-        self.periods = dict(periods)
-        self.controller.schedules = self.schedules
-        self.controller.retired = retired
-        self._generation += 1
-        self._grid_cache = None
-        origin_units = self.engine._now
-        origin = self._frac(origin_units)
-        self.engine.push(
-            origin_units,
-            lambda g=self._generation: self._schedule_period(0, origin, g),
-        )
-
-    # ------------------------------------------------------------------
-    # running
-    # ------------------------------------------------------------------
-    def run(self) -> SimulationResult:
-        """Run to completion: release until horizon/supply, then drain."""
-        if self.telemetry is not None and self.horizon is not None:
-            self.telemetry.gauge("sim.horizon").set(self.horizon)
-        self._schedule_period(0)
-        self.engine.run_all(max_events=self.max_events)
-        if self.telemetry is not None:
-            self.telemetry.gauge("sim.events_processed").set(
-                self.engine.processed)
-        if not self._record_segments and self._seg_end_max:
-            # segment ends were tracked in kernel units (cheap int compares
-            # on the int kernel) instead of per-event trace updates; fold
-            # the max into the trace so end_time matches a recording run
-            end_f = self._frac(self._seg_end_max)
+    def _close_trace(self) -> None:
+        if not self._record_segments and self._seg_end_max[0]:
+            # segment ends were tracked as cheap int compares instead of
+            # per-event trace updates; fold the max into the trace so
+            # end_time matches a recording run
+            end_f = self._frac(self._seg_end_max[0])
             if end_f > self.trace._last_time:
                 self.trace._last_time = end_f
-        stop = self._stop_time
-        if stop is None and self.horizon is not None:
-            stop = self.horizon
-        return SimulationResult(
-            trace=self.trace,
-            tree=self.tree,
-            schedules=self.schedules,
-            periods=self.periods,
-            released=self._released,
-            stop_time=stop,
-            end_time=self.trace.end_time,
-            tasks_lost=self.tasks_lost,
-            failed_at=dict(self.failed_at),
-        )
+
+
+#: the simulator classes by kernel name — what ``simulate(kernel=)``,
+#: ``resilient_run(kernel=)`` and the equivalence tests select from
+KERNELS = {"array": Simulation, "fraction": ReferenceSimulation}
+
+
+def kernel_class(kernel: str):
+    """The simulator class registered under *kernel* in :data:`KERNELS`."""
+    try:
+        return KERNELS[kernel]
+    except KeyError:
+        raise SimulationError(
+            f"unknown kernel {kernel!r} (expected one of {tuple(KERNELS)})"
+        ) from None
 
 
 def simulate(
@@ -944,7 +996,7 @@ def simulate(
     record_events: bool = True,
     max_events: int = 5_000_000,
     telemetry: Optional[Registry] = None,
-    kernel: str = "int",
+    kernel: str = "array",
 ) -> SimulationResult:
     """One-call simulation of *tree* running its optimal event-driven schedule.
 
@@ -972,15 +1024,16 @@ def simulate(
     histograms, live as the simulation unfolds.  ``None`` (the default)
     runs the exact uninstrumented code path.
 
-    *kernel* selects the exact time kernel: ``"int"`` (default) runs the
-    event loop on scaled-integer ticks (same results, several times
-    faster), ``"array"`` on struct-of-arrays state over a bucketed tick
-    queue (fastest at 10k+ nodes), ``"fraction"`` on per-event rationals —
-    see the module docstring, :mod:`repro.core.timeline` and
-    :mod:`repro.sim.arraystate`.  ``record_events=False`` (requires the
-    other two ``record_*`` flags off) keeps only the completion counter
-    and end time — the counts-only mode for multi-million-event runs.
+    *kernel* names the simulator class in :data:`KERNELS`: ``"array"``
+    (default) is the production :class:`Simulation`, ``"fraction"`` the
+    several-times-slower :class:`~repro.sim.reference.ReferenceSimulation`
+    oracle that tests compare it against — same results, bit for bit; any
+    other name raises :class:`~repro.exceptions.SimulationError`.
+    ``record_events=False`` (requires the other two ``record_*`` flags
+    off) keeps only the completion counter and end time — the counts-only
+    mode for multi-million-event runs.
     """
+    simulation_class = kernel_class(kernel)
     if allocation is None:
         from ..core.allocation import from_bw_first
         from ..core.bwfirst import bw_first
@@ -993,7 +1046,7 @@ def simulate(
     else:
         thresholds = {node: periods[node].chi_in for node in schedules}
         controller = BufferedStartController(schedules, thresholds, tree.root)
-    sim = Simulation(
+    sim = simulation_class(
         tree,
         schedules,
         periods,
@@ -1007,6 +1060,5 @@ def simulate(
         record_events=record_events,
         max_events=max_events,
         telemetry=telemetry,
-        kernel=kernel,
     )
     return sim.run()

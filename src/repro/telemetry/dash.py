@@ -367,8 +367,7 @@ def _make_handler(dash: Dashboard):
 def run_dash_workload(registry: LiveRegistry, nodes: int = 1000,
                       seed: int = 1, runtime: Optional[str] = None,
                       state: Optional[Dict[str, Any]] = None,
-                      taskplane_tasks: int = 120,
-                      kernel: str = "array"):
+                      taskplane_tasks: int = 120):
     """A seeded crash→quarantine→rejoin recovery story on a smooth-rate
     platform, instrumented into *registry* (pass the dashboard's).
 
@@ -383,11 +382,6 @@ def run_dash_workload(registry: LiveRegistry, nodes: int = 1000,
     *taskplane_tasks* real payloads on the Section 8 tree into the same
     registry — the ``taskplane.*`` gauges feed the per-edge
     occupancy-vs-bound panel (0 skips the phase).
-
-    *kernel* picks the supervised simulation's time kernel; the default
-    is the struct-of-arrays ``"array"`` kernel, the fastest at dashboard
-    scale (bit-identical to the others — the ``sim.events_processed`` and
-    ``sim.clock`` gauges stream the same values either way).
     """
     from fractions import Fraction
 
@@ -413,9 +407,8 @@ def run_dash_workload(registry: LiveRegistry, nodes: int = 1000,
         # (default detection: interval 1, timeout 1/2 → declared at 2.5)
         rejoins = (NodeRejoin(victims[0], Fraction(8)),) if victims else ()
         plan = FaultPlan(crashes=crashes, rejoins=rejoins, seed=seed)
-        report = resilient_run(
-            tree, plan, telemetry=registry, runtime=runtime, kernel=kernel,
-        )
+        report = resilient_run(tree, plan, telemetry=registry,
+                               runtime=runtime)
         state["wall_s"] = time.monotonic() - t0
         state["epochs"] = len(report.epochs)
         state["rate_after"] = float(report.rate_after)
@@ -443,7 +436,7 @@ def run_dash_workload(registry: LiveRegistry, nodes: int = 1000,
 def serve_dashboard(nodes: int = 1000, seed: int = 1, host: str = "127.0.0.1",
                     port: int = 8787, runtime: Optional[str] = None,
                     baseline_dir=None, interval: float = 1.0,
-                    workload: bool = True, kernel: str = "array") -> Dashboard:
+                    workload: bool = True) -> Dashboard:
     """Start a :class:`Dashboard` (and optionally its chaos workload in a
     background thread); returns the running dashboard.  The caller owns
     shutdown via :meth:`Dashboard.stop`."""
@@ -454,7 +447,7 @@ def serve_dashboard(nodes: int = 1000, seed: int = 1, host: str = "127.0.0.1",
             target=run_dash_workload,
             args=(dash.registry,),
             kwargs=dict(nodes=nodes, seed=seed, runtime=runtime,
-                        state=dash.workload, kernel=kernel),
+                        state=dash.workload),
             name="repro-dash-workload", daemon=True,
         )
         thread.start()

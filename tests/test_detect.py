@@ -18,6 +18,7 @@ from repro.faults import HeartbeatMonitor, detection_time
 from repro.platform.tree import Tree
 from repro.schedule.eventdriven import build_schedules
 from repro.schedule.periods import tree_periods
+from repro.sim import KERNELS
 from repro.sim.simulator import Simulation
 
 F = Fraction
@@ -64,6 +65,26 @@ class TestDetectionTimeBoundaries:
 
 
 class TestMonitorEdgeCases:
+    def test_three_crashes_detected_identically_on_both_kernels(self):
+        """The monitor reads ``sim.dead_nodes()``; node for node and time
+        for time, the two simulator classes must tell it the same story."""
+        tree = two_level()
+        allocation = from_bw_first(bw_first(tree))
+        periods = tree_periods(allocation)
+        schedules = build_schedules(allocation, periods=periods)
+        detected = {}
+        for kernel, simulation_class in KERNELS.items():
+            sim = simulation_class(tree, dict(schedules), dict(periods),
+                                   horizon=F(20))
+            sim.schedule_failure("a1", F(1))
+            sim.schedule_failure("b", F(7, 2))
+            sim.schedule_failure("a", F(6))
+            monitor = HeartbeatMonitor(sim, F(2), F(1), until=F(20)).start()
+            sim.run()
+            detected[kernel] = list(monitor.detected.items())
+        assert detected["array"] == detected["fraction"]
+        assert detected["array"] == [("a1", F(3)), ("b", F(5)), ("a", F(7))]
+
     def test_crash_on_the_beat_detected_at_that_beat(self):
         sim = build_sim(two_level(), horizon=F(20))
         sim.schedule_failure("a", F(4))  # beats at 0, 2, 4, ...

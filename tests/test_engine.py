@@ -6,18 +6,16 @@ import pytest
 
 from repro.core.timeline import IntTimeline
 from repro.exceptions import SimulationError
-from repro.sim.engine import ArrayEngine, Engine, IntEngine, _COMPACT_FLOOR
+from repro.sim.engine import ArrayEngine, Engine, _COMPACT_FLOOR
 
 F = Fraction
 
-ENGINE_KINDS = ("fraction", "int", "array")
+ENGINE_KINDS = ("fraction", "array")
 
 
 def make_engine(kind):
     if kind == "fraction":
         return Engine()
-    if kind == "int":
-        return IntEngine(IntTimeline(6))
     return ArrayEngine(IntTimeline(6))
 
 

@@ -1,11 +1,13 @@
 """Exactness properties of the scaled-integer timeline kernel.
 
-The tentpole claim of :mod:`repro.core.timeline` is that the ``"int"``
-simulation kernel is a *pure speedup*: every observable — the full trace
-(segments, completions, arrivals, buffer deltas, releases), the end time,
-the scaled period quantities — is ``==`` to the ``Fraction`` reference
-path, including under mid-run rescales, crashes, re-joins and online
-reconfiguration.  These tests pin that claim on 25 seeded random trees.
+The tentpole claim of :mod:`repro.core.timeline` is that the production
+``"array"`` simulation kernel is a *pure speedup*: every observable — the
+full trace (segments, completions, arrivals, buffer deltas, releases),
+the end time, the scaled period quantities — is ``==`` to the
+``Fraction`` reference simulator, including under mid-run rescales,
+crashes, re-joins and online reconfiguration.  These tests pin that claim
+on 25 seeded random trees, and pin the reference itself to trace digests
+recorded before it was separated from the production class.
 
 Also covered here: the fragment-caching incremental schedule builder
 (equal to a full rebuild across prune/graft/set_w/set_c), the
@@ -14,8 +16,11 @@ Also covered here: the fragment-caching incremental schedule builder
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +29,12 @@ from repro.core.bwfirst import bw_first
 from repro.core.incremental import IncrementalSolver, _IFrame, _Sol
 from repro.core.rates import is_infinite
 from repro.core.timeline import IntTimeline, denominator_lcm, timeline_for, tree_periods_scaled
-from repro.exceptions import ScheduleError
+from repro.exceptions import ScheduleError, SimulationError
 from repro.platform.tree import Tree
 from repro.schedule.eventdriven import build_schedules
 from repro.schedule.periods import MAX_PERIOD_BITS, global_period, tree_periods
+from repro.sim import KERNELS, ReferenceSimulation
+from repro.sim.base import Controller
 from repro.sim.simulator import Simulation, simulate
 from repro.telemetry import Registry
 from repro.telemetry.core import NULL
@@ -35,7 +42,7 @@ from repro.telemetry.core import NULL
 SEEDS = list(range(25))
 
 #: every kernel that must be bit-identical to the Fraction reference
-ALL_KERNELS = ("int", "array", "fraction")
+ALL_KERNELS = tuple(KERNELS)
 
 W_CHOICES = [Fraction(2), Fraction(3), Fraction(4), Fraction(6),
              Fraction(8), Fraction(5, 2), Fraction(7, 2)]
@@ -83,11 +90,9 @@ class TestKernelEquivalence:
         results = {}
         for kernel in ALL_KERNELS:
             results[kernel] = simulate(tree, horizon=horizon, kernel=kernel)
-        for kernel in ("int", "array"):
-            assert_traces_equal(results[kernel].trace,
-                                results["fraction"].trace)
-            assert results[kernel].released == results["fraction"].released
-            assert results[kernel].stop_time == results["fraction"].stop_time
+        assert_traces_equal(results["array"].trace, results["fraction"].trace)
+        assert results["array"].released == results["fraction"].released
+        assert results["array"].stop_time == results["fraction"].stop_time
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_scaled_periods_equal_fraction_periods(self, seed):
@@ -101,11 +106,10 @@ class TestKernelEquivalence:
         _, periods, _ = solved(tree)
         horizon = Fraction(global_period(periods))
         full = simulate(tree, horizon=horizon, kernel="fraction")
-        for kernel in ("int", "array"):
-            lean = simulate(tree, horizon=horizon, kernel=kernel,
-                            record_segments=False, record_buffers=False)
-            assert lean.trace.completions == full.trace.completions
-            assert lean.trace.end_time == full.trace.end_time
+        lean = simulate(tree, horizon=horizon, kernel="array",
+                        record_segments=False, record_buffers=False)
+        assert lean.trace.completions == full.trace.completions
+        assert lean.trace.end_time == full.trace.end_time
 
     @pytest.mark.parametrize("seed", SEEDS[:8])
     def test_crash_traces_identical(self, seed):
@@ -116,20 +120,18 @@ class TestKernelEquivalence:
         t = Fraction(global_period(periods))
         results = {}
         for kernel in ALL_KERNELS:
-            sim = Simulation(tree, dict(schedules), dict(periods),
-                             horizon=2 * t, kernel=kernel)
+            sim = KERNELS[kernel](tree, dict(schedules), dict(periods),
+                                  horizon=2 * t)
             sim.schedule_failure(victim, t * Fraction(2, 3))
             results[kernel] = sim.run()
-        for kernel in ("int", "array"):
-            assert_traces_equal(results[kernel].trace,
-                                results["fraction"].trace)
-            assert results[kernel].tasks_lost == results["fraction"].tasks_lost
-            assert results[kernel].failed_at == results["fraction"].failed_at
+        assert_traces_equal(results["array"].trace, results["fraction"].trace)
+        assert results["array"].tasks_lost == results["fraction"].tasks_lost
+        assert results["array"].failed_at == results["fraction"].failed_at
 
     @pytest.mark.parametrize("seed", SEEDS[:8])
     def test_crash_then_rejoin_reconfigure_identical(self, seed):
         """Crash a subtree, then reconfigure onto the survivors' schedule —
-        the recovery scenario — identically in both kernels."""
+        the recovery scenario — identically on both kernels."""
         tree = random_tree(seed)
         rng = random.Random(2000 + seed)
         victim = rng.choice([n for n in tree.nodes() if n != tree.root])
@@ -140,29 +142,27 @@ class TestKernelEquivalence:
         t_crash, t_switch = t * Fraction(1, 2), t
         results = {}
         for kernel in ALL_KERNELS:
-            sim = Simulation(tree, dict(schedules), dict(periods),
-                             horizon=2 * t, kernel=kernel)
+            sim = KERNELS[kernel](tree, dict(schedules), dict(periods),
+                                  horizon=2 * t)
             sim.schedule_failure(victim, t_crash)
             sim.engine.schedule_at(
                 t_switch, lambda s=sim: s.reconfigure(new_schedules, new_periods))
             results[kernel] = sim.run()
-        for kernel in ("int", "array"):
-            assert_traces_equal(results[kernel].trace,
-                                results["fraction"].trace)
-            assert results[kernel].tasks_lost == results["fraction"].tasks_lost
+        assert_traces_equal(results["array"].trace, results["fraction"].trace)
+        assert results["array"].tasks_lost == results["fraction"].tasks_lost
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_midrun_rescale_equivalence(self, seed):
-        """A control job with a foreign denominator forces the int kernel to
-        rescale mid-run; the trace must stay bit-identical."""
+        """A control job with a foreign denominator forces the tick kernel
+        to rescale mid-run; the trace must stay bit-identical."""
         tree = random_tree(seed)
         _, periods, schedules = solved(tree)
         t = Fraction(global_period(periods))
         node = next(iter(schedules))
         results = {}
         for kernel in ALL_KERNELS:
-            sim = Simulation(tree, dict(schedules), dict(periods),
-                             horizon=2 * t, kernel=kernel)
+            sim = KERNELS[kernel](tree, dict(schedules), dict(periods),
+                                  horizon=2 * t)
             sim.engine.schedule_at(
                 t * Fraction(1, 3),
                 lambda s=sim: s.inject_control(node, Fraction(1, 7)))
@@ -170,9 +170,150 @@ class TestKernelEquivalence:
                 t * Fraction(2, 3),
                 lambda s=sim: s.inject_control(node, Fraction(1, 11)))
             results[kernel] = sim.run()
-        for kernel in ("int", "array"):
-            assert_traces_equal(results[kernel].trace,
-                                results["fraction"].trace)
+        assert_traces_equal(results["array"].trace, results["fraction"].trace)
+
+
+# ----------------------------------------------------------------------
+# the oracle, pinned: trace digests recorded from the Fraction kernel at
+# the commit *before* the reference was split out of the production class
+# ----------------------------------------------------------------------
+DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "sim_trace_digests.json").read_text())
+
+SCENARIOS = ("plain", "crash", "rejoin", "rescale", "buffered")
+
+
+def trace_digest(result) -> str:
+    """SHA-256 over every observable of a fully-recorded run, in one
+    canonical text form (rationals as ``n/d``, node names as ``str``)."""
+    trace = result.trace
+    canonical = (
+        [(str(s.node), s.kind, str(s.start), str(s.end), str(s.peer))
+         for s in trace.segments],
+        [(str(t), str(n)) for t, n in trace.completions],
+        [(str(t), str(n)) for t, n in trace.arrivals],
+        [(str(t), str(n)) for t, n in trace.releases],
+        [(str(t), str(n), d) for t, n, d in trace.buffer_deltas],
+        result.released, str(result.stop_time), result.tasks_lost,
+        sorted((str(n), str(t)) for n, t in result.failed_at.items()),
+    )
+    return hashlib.sha256(repr(canonical).encode()).hexdigest()
+
+
+def run_scenario(scenario: str, seed: int, kernel: str):
+    """One of the five pinned stories on ``random_tree(seed)``."""
+    tree = random_tree(seed)
+    _, periods, schedules = solved(tree)
+    t = Fraction(global_period(periods))
+    if scenario == "plain":
+        return simulate(tree, horizon=t * Fraction(3, 2), kernel=kernel)
+    if scenario == "buffered":
+        return simulate(tree, horizon=2 * t, kernel=kernel,
+                        compute_during_startup=False)
+    sim = KERNELS[kernel](tree, dict(schedules), dict(periods), horizon=2 * t)
+    at = sim.engine.schedule_at
+    if scenario == "rescale":
+        # control jobs with foreign denominators: the tick kernel rescales
+        node = next(iter(schedules))
+        at(t / 3, lambda: sim.inject_control(node, Fraction(1, 7)))
+        at(t * Fraction(2, 3),
+           lambda: sim.inject_control(node, Fraction(1, 11)))
+        return sim.run()
+    victim = random.Random(1000 + seed).choice(
+        [n for n in tree.nodes() if n != tree.root])
+    sim.schedule_failure(victim, t / 3)
+    if scenario == "rejoin":
+        # crash → switch to the survivors → repair → switch back: the
+        # victim's subtree drains by retired orders, then is routed again
+        _, new_periods, new_schedules = solved(
+            tree.without_subtrees([victim]))
+        at(t / 2, lambda: sim.reconfigure(new_schedules, new_periods))
+        at(t * Fraction(3, 4), lambda: sim.revive_node(victim))
+        at(t, lambda: sim.reconfigure(schedules, periods))
+    return sim.run()
+
+
+class TestPinnedOracle:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_both_kernels_reproduce_the_recorded_digests(self, seed):
+        for scenario in SCENARIOS:
+            for kernel in KERNELS:
+                got = trace_digest(run_scenario(scenario, seed, kernel))
+                assert got == DIGESTS[scenario][str(seed)], (
+                    f"{kernel} kernel diverged from the pinned oracle on "
+                    f"{scenario!r}, seed {seed}")
+
+
+# ----------------------------------------------------------------------
+# kernel selection: two names, one mapping, typed errors for the rest
+# ----------------------------------------------------------------------
+class TestKernelSelection:
+    def test_mapping_names_the_two_classes(self):
+        assert KERNELS == {"array": Simulation,
+                           "fraction": ReferenceSimulation}
+
+    def test_removed_and_unknown_names_raise_naming_the_accepted(self):
+        from repro.faults import FaultPlan, NodeCrash, resilient_run
+
+        tree = random_tree(0)
+        _, periods, schedules = solved(tree)
+        plan = FaultPlan(crashes=(NodeCrash("n1", Fraction(2)),))
+        with pytest.raises(SimulationError, match="'array', 'fraction'"):
+            simulate(tree, horizon=Fraction(5), kernel="int")
+        with pytest.raises(SimulationError, match="'array', 'fraction'"):
+            resilient_run(tree, plan, kernel="int")
+        with pytest.raises(SimulationError, match="'array'.*Reference"):
+            Simulation(tree, schedules, periods, horizon=Fraction(5),
+                       kernel="fraction")
+
+    def test_positional_kernel_builds_the_production_class(self):
+        tree = random_tree(0)
+        _, periods, schedules = solved(tree)
+        sim = Simulation(tree, schedules, periods, None, Fraction(5), None,
+                         None, "even", True, True, True, 5_000_000, None,
+                         "array")
+        assert type(sim) is Simulation
+        assert sim.run().completed > 0
+
+
+class TestRetiredSchedules:
+    def test_fresh_controller_has_retired_nothing(self):
+        _, _, schedules = solved(random_tree(0))
+        assert Controller(schedules).retired == {}
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_node_retired_two_switches_ago_drains_by_its_old_order(
+            self, kernel):
+        """Two reconfigurations in a row while a transfer to ``a`` is on
+        the wire: ``a`` left the schedules at the first switch, yet the
+        task landing afterwards is still routed by a's original order."""
+        tree = Tree("root", w=Fraction(2))
+        tree.add_node("a", Fraction(2), parent="root", c=Fraction(1, 2))
+        tree.add_node("b", Fraction(3), parent="root", c=Fraction(1))
+        tree.add_node("a1", Fraction(2), parent="a", c=Fraction(1))
+        _, periods, schedules = solved(tree)
+        _, new_periods, new_schedules = solved(tree.without_subtrees(["a"]))
+        horizon = Fraction(global_period(periods)) * 2
+        plain = KERNELS[kernel](tree, dict(schedules), dict(periods),
+                                horizon=horizon).run()
+        wire = [s for s in plain.trace.segments_for("root", "send")
+                if s.peer == "a" and s.start > 0][0]
+        t_switch = (wire.start + wire.end) / 2
+
+        sim = KERNELS[kernel](tree, dict(schedules), dict(periods),
+                              horizon=horizon)
+        for _ in range(2):
+            sim.engine.schedule_at(
+                t_switch,
+                lambda: sim.reconfigure(new_schedules, new_periods))
+        result = sim.run()
+        assert set(sim.controller.retired) >= {"a", "a1"}
+        landed = [t for t, n in result.trace.arrivals if n == "a"]
+        assert landed[-1] > t_switch
+        old_order = [schedules["a"].destination(i) for i in range(len(landed))]
+        by_node = result.trace.completions_by_node()
+        assert by_node["a"] == old_order.count("a")
+        assert by_node["a1"] == old_order.count("a1")
 
 
 # ----------------------------------------------------------------------
@@ -192,21 +333,19 @@ class TestArrayKernel:
         assert_traces_equal(ra.trace, rf.trace)
 
     def test_backend_selection(self, monkeypatch):
+        import importlib.util
         import os
 
-        import repro.sim.arraystate as arraystate
+        have_numpy = importlib.util.find_spec("numpy") is not None
         tree = random_tree(0)
         _, periods, schedules = solved(tree)
-        sim = Simulation(tree, schedules, periods, horizon=Fraction(5),
-                         kernel="array")
-        use_numpy = (arraystate._np is not None
-                     and not os.environ.get("REPRO_NO_NUMPY"))
-        expected = "numpy" if use_numpy else "array"
-        assert sim._astate.backend == expected
+        sim = Simulation(tree, schedules, periods, horizon=Fraction(5))
+        use_numpy = have_numpy and not os.environ.get("REPRO_NO_NUMPY")
+        assert sim.backend == ("numpy" if use_numpy else "array")
+        assert sim.int64_fallbacks == 0
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        sim = Simulation(tree, schedules, periods, horizon=Fraction(5),
-                         kernel="array")
-        assert sim._astate.backend == "array"
+        sim = Simulation(tree, schedules, periods, horizon=Fraction(5))
+        assert sim.backend == "array"
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_counts_only_matches_full(self, seed):
@@ -216,13 +355,12 @@ class TestArrayKernel:
         _, periods, _ = solved(tree)
         horizon = Fraction(global_period(periods)) * Fraction(3, 2)
         full = simulate(tree, horizon=horizon, kernel="fraction")
-        for kernel in ("int", "array"):
-            lean = simulate(tree, horizon=horizon, kernel=kernel,
-                            record_segments=False, record_buffers=False,
-                            record_events=False)
-            assert lean.trace.completions == []
-            assert lean.trace.completed == full.trace.completed
-            assert lean.trace.end_time == full.trace.end_time
+        lean = simulate(tree, horizon=horizon, kernel="array",
+                        record_segments=False, record_buffers=False,
+                        record_events=False)
+        assert lean.trace.completions == []
+        assert lean.trace.completed == full.trace.completed
+        assert lean.trace.end_time == full.trace.end_time
 
     def test_counts_only_requires_lean_trace(self):
         tree = random_tree(0)
@@ -257,17 +395,16 @@ class TestArrayKernel:
         results = {}
         for kernel in ("array", "fraction"):
             registry = Registry()
-            sim = Simulation(tree, dict(schedules), dict(periods),
-                             horizon=2 * t, kernel=kernel,
-                             telemetry=registry)
+            sim = KERNELS[kernel](tree, dict(schedules), dict(periods),
+                                  horizon=2 * t, telemetry=registry)
             sim.engine.schedule_at(
                 t * Fraction(1, 3),
                 lambda s=sim: s.inject_control(node, huge))
             if kernel == "array":
                 with pytest.warns(RuntimeWarning, match="int64"):
                     results[kernel] = sim.run()
-                assert sim._int64_fallbacks >= 1
-                assert sim._astate.backend == "object"
+                assert sim.int64_fallbacks >= 1
+                assert sim.backend == "object"
                 assert registry.value("sim.int64_fallbacks") >= 1
             else:
                 results[kernel] = sim.run()
