@@ -64,7 +64,10 @@ runtime-smoke:
 # E27 gate asserts the production (array) kernel's best-of-3 run() CPU
 # time strictly beats the Fraction reference's (an expected ~5x gap, so
 # noise cannot invert it) and that a leaf mutation recomputes strictly
-# fewer schedule fragments than a full rebuild.  The E31 gate asserts the
+# fewer schedule fragments than a full rebuild; its cold-plan twin asserts
+# build_schedules on the integer interleave strictly beats the same call on
+# the Fraction marks kept in tests/fraction_oracles.py (~6x) at ==, and
+# tests/test_plan_exact.py pins the chain's outputs.  The E31 gate asserts the
 # 10k-node counts-only run agrees with an event-recording run and that a
 # 100k-node, >=1M-event run completes inside the timeout, both without an
 # int64 fallback.  A second pytest leg re-runs every suite that drives the
@@ -77,9 +80,11 @@ perf-smoke:
 		PYTHONPATH=src pytest \
 			'benchmarks/bench_e26_incremental.py::test_e26_perf_smoke_gate' \
 			'benchmarks/bench_e27_timeline.py::test_e27_perf_smoke_gate' \
+			'benchmarks/bench_e27_timeline.py::test_e27_cold_plan_gate' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_perf_smoke_gate' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_100k_nodes_million_events' \
-			tests/test_incremental.py tests/test_timeline.py -q && \
+			tests/test_incremental.py tests/test_timeline.py \
+			tests/test_plan_exact.py -q && \
 		PYTHONPATH=src REPRO_NO_NUMPY=1 pytest \
 			tests/test_engine.py tests/test_timeline.py \
 			tests/test_simulator.py tests/test_faults.py \

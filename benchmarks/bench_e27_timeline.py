@@ -20,9 +20,12 @@ over unit/binary link costs: every node is active and the global period
 stays small, so the horizon covers full steady-state periods without the
 period lcm itself dominating the run.  ``test_e27_perf_smoke_gate`` is the
 coarse CI gate (strictly-faster array kernel + strictly-fewer fragment
-recomputes, small sizes, best-of-3 ``process_time``); recorded baselines
-live in ``BENCH_e27_timeline.json`` (see ``benchmarks/record_baseline.py``
-and ``docs/perf.md``).
+recomputes, small sizes, best-of-3 ``process_time``) and
+``test_e27_cold_plan_gate`` its twin for the cold Section 6 reconstruction
+(integer interleave strictly faster than the ``Fraction`` marks it
+replaced, at ``==``); recorded baselines live in
+``BENCH_e27_timeline.json`` (see ``benchmarks/record_baseline.py`` and
+``docs/perf.md``).
 """
 
 import gc
@@ -35,9 +38,12 @@ from repro.core.bwfirst import bw_first
 from repro.core.incremental import IncrementalSolver
 from repro.platform.generators import smooth_tree
 from repro.schedule.eventdriven import build_schedules
+from repro.schedule.local import interleaved_order
 from repro.schedule.periods import global_period, tree_periods
 from repro.sim import KERNELS
 from repro.util.text import render_table
+
+from tests.fraction_oracles import interleaved_order_fraction
 
 from .conftest import emit
 
@@ -187,3 +193,38 @@ def test_e27_perf_smoke_gate():
     assert builder.last_recomputed < len(list(solver.tree.nodes())), (
         f"fragments recomputed ({builder.last_recomputed}) must be < "
         f"full rebuild ({len(list(solver.tree.nodes()))})")
+
+
+def test_e27_cold_plan_gate():
+    """The CI regression gate for the cold reconstruction: on one
+    3000-node tree, ``build_schedules`` with the production integer
+    interleave must be strictly faster (best-of-3 CPU time, ~6x expected
+    so noise cannot invert it) than the same call ordering every bunch by
+    the ``Fraction`` marks of ``tests/fraction_oracles.py`` — and return
+    the same schedules."""
+    allocation = from_bw_first(bw_first(smooth_tree(3000, E27_SEED)))
+    periods = tree_periods(allocation)
+
+    def best_build_seconds(policy):
+        best = None
+        for _ in range(E27_REPEATS):
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                schedules = build_schedules(allocation, policy, periods)
+                dt = time.process_time() - t0
+            finally:
+                gc.enable()
+            best = dt if best is None else min(best, dt)
+        return best, schedules
+
+    integer, schedules = best_build_seconds(interleaved_order)
+    rational, reference = best_build_seconds(interleaved_order_fraction)
+    assert schedules == reference
+    emit("E27: cold build_schedules, 3000 nodes",
+         f"integer keys {integer:.3f}s, Fraction marks {rational:.3f}s "
+         f"({rational / integer:.1f}x)")
+    assert integer < rational, (
+        f"integer interleave ({integer:.3f}s) must beat the Fraction "
+        f"marks ({rational:.3f}s)")

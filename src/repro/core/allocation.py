@@ -18,8 +18,9 @@ schedule-reconstruction layer (:mod:`repro.schedule`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Hashable, Mapping, Tuple
 
 from ..exceptions import ScheduleError
@@ -37,10 +38,11 @@ class Allocation:
     eta_in: Mapping[Hashable, Fraction]
     eta_out: Mapping[Tuple[Hashable, Hashable], Fraction]
 
-    @property
+    @cached_property
     def throughput(self) -> Fraction:
-        """Total tasks computed per time unit: ``Σ α_i``."""
-        return sum(self.alpha.values(), ZERO)
+        """Total tasks computed per time unit: ``Σ α_i`` (summed once; the
+        idle nodes' zeros are skipped rather than added)."""
+        return sum(filter(None, self.alpha.values()), ZERO)
 
     def sends(self, node: Hashable) -> Dict[Hashable, Fraction]:
         """Non-zero per-child send rates of *node*, in child order."""
@@ -69,39 +71,49 @@ class Allocation:
         Raises :class:`~repro.exceptions.ScheduleError` with a description of
         the first violated constraint; returns silently when the allocation
         is feasible.
-        """
-        tree = self.tree
-        for node in tree.nodes():
-            alpha = self.alpha.get(node, ZERO)
-            eta_in = self.eta_in.get(node, ZERO)
-            if alpha < 0 or eta_in < 0:
-                raise ScheduleError(f"negative activity at node {node!r}")
 
-            # compute capacity: α ≤ r  (α·w ≤ 1)
-            if alpha > tree.rate(node):
-                raise ScheduleError(
-                    f"node {node!r} computes {alpha} > its rate {tree.rate(node)}"
-                )
+        Under BW-First most nodes of a large tree are idle, so rates are
+        tested for truth before any rational arithmetic is spent on them:
+        a zero rate is non-negative, within every capacity, and adds nothing
+        to a sum or a port.  Every constraint is still decided for every
+        node and every edge — two zeros are equal, so an edge is skipped
+        only when *both* its ends read zero.
+        """
+        tree, root = self.tree, self.tree.root
+        alphas, eta_ins, eta_outs = self.alpha, self.eta_in, self.eta_out
+        for node in tree.nodes():
+            alpha = alphas.get(node, ZERO)
+            eta_in = eta_ins.get(node, ZERO)
+            if alpha or eta_in:
+                if alpha < 0 or eta_in < 0:
+                    raise ScheduleError(f"negative activity at node {node!r}")
+                # compute capacity: α ≤ r  (α·w ≤ 1)
+                if alpha > tree.rate(node):
+                    raise ScheduleError(
+                        f"node {node!r} computes {alpha} > its rate {tree.rate(node)}"
+                    )
 
             # conservation (equation 1)
             out_total = ZERO
             port_time = ZERO
             for child in tree.children(node):
-                sent = self.eta_out.get((node, child), ZERO)
-                if sent < 0:
-                    raise ScheduleError(f"negative send rate on {node!r}->{child!r}")
-                if sent != self.eta_in.get(child, ZERO):
-                    raise ScheduleError(
-                        f"edge {node!r}->{child!r}: parent sends {sent} but child "
-                        f"receives {self.eta_in.get(child, ZERO)}"
-                    )
-                out_total += sent
-                port_time += sent * tree.c(child)
+                sent = eta_outs.get((node, child), ZERO)
+                received = eta_ins.get(child, ZERO)
+                if sent or received:
+                    if sent < 0:
+                        raise ScheduleError(f"negative send rate on {node!r}->{child!r}")
+                    if sent != received:
+                        raise ScheduleError(
+                            f"edge {node!r}->{child!r}: parent sends {sent} but child "
+                            f"receives {received}"
+                        )
+                    out_total += sent
+                    port_time += sent * tree.c(child)
 
-            if node == tree.root:
-                if eta_in != ZERO:
+            if node == root:
+                if eta_in:
                     raise ScheduleError("the root cannot receive tasks")
-            else:
+            elif alpha or eta_in or out_total:
                 if eta_in != alpha + out_total:
                     raise ScheduleError(
                         f"conservation violated at {node!r}: receives {eta_in}, "
@@ -115,7 +127,7 @@ class Allocation:
                     )
 
             # send port: Σ c_i·η_i ≤ 1
-            if port_time > ONE:
+            if port_time and port_time > ONE:
                 raise ScheduleError(
                     f"send port of {node!r} over-subscribed ({port_time} > 1)"
                 )
@@ -131,15 +143,24 @@ class Allocation:
 
 def from_bw_first(result: BWFirstResult) -> Allocation:
     """Materialise the :class:`Allocation` described by a BW-First run."""
-    tree = result.tree
+    tree, outcomes = result.tree, result.outcomes
+    root = tree.root
     alpha: Dict[Hashable, Fraction] = {}
     eta_in: Dict[Hashable, Fraction] = {}
     eta_out: Dict[Tuple[Hashable, Hashable], Fraction] = {}
     for node in tree.nodes():
-        alpha[node] = result.eta_compute(node)
-        eta_in[node] = result.eta_in(node)
+        outcome = outcomes.get(node)
+        if outcome is None:  # never visited: takes no part in the schedule
+            alpha[node] = eta_in[node] = ZERO
+            for child in tree.children(node):
+                eta_out[(node, child)] = ZERO
+            continue
+        alpha[node] = outcome.alpha
+        # the root generates tasks, it does not receive them
+        eta_in[node] = ZERO if node == root else outcome.accepted
+        sent = {t.child: t.accepted for t in outcome.transactions}
         for child in tree.children(node):
-            eta_out[(node, child)] = result.eta_out(node, child)
+            eta_out[(node, child)] = sent.get(child, ZERO)
     allocation = Allocation(tree=tree, alpha=alpha, eta_in=eta_in, eta_out=eta_out)
     allocation.check()
     if allocation.throughput != result.throughput:

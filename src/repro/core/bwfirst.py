@@ -131,16 +131,6 @@ class BWFirstResult:
         outcome = self.outcomes.get(node)
         return outcome.alpha if outcome is not None else ZERO
 
-    def eta_out(self, parent: Hashable, child: Hashable) -> Fraction:
-        """η_i: tasks per time unit *parent* sends to *child*."""
-        outcome = self.outcomes.get(parent)
-        if outcome is None:
-            return ZERO
-        for t in outcome.transactions:
-            if t.child == child:
-                return t.accepted
-        return ZERO
-
     def sends(self, node: Hashable) -> Dict[Hashable, Fraction]:
         """All non-zero per-child send rates of *node* (insertion = bw order)."""
         outcome = self.outcomes.get(node)

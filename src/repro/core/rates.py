@@ -171,14 +171,20 @@ def scaled_integer(value: Fraction, period: Union[int, Fraction]) -> int:
 
     Used when materialising the integer task counts ``φ``, ``χ`` and ``ψ`` of
     equations (2)–(4): the periods are constructed so that the products are
-    integral, and this helper asserts it.
+    integral, and this helper asserts it.  The product is taken on the
+    numerators and denominators (``num·T // den``): this runs several times
+    per node of every plan, and a ``Fraction`` product would normalise two
+    rationals to answer a divisibility question.
     """
-    product = value * Fraction(period)
-    if product.denominator != 1:
-        raise ValueError(f"{value} * {period} = {product} is not an integer")
-    if product < 0:
-        raise ValueError(f"{value} * {period} = {product} is negative")
-    return int(product)
+    scale = period if isinstance(period, (int, Fraction)) else Fraction(period)
+    count, remainder = divmod(value.numerator * scale.numerator,
+                              value.denominator * scale.denominator)
+    if remainder:
+        raise ValueError(
+            f"{value} * {period} = {value * scale} is not an integer")
+    if count < 0:
+        raise ValueError(f"{value} * {period} = {count} is negative")
+    return count
 
 
 def format_fraction(value: Union[Fraction, float]) -> str:

@@ -20,6 +20,7 @@ description of the steady-state schedule (Figure 4(d)).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
@@ -73,10 +74,14 @@ def node_schedule(tree, node: Hashable, p: NodePeriods,
     reads — ψ quantities, children in bandwidth order — is local to *node*,
     which is what makes per-subtree schedule fragments cacheable.
     """
+    if not p.bunch:
+        return None  # inactive node: nothing to order, so no children to sort
     quantities: Dict[Hashable, int] = {}
     priority: List[Hashable] = []
-    # "self" enters the priority list only when it computes tasks; a
-    # switch (ψ_0 = 0) must not appear in the order.
+    # The paper prioritises the node itself with the smallest index; we
+    # list self first, then children in bandwidth-centric order.  "Self"
+    # enters the priority list only when it computes tasks; a switch
+    # (ψ_0 = 0) must not appear in the order.
     if p.psi_self > 0:
         quantities[node] = p.psi_self
         priority.append(node)
@@ -85,26 +90,17 @@ def node_schedule(tree, node: Hashable, p: NodePeriods,
         if count > 0:
             quantities[child] = count
             priority.append(child)
-    if not quantities:
-        return None  # inactive node
-    # The paper prioritises the node itself with the smallest index; we
-    # list self first, then children in bandwidth-centric order.
-    if node in quantities and priority[0] != node:
-        priority.remove(node)
-        priority.insert(0, node)
     order = policy(quantities, priority)
     if len(order) != sum(quantities.values()):
         raise ScheduleError(
             f"policy returned {len(order)} tasks for a bunch of "
             f"{sum(quantities.values())} at node {node!r}"
         )
-    counts: Dict[Hashable, int] = {}
-    for dest in order:
-        counts[dest] = counts.get(dest, 0) + 1
-    if counts != dict(quantities):
+    counts = Counter(order)
+    if counts != quantities:
         raise ScheduleError(
             f"policy's order does not respect the ψ quantities at {node!r}: "
-            f"{counts} != {dict(quantities)}"
+            f"{dict(counts)} != {dict(quantities)}"
         )
     return NodeSchedule(
         node=node, quantities=quantities, order=order, periods=p

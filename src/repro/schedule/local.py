@@ -19,9 +19,9 @@ Alternative policies (:func:`block_order`, :func:`round_robin_order`,
 
 from __future__ import annotations
 
+import math
 import random
-from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Hashable, List, Mapping, Sequence, Tuple
 
 from ..exceptions import ScheduleError
 
@@ -55,17 +55,19 @@ def interleaved_order(
     smaller index in *priority* (the node itself conventionally first).
     """
     order = _validated(quantities, priority)
-    index = {dest: i for i, dest in enumerate(order)}
-    marks: List[Tuple[Fraction, int, int, Hashable]] = []
-    for dest in order:
-        count = quantities[dest]
-        if count == 0:
-            continue
-        delta = Fraction(1, count + 1)
-        for k in range(1, count + 1):
-            marks.append((k * delta, count, index[dest], dest))
-    marks.sort(key=lambda m: (m[0], m[1], m[2]))
-    return tuple(m[3] for m in marks)
+    active = [(quantities[dest], i) for i, dest in enumerate(order)
+              if quantities[dest]]
+    # Positions k/(ψ+1) compared exactly as the integers k·L/(ψ+1) over the
+    # common denominator L = lcm{ψ+1}: plain int tuples sort without a
+    # rational comparison per pair, and a float key would merge or swap
+    # marks that differ by less than its rounding.
+    common = math.lcm(*[count + 1 for count, _ in active])
+    marks = [(k * step, count, i)
+             for count, i in active
+             for step in (common // (count + 1),)
+             for k in range(1, count + 1)]
+    marks.sort()
+    return tuple([order[i] for _, _, i in marks])
 
 
 def block_order(

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from ..core.allocation import Allocation
-from ..core.rates import ZERO, lcm_denominators, lcm_ints, scaled_integer
+from ..core.rates import ONE, ZERO, lcm_denominators, lcm_ints, scaled_integer
 from ..exceptions import ScheduleError
 
 
@@ -103,24 +103,38 @@ def node_periods(
     *parent_send_period* must be ``None`` exactly for the root.
     """
     tree = allocation.tree
-    alpha = allocation.alpha.get(node, ZERO)
-    eta_in = allocation.eta_in.get(node, ZERO)
-    children = tree.children(node)
-    etas: Dict[Hashable, Fraction] = {
-        child: allocation.eta_out.get((node, child), ZERO) for child in children
-    }
-
-    t_send = lcm_denominators(etas.values()) if children else 1
-    t_compute = alpha.denominator
     is_root = node == tree.root
     if is_root:
         t_receive: Optional[int] = None
-        t_full = lcm_ints([t_send, t_compute])
+    elif parent_send_period is None:
+        raise ScheduleError(f"non-root node {node!r} needs its parent's T^s")
     else:
-        if parent_send_period is None:
-            raise ScheduleError(f"non-root node {node!r} needs its parent's T^s")
         t_receive = parent_send_period
-        t_full = lcm_ints([t_send, t_compute, t_receive])
+    alpha = allocation.alpha.get(node, ZERO)
+    eta_in = allocation.eta_in.get(node, ZERO)
+    children = tree.children(node)
+    eta_out = allocation.eta_out
+    etas: Dict[Hashable, Fraction] = {
+        child: eta_out.get((node, child), ZERO) for child in children
+    }
+    if not (alpha or eta_in or any(etas.values())):
+        # An inactive node — most of a large tree under BW-First.  Every
+        # rate is 0/1, so every period below is 1, every count 0 and
+        # T = lcm{1, 1, T^r} = T^r: say so without nine dicts and a dozen
+        # products (the three mappings are read-only and share one dict).
+        idle = dict.fromkeys(children, 0)
+        return NodePeriods(
+            node=node, t_send=1, t_compute=1, t_receive=t_receive,
+            t_full=1 if is_root else lcm_ints([t_receive]), t_consume=ONE,
+            phi_children=idle, rho=0, phi_in=None if is_root else 0,
+            chi_in=0, chi_compute=0, chi_children=idle,
+            psi_self=0, psi_children=idle,
+        )
+
+    t_send = lcm_denominators(etas.values()) if children else 1
+    t_compute = alpha.denominator
+    t_cs = lcm_ints([t_send, t_compute])
+    t_full = t_cs if is_root else lcm_ints([t_cs, t_receive])
     phi_children = {ch: scaled_integer(etas[ch], t_send) for ch in children}
     rho = scaled_integer(alpha, t_compute)
     phi_in = None if t_receive is None else scaled_integer(eta_in, t_receive)
@@ -129,7 +143,6 @@ def node_periods(
     chi_compute = scaled_integer(alpha, t_full)
     chi_children = {ch: scaled_integer(etas[ch], t_full) for ch in children}
 
-    t_cs = lcm_ints([t_send, t_compute])
     psi_self = scaled_integer(alpha, t_cs)
     psi_children = {ch: scaled_integer(etas[ch], t_cs) for ch in children}
     # reduce to the minimal consumption period: a shared factor in the ψ
