@@ -70,7 +70,10 @@ runtime-smoke:
 # tests/test_plan_exact.py pins the chain's outputs.  The E31 gate asserts the
 # 10k-node counts-only run agrees with an event-recording run and that a
 # 100k-node, >=1M-event run completes inside the timeout, both without an
-# int64 fallback.  A second pytest leg re-runs every suite that drives the
+# int64 fallback, and that a 3000-node run recording every completion,
+# arrival and release costs at most 1.35x the counts-only run of the same
+# process with no row lost (tests/test_trace_columns.py pins what the
+# columnar trace reads back).  A second pytest leg re-runs every suite that drives the
 # simulator with REPRO_NO_NUMPY=1 — "array" is the default kernel, so
 # these execute the pure-Python duration tables on hosts without numpy —
 # and the end-to-end benchmark's coldscale workload runs at smoke scale so
@@ -83,10 +86,12 @@ perf-smoke:
 			'benchmarks/bench_e27_timeline.py::test_e27_cold_plan_gate' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_perf_smoke_gate' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_100k_nodes_million_events' \
+			'benchmarks/bench_e31_arraykernel.py::test_e31_recording_ratio_gate' \
 			tests/test_incremental.py tests/test_timeline.py \
-			tests/test_plan_exact.py -q && \
+			tests/test_trace_columns.py tests/test_plan_exact.py -q && \
 		PYTHONPATH=src REPRO_NO_NUMPY=1 pytest \
 			tests/test_engine.py tests/test_timeline.py \
+			tests/test_trace_columns.py \
 			tests/test_simulator.py tests/test_faults.py \
 			tests/test_fault_recovery.py tests/test_online.py -q && \
 		PYTHONPATH=src python -m repro bench-incr --nodes 200 --mutations 5 && \

@@ -15,10 +15,15 @@ it is than the ``Fraction`` reference is E27's gate
   value: a change means kernel behaviour changed, not the host;
 * **100k nodes, ≥1M events** — a seven-period 100k-node run (>1.2M
   events) completes in single-digit seconds without a single int64
-  fallback; the run is gated inside ``make perf-smoke``'s hard timeout.
+  fallback; the run is gated inside ``make perf-smoke``'s hard timeout;
+* **what recording costs** — the trace is written as (tick, dense id)
+  columns and decoded on read, so a run that records every completion,
+  arrival and release may cost at most ``E31_RECORDING_RATIO`` × the
+  counts-only run *in the same process* (a same-run ratio: host speed
+  cancels), and must not have lost a row.
 
-Both runs are counts-only (segments/buffers/events recording off): that
-is the regime the kernel is built for.  Full-trace bit-equality with the
+The first two runs are counts-only (segments/buffers/events recording
+off): that is the regime the kernel is built for.  Full-trace bit-equality with the
 reference is property-tested over 25 seeds in ``tests/test_timeline.py``;
 a burst-pacing spot check rides along here.
 """
@@ -48,6 +53,8 @@ E31_BIG_PERIODS = 7
 E31_REPEATS = 3
 E31_PACING = "burst"
 E31_EVENTS = 437_835  # engine.processed at E31_NODES × E31_PERIODS (recorded)
+E31_RATIO_NODES = 3000
+E31_RECORDING_RATIO = 1.35  # 1.66 when every event built a Fraction; ≈ 1.1 now
 
 
 def e31_setup(nodes=E31_NODES, seed=E31_SEED, periods=E31_PERIODS):
@@ -59,19 +66,22 @@ def e31_setup(nodes=E31_NODES, seed=E31_SEED, periods=E31_PERIODS):
     return tree, period_map, schedules, horizon
 
 
-def counts_only_sim(tree, schedules, periods, horizon, pacing=E31_PACING):
+def counts_only_sim(tree, schedules, periods, horizon, pacing=E31_PACING,
+                    record_events=False):
     return Simulation(tree, dict(schedules), dict(periods), horizon=horizon,
                       root_pacing=pacing, record_segments=False,
-                      record_buffers=False, record_events=False)
+                      record_buffers=False, record_events=record_events)
 
 
-def best_counts_run(tree, schedules, periods, horizon,
-                    pacing=E31_PACING, repeats=E31_REPEATS):
-    """Best-of-*repeats* CPU seconds of ``run()`` with recording off and
-    the cycle GC paused, plus the last (sim, result) for assertions."""
+def best_counts_run(tree, schedules, periods, horizon, pacing=E31_PACING,
+                    repeats=E31_REPEATS, record_events=False):
+    """Best-of-*repeats* CPU seconds of ``run()`` with segment and buffer
+    recording off (and, by default, event recording too) and the cycle GC
+    paused, plus the last (sim, result) for assertions."""
     best, sim, result = None, None, None
     for _ in range(repeats):
-        sim = counts_only_sim(tree, schedules, periods, horizon, pacing)
+        sim = counts_only_sim(tree, schedules, periods, horizon, pacing,
+                              record_events)
         gc.collect()
         gc.disable()
         try:
@@ -155,3 +165,42 @@ def test_e31_perf_smoke_gate():
     assert lean.trace.completed == len(full.trace.completions) > 0
     assert lean.trace.end_time == full.trace.end_time
     assert sim.int64_fallbacks == 0, "10k-scale family must stay in int64"
+
+
+def test_e31_recording_ratio_gate():
+    """Recording is not the hot path: at 3000 nodes over three global
+    periods, ``run()`` keeping every completion, arrival and release costs
+    at most ``E31_RECORDING_RATIO`` × the counts-only ``run()`` (best of
+    three each, alternated, GC paused) — and every event a handler saw is
+    in the columns."""
+    tree, periods, schedules, horizon = e31_setup(nodes=E31_RATIO_NODES)
+    best = {True: None, False: None}
+    for _ in range(E31_REPEATS):
+        for record_events in (False, True):
+            wall, sim, result = best_counts_run(
+                tree, schedules, periods, horizon, pacing="even", repeats=1,
+                record_events=record_events)
+            if best[record_events] is None or wall < best[record_events]:
+                best[record_events] = wall
+    ratio = best[True] / best[False]
+    trace = result.trace  # the last run recorded events
+    emit(
+        f"E31: what recording costs, {E31_RATIO_NODES} nodes, even pacing, "
+        f"{E31_PERIODS} global periods (seed {E31_SEED})",
+        render_table(
+            ["counts-only s", "events recorded s", "ratio", "events",
+             "rows"],
+            [[f"{best[False]:.3f}", f"{best[True]:.3f}", f"{ratio:.2f}",
+              str(sim.engine.processed),
+              str(len(trace.completions) + len(trace.arrivals)
+                  + len(trace.releases))]],
+        ),
+    )
+    assert len(trace.completions) == trace.completed > 0
+    assert len(trace.releases) == result.released
+    # the per-node arrival counters are the handlers' own tally: every
+    # task a node received, plus every release at the root
+    assert len(trace.arrivals) == sum(sim._arrivals) - result.released
+    assert ratio <= E31_RECORDING_RATIO, (
+        f"recording events costs {ratio:.2f}x a counts-only run "
+        f"(bar {E31_RECORDING_RATIO}x)")

@@ -118,8 +118,7 @@ def node_steady_entry(
     counts = []
     start = Fraction(0)
     while start + p <= horizon:
-        n = sum(1 for t, nd in trace.completions if nd == node and start < t <= start + p)
-        counts.append((start, n))
+        counts.append((start, trace.completions_in(start, start + p, node)))
         start += p
     for i, (w_start, _) in enumerate(counts):
         if all(c == expected_per_period for _, c in counts[i:]):

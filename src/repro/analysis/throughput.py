@@ -68,5 +68,4 @@ def steady_state_rate(
 def per_node_rate(trace: Trace, node: Hashable, start, end) -> Fraction:
     """Tasks *node* completed per time unit inside ``(start, end]``."""
     lo, hi = Fraction(start), Fraction(end)
-    count = sum(1 for t, n in trace.completions if n == node and lo < t <= hi)
-    return Fraction(count) / (hi - lo)
+    return Fraction(trace.completions_in(lo, hi, node)) / (hi - lo)

@@ -78,7 +78,7 @@ class DemandDrivenResult:
 
     @property
     def wind_down(self) -> Optional[Fraction]:
-        if self.stop_time is None or not self.trace.completions:
+        if self.stop_time is None or not self.trace.completed:
             return None
         return max(self.end_time - self.stop_time, Fraction(0))
 

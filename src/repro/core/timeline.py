@@ -12,16 +12,16 @@ denominator up front: once a global denominator ``D`` is fixed, every time
 value of interest is an integer number of *ticks* of size ``1/D``, and the
 event loop degrades to plain Python ``int`` arithmetic — which is both
 exact and several times faster.  ``Fraction`` views are materialised only
-at API boundaries (the recorded :class:`~repro.sim.tracing.Trace`, the
-engine's public ``now``, telemetry values), so downstream consumers and
+at API boundaries (the :class:`~repro.sim.tracing.Trace` when it is read,
+the engine's public ``now``, telemetry values), so downstream consumers and
 equality assertions are untouched.
 
 :class:`IntTimeline` owns the scale ``D``.  It is *adaptive*: converting a
 value whose denominator does not divide ``D`` grows the scale by the
 minimal factor and notifies registered observers (the engine rescales its
-heap, the simulator its precomputed duration tables) — multiplication by a
-positive integer preserves heap order, so a mid-run rescale is safe.  This
-matters because fault injection and online re-negotiation introduce new
+queue, the simulator its precomputed duration tables, the trace its
+recorded ticks) — multiplication by a positive integer preserves heap
+order, so a mid-run rescale is safe.  This matters because fault injection and online re-negotiation introduce new
 denominators mid-run (control-message latencies, degradation factors,
 re-anchored consumption periods) that are unknown when the run starts.
 

@@ -58,11 +58,11 @@ class ReturnSimResult:
     @property
     def completed(self) -> int:
         """Tasks whose result reached the master."""
-        return len(self.trace.completions)
+        return self.trace.completed
 
     @property
     def wind_down(self) -> Optional[Fraction]:
-        if self.stop_time is None or not self.trace.completions:
+        if self.stop_time is None or not self.trace.completed:
             return None
         return max(self.end_time - self.stop_time, Fraction(0))
 

@@ -83,11 +83,35 @@ class HeartbeatMonitor:
         self._suspected: set = set()
         self._timer = None
         self._stopped = False
+        # the beat chain in the engine's own clock units (see start())
+        self._at = self._step = 0
+        self._until = None
 
     def start(self) -> "HeartbeatMonitor":
-        """Schedule the first heartbeat round (at t = 0)."""
-        self._timer = self.sim.engine.schedule_at(Fraction(0), self._beat)
+        """Schedule the first heartbeat round (at t = 0).
+
+        The chain re-arms itself in the engine's clock units
+        (:meth:`~repro.sim.engine.Engine.units`: ticks on the production
+        kernel), converted once here and multiplied on a timeline rescale
+        like every other holder of ticks — a beat then costs no rational
+        arithmetic at all.
+        """
+        engine = self.sim.engine
+        timeline = getattr(engine, "timeline", None)
+        if timeline is not None:  # registered first: the conversions below
+            timeline.on_rescale(self._on_rescale)  # may themselves rescale
+        self._at = engine.units(0)
+        self._step = engine.units(self.interval)
+        if self.until is not None:
+            self._until = engine.units(self.until)
+        self._timer = engine.push(self._at, self._beat)
         return self
+
+    def _on_rescale(self, factor: int) -> None:
+        self._at *= factor
+        self._step *= factor
+        if self._until is not None:
+            self._until *= factor
 
     def stop(self) -> None:
         """Cancel the monitoring chain."""
@@ -100,15 +124,15 @@ class HeartbeatMonitor:
         if self._stopped:
             return
         self.heartbeats += 1
-        now = self.sim.engine.now
         for name in self.sim.dead_nodes():
             if name not in self._suspected:
                 self._suspected.add(name)
                 self.sim.engine.schedule_in(
                     self.timeout, lambda n=name: self._declare(n)
                 )
-        if self.until is None or now < self.until:
-            self._timer = self.sim.engine.schedule_in(self.interval, self._beat)
+        if self._until is None or self._at < self._until:
+            self._at += self._step
+            self._timer = self.sim.engine.push(self._at, self._beat)
 
     def _declare(self, node: Hashable) -> None:
         if self._stopped or node in self.detected:

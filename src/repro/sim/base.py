@@ -101,7 +101,7 @@ class SimulationResult:
     @property
     def wind_down(self) -> Optional[Fraction]:
         """Time from supply cut-off to the last task completion."""
-        if self.stop_time is None or not self.trace.completions:
+        if self.stop_time is None or not self.trace.completed:
             return None
         return max(self.end_time - self.stop_time, ZERO)
 
@@ -348,7 +348,6 @@ class SimulationBase:
         if self.telemetry is not None:
             self.telemetry.gauge("sim.events_processed").set(
                 self.engine.processed)
-        self._close_trace()
         stop = self._stop_time
         if stop is None and self.horizon is not None:
             stop = self.horizon
@@ -363,6 +362,3 @@ class SimulationBase:
             tasks_lost=self.tasks_lost,
             failed_at=dict(self.failed_at),
         )
-
-    def _close_trace(self) -> None:
-        """Flush end-of-run bookkeeping into the trace (nothing by default)."""

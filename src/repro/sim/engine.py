@@ -127,16 +127,21 @@ class Engine:
         heapq.heapify(self._heap)
         self._stale = 0
 
+    def units(self, value):
+        """*value* in the clock units :meth:`push` speaks (a ``Fraction``
+        here, integer ticks in :class:`ArrayEngine`)."""
+        return as_fraction(value)
+
     def schedule_at(self, time, fn: Event) -> Timer:
         """Schedule *fn* to run at absolute *time* (≥ now); return its handle."""
-        return self.push(as_fraction(time), fn)
+        return self.push(self.units(time), fn)
 
     def schedule_in(self, delay, fn: Event) -> Timer:
         """Schedule *fn* to run *delay* time units from now (delay ≥ 0)."""
-        d = as_fraction(delay)
+        d = self.units(delay)  # first: a tick conversion may move _now
         if d < 0:
-            raise SimulationError(f"negative delay {d}")
-        return self.schedule_at(self._now + d, fn)
+            raise SimulationError(f"negative delay {as_fraction(delay)}")
+        return self.push(self._now + d, fn)
 
     def step(self) -> bool:
         """Run the single next live event; return ``False`` when none remain."""
@@ -259,14 +264,8 @@ class ArrayEngine(Engine):
     def pending(self) -> int:
         return self._size
 
-    def schedule_at(self, time, fn: Event) -> Timer:
-        return self.push(self.timeline.ensure(as_fraction(time)), fn)
-
-    def schedule_in(self, delay, fn: Event) -> Timer:
-        d = self.timeline.ensure(as_fraction(delay))
-        if d < 0:
-            raise SimulationError(f"negative delay {as_fraction(delay)}")
-        return self.push(self._now + d, fn)
+    def units(self, value) -> int:
+        return self.timeline.ensure(as_fraction(value))
 
     def defer(self, time: int, fn, arg=None) -> None:
         """Schedule ``fn(arg)`` at tick *time* with no cancellation handle.
@@ -451,4 +450,4 @@ class ArrayEngine(Engine):
             if tick is None or self.timeline.to_fraction(tick) > horizon:
                 break
             self.step()
-        self._now = self.timeline.ensure(horizon)
+        self._now = self.units(horizon)

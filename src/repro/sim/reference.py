@@ -199,12 +199,9 @@ class ReferenceSimulation(SimulationBase):
         state.computing = False
         state.buffered -= 1
         now = self.engine.now
-        if self._record_events:
-            self.trace.add_completion(now, node)
-            if self._record_buffers:
-                self.trace.add_buffer_delta(now, node, -1)
-        else:
-            self.trace.count_completion()
+        self.trace.add_completion(now, node)  # counts only, in that mode
+        if self._record_buffers:
+            self.trace.add_buffer_delta(now, node, -1)
         if self.telemetry is not None:
             self.telemetry.counter("sim.tasks_computed", node=node).inc()
             self._tel_buffer(node, state.buffered)

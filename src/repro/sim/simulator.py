@@ -40,7 +40,7 @@ everything runs — and is benchmarked — on:
   (:mod:`repro.core.timeline`): every duration is normalised once, the
   event queue and all clock arithmetic run on plain Python ints, and
   ``Fraction`` views are materialised only at the API boundaries (the
-  recorded trace, ``engine.now``, telemetry).  A value with an
+  trace when it is *read*, ``engine.now``, telemetry).  A value with an
   incommensurate denominator appearing mid-run (an injected control
   latency, a link-degradation factor) grows the scale in place;
 * **per-node state lives in flat parallel arrays** indexed by a dense
@@ -100,9 +100,6 @@ from .base import (
 from .engine import ArrayEngine
 from .reference import ReferenceSimulation
 from .tracing import COMPUTE, CTRL, RECV, SEND
-
-#: tick→Fraction memo bound: cleared (cheap, regrows warm) when exceeded
-_FRAC_MEMO_CAP = 1 << 18
 
 
 try:  # pragma: no cover - exercised via both CI legs
@@ -245,8 +242,9 @@ class Simulation(SimulationBase):
         # the engine registers for rescales first: by the time _on_rescale
         # runs, the clock and the queue are already at the new scale
         self.engine = ArrayEngine(self._timeline)
-        self._frac_memo: Dict[int, Fraction] = {}
         self._names, self._index = dense_index(tree.nodes())
+        # the trace records ticks and dense ids, decoded when it is read
+        self.trace.use_ticks(self._timeline, self._names, self._index)
         n = len(self._names)
         self._parent = [-1] * n
         self._dead = bytearray(n)
@@ -269,9 +267,6 @@ class Simulation(SimulationBase):
         # _bind_hot) close over these lists, so a value that moves mid-run
         # is written *into* them.  [fast_routes, default_may_compute]:
         self._route_flags = [True, True]
-        #: with segment recording off: max segment end in ticks, flushed
-        #: into the trace's end-time bookkeeping by :meth:`run`
-        self._seg_end_max = [0]
         self._horizon_units: Optional[int] = None
         #: cached (root schedule, T^w, release offsets) in ticks
         self._grid_cache = None
@@ -292,13 +287,7 @@ class Simulation(SimulationBase):
             value if isinstance(value, Fraction) else Fraction(value))
 
     def _frac(self, ticks: int) -> Fraction:
-        memo = self._frac_memo
-        f = memo.get(ticks)
-        if f is None:
-            if len(memo) >= _FRAC_MEMO_CAP:
-                memo.clear()
-            f = memo[ticks] = Fraction(ticks, self._timeline.scale)
-        return f
+        return self._timeline.to_fraction(ticks)
 
     def _platform_changed(self) -> None:
         """(Re)read everything derived from ``self.tree``: parent ids,
@@ -349,11 +338,9 @@ class Simulation(SimulationBase):
             schedule, t_w, offsets = self._grid_cache
             self._grid_cache = (schedule, t_w * factor,
                                 [o * factor for o in offsets])
-        self._seg_end_max[0] *= factor
         for node, jobs in self._control_jobs.items():
             self._control_jobs[node] = deque(
                 (duration * factor, cb) for duration, cb in jobs)
-        self._frac_memo.clear()  # old entries denominate the old scale
         if self.telemetry is not None:
             self.telemetry.counter("timeline.rescales").inc()
             self.telemetry.gauge("timeline.scale_bits").set(
@@ -509,11 +496,11 @@ class Simulation(SimulationBase):
         self._arrivals[ri] += 1
         self._buffered[ri] += 1
         root = self._names[ri]
-        if self._record_events:
-            now = self._frac(self.engine._now)
-            self.trace.add_release(now, dest)
-            if self._record_buffers:
-                self.trace.add_buffer_delta(now, root, +1)
+        di = self._index.get(dest)
+        if di is not None:  # a name the run never had: routing will raise
+            now = self.engine._now
+            self.trace.add_release(now, di)
+            self.trace.add_buffer_delta(now, ri, +1)
         if self.telemetry is not None:
             self.telemetry.counter("sim.tasks_released", node=root).inc()
             self._tel_buffer(root, self._buffered[ri])
@@ -580,7 +567,6 @@ class Simulation(SimulationBase):
         w_frac = self._w_frac
         routes = self._routes
         flags = self._route_flags
-        seg = self._seg_end_max
         jobs = self._control_jobs
         trace = self.trace
         tel = self.telemetry
@@ -588,7 +574,14 @@ class Simulation(SimulationBase):
         rec_events = self._record_events
         rec_buffers = self._record_buffers
         rec_segments = self._record_segments
-        count_completion = trace.count_completion
+        # recording is appending plain ints to the trace's key columns;
+        # `tail` is its [max segment end in ticks, unrecorded completions]
+        rel_t, rel_n = trace.columns("releases")
+        comp_t, comp_n = trace.columns("completions")
+        arr_t, arr_n = trace.columns("arrivals")
+        buf_t, buf_n, buf_d = trace.columns("buffer_deltas")
+        seg_n, seg_k, seg_s, seg_e, seg_p = trace.columns("segments")
+        tail = trace._tail
         # lean == the transfer-start tail has no observers (no segments,
         # no telemetry): send_done may then start follow-up transfers in
         # place instead of re-entering try_send (the link factor, which
@@ -605,10 +598,13 @@ class Simulation(SimulationBase):
             arrivals[ri] += 1
             buffered[ri] += 1
             if rec_events:
-                now = frac(engine._now)
-                trace.add_release(now, names[di])
+                now = engine._now
+                rel_t.append(now)
+                rel_n.append(di)
                 if rec_buffers:
-                    trace.add_buffer_delta(now, names[ri], +1)
+                    buf_t.append(now)
+                    buf_n.append(ri)
+                    buf_d.append(1)
             if tel is not None:
                 root = names[ri]
                 tel.counter("sim.tasks_released", node=root).inc()
@@ -634,10 +630,14 @@ class Simulation(SimulationBase):
             compute_queue[i] -= 1
             start = engine._now
             end = start + w_vals[i]
+            if end > tail[0]:
+                tail[0] = end
             if rec_segments:
-                trace.add_segment(names[i], COMPUTE, frac(start), frac(end))
-            elif end > seg[0]:
-                seg[0] = end
+                seg_n.append(i)
+                seg_k.append(COMPUTE)
+                seg_s.append(start)
+                seg_e.append(end)
+                seg_p.append(None)
             if tel is not None:
                 tel.counter("sim.busy_time", node=names[i],
                             resource="cpu").inc(w_frac[i])
@@ -657,12 +657,16 @@ class Simulation(SimulationBase):
             computing[i] = 0
             buffered[i] -= 1
             if rec_events:
-                now = frac(engine._now)
-                trace.add_completion(now, names[i])
+                # (the compute segment ending now already moved tail[0])
+                now = engine._now
+                comp_t.append(now)
+                comp_n.append(i)
                 if rec_buffers:
-                    trace.add_buffer_delta(now, names[i], -1)
+                    buf_t.append(now)
+                    buf_n.append(i)
+                    buf_d.append(-1)
             else:
-                count_completion()
+                tail[1] += 1
             if tel is not None:
                 name = names[i]
                 tel.counter("sim.tasks_computed", node=name).inc()
@@ -694,11 +698,7 @@ class Simulation(SimulationBase):
                     name = names[i]
                     start = engine._now
                     end = start + duration
-                    if rec_segments:
-                        trace.add_segment(name, CTRL, frac(start),
-                                          frac(end))
-                    elif end > seg[0]:
-                        seg[0] = end
+                    trace.add_segment(i, CTRL, start, end)
                     if tel is not None:
                         tel.counter("sim.ctrl_jobs", node=name).inc()
                         tel.counter("sim.busy_time", node=name,
@@ -736,13 +736,14 @@ class Simulation(SimulationBase):
                 )
             start = engine._now
             end = start + cost
+            if end > tail[0]:
+                tail[0] = end
             if rec_segments:
-                name, child = names[i], names[ci]
-                start_f, end_f = frac(start), frac(end)
-                trace.add_segment(name, SEND, start_f, end_f, peer=child)
-                trace.add_segment(child, RECV, start_f, end_f, peer=name)
-            elif end > seg[0]:
-                seg[0] = end
+                seg_n.extend((i, ci))
+                seg_k.extend((SEND, RECV))
+                seg_s.extend((start, start))
+                seg_e.extend((end, end))
+                seg_p.extend((ci, i))
             if tel is not None:
                 name, child = names[i], names[ci]
                 cost_frac = frac(cost)
@@ -776,7 +777,9 @@ class Simulation(SimulationBase):
             buffered[i] -= 1
             receiving[ci] = 0
             if rec_buffers:
-                trace.add_buffer_delta(frac(engine._now), names[i], -1)
+                buf_t.append(engine._now)
+                buf_n.append(i)
+                buf_d.append(-1)
             if tel is not None:
                 tel.counter("sim.tasks_forwarded", node=names[i],
                             child=names[ci]).inc()
@@ -791,10 +794,13 @@ class Simulation(SimulationBase):
                 arrivals[ci] = index + 1
                 buffered[ci] += 1
                 if rec_events:
-                    now = frac(engine._now)
-                    trace.add_arrival(now, names[ci])
+                    now = engine._now
+                    arr_t.append(now)
+                    arr_n.append(ci)
                     if rec_buffers:
-                        trace.add_buffer_delta(now, names[ci], +1)
+                        buf_t.append(now)
+                        buf_n.append(ci)
+                        buf_d.append(1)
                 if tel is not None:
                     tel.counter("sim.tasks_received",
                                 node=names[ci]).inc()
@@ -821,8 +827,8 @@ class Simulation(SimulationBase):
                                             sending[ci] = 1
                                             receiving[cj] = 1
                                             end = engine._now + cost_vals[cj]
-                                            if end > seg[0]:
-                                                seg[0] = end
+                                            if end > tail[0]:
+                                                tail[0] = end
                                             b = buckets.get(end)
                                             if b is None:
                                                 buckets[end] = [
@@ -855,8 +861,8 @@ class Simulation(SimulationBase):
                             sending[i] = 1
                             receiving[ck] = 1
                             end = engine._now + cost_vals[ck]
-                            if end > seg[0]:
-                                seg[0] = end
+                            if end > tail[0]:
+                                tail[0] = end
                             b = buckets.get(end)
                             if b is None:
                                 buckets[end] = [(send_done, (i, ck), None)]
@@ -881,8 +887,14 @@ class Simulation(SimulationBase):
         return None if i is None else bool(self._dead[i])
 
     def dead_nodes(self) -> List[Hashable]:
-        """Every currently-crashed node, in tree order."""
-        return [name for name, dead in zip(self._names, self._dead) if dead]
+        """Every currently-crashed node, in tree order (O(#dead): the
+        heartbeat asks on every beat)."""
+        names, dead, out = self._names, self._dead, []
+        i = dead.find(1)
+        while i >= 0:
+            out.append(names[i])
+            i = dead.find(1, i + 1)
+        return out
 
     def _kill(self, node: Hashable) -> None:
         """Fail-stop body: destroy *node*'s state, count the losses."""
@@ -897,7 +909,7 @@ class Simulation(SimulationBase):
                                        buffered=buffered)
         if buffered > 0:
             self.tasks_lost += buffered
-            self.trace.add_buffer_delta(now, node, -buffered)
+            self.trace.add_buffer_delta(self.engine._now, i, -buffered)
             if self.telemetry is not None:
                 self.telemetry.counter("sim.tasks_lost",
                                        node=node).inc(buffered)
@@ -956,15 +968,6 @@ class Simulation(SimulationBase):
     def reconfigure(self, schedules, periods) -> None:
         super().reconfigure(schedules, periods)
         self._rebuild_routes()
-
-    def _close_trace(self) -> None:
-        if not self._record_segments and self._seg_end_max[0]:
-            # segment ends were tracked as cheap int compares instead of
-            # per-event trace updates; fold the max into the trace so
-            # end_time matches a recording run
-            end_f = self._frac(self._seg_end_max[0])
-            if end_f > self.trace._last_time:
-                self.trace._last_time = end_f
 
 
 #: the simulator classes by kernel name — what ``simulate(kernel=)``,

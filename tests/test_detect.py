@@ -85,6 +85,39 @@ class TestMonitorEdgeCases:
         assert detected["array"] == detected["fraction"]
         assert detected["array"] == [("a1", F(3)), ("b", F(5)), ("a", F(7))]
 
+    def test_beat_chain_in_clock_units_follows_rescales(self):
+        """The chain re-arms in the engine's own units.  An interval and an
+        *until* whose denominators the timeline has never seen, plus a
+        control job that grows the scale between two beats: the rounds and
+        the declarations are those of the Fraction kernel, and the count is
+        the analytic one (beats at k·7/5 up to the first at or past
+        until)."""
+        tree = two_level()
+        allocation = from_bw_first(bw_first(tree))
+        periods = tree_periods(allocation)
+        schedules = build_schedules(allocation, periods=periods)
+        interval, timeout, until = F(7, 5), F(2, 9), F(61, 3)
+        seen = {}
+        for kernel, simulation_class in KERNELS.items():
+            sim = simulation_class(tree, dict(schedules), dict(periods),
+                                   horizon=F(20))
+            sim.schedule_failure("b", F(1))
+            sim.schedule_failure("a1", F(11))
+            sim.engine.schedule_at(
+                F(6), lambda s=sim: s.inject_control("root", F(1, 13)))
+            monitor = HeartbeatMonitor(sim, interval, timeout,
+                                       until=until).start()
+            result = sim.run()
+            seen[kernel] = (monitor.heartbeats, list(monitor.detected.items()),
+                            result.end_time, sim.dead_nodes())
+        assert seen["array"] == seen["fraction"]
+        beats, detected, _, dead = seen["array"]
+        assert beats == -(-until // interval) + 1 == 16
+        assert detected == [
+            ("b", detection_time(F(1), interval, timeout)),
+            ("a1", detection_time(F(11), interval, timeout))]
+        assert dead == ["a1", "b"]  # tree order, not crash order
+
     def test_crash_on_the_beat_detected_at_that_beat(self):
         sim = build_sim(two_level(), horizon=F(20))
         sim.schedule_failure("a", F(4))  # beats at 0, 2, 4, ...
