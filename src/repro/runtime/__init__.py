@@ -9,13 +9,13 @@ a virtual-time simulation:
   (:class:`FrameSplitter`); hostile bytes raise a typed
   :class:`~repro.exceptions.CodecError` instead of killing a reader;
 * :mod:`~repro.runtime.transport` — the pluggable :class:`Transport` ABC
-  with :class:`InProcTransport` (asyncio queues, optional seeded
+  with :class:`InProcTransport` (in-process delivery, optional seeded
   delay/loss) and :class:`TcpTransport` (one loopback socket per tree
   edge, listeners only where a child dials, a fail-closed handshake,
   frames decoded in ``data_received`` with no reader tasks,
   flush-and-close shutdown);
 * :mod:`~repro.runtime.runtime` — the :class:`Runtime` orchestrator:
-  mailbox-driven actor fleet, wall-clock
+  one dispatcher serving the actor fleet off one run-queue, wall-clock
   :class:`~repro.protocol.retry.RetryPolicy` timeouts, verification
   against :func:`~repro.core.bwfirst.bw_first`, the same telemetry schema
   as the simulated runner.

@@ -3,10 +3,15 @@
 Where :func:`repro.protocol.runner.run_protocol` *simulates* the
 distributed procedure inside one virtual-time event queue, the
 :class:`Runtime` *executes* it: every platform node becomes an
-:class:`~repro.protocol.actor.NodeActor` wrapped in an asyncio task that
-blocks on its own mailbox, and messages travel through a pluggable
-:class:`~repro.runtime.transport.Transport` — in-process queues or real
-loopback TCP sockets.  The actor state machines are byte-for-byte the ones
+:class:`~repro.protocol.actor.NodeActor`, and every message an actor sends
+travels through a pluggable :class:`~repro.runtime.transport.Transport` —
+in-process delivery or real loopback TCP sockets — before the receiving
+actor sees it.  The procedure keeps one message in flight, so one
+dispatcher task serves every actor: transports deliver arrivals into one
+run-queue, retry timers post their expiries into the same queue, and the
+dispatcher lets the addressed actor react and then writes what it sent, in
+order.  Whatever reorders, delays, drops or back-pressures lives in the
+transport.  The actor state machines are byte-for-byte the ones
 the simulator drives, so Proposition 2 carries over: the negotiated
 throughput is **exactly** ``bw_first()``'s (asserted when *verify* is on),
 and with telemetry enabled the transaction span tree is structurally
@@ -30,8 +35,9 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Hashable, Optional, Union
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from ..core.bwfirst import bw_first, root_proposal
 from ..core.rates import ZERO, as_fraction
@@ -52,6 +58,20 @@ TRANSPORTS = {
 
 #: Nanoseconds per second, for exact wall-clock Fractions.
 _NS = 10**9
+
+
+def refuse_running_loop(error: type, instead: str) -> None:
+    """The synchronous entry points own a fresh event loop; called from a
+    coroutine they could only fail inside :func:`asyncio.run`, after the
+    coroutine they were about to drive had already been created."""
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return
+    raise error(
+        f"an event loop is already running in this thread: "
+        f"`await {instead}` instead"
+    )
 
 
 def _make_transport(transport: Union[str, Transport]) -> Transport:
@@ -80,7 +100,7 @@ class Runtime:
       pass one);
     * *base_timeout* — seconds of patience per edge before the
       hierarchical budget of its subtree is added on top;
-    * *failed* — fail-stop nodes: their mailboxes swallow everything, and
+    * *failed* — fail-stop nodes: what is addressed to them is swallowed, and
       parents prune them by wall-clock timeout exactly as the simulated
       runner prunes by virtual-time timeout (requires *retry* or uses a
       no-retry policy);
@@ -133,15 +153,9 @@ class Runtime:
         self.close_transport = close_transport
 
         self.actors: Dict[Hashable, NodeActor] = {}
-        self._mailboxes: Dict[Hashable, asyncio.Queue] = {}
-        self._outbox: Optional[asyncio.Queue] = None
-        self._tasks: list = []
-        self._timers: set = set()
-        self._attempts: Dict[tuple, int] = {}
-        self._retransmissions = 0
-        self._timeouts = 0
-        self._done: Optional[asyncio.Future] = None
-        self._t0 = 0
+        #: what the actor being served sent — ``append`` is every actor's
+        #: ``send``; the rest of a run's state is set up by :meth:`arun`
+        self._outgoing: List[Message] = []
 
         spans_on = telemetry is not None and telemetry.enabled
         self._spans_on = spans_on
@@ -150,8 +164,6 @@ class Runtime:
 
             trace_id = mint_trace_id()
         self.trace_id = trace_id
-        self._open_spans: Dict[tuple, Span] = {}
-        self._inbound: Dict[Hashable, Span] = {}
 
         #: wall-clock timeout budgets, children before parents (see module
         #: docstring): the parent's patience for an edge must outlast the
@@ -172,7 +184,8 @@ class Runtime:
         """Wall-clock seconds since the run started, exact."""
         return Fraction(time.monotonic_ns() - self._t0, _NS)
 
-    def _note_proposal(self, sender: Hashable, message: Proposal) -> None:
+    def _note_proposal(self, message: Proposal) -> None:
+        sender = message.sender
         key = (sender, message.receiver, message.xid)
         span = self._open_spans.get(key)
         if span is None:
@@ -199,42 +212,81 @@ class Runtime:
                                         theta=theta)
 
     # ------------------------------------------------------------------
-    # sending, timers
+    # the dispatcher
     # ------------------------------------------------------------------
-    def _make_send(self, sender: Hashable):
-        def send(message: Message) -> None:
-            if self._spans_on and isinstance(message, Proposal):
-                self._note_proposal(sender, message)
-            self._outbox.put_nowait(message)
-            if (
-                self._budgets
-                and isinstance(message, Proposal)
-                and message.receiver in self._budgets
-            ):
-                self._arm_timer(sender, message.receiver, message.xid)
+    async def _dispatch(self) -> None:
+        """The negotiation's one task and single ordered writer: transmit
+        what the last reaction sent, then serve the next arrival or timer
+        expiry.  A crash anywhere in here fails the run through the
+        completion future instead of hanging it."""
+        queue, outgoing = self._queue, self._outgoing
+        send, budgets = self.transport.send, self._budgets
+        try:
+            while True:
+                for message in outgoing:
+                    proposal = isinstance(message, Proposal)
+                    if proposal and self._spans_on:
+                        self._note_proposal(message)
+                    await send(message)
+                    if proposal and message.receiver in budgets:
+                        self._arm_timer(message.sender, message.receiver,
+                                        message.xid)
+                outgoing.clear()
+                item = await queue.get()
+                if type(item) is tuple:
+                    self._expire(*item)
+                else:
+                    self._deliver(item)
+        except Exception as exc:  # noqa: BLE001 - fail the whole run
+            if not self._done.done():
+                self._done.set_exception(exc)
 
-        return send
+    def _deliver(self, message: Message) -> None:
+        node = message.receiver
+        if node == VIRTUAL_PARENT:
+            if not isinstance(message, Acknowledgment):
+                raise ProtocolError(
+                    "virtual parent expected an acknowledgment")
+            if self._spans_on:
+                self._close_span((VIRTUAL_PARENT, self.tree.root, message.xid),
+                                 "acked", theta=message.theta)
+            if not self._done.done():  # a duplicated root ack is swallowed
+                self._done.set_result(message.theta)
+            return
+        if node in self.failed:
+            return  # a failed node: swallow every message, answer nothing
+        actor = self.actors[node]
+        if self._spans_on:
+            if isinstance(message, Proposal):
+                if actor.lam is None:
+                    span = self._open_spans.get(
+                        (message.sender, node, message.xid)
+                    )
+                    if span is not None:
+                        self._inbound[node] = span
+            elif isinstance(message, Acknowledgment):
+                if actor.is_pending(message.sender, message.xid):
+                    self._close_span(
+                        (node, message.sender, message.xid),
+                        "acked", theta=message.theta,
+                    )
+        actor.handle(message)
 
     def _arm_timer(self, sender: Hashable, child: Hashable, xid) -> None:
         key = (sender, child, xid)
         attempt = self._attempts.get(key, 0)
         self._attempts[key] = attempt + 1
         patience = self._budgets[child] * float(self._policy.backoff) ** attempt
-        task = asyncio.ensure_future(
-            self._timer_fires(sender, child, xid, patience)
-        )
-        self._timers.add(task)
-        task.add_done_callback(self._timers.discard)
+        self._timers.append(asyncio.get_running_loop().call_later(
+            patience, self._queue.put_nowait, key))
 
-    async def _timer_fires(self, sender: Hashable, child: Hashable, xid,
-                           patience: float) -> None:
-        await asyncio.sleep(patience)
+    def _expire(self, sender: Hashable, child: Hashable, xid) -> None:
         actor = self.actors[sender]
         if not actor.is_pending(child, xid):
             return  # answered (or superseded) in the meantime
         if self._attempts[(sender, child, xid)] <= self._policy.max_retries:
             self._retransmissions += 1
-            actor.resend_pending()  # re-enters _make_send → new timer
+            actor.resend_pending()  # the dispatcher transmits and re-arms
         else:
             self._timeouts += 1
             actor.on_timeout(child, xid)
@@ -242,74 +294,29 @@ class Runtime:
                 self._close_span((sender, child, xid), "timeout")
 
     # ------------------------------------------------------------------
-    # actor + pump loops
-    # ------------------------------------------------------------------
-    async def _actor_loop(self, node: Hashable) -> None:
-        actor = self.actors[node]
-        mailbox = self._mailboxes[node]
-        while True:
-            message = await mailbox.get()
-            if self._spans_on:
-                if isinstance(message, Proposal):
-                    if actor.lam is None:
-                        span = self._open_spans.get(
-                            (message.sender, node, message.xid)
-                        )
-                        if span is not None:
-                            self._inbound[node] = span
-                elif isinstance(message, Acknowledgment):
-                    if actor.is_pending(message.sender, message.xid):
-                        self._close_span(
-                            (node, message.sender, message.xid),
-                            "acked", theta=message.theta,
-                        )
-            actor.handle(message)
-
-    async def _dead_loop(self, node: Hashable) -> None:
-        """A failed node: swallow every message, answer nothing."""
-        mailbox = self._mailboxes[node]
-        while True:
-            await mailbox.get()
-
-    async def _pump(self) -> None:
-        """Single ordered writer: actors enqueue, the pump transmits."""
-        while True:
-            message = await self._outbox.get()
-            await self.transport.send(message)
-
-    async def _virtual_parent(self) -> None:
-        mailbox = self._mailboxes[VIRTUAL_PARENT]
-        while True:
-            message = await mailbox.get()
-            if not isinstance(message, Acknowledgment):
-                self._done.set_exception(ProtocolError(
-                    "virtual parent expected an acknowledgment"
-                ))
-                return
-            if self._spans_on:
-                self._close_span(
-                    (VIRTUAL_PARENT, self.tree.root, message.xid),
-                    "acked", theta=message.theta,
-                )
-            if not self._done.done():
-                self._done.set_result(message.theta)
-            # keep draining: a duplicated root ack must not pile up
-
-    # ------------------------------------------------------------------
     # orchestration
     # ------------------------------------------------------------------
     async def arun(self) -> ProtocolResult:
-        """Async entry point: negotiate once, return the result."""
-        loop = asyncio.get_running_loop()
-        self._done = loop.create_future()
-        self._outbox = asyncio.Queue()
+        """Async entry point: negotiate once, return the result.  May be
+        awaited again: every run starts from fresh actors, attempt counts
+        and spans, and reports its own traffic only."""
+        tree, transport = self.tree, self.transport
+        self._done = asyncio.get_running_loop().create_future()
+        #: the run-queue: arrived messages and timer expiries — (sender,
+        #: child, xid) tuples — in the order the dispatcher serves them
+        self._queue = asyncio.Queue()
+        self._timers: List[asyncio.TimerHandle] = []
+        self._attempts: Dict[tuple, int] = {}
+        self._retransmissions = 0
+        self._timeouts = 0
+        self._open_spans: Dict[tuple, Span] = {}
+        self._inbound: Dict[Hashable, Span] = {}
         self._t0 = time.monotonic_ns()
+        self._sent_before = self._traffic()
 
-        tree = self.tree
-        self._mailboxes = {node: asyncio.Queue() for node in tree.nodes()}
-        self._mailboxes[VIRTUAL_PARENT] = asyncio.Queue()
-        await self.transport.start(tree, self._mailboxes)
-
+        # every receiver's mailbox is the one run-queue
+        await transport.start(
+            tree, dict.fromkeys((*tree.nodes(), VIRTUAL_PARENT), self._queue))
         for node in tree.nodes():
             children = [
                 (child, tree.c(child))
@@ -321,35 +328,13 @@ class Runtime:
                 rate=tree.rate(node),
                 parent=parent if parent is not None else VIRTUAL_PARENT,
                 children=children,
-                send=self._make_send(node),
+                send=self._outgoing.append,
             )
-
-        def guarded(coroutine):
-            task = asyncio.ensure_future(self._guard(coroutine))
-            self._tasks.append(task)
-            return task
-
-        for node in tree.nodes():
-            if node in self.failed:
-                guarded(self._dead_loop(node))
-            else:
-                guarded(self._actor_loop(node))
-        guarded(self._virtual_parent())
-        guarded(self._pump())
 
         lam = root_proposal(tree) if self.proposal is None else self.proposal
-        seed = Proposal(sender=VIRTUAL_PARENT, receiver=tree.root,
-                        beta=lam, xid=0, trace=self.trace_id)
-        if self._spans_on:
-            self._open_spans[(VIRTUAL_PARENT, tree.root, 0)] = (
-                self.telemetry.begin_span(
-                    "transaction", start=self._now(), node=tree.root,
-                    parent=None, proposer=VIRTUAL_PARENT, beta=lam, xid=0,
-                    trace=self.trace_id,
-                )
-            )
-        self._outbox.put_nowait(seed)
-
+        self._outgoing[:] = [Proposal(sender=VIRTUAL_PARENT, receiver=tree.root,
+                                      beta=lam, xid=0, trace=self.trace_id)]
+        dispatcher = asyncio.ensure_future(self._dispatch())
         try:
             theta = await asyncio.wait_for(
                 asyncio.shield(self._done), timeout=self.deadline
@@ -362,7 +347,12 @@ class Runtime:
             ) from None
         finally:
             completion = self._now()
-            await self._shutdown()
+            for timer in self._timers:
+                timer.cancel()
+            dispatcher.cancel()
+            await asyncio.gather(dispatcher, return_exceptions=True)
+            if self.close_transport:
+                await transport.close()
 
         throughput = lam - theta
         if self.verify:
@@ -371,43 +361,14 @@ class Runtime:
 
     def run(self) -> ProtocolResult:
         """Synchronous entry point (owns a fresh event loop)."""
+        refuse_running_loop(ProtocolError, "Runtime(...).arun()")
         return asyncio.run(self.arun())
-
-    async def _guard(self, coroutine) -> None:
-        """Propagate an actor/pump crash into the completion future."""
-        try:
-            await coroutine
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:  # noqa: BLE001 - fail the whole run
-            if not self._done.done():
-                self._done.set_exception(exc)
-
-    async def _shutdown(self) -> None:
-        for task in self._timers | set(self._tasks):
-            task.cancel()
-        pending = list(self._timers) + self._tasks
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._timers.clear()
-        self._tasks.clear()
-        if self.close_transport:
-            await self.transport.close()
-
-    @property
-    def mailboxes(self) -> Dict[Hashable, asyncio.Queue]:
-        """The per-node mailboxes of the last run — a task plane reusing
-        the transport (``close_transport=False``) must keep consuming them,
-        because the transport keeps delivering into these queues."""
-        return self._mailboxes
 
     # ------------------------------------------------------------------
     # verification + result assembly (mirrors the simulated runner)
     # ------------------------------------------------------------------
     def _check(self, throughput: Fraction) -> None:
-        excluded = self.failed | frozenset(
-            getattr(self.transport, "quarantined", ())
-        )
+        excluded = self.failed | frozenset(self.transport.quarantined)
         reference_tree = (
             _prune(self.tree, excluded) if excluded else self.tree
         )
@@ -427,31 +388,46 @@ class Runtime:
                         f"actor {node!r} diverged from Algorithm 1", node=node
                     )
 
+    def _traffic(self) -> Tuple[Counter, Counter]:
+        """The transport's cumulative tallies, in total and per directed
+        edge.  A transport outlives a run (``close_transport=False``, or a
+        second :meth:`arun`), so a result reports end minus start."""
+        transport = self.transport
+        totals = Counter({
+            "protocol.messages": transport.messages_sent,
+            "protocol.bytes": transport.bytes_sent,
+            "protocol.dropped": transport.dropped,
+            "protocol.duplicated": transport.duplicated,
+            "runtime.corrupt_frames": transport.corrupt_frames,
+        })
+        if hasattr(transport, "octets_sent"):
+            totals["runtime.tcp.octets"] = transport.octets_sent
+        return totals, Counter(getattr(transport, "octets_by_edge", ()))
+
     def _result(self, lam: Fraction, throughput: Fraction,
                 completion: Fraction) -> ProtocolResult:
-        transport = self.transport
+        sent, by_edge = self._traffic()
+        before, edges_before = self._sent_before
+        sent.subtract(before)          # keeps the zeros
+        by_edge = by_edge - edges_before   # keeps the edges this run wrote on
         transactions = 1 + sum(
             len(actor.transactions) for actor in self.actors.values()
         )
         view = Registry()
         tallies = (
-            ("protocol.messages", transport.messages_sent),
-            ("protocol.bytes", transport.bytes_sent),
+            ("protocol.messages", sent["protocol.messages"]),
+            ("protocol.bytes", sent["protocol.bytes"]),
             ("protocol.transactions", transactions),
             ("protocol.retransmissions", self._retransmissions),
             ("protocol.timeouts", self._timeouts),
-            ("protocol.dropped", transport.dropped),
-            ("protocol.duplicated", transport.duplicated),
-            ("runtime.corrupt_frames",
-             getattr(transport, "corrupt_frames", 0)),
-            ("runtime.quarantined",
-             len(getattr(transport, "quarantined", ()))),
+            ("protocol.dropped", sent["protocol.dropped"]),
+            ("protocol.duplicated", sent["protocol.duplicated"]),
+            ("runtime.corrupt_frames", sent["runtime.corrupt_frames"]),
+            ("runtime.quarantined", len(self.transport.quarantined)),
         )
         registries = (view,) if self.telemetry is None else (
             view, self.telemetry
         )
-        octets = getattr(transport, "octets_sent", None)
-        edge_octets = getattr(transport, "octets_by_edge", None)
         for registry in registries:
             for name, amount in tallies:
                 registry.counter(name).inc(amount)
@@ -460,14 +436,14 @@ class Runtime:
             registry.gauge("protocol.visited_nodes").set(
                 sum(1 for a in self.actors.values() if a.lam is not None)
             )
-            if octets is not None:
-                registry.counter("runtime.tcp.octets").inc(octets)
-            if edge_octets:
-                for (parent, child), count in edge_octets.items():
-                    registry.counter(
-                        "runtime.tcp.edge_octets",
-                        edge=f"{parent}->{child}",
-                    ).inc(count)
+            if "runtime.tcp.octets" in sent:
+                registry.counter("runtime.tcp.octets").inc(
+                    sent["runtime.tcp.octets"])
+            for (parent, child), count in by_edge.items():
+                registry.counter(
+                    "runtime.tcp.edge_octets",
+                    edge=f"{parent}->{child}",
+                ).inc(count)
         return ProtocolResult(
             tree=self.tree,
             throughput=throughput,

@@ -1,14 +1,18 @@
 """Pluggable message transports for the distributed runtime.
 
-A :class:`Transport` moves :mod:`repro.protocol.messages` between actor
-mailboxes (one :class:`asyncio.Queue` per node, owned by the
-:class:`~repro.runtime.runtime.Runtime`).  Two implementations:
+A :class:`Transport` moves :mod:`repro.protocol.messages` into mailboxes.
+A mailbox is anything with ``put_nowait``; :attr:`Transport.mailboxes`
+maps each receiver to one and is read on every delivery, so whoever owns
+a live transport re-points it by assigning another mapping.  The
+:class:`~repro.runtime.runtime.Runtime` maps every receiver to its one
+run-queue; the task plane, taking the connections over, maps each node to
+its engine's inbox.  Two implementations:
 
-* :class:`InProcTransport` — pure asyncio queues.  Optionally applies a
+* :class:`InProcTransport` — no wire at all.  Optionally applies a
   :class:`~repro.faults.plan.FaultPlan`'s control-plane loss model and a
   seeded per-message delivery delay, giving drop/duplication/reordering
   parity with the simulated :class:`~repro.faults.inject.FaultyNetwork`
-  while running genuinely concurrently;
+  on a real event loop;
 * :class:`TcpTransport` — one loopback TCP socket per tree edge, both
   directions on the same socket, carrying the length|CRC32-framed JSON of
   :mod:`repro.runtime.codec`; each end decodes frames synchronously into
@@ -47,7 +51,7 @@ import asyncio
 import json
 from abc import ABC, abstractmethod
 from functools import partial
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import CodecError, ProtocolError, ReproError
 from ..faults.inject import LinkFaultDecider
@@ -72,11 +76,12 @@ def _model_size(message) -> int:
 
 
 class Transport(ABC):
-    """Delivers protocol messages between the runtime's actor mailboxes."""
+    """Delivers protocol messages into their receivers' mailboxes."""
 
     def __init__(self) -> None:
         self.tree: Optional[Tree] = None
-        self.mailboxes: Dict[Hashable, asyncio.Queue] = {}
+        #: receiver → anything with ``put_nowait``; looked up per delivery
+        self.mailboxes: Mapping[Hashable, Any] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
         self.dropped = 0
@@ -89,7 +94,7 @@ class Transport(ABC):
         self.quarantined: Set[Hashable] = set()
 
     async def start(self, tree: Tree,
-                    mailboxes: Dict[Hashable, asyncio.Queue]) -> None:
+                    mailboxes: Mapping[Hashable, Any]) -> None:
         """Bind to the platform; must complete before the first send."""
         self.tree = tree
         self.mailboxes = mailboxes
@@ -122,7 +127,7 @@ class Transport(ABC):
 
 
 class InProcTransport(Transport):
-    """Asyncio-queue transport, optionally lossy and delayed.
+    """In-process delivery, optionally lossy and delayed.
 
     *plan* applies the fault plan's per-link drop/duplication model; its
     decisions are keyed by message ``xid`` and occurrence
@@ -155,7 +160,7 @@ class InProcTransport(Transport):
         self._decision_plan = plan if plan is not None else FaultPlan(seed=seed)
         self._decider = LinkFaultDecider(self._decision_plan)
         self._streaks: Dict[Hashable, int] = {}
-        self._pending: Set[asyncio.Task] = set()
+        self._late: List[asyncio.TimerHandle] = []
 
     async def send(self, message: Message) -> None:
         self.messages_sent += 1
@@ -197,9 +202,8 @@ class InProcTransport(Transport):
                 delay = self.max_delay * self._decision_plan.decision(
                     "delay", copy, *coordinates
                 )
-                task = asyncio.ensure_future(self._deliver_late(message, delay))
-                self._pending.add(task)
-                task.add_done_callback(self._pending.discard)
+                self._late.append(asyncio.get_running_loop().call_later(
+                    delay, self._deliver_local, message))
             else:
                 self._deliver_local(message)
 
@@ -210,23 +214,18 @@ class InProcTransport(Transport):
                 and streak >= self.quarantine_after):
             self.quarantined.add(child)
 
-    async def _deliver_late(self, message: Message, delay: float) -> None:
-        await asyncio.sleep(delay)
-        self._deliver_local(message)
-
     async def close(self) -> None:
-        for task in list(self._pending):
-            task.cancel()
-        if self._pending:
-            await asyncio.gather(*self._pending, return_exceptions=True)
-        self._pending.clear()
+        for handle in self._late:
+            handle.cancel()
+        self._late.clear()
 
 
 class _EdgeEnd(asyncio.Protocol):
     """*owner*'s end of one edge's socket: ``data_received`` splits frames
     synchronously out of one buffer and puts the decoded messages straight
-    into *owner*'s mailbox.  On an accepted (parent) end the first frame is
-    the hello naming the child that dialled.
+    into the mailbox the hub maps *owner* to at that moment.  On an
+    accepted (parent) end the first frame is the hello naming the child
+    that dialled.
 
     Hostile bytes stop here: a recoverable :class:`CodecError` skips the
     frame and feeds the quarantine streak, a non-recoverable one firewalls
@@ -238,7 +237,6 @@ class _EdgeEnd(asyncio.Protocol):
                  hello_due: bool):
         self.hub, self.owner, self.hello_due = hub, owner, hello_due
         self.edge_child = owner  # an accepting end learns it from the hello
-        self.mailbox = hub.mailboxes[owner]
         self.splitter = FrameSplitter()
         self.streak = 0
         self.deaf = False  # firewalled or refused: discard what arrives
@@ -278,7 +276,7 @@ class _EdgeEnd(asyncio.Protocol):
             if self.edge_child in hub.quarantined:
                 hub.quarantine_dropped += 1
             else:
-                self.mailbox.put_nowait(message)
+                hub.mailboxes[self.owner].put_nowait(message)
 
     def _hello(self, body: bytes) -> None:
         """Fail closed: only a not yet connected child of *owner* may
@@ -385,7 +383,7 @@ class TcpTransport(Transport):
 
     # ------------------------------------------------------------------
     async def start(self, tree: Tree,
-                    mailboxes: Dict[Hashable, asyncio.Queue]) -> None:
+                    mailboxes: Mapping[Hashable, Any]) -> None:
         await super().start(tree, mailboxes)
         loop = asyncio.get_running_loop()
         edges = [(tree.parent(n), n) for n in tree.nodes()

@@ -53,7 +53,7 @@ from ..exceptions import TaskPlaneError
 from ..faults.plan import FaultPlan
 from ..platform.tree import Tree
 from ..protocol.messages import Acknowledgment, Proposal
-from ..runtime.runtime import Runtime, _make_transport
+from ..runtime.runtime import Runtime, _make_transport, refuse_running_loop
 from ..runtime.transport import Transport
 from ..schedule.periods import tree_periods
 from ..telemetry.core import NULL, Registry
@@ -588,6 +588,7 @@ class TaskPlane:
 
     # ------------------------------------------------------------------
     def run(self) -> TaskPlaneReport:
+        refuse_running_loop(TaskPlaneError, "TaskPlane(...).arun()")
         return asyncio.run(self.arun())
 
     async def arun(self) -> TaskPlaneReport:
@@ -599,8 +600,11 @@ class TaskPlane:
         bounds = taskplane_buffer_bounds(periods, tree.root)
 
         transport = _make_transport(self.transport)
-        runtime = Runtime(tree, transport, close_transport=False)
-        await runtime.arun()   # same loop: the sockets stay usable
+        await Runtime(tree, transport, close_transport=False).arun()
+        # same loop, so the sockets stay usable: from here on they deliver
+        # into the engines' inboxes, no longer into the runtime's run-queue
+        inboxes = {node: asyncio.Queue() for node in tree.nodes()}
+        transport.mailboxes = inboxes
 
         loop = asyncio.get_running_loop()
         t0 = loop.time()
@@ -623,7 +627,7 @@ class TaskPlane:
                 node,
                 clock=clock,
                 send=transport.send,
-                inbox=runtime.mailboxes[node],
+                inbox=inboxes[node],
                 parent=parent,
                 links=links,
                 all_children=list(tree.children(node)),

@@ -11,16 +11,23 @@ tree.  Proposition 2 does not care whether the messages are virtual.
 
 from __future__ import annotations
 
+import asyncio
+import hashlib
+import json
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from repro.core.bwfirst import bw_first
 from repro.exceptions import ProtocolError
 from repro.faults.plan import FaultPlan
-from repro.platform.generators import random_tree
+from repro.platform.examples import paper_figure4_tree
+from repro.platform.generators import random_tree, smooth_tree
 from repro.platform.tree import Tree
 from repro.protocol.messages import Acknowledgment, Proposal
+from repro.protocol.network import Network
 from repro.protocol.retry import RetryPolicy
 from repro.protocol.runner import VIRTUAL_PARENT, run_protocol
 from repro.runtime import (
@@ -484,3 +491,309 @@ class TestRecoveryOverRuntime:
         simulated = resilient_run(paper_tree, plan)
         assert over_runtime.new_optimum == simulated.new_optimum
         assert over_runtime.rate_after == simulated.rate_after
+
+
+# ----------------------------------------------------------------------
+# one dispatcher: what a running negotiation owns, and what reaches it
+# ----------------------------------------------------------------------
+def hooked(base, hook):
+    """*base* (a Transport class) handing every message to *hook* first
+    and putting on the wire whatever messages it returns."""
+
+    class Hooked(base):
+        async def send(self, message):
+            for out in hook(message):
+                await super().send(out)
+
+    return Hooked
+
+
+class TestOwnedTasks:
+    @pytest.mark.parametrize("base", [InProcTransport, TcpTransport],
+                             ids=["inproc", "tcp"])
+    @pytest.mark.parametrize("retry", [None, RetryPolicy(max_retries=2)],
+                             ids=["no-retry", "retry"])
+    def test_constant_at_any_tree_size(self, base, retry):
+        """No task per node, per edge or per armed timer: mid-run, the
+        negotiation owns the same few tasks at 20 nodes and at 400."""
+
+        async def scenario(nodes):
+            before, owned = asyncio.all_tasks(), []
+
+            def probe(message):
+                owned.append(len(asyncio.all_tasks() - before))
+                return [message]
+
+            result = await Runtime(smooth_tree(nodes, 2),
+                                   hooked(base, probe)(), retry=retry).arun()
+            assert result.messages == 2 * nodes == len(owned)
+            return set(owned)
+
+        small = asyncio.run(scenario(20))
+        large = asyncio.run(scenario(400))
+        assert small == large
+        assert max(large) <= 2
+
+
+class TestDispatcher:
+    @pytest.fixture(params=[InProcTransport, TcpTransport],
+                    ids=["inproc", "tcp"])
+    def base(self, request):
+        return request.param
+
+    def test_failed_node_is_swallowed_and_pruned(self, paper_tree, base):
+        failed = frozenset({"P2"})
+        result = Runtime(paper_tree, base(), failed=failed,
+                         retry=RetryPolicy(max_retries=1),
+                         base_timeout=0.02).run()
+        assert result.throughput == bw_first(
+            paper_tree.without_subtrees(failed)).throughput
+        assert result.timeouts == 1 and result.retransmissions == 1
+        assert result.actors["P2"].lam is None   # never saw a proposal
+
+    def test_duplicated_root_ack_is_swallowed(self, paper_tree, base):
+        """The second copy arrives after the completion future resolved."""
+        def twice_to_the_virtual_parent(message):
+            return [message] * (2 if message.receiver == VIRTUAL_PARENT else 1)
+
+        simulated, executed = Registry(), Registry()
+        run_protocol(paper_tree, telemetry=simulated)
+        result = Runtime(paper_tree,
+                         hooked(base, twice_to_the_virtual_parent)(),
+                         telemetry=executed).run()
+        assert result.throughput == Fraction(10, 9)
+        assert result.messages == 16 + 1
+        assert span_fingerprint(executed) == span_fingerprint(simulated)
+
+    def test_expiry_after_its_ack_is_ignored(self, paper_tree, monkeypatch):
+        """Timers are never disarmed by an ack: the expiry is served by the
+        dispatcher like any arrival and finds nothing pending."""
+        served = []
+        expire = Runtime._expire
+
+        def spy(self, sender, child, xid):
+            served.append(self.actors[sender].is_pending(child, xid))
+            expire(self, sender, child, xid)
+
+        monkeypatch.setattr(Runtime, "_expire", spy)
+        result = negotiate(
+            paper_tree,
+            transport=InProcTransport(max_delay=0.02, seed=5),
+            retry=RetryPolicy(max_retries=5),
+            base_timeout=0.045,
+        )
+        assert False in served
+        assert result.throughput == Fraction(10, 9)
+        assert result.timeouts == 0
+
+    def test_actor_exception_fails_the_run(self, paper_tree, base):
+        """An actor that raises inside the dispatcher fails the run with
+        its own error, at once — not with the deadline's."""
+        def inflate_acks(message):
+            if (isinstance(message, Acknowledgment)
+                    and message.receiver != VIRTUAL_PARENT):
+                message = Acknowledgment(
+                    sender=message.sender, receiver=message.receiver,
+                    theta=message.theta + 100, xid=message.xid)
+            return [message]
+
+        with pytest.raises(ProtocolError, match="acked"):
+            Runtime(paper_tree, hooked(base, inflate_acks)(),
+                    deadline=30.0).run()
+
+
+class TestRerun:
+    """One Runtime, run again: fresh patience, its own traffic only."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_every_run_reports_its_own_traffic(self, transport):
+        tree = smooth_tree(30, 3)
+        external = Registry()
+        runtime = Runtime(tree, transport, telemetry=external,
+                          retry=RetryPolicy(max_retries=2))
+        results = [runtime.run() for _ in range(4)]
+        first = results[0]
+        assert first.messages == 60
+        for result in results:
+            assert result.throughput == first.throughput
+            for name in ("protocol.messages", "protocol.bytes",
+                         "protocol.transactions", "runtime.tcp.octets"):
+                assert (result.telemetry.value(name)
+                        == first.telemetry.value(name)), name
+        assert external.value("protocol.messages") == 4 * first.messages
+        assert len(external.spans_named("transaction")) == 4 * 30
+
+    def test_a_lost_proposal_is_retried_on_every_run(self):
+        """Attempt counts start over, so the back-off does too: a single
+        lost Proposal is retransmitted, never counted against a budget
+        that earlier runs used up."""
+
+        class LosesTheFirstProposal(InProcTransport):
+            async def start(self, tree, mailboxes):
+                await super().start(tree, mailboxes)
+                self.lose_next = True
+
+            async def send(self, message):
+                if (self.lose_next and isinstance(message, Proposal)
+                        and message.sender != VIRTUAL_PARENT):
+                    self.lose_next = False
+                    self.dropped += 1
+                    return
+                await super().send(message)
+
+        tree = smooth_tree(30, 3)
+        policy = RetryPolicy(max_retries=2)
+        runtime = Runtime(tree, LosesTheFirstProposal(), retry=policy,
+                          base_timeout=0.002)
+        for _ in range(policy.max_retries + 2):
+            result = runtime.run()   # verified against bw_first(tree)
+            assert result.dropped == 1
+            assert result.retransmissions >= 1
+            assert result.timeouts == 0
+            assert result.messages == 60 + result.retransmissions - 1
+
+
+class TestSyncEntryPointsInsideALoop:
+    def test_typed_error_and_no_orphan_coroutine(self, paper_tree):
+        from repro.exceptions import TaskPlaneError
+        from repro.taskplane import TaskPlane
+
+        async def scenario():
+            with pytest.raises(ProtocolError, match=r"await Runtime\(.*arun"):
+                negotiate(paper_tree)
+            with pytest.raises(ProtocolError, match="arun"):
+                Runtime(paper_tree).run()
+            with pytest.raises(TaskPlaneError, match="arun"):
+                TaskPlane(paper_tree, max_tasks=1).run()
+            return (await Runtime(paper_tree).arun()).throughput
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a never-awaited coroutine
+            assert asyncio.run(scenario()) == Fraction(10, 9)
+
+
+# ----------------------------------------------------------------------
+# the task plane takes the transport over from the dispatcher
+# ----------------------------------------------------------------------
+class TestHandOver:
+    @pytest.fixture(params=[InProcTransport, TcpTransport],
+                    ids=["inproc", "tcp"])
+    def base(self, request):
+        return request.param
+
+    def test_clean_books_on_both_transports(self, paper_tree, base):
+        from repro.taskplane import run_plane
+
+        report = run_plane(paper_tree, base(), max_tasks=30, time_scale=0.005)
+        assert report.completed == 30
+        assert (report.stray_control, report.lost, report.duplicates) \
+            == (0, 0, 0)
+
+    def test_late_control_frame_is_counted_not_raised(self, paper_tree, base):
+        """A duplicate of the negotiation arriving once the engines own
+        the mailboxes lands in an inbox, where it is a stray."""
+        from repro.taskplane import run_plane
+
+        class LateDuplicate(base):
+            late = Acknowledgment(sender="P1", receiver="P0",
+                                  theta=Fraction(0), xid=0)
+
+            async def send(self, message):
+                stale, self.late = self.late, None
+                if stale is not None and not isinstance(
+                        message, (Proposal, Acknowledgment)):
+                    await super().send(stale)
+                else:
+                    self.late = stale
+                await super().send(message)
+
+        report = run_plane(paper_tree, LateDuplicate(), max_tasks=30,
+                           time_scale=0.005)
+        assert report.stray_control == 1
+        assert (report.completed, report.lost, report.duplicates) \
+            == (30, 0, 0)
+
+
+# ----------------------------------------------------------------------
+# the ordered transcript handed to transport.send
+# ----------------------------------------------------------------------
+TRANSCRIPT_FILE = Path(__file__).parent / "data" / "runtime_transcripts.json"
+
+
+def transcript_trees():
+    """25 seeded platforms: Fig. 4, smooth trees, random trees."""
+    yield "fig4", paper_figure4_tree()
+    for seed in range(12):
+        yield f"smooth-{seed}", smooth_tree(8 + 5 * seed, seed)
+        yield f"random-{seed}", random_tree(n=3 + 2 * seed, seed=seed)
+
+
+def transcript_entry(message):
+    return [str(message.sender), str(message.receiver),
+            type(message).__name__, message.xid]
+
+
+class RecordingNetwork(Network):
+    """The simulated runner's wire, logging what is handed to ``send``."""
+
+    def __init__(self, tree):
+        super().__init__(tree)
+        self.transcript = []
+
+    def send(self, message):
+        self.transcript.append(transcript_entry(message))
+        super().send(message)
+
+
+def executed_transcript(tree, base):
+    transcript = []
+
+    def log(message):
+        transcript.append(transcript_entry(message))
+        return [message]
+
+    Runtime(tree, hooked(base, log)()).run()
+    return transcript
+
+
+def transcript_digest(transcript):
+    body = json.dumps(transcript, separators=(",", ":")).encode("utf-8")
+    return {"messages": len(transcript),
+            "sha256": hashlib.sha256(body).hexdigest()}
+
+
+def record_transcripts():
+    """Re-record the pinned transcripts.  Run from the *parent* checkout's
+    sources, so the file says what the runtime did before a change:
+    ``PYTHONPATH=<parent>/src python -m tests.test_runtime``."""
+    digests = {}
+    for label, tree in transcript_trees():
+        inproc = executed_transcript(tree, InProcTransport)
+        assert inproc == executed_transcript(tree, TcpTransport), label
+        digests[label] = transcript_digest(inproc)
+    TRANSCRIPT_FILE.write_text(
+        json.dumps(digests, indent=1, sort_keys=True) + "\n")
+
+
+class TestSendTranscript:
+    """What the dispatcher hands to ``transport.send``, in order, is what
+    the runtime handed over before it had a dispatcher (the pinned file)
+    and what the simulated runner hands to its network."""
+
+    PINNED = json.loads(TRANSCRIPT_FILE.read_text()) \
+        if TRANSCRIPT_FILE.exists() else {}
+
+    @pytest.mark.parametrize("label,tree", list(transcript_trees()),
+                             ids=[label for label, _ in transcript_trees()])
+    @pytest.mark.parametrize("base", [InProcTransport, TcpTransport],
+                             ids=["inproc", "tcp"])
+    def test_unchanged_and_equal_to_simulated(self, label, tree, base):
+        executed = executed_transcript(tree, base)
+        assert transcript_digest(executed) == self.PINNED[label]
+        network = RecordingNetwork(tree)
+        run_protocol(tree, network=network)
+        assert executed == network.transcript
+
+
+if __name__ == "__main__":
+    record_transcripts()
