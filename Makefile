@@ -126,9 +126,13 @@ taskplane-smoke:
 		PYTHONPATH=src python -m repro chaos --data-plane --sequences 3"
 
 # the multi-tenant federation gate: the federation suite (shared-subtree
-# bit-exactness through the cross-tenant memo, shard crash retry, ring /
-# wire / planner units) plus the E32 gate test (federated churn strictly
-# beats N isolated full solvers with cross-tenant hits), then a small
+# bit-exactness through the cross-tenant memo, the fail-closed int wire
+# form, one ask + one publish per solve, shard crash retry, memo death,
+# bad-op containment, ring / wire / planner units) plus the E32 gates
+# (federated churn strictly beats N isolated full solvers with
+# cross-tenant hits; memo round trips during the churn <= re-solves
+# served, a count; best-of-3 federated wall < isolated-incremental in the
+# same run, a ratio), then a small
 # `repro federate bench` run through the CLI.  `timeout` hard-bounds the
 # wall clock so a wedged shard worker or memo socket fails fast.
 federation-smoke:

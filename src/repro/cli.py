@@ -571,10 +571,13 @@ def _cmd_federate(args: argparse.Namespace) -> int:
               f"federation speedup {record['speedup_vs_full']:.2f}x")
         incr = record["isolated_incremental"]
         print(f"  isolated incremental:   {incr['wall_s'] * 1000:.0f} ms "
-              f"({incr['mutations_per_s']:.0f} mutations/s)")
+              f"({incr['mutations_per_s']:.0f} mutations/s) → "
+              f"federation speedup {record['speedup_vs_incremental']:.2f}x")
         memo = record["memo"]
         if memo:
-            print(f"  memo: {memo['hits']}/{memo['fetches']} fetch hits, "
+            print(f"  memo: {memo['hits']}/{memo['fetches']} digests found in "
+                  f"{memo['round_trips']} round trips "
+                  f"({fed['memo_round_trips']} during the churn), "
                   f"{memo['cross_tenant_hits']} cross-tenant, "
                   f"{memo['entries']} entries")
         print(f"  exact vs per-tenant bw_first: {record['exact']}")

@@ -69,9 +69,9 @@ MAX_EXACT_PER_ENTRY = 64
 #: Environment override for the default per-fingerprint exact-β memo cap.
 MEMO_CAP_ENV = "REPRO_MEMO_CAP"
 
-#: Subtrees smaller than this many nodes skip the shared memo store: a
-#: cross-process round trip costs several node evaluations, so sharing
-#: only pays above the break-even size (tunable per solver with
+#: Subtrees smaller than this many nodes skip the shared memo store:
+#: hashing, shipping and decoding an entry costs several node evaluations,
+#: so sharing only pays above the break-even size (tunable per solver with
 #: ``shared_min_size=``; in-process stores in tests use 1).
 SHARED_MIN_SIZE = 16
 
@@ -79,7 +79,7 @@ SHARED_MIN_SIZE = 16
 #: published payload is the *whole* recursive solution, so shipping, say,
 #: a churned root entry would serialise the full tree on every solve.
 #: Because the policy is uniform, a client knows oversized digests are
-#: never stored and skips the fetch too.  Large shared structures still
+#: never stored and does not ask for them.  Large shared structures still
 #: replay almost for free: their in-window descendants are published, so
 #: a second tenant descends the few oversized levels and answers the rest
 #: from the store — content addressing composes.  ``shared_max_size=None``
@@ -101,48 +101,90 @@ def _default_memo_cap() -> int:
     return cap
 
 
-def sol_to_wire(sol: "_Sol") -> list:
-    """Serialise a cached solution to a JSON-ready nested list.
+#: ints per node record of the wire form: λ, α, θ, τ as ``num, den`` pairs,
+#: then ``evals`` and the child count; each child's record is preceded by
+#: its transaction's β and acknowledged θ (two more pairs)
+_NODE_INTS = 10
+_TXN_INTS = 4
 
-    All rationals travel as exact ``"n"``/``"n/d"`` strings, so shared-memo
-    round-trips lose no precision (the same wire discipline as the runtime
-    codec).  Recursion depth equals the subtree height.
+
+def sol_to_wire(sol: "_Sol") -> List[int]:
+    """Serialise a cached solution to one flat preorder list of ints.
+
+    Every rational travels as its exact ``num, den`` pair, so a shared-memo
+    round trip loses no precision and parses no text.  Iterative: a chain
+    of any height serialises without recursion.
     """
-    return [
-        str(sol.lam), str(sol.alpha), str(sol.theta), str(sol.tau),
-        [[str(beta), str(theta), sol_to_wire(child)]
-         for beta, theta, child in sol.txns],
-        sol.evals,
-    ]
+    out: List[int] = []
+    stack = [((), sol)]
+    while stack:
+        head, cur = stack.pop()
+        out += head
+        lam, alpha, theta, tau = cur.lam, cur.alpha, cur.theta, cur.tau
+        out += (lam.numerator, lam.denominator,
+                alpha.numerator, alpha.denominator,
+                theta.numerator, theta.denominator,
+                tau.numerator, tau.denominator, cur.evals, len(cur.txns))
+        for beta, ack, child in reversed(cur.txns):
+            stack.append(((beta.numerator, beta.denominator,
+                           ack.numerator, ack.denominator), child))
+    return out
 
 
-def _wire_fraction(text) -> Fraction:
-    if not isinstance(text, str):
-        raise ScheduleError(f"malformed shared-memo rational {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScheduleError(
-            f"malformed shared-memo rational {text!r}") from exc
+def _wire_fraction(num, den) -> Fraction:
+    # ``type(x) is int`` on purpose: a bool is an int to isinstance
+    if type(num) is not int or type(den) is not int or den <= 0:
+        raise ScheduleError(f"malformed shared-memo rational {num!r}/{den!r}")
+    return Fraction(num, den)
 
 
-def sol_from_wire(payload) -> "_Sol":
-    """Inverse of :func:`sol_to_wire`, hardened against malformed payloads
-    (every malformation raises :class:`~repro.exceptions.ScheduleError`)."""
-    if not isinstance(payload, (list, tuple)) or len(payload) != 6:
-        raise ScheduleError(f"malformed shared-memo solution {payload!r}")
-    lam, alpha, theta, tau, txns, evals = payload
-    if not isinstance(txns, (list, tuple)) or not isinstance(evals, int):
-        raise ScheduleError(f"malformed shared-memo solution {payload!r}")
-    parsed = []
-    for txn in txns:
-        if not isinstance(txn, (list, tuple)) or len(txn) != 3:
-            raise ScheduleError(f"malformed shared-memo transaction {txn!r}")
-        parsed.append((_wire_fraction(txn[0]), _wire_fraction(txn[1]),
-                       sol_from_wire(txn[2])))
-    return _Sol(_wire_fraction(lam), _wire_fraction(alpha),
-                _wire_fraction(theta), _wire_fraction(tau),
-                tuple(parsed), evals)
+def _wire_pair(pair) -> Fraction:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ScheduleError(f"malformed shared-memo rational {pair!r}")
+    return _wire_fraction(*pair)
+
+
+def sol_from_wire(wire) -> "_Sol":
+    """Inverse of :func:`sol_to_wire`.  Fails closed: a payload that is not
+    a list, holds anything but ``int`` (``bool`` included), has a
+    denominator ≤ 0, a negative child count or one the data does not cover,
+    an ``evals`` that is not one more than its children's, or carries
+    trailing data raises :class:`~repro.exceptions.ScheduleError`."""
+    if not isinstance(wire, (list, tuple)):
+        raise ScheduleError(f"malformed shared-memo solution {wire!r}")
+    size = len(wire)
+    pos = 0
+    # ancestors still missing children: their record so far, plus the β and
+    # acknowledged θ of the child being read
+    open_nodes: list = []
+    while True:
+        if pos + _NODE_INTS > size:
+            raise ScheduleError("truncated shared-memo solution")
+        evals, kids = wire[pos + 8], wire[pos + 9]
+        if type(evals) is not int or type(kids) is not int or kids < 0:
+            raise ScheduleError(
+                f"malformed shared-memo counts {evals!r}, {kids!r}")
+        rationals = [_wire_fraction(wire[i], wire[i + 1])
+                     for i in range(pos, pos + 8, 2)]
+        txns: list = []
+        pos += _NODE_INTS
+        while len(txns) == kids:  # all children in: close the node
+            if evals != 1 + sum(child.evals for _, _, child in txns):
+                raise ScheduleError(f"malformed shared-memo evals {evals!r}")
+            sol = _Sol(*rationals, tuple(txns), evals)
+            if not open_nodes:
+                if pos != size:
+                    raise ScheduleError(
+                        "trailing data after a shared-memo solution")
+                return sol
+            rationals, evals, kids, txns, beta, ack = open_nodes.pop()
+            txns.append((beta, ack, sol))
+        if pos + _TXN_INTS > size:
+            raise ScheduleError("truncated shared-memo solution")
+        open_nodes.append((rationals, evals, kids, txns,
+                           _wire_fraction(wire[pos], wire[pos + 1]),
+                           _wire_fraction(wire[pos + 2], wire[pos + 3])))
+        pos += _TXN_INTS
 
 
 class _Sol:
@@ -167,14 +209,18 @@ class _Sol:
 
 
 class _Entry:
-    """Cache line of one fingerprint: a saturated solution + exact-β memos."""
+    """Cache line of one fingerprint: a saturated solution + exact-β memos.
 
-    __slots__ = ("sat", "sat_threshold", "exact")
+    ``shared`` marks a line that came from the shared store, so answers
+    served from it count as ``hits_shared``."""
+
+    __slots__ = ("sat", "sat_threshold", "exact", "shared")
 
     def __init__(self):
         self.sat: Optional[_Sol] = None
         self.sat_threshold: Optional[Fraction] = None
         self.exact: Dict[Fraction, _Sol] = {}
+        self.shared = False
 
     def copy(self, cap: int) -> "_Entry":
         """A detached copy sharing the immutable :class:`_Sol` objects."""
@@ -182,31 +228,28 @@ class _Entry:
         dup.sat = self.sat
         dup.sat_threshold = self.sat_threshold
         dup.exact = dict(islice(self.exact.items(), cap))
+        dup.shared = self.shared
         return dup
 
-    def merge_wire(self, payload: dict, cap: int) -> None:
-        """Merge a shared-memo wire payload (``{"sat","thr","exact"}``) in.
-
-        A remote saturated solution only replaces a local one when its
-        threshold is lower (both are correct; the lower one answers more
-        proposals).  Exact memos merge up to *cap* without displacing
-        existing entries."""
-        sat_wire = payload.get("sat")
-        thr_wire = payload.get("thr")
-        if sat_wire is not None and thr_wire is not None:
-            threshold = _wire_fraction(thr_wire)
-            if self.sat is None or threshold < self.sat_threshold:
-                self.sat = sol_from_wire(sat_wire)
-                self.sat_threshold = threshold
+    @classmethod
+    def from_wire(cls, payload, cap: int) -> "_Entry":
+        """Decode a store entry — ``{"sat": ints, "thr": (num, den),
+        "exact": {(num, den): ints}}``, at most *cap* exact memos kept.
+        Any malformation raises :class:`~repro.exceptions.ScheduleError`."""
+        if not isinstance(payload, dict):
+            raise ScheduleError(f"malformed shared-memo entry {payload!r}")
+        entry = cls()
+        entry.shared = True
+        sat, threshold = payload.get("sat"), payload.get("thr")
+        if sat is not None and threshold is not None:
+            entry.sat = sol_from_wire(sat)
+            entry.sat_threshold = _wire_pair(threshold)
         exact = payload.get("exact") or {}
         if not isinstance(exact, dict):
             raise ScheduleError(f"malformed shared-memo exact map {exact!r}")
-        for beta_text, sol_wire in exact.items():
-            if len(self.exact) >= cap:
-                break
-            beta = _wire_fraction(beta_text)
-            if beta not in self.exact:
-                self.exact[beta] = sol_from_wire(sol_wire)
+        for beta, wire in islice(exact.items(), cap):
+            entry.exact[_wire_pair(beta)] = sol_from_wire(wire)
+        return entry
 
 
 class _IFrame:
@@ -247,13 +290,18 @@ class IncrementalSolver:
     :data:`MAX_EXACT_PER_ENTRY`).
 
     *shared* plugs in a cross-process memo backend — any object with
-    ``fetch(digest, tenant=...) -> Optional[dict]`` and
-    ``publish(digest, update, tenant=...)`` (the federation memo service's
+    ``fetch(digests, tenant=...) -> {digest: entry}`` and
+    ``publish(updates, tenant=...)`` (the federation memo service's
     :class:`~repro.federation.memo.SharedMemoClient` or
-    :class:`~repro.federation.memo.InlineMemoStore`).  On a local cache
-    miss the solver fetches the node's content digest from the store; every
-    locally computed solution is published back once.  *tenant* labels this
-    solver's traffic for the store's cross-tenant accounting.
+    :class:`~repro.federation.memo.InlineMemoStore`).  The store is spoken
+    to at most twice per :meth:`solve`: one ``fetch`` at the top, for the
+    in-window fingerprints that appeared since the last solve and have no
+    local entry (lookups then read the local cache only), and one
+    ``publish`` at the end carrying every solution computed on the way,
+    each sent once.  A fingerprint is never asked about again, so a store
+    entry that gains a new β later is not seen by a solver that already
+    knows the fingerprint.  *tenant* labels this solver's traffic for the
+    store's cross-tenant accounting.
 
     *like* is the template fast path: when the supplied *tree* compares
     equal to another solver's working tree, fingerprints, digests and memo
@@ -290,10 +338,13 @@ class IncrementalSolver:
         }
         self._builder = None  # lazily-built IncrementalScheduleBuilder
         self._eviction_warned = False
-        # (fingerprint, β) pairs already asked of / pushed to the shared
-        # store, so each question and answer crosses the process boundary
-        # at most once per solver
-        self._shared_checked: set = set()
+        # shared-store bookkeeping; a solver without a store keeps none.
+        # _unasked: (node, fingerprint) pairs interned since the last solve;
+        # _outbox: (digest, β | None, threshold | None, solution) computed
+        # by the running solve; _shared_published: their (fingerprint, β)
+        # keys, so each solution crosses the process boundary once
+        self._unasked: Optional[List[Tuple[Hashable, int]]] = None
+        self._outbox: list = []
         self._shared_published: set = set()
         if like is not None and like._tree == self._tree:
             self._intern = dict(like._intern)
@@ -314,6 +365,8 @@ class IncrementalSolver:
             self._digest_of: Dict[int, str] = {}  # fp → content digest (lazy)
             self._size_of: Dict[int, int] = {}  # fp → subtree node count (lazy)
             self._fingerprint_all()
+        if shared is not None:
+            self._unasked = list(self._fp.items())
 
     def clone(self, telemetry=None, memo_cap: Optional[int] = None,
               shared=None, tenant: Optional[str] = None) -> "IncrementalSolver":
@@ -360,6 +413,8 @@ class IncrementalSolver:
             fp = len(self._intern)
             self._intern[key] = fp
             self._key_of[fp] = key
+            if self._unasked is not None:
+                self._unasked.append((node, fp))
         self._fp[node] = fp
         return fp
 
@@ -570,82 +625,63 @@ class IncrementalSolver:
         if entry is not None:
             sat = entry.sat
             if sat is not None and beta >= entry.sat_threshold:
-                self.stats["hits_saturated"] += 1
-                self.stats["evals_saved"] += sat.evals
-                self._count("incr.hit.saturated")
+                self._hit(entry, "saturated", sat)
                 return sat, beta - (sat.lam - sat.theta)
             sol = entry.exact.get(beta)
             if sol is not None:
-                self.stats["hits_exact"] += 1
-                self.stats["evals_saved"] += sol.evals
-                self._count("incr.hit.exact")
+                self._hit(entry, "exact", sol)
                 return sol, sol.theta
-        if self._shared is not None:
-            hit = self._shared_lookup(node, beta)
-            if hit is not None:
-                return hit
         self.stats["misses"] += 1
         self._count("incr.miss")
         return None
 
-    def _shared_lookup(self, node: Hashable, beta: Fraction):
-        """Consult the shared memo store after a local miss.
-
-        A fetched entry is merged into the local cache, so later proposals
-        against the same fingerprint hit locally without another round
-        trip; each distinct ``(fingerprint, β)`` is asked at most once.
-        """
-        fp = self._fp[node]
-        if not self._shared_eligible(fp):
-            return None
-        key = (fp, beta)
-        if key in self._shared_checked:
-            return None
-        self._shared_checked.add(key)
-        self.stats["shared_fetches"] += 1
-        self._count("incr.shared.fetch")
-        payload = self._shared.fetch(self._fp_digest(fp), tenant=self._tenant)
-        if not payload:
-            return None
-        entry = self._cache.get(fp)
-        if entry is None:
-            entry = self._cache[fp] = _Entry()
-        entry.merge_wire(payload, self._memo_cap)
-        sat = entry.sat
-        if sat is not None and beta >= entry.sat_threshold:
-            self.stats["hits_shared"] += 1
-            self.stats["evals_saved"] += sat.evals
-            self._count("incr.hit.shared")
-            return sat, beta - (sat.lam - sat.theta)
-        sol = entry.exact.get(beta)
-        if sol is not None:
-            self.stats["hits_shared"] += 1
-            self.stats["evals_saved"] += sol.evals
-            self._count("incr.hit.shared")
-            return sol, sol.theta
-        return None
+    def _hit(self, entry: _Entry, regime: str, sol: _Sol) -> None:
+        if entry.shared:
+            regime = "shared"
+        self.stats["hits_" + regime] += 1
+        self.stats["evals_saved"] += sol.evals
+        self._count("incr.hit." + regime)
 
     def _shared_eligible(self, fp: int) -> bool:
         """Is this subtree inside the shared-store size window?  Below the
-        minimum a round trip costs more than solving; above the maximum a
+        minimum asking costs more than solving; above the maximum a
         payload costs more than it saves (see :data:`SHARED_MIN_SIZE` /
         :data:`SHARED_MAX_SIZE`).  The window gates fetch and publish
         symmetrically, so out-of-window digests are provably absent and
-        cost no round trip at all."""
+        are never asked for."""
         size = self._fp_size(fp)
         if size < self._shared_min_size:
             return False
         return self._shared_max_size is None or size <= self._shared_max_size
 
-    def _publish(self, fp: int, dedup_key, update: dict) -> None:
-        if not self._shared_eligible(fp):
+    def _ask_store(self) -> None:
+        """The solve's one question to the shared store: every in-window
+        fingerprint interned since the last solve that is still live and
+        has no local entry.  What comes back becomes the local entry."""
+        unasked, self._unasked = self._unasked, []
+        wanted = {}
+        for node, fp in unasked:
+            if (self._fp.get(node) == fp and fp not in self._cache
+                    and self._shared_eligible(fp)):
+                wanted[self._fp_digest(fp)] = fp
+        if not wanted:
             return
-        if dedup_key in self._shared_published:
-            return
-        self._shared_published.add(dedup_key)
-        self.stats["shared_publishes"] += 1
-        self._count("incr.shared.publish")
-        self._shared.publish(self._fp_digest(fp), update, tenant=self._tenant)
+        self.stats["shared_fetches"] += len(wanted)
+        self._count("incr.shared.fetch", len(wanted))
+        found = self._shared.fetch(list(wanted), tenant=self._tenant)
+        if not isinstance(found, dict):
+            raise ScheduleError(f"malformed shared-memo reply {found!r}")
+        for digest, payload in found.items():
+            fp = wanted.get(digest)
+            if fp is not None:
+                self._cache[fp] = _Entry.from_wire(payload, self._memo_cap)
+
+    def _queue_publish(self, fp: int, beta: Optional[Fraction],
+                       threshold: Optional[Fraction], sol: _Sol) -> None:
+        key = (fp, beta)
+        if key not in self._shared_published and self._shared_eligible(fp):
+            self._shared_published.add(key)
+            self._outbox.append((self._fp_digest(fp), beta, threshold, sol))
 
     def _store(self, frame: _IFrame, sol: _Sol) -> None:
         fp = self._fp[frame.node]
@@ -660,9 +696,7 @@ class IncrementalSolver:
             entry.sat = sol
             entry.sat_threshold = self._rate(frame.node) + frame.max_need
             if self._shared is not None:
-                self._publish(fp, (fp, "sat"), {
-                    "sat": sol_to_wire(sol), "thr": str(entry.sat_threshold),
-                })
+                self._queue_publish(fp, None, entry.sat_threshold, sol)
         else:
             if len(entry.exact) >= self._memo_cap:
                 entry.exact.clear()
@@ -682,9 +716,7 @@ class IncrementalSolver:
                     )
             entry.exact[frame.lam] = sol
             if self._shared is not None:
-                self._publish(fp, (fp, frame.lam), {
-                    "exact": {str(frame.lam): sol_to_wire(sol)},
-                })
+                self._queue_publish(fp, frame.lam, None, sol)
 
     # ------------------------------------------------------------------
     # replay (cache hit → outcomes + renumbered transactions, no arithmetic)
@@ -757,6 +789,8 @@ class IncrementalSolver:
                 f"root proposal must be non-negative (got {lam_root})")
 
         self.stats["solves"] += 1
+        if self._unasked:
+            self._ask_store()
         outcomes: Dict[Hashable, NodeOutcome] = {}
         log: List[Transaction] = []
         evals = 0
@@ -849,6 +883,11 @@ class IncrementalSolver:
         self.last_evals = evals
         self.stats["evals"] += evals
         self._count("incr.evals", evals)
+        if self._outbox:
+            updates, self._outbox = self._outbox, []
+            self.stats["shared_publishes"] += len(updates)
+            self._count("incr.shared.publish", len(updates))
+            self._shared.publish(updates, tenant=self._tenant)
         return BWFirstResult(
             tree=self._result_tree(), t_max=lam_root,
             throughput=lam_root - theta_root,

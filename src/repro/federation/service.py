@@ -236,6 +236,13 @@ class FederationService:
         planning.  All shard requests are in flight concurrently; a dead
         worker is respawned, its tenants re-onboarded and its batch
         replayed, up to ``max_retries`` times.
+
+        A tenant whose ops the shard could not apply does not hold the
+        others back: every other tenant is acknowledged and applied as
+        usual, the offender's pending ops are dropped and its shard-side
+        solver is rebuilt from the authoritative tree, and only then a
+        :class:`~repro.exceptions.PlatformError` naming tenant and op is
+        raised.
         """
         with self._lock:
             per_shard: Dict[str, List[dict]] = {}
@@ -261,15 +268,23 @@ class FederationService:
                 except (BrokenPipeError, OSError):
                     pending_replies[shard_id] = payload  # dead: retry below
             results: List[dict] = []
+            failures: List[str] = []
             for shard_id, payload in pending_replies.items():
                 reply = self._collect_or_retry(shard_id, payload)
                 batch_results = reply["results"]
-                self._count("federation.resolves", len(batch_results),
-                            shard=shard_id)
+                served = sum("error" not in item for item in batch_results)
+                self._count("federation.resolves", served, shard=shard_id)
                 self._count("federation.batches", shard=shard_id)
-                self.stats_totals["resolves"] += len(batch_results)
+                self.stats_totals["resolves"] += served
                 for item in batch_results:
                     state = self._tenants[item["tenant"]]
+                    if "error" in item:
+                        failures.append(
+                            f"tenant {state.name!r}: op {item.get('op')!r} "
+                            f"failed on shard {shard_id}: {item['error']}")
+                        state.pending.clear()
+                        self._onboard_on_shard(state)
+                        continue
                     for op in state.pending:
                         self._apply_to_tree(state.tree, op)
                     state.pending.clear()
@@ -282,6 +297,8 @@ class FederationService:
                         "evals": item["evals"],
                         "shard": shard_id,
                     })
+            if failures:
+                raise PlatformError("; ".join(failures))
             return results
 
     def _collect_or_retry(self, shard_id: str, payload: dict) -> dict:
@@ -331,10 +348,15 @@ class FederationService:
         self._count("federation.respawns", shard=shard_id)
         for tenant in sorted(self._tenants):
             state = self._tenants[tenant]
-            if state.shard != shard_id:
-                continue
-            shard.request({"t": "onboard", "tenant": tenant,
-                           "tree": tree_to_dict(state.tree), "solve": False})
+            if state.shard == shard_id:
+                self._onboard_on_shard(state)
+
+    def _onboard_on_shard(self, state: _Tenant) -> None:
+        """(Re)build *state*'s shard-side solver from its authoritative
+        tree, unsolved: the next batch or ``result`` solves it."""
+        self._shards[state.shard].request({
+            "t": "onboard", "tenant": state.name,
+            "tree": tree_to_dict(state.tree), "solve": False})
 
     # ------------------------------------------------------------------
     # queries
@@ -371,10 +393,7 @@ class FederationService:
                     shards[shard_id] = {"shard": shard_id, "dead": True}
             memo = None
             if self._memo_service is not None:
-                try:
-                    memo = self._memo_service.stats()
-                except (EOFError, OSError):
-                    memo = self._memo_final
+                memo = self._memo_service.stats()  # None once it has died
             elif getattr(self, "inline_memo", None) is not None:
                 memo = self.inline_memo.stats()
             if memo:

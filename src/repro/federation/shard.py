@@ -14,7 +14,9 @@ service, one request at a time:
   solve.  Applying the ops back to back re-fingerprints each dirty
   root-path once per op but solves only once, which is the point of the
   batch window.  An optional ``candidates`` list invokes cache-aware
-  proposal planning (:func:`~repro.protocol.plan_proposal`);
+  proposal planning (:func:`~repro.protocol.plan_proposal`).  A tenant
+  whose ops or solve fail is reported in its own result (``error``, the
+  failing ``op``) and the batch's other tenants are still served;
 * ``result`` — the tenant's full current solution (outcomes +
   transactions), used by exactness verification.  It re-solves, which by
   then is a pure cache replay;
@@ -22,9 +24,12 @@ service, one request at a time:
   hook (die mid-batch after applying ops, before acking — exactly the
   window the service's retry must cover), and orderly exit.
 
-Every solver on the shard shares one :class:`SharedMemoClient`, so a
-subtree solved for any tenant anywhere in the federation answers this
-shard's identical subtrees too.
+Every solver on the shard shares one :class:`SharedMemoClient` (through
+:class:`_ShardMemo`), so a subtree solved for any tenant anywhere in the
+federation answers this shard's identical subtrees too.  What the solves
+of a ``batch`` publish is written to the memo socket as one frame *after*
+the reply is on the pipe; ``onboard`` publishes *before* it replies, so a
+family's next tenant, on whichever shard, finds the solutions there.
 
 Requests are idempotent from the service's point of view because the
 service only advances its authoritative per-tenant state on *ack*: a
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..core.incremental import IncrementalSolver
 from ..platform.serialization import tree_from_dict, tree_to_dict
@@ -64,10 +69,36 @@ def result_payload(result) -> dict:
     }
 
 
+class _ShardMemo:
+    """The memo client as a shard's solvers see it: ``fetch`` and ``betas``
+    go straight through, ``publish`` only queues, and the shard decides
+    when :meth:`flush` serialises the queue and writes it as one frame.
+
+    A fetch does not flush.  Within one batch a shard's tenants therefore
+    do not see each other's solutions *of that batch* through the store
+    (from the next request on they do); flushing before every fetch would
+    put all but the last solve's serialisation back in front of the ack.
+    """
+
+    def __init__(self, client: SharedMemoClient):
+        self.client = client
+        self.fetch = client.fetch
+        self.betas = client.betas
+        self._unsent: List[tuple] = []  # (tenant, updates) per solve
+
+    def publish(self, updates, tenant=None) -> None:
+        self._unsent.append((tenant, updates))
+
+    def flush(self) -> None:
+        if self._unsent:
+            unsent, self._unsent = self._unsent, []
+            self.client.publish_groups(unsent)
+
+
 class _ShardState:
     """The worker's in-process state: per-tenant solvers + templates."""
 
-    def __init__(self, shard_id: str, shared: Optional[SharedMemoClient]):
+    def __init__(self, shard_id: str, shared: Optional[_ShardMemo]):
         self.shard_id = shard_id
         self.shared = shared
         self.solvers: Dict[str, IncrementalSolver] = {}
@@ -102,6 +133,8 @@ class _ShardState:
             summary.update(throughput=str(result.throughput),
                            t_max=str(result.t_max),
                            evals=solver.last_evals)
+            if self.shared is not None:
+                self.shared.flush()  # in the store before the reply leaves
         return summary
 
     def _apply_op(self, solver: IncrementalSolver, op) -> None:
@@ -122,17 +155,24 @@ class _ShardState:
         results = []
         for req in reqs:
             tenant = req["tenant"]
-            solver = self.solvers[tenant]
-            for op in req.get("ops", ()):
-                self._apply_op(solver, op)
-                self.stats["mutations"] += 1
-            proposal = None
-            candidates = req.get("candidates")
-            if candidates:
-                proposal = plan_proposal(
-                    solver, [parse_rational(c) for c in candidates],
-                    shared=self.shared)
-            result = solver.solve(proposal)
+            op = None
+            try:
+                solver = self.solvers[tenant]
+                for op in req.get("ops", ()):
+                    self._apply_op(solver, op)
+                    self.stats["mutations"] += 1
+                op = None
+                proposal = None
+                candidates = req.get("candidates")
+                if candidates:
+                    proposal = plan_proposal(
+                        solver, [parse_rational(c) for c in candidates],
+                        shared=self.shared)
+                result = solver.solve(proposal)
+            except Exception as exc:  # contained: one bad tenant ≠ a bad batch
+                results.append({"tenant": tenant, "op": op,
+                                "error": f"{type(exc).__name__}: {exc}"})
+                continue
             self.stats["resolves"] += 1
             self.stats["evals"] += solver.last_evals
             results.append({
@@ -148,6 +188,8 @@ class _ShardState:
         info = dict(self.stats)
         info["shard"] = self.shard_id
         info["tenants"] = len(self.solvers)
+        info["memo_errors"] = (0 if self.shared is None
+                               else self.shared.client.errors)
         solver_stats: Dict[str, int] = {}
         for solver in self.solvers.values():
             for key, value in solver.stats.items():
@@ -160,7 +202,7 @@ def shard_main(conn, shard_id: str, memo_address: Optional[str],
                memo_authkey: Optional[bytes]) -> None:
     """The worker process entry point: serve framed requests until
     ``shutdown`` or the pipe closes."""
-    shared = (SharedMemoClient(memo_address, memo_authkey)
+    shared = (_ShardMemo(SharedMemoClient(memo_address, memo_authkey))
               if memo_address else None)
     state = _ShardState(shard_id, shared)
     while True:
@@ -203,5 +245,7 @@ def shard_main(conn, shard_id: str, memo_address: Optional[str],
             send_frame(conn, reply)
         except (BrokenPipeError, OSError):
             break
+        if shared is not None:
+            shared.flush()  # after the ack: off the mutation's critical path
     if shared is not None:
-        shared.close()
+        shared.client.close()

@@ -6,14 +6,18 @@ BW-First solutions when solved through the shared memo store, with the
 second tenant replaying the first tenant's published solutions
 (``incr.hit.shared`` > 0) instead of recomputing them.  On top of that:
 the consistent-hash ring, the framed wire codec, the memo merge
-discipline, the cache-aware proposal planner, the memo-cap knobs, the
-clone fast path, request batching, and crash recovery of a shard worker
-killed mid-batch.
+discipline, the fail-closed int wire form of a solution, the store
+protocol (one ask and one publish per solve), the cache-aware proposal
+planner, the memo-cap knobs, the clone fast path, request batching, crash
+recovery of a shard worker killed mid-batch, a memo process killed mid-run
+and one tenant's bad op contained to that tenant.
 """
 
 import json
 import random
+import time
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
 
@@ -25,7 +29,7 @@ from repro.federation import (FederationService, HashRing, InlineMemoStore,
                               MemoService, matches_reference)
 from repro.federation.memo import MemoState
 from repro.federation.wire import decode_blob
-from repro.platform.generators import random_tree, smooth_tree
+from repro.platform.generators import chain, random_tree, smooth_tree
 from repro.platform.tree import Tree
 from repro.protocol import plan_proposal
 from repro.runtime.codec import encode_blob
@@ -182,48 +186,228 @@ class TestWire:
 # ----------------------------------------------------------------------
 # memo state: merge discipline, eviction, accounting
 # ----------------------------------------------------------------------
+def _leaf_wire(lam, alpha, theta, tau=0):
+    """The int wire form of a childless one-eval solution."""
+    return [lam, 1, alpha, 1, theta, 1, tau, 1, 1, 0]
+
+
+ONE_EVAL = _leaf_wire(1, 1, 0)
+
+
 class TestMemoState:
     def test_lower_saturation_threshold_wins(self):
         state = MemoState()
-        state.publish("d1", {"sat": ["9", "3", "6", "0", [], 1], "thr": "7"})
-        state.publish("d1", {"sat": ["5", "3", "2", "0", [], 1], "thr": "5"})
-        state.publish("d1", {"sat": ["8", "3", "5", "0", [], 1], "thr": "6"})
-        assert state.betas("d1")["saturated_above"] == "5"
+        state.publish([("d1", None, (7, 1), _leaf_wire(9, 3, 6))])
+        state.publish([("d1", None, (5, 1), _leaf_wire(5, 3, 2))])
+        state.publish([("d1", None, (11, 2), _leaf_wire(8, 3, 5))])
+        assert state.betas("d1")["saturated_above"] == F(5)
+        assert state.fetch(["d1"])["d1"]["sat"] == _leaf_wire(5, 3, 2)
 
     def test_exact_cap_never_displaces(self):
         state = MemoState(exact_cap=2)
-        sol = ["1", "1", "0", "0", [], 1]
-        state.publish("d1", {"exact": {"1": sol, "2": sol}})
-        state.publish("d1", {"exact": {"3": sol}})
-        assert state.betas("d1")["exact"] == ["1", "2"]
+        state.publish([("d1", (1, 1), None, ONE_EVAL),
+                       ("d1", (2, 1), None, ONE_EVAL)])
+        state.publish([("d1", (3, 1), None, ONE_EVAL)])
+        assert state.betas("d1")["exact"] == [F(1), F(2)]
 
     def test_fifo_eviction_bounds_entries(self):
         state = MemoState(max_entries=3)
         for i in range(5):
-            state.publish(f"d{i}", {"exact": {"1": ["1", "1", "0", "0", [], 1]}})
+            state.publish([(f"d{i}", (1, 1), None, ONE_EVAL)])
         assert len(state.entries) == 3
         assert state.stats["evictions"] == 2
         assert "d0" not in state.entries and "d4" in state.entries
 
     def test_cross_tenant_accounting(self):
         state = MemoState()
-        state.publish("d1", {"exact": {"1": ["1", "1", "0", "0", [], 1]}},
-                      tenant="a")
-        state.fetch("d1", tenant="a")
+        state.publish([("d1", (1, 1), None, ONE_EVAL)], tenant="a")
+        assert set(state.fetch(["d1", "d2"], tenant="a")) == {"d1"}
         assert state.stats["cross_tenant_hits"] == 0
-        state.fetch("d1", tenant="b")
+        state.fetch(["d1"], tenant="b")
         assert state.stats["cross_tenant_hits"] == 1
+        assert state.stats["round_trips"] == 2
+        assert (state.stats["fetches"], state.stats["misses"]) == (3, 1)
 
     def test_sol_wire_round_trip(self):
-        tree = random_tree(10, seed=7)
+        wire = [9, 2, 3, 1, 3, 2, 0, 1, 2, 1,
+                3, 1, 3, 2] + _leaf_wire(3, 3, 0, 1)
+        sol = sol_from_wire(wire)
+        assert (sol.lam, sol.alpha, sol.theta, sol.evals) == (F(9, 2), 3, F(3, 2), 2)
+        (beta, ack, child), = sol.txns
+        assert (beta, ack, child.alpha, child.txns) == (3, F(3, 2), 3, ())
+        assert sol_to_wire(sol) == wire
+
+
+def _root_solution(solver):
+    entry = solver._cache[solver.fingerprint(solver.tree.root)]
+    if entry.sat is not None:
+        return entry.sat
+    return next(iter(entry.exact.values()))
+
+
+class TestSolutionWireForm:
+    """``sol_to_wire`` / ``sol_from_wire``: flat ints, exact, fail-closed."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_round_trip_replays_equal(self, seed):
+        tree = random_tree(6 + seed % 25, seed=seed)
+        ref = bw_first(tree)
         solver = IncrementalSolver(tree)
-        res = solver.solve()
-        out = res.outcomes[tree.root]
-        # any node's _Sol survives the wire form bit for bit
-        wire = sol_to_wire(sol_from_wire(sol_to_wire(sol_from_wire(
-            [str(out.lam), str(out.alpha), str(out.theta), str(out.tau),
-             [], 1]))))
-        assert wire[0] == str(out.lam) and wire[2] == str(out.theta)
+        solver.solve()
+        wire = sol_to_wire(_root_solution(solver))
+        assert all(type(x) is int for x in wire)
+        decoded = sol_from_wire(wire)
+        assert sol_to_wire(decoded) == wire
+        outcomes, log = {}, []
+        solver._emit(tree.root, decoded, ref.t_max, ref.t_max - ref.throughput,
+                     outcomes, log)
+        assert outcomes == ref.outcomes
+        assert tuple(log) == ref.transactions
+
+    def _wire(self):
+        solver = IncrementalSolver(random_tree(12, seed=3))
+        solver.solve()
+        wire = sol_to_wire(_root_solution(solver))
+        assert wire[9] > 0  # the root opened children: nested records follow
+        return wire
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+    @pytest.mark.parametrize("slot", [0, 1, 8, 9, 10, 20])
+    def test_non_int_rejected(self, slot, bad):
+        wire = self._wire()
+        wire[slot] = bad
+        with pytest.raises(ScheduleError):
+            sol_from_wire(wire)
+
+    def test_truncated_and_trailing_rejected(self):
+        wire = self._wire()
+        for cut in (0, 5, 10, 12, len(wire) - 1):
+            with pytest.raises(ScheduleError):
+                sol_from_wire(wire[:cut])
+        with pytest.raises(ScheduleError):
+            sol_from_wire(wire + [1])
+
+    @pytest.mark.parametrize("den", [0, -1])
+    def test_bad_denominator_rejected(self, den):
+        for slot in (1, 7, 11):  # λ, τ, the first transaction's β
+            wire = self._wire()
+            wire[slot] = den
+            with pytest.raises(ScheduleError):
+                sol_from_wire(wire)
+
+    @pytest.mark.parametrize("count", [-1, 10 ** 9])
+    def test_bad_child_count_rejected(self, count):
+        wire = self._wire()
+        wire[9] = count
+        with pytest.raises(ScheduleError):
+            sol_from_wire(wire)
+
+    def test_evals_that_do_not_add_up_rejected(self):
+        wire = self._wire()
+        wire[8] += 1  # no longer 1 + the children's
+        with pytest.raises(ScheduleError):
+            sol_from_wire(wire)
+
+    def test_old_string_form_rejected(self):
+        for payload in (["9", "3", "6", "0", [], 1], {"sat": []}, "9/2", 7):
+            with pytest.raises(ScheduleError):
+                sol_from_wire(payload)
+
+    def test_malformed_store_entry_fails_the_solve_closed(self):
+        tree = smooth_tree(40, seed=2)
+
+        class Hostile:
+            def fetch(self, digests, tenant=None):
+                return {d: {"sat": ["9", "3", "6", "0", [], 1], "thr": "7"}
+                        for d in digests}
+
+            def publish(self, updates, tenant=None):
+                pass
+
+        solver = IncrementalSolver(tree, shared=Hostile(), shared_min_size=1)
+        with pytest.raises(ScheduleError):
+            solver.solve()
+
+    def test_deep_chain_round_trips_without_recursion(self):
+        # only the two top subtrees are in the window: every published
+        # payload is a whole subtree, so a chain is quadratic otherwise
+        tree = chain(3000, w=10000, c=F(1, 10))
+        store = InlineMemoStore()
+        first = IncrementalSolver(tree, shared=store, tenant="a",
+                                  shared_min_size=3000, shared_max_size=None)
+        ref = first.solve()
+        assert len(ref.outcomes) == 3001  # the proposal reaches the far end
+        assert first.stats["shared_publishes"] == 2
+        second = IncrementalSolver(tree, shared=store, tenant="b",
+                                   shared_min_size=3000, shared_max_size=None)
+        got = second.solve()
+        assert second.last_evals == 0 and second.stats["hits_shared"] == 1
+        assert got.outcomes == ref.outcomes
+        assert got.transactions == ref.transactions
+
+
+# ----------------------------------------------------------------------
+# the store protocol: one ask, one publish per solve
+# ----------------------------------------------------------------------
+class _CountingStore(InlineMemoStore):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def fetch(self, digests, tenant=None):
+        self.calls.append("fetch")
+        return super().fetch(digests, tenant=tenant)
+
+    def publish(self, updates, tenant=None):
+        self.calls.append("publish")
+        super().publish(updates, tenant=tenant)
+
+
+class TestStoreProtocol:
+    def test_at_most_one_fetch_and_one_publish_per_solve(self):
+        tree = smooth_tree(120, seed=8)
+        store = _CountingStore()
+        solver = IncrementalSolver(tree, shared=store, tenant="a")
+        rng = random.Random(5)
+        for step in range(12):
+            if step:
+                solver.set_w(rng.choice(tree.leaves()),
+                             rng.choice((2048, 3072, 4096)))
+            store.calls.clear()
+            solver.solve()
+            assert store.calls.count("fetch") <= 1
+            assert store.calls.count("publish") <= 1
+            assert store.calls == sorted(store.calls)  # asked, then told
+        assert store.stats()["publishes"] == solver.stats["shared_publishes"] > 0
+
+    def test_no_store_traffic_when_nothing_in_the_window_is_new(self):
+        tree = smooth_tree(120, seed=8)
+        store = _CountingStore()
+        solver = IncrementalSolver(tree, shared=store, tenant="a")
+        solver.solve()
+        store.calls.clear()
+        solver.solve()  # nothing changed
+        solver.solve(proposal=F(7, 3))  # a new β on known fingerprints
+        assert "fetch" not in store.calls
+        leaf = tree.leaves()[0]
+        old = tree.w(leaf)
+        solver.set_w(leaf, 4096 if old != 4096 else 2048)
+        solver.solve()
+        store.calls.clear()
+        solver.set_w(leaf, old)  # back to fingerprints already known
+        solver.solve()
+        assert store.calls == []
+
+    def test_solver_without_a_store_tracks_nothing(self):
+        tree = smooth_tree(60, seed=8)
+        solver = IncrementalSolver(tree)
+        rng = random.Random(3)
+        leaves = tree.leaves()
+        for _ in range(1000):
+            solver.set_w(rng.choice(leaves), rng.choice((2048, 3072, 4096)))
+        solver.solve()
+        assert solver._unasked is None
+        assert solver._outbox == [] and solver._shared_published == set()
 
 
 # ----------------------------------------------------------------------
@@ -351,10 +535,34 @@ class TestCloneFastPath:
 # ----------------------------------------------------------------------
 # the federation service: batching, exactness, crash recovery
 # ----------------------------------------------------------------------
+def _names_on(shard, n, shards=("s0", "s1")):
+    """The first *n* tenant names the service's ring places on *shard*."""
+    ring = HashRing(list(shards))
+    return list(islice((name for name in (f"t{i}" for i in count())
+                        if ring.shard_for(name) == shard), n))
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
 class TestFederationService:
     def _trees(self, n, nodes=40, templates=2, seed=9):
         base = [smooth_tree(nodes, seed=seed + k) for k in range(templates)]
         return {f"t{i}": base[i % templates].copy() for i in range(n)}
+
+    def _spanning_trees(self, templates=2, nodes=40, seed=9):
+        """One tenant per shard for each template: every template spans
+        both shards, so sharing has to cross the process boundary."""
+        base = [smooth_tree(nodes, seed=seed + k) for k in range(templates)]
+        trees = {}
+        for shard in ("s0", "s1"):
+            for k, name in enumerate(_names_on(shard, templates)):
+                trees[name] = base[k].copy()
+        return trees
 
     def test_batch_coalesces_mutations_into_one_resolve(self):
         trees = self._trees(1)
@@ -374,10 +582,15 @@ class TestFederationService:
                                      bw_first(trees["t0"]))
 
     def test_multi_tenant_exactness_under_churn(self):
-        trees = self._trees(4)
+        trees = self._spanning_trees()
         with FederationService(shards=2, memo="service") as service:
+            assert {service.ring.shard_for(t) for t in trees} == {"s0", "s1"}
             for tenant in sorted(trees):
                 service.onboard(tenant, trees[tenant])
+            # a template's second tenant sits on the other shard and finds
+            # the first's solutions in the store: onboard publishes before
+            # it replies, so this is deterministic
+            assert service.stats()["memo"]["cross_tenant_hits"] > 0
             rng = random.Random(11)
             for _ in range(3):
                 for tenant in sorted(trees):
@@ -389,7 +602,79 @@ class TestFederationService:
             for tenant in sorted(trees):
                 assert matches_reference(service.result(tenant),
                                          bw_first(trees[tenant]))
-            assert service.stats()["memo"]["cross_tenant_hits"] > 0
+
+    def test_same_mutation_on_the_other_shard_is_answered_by_the_store(self):
+        tree = smooth_tree(40, seed=9)
+        first, second = _names_on("s0", 1) + _names_on("s1", 1)
+        with FederationService(shards=2, memo="service") as service:
+            service.onboard(first, tree)
+            service.onboard(second, tree)
+            leaf = tree.leaves()[0]
+            w = 4096 if tree.w(leaf) != 4096 else 2048
+            published = service.stats()["memo"]["publishes"]
+            service.mutate(first, ["set_w", leaf, str(w)])
+            (served_first,) = service.flush()
+            # the shard writes its publishes after the ack: wait for them
+            _wait_for(lambda: service.stats()["memo"]["publishes"] > published)
+            service.mutate(second, ["set_w", leaf, str(w)])
+            (served_second,) = service.flush()
+            assert served_first["shard"] != served_second["shard"]
+            assert served_second["evals"] < served_first["evals"]
+            tree.set_w(leaf, w)
+            for tenant in (first, second):
+                assert matches_reference(service.result(tenant),
+                                         bw_first(tree))
+
+    def test_memo_death_degrades_to_no_store(self):
+        tree = smooth_tree(40, seed=9)
+        tenants = _names_on("s0", 1) + _names_on("s1", 1)
+        trees = {t: tree.copy() for t in tenants}
+        with FederationService(shards=2, memo="service") as service:
+            for tenant in tenants:
+                service.onboard(tenant, trees[tenant])
+            memo = service._memo_service._process
+            memo.terminate()
+            memo.join(timeout=5)
+            assert not memo.is_alive()
+            for w in ("2048", "3072", "4096"):
+                for tenant in tenants:
+                    leaf = trees[tenant].leaves()[0]
+                    if w == "2048":  # the structural op of the bug report
+                        service.mutate(tenant, ["prune", leaf])
+                        trees[tenant].remove_subtree(leaf)
+                    else:
+                        service.mutate(tenant, ["set_w", leaf, w])
+                        trees[tenant].set_w(leaf, int(w))
+                assert len(service.flush()) == 2
+            for tenant in tenants:
+                assert matches_reference(service.result(tenant),
+                                         bw_first(trees[tenant]))
+            stats = service.stats()
+            assert stats["memo"] is None
+            assert all(s["memo_errors"] > 0 for s in stats["shards"].values())
+
+    def test_bad_op_is_contained_to_its_tenant(self):
+        trees = {"ta": smooth_tree(40, seed=9), "tb": smooth_tree(40, seed=10)}
+        with FederationService(shards=1, memo="inline") as service:
+            for tenant in sorted(trees):
+                service.onboard(tenant, trees[tenant])
+            leaf_a = trees["ta"].leaves()[0]
+            leaf_b = trees["tb"].leaves()[0]
+            service.mutate("ta", ["set_w", leaf_a, "2048"], ["prune", "nope"])
+            service.mutate("tb", ["set_w", leaf_b, "3072"])
+            with pytest.raises(PlatformError, match=r"'ta'.*'prune', 'nope'"):
+                service.flush()
+            trees["tb"].set_w(leaf_b, 3072)
+            assert service.tree("tb") == trees["tb"]
+            assert service.tree("ta") == trees["ta"]  # not even the prefix
+            assert service.flush() == []
+            service.mutate("ta", ["set_w", leaf_a, "4096"])
+            (served,) = service.flush()
+            trees["ta"].set_w(leaf_a, 4096)
+            assert served["tenant"] == "ta"
+            for tenant in sorted(trees):
+                assert matches_reference(service.result(tenant),
+                                         bw_first(trees[tenant]))
 
     def test_shard_crash_mid_batch_is_retried_exactly(self):
         trees = self._trees(4)
