@@ -147,14 +147,13 @@ bench-record:
 	PYTHONPATH=src python benchmarks/record_baseline.py
 
 # bench regression gate: re-run the recorders and diff against the
-# committed BENCH_*.json — node_evals must match exactly (deterministic
-# per seed), wall clock must stay under WALL_TOLERANCE (override in CI
-# where runner hosts differ from the recording machine).  `timeout`
+# committed BENCH_*.json — node_evals and record matching must be exact
+# (deterministic per seed).  The recorded wall_s is not compared: an
+# absolute wall clock measures the host, so wall time is gated only as
+# same-run ratios inside the benches (E25, E27, E31, E32).  `timeout`
 # hard-bounds the wall clock so a pathological regression fails fast.
-WALL_TOLERANCE ?= 1.3
 bench-check:
-	timeout 540 sh -c "PYTHONPATH=src python benchmarks/check_baseline.py \
-		--wall-tolerance $(WALL_TOLERANCE)"
+	timeout 540 sh -c "PYTHONPATH=src python benchmarks/check_baseline.py"
 
 # headless smoke of the live ops plane: boot `repro dash` against a
 # seeded chaos/recovery workload, assert the SSE stream delivers epoch

@@ -4,7 +4,8 @@
 * :mod:`~repro.protocol.actor` — the per-node Algorithm-1 state machine;
 * :mod:`~repro.protocol.network` — latency-modelled transport + counters;
 * :mod:`~repro.protocol.runner` — end-to-end negotiation with verification
-  against the centralised implementation.
+  against the centralised implementation; its :class:`Negotiation` is the
+  bookkeeping the virtual-time runner and the asyncio runtime both drive.
 """
 
 from .actor import NodeActor
@@ -12,7 +13,7 @@ from .messages import Acknowledgment, Proposal, wire_size
 from .network import Network
 from .planner import plan_proposal
 from .retry import RetryPolicy
-from .runner import VIRTUAL_PARENT, ProtocolResult, run_protocol
+from .runner import VIRTUAL_PARENT, Negotiation, ProtocolResult, run_protocol
 
 __all__ = [
     "NodeActor",
@@ -23,6 +24,7 @@ __all__ = [
     "Network",
     "RetryPolicy",
     "ProtocolResult",
+    "Negotiation",
     "run_protocol",
     "VIRTUAL_PARENT",
 ]

@@ -50,5 +50,6 @@ class RetryPolicy:
             raise ValueError("slack must be positive")
 
     def timeout(self, base: Fraction, attempt: int) -> Fraction:
-        """Timeout for the *attempt*-th transmission (0-based) of budget *base*."""
-        return base * self.backoff ** attempt
+        """Timeout for the *attempt*-th transmission (0-based) of budget
+        *base* — virtual time or wall seconds, the first one *base* itself."""
+        return base * self.backoff ** attempt if attempt else base

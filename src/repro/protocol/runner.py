@@ -1,9 +1,11 @@
 """Running the distributed BW-First protocol end to end.
 
-:func:`run_protocol` instantiates one :class:`~repro.protocol.actor.NodeActor`
-per platform node, wires them through a latency-modelled
+:func:`run_protocol` wires one :class:`~repro.protocol.actor.NodeActor`
+per platform node through a latency-modelled
 :class:`~repro.protocol.network.Network`, seeds the root with the virtual
-parent's proposal ``t_max``, and drains the event queue.  The result carries
+parent's proposal ``t_max``, and drains the event queue — the virtual-time
+driver of a :class:`Negotiation`, the bookkeeping it shares with the
+wall-clock :class:`~repro.runtime.runtime.Runtime`.  The result carries
 
 * the negotiated throughput (exactly the centralised
   :func:`~repro.core.bwfirst.bw_first` value — asserted when *verify* is on),
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional
 
 from ..core.bwfirst import BWFirstResult, bw_first, root_proposal
 from ..exceptions import ProtocolError, SimulationError
@@ -52,11 +54,6 @@ from .retry import RetryPolicy
 
 #: Name of the virtual parent that seeds the root (never a real node).
 VIRTUAL_PARENT = "__virtual_parent__"
-
-
-def _prune(tree: Tree, failed: frozenset) -> Tree:
-    """The surviving platform (kept as an alias of the public API)."""
-    return tree.without_subtrees(n for n in failed if n in tree)
 
 
 @dataclass(frozen=True)
@@ -124,6 +121,260 @@ class ProtocolResult:
         )
 
 
+class Negotiation:
+    """One negotiation's bookkeeping — what both drivers share, nothing that
+    moves a message or reads a clock.
+
+    :func:`run_protocol` (virtual time, an event queue) and
+    :class:`~repro.runtime.runtime.Runtime` (wall clock, a dispatcher over a
+    transport) each :meth:`boot` the actors, then report what went on the
+    wire (:meth:`sent`), what arrived (:meth:`deliver`) and which timer ran
+    out (:meth:`expire`); platform validation, timeout budgets, attempt
+    counting → retransmit → give up, the transaction-span book, the
+    Proposition-2 :meth:`check` and the tallies of a :class:`ProtocolResult`
+    live here, once.
+
+    *now()* timestamps spans.  *allowance(node)* is the patience the edge
+    into *node* gets for itself; the timer for a proposal to ``X`` must
+    outlast X's entire sub-negotiation, X's own timeouts for its dead
+    descendants included, so budgets are hierarchical:
+    ``B(X) = allowance(X) + Σ_children B(Y)`` (virtual time:
+    ``2·link_latency + slack``; wall clock: ``base_timeout``), and the
+    *retry* policy multiplies ``B`` by its backoff per attempt.
+    """
+
+    def __init__(self, tree: Tree, proposal: Optional[Fraction],
+                 failed: frozenset, retry: Optional[RetryPolicy],
+                 telemetry: Optional[Registry], span_parent: Optional[Span],
+                 trace_id: Optional[str], now: Callable[[], Fraction],
+                 allowance: Callable[[Hashable], Any]):
+        if VIRTUAL_PARENT in tree:
+            raise ProtocolError(f"{VIRTUAL_PARENT!r} is reserved")
+        if tree.root in failed:
+            raise ProtocolError("the root cannot be failed: nothing can negotiate")
+        self.tree = tree
+        self.proposal = proposal
+        self.t_max = root_proposal(tree) if proposal is None else proposal
+        self.failed = failed
+        self.telemetry = telemetry
+        self._span_parent = span_parent
+        self._now = now
+        self.spans_on = telemetry is not None and telemetry.enabled
+        if self.spans_on and trace_id is None:
+            from ..telemetry.live import mint_trace_id
+
+            trace_id = mint_trace_id()
+        self.trace_id = trace_id
+        #: timers are armed only where a child may stay silent
+        self.timed = retry is not None or bool(failed)
+        #: neither a span nor a timer to keep: a driver may wire the actors
+        #: to its mover directly and skip :meth:`sent` / :meth:`deliver`
+        self.passive = not (self.spans_on or self.timed)
+        self._policy = retry if retry is not None else RetryPolicy(max_retries=0)
+        self._allowance = allowance
+
+        #: patience for the first proposal to each non-root node (timed runs)
+        self.budgets: Dict[Hashable, Any] = {}
+        self.actors: Dict[Hashable, NodeActor] = {}
+        #: the root's acknowledgment, once the virtual parent holds it
+        self.theta: Optional[Fraction] = None
+        self.retransmissions = 0
+        self.timeouts = 0
+        #: transmissions so far, keyed by (sender, child, xid)
+        self._attempts: Dict[tuple, int] = {}
+        #: open transaction spans keyed by (proposer, child, xid)
+        self._open_spans: Dict[tuple, Span] = {}
+        #: per node: the span of the transaction that activated it
+        self._inbound: Dict[Hashable, Span] = {}
+
+    def boot(self, send: Callable[[Message], None]) -> Proposal:
+        """Create one actor per platform node, all sending through *send*,
+        and the budgets their timers will need; returns the virtual parent's
+        seed Proposal, for the driver to put on the wire like any other
+        message."""
+        tree, budgets = self.tree, self.budgets
+        if self.timed:
+            for node in reversed(list(tree.nodes())):  # children before parents
+                if tree.parent(node) is not None:
+                    budgets[node] = self._allowance(node) + sum(
+                        budgets[child] for child in tree.children(node))
+        for node in tree.nodes():
+            parent = tree.parent(node)
+            self.actors[node] = NodeActor(
+                name=node,
+                rate=tree.rate(node),
+                parent=parent if parent is not None else VIRTUAL_PARENT,
+                children=[(child, tree.c(child))
+                          for child in tree.children_by_bandwidth(node)],
+                send=send,
+            )
+        return Proposal(sender=VIRTUAL_PARENT, receiver=tree.root,
+                        beta=self.t_max, xid=0, trace=self.trace_id)
+
+    @property
+    def throughput(self) -> Fraction:
+        """What the root's subtree absorbs of ``t_max`` (once θ is in)."""
+        return self.t_max - self.theta
+
+    # ------------------------------------------------------------------
+    # the three things a driver reports
+    # ------------------------------------------------------------------
+    def sent(self, message: Message):
+        """*message* is going on the wire.  A Proposal opens its transaction
+        span (a retransmission tags the open one) and, on a timed edge,
+        counts as one more attempt: returns how long the driver waits for
+        the ack before calling :meth:`expire`, ``None`` when no timer is
+        due."""
+        if not isinstance(message, Proposal):
+            return None
+        key = (message.sender, message.receiver, message.xid)
+        if self.spans_on:
+            span = self._open_spans.get(key)
+            if span is None:
+                self._open_spans[key] = self.telemetry.begin_span(
+                    "transaction",
+                    start=self._now(),
+                    node=message.receiver,
+                    parent=self._inbound.get(message.sender, self._span_parent),
+                    proposer=message.sender,
+                    beta=message.beta,
+                    xid=message.xid,
+                    trace=self.trace_id,
+                )
+            else:
+                span.tags["retries"] = span.tags.get("retries", 0) + 1
+        budget = self.budgets.get(message.receiver)
+        if budget is None:
+            return None
+        attempt = self._attempts.get(key, 0)
+        self._attempts[key] = attempt + 1
+        return self._policy.timeout(budget, attempt)
+
+    def deliver(self, message: Message) -> None:
+        """*message* arrived.  The virtual parent keeps the root's θ (the
+        first one: a duplicate is swallowed), a failed node swallows
+        everything and answers nothing, a live actor reacts — after the
+        span it activates under is linked, or the one it settles closed."""
+        node = message.receiver
+        if node == VIRTUAL_PARENT:
+            if not isinstance(message, Acknowledgment):
+                raise ProtocolError("virtual parent expected an acknowledgment")
+            if self.theta is None:
+                self.theta = message.theta
+            self._close_span((VIRTUAL_PARENT, self.tree.root, message.xid),
+                             "acked", theta=message.theta)
+            return
+        if node in self.failed:
+            return
+        actor = self.actors[node]
+        if self.spans_on:
+            if isinstance(message, Proposal):
+                if actor.lam is None:
+                    span = self._open_spans.get(
+                        (message.sender, node, message.xid))
+                    if span is not None:
+                        self._inbound[node] = span
+            elif isinstance(message, Acknowledgment):
+                if actor.is_pending(message.sender, message.xid):
+                    self._close_span((node, message.sender, message.xid),
+                                     "acked", theta=message.theta)
+        actor.handle(message)
+
+    def expire(self, sender: Hashable, child: Hashable, xid) -> None:
+        """The timer armed for *sender*'s proposal to *child* ran out:
+        retransmit while the policy allows, then give the child up."""
+        actor = self.actors[sender]
+        if not actor.is_pending(child, xid):
+            return  # answered (or superseded) in the meantime
+        if self._attempts[(sender, child, xid)] <= self._policy.max_retries:
+            self.retransmissions += 1
+            actor.resend_pending()  # through the driver's send: re-arms
+        else:
+            self.timeouts += 1
+            actor.on_timeout(child, xid)
+            self._close_span((sender, child, xid), "timeout")
+
+    def _close_span(self, key: tuple, outcome: str, **tags) -> None:
+        span = self._open_spans.pop(key, None)  # empty when spans are off
+        if span is not None:
+            self.telemetry.end_span(span, end=self._now(), outcome=outcome,
+                                    **tags)
+
+    # ------------------------------------------------------------------
+    # verification + result assembly
+    # ------------------------------------------------------------------
+    def check(self, excluded: frozenset,
+              reference: Optional[BWFirstResult]) -> None:
+        """Proposition 2: the negotiated throughput is the centralised
+        :func:`~repro.core.bwfirst.bw_first` value of the platform without
+        the *excluded* subtrees (*reference*, when the caller already solved
+        it), and with nothing excluded every actor holds Algorithm 1's λ
+        and θ.  An excluded name that is not on the platform is harmless."""
+        tree = self.tree
+        if reference is None:
+            if excluded:
+                tree = tree.without_subtrees(n for n in excluded if n in tree)
+            reference = bw_first(tree, proposal=self.proposal)
+        elif reference.t_max != self.t_max:
+            raise ProtocolError(
+                f"verification reference was solved for t_max={reference.t_max}, "
+                f"this negotiation proposed {self.t_max}"
+            )
+        if reference.throughput != self.throughput:
+            raise ProtocolError(
+                f"distributed protocol negotiated {self.throughput}, "
+                f"centralised BW-First computes {reference.throughput}"
+            )
+        if not excluded:
+            for node, outcome in reference.outcomes.items():
+                actor = self.actors[node]
+                if actor.lam != outcome.lam or (
+                    actor.state == DONE and actor.theta != outcome.theta
+                ):
+                    raise ProtocolError(
+                        f"actor {node!r} diverged from Algorithm 1", node=node
+                    )
+
+    def result(self, completion: Fraction, counters: Mapping[str, int],
+               edge_octets: Mapping[tuple, int]) -> ProtocolResult:
+        """The run's :class:`ProtocolResult`.  *counters* are the mover's
+        tallies (``protocol.messages`` / ``.bytes`` / ``.dropped`` /
+        ``.duplicated`` and whatever else it counts), *edge_octets* the
+        real octets it wrote per directed edge; both land, with the core's
+        own counts, in the result's registry and in the caller's."""
+        actors = self.actors.values()
+        tallies = {
+            "protocol.messages": counters["protocol.messages"],
+            "protocol.bytes": counters["protocol.bytes"],
+            # the virtual parent's transaction plus every settled child one
+            "protocol.transactions": 1 + sum(
+                len(actor.transactions) for actor in actors),
+            "protocol.retransmissions": self.retransmissions,
+            "protocol.timeouts": self.timeouts,
+            **counters,
+        }
+        visited = sum(1 for actor in actors if actor.lam is not None)
+        view = Registry()  # per-result backing store for the tally attributes
+        registries = (view,) if self.telemetry is None else (view, self.telemetry)
+        for registry in registries:
+            for name, amount in tallies.items():
+                registry.counter(name).inc(amount)
+            registry.gauge("protocol.completion_time").set(completion)
+            registry.gauge("protocol.throughput").set(self.throughput)
+            registry.gauge("protocol.visited_nodes").set(visited)
+            for (parent, child), count in edge_octets.items():
+                registry.counter("runtime.tcp.edge_octets",
+                                 edge=f"{parent}->{child}").inc(count)
+        return ProtocolResult(
+            tree=self.tree,
+            throughput=self.throughput,
+            t_max=self.t_max,
+            actors=self.actors,
+            telemetry=view,
+            trace_id=self.trace_id,
+        )
+
+
 def run_protocol(
     tree: Tree,
     latency_factor=Fraction(1, 100),
@@ -153,10 +404,9 @@ def run_protocol(
     platform** and (as the tests prove) yields exactly the BW-First
     throughput of the tree with the dead subtrees pruned.
 
-    Timeouts are **hierarchical**: the timer for a proposal to child ``X``
-    must outlast X's entire sub-negotiation, including X's own timeouts for
-    its dead descendants, so each edge gets the recursive budget
-    ``B(X) = 2·latency(X) + Σ_children B(Y) + slack``.  *ack_timeout*
+    Timeouts are **hierarchical** (:class:`Negotiation`'s one rule,
+    ``B(X) = allowance(X) + Σ_children B(Y)``): here an edge's own
+    allowance is ``2·latency(X) + slack`` of virtual time.  *ack_timeout*
     overrides the slack (the ``+1`` per edge) when given.
 
     *retry* arms the same timers but retransmits the proposal (same β, same
@@ -172,8 +422,9 @@ def run_protocol(
     has one), and the final tallies are accumulated into the registry's
     ``protocol.*`` counters.  *span_parent* nests the whole negotiation
     under an outer span (:func:`~repro.faults.recovery.resilient_run` hangs
-    re-negotiations off their recovery phase).  Without a registry the
-    seed's exact code path runs — no per-message bookkeeping at all.
+    re-negotiations off their recovery phase).  Without a registry, a
+    retry policy or a failed node the seed's exact code path runs — no
+    per-message bookkeeping at all.
 
     *trace_id* names the distributed trace this negotiation belongs to;
     when telemetry is enabled and no id is given, a fresh one is minted
@@ -192,177 +443,42 @@ def run_protocol(
     pay.  It must describe the same platform and proposal; a ``t_max``
     mismatch raises :class:`~repro.exceptions.ProtocolError`.
     """
-    if VIRTUAL_PARENT in tree:
-        raise ProtocolError(f"{VIRTUAL_PARENT!r} is reserved")
-    if tree.root in failed:
-        raise ProtocolError("the root cannot be failed: nothing can negotiate")
     if network is None:
         network = Network(tree, latency_factor=latency_factor,
                           fixed_latency=fixed_latency)
     elif network.tree is not tree and set(network.tree.nodes()) != set(tree.nodes()):
         raise ProtocolError("the supplied network transports a different tree")
-
-    spans_on = telemetry is not None and telemetry.enabled
-    if spans_on and trace_id is None:
-        from ..telemetry.live import mint_trace_id
-
-        trace_id = mint_trace_id()
+    engine = network.engine
     offset = Fraction(getattr(network, "time_offset", 0))
-    #: open transaction spans keyed by (proposer, child, xid)
-    open_spans: Dict[tuple, Span] = {}
-    #: per node: the span of the transaction that activated it
-    inbound: Dict[Hashable, Span] = {}
+    slack = (Fraction(ack_timeout) if ack_timeout is not None
+             else (retry.slack if retry is not None else Fraction(1)))
+    core = Negotiation(
+        tree, proposal, failed, retry, telemetry, span_parent, trace_id,
+        now=lambda: offset + engine.now,
+        allowance=lambda node: (
+            2 * network.link_latency(tree.parent(node), node) + slack),
+    )
 
-    def now() -> Fraction:
-        return offset + network.engine.now
+    def observed_send(message: Message) -> None:
+        patience = core.sent(message)
+        network.send(message)
+        if patience is not None:
+            engine.schedule_in(patience, lambda: core.expire(
+                message.sender, message.receiver, message.xid))
 
-    def note_proposal(sender: Hashable, message: Proposal) -> None:
-        """A proposal left *sender*: open its span, or count a retry."""
-        key = (sender, message.receiver, message.xid)
-        span = open_spans.get(key)
-        if span is None:
-            open_spans[key] = telemetry.begin_span(
-                "transaction",
-                start=now(),
-                node=message.receiver,
-                parent=inbound.get(sender, span_parent),
-                proposer=sender,
-                beta=message.beta,
-                xid=message.xid,
-                trace=trace_id,
-            )
-        else:
-            span.tags["retries"] = span.tags.get("retries", 0) + 1
+    # with neither a span nor a timer to keep, the seed's exact code path:
+    # actors write to the network and the network hands to the actors
+    send = network.send if core.passive else observed_send
+    seed = core.boot(send)
+    for node, actor in core.actors.items():
+        network.register(node, actor.handle if core.passive else core.deliver)
+    network.register(VIRTUAL_PARENT, core.deliver)
+    send(seed)
 
-    def close_span(key: tuple, outcome: str, theta=None) -> None:
-        span = open_spans.pop(key, None)
-        if span is not None:
-            if theta is None:
-                telemetry.end_span(span, end=now(), outcome=outcome)
-            else:
-                telemetry.end_span(span, end=now(), outcome=outcome,
-                                   theta=theta)
-
-    budgets: Dict[Hashable, Fraction] = {}
-    if failed or retry is not None:
-        slack = (Fraction(ack_timeout) if ack_timeout is not None
-                 else (retry.slack if retry is not None else Fraction(1)))
-        for node in reversed(list(tree.nodes())):  # children before parents
-            parent = tree.parent(node)
-            if parent is None:
-                continue
-            budgets[node] = (
-                2 * network.link_latency(parent, node)
-                + sum((budgets[ch] for ch in tree.children(node)), Fraction(0))
-                + slack
-            )
-
-    actors: Dict[Hashable, NodeActor] = {}
-    policy = retry if retry is not None else RetryPolicy(max_retries=0)
-    attempts: Dict[tuple, int] = {}  # (sender, child, xid) → transmissions
-    retransmissions = [0]
-    timeouts = [0]
-
-    def make_send(sender: Hashable):
-        if not budgets:
-            if not spans_on:
-                return network.send
-
-            def send_traced(message: Message) -> None:
-                if isinstance(message, Proposal):
-                    note_proposal(sender, message)
-                network.send(message)
-
-            return send_traced
-
-        def send_with_timer(message: Message) -> None:
-            if spans_on and isinstance(message, Proposal):
-                note_proposal(sender, message)
-            network.send(message)
-            if not isinstance(message, Proposal) or message.receiver not in budgets:
-                return
-            child, xid = message.receiver, message.xid
-            key = (sender, child, xid)
-            attempt = attempts.get(key, 0)
-            attempts[key] = attempt + 1
-
-            def fire() -> None:
-                actor = actors[sender]
-                if not actor.is_pending(child, xid):
-                    return  # answered (or superseded) in the meantime
-                if attempts[key] <= policy.max_retries:
-                    retransmissions[0] += 1
-                    actor.resend_pending()  # re-enters send_with_timer
-                else:
-                    timeouts[0] += 1
-                    actor.on_timeout(child, xid)
-                    if spans_on:
-                        close_span(key, "timeout")
-
-            network.engine.schedule_in(policy.timeout(budgets[child], attempt), fire)
-
-        return send_with_timer
-
-    def make_observed_handler(node: Hashable, actor: NodeActor):
-        """Close/link spans on delivery, then run the actor unchanged."""
-
-        def handle(message: Message) -> None:
-            if isinstance(message, Proposal):
-                if actor.lam is None:
-                    span = open_spans.get((message.sender, node, message.xid))
-                    if span is not None:
-                        inbound[node] = span
-            elif isinstance(message, Acknowledgment):
-                if actor.is_pending(message.sender, message.xid):
-                    close_span((node, message.sender, message.xid),
-                               "acked", theta=message.theta)
-            actor.handle(message)
-
-        return handle
-
-    for node in tree.nodes():
-        parent = tree.parent(node)
-        children = [
-            (child, tree.c(child)) for child in tree.children_by_bandwidth(node)
-        ]
-        actors[node] = NodeActor(
-            name=node,
-            rate=tree.rate(node),
-            parent=parent if parent is not None else VIRTUAL_PARENT,
-            children=children,
-            send=make_send(node),
-        )
-        if node in failed:
-            network.register(node, lambda message: None)  # a dead node
-        elif spans_on:
-            network.register(node, make_observed_handler(node, actors[node]))
-        else:
-            network.register(node, actors[node].handle)
-
-    final: Dict[str, Fraction] = {}
-
-    def virtual_handler(message: Message) -> None:
-        if not isinstance(message, Acknowledgment):
-            raise ProtocolError("virtual parent expected an acknowledgment")
-        final["theta"] = message.theta
-        if spans_on:
-            close_span((VIRTUAL_PARENT, tree.root, message.xid),
-                       "acked", theta=message.theta)
-
-    network.register(VIRTUAL_PARENT, virtual_handler)
-
-    lam = root_proposal(tree) if proposal is None else proposal
-    if spans_on:
-        open_spans[(VIRTUAL_PARENT, tree.root, 0)] = telemetry.begin_span(
-            "transaction", start=now(), node=tree.root, parent=span_parent,
-            proposer=VIRTUAL_PARENT, beta=lam, xid=0, trace=trace_id,
-        )
-    network.send(Proposal(sender=VIRTUAL_PARENT, receiver=tree.root, beta=lam,
-                          xid=0, trace=trace_id))
     max_events = 40 * len(tree) + 200
     if retry is not None:
         # every transaction may be retransmitted and every copy duplicated
-        max_events *= 2 * (policy.max_retries + 1)
+        max_events *= 2 * (retry.max_retries + 1)
     try:
         completion = network.run(max_events=max_events)
     except SimulationError as exc:
@@ -370,69 +486,20 @@ def run_protocol(
             f"negotiation exceeded {max_events} events — likely a retry loop "
             "(drop rate too high for the retry budget, or timeouts shorter "
             "than the sub-negotiations they guard)",
-            time=network.engine.now,
+            time=engine.now,
         ) from exc
-
-    if "theta" not in final:
+    if core.theta is None:
         raise ProtocolError(
             "the protocol did not terminate with a root ack",
             node=tree.root,
-            time=network.engine.now,
-            pending=actors[tree.root]._pending,
+            time=engine.now,
+            pending=core.actors[tree.root]._pending,
         )
-    throughput = lam - final["theta"]
-
     if verify:
-        if reference is None:
-            reference_tree = _prune(tree, failed) if failed else tree
-            reference = bw_first(reference_tree, proposal=proposal)
-        elif reference.t_max != lam:
-            raise ProtocolError(
-                f"verification reference was solved for t_max={reference.t_max}, "
-                f"this negotiation proposed {lam}"
-            )
-        if reference.throughput != throughput:
-            raise ProtocolError(
-                f"distributed protocol negotiated {throughput}, centralised "
-                f"BW-First computes {reference.throughput}"
-            )
-        if not failed:
-            for node, outcome in reference.outcomes.items():
-                actor = actors[node]
-                if actor.lam != outcome.lam or (
-                    actor.state == DONE and actor.theta != outcome.theta
-                ):
-                    raise ProtocolError(
-                        f"actor {node!r} diverged from Algorithm 1", node=node
-                    )
-
-    # the virtual parent's transaction plus every settled child transaction
-    transactions = 1 + sum(len(actor.transactions) for actor in actors.values())
-    view = Registry()  # per-result backing store for the tally attributes
-    tallies = (
-        ("protocol.messages", network.messages_sent),
-        ("protocol.bytes", network.bytes_sent),
-        ("protocol.transactions", transactions),
-        ("protocol.retransmissions", retransmissions[0]),
-        ("protocol.timeouts", timeouts[0]),
-        ("protocol.dropped", getattr(network, "dropped", 0)),
-        ("protocol.duplicated", getattr(network, "duplicated", 0)),
-    )
-    registries = (view,) if telemetry is None else (view, telemetry)
-    for registry in registries:
-        for name, amount in tallies:
-            registry.counter(name).inc(amount)
-        registry.gauge("protocol.completion_time").set(completion)
-        registry.gauge("protocol.throughput").set(throughput)
-        registry.gauge("protocol.visited_nodes").set(
-            sum(1 for actor in actors.values() if actor.lam is not None)
-        )
-
-    return ProtocolResult(
-        tree=tree,
-        throughput=throughput,
-        t_max=lam,
-        actors=actors,
-        telemetry=view,
-        trace_id=trace_id,
-    )
+        core.check(failed, reference)
+    return core.result(completion, {
+        "protocol.messages": network.messages_sent,
+        "protocol.bytes": network.bytes_sent,
+        "protocol.dropped": getattr(network, "dropped", 0),
+        "protocol.duplicated": getattr(network, "duplicated", 0),
+    }, {})

@@ -11,19 +11,20 @@ dispatcher task serves every actor: transports deliver arrivals into one
 run-queue, retry timers post their expiries into the same queue, and the
 dispatcher lets the addressed actor react and then writes what it sent, in
 order.  Whatever reorders, delays, drops or back-pressures lives in the
-transport.  The actor state machines are byte-for-byte the ones
-the simulator drives, so Proposition 2 carries over: the negotiated
-throughput is **exactly** ``bw_first()``'s (asserted when *verify* is on),
-and with telemetry enabled the transaction span tree is structurally
-identical to the simulated runner's — same spans, same tags, same
-parent-child activation edges — only the timestamps are wall-clock
-seconds instead of virtual time.
+transport.  Everything that is neither a mover nor a clock — the actors,
+the timeout budgets, attempt counting, the transaction-span book, the
+check against ``bw_first()`` and the result's tallies — is the same
+:class:`~repro.protocol.runner.Negotiation` the simulated runner drives,
+so Proposition 2 carries over: the negotiated throughput is **exactly**
+``bw_first()``'s (asserted when *verify* is on), and with telemetry
+enabled the transaction span tree is the simulated runner's — same spans,
+same tags, same parent-child activation edges — only the timestamps are
+wall-clock seconds instead of virtual time.
 
-Timeouts are wall-clock here.  A parent arms a timer per proposal with the
-same hierarchical shape as the simulated runner's budgets — the allowance
-for a child must outlast the child's entire sub-negotiation, so
-``B(X) = base_timeout + Σ_children B(Y)`` — and the
-:class:`~repro.protocol.retry.RetryPolicy` multiplies it by ``backoff``
+Timeouts are wall-clock here: the core's one hierarchical rule,
+``B(X) = allowance(X) + Σ_children B(Y)``, with ``base_timeout`` seconds
+as every edge's own allowance; the
+:class:`~repro.protocol.retry.RetryPolicy` multiplies ``B`` by ``backoff``
 per attempt before giving the child up for dead.  The state machine's
 idempotence makes the at-least-once retransmissions safe over a transport
 that drops frames (an :class:`~repro.runtime.transport.InProcTransport`
@@ -39,15 +40,14 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
-from ..core.bwfirst import bw_first, root_proposal
 from ..core.rates import ZERO, as_fraction
 from ..exceptions import ProtocolError
 from ..platform.tree import Tree
-from ..protocol.actor import DONE, NodeActor
-from ..protocol.messages import Acknowledgment, Message, Proposal
+from ..protocol.actor import NodeActor
+from ..protocol.messages import Message
 from ..protocol.retry import RetryPolicy
-from ..protocol.runner import VIRTUAL_PARENT, ProtocolResult, _prune
-from ..telemetry.core import Registry, Span
+from ..protocol.runner import VIRTUAL_PARENT, Negotiation, ProtocolResult
+from ..telemetry.core import Registry
 from .transport import InProcTransport, TcpTransport, Transport
 
 #: Registered transport factories for ``transport="name"`` shorthand.
@@ -127,12 +127,6 @@ class Runtime:
         trace_id: Optional[str] = None,
         close_transport: bool = True,
     ):
-        if VIRTUAL_PARENT in tree:
-            raise ProtocolError(f"{VIRTUAL_PARENT!r} is reserved")
-        if tree.root in failed:
-            raise ProtocolError(
-                "the root cannot be failed: nothing can negotiate"
-            )
         if base_timeout <= 0:
             raise ProtocolError("base_timeout must be positive")
         self.tree = tree
@@ -141,9 +135,6 @@ class Runtime:
         self.verify = verify
         self.failed = frozenset(failed)
         self.retry = retry
-        self._policy = retry if retry is not None else RetryPolicy(
-            max_retries=0
-        )
         self.base_timeout = base_timeout
         self.deadline = deadline
         self.telemetry = telemetry
@@ -152,146 +143,58 @@ class Runtime:
         #: connections for payload frames — see ``repro.taskplane``
         self.close_transport = close_transport
 
+        #: the last run's actors (every :meth:`arun` boots fresh ones)
         self.actors: Dict[Hashable, NodeActor] = {}
         #: what the actor being served sent — ``append`` is every actor's
         #: ``send``; the rest of a run's state is set up by :meth:`arun`
         self._outgoing: List[Message] = []
+        #: a bad platform or failed set is refused, and the trace id minted,
+        #: here; the books of a run are a fresh Negotiation per :meth:`arun`
+        self.trace_id = self._negotiation(trace_id).trace_id
 
-        spans_on = telemetry is not None and telemetry.enabled
-        self._spans_on = spans_on
-        if spans_on and trace_id is None:
-            from ..telemetry.live import mint_trace_id
+    def _negotiation(self, trace_id: Optional[str]) -> Negotiation:
+        return Negotiation(
+            self.tree, self.proposal, self.failed, self.retry, self.telemetry,
+            None, trace_id,
+            now=self._now, allowance=lambda node: self.base_timeout,
+        )
 
-            trace_id = mint_trace_id()
-        self.trace_id = trace_id
-
-        #: wall-clock timeout budgets, children before parents (see module
-        #: docstring): the parent's patience for an edge must outlast the
-        #: child's whole sub-negotiation
-        self._budgets: Dict[Hashable, float] = {}
-        if retry is not None or self.failed:
-            for node in reversed(list(tree.nodes())):
-                if tree.parent(node) is None:
-                    continue
-                self._budgets[node] = base_timeout + sum(
-                    self._budgets[ch] for ch in tree.children(node)
-                )
-
-    # ------------------------------------------------------------------
-    # time + spans
-    # ------------------------------------------------------------------
     def _now(self) -> Fraction:
         """Wall-clock seconds since the run started, exact."""
         return Fraction(time.monotonic_ns() - self._t0, _NS)
 
-    def _note_proposal(self, message: Proposal) -> None:
-        sender = message.sender
-        key = (sender, message.receiver, message.xid)
-        span = self._open_spans.get(key)
-        if span is None:
-            self._open_spans[key] = self.telemetry.begin_span(
-                "transaction",
-                start=self._now(),
-                node=message.receiver,
-                parent=self._inbound.get(sender),
-                proposer=sender,
-                beta=message.beta,
-                xid=message.xid,
-                trace=self.trace_id,
-            )
-        else:
-            span.tags["retries"] = span.tags.get("retries", 0) + 1
-
-    def _close_span(self, key: tuple, outcome: str, theta=None) -> None:
-        span = self._open_spans.pop(key, None)
-        if span is not None:
-            if theta is None:
-                self.telemetry.end_span(span, end=self._now(), outcome=outcome)
-            else:
-                self.telemetry.end_span(span, end=self._now(), outcome=outcome,
-                                        theta=theta)
-
     # ------------------------------------------------------------------
     # the dispatcher
     # ------------------------------------------------------------------
-    async def _dispatch(self) -> None:
+    async def _dispatch(self, core: Negotiation) -> None:
         """The negotiation's one task and single ordered writer: transmit
-        what the last reaction sent, then serve the next arrival or timer
-        expiry.  A crash anywhere in here fails the run through the
-        completion future instead of hanging it."""
-        queue, outgoing = self._queue, self._outgoing
-        send, budgets = self.transport.send, self._budgets
+        what the last reaction sent — arming the retry timer the core asks
+        for — then serve the next arrival or timer expiry.  A crash anywhere
+        in here fails the run through the completion future instead of
+        hanging it."""
+        queue, outgoing, done = self._queue, self._outgoing, self._done
+        send, passive = self.transport.send, core.passive
+        call_later = asyncio.get_running_loop().call_later
         try:
             while True:
                 for message in outgoing:
-                    proposal = isinstance(message, Proposal)
-                    if proposal and self._spans_on:
-                        self._note_proposal(message)
+                    patience = None if passive else core.sent(message)
                     await send(message)
-                    if proposal and message.receiver in budgets:
-                        self._arm_timer(message.sender, message.receiver,
-                                        message.xid)
+                    if patience is not None:
+                        self._timers.append(call_later(
+                            patience, queue.put_nowait,
+                            (message.sender, message.receiver, message.xid)))
                 outgoing.clear()
                 item = await queue.get()
                 if type(item) is tuple:
-                    self._expire(*item)
+                    core.expire(*item)
                 else:
-                    self._deliver(item)
+                    core.deliver(item)
+                    if core.theta is not None and not done.done():
+                        done.set_result(None)
         except Exception as exc:  # noqa: BLE001 - fail the whole run
-            if not self._done.done():
-                self._done.set_exception(exc)
-
-    def _deliver(self, message: Message) -> None:
-        node = message.receiver
-        if node == VIRTUAL_PARENT:
-            if not isinstance(message, Acknowledgment):
-                raise ProtocolError(
-                    "virtual parent expected an acknowledgment")
-            if self._spans_on:
-                self._close_span((VIRTUAL_PARENT, self.tree.root, message.xid),
-                                 "acked", theta=message.theta)
-            if not self._done.done():  # a duplicated root ack is swallowed
-                self._done.set_result(message.theta)
-            return
-        if node in self.failed:
-            return  # a failed node: swallow every message, answer nothing
-        actor = self.actors[node]
-        if self._spans_on:
-            if isinstance(message, Proposal):
-                if actor.lam is None:
-                    span = self._open_spans.get(
-                        (message.sender, node, message.xid)
-                    )
-                    if span is not None:
-                        self._inbound[node] = span
-            elif isinstance(message, Acknowledgment):
-                if actor.is_pending(message.sender, message.xid):
-                    self._close_span(
-                        (node, message.sender, message.xid),
-                        "acked", theta=message.theta,
-                    )
-        actor.handle(message)
-
-    def _arm_timer(self, sender: Hashable, child: Hashable, xid) -> None:
-        key = (sender, child, xid)
-        attempt = self._attempts.get(key, 0)
-        self._attempts[key] = attempt + 1
-        patience = self._budgets[child] * float(self._policy.backoff) ** attempt
-        self._timers.append(asyncio.get_running_loop().call_later(
-            patience, self._queue.put_nowait, key))
-
-    def _expire(self, sender: Hashable, child: Hashable, xid) -> None:
-        actor = self.actors[sender]
-        if not actor.is_pending(child, xid):
-            return  # answered (or superseded) in the meantime
-        if self._attempts[(sender, child, xid)] <= self._policy.max_retries:
-            self._retransmissions += 1
-            actor.resend_pending()  # the dispatcher transmits and re-arms
-        else:
-            self._timeouts += 1
-            actor.on_timeout(child, xid)
-            if self._spans_on:
-                self._close_span((sender, child, xid), "timeout")
+            if not done.done():
+                done.set_exception(exc)
 
     # ------------------------------------------------------------------
     # orchestration
@@ -306,39 +209,19 @@ class Runtime:
         #: child, xid) tuples — in the order the dispatcher serves them
         self._queue = asyncio.Queue()
         self._timers: List[asyncio.TimerHandle] = []
-        self._attempts: Dict[tuple, int] = {}
-        self._retransmissions = 0
-        self._timeouts = 0
-        self._open_spans: Dict[tuple, Span] = {}
-        self._inbound: Dict[Hashable, Span] = {}
         self._t0 = time.monotonic_ns()
-        self._sent_before = self._traffic()
+        sent_before, edges_before = self._traffic()
+        core = self._negotiation(self.trace_id)
+        self.actors = core.actors
 
         # every receiver's mailbox is the one run-queue
         await transport.start(
             tree, dict.fromkeys((*tree.nodes(), VIRTUAL_PARENT), self._queue))
-        for node in tree.nodes():
-            children = [
-                (child, tree.c(child))
-                for child in tree.children_by_bandwidth(node)
-            ]
-            parent = tree.parent(node)
-            self.actors[node] = NodeActor(
-                name=node,
-                rate=tree.rate(node),
-                parent=parent if parent is not None else VIRTUAL_PARENT,
-                children=children,
-                send=self._outgoing.append,
-            )
-
-        lam = root_proposal(tree) if self.proposal is None else self.proposal
-        self._outgoing[:] = [Proposal(sender=VIRTUAL_PARENT, receiver=tree.root,
-                                      beta=lam, xid=0, trace=self.trace_id)]
-        dispatcher = asyncio.ensure_future(self._dispatch())
+        self._outgoing[:] = [core.boot(self._outgoing.append)]
+        dispatcher = asyncio.ensure_future(self._dispatch(core))
         try:
-            theta = await asyncio.wait_for(
-                asyncio.shield(self._done), timeout=self.deadline
-            )
+            await asyncio.wait_for(asyncio.shield(self._done),
+                                   timeout=self.deadline)
         except asyncio.TimeoutError:
             raise ProtocolError(
                 f"negotiation did not converge within {self.deadline}s of "
@@ -354,39 +237,18 @@ class Runtime:
             if self.close_transport:
                 await transport.close()
 
-        throughput = lam - theta
         if self.verify:
-            self._check(throughput)
-        return self._result(lam, throughput, completion)
+            core.check(self.failed | frozenset(transport.quarantined), None)
+        sent, by_edge = self._traffic()
+        sent.subtract(sent_before)         # keeps the zeros
+        sent["runtime.quarantined"] = len(transport.quarantined)
+        # by_edge - edges_before keeps the edges this run wrote on
+        return core.result(completion, sent, by_edge - edges_before)
 
     def run(self) -> ProtocolResult:
         """Synchronous entry point (owns a fresh event loop)."""
         refuse_running_loop(ProtocolError, "Runtime(...).arun()")
         return asyncio.run(self.arun())
-
-    # ------------------------------------------------------------------
-    # verification + result assembly (mirrors the simulated runner)
-    # ------------------------------------------------------------------
-    def _check(self, throughput: Fraction) -> None:
-        excluded = self.failed | frozenset(self.transport.quarantined)
-        reference_tree = (
-            _prune(self.tree, excluded) if excluded else self.tree
-        )
-        reference = bw_first(reference_tree, proposal=self.proposal)
-        if reference.throughput != throughput:
-            raise ProtocolError(
-                f"distributed runtime negotiated {throughput}, centralised "
-                f"BW-First computes {reference.throughput}"
-            )
-        if not excluded:
-            for node, outcome in reference.outcomes.items():
-                actor = self.actors[node]
-                if actor.lam != outcome.lam or (
-                    actor.state == DONE and actor.theta != outcome.theta
-                ):
-                    raise ProtocolError(
-                        f"actor {node!r} diverged from Algorithm 1", node=node
-                    )
 
     def _traffic(self) -> Tuple[Counter, Counter]:
         """The transport's cumulative tallies, in total and per directed
@@ -403,55 +265,6 @@ class Runtime:
         if hasattr(transport, "octets_sent"):
             totals["runtime.tcp.octets"] = transport.octets_sent
         return totals, Counter(getattr(transport, "octets_by_edge", ()))
-
-    def _result(self, lam: Fraction, throughput: Fraction,
-                completion: Fraction) -> ProtocolResult:
-        sent, by_edge = self._traffic()
-        before, edges_before = self._sent_before
-        sent.subtract(before)          # keeps the zeros
-        by_edge = by_edge - edges_before   # keeps the edges this run wrote on
-        transactions = 1 + sum(
-            len(actor.transactions) for actor in self.actors.values()
-        )
-        view = Registry()
-        tallies = (
-            ("protocol.messages", sent["protocol.messages"]),
-            ("protocol.bytes", sent["protocol.bytes"]),
-            ("protocol.transactions", transactions),
-            ("protocol.retransmissions", self._retransmissions),
-            ("protocol.timeouts", self._timeouts),
-            ("protocol.dropped", sent["protocol.dropped"]),
-            ("protocol.duplicated", sent["protocol.duplicated"]),
-            ("runtime.corrupt_frames", sent["runtime.corrupt_frames"]),
-            ("runtime.quarantined", len(self.transport.quarantined)),
-        )
-        registries = (view,) if self.telemetry is None else (
-            view, self.telemetry
-        )
-        for registry in registries:
-            for name, amount in tallies:
-                registry.counter(name).inc(amount)
-            registry.gauge("protocol.completion_time").set(completion)
-            registry.gauge("protocol.throughput").set(throughput)
-            registry.gauge("protocol.visited_nodes").set(
-                sum(1 for a in self.actors.values() if a.lam is not None)
-            )
-            if "runtime.tcp.octets" in sent:
-                registry.counter("runtime.tcp.octets").inc(
-                    sent["runtime.tcp.octets"])
-            for (parent, child), count in by_edge.items():
-                registry.counter(
-                    "runtime.tcp.edge_octets",
-                    edge=f"{parent}->{child}",
-                ).inc(count)
-        return ProtocolResult(
-            tree=self.tree,
-            throughput=throughput,
-            t_max=lam,
-            actors=self.actors,
-            telemetry=view,
-            trace_id=self.trace_id,
-        )
 
 
 def negotiate(

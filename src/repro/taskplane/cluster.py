@@ -188,14 +188,19 @@ class _NodeProcess:
                 self.inbox.put_nowait(obj)
 
     async def _on_child_connect(self, reader, writer) -> None:
+        """Fail closed: only a not yet connected child of this node may
+        introduce itself — a stranger, a second dial under a connected
+        name or the parent's own name would replace a legitimate writer."""
         try:
             body = await read_blob(reader)
-            hello = json.loads(body.decode("utf-8"))
-            child = hello["node"]
-        except Exception as exc:  # noqa: BLE001 - reject malformed dials
+            child = json.loads(body.decode("utf-8"))["node"]
+            if child not in self.spec.all_children or child in self.writers:
+                raise TaskPlaneError(f"{child!r} is no unconnected child")
+        except Exception as exc:  # noqa: BLE001 - reject bad dials
             writer.close()
             self.failures.append(TaskPlaneError(
-                f"{self.spec.name!r} received a malformed hello: {exc!r}"
+                f"{self.spec.name!r} refused a hello: "
+                f"{type(exc).__name__}: {exc}"
             ))
             self._fail_fast()
             return

@@ -7,8 +7,9 @@ One comparison engine serves two consumers:
   recorders from :mod:`benchmarks.record_baseline` and gates CI on the
   result — ``node_evals`` must match **exactly** (it is the
   machine-independent cost metric; a change means behaviour changed, not
-  the host), while wall clock merely has to stay under a configurable
-  ratio (default 1.3×, loosened in CI where hosts differ);
+  the host).  The recorded ``wall_s`` is a trajectory, not a gate: an
+  absolute wall clock compares hosts, so wall time is gated only as
+  same-run ratios inside the benches (E25, E27, E31, E32);
 * the dashboard's *BenchWatch* panel loads the same baselines and flags
   live-run drift against them while a run is streaming.
 
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 #: Baselines the regression gate re-runs (e24/e29 are overhead probes with
-#: their own assertion, not wall/evals gates).
+#: their own assertion, not evals gates).
 GATED_BENCHES = ("e8_protocol_scaling", "e25_runtime", "e26_incremental",
                  "e27_timeline", "e28_chaos", "e30_taskplane",
                  "e31_arraykernel", "e32_federation")
@@ -35,18 +36,16 @@ class Drift(NamedTuple):
 
     bench: str
     params: Dict[str, Any]
-    metric: str            # "node_evals" | "wall_s" | "matching"
+    metric: str            # "node_evals" | "matching"
     baseline: Optional[float]
     measured: Optional[float]
-    ratio: Optional[float]
     ok: bool
 
     def describe(self) -> str:
         status = "ok  " if self.ok else "DRIFT"
-        ratio = "" if self.ratio is None else f" ({self.ratio:.2f}x)"
         params = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return (f"{status} {self.bench} [{params}] {self.metric}: "
-                f"{self.baseline} -> {self.measured}{ratio}")
+                f"{self.baseline} -> {self.measured}")
 
 
 def baseline_path(root, bench: str) -> Path:
@@ -77,10 +76,9 @@ def _param_key(params: Dict[str, Any]) -> tuple:
 
 
 def compare_records(bench: str, baseline: List[Dict[str, Any]],
-                    measured: List[Dict[str, Any]],
-                    wall_tolerance: float = 1.3) -> List[Drift]:
-    """Drift rows for one bench: exact on ``node_evals``, ratio-gated on
-    ``wall_s``, plus an ``ok=False`` row per unmatched record."""
+                    measured: List[Dict[str, Any]]) -> List[Drift]:
+    """Drift rows for one bench: exact on ``node_evals``, plus an
+    ``ok=False`` row per unmatched record."""
     drifts: List[Drift] = []
     measured_by_key = {_param_key(r["params"]): r for r in measured}
     for record in baseline:
@@ -88,20 +86,15 @@ def compare_records(bench: str, baseline: List[Dict[str, Any]],
         got = measured_by_key.pop(key, None)
         if got is None:
             drifts.append(Drift(bench, record["params"], "matching",
-                                record["node_evals"], None, None, False))
+                                record["node_evals"], None, False))
             continue
         evals_ok = got["node_evals"] == record["node_evals"]
         drifts.append(Drift(bench, record["params"], "node_evals",
                             record["node_evals"], got["node_evals"],
-                            None, evals_ok))
-        base_wall = record["wall_s"]
-        ratio = (got["wall_s"] / base_wall) if base_wall else None
-        drifts.append(Drift(bench, record["params"], "wall_s",
-                            base_wall, got["wall_s"], ratio,
-                            ratio is None or ratio <= wall_tolerance))
+                            evals_ok))
     for key, got in measured_by_key.items():
         drifts.append(Drift(bench, got["params"], "matching",
-                            None, got["node_evals"], None, False))
+                            None, got["node_evals"], False))
     return drifts
 
 

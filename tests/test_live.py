@@ -315,12 +315,14 @@ class TestBenchCompare:
     BASE = [{"params": {"nodes": 10}, "wall_s": 1.0, "node_evals": 42}]
 
     def test_exact_evals_and_wall_ratio(self):
-        measured = [{"params": {"nodes": 10}, "wall_s": 1.2,
+        """Equal counts pass whatever the wall ratio — ten times slower
+        is a slower host, not a drift."""
+        measured = [{"params": {"nodes": 10}, "wall_s": 10.0,
                      "node_evals": 42}]
-        drifts = compare_records("b", self.BASE, measured,
-                                 wall_tolerance=1.3)
-        assert all(d.ok for d in drifts)
-        assert summarise(drifts)["ok"]
+        drifts = compare_records("b", self.BASE, measured)
+        assert [d.metric for d in drifts] == ["node_evals"]
+        assert summarise(drifts) == {"checked": 1, "failed": 0, "ok": True,
+                                     "drifts": []}
 
     def test_eval_drift_fails(self):
         measured = [{"params": {"nodes": 10}, "wall_s": 0.5,
@@ -328,13 +330,6 @@ class TestBenchCompare:
         drifts = compare_records("b", self.BASE, measured)
         bad = [d for d in drifts if not d.ok]
         assert [d.metric for d in bad] == ["node_evals"]
-
-    def test_wall_drift_fails_beyond_tolerance(self):
-        measured = [{"params": {"nodes": 10}, "wall_s": 2.0,
-                     "node_evals": 42}]
-        drifts = compare_records("b", self.BASE, measured,
-                                 wall_tolerance=1.3)
-        assert [d.metric for d in drifts if not d.ok] == ["wall_s"]
 
     def test_unmatched_records_fail_loudly(self):
         drifts = compare_records("b", self.BASE, [])

@@ -1,5 +1,6 @@
 """Tests for the distributed BW-First protocol (actors, network, runner)."""
 
+import heapq
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,16 @@ from repro.platform.generators import chain, random_tree
 from repro.platform.tree import Tree
 from repro.protocol import (
     Acknowledgment,
+    Negotiation,
     NodeActor,
     Network,
     Proposal,
+    RetryPolicy,
     run_protocol,
     wire_size,
 )
 from repro.protocol.runner import VIRTUAL_PARENT
+from repro.telemetry import NULL, Registry
 
 F = Fraction
 
@@ -162,3 +166,157 @@ class TestRunner:
     def test_bytes_counted(self, paper_tree):
         result = run_protocol(paper_tree)
         assert result.bytes >= result.messages * 10
+
+
+class HandCrank:
+    """A :class:`Negotiation` without a driver: a list as the wire, an
+    integer as the clock.  Every crossing takes one tick, so an edge's own
+    allowance is 3 (there, back, one of slack); when the wire falls idle
+    the clock jumps to the earliest armed timer, and a timer that is due
+    fires before the next message moves."""
+
+    def __init__(self, tree, **config):
+        config = {"failed": frozenset(), "retry": None, "telemetry": None,
+                  **config}
+        self.clock = 0
+        self.wire = []
+        self.timers = []    # heap of (due, arming order, (sender, child, xid))
+        self.armed = []     # (proposal, patience) per timed transmission
+        self.core = Negotiation(
+            tree, None, config["failed"], config["retry"],
+            config["telemetry"], None, None,
+            now=lambda: self.clock, allowance=lambda node: 3)
+        self.wire.append(self.core.boot(self.wire.append))
+
+    def run(self):
+        core, wire, timers = self.core, self.wire, self.timers
+        while core.theta is None:
+            if timers and (not wire or timers[0][0] <= self.clock):
+                due, _, key = heapq.heappop(timers)
+                self.clock = max(self.clock, due)
+                core.expire(*key)
+                continue
+            message = wire.pop(0)
+            patience = core.sent(message)
+            if patience is not None:
+                self.armed.append((message, patience))
+                heapq.heappush(timers, (
+                    self.clock + patience, len(self.armed),
+                    (message.sender, message.receiver, message.xid)))
+            self.clock += 1
+            core.deliver(message)
+        return core
+
+    def state(self):
+        core = self.core
+        actors = {name: (actor.state, actor.lam, actor.delta,
+                         list(actor.transactions))
+                  for name, actor in core.actors.items()}
+        return (core.theta, core.retransmissions, core.timeouts,
+                list(self.wire), actors)
+
+
+class TestNegotiation:
+    """The core both drivers share, cranked by hand — no Network, no loop."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_budgets_are_hierarchical(self, seed):
+        tree = random_tree(4 + seed, seed=seed)
+        allowance = {node: F(1 + i, 3) for i, node in enumerate(tree.nodes())}
+        core = Negotiation(tree, None, frozenset(), RetryPolicy(), None, None,
+                           None, now=lambda: 0, allowance=allowance.__getitem__)
+        core.boot(lambda message: None)
+        assert set(core.budgets) == set(tree.nodes()) - {tree.root}
+        for node, budget in core.budgets.items():
+            assert budget == allowance[node] + sum(
+                core.budgets[child] for child in tree.children(node))
+
+    def test_no_budgets_without_a_timer_to_arm(self, paper_tree):
+        crank = HandCrank(paper_tree)
+        assert crank.core.budgets == {}
+        assert crank.run().throughput == F(10, 9)
+        assert crank.armed == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_silent_child_costs_its_retries_then_one_timeout(self, seed):
+        tree = random_tree(6 + 2 * seed, seed=seed)
+        child = tree.children_by_bandwidth(tree.root)[0]
+        policy = RetryPolicy(max_retries=3, backoff=2)
+        registry = Registry()
+        crank = HandCrank(tree, failed=frozenset({child}), retry=policy,
+                          telemetry=registry)
+        core = crank.run()
+        budget = core.budgets[child]
+        assert budget == 3 * len(tree.descendants(child))
+        waited = [patience for message, patience in crank.armed
+                  if message.receiver == child]
+        assert waited == [budget * 2 ** k for k in range(4)]
+        assert (core.retransmissions, core.timeouts) == (3, 1)
+        survivors = tree.without_subtrees([child])
+        assert core.throughput == bw_first(survivors).throughput
+        core.check(frozenset({child}), None)
+        assert core.actors[child].lam is None   # swallowed, never reacted
+        (span,) = [s for s in registry.spans if s.node == child]
+        assert span.tags["outcome"] == "timeout" and span.tags["retries"] == 3
+        assert span.end - span.start == sum(waited)
+        result = core.result(crank.clock, {"protocol.messages": 0,
+                                           "protocol.bytes": 0}, {})
+        assert (result.retransmissions, result.timeouts) == (3, 1)
+        assert result.visited == bw_first(survivors).visited
+
+    def test_expiry_after_its_ack_changes_nothing(self, paper_tree):
+        crank = HandCrank(paper_tree, retry=RetryPolicy(max_retries=2))
+        core = crank.run()
+        assert len(crank.armed) == len(bw_first(paper_tree).transactions)
+        assert (core.retransmissions, core.timeouts) == (0, 0)
+        settled = crank.state()
+        for message, _ in crank.armed:       # every timer, long after its ack
+            core.expire(message.sender, message.receiver, message.xid)
+        assert crank.state() == settled
+        core.check(frozenset(), None)
+
+    def test_duplicated_root_ack_keeps_the_first_theta(self, paper_tree):
+        crank = HandCrank(paper_tree)
+        core = crank.run()
+        first = core.theta
+        core.deliver(Acknowledgment(sender=paper_tree.root,
+                                    receiver=VIRTUAL_PARENT,
+                                    theta=first + 1, xid=0))
+        assert core.theta == first and core.throughput == F(10, 9)
+        with pytest.raises(ProtocolError, match="expected an ack"):
+            core.deliver(Proposal(sender=paper_tree.root,
+                                  receiver=VIRTUAL_PARENT, beta=F(1)))
+
+    @pytest.mark.parametrize("telemetry", [None, NULL, Registry()],
+                             ids=["no-registry", "disabled", "enabled"])
+    @pytest.mark.parametrize("retry", [None, RetryPolicy()],
+                             ids=["no-retry", "retry"])
+    @pytest.mark.parametrize("failed", [frozenset(), frozenset({"P2"})],
+                             ids=["all-alive", "one-failed"])
+    def test_passive_means_nothing_to_keep(self, paper_tree, telemetry,
+                                           retry, failed):
+        core = HandCrank(paper_tree, failed=failed, retry=retry,
+                         telemetry=telemetry).core
+        assert core.passive == (
+            (telemetry is None or not telemetry.enabled)
+            and retry is None and not failed)
+
+    def test_passive_run_protocol_bypasses_the_core(self, paper_tree,
+                                                    monkeypatch):
+        """The seed's exact code path: no per-message call into the core
+        for a tree node — only the virtual parent's ack lands there."""
+        deliver = Negotiation.deliver
+
+        def sent(self, message):
+            raise AssertionError(f"sent({message!r}) on the passive path")
+
+        def only_the_virtual_parent(self, message):
+            assert message.receiver == VIRTUAL_PARENT, message
+            deliver(self, message)
+
+        monkeypatch.setattr(Negotiation, "sent", sent)
+        monkeypatch.setattr(Negotiation, "deliver", only_the_virtual_parent)
+        for tree in (paper_tree, random_tree(30, seed=3)):
+            assert run_protocol(tree).throughput == bw_first(tree).throughput
+        with pytest.raises(AssertionError, match="passive path"):
+            run_protocol(paper_tree, retry=RetryPolicy())

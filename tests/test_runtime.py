@@ -29,7 +29,7 @@ from repro.platform.tree import Tree
 from repro.protocol.messages import Acknowledgment, Proposal
 from repro.protocol.network import Network
 from repro.protocol.retry import RetryPolicy
-from repro.protocol.runner import VIRTUAL_PARENT, run_protocol
+from repro.protocol.runner import VIRTUAL_PARENT, Negotiation, run_protocol
 from repro.runtime import (
     InProcTransport,
     Runtime,
@@ -357,8 +357,6 @@ class TestLossyTransports:
 # ----------------------------------------------------------------------
 class TestFailedNodes:
     def test_silent_child_is_pruned(self, paper_tree):
-        from repro.protocol.runner import _prune
-
         failed = frozenset({"P2"})
         result = negotiate(
             paper_tree,
@@ -366,7 +364,7 @@ class TestFailedNodes:
             retry=RetryPolicy(max_retries=1),
             base_timeout=0.02,
         )
-        pruned = _prune(paper_tree, failed)
+        pruned = paper_tree.without_subtrees(failed)
         assert result.throughput == bw_first(pruned).throughput
         assert result.timeouts > 0
         assert "P2" not in result.visited
@@ -569,13 +567,13 @@ class TestDispatcher:
         """Timers are never disarmed by an ack: the expiry is served by the
         dispatcher like any arrival and finds nothing pending."""
         served = []
-        expire = Runtime._expire
+        expire = Negotiation.expire
 
         def spy(self, sender, child, xid):
             served.append(self.actors[sender].is_pending(child, xid))
             expire(self, sender, child, xid)
 
-        monkeypatch.setattr(Runtime, "_expire", spy)
+        monkeypatch.setattr(Negotiation, "expire", spy)
         result = negotiate(
             paper_tree,
             transport=InProcTransport(max_delay=0.02, seed=5),
@@ -621,7 +619,22 @@ class TestRerun:
                 assert (result.telemetry.value(name)
                         == first.telemetry.value(name)), name
         assert external.value("protocol.messages") == 4 * first.messages
-        assert len(external.spans_named("transaction")) == 4 * 30
+        spans = external.spans_named("transaction")
+        assert len(spans) == 4 * 30
+        # and their shape: four separate trees, each one fresh run's — no
+        # open span or inbound link of run k parents a span of run k + 1
+        by_id = {span.id: span for span in spans}
+        runs = {}
+        for span in spans:
+            root = span
+            while root.parent_id is not None:
+                root = by_id[root.parent_id]
+            runs.setdefault(root.id, Registry()).spans.append(span)
+        fresh = Registry()
+        Runtime(tree, transport, telemetry=fresh).run()
+        assert len(runs) == 4
+        for run in runs.values():
+            assert span_fingerprint(run) == span_fingerprint(fresh)
 
     def test_a_lost_proposal_is_retried_on_every_run(self):
         """Attempt counts start over, so the back-off does too: a single

@@ -5,22 +5,28 @@ transport must (a) interleave control and payload frames on one connection
 without confusing them, (b) keep the fault plan's control-plane loss model
 away from payload frames — the plane owns their faults and retransmission
 — and (c) drain-and-close without orphaning listeners or losing frames
-already written.
+already written.  The cluster's per-process listener is held to the
+handshake rule the transport's own listeners follow: only a not yet
+connected child may introduce itself.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 from fractions import Fraction
 
 import pytest
 
+from repro.exceptions import TaskPlaneError
 from repro.faults.plan import FaultPlan
 from repro.platform.tree import Tree
 from repro.protocol.messages import Acknowledgment, Proposal
+from repro.runtime.codec import encode_blob
 from repro.runtime.transport import TcpTransport
-from repro.taskplane import (CreditGrant, DeliveryAck, Stop, Stopped,
+from repro.taskplane import (CreditGrant, DeliveryAck, NodeSpec, Stop, Stopped,
                              make_task, run_plane)
+from repro.taskplane.cluster import _NodeProcess
 
 
 def small_tree() -> Tree:
@@ -182,3 +188,108 @@ def test_small_plane_over_tcp():
     assert report.lost == 0 and report.duplicates == 0
     assert report.stray_control == 0
     assert report.occupancy_ok()
+
+
+# ----------------------------------------------------------------------
+# the cluster handshake fails closed
+# ----------------------------------------------------------------------
+def hello_blob(obj) -> bytes:
+    return encode_blob(json.dumps(obj).encode("utf-8"))
+
+
+def garbled(blob: bytes) -> bytes:
+    return blob[:-1] + bytes([blob[-1] ^ 0xFF])   # body no longer matches CRC
+
+
+class TestClusterHello:
+    """One node's listener, in-process: ``P1`` (parent ``P0``, child ``P2``)
+    with its upstream writer in place, as after dialling its parent."""
+
+    SPEC = NodeSpec(name="P1", parent="P0",
+                    children=(("P2", Fraction(1)),), all_children=("P2",))
+
+    def dial(self, *blobs):
+        """Dial the listener once per blob; returns the node, its upstream
+        writer, the writer the legitimate child got (None before its
+        hello) and, per dial, whether the listener hung up on it."""
+        async def scenario():
+            node = _NodeProcess(self.SPEC, conn=None)
+            node.writers["P0"] = upstream = object()
+            accepted = []
+            server = await asyncio.start_server(
+                lambda r, w: accepted.append(asyncio.ensure_future(
+                    node._on_child_connect(r, w))),
+                "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            clients, hung_up, legit = [], [], None
+
+            async def verdict(failures_before):
+                while (len(node.failures) == failures_before
+                       and node.writers.get("P2") is legit):
+                    await asyncio.sleep(0.002)
+                return len(node.failures) > failures_before
+
+            for blob in blobs:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port)
+                clients.append(writer)
+                writer.write(blob)
+                refused = await asyncio.wait_for(
+                    verdict(len(node.failures)), timeout=5)
+                if refused:
+                    assert await asyncio.wait_for(reader.read(), 5) == b""
+                else:
+                    legit = legit or node.writers["P2"]
+                hung_up.append(refused)
+            for writer in clients:
+                writer.close()
+            server.close()
+            await server.wait_closed()
+            await asyncio.gather(*accepted)
+            return node, upstream, legit, hung_up
+
+        return asyncio.run(scenario())
+
+    def test_the_legitimate_child_is_accepted(self):
+        node, upstream, legit, hung_up = self.dial(
+            hello_blob({"kind": "hello", "node": "P2"}))
+        assert hung_up == [False] and node.failures == []
+        assert node.hellos.is_set()
+        assert node.writers == {"P0": upstream, "P2": legit}
+
+    @pytest.mark.parametrize("bad", [
+        hello_blob({"kind": "hello", "node": "P9"}),       # a stranger
+        hello_blob({"kind": "hello", "node": "P2"}),       # a second P2
+        hello_blob({"kind": "hello", "node": "P0"}),       # its own parent
+        hello_blob({"kind": "hello", "node": "P1"}),       # its own name
+        hello_blob({"kind": "hello", "node": ["P2"]}),     # unhashable
+        hello_blob({"kind": "hello"}),                     # no node at all
+        hello_blob([1, 2, 3]),                             # not an object
+        garbled(hello_blob({"kind": "hello", "node": "P2"})),
+    ], ids=["stranger", "duplicate", "parent", "self", "unhashable",
+            "missing-key", "non-object", "bad-crc"])
+    def test_anything_else_is_hung_up_on(self, bad):
+        good = hello_blob({"kind": "hello", "node": "P2"})
+        node, upstream, legit, hung_up = self.dial(good, bad)
+        assert hung_up == [False, True]
+        # the impostor replaced nobody: both writers are who they were
+        assert node.writers == {"P0": upstream, "P2": legit}
+        assert node.writers["P0"] is upstream and legit is not None
+        (failure,) = node.failures
+        assert isinstance(failure, TaskPlaneError)
+        assert "'P1'" in str(failure)
+
+    def test_the_failure_names_listener_and_claimed_peer(self):
+        """The reproducer — P2, a stranger P9, a second P2 — with one more
+        stranger first: a refusal does not keep the real child out."""
+        good = hello_blob({"kind": "hello", "node": "P2"})
+        stranger = hello_blob({"kind": "hello", "node": "P9"})
+        node, upstream, legit, hung_up = self.dial(
+            stranger, good, stranger, good)
+        assert hung_up == [True, False, True, True]
+        assert node.hellos.is_set()
+        assert node.writers == {"P0": upstream, "P2": legit}
+        *strangers, duplicate = map(str, node.failures)
+        assert len(strangers) == 2
+        assert all("'P1'" in text and "'P9'" in text for text in strangers)
+        assert "'P1'" in duplicate and "'P2'" in duplicate
