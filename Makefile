@@ -18,7 +18,7 @@ bench-tables:
 faults-smoke:
 	PYTHONPATH=src pytest benchmarks/bench_e23_fault_recovery.py \
 		tests/test_faults.py tests/test_fault_recovery.py \
-		tests/test_protocol_lossy.py -q
+		tests/test_detect.py tests/test_protocol_lossy.py -q
 
 # quick end-to-end check of the telemetry layer: exporters via the CLI,
 # then the telemetry suite + the E24 disabled-overhead bar

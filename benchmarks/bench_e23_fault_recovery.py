@@ -7,17 +7,26 @@ sweep varies the crash set, the control-plane drop rate and the detection
 timeout; in **every** cell the recovered throughput must equal the
 centralised BW-First optimum of the pruned tree *exactly* (Proposition 2 on
 the survivors), which is the subsystem's acceptance bar.
+
+The last test gates what a recovery is allowed to cost, in counts that
+repeat exactly: on the end-to-end benchmark's ``recovery`` inputs every
+socket is dialled once (plus the one the rejoin adds), and the detector
+spends engine events on the deaths, not on the grid.
 """
 
 from fractions import Fraction
 
 from repro.core.bwfirst import bw_first
-from repro.faults import FaultPlan, NodeCrash, resilient_run
+from repro.faults import (FaultPlan, HeartbeatMonitor, NodeCrash,
+                          resilient_run)
 from repro.platform.examples import paper_figure4_tree
+from repro.platform.generators import smooth_tree
 from repro.protocol.retry import RetryPolicy
+from repro.runtime import TcpTransport
 from repro.util.text import render_table
 
 from .conftest import emit
+from .e2e.recovery import dash_plan
 
 F = Fraction
 
@@ -129,4 +138,45 @@ def test_same_seed_reproduces_identical_run(benchmark):
         f"two runs, same plan: identical traces "
         f"({len(a.result.trace.completions)} completions, "
         f"{a.retransmissions} retransmissions, {a.dropped} drops)",
+    )
+
+
+def test_recovery_costs_what_the_faults_changed(monkeypatch):
+    """The ``recovery`` workload of ``benchmarks/e2e`` (``smooth_tree(120,
+    1)``, three leaf crashes, one rejoin, TCP re-negotiations), by counts:
+    118 + 0 + 0 + 1 sockets dialled over the four epochs (468 when every
+    epoch built its own transport), 49 166 heartbeat rounds reported for
+    at most 2 + deaths beats on the engine, and the traffic of four full
+    negotiations — reuse changes what is dialled, not what is said."""
+    beats = []
+    beat = HeartbeatMonitor._beat
+
+    def counted(monitor):
+        beats.append(monitor)
+        beat(monitor)
+
+    monkeypatch.setattr(HeartbeatMonitor, "_beat", counted)
+    tree = smooth_tree(120, 1)
+    plan = dash_plan(tree, 1)
+    transport = TcpTransport()
+    report = resilient_run(tree, plan, runtime=transport,
+                           settle_periods=1, after_periods=2)
+    assert [e.kind for e in report.epochs] == ["prune"] * 3 + ["rejoin"]
+    assert report.rate_after == report.new_optimum
+    assert transport.dials == 119
+    assert report.heartbeats == 49_166
+    assert len(beats) <= 2 + len(plan.crashes)
+    assert report.renegotiation_messages == 944
+    assert report.renegotiation_bytes == 57_861
+    assert (report.tasks_lost, report.result.completed) == (0, 1807)
+    emit(
+        "E23: what a recovery costs, by counts (recovery workload)",
+        render_table(
+            ["epochs", "sockets dialled", "heartbeat rounds",
+             "beats on the engine", "reneg messages", "reneg octets"],
+            [[str(len(report.epochs)), str(transport.dials),
+              str(report.heartbeats), str(len(beats)),
+              str(report.renegotiation_messages),
+              str(report.renegotiation_bytes)]],
+        ),
     )

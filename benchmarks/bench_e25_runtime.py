@@ -19,16 +19,22 @@ whether the messages are virtual.
 The ratio gate holds the executed path to its nearest baseline: the same
 actors exchange the same messages in both, so what an in-proc negotiation
 costs beyond the simulated one is orchestration, and it is bounded as a
-same-run ratio — never as an absolute wall time (ROADMAP 1b).
+same-run ratio — never as an absolute wall time (ROADMAP 1b).  The session
+gate does the same for edges that outlive a negotiation: inside a
+:class:`~repro.runtime.Session` a TCP re-negotiation after a one-edge
+change is bounded against the one-shot ``negotiate`` of the same tree in
+the same run, and the sockets it dials are counted exactly.
 """
 
+import gc
+import statistics
 import time
 
 from repro.core.bwfirst import bw_first
 from repro.platform.examples import paper_figure4_tree
 from repro.platform.generators import random_tree, smooth_tree
 from repro.protocol import run_protocol
-from repro.runtime import negotiate
+from repro.runtime import Session, negotiate
 from repro.telemetry import Registry
 from repro.util.text import render_table
 
@@ -44,6 +50,16 @@ E25_RATIO_REPEATS = 5
 #: at ~1.8; one dispatcher sits at ~0.8 (no virtual-time event queue to
 #: feed), so 1.3 trips on a per-message event-loop round trip coming back
 E25_OVER_SIMULATED = 1.3
+
+#: the session gate: the ``recovery`` workload's tree, one leaf pruned per
+#: step.  A later negotiation inside a session / the one-shot negotiate of
+#: the same tree: ~0.47 measured (nothing dialled, nothing hung up, no new
+#: loop); 0.7 trips when a reconcile starts dialling edges it already has
+E25_SESSION_NODES = 120
+E25_SESSION_SEED = 1
+E25_SESSION_STEPS = 6
+E25_SESSION_REPEATS = 5
+E25_SESSION_OVER_ONESHOT = 0.7
 
 
 def timed(fn):
@@ -122,3 +138,57 @@ def test_e25_inproc_over_simulated_ratio_gate():
     assert ratio <= E25_OVER_SIMULATED, (
         f"an in-proc negotiation costs {ratio:.2f}x the simulated one "
         f"(bar {E25_OVER_SIMULATED}x)")
+
+
+def test_e25_session_over_oneshot_ratio_gate():
+    """Edges outlive a negotiation: after each of six one-leaf prunes the
+    session's negotiation (reconcile + exchange) and a one-shot TCP
+    ``negotiate`` of the same tree run back to back, best of five per step
+    with the collector paused; the median step inside the session costs at
+    most ``E25_SESSION_OVER_ONESHOT`` × the median one-shot.  Exact, per
+    session: every edge dialled once by the first run, nothing after."""
+    steps = range(E25_SESSION_STEPS)
+    best = {"session": [float("inf")] * len(steps),
+            "one-shot": [float("inf")] * len(steps)}
+    for _ in range(E25_SESSION_REPEATS):
+        tree = smooth_tree(E25_SESSION_NODES, E25_SESSION_SEED)
+        leaves = tree.leaves()[:E25_SESSION_STEPS]
+        gc.collect()
+        gc.disable()
+        try:
+            with Session("tcp") as session:
+                session.negotiate(tree, verify=False)
+                for step, leaf in zip(steps, leaves):
+                    tree.remove_subtree(leaf)
+                    reference = bw_first(tree).throughput
+                    runs = {
+                        "session": lambda: session.negotiate(tree,
+                                                             verify=False),
+                        "one-shot": lambda: negotiate(tree, "tcp",
+                                                      verify=False),
+                    }
+                    for side, run in runs.items():
+                        result, wall = timed(run)
+                        assert result.throughput == reference
+                        best[side][step] = min(best[side][step], wall)
+                assert session.transport.dials == E25_SESSION_NODES - 1
+        finally:
+            gc.enable()
+    median = {side: statistics.median(walls) for side, walls in best.items()}
+    ratio = median["session"] / median["one-shot"]
+    emit(
+        f"E25: re-negotiation inside a session over one-shot, TCP, "
+        f"smooth_tree({E25_SESSION_NODES}, {E25_SESSION_SEED}) minus one "
+        f"leaf per step, best of {E25_SESSION_REPEATS}",
+        render_table(
+            ["step", "session ms", "one-shot ms"],
+            [[str(step + 1), f"{best['session'][step] * 1e3:.2f}",
+              f"{best['one-shot'][step] * 1e3:.2f}"] for step in steps]
+            + [["median", f"{median['session'] * 1e3:.2f}",
+                f"{median['one-shot'] * 1e3:.2f}"],
+               ["ratio", f"{ratio:.2f}", f"bar {E25_SESSION_OVER_ONESHOT}"]],
+        ),
+    )
+    assert ratio <= E25_SESSION_OVER_ONESHOT, (
+        f"a re-negotiation inside a session costs {ratio:.2f}x the one-shot "
+        f"one (bar {E25_SESSION_OVER_ONESHOT}x)")

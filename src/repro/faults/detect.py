@@ -8,15 +8,23 @@ detection times are deterministic and analytically predictable:
 
     ``detect_at(crash) = interval · ⌈crash / interval⌉ + timeout``
 
-(a crash exactly on a beat is caught by that very beat — crash events are
-scheduled before the monitor starts, so they fire first at equal times).
+(a crash exactly on a grid point is caught by that point's beat — the death
+is what arms it, so it runs after the death whatever their scheduling order).
 :func:`detection_time` computes the same quantity without running anything;
 :func:`~repro.faults.recovery.resilient_run` uses it to pre-plan the
 recovery and then asserts the live monitor agreed.
 
-The monitor's periodic check uses the engine's cancellable timers
-(:class:`~repro.sim.engine.Timer`), so it can be stopped — and bounds
-itself by *until* so a finite-horizon simulation still drains.
+The grid is kept, the polling is not: a beat that would find nobody newly
+dead observes nothing, so the monitor puts only three kinds of beat on the
+engine — the one at t = 0, the first grid point at or after each death
+(armed by the simulation's death notification, once per grid point), and
+one **closing** beat at the first grid point at or after *until*, which
+leaves the engine's final clock where an every-interval chain would have
+left it.  ``heartbeats`` counts the grid points the run has passed, beats
+elided or not, so the rounds a real detector would have run are still
+reported — they just no longer cost events (or count against a
+simulation's ``max_events``).  ``tests/test_detect.py`` keeps the
+every-interval chain as the oracle.
 """
 
 from __future__ import annotations
@@ -55,8 +63,10 @@ class HeartbeatMonitor:
       must drain; the last round is the first beat at or after *until*);
     * *on_detect* — called once per dead node, at declaration time.
 
-    ``heartbeats`` counts completed rounds; ``detected`` maps each declared
-    node to its declaration time.
+    ``heartbeats`` counts completed rounds (read-only: the grid points at
+    or before the engine's clock, the closing beat or :meth:`stop`,
+    whichever came first — minus a round that is armed there but has not
+    run yet); ``detected`` maps each declared node to its declaration time.
     """
 
     def __init__(
@@ -78,23 +88,26 @@ class HeartbeatMonitor:
             raise FaultError(f"timeout must be >= 0, got {self.timeout}")
         self.until = as_fraction(until) if until is not None else None
         self.on_detect = on_detect
-        self.heartbeats = 0
         self.detected: Dict[Hashable, Fraction] = {}
         self._suspected: set = set()
-        self._timer = None
+        self._timer = None  # the beat at 0, then the last one a death armed
+        self._closing = None
         self._stopped = False
-        # the beat chain in the engine's own clock units (see start())
+        self._rounds: Optional[int] = None  # frozen by stop()
+        # the grid in the engine's own clock units (see start()): the armed
+        # beat's time, the interval, the closing beat's time
         self._at = self._step = 0
-        self._until = None
+        self._close = None
 
     def start(self) -> "HeartbeatMonitor":
-        """Schedule the first heartbeat round (at t = 0).
+        """Schedule the beat at t = 0 and the closing beat, and ask the
+        simulation to report deaths.
 
-        The chain re-arms itself in the engine's clock units
+        The grid lives in the engine's clock units
         (:meth:`~repro.sim.engine.Engine.units`: ticks on the production
         kernel), converted once here and multiplied on a timeline rescale
-        like every other holder of ticks — a beat then costs no rational
-        arithmetic at all.
+        like every other holder of ticks — arming a beat then costs no
+        rational arithmetic beyond reading the clock.
         """
         engine = self.sim.engine
         timeline = getattr(engine, "timeline", None)
@@ -102,37 +115,72 @@ class HeartbeatMonitor:
             timeline.on_rescale(self._on_rescale)  # may themselves rescale
         self._at = engine.units(0)
         self._step = engine.units(self.interval)
-        if self.until is not None:
-            self._until = engine.units(self.until)
         self._timer = engine.push(self._at, self._beat)
+        if self.until is not None:
+            until = engine.units(self.until)
+            self._close = -(-until // self._step) * self._step
+            if self._close > self._at:
+                self._closing = engine.push(self._close, self._beat)
+        self.sim._death_observers.append(self._on_death)
         return self
 
     def _on_rescale(self, factor: int) -> None:
         self._at *= factor
         self._step *= factor
-        if self._until is not None:
-            self._until *= factor
+        if self._close is not None:
+            self._close *= factor
 
     def stop(self) -> None:
-        """Cancel the monitoring chain."""
+        """Cancel the armed beats; no death is declared from here on."""
+        self._rounds = self.heartbeats
         self._stopped = True
-        if self._timer is not None:
-            self._timer.cancel()
+        for timer in (self._timer, self._closing):
+            if timer is not None:
+                timer.cancel()
+
+    @property
+    def heartbeats(self) -> int:
+        """Rounds completed so far, whether or not a beat ran for them."""
+        if self._rounds is not None:
+            return self._rounds
+        if self._timer is None:
+            return 0  # never started
+        end = self._now()
+        if self._close is not None and end > self._close:
+            end = self._close
+        return end // self._step + (0 if self._armed(end) else 1)
 
     # ------------------------------------------------------------------
+    def _now(self):
+        engine = self.sim.engine
+        return engine.units(engine.now)
+
+    def _armed(self, at) -> bool:
+        """Whether the beat of grid point *at* is scheduled and yet to run."""
+        return (self._timer.active and self._at == at) or (
+            self._closing is not None and self._closing.active
+            and self._close == at)
+
+    def _on_death(self, node: Hashable) -> None:
+        """A node just died: make sure the first grid point at or after
+        now has a beat — unless the monitoring is over by then."""
+        if self._stopped:
+            return
+        at = -(-self._now() // self._step) * self._step
+        if self._armed(at) or (self._close is not None and at > self._close):
+            return
+        self._at = at
+        self._timer = self.sim.engine.push(at, self._beat)
+
     def _beat(self) -> None:
         if self._stopped:
             return
-        self.heartbeats += 1
         for name in self.sim.dead_nodes():
             if name not in self._suspected:
                 self._suspected.add(name)
                 self.sim.engine.schedule_in(
                     self.timeout, lambda n=name: self._declare(n)
                 )
-        if self._until is None or self._at < self._until:
-            self._at += self._step
-            self._timer = self.sim.engine.push(self._at, self._beat)
 
     def _declare(self, node: Hashable) -> None:
         if self._stopped or node in self.detected:

@@ -92,6 +92,10 @@ class RecoveryReport:
 
     Rates are exact rationals measured on the trace; ``rate_after`` equals
     ``new_optimum`` once the final switched schedule reaches steady state.
+    ``rate_during``, ``rate_after`` and ``timeline`` count the completions
+    of the nodes on the supervisor's platform at the time: the live
+    descendants of a pruned node keep finishing what they had buffered,
+    and that is not the platform's rate.
 
     The run's tallies (tasks lost, heartbeat rounds, re-negotiation
     messages/bytes, retransmissions, control-plane faults) are telemetry
@@ -231,7 +235,11 @@ def resilient_run(
     through the real asyncio runtime of :mod:`repro.runtime` instead of
     the virtual-time simulation: the survivors negotiate as genuinely
     concurrent actors over actual queues or loopback sockets, and the
-    recovered schedule is built from that live result.  The supervised
+    recovered schedule is built from that live result.  One
+    :class:`~repro.runtime.runtime.Session` carries them all, so over TCP
+    an epoch dials the edges it added, not the platform again (a
+    :class:`~repro.runtime.transport.Transport` instance is accepted too
+    and closed with the run).  The supervised
     simulation still needs a *virtual* duration for each negotiation
     window, so the switch time is derived analytically
     (:func:`~repro.runtime.runtime.sequential_completion_time` under this
@@ -356,6 +364,10 @@ def resilient_run(
     live = tree.copy()  # the supervisor's view of the platform
     original_root = tree.root
     stash: Dict[Hashable, tuple] = {}  # node → (parent, c, subtree snapshot)
+    cut_at: Dict[Hashable, Fraction] = {}  # stash key → when it left `live`
+    #: (nodes, since, until) — nodes that were alive but off the supervisor's
+    #: platform between two epoch starts (until ``None``: to the end)
+    away: List[tuple] = []
     epochs: List[EpochReport] = []
     quarantined_children: List[Hashable] = []
     rejoined: List[Hashable] = []
@@ -368,6 +380,7 @@ def resilient_run(
     switches: List[tuple] = []  # (switch, failover new_root or None,
     #                              schedules, periods)
 
+    session = None  # the executed re-negotiations' transport and loop
     prev_switch: Optional[Fraction] = None
     current_t = old_t
     final_result = old_result
@@ -391,6 +404,7 @@ def resilient_run(
             snapshot = live.subtree(node)
             parent, cost = live.parent(node), live.c(node)
             stash[node] = (parent, cost, snapshot)
+            cut_at[node] = start
             if inc is None:
                 live.remove_subtree(node)
             else:
@@ -403,6 +417,7 @@ def resilient_run(
             if node in held and node != holder:
                 sub = held.subtree(node)
                 stash[node] = (held.parent(node), held.c(node), sub)
+                cut_at[node] = cut_at[holder]
                 held.remove_subtree(node)
                 return False
         return False  # vanished with an unrepaired ancestor
@@ -414,246 +429,265 @@ def resilient_run(
         returned = plan.rejoin_time(node)
         return returned is not None and returned <= when
 
-    while events:
-        trigger, _rank, _serial, kind, payload = heapq.heappop(events)
-        start = trigger if prev_switch is None else max(trigger, prev_switch)
+    def book_away(node: Hashable, held: Tree,
+                  until: Optional[Fraction]) -> None:
+        """The stashed subtree *held* (key *node*) is back, or the run is
+        over: note which of its nodes were alive while cut.  A crashed
+        leaf books nothing; an orphan under a crashed parent does."""
+        since = cut_at.pop(node)
+        names = [n for n in held.nodes() if alive_at(n, since)]
+        if names:
+            away.append((names, since, until))
 
-        changed = False
-        epoch_nodes: Tuple[Hashable, ...] = ()
-        if kind == "prune":
-            wave = sorted(payload, key=lambda crash: str(crash.node))
-            for crash in wave:
-                if crash.node == live.root:
-                    raise FaultError(
-                        f"the acting master {crash.node!r} crashed after "
-                        "failover — no further election is modelled"
-                    )
-            wave_first = min(crash.time for crash in wave)
-            cut_nodes = [c.node for c in wave if cut(c.node)]
-            changed = bool(cut_nodes)
-            epoch_nodes = tuple(cut_nodes)
-        elif kind == "quarantine":
-            child = payload
-            if child in live and child != live.root:
-                cut(child)
-                quarantined_children.append(child)
-                changed = True
-                epoch_nodes = (child,)
-        elif kind == "rejoin":
-            node = payload
-            entry = stash.pop(node, None)
-            if entry is None:
-                rejoins_skipped.append(node)
-            else:
-                parent, cost, snapshot = entry
-                if parent not in live and failover_done and (
-                    parent == original_root
-                ):
-                    parent = live.root  # the old master is gone for good
-                if parent in live:
-                    if inc is None:
-                        live.add_subtree(parent, cost, snapshot)
-                    else:
-                        inc.graft(parent, cost, snapshot.copy())
-                        live.add_subtree(parent, cost, snapshot)
-                    rejoined.append(node)
-                    changed = True
-                    epoch_nodes = (node,)
-                else:
-                    rejoins_skipped.append(node)
-        elif kind == "failover":
-            old_root = live.root
-            candidates = [
-                child for child in live.children_by_bandwidth(old_root)
-                if alive_at(child, trigger)
-            ]
-            if not candidates:
-                raise FaultError(
-                    "root failover with no live child to elect — the "
-                    "platform is gone"
-                )
-            new_root_name = candidates[0]
-            if inc is None:
-                live.failover_root(new_root_name)
-            else:
-                inc.failover(new_root_name)
-                live.failover_root(new_root_name)
-            failover_done = True
-            changed = True
-            epoch_nodes = (new_root_name,)
+    try:
+        while events:
+            trigger, _rank, _serial, kind, payload = heapq.heappop(events)
+            start = trigger if prev_switch is None else max(trigger, prev_switch)
 
-        if not changed:
-            continue
-
-        # --- re-solve the mutated platform -----------------------------
-        new_result = inc.solve() if inc is not None else bw_first(live.copy())
-        snapshot = live.copy()
-
-        # --- spans: narrate the epoch ----------------------------------
-        renegotiate_span = None
-        eid = None
-        if spans_on:
-            from ..telemetry.live import epoch_id as _epoch_id
-
-            eid = _epoch_id(run_trace, len(epochs))
-            if recovery_span is None:
-                recovery_span = telemetry.begin_span(
-                    "recovery", start=min(t_first_crash, trigger),
-                    node=original_root, crashes=len(plan.crashes),
-                    trace=run_trace,
-                )
+            changed = False
+            epoch_nodes: Tuple[Hashable, ...] = ()
             if kind == "prune":
-                telemetry.record_span(
-                    "detect", wave_first, trigger, node=original_root,
-                    parent=recovery_span, epoch=eid,
-                    crashed=" ".join(str(n) for n in epoch_nodes),
-                )
-                telemetry.record_span(
-                    "prune", start, start, node=original_root,
-                    parent=recovery_span, epoch=eid,
-                    removed=sum(len(stash[n][2]) for n in epoch_nodes),
-                )
+                wave = sorted(payload, key=lambda crash: str(crash.node))
+                for crash in wave:
+                    if crash.node == live.root:
+                        raise FaultError(
+                            f"the acting master {crash.node!r} crashed after "
+                            "failover — no further election is modelled"
+                        )
+                wave_first = min(crash.time for crash in wave)
+                cut_nodes = [c.node for c in wave if cut(c.node)]
+                changed = bool(cut_nodes)
+                epoch_nodes = tuple(cut_nodes)
             elif kind == "quarantine":
-                telemetry.record_span(
-                    "quarantine", trigger, trigger, node=original_root,
-                    parent=recovery_span, epoch=eid, child=epoch_nodes[0],
-                )
-                telemetry.record_span(
-                    "prune", start, start, node=original_root,
-                    parent=recovery_span, epoch=eid,
-                    removed=len(stash[epoch_nodes[0]][2]),
-                )
+                child = payload
+                if child in live and child != live.root:
+                    cut(child)
+                    quarantined_children.append(child)
+                    changed = True
+                    epoch_nodes = (child,)
             elif kind == "rejoin":
-                telemetry.record_span(
-                    "rejoin", trigger, trigger, node=original_root,
-                    parent=recovery_span, epoch=eid, child=epoch_nodes[0],
-                )
-                telemetry.record_span(
-                    "graft", start, start, node=original_root,
-                    parent=recovery_span, epoch=eid, grafted=epoch_nodes[0],
-                )
+                node = payload
+                entry = stash.pop(node, None)
+                if entry is None:
+                    rejoins_skipped.append(node)
+                else:
+                    parent, cost, snapshot = entry
+                    if parent not in live and failover_done and (
+                        parent == original_root
+                    ):
+                        parent = live.root  # the old master is gone for good
+                    book_away(node, snapshot,
+                              start if parent in live else None)
+                    if parent in live:
+                        if inc is None:
+                            live.add_subtree(parent, cost, snapshot)
+                        else:
+                            inc.graft(parent, cost, snapshot.copy())
+                            live.add_subtree(parent, cost, snapshot)
+                        rejoined.append(node)
+                        changed = True
+                        epoch_nodes = (node,)
+                    else:
+                        rejoins_skipped.append(node)
             elif kind == "failover":
-                telemetry.record_span(
-                    "detect", payload, trigger, node=original_root,
-                    parent=recovery_span, epoch=eid, crashed=str(original_root),
+                old_root = live.root
+                candidates = [
+                    child for child in live.children_by_bandwidth(old_root)
+                    if alive_at(child, trigger)
+                ]
+                if not candidates:
+                    raise FaultError(
+                        "root failover with no live child to elect — the "
+                        "platform is gone"
+                    )
+                new_root_name = candidates[0]
+                if inc is None:
+                    live.failover_root(new_root_name)
+                else:
+                    inc.failover(new_root_name)
+                    live.failover_root(new_root_name)
+                failover_done = True
+                changed = True
+                epoch_nodes = (new_root_name,)
+
+            if not changed:
+                continue
+
+            # --- re-solve the mutated platform -----------------------------
+            new_result = inc.solve() if inc is not None else bw_first(live.copy())
+            snapshot = live.copy()
+
+            # --- spans: narrate the epoch ----------------------------------
+            renegotiate_span = None
+            eid = None
+            if spans_on:
+                from ..telemetry.live import epoch_id as _epoch_id
+
+                eid = _epoch_id(run_trace, len(epochs))
+                if recovery_span is None:
+                    recovery_span = telemetry.begin_span(
+                        "recovery", start=min(t_first_crash, trigger),
+                        node=original_root, crashes=len(plan.crashes),
+                        trace=run_trace,
+                    )
+                if kind == "prune":
+                    telemetry.record_span(
+                        "detect", wave_first, trigger, node=original_root,
+                        parent=recovery_span, epoch=eid,
+                        crashed=" ".join(str(n) for n in epoch_nodes),
+                    )
+                    telemetry.record_span(
+                        "prune", start, start, node=original_root,
+                        parent=recovery_span, epoch=eid,
+                        removed=sum(len(stash[n][2]) for n in epoch_nodes),
+                    )
+                elif kind == "quarantine":
+                    telemetry.record_span(
+                        "quarantine", trigger, trigger, node=original_root,
+                        parent=recovery_span, epoch=eid, child=epoch_nodes[0],
+                    )
+                    telemetry.record_span(
+                        "prune", start, start, node=original_root,
+                        parent=recovery_span, epoch=eid,
+                        removed=len(stash[epoch_nodes[0]][2]),
+                    )
+                elif kind == "rejoin":
+                    telemetry.record_span(
+                        "rejoin", trigger, trigger, node=original_root,
+                        parent=recovery_span, epoch=eid, child=epoch_nodes[0],
+                    )
+                    telemetry.record_span(
+                        "graft", start, start, node=original_root,
+                        parent=recovery_span, epoch=eid, grafted=epoch_nodes[0],
+                    )
+                elif kind == "failover":
+                    telemetry.record_span(
+                        "detect", payload, trigger, node=original_root,
+                        parent=recovery_span, epoch=eid, crashed=str(original_root),
+                    )
+                    telemetry.record_span(
+                        "elect", start, start, node=new_root_name,
+                        parent=recovery_span, epoch=eid, elected=new_root_name,
+                    )
+                renegotiate_span = telemetry.begin_span(
+                    "renegotiate", start=start, node=live.root,
+                    parent=recovery_span, epoch=eid, kind=kind,
                 )
-                telemetry.record_span(
-                    "elect", start, start, node=new_root_name,
-                    parent=recovery_span, epoch=eid, elected=new_root_name,
+
+            # --- renegotiate over the surviving platform -------------------
+            epoch_net = None
+            if runtime is not None:
+                # the survivors re-negotiate on the real asyncio runtime; map
+                # the result back onto the virtual timeline analytically
+                # (loss-free sequential protocol: the sum of message latencies)
+                from ..runtime import Session, sequential_completion_time
+
+                if session is None:
+                    # one transport under every epoch: a re-negotiation
+                    # dials the edges its epoch added, not the platform
+                    session = Session(runtime)
+                renegotiation = session.negotiate(
+                    snapshot, retry=policy, trace_id=run_trace,
                 )
-            renegotiate_span = telemetry.begin_span(
-                "renegotiate", start=start, node=live.root,
-                parent=recovery_span, epoch=eid, kind=kind,
-            )
+                vtime = sequential_completion_time(
+                    renegotiation, latency_factor=latency_factor
+                )
+            else:
+                epoch_net = FaultyNetwork(
+                    snapshot, plan, latency_factor=latency_factor,
+                    time_offset=start, quarantine_after=quarantine_after,
+                )
+                renegotiation = run_protocol(
+                    snapshot,
+                    network=epoch_net,
+                    retry=policy,
+                    telemetry=telemetry,
+                    span_parent=renegotiate_span,
+                    reference=new_result,
+                    trace_id=run_trace,
+                )
+                vtime = renegotiation.completion_time
 
-        # --- renegotiate over the surviving platform -------------------
-        epoch_net = None
-        if runtime is not None:
-            # the survivors re-negotiate on the real asyncio runtime; map
-            # the result back onto the virtual timeline analytically
-            # (loss-free sequential protocol: the sum of message latencies)
-            from ..runtime import Runtime, sequential_completion_time
+            # --- place the switch ------------------------------------------
+            ready = start + vtime
+            if kind == "rejoin" and prev_switch is not None:
+                # splice on the running schedule's period grid: the root's
+                # release chain is anchored at the previous switch, so the
+                # next boundary at or after readiness is anchor + k·T
+                k = max(1, math.ceil((ready - prev_switch) / current_t))
+                switch = prev_switch + k * current_t
+            else:
+                switch = ready
 
-            renegotiation = Runtime(
-                snapshot, transport=runtime, retry=policy,
-                trace_id=run_trace,
-            ).run()
-            vtime = sequential_completion_time(
-                renegotiation, latency_factor=latency_factor
-            )
-        else:
-            epoch_net = FaultyNetwork(
-                snapshot, plan, latency_factor=latency_factor,
-                time_offset=start, quarantine_after=quarantine_after,
-            )
-            renegotiation = run_protocol(
-                snapshot,
-                network=epoch_net,
-                retry=policy,
-                telemetry=telemetry,
-                span_parent=renegotiate_span,
-                reference=new_result,
-                trace_id=run_trace,
-            )
-            vtime = renegotiation.completion_time
+            new_allocation = from_bw_first(new_result)
+            if inc is None:
+                new_periods = tree_periods(new_allocation)
+                new_schedules = build_schedules(new_allocation,
+                                                periods=new_periods)
+            else:
+                new_periods, new_schedules = inc.schedule_builder().build(
+                    new_allocation
+                )
+            new_t = global_period(new_periods, telemetry=telemetry, tree=snapshot)
 
-        # --- place the switch ------------------------------------------
-        ready = start + vtime
-        if kind == "rejoin" and prev_switch is not None:
-            # splice on the running schedule's period grid: the root's
-            # release chain is anchored at the previous switch, so the
-            # next boundary at or after readiness is anchor + k·T
-            k = max(1, math.ceil((ready - prev_switch) / current_t))
-            switch = prev_switch + k * current_t
-        else:
-            switch = ready
+            if spans_on:
+                telemetry.end_span(renegotiate_span, end=switch,
+                                   messages=renegotiation.messages)
+                telemetry.record_span("switch", switch, switch,
+                                      node=live.root, parent=recovery_span,
+                                      epoch=eid,
+                                      throughput=new_allocation.throughput)
 
-        new_allocation = from_bw_first(new_result)
-        if inc is None:
-            new_periods = tree_periods(new_allocation)
-            new_schedules = build_schedules(new_allocation,
-                                            periods=new_periods)
-        else:
-            new_periods, new_schedules = inc.schedule_builder().build(
-                new_allocation
-            )
-        new_t = global_period(new_periods, telemetry=telemetry, tree=snapshot)
+            # --- analytic actions for the simulation -----------------------
+            # every renegotiation transaction costs one control job on the
+            # proposing parent's send port and one on the acknowledging child's
+            jobs = []
+            for node, actor in renegotiation.actors.items():
+                for child, _beta, _theta in actor.transactions:
+                    latency = snapshot.c(child) * latency_factor
+                    jobs.append((node, latency))
+                    jobs.append((child, latency))
+            port_jobs.append((start, jobs))
+            switches.append((
+                switch,
+                new_root_name if kind == "failover" else None,
+                dict(new_schedules),
+                dict(new_periods),
+            ))
 
-        if spans_on:
-            telemetry.end_span(renegotiate_span, end=switch,
-                               messages=renegotiation.messages)
-            telemetry.record_span("switch", switch, switch,
-                                  node=live.root, parent=recovery_span,
-                                  epoch=eid,
-                                  throughput=new_allocation.throughput)
+            # --- hostile links discovered during this epoch ----------------
+            if epoch_net is not None:
+                corrupted_total += epoch_net.corrupted
+                for child, declared in epoch_net.quarantined.items():
+                    if child not in quarantine_pushed:
+                        quarantine_pushed.add(child)
+                        push(declared, "quarantine", child)
 
-        # --- analytic actions for the simulation -----------------------
-        # every renegotiation transaction costs one control job on the
-        # proposing parent's send port and one on the acknowledging child's
-        jobs = []
-        for node, actor in renegotiation.actors.items():
-            for child, _beta, _theta in actor.transactions:
-                latency = snapshot.c(child) * latency_factor
-                jobs.append((node, latency))
-                jobs.append((child, latency))
-        port_jobs.append((start, jobs))
-        switches.append((
-            switch,
-            new_root_name if kind == "failover" else None,
-            dict(new_schedules),
-            dict(new_periods),
-        ))
-
-        # --- hostile links discovered during this epoch ----------------
-        if epoch_net is not None:
-            corrupted_total += epoch_net.corrupted
-            for child, declared in epoch_net.quarantined.items():
-                if child not in quarantine_pushed:
-                    quarantine_pushed.add(child)
-                    push(declared, "quarantine", child)
-
-        # --- bookkeeping ------------------------------------------------
-        octets = renegotiation.telemetry.value("runtime.tcp.octets")
-        epoch_bytes = octets if octets else renegotiation.bytes
-        reneg_messages += renegotiation.messages
-        reneg_bytes += epoch_bytes
-        retransmissions += renegotiation.retransmissions
-        dropped += renegotiation.dropped
-        duplicated += renegotiation.duplicated
-        epochs.append(EpochReport(
-            kind=kind,
-            nodes=epoch_nodes,
-            t_trigger=trigger,
-            t_start=start,
-            t_switched=switch,
-            optimum=new_result.throughput,
-            messages=renegotiation.messages,
-            bytes=epoch_bytes,
-        ))
-        prev_switch = switch
-        current_t = new_t
-        final_result = new_result
-        final_allocation = new_allocation
+            # --- bookkeeping ------------------------------------------------
+            octets = renegotiation.telemetry.value("runtime.tcp.octets")
+            epoch_bytes = octets if octets else renegotiation.bytes
+            reneg_messages += renegotiation.messages
+            reneg_bytes += epoch_bytes
+            retransmissions += renegotiation.retransmissions
+            dropped += renegotiation.dropped
+            duplicated += renegotiation.duplicated
+            epochs.append(EpochReport(
+                kind=kind,
+                nodes=epoch_nodes,
+                t_trigger=trigger,
+                t_start=start,
+                t_switched=switch,
+                optimum=new_result.throughput,
+                messages=renegotiation.messages,
+                bytes=epoch_bytes,
+            ))
+            prev_switch = switch
+            current_t = new_t
+            final_result = new_result
+            final_allocation = new_allocation
+    finally:
+        if session is not None:
+            session.close()
 
     t_switched = prev_switch if prev_switch is not None else ZERO
     t_detect = (
@@ -708,17 +742,28 @@ def resilient_run(
     # ------------------------------------------------------------------
     # measurement
     # ------------------------------------------------------------------
-    def rate(lo: Fraction, hi: Fraction) -> Optional[Fraction]:
-        if hi <= lo:
-            return None
-        return measured_rate(result.trace, lo, hi)
+    for node, (_parent, _cost, held) in stash.items():
+        book_away(node, held, None)
+    trace = result.trace
 
-    rate_before = rate(ZERO, t_first_crash)
-    rate_after = measured_rate(
-        result.trace, horizon - current_t * after_periods, horizon
-    )
+    def rate(lo: Fraction, hi: Fraction) -> Fraction:
+        """:func:`measured_rate` over ``(lo, hi]``, of the nodes on the
+        supervisor's platform at the time.  An orphan — alive under a
+        pruned ancestor — may finish a task it buffered under the old
+        schedule long after it was cut; that is not the survivors' rate."""
+        stray = 0
+        for names, since, until in away:
+            cut_lo = max(lo, since)
+            cut_hi = hi if until is None else min(hi, until)
+            if cut_lo < cut_hi:
+                stray += sum(trace.completions_in(cut_lo, cut_hi, n)
+                             for n in names)
+        return measured_rate(trace, lo, hi) - Fraction(stray) / (hi - lo)
+
+    rate_before = rate(ZERO, t_first_crash) if t_first_crash > 0 else None
+    rate_after = rate(horizon - current_t * after_periods, horizon)
     rate_during = (
-        measured_rate(result.trace, t_first_crash, t_switched)
+        rate(t_first_crash, t_switched)
         if t_switched > t_first_crash else rate_after
     )
 
@@ -727,7 +772,7 @@ def resilient_run(
     start = ZERO
     stop = result.stop_time if result.stop_time is not None else result.end_time
     while start + w <= stop:  # the wind-down tail is not part of the story
-        timeline.append((start, measured_rate(result.trace, start, start + w)))
+        timeline.append((start, rate(start, start + w)))
         start += w
 
     view = Registry()  # per-report backing store for the tally attributes

@@ -12,13 +12,16 @@ a virtual-time simulation:
   with :class:`InProcTransport` (in-process delivery, optional seeded
   delay/loss) and :class:`TcpTransport` (one loopback socket per tree
   edge, listeners only where a child dials, a fail-closed handshake,
-  frames decoded in ``data_received`` with no reader tasks,
+  frames decoded in ``data_received`` with no reader tasks, a ``start``
+  that reconciles the connected edges with the tree it is given,
   flush-and-close shutdown);
 * :mod:`~repro.runtime.runtime` — the :class:`Runtime` orchestrator:
   one dispatcher serving the actor fleet off one run-queue, wall-clock
   :class:`~repro.protocol.retry.RetryPolicy` timeouts, verification
   against :func:`~repro.core.bwfirst.bw_first`, the same telemetry schema
-  as the simulated runner.
+  as the simulated runner; and :class:`Session`, one transport and one
+  event loop under a sequence of negotiations, so that a re-negotiation
+  dials only the edges the platform gained.
 
 Quick use::
 
@@ -40,6 +43,7 @@ from .codec import (
 from .runtime import (
     TRANSPORTS,
     Runtime,
+    Session,
     negotiate,
     sequential_completion_time,
 )
@@ -47,6 +51,7 @@ from .transport import InProcTransport, TcpTransport, Transport
 
 __all__ = [
     "Runtime",
+    "Session",
     "negotiate",
     "sequential_completion_time",
     "Transport",

@@ -30,6 +30,11 @@ idempotence makes the at-least-once retransmissions safe over a transport
 that drops frames (an :class:`~repro.runtime.transport.InProcTransport`
 or :class:`~repro.runtime.transport.TcpTransport` armed with a
 :class:`~repro.faults.plan.FaultPlan`).
+
+:func:`negotiate` is the one-shot form — a fresh transport and a fresh
+event loop per call; a :class:`Session` keeps both across a sequence of
+negotiations, so a platform that changed by one edge is re-negotiated
+without dialling the other edges again.
 """
 
 from __future__ import annotations
@@ -264,6 +269,7 @@ class Runtime:
         })
         if hasattr(transport, "octets_sent"):
             totals["runtime.tcp.octets"] = transport.octets_sent
+            totals["runtime.tcp.dials"] = transport.dials
         return totals, Counter(getattr(transport, "octets_by_edge", ()))
 
 
@@ -274,6 +280,69 @@ def negotiate(
 ) -> ProtocolResult:
     """One-shot convenience: ``Runtime(tree, transport, **kwargs).run()``."""
     return Runtime(tree, transport, **kwargs).run()
+
+
+class Session:
+    """One transport and one event loop for a sequence of negotiations.
+
+    ``session.negotiate(tree, **runtime_kwargs)`` is :func:`negotiate` on a
+    transport that is not closed in between, so over TCP a negotiation
+    pays for the edges that changed since the last one
+    (:meth:`TcpTransport.start <repro.runtime.transport.TcpTransport.start>`
+    reconciles) instead of dialling the platform again.  Sockets belong to
+    the loop they were opened on, hence the session owns both; the loop is
+    created by the first negotiation.  A context manager; :meth:`close` is
+    idempotent.
+
+    Reuse is **fenced**.  Every run's actors count their xids from 0 and
+    the traversal is deterministic, so a duplicate ``Acknowledgment`` of
+    run *k* still sitting in a socket buffer would match the xid run
+    *k + 1* is waiting for on that edge and be accepted with a stale θ.
+    Therefore a negotiation that raised, or whose result reports a
+    retransmission, timeout, drop or duplicate, leaves nothing behind: the
+    session closes the transport (and its loop) and the next negotiation
+    dials afresh.  The fence lives here and not in :meth:`Runtime.arun`
+    because the task plane takes the sockets over after lossy negotiations
+    on purpose.
+    """
+
+    def __init__(self, transport: Union[str, Transport] = "inproc"):
+        self.transport = _make_transport(transport)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+
+    def negotiate(self, tree: Tree, **runtime_kwargs) -> ProtocolResult:
+        """``Runtime(tree, self.transport, **runtime_kwargs)`` run once on
+        the session's loop."""
+        refuse_running_loop(ProtocolError, "Runtime(...).arun()")
+        runtime = Runtime(tree, self.transport, close_transport=False,
+                          **runtime_kwargs)
+        if self._loop is None:
+            self._loop = asyncio.new_event_loop()
+        try:
+            result = self._loop.run_until_complete(runtime.arun())
+        except BaseException:
+            self.close()
+            raise
+        if (result.retransmissions or result.timeouts or result.dropped
+                or result.duplicated):
+            self.close()
+        return result
+
+    def close(self) -> None:
+        """Close the transport, then the loop."""
+        loop, self._loop = self._loop, None
+        if loop is None:
+            return
+        try:
+            loop.run_until_complete(self.transport.close())
+        finally:
+            loop.close()
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def sequential_completion_time(

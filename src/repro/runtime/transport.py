@@ -223,8 +223,9 @@ class InProcTransport(Transport):
 class _EdgeEnd(asyncio.Protocol):
     """*owner*'s end of one edge's socket: ``data_received`` splits frames
     synchronously out of one buffer and puts the decoded messages straight
-    into the mailbox the hub maps *owner* to at that moment.  On an
-    accepted (parent) end the first frame is the hello naming the child
+    into the mailbox the hub maps *owner* to at that moment.  A dialling
+    (child) end is built knowing its *peer*; on an accepted (parent) end
+    *peer* is ``None`` until the first frame, the hello naming the child
     that dialled.
 
     Hostile bytes stop here: a recoverable :class:`CodecError` skips the
@@ -234,13 +235,22 @@ class _EdgeEnd(asyncio.Protocol):
     """
 
     def __init__(self, hub: "TcpTransport", owner: Hashable,
-                 hello_due: bool):
-        self.hub, self.owner, self.hello_due = hub, owner, hello_due
+                 peer: Optional[Hashable]):
+        self.hub, self.owner, self.peer = hub, owner, peer
+        self.hello_due = peer is None
         self.edge_child = owner  # an accepting end learns it from the hello
         self.splitter = FrameSplitter()
         self.streak = 0
-        self.deaf = False  # firewalled or refused: discard what arrives
+        self.deaf = False  # firewalled, refused or leaving: discard input
         self.resumed: Optional[asyncio.Future] = None  # set while paused
+
+    @property
+    def edge(self) -> Tuple[Optional[Hashable], Hashable]:
+        """The tree edge ``(parent, child)`` this end serves — no parent on
+        an accepting end nobody has greeted yet."""
+        if self.edge_child == self.owner:
+            return (self.peer, self.owner)
+        return (self.owner, self.edge_child)
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -290,7 +300,7 @@ class _EdgeEnd(asyncio.Protocol):
         except (ValueError, LookupError, TypeError, ReproError) as exc:
             return self._refuse(exc)
         self.hello_due = False
-        self.edge_child = peer
+        self.peer = self.edge_child = peer
         hub._writers[(owner, peer)] = self
         hub._hellos_due -= 1
         if not hub._hellos_due and not hub._ready.done():
@@ -325,22 +335,34 @@ class _EdgeEnd(asyncio.Protocol):
         if self.resumed is not None:
             self.resume_writing()
         hub._ends.discard(self)
-        if not hub._ends and hub._all_lost is not None:
-            hub._all_lost.set_result(None)
-            hub._all_lost = None
+        if hub._writers.get((self.owner, self.peer)) is self:
+            del hub._writers[(self.owner, self.peer)]  # a later start re-dials
+        hub._leaving.discard(self)
+        if not hub._leaving and hub._all_left is not None:
+            hub._all_left.set_result(None)
+            hub._all_left = None
 
 
 class TcpTransport(Transport):
     """One loopback TCP socket per tree edge, length|CRC32-framed JSON.
 
     Only nodes somebody dials listen: those with children, plus any node
-    named in *ports*.  :meth:`start` dials every edge concurrently from
+    named in *ports*.  :meth:`start` makes the connected edges equal the
+    tree it is given — from nothing the first time, from whatever the last
+    run left connected after that: edges the platform lost are hung up and
+    waited for, listeners close on nodes that left or lost their last child
+    and open on nodes that just became internal, and only edges not yet
+    connected are dialled (``dials`` counts them), concurrently, each from
     its child endpoint, which introduces itself with a hello frame; a
     listener accepts only a hello naming a not yet connected child of its
-    owner.  Start returns once every edge is connected in both directions,
-    so the negotiation never races the handshake; if a dial or a handshake
-    fails it closes what it opened and raises.  Each end of an edge is one
-    :class:`asyncio.Protocol`; the transport owns no tasks.
+    owner in *that* tree.  An edge whose socket died in between is simply
+    dialled again, and a dropped edge takes its quarantine entry and
+    corruption streak with it.  Start returns once every edge is connected
+    in both directions, so the negotiation never races the handshake; if a
+    dial or a handshake fails it closes everything — kept edges included —
+    and raises.  Reuse needs the event loop the sockets were opened on
+    (:class:`~repro.runtime.runtime.Session` holds both).  Each end of an
+    edge is one :class:`asyncio.Protocol`; the transport owns no tasks.
 
     *plan* stages the fault plan **at the sender** — TCP itself never
     loses data: a dropped frame is never written, a duplicated one is
@@ -371,6 +393,7 @@ class TcpTransport(Transport):
         #: dashboard's per-edge traffic panel reads this via the runtime's
         #: ``runtime.tcp.edge_octets`` counters
         self.octets_by_edge: Dict[Tuple[Hashable, Hashable], int] = {}
+        self.dials = 0  # sockets opened, over every start()
         self._servers: Dict[Hashable, asyncio.AbstractServer] = {}
         #: the end each directed edge (sender, receiver) writes through
         self._writers: Dict[Tuple[Hashable, Hashable], _EdgeEnd] = {}
@@ -379,7 +402,9 @@ class TcpTransport(Transport):
         #: resolved by the last good hello with ``None``, or by the first
         #: bad one with its :class:`ProtocolError`
         self._ready: Optional[asyncio.Future] = None
-        self._all_lost: Optional[asyncio.Future] = None
+        #: ends being hung up; the last one to go resolves ``_all_left``
+        self._leaving: Set[_EdgeEnd] = set()
+        self._all_left: Optional[asyncio.Future] = None
 
     # ------------------------------------------------------------------
     async def start(self, tree: Tree,
@@ -388,27 +413,45 @@ class TcpTransport(Transport):
         loop = asyncio.get_running_loop()
         edges = [(tree.parent(n), n) for n in tree.nodes()
                  if tree.parent(n) is not None]
-        self._hellos_due = len(edges)
-        self._ready = loop.create_future()
-        if not edges:
-            self._ready.set_result(None)
+        listeners = [n for n in tree.nodes()
+                     if tree.children(n) or n in self.ports]
+        # an edge stays only while both its ends are up: a socket that died
+        # since the last run took its ends out of _writers as they noticed
+        kept = {(p, c) for p, c in edges if self._up(p, c) and self._up(c, p)}
+        self.quarantined.intersection_update(c for _, c in kept)
         try:
-            for node in tree.nodes():
-                fanout = len(tree.children(node))
-                if not fanout and node not in self.ports:
-                    continue  # nobody dials a leaf
+            closing = self._servers.keys() - set(listeners)
+            for node in closing:
+                self._servers[node].close()
+            gone = [end for end in self._ends if end.edge not in kept]
+            for end in gone:
+                end.deaf = True  # its owner may have no mailbox any more
+            await self._hang_up(gone)
+            for node in closing:
+                await self._servers.pop(node).wait_closed()
+                del self.bound_ports[node]
+            for node in listeners:
+                if node in self._servers:
+                    continue
                 # all children dial at once: an accept queue shorter than
                 # that drops SYNs and waits out their retransmission
                 server = await loop.create_server(
-                    partial(_EdgeEnd, self, node, True), host=self.host,
-                    port=self.ports.get(node, 0), backlog=max(100, fanout))
+                    partial(_EdgeEnd, self, node, None), host=self.host,
+                    port=self.ports.get(node, 0),
+                    backlog=max(100, len(tree.children(node))))
                 self._servers[node] = server
                 self.bound_ports[node] = server.sockets[0].getsockname()[1]
+            new = [edge for edge in edges if edge not in kept]
+            self._hellos_due = len(new)
+            self.dials += len(new)
+            self._ready = loop.create_future()
+            if not new:
+                self._ready.set_result(None)
             dials = await asyncio.gather(*(
-                loop.create_connection(partial(_EdgeEnd, self, child, False),
+                loop.create_connection(partial(_EdgeEnd, self, child, parent),
                                        self.host, self.bound_ports[parent])
-                for parent, child in edges), return_exceptions=True)
-            for (parent, child), dial in zip(edges, dials):
+                for parent, child in new), return_exceptions=True)
+            for (parent, child), dial in zip(new, dials):
                 if isinstance(dial, BaseException):
                     raise dial
                 transport, end = dial
@@ -421,6 +464,24 @@ class TcpTransport(Transport):
         except BaseException:
             await self.close()
             raise
+
+    def _up(self, sender: Hashable, receiver: Hashable) -> bool:
+        end = self._writers.get((sender, receiver))
+        return end is not None and not end.transport.is_closing()
+
+    async def _hang_up(self, ends) -> None:
+        """Hang up *ends* from their child's end — the parent's end flushes
+        and follows on EOF — and wait until the last of them is gone.
+        Whoever hangs up first keeps the socket in TIME_WAIT for a minute;
+        left on listener ports, tens of thousands of those make every later
+        ``bind`` to port 0 crawl."""
+        self._leaving = set(ends)
+        for end in self._leaving:
+            if end.edge_child == end.owner:  # dialled, or never greeted
+                end.transport.close()
+        if self._leaving:
+            self._all_left = asyncio.get_running_loop().create_future()
+            await self._all_left
 
     # ------------------------------------------------------------------
     async def send(self, message: Message) -> None:
@@ -465,20 +526,11 @@ class TcpTransport(Transport):
             await end.resumed  # back-pressure: the socket buffer is full
 
     async def close(self) -> None:
-        """Stop listening, hang up every edge from its child's end — the
-        parent's end flushes and follows on EOF — and wait until the last
-        connection is gone.  Whoever hangs up first keeps the socket in
-        TIME_WAIT for a minute; left on listener ports, tens of thousands
-        of those make every later ``bind`` to port 0 crawl."""
+        """Stop listening, hang up every edge (:meth:`_hang_up`) and wait
+        until the last connection is gone."""
         for server in self._servers.values():
             server.close()
-        for end in list(self._ends):
-            if end.edge_child == end.owner:  # dialled, or never greeted
-                end.transport.close()
-        if self._ends:
-            self._all_lost = asyncio.get_running_loop().create_future()
-            await self._all_lost
+        await self._hang_up(self._ends)
         for server in self._servers.values():
             await server.wait_closed()
         self._servers.clear()
-        self._writers.clear()

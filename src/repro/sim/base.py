@@ -172,6 +172,9 @@ class SimulationBase:
         #: optional (parent, child, now) → Fraction multiplier on transfer
         #: times, used by fault injection for transient link degradation
         self._link_factor: Optional[Callable] = None
+        #: called as ``observe(node)`` right after a node died (the
+        #: heartbeat monitor wakes for these instead of polling)
+        self._death_observers: List[Callable[[Hashable], None]] = []
         self._build_state(overlap or {})
 
     # ------------------------------------------------------------------
@@ -247,7 +250,7 @@ class SimulationBase:
         if dead is None:
             raise SimulationError(f"cannot fail unknown node {node!r}")
         if not dead:
-            self._kill(node)
+            self._died(node)
 
     def fail_root(self) -> None:
         """Crash the acting master right now (the root-failover scenario).
@@ -261,7 +264,13 @@ class SimulationBase:
         if self._is_dead(root):
             return
         self._generation += 1  # retire pending release chains
-        self._kill(root)
+        self._died(root)
+
+    def _died(self, node: Hashable) -> None:
+        """Kill *node* and tell whoever asked to hear of deaths."""
+        self._kill(node)
+        for observe in self._death_observers:
+            observe(node)
 
     def failover_root(self, new_root: Hashable) -> None:
         """Promote *new_root* after the master died (the election outcome).

@@ -3,15 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.throughput import measured_rate
 from repro.core.bwfirst import bw_first
 from repro.exceptions import FaultError
 from repro.faults import (
     FaultPlan,
     LinkDegradation,
     NodeCrash,
+    NodeRejoin,
     resilient_run,
 )
 from repro.platform.examples import paper_figure4_tree
@@ -149,6 +151,10 @@ class TestResilientRun:
         plan_seed=st.integers(min_value=0, max_value=2**16),
         drop=st.fractions(min_value=0, max_value=F(25, 100)),
     )
+    # the victim is internal and a slow orphan finishes a task it had
+    # buffered under the old schedule inside the after-window
+    @example(tree_seed=277, plan_seed=0, drop=F(0))
+    @example(tree_seed=63, plan_seed=0, drop=F(0))
     def test_random_crash_always_heals_exactly(self, tree_seed, plan_seed,
                                                drop):
         tree = random_tree(8, seed=tree_seed)
@@ -172,6 +178,65 @@ class TestResilientRun:
         plan = crash_plan((victim, F(5)), seed=plan_seed, drop=drop)
         report = resilient_run(tree, plan)
         assert report.rate_after == expected
+
+
+class TestSurvivorsOnlyRates:
+    def test_an_orphans_late_completion_is_not_the_platforms_rate(self):
+        """``random_tree(8, 277)``: P1 (internal) dies at 5 and is pruned
+        at 11/2, leaving P0 alone (optimum 1, period 1).  Its child P3
+        (w = 5) stays alive and, at 99/10, finishes a task it had buffered
+        under the old schedule — inside the after-window (15/2, 27/2],
+        which is sized in the *new* period."""
+        tree = random_tree(8, seed=277)
+        report = resilient_run(tree, crash_plan(("P1", F(5)), seed=0))
+        trace, stop = report.result.trace, report.result.stop_time
+        assert (report.t_switched, stop) == (F(11, 2), F(27, 2))
+        assert list(report.survivors.nodes()) == ["P0"]
+        late = [(t, n) for t, n in trace.completions
+                if t > report.t_switched and n != "P0"]
+        assert late == [(F(99, 10), "P3")]
+        assert measured_rate(trace, stop - 6, stop) == F(7, 6)  # all nodes
+        assert report.rate_after == report.new_optimum == 1     # platform's
+        # before the cut P3 was on the platform: its work counts there
+        before = trace.completions_in(0, 5)
+        assert before > trace.completions_in(0, 5, "P0")
+        assert report.rate_before == F(before, 5)
+
+    def test_windows_before_the_cut_count_everybody(self):
+        """The same run, window by window (width 1/2): a completion by a
+        node that is cut later is subtracted only from the windows after
+        its cut, so up to the prune the timeline is the plain trace's."""
+        tree = random_tree(8, seed=277)
+        report = resilient_run(tree, crash_plan(("P1", F(5)), seed=0),
+                               window=F(1, 2))
+        trace = report.result.trace
+        differs = []
+        for start, rate in report.timeline:
+            plain = measured_rate(trace, start, start + F(1, 2))
+            if start + F(1, 2) <= report.t_switched:
+                assert rate == plain, start
+            else:
+                assert rate == 2 * trace.completions_in(
+                    start, start + F(1, 2), "P0"), start
+            if rate != plain:
+                differs.append(start)
+        assert differs == [F(19, 2)]       # (19/2, 10] holds P3's straggler
+
+
+    def test_a_rejoined_orphan_counts_again(self):
+        """``a`` dies with its child ``a1`` alive under it and returns at
+        8: from the graft on, ``a1`` is on the platform again, so the
+        settled rate is the full tree's optimum — its completions
+        included."""
+        tree = small_tree()
+        plan = FaultPlan(crashes=(NodeCrash("a", F(5)),),
+                         rejoins=(NodeRejoin("a", F(8)),), seed=5)
+        report = resilient_run(tree, plan)
+        assert [epoch.kind for epoch in report.epochs] == ["prune", "rejoin"]
+        stop = report.result.stop_time
+        assert report.result.trace.completions_in(
+            report.t_switched, stop, "a1") > 0
+        assert report.rate_after == report.new_optimum == report.old_optimum
 
 
 def run_protocol_visited(tree):

@@ -610,6 +610,33 @@ class TestRerun:
         runtime = Runtime(tree, transport, telemetry=external,
                           retry=RetryPolicy(max_retries=2))
         results = [runtime.run() for _ in range(4)]
+        self.check_four_runs(tree, transport, results, external)
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_and_so_it_does_over_a_transport_kept_open(self, transport):
+        """``close_transport=False``: the four runs share one loop and,
+        over TCP, one set of sockets — every edge dialled by the first
+        run, none after."""
+        tree = smooth_tree(30, 3)
+        external = Registry()
+        runtime = Runtime(tree, transport, telemetry=external,
+                          retry=RetryPolicy(max_retries=2),
+                          close_transport=False)
+
+        async def four_runs():
+            try:
+                return [await runtime.arun() for _ in range(4)]
+            finally:
+                await runtime.transport.close()
+
+        results = asyncio.run(four_runs())
+        self.check_four_runs(tree, transport, results, external)
+        if transport == "tcp":
+            assert [r.telemetry.value("runtime.tcp.dials")
+                    for r in results] == [29, 0, 0, 0]
+
+    @staticmethod
+    def check_four_runs(tree, transport, results, external):
         first = results[0]
         assert first.messages == 60
         for result in results:

@@ -1,5 +1,7 @@
 """TcpTransport's edges: who listens, who may say hello, what a failed
-start leaves behind, hostile octets on a live socket, back-pressure.
+start leaves behind, hostile octets on a live socket, back-pressure, a
+``start`` that reconciles, and the ``Session`` that keeps edges between
+negotiations (alone and under ``resilient_run``).
 
 Complements ``test_runtime.py`` (negotiations over the transport) and
 ``test_taskplane_tcp.py`` (mixed control + payload traffic): everything
@@ -9,18 +11,25 @@ here drives the transport directly.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import random
 import socket
+import warnings
 import zlib
 from fractions import Fraction
 
 import pytest
 
-from repro.exceptions import ProtocolError
-from repro.platform.generators import smooth_tree
+from repro.core.bwfirst import bw_first
+from repro.exceptions import FaultError, ProtocolError
+from repro.faults import (FaultPlan, NodeCrash, NodeRejoin, RootFailover,
+                          resilient_run)
+from repro.platform.generators import random_tree, smooth_tree
 from repro.platform.tree import Tree
 from repro.protocol.messages import Acknowledgment, Proposal
-from repro.runtime import Runtime, TcpTransport
+from repro.protocol.retry import RetryPolicy
+from repro.runtime import Runtime, Session, TcpTransport, negotiate
 from repro.runtime import transport as transport_module
 from repro.runtime.codec import (FRAME_HEADER, MAX_FRAME, encode_blob,
                                  encode_frame)
@@ -311,6 +320,29 @@ class TestHostileOctets:
         assert transport.corrupt_frames == 0
 
 
+    def test_a_dropped_edge_forgets_its_quarantine(self):
+        async def scenario():
+            tree = small_tree()
+            transport, mailboxes = await started(tree)
+            raw = transport._writers[("P0", "P1")].transport
+            raw.write(FRAME_HEADER.pack(MAX_FRAME + 1, 0) + b"junk")
+            await settle(lambda: transport.quarantined)
+            await transport.start(tree, mailboxes)     # kept: stays deaf
+            still = set(transport.quarantined)
+            branch = tree.subtree("P1")
+            tree.remove_subtree("P1")
+            await transport.start(tree, mailboxes)     # dropped: forgotten
+            dropped = set(transport.quarantined)
+            tree.add_subtree("P0", 1, branch)
+            await transport.start(tree, mailboxes)     # re-dialled: hears
+            await transport.send(proposal())
+            heard = await asyncio.wait_for(mailboxes["P1"].get(), 5.0)
+            await transport.close()
+            return still, dropped, heard
+
+        assert asyncio.run(scenario()) == ({"P1"}, set(), proposal())
+
+
 # ----------------------------------------------------------------------
 # back-pressure
 # ----------------------------------------------------------------------
@@ -358,3 +390,405 @@ class TestBackPressure:
         assert [f.task_id for f in received] == list(range(frames))
         assert all(f.intact and f.payload == bytes([f.task_id]) * size
                    for f in received)
+
+
+# ----------------------------------------------------------------------
+# start() reconciles: the connected edges become the given tree's
+# ----------------------------------------------------------------------
+class Transcribing(TcpTransport):
+    """Logs, in order, what is handed to ``send``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.transcript = []
+
+    async def send(self, message):
+        self.transcript.append((message.sender, message.receiver,
+                                type(message).__name__, message.xid))
+        await super().send(message)
+
+
+def edge_set(tree: Tree) -> set:
+    return {(tree.parent(n), n) for n in tree.nodes()
+            if tree.parent(n) is not None}
+
+
+def internal(tree: Tree) -> set:
+    return {n for n in tree.nodes() if tree.children(n)}
+
+
+MUTATIONS = ("prune leaf", "prune subtree", "graft back",
+             "graft under a leaf", "failover", "no change")
+
+
+def mutate(tree: Tree, rng: random.Random, stash: list) -> str:
+    """One seeded platform change, in place (a change that has nothing to
+    work on is "no change")."""
+    kind = rng.choice(MUTATIONS)
+    nodes = [n for n in tree.nodes() if n != tree.root]
+    if kind in ("prune leaf", "prune subtree"):
+        pool = [n for n in nodes
+                if bool(tree.children(n)) == (kind == "prune subtree")]
+        if pool and len(tree) > 3:
+            node = rng.choice(pool)
+            stash.append((tree.parent(node), tree.c(node),
+                          tree.subtree(node)))
+            tree.remove_subtree(node)
+            return kind
+    elif kind in ("graft back", "graft under a leaf") and stash:
+        parent, cost, snapshot = stash.pop(rng.randrange(len(stash)))
+        if kind == "graft under a leaf":
+            parent = rng.choice(tree.leaves())
+        if parent in tree and not any(n in tree for n in snapshot.nodes()):
+            tree.add_subtree(parent, cost, snapshot)
+            return kind
+    elif kind == "failover" and len(tree.children(tree.root)) > 1:
+        tree.failover_root(tree.children_by_bandwidth(tree.root)[0])
+        return kind
+    return "no change"
+
+
+def reconcile_trees():
+    for seed in range(25):
+        if seed % 2:
+            yield pytest.param(seed, smooth_tree(60, seed),
+                               id=f"smooth-{seed}")
+        else:
+            yield pytest.param(seed, random_tree(n=20 + seed, seed=seed),
+                               id=f"random-{seed}")
+
+
+class TestReconcile:
+    @pytest.mark.parametrize("seed,tree", reconcile_trees())
+    def test_six_seeded_changes_by_counts(self, seed, tree, monkeypatch):
+        """After every ``start(tree′, mailboxes′)``: who listens, which
+        edges are connected, how many sockets were dialled, who hung up
+        first, no task owned; then a negotiation over the reconciled
+        transport is a fresh transport's, message for message and octet
+        for octet."""
+        saw_eof = []
+        eof_received = transport_module._EdgeEnd.eof_received
+
+        def recording(end):
+            saw_eof.append((end.owner, end.edge_child))
+            return eof_received(end)
+
+        monkeypatch.setattr(transport_module._EdgeEnd, "eof_received",
+                            recording)
+        rng = random.Random(seed)
+
+        async def scenario():
+            transport = Transcribing()
+            connected, stash, kinds = set(), [], []
+            tasks = asyncio.all_tasks()
+            for step in range(7):
+                if step:
+                    kinds.append(mutate(tree, rng, stash))
+                before_dials, before_eof = transport.dials, len(saw_eof)
+                mailboxes = {node: asyncio.Queue() for node in tree.nodes()}
+                await asyncio.wait_for(transport.start(tree, mailboxes), 10.0)
+                edges = edge_set(tree)
+                assert set(transport._servers) == internal(tree), kinds
+                assert set(transport._writers) == (
+                    edges | {(c, p) for p, c in edges}), kinds
+                assert transport.dials - before_dials == len(
+                    edges - connected), kinds
+                # EOF is seen by the parent's end of a dropped edge, only
+                assert sorted(saw_eof[before_eof:], key=str) == sorted(
+                    connected - edges, key=str), kinds
+                assert asyncio.all_tasks() == tasks
+                connected = edges
+
+                snapshot = tree.copy()
+                del transport.transcript[:]
+                reused = await Runtime(snapshot, transport,
+                                       close_transport=False).arun()
+                fresh_transport = Transcribing()
+                fresh = await Runtime(snapshot, fresh_transport).arun()
+                assert reused.throughput == bw_first(snapshot).throughput
+                assert transport.transcript == fresh_transport.transcript
+                for name in ("runtime.tcp.octets", "protocol.messages",
+                             "protocol.bytes"):
+                    assert (reused.telemetry.value(name)
+                            == fresh.telemetry.value(name)), name
+                assert reused.telemetry.value("runtime.tcp.dials") == 0
+                assert fresh.telemetry.value("runtime.tcp.dials") == len(edges)
+            await transport.close()
+            return transport, kinds
+
+        transport, kinds = asyncio.run(scenario())
+        assert not transport._ends and not transport._servers
+        assert transport._writers == {}
+        assert len(kinds) == 6
+
+    def test_the_seeded_sequences_exercise_every_change(self):
+        seen = set()
+        for seed, tree in (case.values for case in reconcile_trees()):
+            rng, stash = random.Random(seed), []
+            seen.update(mutate(tree, rng, stash) for _ in range(6))
+        assert seen == set(MUTATIONS)
+
+    def test_an_explicit_port_keeps_a_leaf_listening_across_diffs(self):
+        async def scenario():
+            tree = small_tree()
+            transport, _ = await started(tree, ports={"P2": 0, "P3": 0})
+            first = dict(transport.bound_ports)
+            tree.remove_subtree("P3")          # P1 loses its last child
+            await transport.start(
+                tree, {node: asyncio.Queue() for node in tree.nodes()})
+            listening = set(transport._servers)
+            assert set(transport.bound_ports) == listening
+            gone = [await refuses_dial(first[n]) for n in ("P1", "P3")]
+            kept = transport.bound_ports["P2"] == first["P2"]
+            await transport.close()
+            return listening, gone, kept
+
+        assert asyncio.run(scenario()) == ({"P0", "P2"}, [True, True], True)
+
+    def test_a_strangers_hello_during_a_diff_closes_everything(
+            self, monkeypatch):
+        """P4 is grafted under P2, but what arrives on P2's new listener
+        names a stranger: the reconcile fails typed and takes the edges it
+        had kept down with it."""
+        def hello_of(body: bytes) -> bytes:
+            if json.loads(body) == {"hello": "P4"}:
+                return encode_blob(b'{"hello":"P9"}')
+            return encode_blob(body)
+
+        async def scenario():
+            tree = small_tree()
+            transport, _ = await started(tree)
+            monkeypatch.setattr(transport_module, "encode_blob", hello_of)
+            tree.add_node("P4", w=3, parent="P2", c=1)
+            mailboxes = {node: asyncio.Queue() for node in tree.nodes()}
+            before = asyncio.all_tasks()
+            with pytest.raises(ProtocolError, match="bad handshake"):
+                await asyncio.wait_for(transport.start(tree, mailboxes), 5.0)
+            assert asyncio.all_tasks() == before
+            refused = [await refuses_dial(port)
+                       for port in transport.bound_ports.values()]
+            return transport, refused
+
+        transport, refused = asyncio.run(scenario())
+        assert not transport._ends and transport._servers == {}
+        assert transport._writers == {}
+        assert refused == [True, True, True]
+
+    @pytest.mark.parametrize("end", [("P0", "P1"), ("P1", "P0")],
+                             ids=["parent's end", "child's end"])
+    def test_a_socket_aborted_between_two_runs_is_redialled_alone(self, end):
+        async def scenario():
+            tree = small_tree()
+            transport, mailboxes = await started(tree)
+            first = dict(transport._writers)
+            transport._writers[end].transport.abort()
+            await transport.start(tree, mailboxes)
+            await transport.send(proposal())
+            await transport.send(ack())
+            got = (await asyncio.wait_for(mailboxes["P1"].get(), 5.0),
+                   await asyncio.wait_for(mailboxes["P0"].get(), 5.0))
+            replaced = {edge for edge, writer in transport._writers.items()
+                        if first[edge] is not writer}
+            await transport.close()
+            return transport, got, replaced
+
+        transport, got, replaced = asyncio.run(scenario())
+        assert transport.dials == 3 + 1
+        assert got == (proposal(), ack())
+        assert replaced == {("P0", "P1"), ("P1", "P0")}
+
+
+# ----------------------------------------------------------------------
+# Session: one transport, one loop, and a fence
+# ----------------------------------------------------------------------
+def leaked(run) -> list:
+    """The ResourceWarnings *run* (and the collection of what it dropped)
+    emits: an unclosed socket, listener or event loop says so."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run()
+        gc.collect()
+    return [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)]
+
+
+class TestSession:
+    def test_later_negotiations_dial_only_what_changed(self):
+        tree = smooth_tree(40, 2)
+        leaves = tree.leaves()[:3]
+        with Session("tcp") as session:
+            results = [session.negotiate(tree)]
+            for leaf in leaves:
+                tree.remove_subtree(leaf)
+                results.append(session.negotiate(tree.copy()))
+            branch = Tree(leaves[0], w=3)
+            tree.add_subtree(tree.leaves()[0], 2, branch)
+            results.append(session.negotiate(tree))
+            assert results[-1].throughput == bw_first(tree).throughput
+            assert len(session.transport._ends) == 2 * (len(tree) - 1)
+        assert [r.telemetry.value("runtime.tcp.dials") for r in results] \
+            == [39, 0, 0, 0, 1]
+        assert not session.transport._ends and session._loop is None
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_a_session_is_negotiate_over_and_over(self, transport):
+        tree = smooth_tree(30, 3)
+        one_shot = negotiate(tree, transport)
+        with Session(transport) as session:
+            for _ in range(3):
+                result = session.negotiate(tree, verify=True)
+                assert result.throughput == one_shot.throughput
+                for name in ("protocol.messages", "protocol.bytes",
+                             "runtime.tcp.octets"):
+                    assert (result.telemetry.value(name)
+                            == one_shot.telemetry.value(name)), name
+
+    def test_a_duplicate_on_the_wire_leaves_nothing_behind(self):
+        """A duplicated Acknowledgment of this run could still be in a
+        socket buffer when the next run, counting its xids from 0 again,
+        waits for that very xid on that very edge.  So a run that reports
+        any duplicate ends with every socket closed."""
+        tree = smooth_tree(30, 3)
+        edges = len(tree) - 1
+        plan = FaultPlan(duplicate=Fraction(1, 10), seed=4)
+        with Session(TcpTransport(plan=plan)) as session:
+            dirty = session.negotiate(tree, retry=RetryPolicy(max_retries=3))
+            assert dirty.duplicated > 0
+            assert dirty.throughput == bw_first(tree).throughput
+            assert not session.transport._ends
+            assert session.transport._servers == {}
+            session.transport.plan = session.transport._decider = None
+            clean = session.negotiate(tree)
+            assert clean.telemetry.value("runtime.tcp.dials") == edges
+            assert clean.throughput == bw_first(tree).throughput
+            assert len(session.transport._ends) == 2 * edges   # kept
+            again = session.negotiate(tree)
+            assert again.telemetry.value("runtime.tcp.dials") == 0
+
+    def test_a_timed_out_child_leaves_nothing_behind(self):
+        tree = smooth_tree(30, 3)
+        victim = tree.leaves()[0]
+        with Session("tcp") as session:
+            session.negotiate(tree)
+            pruned = session.negotiate(
+                tree, failed=frozenset({victim}), base_timeout=0.002,
+                retry=RetryPolicy(max_retries=1))
+            assert pruned.timeouts > 0
+            assert pruned.throughput == bw_first(
+                tree.without_subtrees({victim})).throughput
+            assert not session.transport._ends
+            healed = session.negotiate(tree)
+            assert healed.telemetry.value("runtime.tcp.dials") == 29
+            assert healed.throughput == bw_first(tree).throughput
+
+    def test_a_negotiation_that_raises_closes_sockets_and_loop(self):
+        tree = smooth_tree(30, 3)
+
+        def run():
+            session = Session("tcp")
+            session.negotiate(tree)
+            loop = session._loop
+            with pytest.raises(ProtocolError, match="did not converge"):
+                # a dead child and no retry policy: nobody ever answers
+                session.negotiate(tree, deadline=0.05,
+                                  failed=frozenset({tree.leaves()[0]}))
+            assert loop.is_closed() and session._loop is None
+            assert not session.transport._ends
+            assert session.transport._servers == {}
+            again = session.negotiate(tree)            # a new loop, afresh
+            assert again.telemetry.value("runtime.tcp.dials") == 29
+            session.close()
+            session.close()                            # twice is once
+            assert session._loop is None
+
+        assert leaked(run) == []
+
+    def test_inside_a_running_loop_it_refuses(self):
+        async def scenario():
+            with Session("tcp") as session:
+                with pytest.raises(ProtocolError, match="already running"):
+                    session.negotiate(small_tree())
+
+        asyncio.run(scenario())
+
+
+class TestSupervisedSession:
+    """``resilient_run`` over one session: what it dials, what it leaves."""
+
+    @staticmethod
+    def dash_plan(tree: Tree, seed: int) -> FaultPlan:
+        # three spread-out leaves crash two time units apart, the first
+        # one returns (the ``recovery`` workload of benchmarks/e2e)
+        leaves = sorted((n for n in tree.leaves() if n != tree.root), key=str)
+        victims = leaves[:: max(1, len(leaves) // 3)][:3]
+        crashes = tuple(NodeCrash(node, Fraction(2 + 2 * i))
+                        for i, node in enumerate(victims))
+        return FaultPlan(crashes=crashes, seed=seed,
+                         rejoins=(NodeRejoin(victims[0], Fraction(8)),))
+
+    def test_the_dash_plan_dials_every_edge_once_and_one_again(self):
+        tree = smooth_tree(120, 1)
+        transport = TcpTransport()
+        reports = []
+        warned = leaked(lambda: reports.append(resilient_run(
+            tree, self.dash_plan(tree, 1), runtime=transport,
+            settle_periods=1, after_periods=2)))
+        (report,) = reports
+        assert warned == []
+        assert [e.kind for e in report.epochs] == ["prune"] * 3 + ["rejoin"]
+        assert transport.dials == 118 + 0 + 0 + 1
+        assert report.renegotiation_messages == 944
+        assert report.renegotiation_bytes == 57_861
+        assert report.heartbeats == 49_166
+        assert report.rate_after == report.new_optimum
+        assert not transport._ends and transport._servers == {}
+
+    def test_a_failover_epoch_over_tcp_heals_exactly(self):
+        tree = smooth_tree(30, 4)
+        victim = tree.leaves()[0]
+        plan = FaultPlan(crashes=(NodeCrash(victim, Fraction(2)),),
+                         failover=RootFailover(Fraction(5)), seed=2)
+        transport = TcpTransport()
+        report = resilient_run(tree, plan, runtime=transport,
+                               settle_periods=1, after_periods=2)
+        assert [e.kind for e in report.epochs] == ["prune", "failover"]
+        assert report.rate_after == report.new_optimum
+        assert report.new_optimum == bw_first(report.survivors).throughput
+        # the election re-parents the old root's other children
+        moved = len(tree.children(tree.root)) - 1
+        assert transport.dials == (len(tree) - 2) + moved
+        assert not transport._ends
+
+    def test_a_fault_error_mid_run_leaves_nothing_open(self):
+        tree = small_tree()
+        elected = tree.children_by_bandwidth("P0")[0]
+        plan = FaultPlan(failover=RootFailover(Fraction(2)),
+                         crashes=(NodeCrash(elected, Fraction(6)),), seed=1)
+        transport = TcpTransport()
+
+        def run():
+            with pytest.raises(FaultError, match="acting master"):
+                resilient_run(tree, plan, runtime=transport)
+
+        assert leaked(run) == []
+        assert transport.dials > 0          # the failover epoch did run
+        assert not transport._ends and transport._servers == {}
+
+    def test_a_failed_negotiation_leaves_nothing_open(self):
+        class DiesInTheSecondRun(TcpTransport):
+            async def send(self, message):
+                if self.messages_sent > 130:
+                    raise ConnectionResetError("pulled the plug")
+                await super().send(message)
+
+        tree = smooth_tree(60, 1)
+        transport = DiesInTheSecondRun()
+
+        def run():
+            with pytest.raises(ConnectionResetError):
+                resilient_run(tree, self.dash_plan(tree, 1),
+                              runtime=transport)
+
+        assert leaked(run) == []
+        assert transport.messages_sent > 118
+        assert not transport._ends and transport._servers == {}
