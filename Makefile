@@ -52,6 +52,7 @@ runtime-smoke:
 			--transport tcp && \
 		PYTHONPATH=src pytest tests/test_runtime.py \
 			tests/test_tcp_edges.py tests/test_codec_splitter.py \
+			tests/test_wire_structure.py \
 			benchmarks/bench_e25_runtime.py -q && \
 		python3 benchmarks/e2e/__main__.py --workload wire-tcp --smoke && \
 		python3 benchmarks/e2e/__main__.py --workload wire-inproc --smoke"
@@ -116,12 +117,15 @@ chaos-smoke:
 # converge to the solver optimum, stay inside the analytic buffer bounds,
 # and account every task exactly once — on the in-proc, loopback-TCP and
 # multi-process cluster substrates, including under seeded payload faults.
-# `timeout` hard-bounds the wall clock so a wedged socket or a stalled
-# child process fails fast instead of hanging CI.
+# The cluster reads its sockets through the codec's FrameSplitter, so the
+# splitter's differential property and the one-wire structural checks run
+# here too.  `timeout` hard-bounds the wall clock so a wedged socket or a
+# stalled child process fails fast instead of hanging CI.
 taskplane-smoke:
 	timeout 540 sh -c "\
 		PYTHONPATH=src pytest benchmarks/bench_e30_taskplane.py \
-			tests/test_taskplane.py tests/test_taskplane_tcp.py -q && \
+			tests/test_taskplane.py tests/test_taskplane_tcp.py \
+			tests/test_codec_splitter.py tests/test_wire_structure.py -q && \
 		PYTHONPATH=src python -m repro exec --transport inproc --tasks 60 && \
 		PYTHONPATH=src python -m repro chaos --data-plane --sequences 3"
 

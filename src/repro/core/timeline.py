@@ -24,12 +24,6 @@ recorded ticks) — multiplication by a positive integer preserves heap
 order, so a mid-run rescale is safe.  This matters because fault injection and online re-negotiation introduce new
 denominators mid-run (control-message latencies, degradation factors,
 re-anchored consumption periods) that are unknown when the run starts.
-
-The module also hosts the scaled-integer twin of
-:func:`~repro.schedule.periods.tree_periods`: with all rates expressed as
-integer numerators over ``D``, the Lemma-1 period math runs on ints and
-produces bit-identical :class:`~repro.schedule.periods.NodePeriods`
-(property-tested in ``tests/test_timeline.py``).
 """
 
 from __future__ import annotations
@@ -38,15 +32,13 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from .allocation import Allocation
-from .rates import is_infinite, lcm_ints
+from .rates import is_infinite
 
 __all__ = [
     "IntTimeline",
     "dense_index",
     "denominator_lcm",
     "timeline_for",
-    "tree_periods_scaled",
 ]
 
 
@@ -111,12 +103,6 @@ class IntTimeline:
         """The exact rational a tick count stands for (an API-boundary view)."""
         return Fraction(ticks, self.scale)
 
-    def to_fractions(self, ticks: Iterable[int]) -> List[Fraction]:
-        """Vectorised boundary view: :meth:`to_fraction` over many ticks at
-        the *current* scale (one attribute read, not one per element)."""
-        s = self.scale
-        return [Fraction(t, s) for t in ticks]
-
 
 def dense_index(names: Iterable[Hashable]
                 ) -> Tuple[List[Hashable], Dict[Hashable, int]]:
@@ -172,110 +158,3 @@ def timeline_for(tree, schedules=(), horizon: Optional[Fraction] = None,
         dens.append(Fraction(horizon))
     dens.extend(Fraction(v) for v in extra)
     return IntTimeline(denominator_lcm(dens))
-
-
-# ----------------------------------------------------------------------
-# scaled-integer period math (the int twin of schedule/periods.py)
-# ----------------------------------------------------------------------
-def _scaled_numerators(allocation: Allocation) -> Tuple[int, Dict, Dict, Dict]:
-    """Normalise every rate of *allocation* to integer numerators over one
-    global denominator ``D`` (the lcm of all rate denominators)."""
-    d = denominator_lcm(
-        list(allocation.alpha.values())
-        + list(allocation.eta_in.values())
-        + list(allocation.eta_out.values())
-    )
-    alpha = {n: v.numerator * (d // v.denominator)
-             for n, v in allocation.alpha.items()}
-    eta_in = {n: v.numerator * (d // v.denominator)
-              for n, v in allocation.eta_in.items()}
-    eta_out = {e: v.numerator * (d // v.denominator)
-               for e, v in allocation.eta_out.items()}
-    return d, alpha, eta_in, eta_out
-
-
-def _node_periods_scaled(allocation, node, parent_send_period, d,
-                         alpha_num, eta_in_num, eta_out_num):
-    # local import: schedule.periods imports core.rates; core must not
-    # import schedule at module load (layering), so bind lazily here
-    from ..schedule.periods import NodePeriods
-
-    tree = allocation.tree
-    a = alpha_num.get(node, 0)
-    b = eta_in_num.get(node, 0)
-    children = tree.children(node)
-    etas = {child: eta_out_num.get((node, child), 0) for child in children}
-
-    def den(num: int) -> int:
-        # denominator of num/D in lowest terms; den(0) = 1 like Fraction(0)
-        return d // math.gcd(num, d) if num else 1
-
-    def scaled(num: int, period: int) -> int:
-        # num/D · period, integral by construction of the periods
-        return num * period // d
-
-    t_send = lcm_ints(den(etas[ch]) for ch in children) if children else 1
-    t_compute = den(a)
-    is_root = node == tree.root
-    if is_root:
-        t_receive: Optional[int] = None
-        t_full = lcm_ints([t_send, t_compute])
-    else:
-        t_receive = parent_send_period
-        t_full = lcm_ints([t_send, t_compute, t_receive])
-
-    phi_children = {ch: scaled(etas[ch], t_send) for ch in children}
-    rho = scaled(a, t_compute)
-    phi_in = None if t_receive is None else scaled(b, t_receive)
-    chi_in = scaled(b, t_full)
-    chi_compute = scaled(a, t_full)
-    chi_children = {ch: scaled(etas[ch], t_full) for ch in children}
-
-    t_cs = lcm_ints([t_send, t_compute])
-    psi_self = scaled(a, t_cs)
-    psi_children = {ch: scaled(etas[ch], t_cs) for ch in children}
-    reduction = math.gcd(psi_self, *psi_children.values()) or 1
-    if reduction > 1:
-        psi_self //= reduction
-        psi_children = {ch: n // reduction for ch, n in psi_children.items()}
-    t_consume = Fraction(t_cs, reduction)
-
-    periods = NodePeriods(
-        node=node,
-        t_send=t_send,
-        t_compute=t_compute,
-        t_receive=t_receive,
-        t_full=t_full,
-        t_consume=t_consume,
-        phi_children=phi_children,
-        rho=rho,
-        phi_in=phi_in,
-        chi_in=chi_in,
-        chi_compute=chi_compute,
-        chi_children=chi_children,
-        psi_self=psi_self,
-        psi_children=psi_children,
-    )
-    periods.check_conservation(is_root)
-    return periods
-
-
-def tree_periods_scaled(allocation: Allocation) -> Dict[Hashable, object]:
-    """Scaled-integer twin of :func:`~repro.schedule.periods.tree_periods`.
-
-    Normalises the allocation's rates to integer numerators over one global
-    ``D`` once, then runs the whole Lemma-1 period computation on plain
-    ints (gcd/lcm/exact division — no ``Fraction`` arithmetic except the
-    final non-integer ``T^w`` view).  The result is ``==`` to
-    ``tree_periods(allocation)`` node by node.
-    """
-    d, alpha_num, eta_in_num, eta_out_num = _scaled_numerators(allocation)
-    tree = allocation.tree
-    result: Dict[Hashable, object] = {}
-    for node in tree.nodes():  # pre-order: parents first
-        parent = tree.parent(node)
-        parent_ts = result[parent].t_send if parent is not None else None
-        result[node] = _node_periods_scaled(
-            allocation, node, parent_ts, d, alpha_num, eta_in_num, eta_out_num
-        )
-    return result

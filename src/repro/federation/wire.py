@@ -1,14 +1,17 @@
 """Framed JSON over ``multiprocessing`` connections.
 
-The federation reuses the runtime codec's length+CRC32 framing
-(:func:`~repro.runtime.codec.encode_blob`) for every request and reply,
-so a corrupted shard message is detected exactly like a corrupted
-negotiation frame — the pipe gives delivery, the frame gives integrity.
-Rationals travel as exact ``"n/d"`` strings throughout
-(:func:`~repro.runtime.codec.parse_rational` on the way back in).
+The federation reuses the runtime codec for every request and reply —
+its framer (:func:`~repro.runtime.codec.encode_blob`), its reader
+(:class:`~repro.runtime.codec.FrameSplitter`) and its body parser
+(:func:`~repro.runtime.codec.parse_body`) — so a corrupted shard message
+is detected exactly like a corrupted negotiation frame: the pipe gives
+delivery, the frame gives integrity.  Rationals travel as exact ``"n/d"``
+strings throughout (:func:`~repro.runtime.codec.parse_rational` on the
+way back in).
 
 Memo payloads can dwarf control frames (a whole subtree solution per
-entry), so the federation frame bound is its own, larger constant.
+entry), so the federation frame bound is its own, larger constant — applied
+on both sides, like the runtime's.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 from typing import Optional
 
 from ..exceptions import CodecError
-from ..runtime.codec import FrameSplitter, encode_blob
+from ..runtime.codec import FrameSplitter, encode_blob, parse_body
 
 #: Upper bound on a federation frame body: recursive solution payloads and
 #: whole-tree onboarding requests are far bigger than negotiation frames.
@@ -44,7 +47,7 @@ def decode_blob(data: bytes, max_frame: int = MAX_FEDERATION_FRAME) -> bytes:
 def send_frame(conn, payload: dict) -> None:
     """Send one framed JSON object over a multiprocessing connection."""
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    conn.send_bytes(encode_blob(body))
+    conn.send_bytes(encode_blob(body, MAX_FEDERATION_FRAME))
 
 
 def recv_frame(conn) -> dict:
@@ -52,14 +55,7 @@ def recv_frame(conn) -> dict:
     :class:`~repro.exceptions.CodecError` on any malformation and lets the
     connection's own ``EOFError``/``OSError`` propagate (the caller's
     crash-detection signal)."""
-    body = decode_blob(conn.recv_bytes())
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise CodecError(f"undecodable federation frame {body[:80]!r}") from exc
-    if not isinstance(payload, dict):
-        raise CodecError(f"federation frame is not an object: {body[:80]!r}")
-    return payload
+    return parse_body(decode_blob(conn.recv_bytes()))
 
 
 def recv_frame_timeout(conn, timeout: Optional[float]) -> Optional[dict]:

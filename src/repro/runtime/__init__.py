@@ -4,10 +4,11 @@ Executes the paper's negotiation as genuinely concurrent peers instead of
 a virtual-time simulation:
 
 * :mod:`~repro.runtime.codec` — CRC32-checksummed, length-prefixed JSON
-  wire frames carrying exact rationals, read from a ``StreamReader``
-  (:func:`read_blob`) or split synchronously out of arbitrary chunks
-  (:class:`FrameSplitter`); hostile bytes raise a typed
-  :class:`~repro.exceptions.CodecError` instead of killing a reader;
+  wire frames carrying exact rationals, written by one framer
+  (:func:`encode_any` over :func:`encode_blob`) and split out of arbitrary
+  chunks by one reader (:class:`FrameSplitter`, then :func:`decode_body`);
+  hostile bytes raise a typed :class:`~repro.exceptions.CodecError`
+  instead of killing a reader;
 * :mod:`~repro.runtime.transport` — the pluggable :class:`Transport` ABC
   with :class:`InProcTransport` (in-process delivery, optional seeded
   delay/loss) and :class:`TcpTransport` (one loopback socket per tree
@@ -33,12 +34,10 @@ Quick use::
 from ..exceptions import CodecError
 from .codec import (
     FrameSplitter,
-    decode_message,
+    decode_body,
+    encode_any,
     encode_blob,
-    encode_frame,
     encode_message,
-    read_blob,
-    read_frame,
 )
 from .runtime import (
     TRANSPORTS,
@@ -59,11 +58,9 @@ __all__ = [
     "TcpTransport",
     "TRANSPORTS",
     "encode_message",
-    "decode_message",
-    "encode_frame",
+    "encode_any",
     "encode_blob",
-    "read_frame",
-    "read_blob",
+    "decode_body",
     "FrameSplitter",
     "CodecError",
 ]

@@ -37,56 +37,43 @@ bad frame was fully consumed) or the stream must be abandoned (the length
 prefix itself cannot be trusted).  Errors that mean the stream is simply
 gone (EOF mid-frame) stay plain :class:`~repro.exceptions.ProtocolError`.
 
-Two readers share these failure modes: the :func:`read_blob` coroutines on
-an :class:`asyncio.StreamReader`, and the synchronous
-:class:`FrameSplitter` for callers handed bytes in arbitrary chunks (the
-TCP transport's ``data_received``) or whole frames (the federation pipes).
+One reader has these failure modes: :class:`FrameSplitter`, fed bytes in
+whatever chunks they arrive (a socket's ``data_received`` in the TCP
+transport, ``reader.read()`` in the task-plane cluster) or whole frames
+(the federation pipes).  It is the only place in ``src/`` that unpacks a
+frame header, applies the size bound or checks the frame CRC32, and
+:func:`encode_blob` is the only place that writes one — refusing, at the
+sender, a body its reader would refuse.  Bodies are parsed by one function
+(:func:`parse_body`), fields by one reader each (:func:`read_name`,
+:func:`read_int`, :func:`parse_rational`), kinds looked up in one table
+(:func:`register_frame_kind`), and every listener is greeted by the same
+first frame (:func:`encode_hello` / :func:`decode_hello`).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import re
 import struct
 import zlib
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from ..exceptions import CodecError, ProtocolError
 from ..protocol.messages import Acknowledgment, Message, Proposal
 
 #: Control frame kinds owned by this module.  Extension kinds (the task
-#: plane's payload frames) register their decoders in
-#: :data:`_EXTENSION_DECODERS` via :func:`register_frame_kind` and share
-#: the same length|CRC32|body framing, so control and payload traffic can
-#: interleave on one connection.
+#: plane's payload frames) add their decoders to the same table via
+#: :func:`register_frame_kind` and share the same length|CRC32|body
+#: framing, so control and payload traffic can interleave on one connection.
 CONTROL_KINDS = ("prop", "ack")
 
-_EXTENSION_DECODERS: Dict[str, Callable[[dict], object]] = {}
-
-
-def register_frame_kind(kind: str, decoder: Callable[[dict], object]) -> None:
-    """Register *decoder* for extension frames of wire type *kind*.
-
-    The decoder receives the parsed JSON body (a dict whose ``"t"`` equals
-    *kind*) and must either return the decoded frame object or raise a
-    recoverable :class:`~repro.exceptions.CodecError` — never anything
-    else, so hostile bytes stay contained in the reader loops exactly as
-    for control frames.  Registering a control kind is a programming
-    error and raises :class:`~repro.exceptions.ProtocolError`.
-    """
-    if kind in CONTROL_KINDS:
-        raise ProtocolError(f"{kind!r} is a reserved control frame kind")
-    _EXTENSION_DECODERS[kind] = decoder
-
-#: struct format of the frame length prefix (4-byte big-endian unsigned).
-LENGTH_PREFIX = struct.Struct(">I")
-
-#: struct format of the full frame header: body length + CRC32 of the body.
+#: struct format of the frame header: body length + CRC32 of the body.
 FRAME_HEADER = struct.Struct(">II")
 
-#: Upper bound on an accepted frame body, in bytes.
+#: Upper bound on a frame body, in bytes — refused by :func:`encode_blob`
+#: at the sender and by :class:`FrameSplitter` at the receiver.
 MAX_FRAME = 1 << 20
 
 #: The exact shape of a wire rational: optional sign, digits, optional
@@ -94,9 +81,17 @@ MAX_FRAME = 1 << 20
 #: scientific notation, decimals); the wire format does not.
 _RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
+#: What a node name may be on the wire: the JSON scalars, which round-trip
+#: losslessly and hash (``bool`` is an ``int``).
+_NAME_TYPES = (str, int, type(None))
+
+
+def _dump(payload: dict) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
 
 def _check_name(name) -> None:
-    if not isinstance(name, (str, int, bool, type(None))):
+    if not isinstance(name, _NAME_TYPES):
         raise ProtocolError(
             f"node name {name!r} does not survive JSON; use str/int names "
             "with the TCP transport"
@@ -123,7 +118,53 @@ def encode_message(message: Message) -> bytes:
         payload["x"] = message.xid
     if message.trace is not None:
         payload["i"] = message.trace
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return _dump(payload)
+
+
+# ----------------------------------------------------------------------
+# the readers: one per rule, shared by every decoder
+# ----------------------------------------------------------------------
+def parse_body(body: bytes) -> dict:
+    """Parse a frame body into its JSON object, hardened against hostile
+    bytes: every malformation raises a recoverable
+    :class:`~repro.exceptions.CodecError`.  The one body parser — control
+    and payload frames, the hello and the federation's requests."""
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"non-UTF-8 frame body {body[:80]!r}") from exc
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise CodecError(f"undecodable frame {body[:80]!r}") from exc
+    if not isinstance(payload, dict):
+        raise CodecError(f"frame body is not an object: {body[:80]!r}")
+    return payload
+
+
+def read_name(payload: dict, key: str):
+    """The node name under *key*: present, and a JSON scalar (an object or
+    array could not be a name — it does not even hash)."""
+    try:
+        name = payload[key]
+    except KeyError:
+        raise CodecError(f"frame has no node name {key!r}") from None
+    if not isinstance(name, _NAME_TYPES):
+        raise CodecError(f"bad node name {key!r}: {name!r}")
+    return name
+
+
+def read_int(payload: dict, key: str, lo: Optional[int] = None,
+             hi: Optional[int] = None) -> int:
+    """The integer under *key*, within ``[lo, hi]`` where given.  ``bool``
+    is never an integer here: JSON ``true`` would otherwise pass as 1 and
+    match transaction or task 1."""
+    value = payload.get(key)
+    if type(value) is not int:
+        raise CodecError(f"field {key!r} is no integer: {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise CodecError(f"field {key!r} out of range: {value}")
+    return value
 
 
 def parse_rational(text) -> Fraction:
@@ -142,47 +183,40 @@ def parse_rational(text) -> Fraction:
         raise CodecError(f"malformed wire rational {text!r}") from exc
 
 
-_parse_rational = parse_rational
-
-
-def _parse_payload(body: bytes) -> dict:
-    """Parse a frame body into its JSON object, hardened against hostile
-    bytes: every malformation raises a recoverable
-    :class:`~repro.exceptions.CodecError`."""
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"non-UTF-8 frame body {body[:80]!r}") from exc
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise CodecError(f"undecodable frame {body[:80]!r}") from exc
-    if not isinstance(payload, dict):
-        raise CodecError(f"frame body is not an object: {body[:80]!r}")
-    return payload
-
-
-def _decode_control(payload: dict, body: bytes) -> Message:
-    try:
-        kind = payload["t"]
-        sender, receiver = payload["s"], payload["r"]
-    except KeyError as exc:
-        raise CodecError(f"frame missing field {exc}: {body[:80]!r}") from exc
-    for name in (sender, receiver):
-        if not isinstance(name, (str, int, bool, type(None))):
-            raise CodecError(f"bad node name {name!r} in frame")
-    value = _parse_rational(payload.get("v"))
+# ----------------------------------------------------------------------
+# bodies: one table of kinds
+# ----------------------------------------------------------------------
+def _decode_control(cls, payload: dict) -> Message:
     xid = payload.get("x")
-    if xid is not None and not isinstance(xid, int):
-        raise CodecError(f"non-integer transaction id {xid!r} in frame")
+    if xid is not None:
+        xid = read_int(payload, "x")
     trace = payload.get("i")
     if trace is not None and not isinstance(trace, str):
         raise CodecError(f"non-string trace id {trace!r} in frame")
-    if kind == "prop":
-        return Proposal(sender=sender, receiver=receiver, beta=value, xid=xid,
-                        trace=trace)
-    return Acknowledgment(sender=sender, receiver=receiver, theta=value,
-                          xid=xid, trace=trace)
+    return cls(read_name(payload, "s"), read_name(payload, "r"),
+               parse_rational(payload.get("v")), xid, trace)
+
+
+#: wire kind → decoder of the parsed body, for every kind on the wire
+_DECODERS: Dict[str, Callable[[dict], object]] = {
+    "prop": partial(_decode_control, Proposal),
+    "ack": partial(_decode_control, Acknowledgment),
+}
+
+
+def register_frame_kind(kind: str, decoder: Callable[[dict], object]) -> None:
+    """Register *decoder* for extension frames of wire type *kind*.
+
+    The decoder receives the parsed JSON body (a dict whose ``"t"`` equals
+    *kind*) and must either return the decoded frame object or raise a
+    recoverable :class:`~repro.exceptions.CodecError` — never anything
+    else, so hostile bytes stay contained in the reader loops exactly as
+    for control frames.  Registering a control kind is a programming
+    error and raises :class:`~repro.exceptions.ProtocolError`.
+    """
+    if kind in CONTROL_KINDS:
+        raise ProtocolError(f"{kind!r} is a reserved control frame kind")
+    _DECODERS[kind] = decoder
 
 
 def decode_body(body: bytes) -> object:
@@ -192,44 +226,31 @@ def decode_body(body: bytes) -> object:
     Every malformation raises :class:`~repro.exceptions.CodecError` (always
     recoverable here: by the time a body exists the framing held).
     """
-    payload = _parse_payload(body)
-    try:
-        kind = payload["t"]
-    except KeyError as exc:
-        raise CodecError(f"frame missing field {exc}: {body[:80]!r}") from exc
-    if kind in CONTROL_KINDS:
-        return _decode_control(payload, body)
-    decoder = _EXTENSION_DECODERS.get(kind) if isinstance(kind, str) else None
+    payload = parse_body(body)
+    kind = payload.get("t")
+    decoder = _DECODERS.get(kind) if isinstance(kind, str) else None
     if decoder is None:
         raise CodecError(f"unknown frame type {kind!r}")
     return decoder(payload)
 
 
-def decode_message(body: bytes) -> Message:
-    """Inverse of :func:`encode_message`, hardened against hostile bytes.
-
-    Accepts control frames only; an extension frame arriving where a
-    control frame is required is as malformed as an unknown kind.
-    """
-    decoded = decode_body(body)
-    if not isinstance(decoded, (Proposal, Acknowledgment)):
-        raise CodecError(f"expected a control frame, got {type(decoded).__name__}")
-    return decoded
-
-
-def encode_blob(body: bytes) -> bytes:
+# ----------------------------------------------------------------------
+# frames: one writer, one reader
+# ----------------------------------------------------------------------
+def encode_blob(body: bytes, max_frame: int = MAX_FRAME) -> bytes:
     """Frame an arbitrary body: length + CRC32 header, then the body.
 
-    The framing shared by protocol messages and the transport's hello
-    handshake, so a corrupted handshake is detected exactly like a
-    corrupted negotiation frame.
+    The framing shared by protocol messages, payload frames, the hello and
+    the federation's requests, so a corrupted handshake is detected exactly
+    like a corrupted negotiation frame.  A body the receiving
+    :class:`FrameSplitter` would refuse — it firewalls the edge — is
+    refused here, where the cause is still known.
     """
+    if len(body) > max_frame:
+        raise ProtocolError(
+            f"frame body of {len(body)} bytes exceeds the {max_frame}-byte "
+            "bound its receiver enforces")
     return FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
-
-
-def encode_frame(message: Message) -> bytes:
-    """The full wire frame: length + CRC32 header + JSON body."""
-    return encode_blob(encode_message(message))
 
 
 def encode_any(obj) -> bytes:
@@ -239,27 +260,39 @@ def encode_any(obj) -> bytes:
     length|CRC32 framing, so they interleave freely on one socket.
     """
     if isinstance(obj, (Proposal, Acknowledgment)):
-        return encode_frame(obj)
+        return encode_blob(encode_message(obj))
     to_payload = getattr(obj, "to_payload", None)
     if to_payload is None:
         raise ProtocolError(f"cannot encode {obj!r}")
-    body = json.dumps(to_payload(), separators=(",", ":")).encode("utf-8")
-    return encode_blob(body)
+    return encode_blob(_dump(to_payload()))
+
+
+def encode_hello(name) -> bytes:
+    """The frame a dialling node introduces itself with — the first frame
+    on every accepted socket, framed and checksummed like any other."""
+    _check_name(name)
+    return encode_blob(_dump({"hello": name}))
+
+
+def decode_hello(body: bytes):
+    """The name a hello body claims; anything else a
+    :class:`~repro.exceptions.CodecError`.  Whether that name may connect
+    is the listener's own test — it depends on who is already connected."""
+    return read_name(parse_body(body), "hello")
 
 
 class FrameSplitter:
     """Synchronous inverse of :func:`encode_blob` over a byte stream that
     arrives in arbitrary chunks — the one place that validates a frame's
-    header, size bound and CRC32 for callers without a ``StreamReader``
-    (the TCP transport's ``data_received``, the federation's whole-frame
-    pipes).
+    header, size bound and CRC32 (the TCP transport's ``data_received``,
+    the cluster's socket loop, the federation's whole-frame pipes).
 
     :meth:`feed` buffers a chunk; :meth:`next_body` takes the next frame
-    out of the buffer and fails exactly as :func:`read_blob` does:
+    out of the buffer:
 
     * ``None`` — no whole frame is buffered yet.  At end of stream,
-      :attr:`pending` ``== 0`` is :func:`read_blob`'s clean EOF and
-      anything else its "connection closed mid-frame";
+      :attr:`pending` ``== 0`` is a clean EOF between frames and anything
+      else a connection closed mid-frame;
     * an oversized length prefix raises a **non-recoverable**
       :class:`~repro.exceptions.CodecError` as soon as the header is in,
       and again on every later call — the stream cannot be resynchronised;
@@ -304,64 +337,3 @@ class FrameSplitter:
         if zlib.crc32(body) != crc:
             raise CodecError(f"checksum mismatch on frame {body[:80]!r}")
         return body
-
-
-async def read_blob(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Read one checksummed body from *reader*; ``None`` on clean EOF.
-
-    * a connection closed mid-header or mid-body raises
-      :class:`~repro.exceptions.ProtocolError` — the stream is gone;
-    * an oversized length prefix raises a **non-recoverable**
-      :class:`~repro.exceptions.CodecError` — the prefix cannot be trusted,
-      so there is no way to resynchronise;
-    * a checksum mismatch raises a **recoverable** ``CodecError`` — the
-      frame was fully consumed, the reader may continue with the next one.
-    """
-    try:
-        header = await reader.readexactly(FRAME_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise ProtocolError("connection closed mid-prefix") from exc
-    length, crc = FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise CodecError(
-            f"frame of {length} bytes exceeds {MAX_FRAME}", recoverable=False
-        )
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-frame") from exc
-    if zlib.crc32(body) != crc:
-        raise CodecError(
-            f"checksum mismatch on frame {body[:80]!r}"
-        )
-    return body
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Message]:
-    """Read one protocol frame from *reader*; ``None`` on clean EOF.
-
-    Composes :func:`read_blob` (framing + integrity) with
-    :func:`decode_message` (payload validation); see both for the failure
-    modes.  A recoverable :class:`~repro.exceptions.CodecError` leaves the
-    stream positioned at the next frame.
-    """
-    body = await read_blob(reader)
-    if body is None:
-        return None
-    return decode_message(body)
-
-
-async def read_any(reader: asyncio.StreamReader) -> Optional[object]:
-    """Read one frame of *any* registered kind; ``None`` on clean EOF.
-
-    The payload-frame sibling of :func:`read_frame`: same framing and
-    failure modes, but the decoded object may be a control
-    :class:`Message` or any extension frame (see
-    :func:`register_frame_kind`).
-    """
-    body = await read_blob(reader)
-    if body is None:
-        return None
-    return decode_body(body)

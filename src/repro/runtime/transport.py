@@ -19,12 +19,13 @@ its engine's inbox.  Two implementations:
   its owner's mailbox.  Who listens, the handshake and the shutdown order
   are described on the class.
 
-Both transports tally ``messages_sent`` / ``bytes_sent`` (the *model*
-bytes of :func:`~repro.protocol.messages.wire_size`, so counters are
-comparable across the simulated and real paths) and ``dropped`` /
-``duplicated`` (faults they injected themselves).  The TCP transport
-additionally counts the real octets written — in total (``octets_sent``)
-and per directed edge (``octets_by_edge``), which the runtime surfaces as
+Both transports tally ``messages_sent``, ``bytes_sent`` (control messages
+only: the *model* bytes of :func:`~repro.protocol.messages.wire_size`, so
+counters are comparable across the simulated and real paths),
+``payload_frames`` and ``dropped`` / ``duplicated`` (faults they injected
+themselves).  The TCP transport additionally counts the real octets
+written — in total (``octets_sent``) and per directed edge
+(``octets_by_edge``), which the runtime surfaces as
 ``runtime.tcp.edge_octets`` counters for the live dashboard.
 
 Hostile faults ride the same plan: a corruption probability garbles the
@@ -48,7 +49,6 @@ network's convention.
 from __future__ import annotations
 
 import asyncio
-import json
 from abc import ABC, abstractmethod
 from functools import partial
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Set, Tuple
@@ -58,7 +58,8 @@ from ..faults.inject import LinkFaultDecider
 from ..faults.plan import FaultPlan
 from ..platform.tree import Tree
 from ..protocol.messages import Acknowledgment, Message, Proposal, wire_size
-from .codec import FrameSplitter, decode_body, encode_any, encode_blob
+from .codec import (FrameSplitter, decode_body, decode_hello, encode_any,
+                    encode_hello)
 
 
 def _is_control(message) -> bool:
@@ -67,12 +68,6 @@ def _is_control(message) -> bool:
     (task-plane) frames bypass both — their faults are injected by the
     task plane itself, where retransmission lives."""
     return isinstance(message, (Proposal, Acknowledgment))
-
-
-def _model_size(message) -> int:
-    if _is_control(message):
-        return wire_size(message)
-    return getattr(message, "wire_size", 0)
 
 
 class Transport(ABC):
@@ -164,14 +159,16 @@ class InProcTransport(Transport):
 
     async def send(self, message: Message) -> None:
         self.messages_sent += 1
-        self.bytes_sent += _model_size(message)
+        control = _is_control(message)
+        if control:
+            self.bytes_sent += wire_size(message)
         child = self._on_tree_link(message)
         if child is not None and child in self.quarantined:
             self.quarantine_dropped += 1
             return
-        if not _is_control(message):
-            # payload frames: delivered verbatim — the task plane owns
-            # their fault model and retransmission
+        if not control:
+            # payload frames: delivered verbatim, never serialised — the
+            # task plane owns their fault model and retransmission
             self.payload_frames += 1
             self._deliver_local(message)
             return
@@ -293,11 +290,11 @@ class _EdgeEnd(asyncio.Protocol):
         introduce itself on *owner*'s listener."""
         hub, owner = self.hub, self.owner
         try:
-            peer = json.loads(body)["hello"]
+            peer = decode_hello(body)
             if (hub.tree.parent(peer) != owner
                     or (owner, peer) in hub._writers):
                 raise ProtocolError(f"{peer!r} is no unconnected child")
-        except (ValueError, LookupError, TypeError, ReproError) as exc:
+        except ReproError as exc:  # a bad body, or a name not in the tree
             return self._refuse(exc)
         self.hello_due = False
         self.peer = self.edge_child = peer
@@ -455,8 +452,7 @@ class TcpTransport(Transport):
                 if isinstance(dial, BaseException):
                     raise dial
                 transport, end = dial
-                hello = json.dumps({"hello": child}, separators=(",", ":"))
-                transport.write(encode_blob(hello.encode("utf-8")))
+                transport.write(encode_hello(child))
                 self._writers[(child, parent)] = end
             failure = await self._ready
             if failure is not None:
@@ -486,7 +482,9 @@ class TcpTransport(Transport):
     # ------------------------------------------------------------------
     async def send(self, message: Message) -> None:
         self.messages_sent += 1
-        self.bytes_sent += _model_size(message)
+        control = _is_control(message)
+        if control:
+            self.bytes_sent += wire_size(message)
         child = self._on_tree_link(message)
         if child is None:
             self._deliver_local(message)
@@ -497,7 +495,7 @@ class TcpTransport(Transport):
             raise ProtocolError(f"no socket for edge {edge!r}")
         copies = 1
         corrupt = False
-        if not _is_control(message):
+        if not control:
             self.payload_frames += 1
         elif self._decider is not None:
             drop, corrupt, duplicate = self._decider.full_verdict(

@@ -9,8 +9,9 @@ simplification: each tree node becomes a separate Python process that
 * binds its own listening socket (port 0 → the OS picks), reports the
   port to the launcher over a :func:`multiprocessing.Pipe`;
 * dials its parent once the launcher has broadcast the address map, and
-  introduces itself with a ``hello`` blob (the only frame on the wire
-  that is not a registered codec kind — it precedes the codec session);
+  introduces itself with the codec's hello frame
+  (:func:`~repro.runtime.codec.encode_hello`, the one the TCP transport's
+  edges use) — the first frame on the socket;
 * runs the *real* :class:`~repro.protocol.actor.NodeActor` negotiation
   over those sockets — the launcher never tells a node its α/η: every
   process derives its allocation from its own actor, exactly as the
@@ -27,7 +28,10 @@ release the root, collect per-process stats, aggregate a
 hangs trips the global deadline; the launcher terminates the fleet and
 raises rather than leaving orphans.
 
-Frame routing inside a process is type-based: control messages
+Every socket is read by one loop (:meth:`_NodeProcess._serve`): chunks go
+into the codec's :class:`~repro.runtime.codec.FrameSplitter`, the one
+place a frame's header, bound and checksum are checked.  Frame routing
+inside a process is type-based: control messages
 (:class:`Proposal`/:class:`Acknowledgment`) go straight to the actor,
 everything else into the engine's inbox — the same socket carries both,
 distinguished only by the codec's ``kind`` tag.
@@ -36,30 +40,31 @@ distinguished only by the codec's ``kind`` tag.
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..analysis.buffers import taskplane_buffer_bounds
 from ..core.allocation import from_bw_first
 from ..core.bwfirst import bw_first, root_proposal
 from ..core.rates import ZERO
-from ..exceptions import TaskPlaneError
+from ..exceptions import ProtocolError, TaskPlaneError
 from ..faults.plan import FaultPlan
 from ..platform.tree import Tree
 from ..protocol.actor import DONE, IDLE, NodeActor
 from ..protocol.messages import Acknowledgment, Message, Proposal
 from ..protocol.runner import VIRTUAL_PARENT
-from ..runtime.codec import encode_any, encode_blob, read_any, read_blob
+from ..runtime.codec import (FrameSplitter, decode_body, decode_hello,
+                             encode_any, encode_hello)
 from ..schedule.periods import tree_periods
 from .frames import EXEC_KINDS
 from .ledger import TaskLedger
 from .plane import (DEFAULT_TIME_SCALE, ChildLink, TaskPlaneNode,
-                    TaskPlaneReport)
+                    TaskPlaneReport, default_payload)
 
 #: Loopback only: the cluster is a single-host harness.  Changing this to
 #: a routable address would also require authenticating the hello.
@@ -101,11 +106,6 @@ class NodeSpec:
     payload_size: int = 64
     host: str = DEFAULT_HOST
     deadline: float = 120.0
-
-
-def _hello(name: Hashable) -> bytes:
-    return encode_blob(json.dumps({"kind": "hello", "node": name},
-                                  separators=(",", ":")).encode("utf-8"))
 
 
 class _NodeProcess:
@@ -166,48 +166,70 @@ class _NodeProcess:
             writer.write(encode_any(message))
             await writer.drain()
 
-    # -- socket readers ------------------------------------------------
-    async def _read_socket(self, reader: asyncio.StreamReader) -> None:
-        while True:
-            obj = await read_any(reader)
-            if obj is None:
-                return  # clean EOF: the peer drained and closed
-            if isinstance(obj, (Proposal, Acknowledgment)):
-                self.actor.handle(obj)
-                # a non-root actor reaching DONE has settled its whole
-                # subtree's allocation: its engine can be configured now
-                if not self.is_root and self.actor.state == DONE:
-                    self._ensure_engine()
-            else:
-                if not self.is_root:
-                    # covers nodes the negotiation never visits: their
-                    # first (and only) frame is the Stop cascade, long
-                    # after the allocation settled tree-wide
-                    self._ensure_engine()
-                self.start_clock()
-                self.inbox.put_nowait(obj)
+    # -- socket reader -------------------------------------------------
+    async def _serve(self, reader: asyncio.StreamReader, writer,
+                     greeted: bool) -> None:
+        """Read one socket to its end.  On an accepted socket the first
+        frame must be the hello of the child that dialled (*greeted* is
+        false until then); whatever goes wrong before that — no hello, a
+        bad one, a name :meth:`_admit` refuses — hangs up and is reported
+        as a refused hello.  Afterwards a corrupt frame or an EOF inside
+        one fails this node (the caller's guard), and an EOF between
+        frames is the peer having drained and closed."""
+        splitter = FrameSplitter()
+        try:
+            while True:
+                data = await reader.read(1 << 16)
+                splitter.feed(data)
+                while (body := splitter.next_body()) is not None:
+                    if greeted:
+                        self._route(decode_body(body))
+                    else:
+                        self._admit(decode_hello(body), writer)
+                        greeted = True
+                if not data:
+                    if splitter.pending:
+                        raise ProtocolError("connection closed mid-frame")
+                    if not greeted:
+                        raise ProtocolError("connection closed before hello")
+                    return
+        except Exception as exc:  # noqa: BLE001 - reject bad dials
+            if greeted:
+                raise
+            writer.close()
+            raise TaskPlaneError(
+                f"{self.spec.name!r} refused a hello: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
-    async def _on_child_connect(self, reader, writer) -> None:
+    def _admit(self, child: Hashable, writer) -> None:
         """Fail closed: only a not yet connected child of this node may
         introduce itself — a stranger, a second dial under a connected
         name or the parent's own name would replace a legitimate writer."""
-        try:
-            body = await read_blob(reader)
-            child = json.loads(body.decode("utf-8"))["node"]
-            if child not in self.spec.all_children or child in self.writers:
-                raise TaskPlaneError(f"{child!r} is no unconnected child")
-        except Exception as exc:  # noqa: BLE001 - reject bad dials
-            writer.close()
-            self.failures.append(TaskPlaneError(
-                f"{self.spec.name!r} refused a hello: "
-                f"{type(exc).__name__}: {exc}"
-            ))
-            self._fail_fast()
-            return
+        if child not in self.spec.all_children or child in self.writers:
+            raise TaskPlaneError(f"{child!r} is no unconnected child")
         self.writers[child] = writer
         if set(self.spec.all_children) <= set(self.writers):
             self.hellos.set()
-        await self._guard(self._read_socket(reader))
+
+    def _route(self, obj) -> None:
+        if isinstance(obj, (Proposal, Acknowledgment)):
+            self.actor.handle(obj)
+            # a non-root actor reaching DONE has settled its whole
+            # subtree's allocation: its engine can be configured now
+            if not self.is_root and self.actor.state == DONE:
+                self._ensure_engine()
+        else:
+            if not self.is_root:
+                # covers nodes the negotiation never visits: their first
+                # (and only) frame is the Stop cascade, long after the
+                # allocation settled tree-wide
+                self._ensure_engine()
+            self.start_clock()
+            self.inbox.put_nowait(obj)
+
+    def _accept(self, reader: asyncio.StreamReader, writer) -> None:
+        self._spawn(self._serve(reader, writer, greeted=False))
 
     # -- lifecycle -----------------------------------------------------
     async def _guard(self, coroutine) -> None:
@@ -240,10 +262,7 @@ class _NodeProcess:
         loop = asyncio.get_event_loop()
         self.negotiated = loop.create_future()
 
-        server = await asyncio.start_server(
-            lambda r, w: asyncio.ensure_future(self._on_child_connect(r, w)),
-            spec.host, 0,
-        )
+        server = await asyncio.start_server(self._accept, spec.host, 0)
         port = server.sockets[0].getsockname()[1]
         self.conn.send(("port", spec.name, port))
 
@@ -260,10 +279,10 @@ class _NodeProcess:
         )
         if parent_addr is not None:
             reader, writer = await asyncio.open_connection(*parent_addr)
-            writer.write(_hello(spec.name))
+            writer.write(encode_hello(spec.name))
             await writer.drain()
             self.writers[spec.parent] = writer
-            self._spawn(self._read_socket(reader))
+            self._spawn(self._serve(reader, writer, greeted=True))
         self._spawn(self._pump())
 
         if spec.all_children:
@@ -293,14 +312,8 @@ class _NodeProcess:
             self._ensure_engine()
             self.start_clock()
             if spec.duration is not None:
-                engine = self.engine
-
-                def stop_generation():
-                    if not engine.generation_stopped:
-                        engine.generation_stopped = True
-                        engine.generation_stopped_at = self.clock()
-                    engine._maybe_kick()
-                timer = loop.call_later(spec.duration, stop_generation)
+                timer = loop.call_later(spec.duration,
+                                        self.engine.stop_generation)
             self.engine._maybe_kick()
 
         try:
@@ -313,7 +326,7 @@ class _NodeProcess:
             raise self.failures[0]
 
         self._verify()
-        self.conn.send(("stats", spec.name, self._stats()))
+        self.conn.send(("stats", spec.name, self.engine.stats()))
 
         # drain-and-close: quiescence is already guaranteed by the Stop
         # cascade; flush what the pump wrote, then drop the sockets
@@ -337,12 +350,8 @@ class _NodeProcess:
             return
         engine = self._build_engine()
         self.engine = engine
-        for loop_coro in (engine._recv_loop(), engine._router_loop(),
-                          engine._port_loop(), engine._sweep_loop(),
-                          engine._drain_loop()):
-            self._spawn(loop_coro)
-        if engine.worker is not None:
-            self._spawn(engine._worker_loop())
+        for coroutine in engine.loops():
+            self._spawn(coroutine)
 
         async def watch():
             await engine.done.wait()
@@ -371,12 +380,6 @@ class _NodeProcess:
             for eta in (eta_out.get(child, ZERO),)
             if eta > 0
         ]
-        size = spec.payload_size
-
-        def payload(task_id: int) -> bytes:
-            stamp = task_id.to_bytes(8, "big")
-            return (stamp * (size // 8 + 1))[:size]
-
         return TaskPlaneNode(
             spec.name,
             clock=self.clock,
@@ -393,7 +396,7 @@ class _NodeProcess:
             resend_timeout=spec.resend_timeout,
             ledger=TaskLedger() if self.is_root else None,
             max_tasks=spec.max_tasks if self.is_root else None,
-            payload_factory=payload,
+            payload_factory=partial(default_payload, size=spec.payload_size),
             exec_kind=spec.exec_kind,
         )
 
@@ -418,29 +421,6 @@ class _NodeProcess:
                 f"{state}, expected λ={spec.expected_lam}, "
                 f"θ={spec.expected_theta}"
             )
-
-    def _stats(self) -> dict:
-        engine = self.engine
-        stats = {
-            "resends": engine.resends,
-            "resend_requests": engine.resend_requests,
-            "injected_drops": engine.injected_drops,
-            "injected_corruptions": engine.injected_corruptions,
-            "stray_control": engine.stray_control,
-            "peak": engine.buffer.peak if engine.buffer is not None else None,
-            "worker_completed": (engine.worker.completed
-                                 if engine.worker is not None else None),
-        }
-        if self.is_root:
-            ledger = engine.ledger
-            stats.update(
-                generated=ledger.generated,
-                completed=ledger.completed,
-                duplicates=ledger.duplicates,
-                rate=ledger.steady_rate(until=engine.generation_stopped_at),
-                wall=self.clock(),
-            )
-        return stats
 
 
 def _node_main(spec: NodeSpec, conn) -> None:
@@ -567,7 +547,10 @@ class ClusterPlane:
                     process.join(timeout=2.0)
             for conn in pipes.values():
                 conn.close()
-        return self._report(stats, allocation, bounds)
+        return TaskPlaneReport.from_stats(
+            stats, tree.root, transport="cluster",
+            optimal_throughput=allocation.throughput,
+            time_scale=self.time_scale, bounds=bounds)
 
     def _collect(self, pipes, expected: str, t_deadline: float) -> dict:
         """One ``(expected, name, value)`` message from every pipe; an
@@ -592,34 +575,6 @@ class ClusterPlane:
                 )
             out[message[1]] = message[2] if len(message) > 2 else None
         return out
-
-    def _report(self, stats: dict, allocation, bounds) -> TaskPlaneReport:
-        root_stats = stats[self.tree.root]
-        rate = root_stats["rate"]
-        return TaskPlaneReport(
-            transport="cluster",
-            nodes=len(stats),
-            optimal_throughput=allocation.throughput,
-            time_scale=self.time_scale,
-            generated=root_stats["generated"],
-            completed=root_stats["completed"],
-            duplicates=root_stats["duplicates"],
-            resends=sum(s["resends"] for s in stats.values()),
-            resend_requests=sum(s["resend_requests"] for s in stats.values()),
-            injected_drops=sum(s["injected_drops"] for s in stats.values()),
-            injected_corruptions=sum(s["injected_corruptions"]
-                                     for s in stats.values()),
-            stray_control=sum(s["stray_control"] for s in stats.values()),
-            peak_occupancy={str(n): s["peak"] for n, s in stats.items()
-                            if s["peak"] is not None},
-            bounds={str(n): b for n, b in bounds.items()},
-            measured_rate=None if rate is None else rate * self.time_scale,
-            completions_per_sec=rate,
-            wall_seconds=root_stats["wall"],
-            worker_completed={str(n): s["worker_completed"]
-                              for n, s in stats.items()
-                              if s["worker_completed"] is not None},
-        )
 
 
 def run_cluster(tree: Tree, **kwargs) -> TaskPlaneReport:

@@ -27,8 +27,10 @@ traffic interleave on one connection:
 
 Payload bytes cross the JSON wire as base64 (``b64encode`` is
 deterministic and binary-safe); everything else is the compact JSON the
-control codec already speaks.  Every decoder raises a recoverable
-:class:`~repro.exceptions.CodecError` on malformed fields, so hostile
+control codec already speaks.  Each kind is declared once (:func:`_wire`:
+field → wire key → validating reader) and both directions are derived from
+that declaration; the readers are the codec's, so every malformed field
+raises a recoverable :class:`~repro.exceptions.CodecError` and hostile
 bytes die in reader loops exactly like corrupt control frames.
 """
 
@@ -36,18 +38,22 @@ from __future__ import annotations
 
 import base64
 import binascii
-import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
+from operator import attrgetter
 from typing import Hashable
 
 from ..exceptions import CodecError
-from ..runtime.codec import register_frame_kind
+from ..runtime.codec import read_int, read_name, register_frame_kind
 
 #: Allowed execution kinds of a task payload: opaque bytes (the default —
 #: the plane just moves and "computes" them) or a pickled ``(fn, args)``
 #: pair executed by the worker pool.
 EXEC_KINDS = ("bytes", "call")
+
+#: Every payload frame class, keyed by wire kind — filled by :func:`_wire`.
+FRAME_KINDS = {}
 
 
 def payload_crc(payload: bytes) -> int:
@@ -55,37 +61,81 @@ def payload_crc(payload: bytes) -> int:
     return zlib.crc32(payload)
 
 
-class _Frame:
-    """Shared machinery: JSON round-trip and model wire size."""
-
-    __slots__ = ()
-
-    def to_payload(self) -> dict:
-        raise NotImplementedError
-
-    @property
-    def wire_size(self) -> int:
-        """Real serialised bytes: 8-byte header + compact JSON body."""
-        body = json.dumps(self.to_payload(), separators=(",", ":"))
-        return 8 + len(body.encode("utf-8"))
+# ----------------------------------------------------------------------
+# field readers (payload, key) -> value: the codec's, plus five of our own
+# ----------------------------------------------------------------------
+_read_count = partial(read_int, lo=0)
+_read_grant = partial(read_int, lo=1)  # a grant frees at least one slot
+_read_crc = partial(read_int, lo=0, hi=0xFFFFFFFF)
 
 
-def _field(payload: dict, key: str, kinds, what: str):
-    value = payload.get(key)
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise CodecError(f"bad {what} {value!r} in {payload.get('t')!r} frame")
-    return value
+def _read_exec_kind(payload: dict, key: str) -> str:
+    kind = payload.get(key)
+    if kind not in EXEC_KINDS:
+        raise CodecError(f"unknown task exec kind {kind!r}")
+    return kind
 
 
-def _name(payload: dict, key: str):
-    value = payload.get(key)
-    if not isinstance(value, (str, int, bool, type(None))):
-        raise CodecError(f"bad node name {value!r} in payload frame")
-    return value
+def _read_bytes(payload: dict, key: str) -> bytes:
+    raw = payload.get(key)
+    if not isinstance(raw, str):
+        raise CodecError(f"field {key!r} is no base64 string: {raw!r}")
+    try:
+        return base64.b64decode(raw.encode("ascii"), validate=True)
+    except (binascii.Error, ValueError) as exc:
+        raise CodecError(f"undecodable task payload {raw[:40]!r}") from exc
 
 
+def _write_bytes(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def _wire(kind: str, /, **wire):
+    """Class decorator — the one declaration of a payload frame kind:
+    ``field=(wire key, reader)`` or ``(wire key, reader, writer)`` for every
+    dataclass field, in order.  Derives ``to_payload()`` (what
+    :func:`~repro.runtime.codec.encode_any` serialises, once per send) and
+    the decoder registered for *kind*; every field is required on the wire.
+    Both are assembled here, once per kind: a frame costs no per-field
+    Python on the way out, and one reader call per field on the way in.
+    """
+    keys = ("t",) + tuple(spec[0] for spec in wire.values())
+    values = attrgetter(*wire)
+    readers = tuple(spec[:2] for spec in wire.values())
+    writers = tuple((spec[0], spec[2]) for spec in wire.values()
+                    if len(spec) == 3)
+
+    def declare(cls):
+        if tuple(wire) != tuple(f.name for f in fields(cls)):
+            raise TypeError(f"{cls.__name__}: wire declaration {tuple(wire)} "
+                            "does not match the dataclass fields")
+
+        def to_payload(self) -> dict:
+            payload = dict(zip(keys, (kind,) + values(self)))
+            for key, write in writers:
+                payload[key] = write(payload[key])
+            return payload
+
+        def decode(payload: dict):
+            return cls(*[read(payload, key) for key, read in readers])
+
+        cls.to_payload = to_payload
+        FRAME_KINDS[kind] = cls
+        register_frame_kind(kind, decode)
+        return cls
+
+    return declare
+
+
+_EDGE = {"sender": ("s", read_name), "receiver": ("r", read_name)}
+_TASK_ID = ("id", read_int)
+
+
+@_wire("task", **_EDGE, task_id=_TASK_ID,
+       payload=("p", _read_bytes, _write_bytes), crc=("c", _read_crc),
+       kind=("k", _read_exec_kind))
 @dataclass(frozen=True, slots=True)
-class TaskFrame(_Frame):
+class TaskFrame:
     """One task payload in flight on a tree edge (parent → child)."""
 
     sender: Hashable
@@ -95,35 +145,10 @@ class TaskFrame(_Frame):
     crc: int
     kind: str = "bytes"
 
-    def to_payload(self) -> dict:
-        return {
-            "t": "task", "s": self.sender, "r": self.receiver,
-            "id": self.task_id,
-            "p": base64.b64encode(self.payload).decode("ascii"),
-            "c": self.crc, "k": self.kind,
-        }
-
     @property
     def intact(self) -> bool:
         """Does the payload still match its origin checksum?"""
         return payload_crc(self.payload) == self.crc
-
-    @staticmethod
-    def decode(payload: dict) -> "TaskFrame":
-        raw = _field(payload, "p", str, "task payload")
-        try:
-            body = base64.b64decode(raw.encode("ascii"), validate=True)
-        except (binascii.Error, ValueError) as exc:
-            raise CodecError(f"undecodable task payload {raw[:40]!r}") from exc
-        kind = payload.get("k", "bytes")
-        if kind not in EXEC_KINDS:
-            raise CodecError(f"unknown task exec kind {kind!r}")
-        return TaskFrame(
-            sender=_name(payload, "s"), receiver=_name(payload, "r"),
-            task_id=_field(payload, "id", int, "task id"),
-            payload=body, crc=_field(payload, "c", int, "payload crc"),
-            kind=kind,
-        )
 
 
 def make_task(sender, receiver, task_id: int, payload: bytes,
@@ -133,67 +158,39 @@ def make_task(sender, receiver, task_id: int, payload: bytes,
                      payload=payload, crc=payload_crc(payload), kind=kind)
 
 
+@_wire("tack", **_EDGE, task_id=_TASK_ID)
 @dataclass(frozen=True, slots=True)
-class DeliveryAck(_Frame):
+class DeliveryAck:
     """Child → parent: task held; drop your retention copy."""
 
     sender: Hashable
     receiver: Hashable
     task_id: int
 
-    def to_payload(self) -> dict:
-        return {"t": "tack", "s": self.sender, "r": self.receiver,
-                "id": self.task_id}
 
-    @staticmethod
-    def decode(payload: dict) -> "DeliveryAck":
-        return DeliveryAck(sender=_name(payload, "s"),
-                           receiver=_name(payload, "r"),
-                           task_id=_field(payload, "id", int, "task id"))
-
-
+@_wire("tnak", **_EDGE, task_id=_TASK_ID)
 @dataclass(frozen=True, slots=True)
-class ResendRequest(_Frame):
+class ResendRequest:
     """Child → parent: payload checksum failed; resend from retention."""
 
     sender: Hashable
     receiver: Hashable
     task_id: int
 
-    def to_payload(self) -> dict:
-        return {"t": "tnak", "s": self.sender, "r": self.receiver,
-                "id": self.task_id}
 
-    @staticmethod
-    def decode(payload: dict) -> "ResendRequest":
-        return ResendRequest(sender=_name(payload, "s"),
-                             receiver=_name(payload, "r"),
-                             task_id=_field(payload, "id", int, "task id"))
-
-
+@_wire("tcr", **_EDGE, amount=("n", _read_grant))
 @dataclass(frozen=True, slots=True)
-class CreditGrant(_Frame):
+class CreditGrant:
     """Child → parent: *amount* buffer slots freed; you may send again."""
 
     sender: Hashable
     receiver: Hashable
     amount: int = 1
 
-    def to_payload(self) -> dict:
-        return {"t": "tcr", "s": self.sender, "r": self.receiver,
-                "n": self.amount}
 
-    @staticmethod
-    def decode(payload: dict) -> "CreditGrant":
-        amount = _field(payload, "n", int, "credit amount")
-        if amount < 1:
-            raise CodecError(f"non-positive credit grant {amount}")
-        return CreditGrant(sender=_name(payload, "s"),
-                           receiver=_name(payload, "r"), amount=amount)
-
-
+@_wire("tres", **_EDGE, task_id=_TASK_ID, origin=("o", read_name))
 @dataclass(frozen=True, slots=True)
-class ResultReport(_Frame):
+class ResultReport:
     """Hop-by-hop relay of a completed task toward the root's ledger."""
 
     sender: Hashable
@@ -201,62 +198,21 @@ class ResultReport(_Frame):
     task_id: int
     origin: Hashable
 
-    def to_payload(self) -> dict:
-        return {"t": "tres", "s": self.sender, "r": self.receiver,
-                "id": self.task_id, "o": self.origin}
 
-    @staticmethod
-    def decode(payload: dict) -> "ResultReport":
-        return ResultReport(sender=_name(payload, "s"),
-                            receiver=_name(payload, "r"),
-                            task_id=_field(payload, "id", int, "task id"),
-                            origin=_name(payload, "o"))
-
-
+@_wire("tstop", **_EDGE)
 @dataclass(frozen=True, slots=True)
-class Stop(_Frame):
+class Stop:
     """Parent → child: accounting closed; drain your subtree and exit."""
 
     sender: Hashable
     receiver: Hashable
 
-    def to_payload(self) -> dict:
-        return {"t": "tstop", "s": self.sender, "r": self.receiver}
 
-    @staticmethod
-    def decode(payload: dict) -> "Stop":
-        return Stop(sender=_name(payload, "s"), receiver=_name(payload, "r"))
-
-
+@_wire("tdone", **_EDGE, completed=("n", _read_count))
 @dataclass(frozen=True, slots=True)
-class Stopped(_Frame):
+class Stopped:
     """Child → parent: my whole subtree has drained and exited."""
 
     sender: Hashable
     receiver: Hashable
     completed: int = 0
-
-    def to_payload(self) -> dict:
-        return {"t": "tdone", "s": self.sender, "r": self.receiver,
-                "n": self.completed}
-
-    @staticmethod
-    def decode(payload: dict) -> "Stopped":
-        return Stopped(sender=_name(payload, "s"),
-                       receiver=_name(payload, "r"),
-                       completed=_field(payload, "n", int, "completed count"))
-
-
-#: Every payload frame class, keyed by wire kind — the registration table.
-FRAME_KINDS = {
-    "task": TaskFrame,
-    "tack": DeliveryAck,
-    "tnak": ResendRequest,
-    "tcr": CreditGrant,
-    "tres": ResultReport,
-    "tstop": Stop,
-    "tdone": Stopped,
-}
-
-for _kind, _cls in FRAME_KINDS.items():
-    register_frame_kind(_kind, _cls.decode)

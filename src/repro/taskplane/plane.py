@@ -172,6 +172,51 @@ class TaskPlaneNode:
         self.relayed_results = 0
 
     # ------------------------------------------------------------------
+    # what a launcher needs: the loops to run, the supply switch, the books
+    # ------------------------------------------------------------------
+    def loops(self) -> list:
+        """The engine's coroutines, one task each, for whoever launches it
+        (the in-process plane, a cluster node process)."""
+        loops = [self._recv_loop(), self._router_loop(), self._port_loop(),
+                 self._sweep_loop(), self._drain_loop()]
+        if self.worker is not None:
+            loops.append(self._worker_loop())
+        return loops
+
+    def stop_generation(self) -> None:
+        """The root's supply dries up — *max_tasks* generated, or the
+        launcher's *duration* timer: stamp the end of the measurement
+        window (once) and wake the router."""
+        if not self.generation_stopped:
+            self.generation_stopped = True
+            self.generation_stopped_at = self.clock()
+        self._maybe_kick()
+
+    def stats(self) -> dict:
+        """This engine's counters, picklable; the root's carry the ledger.
+        :meth:`TaskPlaneReport.from_stats` sums them over the platform."""
+        stats = {
+            "resends": self.resends,
+            "resend_requests": self.resend_requests,
+            "injected_drops": self.injected_drops,
+            "injected_corruptions": self.injected_corruptions,
+            "stray_control": self.stray_control,
+            "peak": self.buffer.peak if self.buffer is not None else None,
+            "worker_completed": (self.worker.completed
+                                 if self.worker is not None else None),
+        }
+        if self.is_root:
+            ledger = self.ledger
+            stats.update(
+                generated=ledger.generated,
+                completed=ledger.completed,
+                duplicates=ledger.duplicates,
+                rate=ledger.steady_rate(until=self.generation_stopped_at),
+                wall=self.clock(),
+            )
+        return stats
+
+    # ------------------------------------------------------------------
     # frame handling
     # ------------------------------------------------------------------
     async def _recv_loop(self) -> None:
@@ -263,8 +308,7 @@ class TaskPlaneNode:
             task_id = self.ledger.record_generated()
             if self.max_tasks is not None and \
                     self.ledger.generated >= self.max_tasks:
-                self.generation_stopped = True
-                self.generation_stopped_at = self.clock()
+                self.stop_generation()
             payload = self.payload_factory(task_id)
             return make_task(self.name, self.name, task_id, payload,
                              kind=self.exec_kind)
@@ -309,6 +353,7 @@ class TaskPlaneNode:
         return best
 
     async def _router_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
             # clear *before* dispatching: an event landing mid-dispatch
             # re-sets the flag and the wait below returns immediately — a
@@ -343,10 +388,15 @@ class TaskPlaneNode:
                 # when its next token accrues instead of a blind poll
                 until = self._next_eligible - self.clock()
                 timeout = min(timeout, max(0.001, until))
+            # a timer that kicks, not ``asyncio.wait_for``: when the event
+            # and a cancellation land in the same loop pass, wait_for (3.11)
+            # returns normally — the cancellation is swallowed and this
+            # loop outlives its plane, whose shutdown then never returns
+            timer = loop.call_later(timeout, self._kick.set)
             try:
-                await asyncio.wait_for(self._kick.wait(), timeout=timeout)
-            except asyncio.TimeoutError:
-                pass
+                await self._kick.wait()
+            finally:
+                timer.cancel()
 
     def _maybe_kick(self) -> None:
         self._kick.set()
@@ -487,6 +537,43 @@ class TaskPlaneReport:
     wall_seconds: float
     worker_completed: Dict[str, int] = field(default_factory=dict)
 
+    @classmethod
+    def from_stats(cls, stats: Dict[Hashable, dict], root: Hashable, *,
+                   transport: str, optimal_throughput: Fraction,
+                   time_scale: float, bounds) -> "TaskPlaneReport":
+        """Aggregate per-node :meth:`TaskPlaneNode.stats` (in platform
+        order): counters summed, the ledger and the wall from *root*."""
+        books = stats[root]
+        rate = books["rate"]
+
+        def total(key: str) -> int:
+            return sum(s[key] for s in stats.values())
+
+        def per_node(key: str) -> Dict[str, int]:
+            return {str(node): s[key] for node, s in stats.items()
+                    if s[key] is not None}
+
+        return cls(
+            transport=transport,
+            nodes=len(stats),
+            optimal_throughput=optimal_throughput,
+            time_scale=time_scale,
+            generated=books["generated"],
+            completed=books["completed"],
+            duplicates=books["duplicates"],
+            resends=total("resends"),
+            resend_requests=total("resend_requests"),
+            injected_drops=total("injected_drops"),
+            injected_corruptions=total("injected_corruptions"),
+            stray_control=total("stray_control"),
+            peak_occupancy=per_node("peak"),
+            bounds={str(node): bound for node, bound in bounds.items()},
+            measured_rate=None if rate is None else rate * time_scale,
+            completions_per_sec=rate,
+            wall_seconds=books["wall"],
+            worker_completed=per_node("worker_completed"),
+        )
+
     @property
     def lost(self) -> int:
         return self.generated - self.completed
@@ -612,7 +699,6 @@ class TaskPlane:
         def clock() -> float:
             return loop.time() - t0
 
-        ledger = TaskLedger()
         for node in tree.nodes():
             parent = tree.parent(node)
             links = [
@@ -638,7 +724,7 @@ class TaskPlane:
                 plan=self.plan,
                 registry=self.registry,
                 resend_timeout=self.resend_timeout,
-                ledger=ledger if parent is None else None,
+                ledger=TaskLedger() if parent is None else None,
                 max_tasks=self.max_tasks if parent is None else None,
                 payload_factory=self.payload_factory,
                 exec_kind=self.exec_kind,
@@ -662,27 +748,13 @@ class TaskPlane:
                     engine.done.set()
 
         for engine in self.nodes.values():
-            tasks.append(asyncio.ensure_future(guard(engine._recv_loop())))
-            tasks.append(asyncio.ensure_future(guard(engine._router_loop())))
-            tasks.append(asyncio.ensure_future(guard(engine._port_loop())))
-            tasks.append(asyncio.ensure_future(guard(engine._sweep_loop())))
-            tasks.append(asyncio.ensure_future(guard(engine._drain_loop())))
-            if engine.worker is not None:
-                tasks.append(asyncio.ensure_future(
-                    guard(engine._worker_loop())
-                ))
+            tasks.extend(asyncio.ensure_future(guard(coroutine))
+                         for coroutine in engine.loops())
 
         timer = None
         if self.duration is not None:
-            root_engine = self.nodes[tree.root]
-
-            def stop_generation():
-                if not root_engine.generation_stopped:
-                    root_engine.generation_stopped = True
-                    root_engine.generation_stopped_at = clock()
-                root_engine._maybe_kick()
-
-            timer = loop.call_later(self.duration, stop_generation)
+            timer = loop.call_later(self.duration,
+                                    self.nodes[tree.root].stop_generation)
 
         try:
             await asyncio.wait_for(
@@ -704,47 +776,14 @@ class TaskPlane:
         if failure:
             raise failure[0]
 
-        wall = clock()
         for engine in self.nodes.values():
             if engine.worker is not None and engine.worker.results:
                 self.results.update(engine.worker.results)
-        return self._report(allocation, bounds, ledger, wall)
-
-    # ------------------------------------------------------------------
-    def _report(self, allocation: Allocation, bounds, ledger: TaskLedger,
-                wall: float) -> TaskPlaneReport:
-        root_engine = self.nodes[self.tree.root]
-        rate = ledger.steady_rate(until=root_engine.generation_stopped_at)
-        report = TaskPlaneReport(
-            transport=self.transport_name,
-            nodes=len(self.nodes),
+        return TaskPlaneReport.from_stats(
+            {node: engine.stats() for node, engine in self.nodes.items()},
+            tree.root, transport=self.transport_name,
             optimal_throughput=allocation.throughput,
-            time_scale=self.time_scale,
-            generated=ledger.generated,
-            completed=ledger.completed,
-            duplicates=ledger.duplicates,
-            resends=sum(e.resends for e in self.nodes.values()),
-            resend_requests=sum(e.resend_requests
-                                for e in self.nodes.values()),
-            injected_drops=sum(e.injected_drops
-                               for e in self.nodes.values()),
-            injected_corruptions=sum(e.injected_corruptions
-                                     for e in self.nodes.values()),
-            stray_control=sum(e.stray_control for e in self.nodes.values()),
-            peak_occupancy={
-                str(name): e.buffer.peak
-                for name, e in self.nodes.items() if e.buffer is not None
-            },
-            bounds={str(name): bound for name, bound in bounds.items()},
-            measured_rate=None if rate is None else rate * self.time_scale,
-            completions_per_sec=rate,
-            wall_seconds=wall,
-            worker_completed={
-                str(name): e.worker.completed
-                for name, e in self.nodes.items() if e.worker is not None
-            },
-        )
-        return report
+            time_scale=self.time_scale, bounds=bounds)
 
 
 def run_plane(tree: Tree, transport: str = "inproc",

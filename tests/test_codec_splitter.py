@@ -1,11 +1,13 @@
 """FrameSplitter against its reference, ``read_blob`` on a StreamReader.
 
-The TCP transport decodes frames synchronously out of whatever chunks the
-socket hands to ``data_received``; the stream path (``read_blob``, still
-used by the task-plane cluster) awaits exact reads.  Both must see the
-same frames in the same byte stream however it is cut: the same bodies,
-the same recoverable errors, the same non-recoverable stop and the same
-verdict on how the stream ended.
+Every octet that enters a process goes through ``FrameSplitter``: the TCP
+transport's ``data_received``, the task-plane cluster's socket loop, the
+federation's pipes.  ``read_blob`` below is the stream reader the codec
+shipped until the cluster moved to the splitter — two exact reads per
+frame off an ``asyncio.StreamReader`` — kept here, unchanged, as the
+oracle: both must see the same frames in the same byte stream however it
+is cut, the same bodies, the same recoverable errors, the same
+non-recoverable stop and the same verdict on how the stream ended.
 """
 
 from __future__ import annotations
@@ -13,16 +15,42 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import zlib
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from repro.exceptions import CodecError, ProtocolError
 from repro.protocol.messages import Acknowledgment, Proposal
 from repro.runtime.codec import (FRAME_HEADER, MAX_FRAME, FrameSplitter,
-                                 decode_body, encode_any, encode_blob,
-                                 read_blob)
+                                 decode_body, encode_any, encode_blob)
 from repro.taskplane import CreditGrant, DeliveryAck, Stop, make_task
+
+
+async def read_blob(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The oracle: one checksummed body from *reader*; ``None`` on clean
+    EOF, ``ProtocolError`` on EOF mid-frame, a non-recoverable
+    ``CodecError`` on an oversized prefix, a recoverable one on a checksum
+    mismatch (the frame consumed).  Do not optimise."""
+    try:
+        header = await reader.readexactly(FRAME_HEADER.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None  # clean EOF between frames
+        raise ProtocolError("connection closed mid-prefix") from exc
+    length, crc = FRAME_HEADER.unpack(header)
+    if length > MAX_FRAME:
+        raise CodecError(
+            f"frame of {length} bytes exceeds {MAX_FRAME}", recoverable=False
+        )
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ProtocolError("connection closed mid-frame") from exc
+    if zlib.crc32(body) != crc:
+        raise CodecError(f"checksum mismatch on frame {body[:80]!r}")
+    return body
 
 
 def good_frame(rng: random.Random) -> bytes:

@@ -14,7 +14,9 @@ and one tenant's bad op contained to that tenant.
 """
 
 import json
+import multiprocessing
 import random
+import threading
 import time
 from fractions import Fraction
 from itertools import count, islice
@@ -24,9 +26,11 @@ import pytest
 from repro.core.bwfirst import bw_first
 from repro.core.incremental import (IncrementalSolver, MEMO_CAP_ENV,
                                     sol_from_wire, sol_to_wire)
-from repro.exceptions import CodecError, PlatformError, ScheduleError
+from repro.exceptions import (CodecError, PlatformError, ProtocolError,
+                              ScheduleError)
 from repro.federation import (FederationService, HashRing, InlineMemoStore,
                               MemoService, matches_reference)
+from repro.federation import wire
 from repro.federation.memo import MemoState
 from repro.federation.wire import decode_blob
 from repro.platform.generators import chain, random_tree, smooth_tree
@@ -181,6 +185,48 @@ class TestWire:
         blob = encode_blob(b"x" * 100)
         with pytest.raises(CodecError):
             decode_blob(blob, max_frame=16)
+
+    def test_a_pipe_carries_what_the_runtime_bound_would_refuse(self):
+        """The federation's bound is its own, larger one — on both sides:
+        1.5 MB crosses a pipe, and ``send_frame`` refuses what
+        ``recv_frame`` would."""
+        ours, theirs = multiprocessing.Pipe()
+        try:
+            big = {"t": "onboard", "tree": "x" * (3 << 19)}
+            sender = threading.Thread(target=wire.send_frame,
+                                      args=(ours, big))
+            sender.start()
+            assert wire.recv_frame(theirs) == big
+            sender.join(timeout=5)
+            assert not sender.is_alive()
+        finally:
+            ours.close()
+            theirs.close()
+
+    def test_send_frame_applies_the_bound_recv_frame_enforces(
+            self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FEDERATION_FRAME", 64)
+
+        class Conn:
+            sent = []
+            send_bytes = sent.append
+
+        wire.send_frame(Conn, {"t": "ok"})
+        assert wire.decode_blob(Conn.sent[0]) == b'{"t":"ok"}'
+        with pytest.raises(ProtocolError, match="exceeds the 64-byte"):
+            wire.send_frame(Conn, {"t": "onboard", "tree": "x" * 64})
+        assert len(Conn.sent) == 1
+
+    @pytest.mark.parametrize("body", [b"\xff\xfe", b"[1,2]", b'{"t":',
+                                      b"null", b""])
+    def test_a_well_framed_non_object_is_a_codec_error(self, body):
+        """``recv_frame`` parses bodies with the codec's one parser."""
+        class Conn:
+            recv_bytes = staticmethod(lambda: encode_blob(body))
+
+        with pytest.raises(CodecError) as excinfo:
+            wire.recv_frame(Conn)
+        assert excinfo.value.recoverable
 
 
 # ----------------------------------------------------------------------

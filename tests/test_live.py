@@ -13,7 +13,7 @@ from repro.platform.examples import paper_figure4_tree
 from repro.protocol import run_protocol
 from repro.protocol.messages import Acknowledgment, Proposal, wire_size
 from repro.runtime import negotiate
-from repro.runtime.codec import decode_message, encode_message
+from repro.runtime.codec import decode_body, encode_message
 from repro.telemetry import (
     Aggregator,
     CounterWindow,
@@ -206,11 +206,11 @@ class TestTraceCorrelation:
     def test_trace_rides_the_codec_frame(self):
         msg = Proposal(sender="P0", receiver="P1", beta=F(3, 7), xid=4,
                        trace="tabc123")
-        decoded = decode_message(encode_message(msg))
+        decoded = decode_body(encode_message(msg))
         assert decoded == msg and decoded.trace == "tabc123"
         ack = Acknowledgment(sender="P1", receiver="P0", theta=F(1, 2),
                              xid=4, trace="tabc123")
-        assert decode_message(encode_message(ack)).trace == "tabc123"
+        assert decode_body(encode_message(ack)).trace == "tabc123"
 
     def test_trace_does_not_change_model_wire_size(self):
         bare = Proposal(sender="P0", receiver="P1", beta=F(1, 3), xid=1)

@@ -31,11 +31,12 @@ from repro.protocol.network import Network
 from repro.protocol.retry import RetryPolicy
 from repro.protocol.runner import VIRTUAL_PARENT, Negotiation, run_protocol
 from repro.runtime import (
+    FrameSplitter,
     InProcTransport,
     Runtime,
     TcpTransport,
-    decode_message,
-    encode_frame,
+    decode_body,
+    encode_any,
     encode_message,
     negotiate,
     sequential_completion_time,
@@ -76,23 +77,23 @@ class TestCodec:
     def test_proposal_round_trip(self):
         message = Proposal(sender="P0", receiver="P1",
                            beta=Fraction(10, 9), xid=3)
-        assert decode_message(encode_message(message)) == message
+        assert decode_body(encode_message(message)) == message
 
     def test_ack_round_trip(self):
         message = Acknowledgment(sender="P1", receiver="P0",
                                  theta=Fraction(0), xid=7)
-        assert decode_message(encode_message(message)) == message
+        assert decode_body(encode_message(message)) == message
 
     def test_fractions_stay_exact(self):
         beta = Fraction(123456789, 987654321)
         message = Proposal(sender="a", receiver="b", beta=beta, xid=0)
-        assert decode_message(encode_message(message)).beta == beta
+        assert decode_body(encode_message(message)).beta == beta
 
     def test_frame_is_length_prefixed_and_checksummed(self):
         import zlib
 
         message = Proposal(sender="a", receiver="b", beta=Fraction(1), xid=0)
-        frame = encode_frame(message)
+        frame = encode_any(message)
         payload = encode_message(message)
         assert frame[8:] == payload
         assert int.from_bytes(frame[:4], "big") == len(payload)
@@ -100,62 +101,40 @@ class TestCodec:
 
     def test_garbage_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_message(b'{"t":"nope"}')
+            decode_body(b'{"t":"nope"}')
 
     def test_read_frame_handles_clean_eof(self):
-        import asyncio
-
-        async def scenario():
-            from repro.runtime import read_frame
-
-            reader = asyncio.StreamReader()
-            message = Proposal(sender="a", receiver="b",
-                               beta=Fraction(5, 3), xid=1)
-            reader.feed_data(encode_frame(message))
-            reader.feed_eof()
-            assert await read_frame(reader) == message
-            assert await read_frame(reader) is None  # clean EOF
-
-        asyncio.run(scenario())
+        message = Proposal(sender="a", receiver="b",
+                           beta=Fraction(5, 3), xid=1)
+        splitter = FrameSplitter()
+        splitter.feed(encode_any(message))
+        assert decode_body(splitter.next_body()) == message
+        # end of stream between frames: nothing more, nothing left over
+        assert splitter.next_body() is None and splitter.pending == 0
 
     def test_read_frame_rejects_truncation(self):
-        import asyncio
-
-        async def scenario():
-            from repro.runtime import read_frame
-
-            reader = asyncio.StreamReader()
-            message = Proposal(sender="a", receiver="b",
-                               beta=Fraction(1), xid=0)
-            reader.feed_data(encode_frame(message)[:-2])
-            reader.feed_eof()
-            with pytest.raises(ProtocolError):
-                await read_frame(reader)
-
-        asyncio.run(scenario())
+        message = Proposal(sender="a", receiver="b",
+                           beta=Fraction(1), xid=0)
+        splitter = FrameSplitter()
+        splitter.feed(encode_any(message)[:-2])
+        # end of stream inside a frame: no body, octets left over — what
+        # every reader loop reports as a connection closed mid-frame
+        assert splitter.next_body() is None and splitter.pending > 0
 
 
 class TestHostileBytes:
     """The codec against an adversarial wire (never trust the peer)."""
 
     def _read(self, data):
-        import asyncio
-
-        async def scenario():
-            from repro.runtime import read_frame
-
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            return await read_frame(reader)
-
-        return asyncio.run(scenario())
+        splitter = FrameSplitter()
+        splitter.feed(data)
+        return decode_body(splitter.next_body())
 
     def test_flipped_bit_fails_the_checksum_recoverably(self):
         from repro.runtime import CodecError
 
         message = Proposal(sender="a", receiver="b", beta=Fraction(1), xid=0)
-        frame = bytearray(encode_frame(message))
+        frame = bytearray(encode_any(message))
         frame[-1] ^= 0x01
         with pytest.raises(CodecError, match="checksum") as excinfo:
             self._read(bytes(frame))
@@ -186,7 +165,41 @@ class TestHostileBytes:
         from repro.runtime import CodecError
 
         with pytest.raises(CodecError):
-            decode_message(payload)
+            decode_body(payload)
+
+    @pytest.mark.parametrize("kind", ["prop", "ack"])
+    def test_every_hostile_control_field_is_recoverable(self, kind):
+        """Both control kinds × every field × what a hostile peer may put
+        there.  ``"x": true`` used to decode as transaction ``True``, which
+        ``==`` a pending xid 1."""
+        from repro.runtime import CodecError
+
+        good = {"t": kind, "s": "a", "r": "b", "v": "5/3", "x": 1, "i": "t1"}
+        assert decode_body(json.dumps(good).encode()).xid == 1
+        nothing = object()
+        hostile = {
+            "s": [nothing, [1], {"a": 1}, 1.5],
+            "r": [nothing, [1], {"a": 1}, 1.5],
+            "v": [nothing, None, 1, True, [1], "1/0", "abc", "1e3", "0.5"],
+            "x": [True, False, "one", 1.5, [1], {"a": 1}],
+            "i": [True, 7, [1], {"a": 1}],
+        }
+        for key, values in hostile.items():
+            for value in values:
+                payload = dict(good)
+                if value is nothing:
+                    del payload[key]
+                else:
+                    payload[key] = value
+                with pytest.raises(CodecError) as excinfo:
+                    decode_body(json.dumps(payload).encode())
+                assert excinfo.value.recoverable, (key, value)
+        # the two optional fields may be absent or null
+        for key in ("x", "i"):
+            for payload in ({k: v for k, v in good.items() if k != key},
+                            dict(good, **{key: None})):
+                decoded = decode_body(json.dumps(payload).encode())
+                assert (decoded.xid if key == "x" else decoded.trace) is None
 
     def test_codec_error_is_a_protocol_error(self):
         from repro.runtime import CodecError

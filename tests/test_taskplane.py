@@ -12,7 +12,9 @@ lets E30 treat an overflow as a plane bug rather than congestion.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
+import json
 import pickle
 from fractions import Fraction
 
@@ -35,7 +37,8 @@ from repro.taskplane import (BoundedBuffer, ClusterPlane, CreditAccount,
                              CreditGrant, DeliveryAck, DeliveryLog, NodeSpec,
                              ResendRequest, ResultReport, RetentionBuffer,
                              Stop, Stopped, TaskFrame, TaskLedger, TaskPlane,
-                             WorkerPool, make_task, payload_crc)
+                             TaskPlaneNode, WorkerPool, make_task, payload_crc)
+from repro.taskplane.frames import FRAME_KINDS
 
 
 def round_trip(frame):
@@ -82,19 +85,66 @@ class TestFrames:
         assert round_trip(control) == control
 
     @pytest.mark.parametrize("payload", [
-        {"t": "task", "s": "P0", "r": "P1", "id": 1, "p": "!!!", "c": 0},
+        {"t": "task", "s": "P0", "r": "P1", "id": 1, "p": "!!!", "c": 0,
+         "k": "bytes"},
         {"t": "task", "s": "P0", "r": "P1", "id": 1, "p": "AAAA", "c": 0,
          "k": "weird"},
-        {"t": "task", "s": "P0", "r": "P1", "id": "x", "p": "AAAA", "c": 0},
+        {"t": "task", "s": "P0", "r": "P1", "id": "x", "p": "AAAA", "c": 0,
+         "k": "bytes"},
+        {"t": "task", "s": "P0", "r": "P1", "id": 1, "p": "AAAA", "c": -1,
+         "k": "bytes"},
+        {"t": "task", "s": "P0", "r": "P1", "id": 1, "p": "AAAA",
+         "c": 1 << 32, "k": "bytes"},
         {"t": "tcr", "s": "P1", "r": "P0", "n": 0},
         {"t": "tcr", "s": "P1", "r": "P0", "n": -3},
         {"t": "tdone", "s": "P1", "r": "P0", "n": "many"},
+        {"t": "tdone", "s": "P1", "r": "P0", "n": -1},
     ])
     def test_malformed_fields_raise_codec_error(self, payload):
-        import json
-        body = json.dumps(payload).encode("utf-8")
-        with pytest.raises(CodecError):
-            decode_body(body)
+        with pytest.raises(CodecError) as excinfo:
+            decode_body(json.dumps(payload).encode("utf-8"))
+        assert excinfo.value.recoverable
+
+    #: one valid frame per kind: the matrix below breaks one field at a time
+    SPECIMENS = [
+        make_task("P0", "P1", 7, b"payload"),
+        DeliveryAck(sender="P1", receiver="P0", task_id=3),
+        ResendRequest(sender="P2", receiver="P0", task_id=9),
+        CreditGrant(sender="P1", receiver="P0", amount=2),
+        ResultReport(sender="P1", receiver="P0", task_id=5, origin="P7"),
+        Stop(sender="P0", receiver="P1"),
+        Stopped(sender="P1", receiver="P0", completed=42),
+    ]
+    NAME_KEYS = {"s", "r", "o"}
+
+    def test_the_specimens_cover_the_frame_table(self):
+        assert ({type(frame) for frame in self.SPECIMENS}
+                == set(FRAME_KINDS.values()))
+
+    @pytest.mark.parametrize("frame", SPECIMENS,
+                             ids=lambda frame: type(frame).__name__)
+    def test_every_hostile_field_is_a_recoverable_codec_error(self, frame):
+        """Every kind × every field × {missing, wrong type, unhashable,
+        JSON ``true`` where a number or string belongs}: a recoverable
+        ``CodecError``, never another exception and never a frame."""
+        good = frame.to_payload()
+        assert decode_body(json.dumps(good).encode()) == frame
+        fields = [key for key in good if key != "t"]
+        assert fields
+        for key in fields:
+            hostile = [("missing", None), ("wrong type", [1]),
+                       ("unhashable", {"a": 1}), ("float", 1.5)]
+            if key not in self.NAME_KEYS:   # true is a (strange) node name
+                hostile.append(("true", True))
+            for what, value in hostile:
+                payload = dict(good)
+                if what == "missing":
+                    del payload[key]
+                else:
+                    payload[key] = value
+                with pytest.raises(CodecError) as excinfo:
+                    decode_body(json.dumps(payload).encode())
+                assert excinfo.value.recoverable, (key, what)
 
     def test_control_kinds_are_reserved(self):
         with pytest.raises(ProtocolError):
@@ -287,6 +337,30 @@ def test_plane_is_a_real_execution_substrate(two_level_tree):
     report = plane.run()
     assert report.lost == 0 and report.duplicates == 0
     assert plane.results == {i: i * i for i in range(16)}
+
+
+def test_a_kick_cannot_swallow_the_router_loops_cancellation():
+    """A kick and the plane's shutdown in the same loop pass: the router
+    must end cancelled.  On ``asyncio.wait_for`` (3.11) it returned from
+    the wait normally and ran on, so a plane failing mid-traffic — an
+    oversized payload at ``send()`` — never finished closing."""
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        engine = TaskPlaneNode(
+            "P0", clock=loop.time, send=None, inbox=asyncio.Queue(),
+            parent=None, links=[], all_children=[], alpha=Fraction(0),
+            rate=Fraction(1), capacity=1, time_scale=0.01,
+            ledger=TaskLedger(), max_tasks=0)
+        router = asyncio.ensure_future(engine._router_loop())
+        await asyncio.sleep(0.01)           # parked on its kick
+        engine._maybe_kick()
+        router.cancel()
+        await asyncio.wait({router}, timeout=2)
+        ended = router.done()
+        router.cancel()
+        return ended
+
+    assert asyncio.run(scenario())
 
 
 # ----------------------------------------------------------------------

@@ -14,19 +14,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from repro.exceptions import TaskPlaneError
+from repro.exceptions import CodecError, ProtocolError, TaskPlaneError
 from repro.faults.plan import FaultPlan
+from repro.platform.examples import paper_figure4_tree
 from repro.platform.tree import Tree
 from repro.protocol.messages import Acknowledgment, Proposal
-from repro.runtime.codec import encode_blob
-from repro.runtime.transport import TcpTransport
+from repro.runtime.codec import (FRAME_HEADER, MAX_FRAME, encode_any,
+                                 encode_blob, encode_hello)
+from repro.runtime.transport import InProcTransport, TcpTransport
 from repro.taskplane import (CreditGrant, DeliveryAck, NodeSpec, Stop, Stopped,
-                             make_task, run_plane)
+                             TaskPlane, make_task, run_plane)
 from repro.taskplane.cluster import _NodeProcess
+from repro.taskplane.frames import FRAME_KINDS
 
 
 def small_tree() -> Tree:
@@ -191,12 +195,69 @@ def test_small_plane_over_tcp():
 
 
 # ----------------------------------------------------------------------
+# the size bound holds on both sides; a frame is serialised once
+# ----------------------------------------------------------------------
+class TestSenderSideBound:
+    """The receiving ``FrameSplitter`` firewalls an edge that announces a
+    body above ``MAX_FRAME``; ``encode_blob`` refuses to write one.  Before,
+    a 900 kB payload (1.2 MB of base64) hung the TCP plane to its deadline
+    (120 s by default) while the in-proc plane, which never serialises,
+    completed."""
+
+    @staticmethod
+    def plane(transport, size):
+        return run_plane(paper_figure4_tree(), transport, max_tasks=3,
+                         time_scale=0.001, deadline=6,
+                         payload_factory=lambda task_id: bytes(size))
+
+    def test_an_oversized_payload_fails_at_the_sender_with_the_cause(self):
+        started_at = time.monotonic()
+        with pytest.raises(ProtocolError, match="exceeds") as excinfo:
+            self.plane("tcp", 900_000)
+        assert time.monotonic() - started_at < 1.0
+        assert not isinstance(excinfo.value, CodecError)
+        assert str(MAX_FRAME) in str(excinfo.value)    # the bound ...
+        assert "12000" in str(excinfo.value)           # ... and the size
+
+    def test_inproc_never_serialises_so_it_still_completes(self):
+        report = self.plane("inproc", 900_000)
+        assert report.completed == 3 and report.lost == 0
+
+    def test_a_payload_under_the_bound_still_crosses_tcp(self):
+        report = self.plane("tcp", 700_000)
+        assert report.completed == 3 and report.lost == 0
+
+    def test_the_bound_is_the_framers_argument(self):
+        assert len(encode_blob(b"x" * 100, 100)) == FRAME_HEADER.size + 100
+        with pytest.raises(ProtocolError, match="101 bytes exceeds the 100"):
+            encode_blob(b"x" * 101, 100)
+
+
+@pytest.mark.parametrize("name", ["tcp", "inproc"])
+def test_a_payload_frame_is_serialised_once_per_tcp_send(name, monkeypatch):
+    """``json.dumps`` sees a payload frame once per TCP send and never on
+    the in-proc transport (``_Frame.wire_size`` used to serialise every
+    frame once more on every ``send()``, on both, for a counter nobody
+    read)."""
+    dumped = []
+    real_dumps = json.dumps
+
+    def counting_dumps(obj, *args, **kwargs):
+        if isinstance(obj, dict) and obj.get("t") in FRAME_KINDS:
+            dumped.append(obj["t"])
+        return real_dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    transport = TcpTransport() if name == "tcp" else InProcTransport()
+    report = TaskPlane(small_tree(), transport, max_tasks=40,
+                       time_scale=0.001).run()
+    assert report.completed == 40 and transport.payload_frames > 4 * 40 // 2
+    assert len(dumped) == (transport.payload_frames if name == "tcp" else 0)
+
+
+# ----------------------------------------------------------------------
 # the cluster handshake fails closed
 # ----------------------------------------------------------------------
-def hello_blob(obj) -> bytes:
-    return encode_blob(json.dumps(obj).encode("utf-8"))
-
-
 def garbled(blob: bytes) -> bytes:
     return blob[:-1] + bytes([blob[-1] ^ 0xFF])   # body no longer matches CRC
 
@@ -215,11 +276,7 @@ class TestClusterHello:
         async def scenario():
             node = _NodeProcess(self.SPEC, conn=None)
             node.writers["P0"] = upstream = object()
-            accepted = []
-            server = await asyncio.start_server(
-                lambda r, w: accepted.append(asyncio.ensure_future(
-                    node._on_child_connect(r, w))),
-                "127.0.0.1", 0)
+            server = await asyncio.start_server(node._accept, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             clients, hung_up, legit = [], [], None
 
@@ -245,31 +302,32 @@ class TestClusterHello:
                 writer.close()
             server.close()
             await server.wait_closed()
-            await asyncio.gather(*accepted)
+            await asyncio.wait_for(asyncio.gather(*node._tasks), timeout=5)
             return node, upstream, legit, hung_up
 
         return asyncio.run(scenario())
 
     def test_the_legitimate_child_is_accepted(self):
-        node, upstream, legit, hung_up = self.dial(
-            hello_blob({"kind": "hello", "node": "P2"}))
+        node, upstream, legit, hung_up = self.dial(encode_hello("P2"))
         assert hung_up == [False] and node.failures == []
         assert node.hellos.is_set()
         assert node.writers == {"P0": upstream, "P2": legit}
 
     @pytest.mark.parametrize("bad", [
-        hello_blob({"kind": "hello", "node": "P9"}),       # a stranger
-        hello_blob({"kind": "hello", "node": "P2"}),       # a second P2
-        hello_blob({"kind": "hello", "node": "P0"}),       # its own parent
-        hello_blob({"kind": "hello", "node": "P1"}),       # its own name
-        hello_blob({"kind": "hello", "node": ["P2"]}),     # unhashable
-        hello_blob({"kind": "hello"}),                     # no node at all
-        hello_blob([1, 2, 3]),                             # not an object
-        garbled(hello_blob({"kind": "hello", "node": "P2"})),
+        encode_hello("P9"),                                # a stranger
+        encode_hello("P2"),                                # a second P2
+        encode_hello("P0"),                                # its own parent
+        encode_hello("P1"),                                # its own name
+        encode_blob(b'{"hello":["P2"]}'),                  # unhashable
+        encode_blob(b'{"hi":"P2"}'),                       # no hello at all
+        encode_blob(b"[1,2,3]"),                           # not an object
+        garbled(encode_hello("P2")),
+        encode_blob(b"\xff\xfe"),
+        FRAME_HEADER.pack(MAX_FRAME + 1, 0),
     ], ids=["stranger", "duplicate", "parent", "self", "unhashable",
-            "missing-key", "non-object", "bad-crc"])
+            "missing-key", "non-object", "bad-crc", "not-json", "oversized"])
     def test_anything_else_is_hung_up_on(self, bad):
-        good = hello_blob({"kind": "hello", "node": "P2"})
+        good = encode_hello("P2")
         node, upstream, legit, hung_up = self.dial(good, bad)
         assert hung_up == [False, True]
         # the impostor replaced nobody: both writers are who they were
@@ -282,8 +340,7 @@ class TestClusterHello:
     def test_the_failure_names_listener_and_claimed_peer(self):
         """The reproducer — P2, a stranger P9, a second P2 — with one more
         stranger first: a refusal does not keep the real child out."""
-        good = hello_blob({"kind": "hello", "node": "P2"})
-        stranger = hello_blob({"kind": "hello", "node": "P9"})
+        good, stranger = encode_hello("P2"), encode_hello("P9")
         node, upstream, legit, hung_up = self.dial(
             stranger, good, stranger, good)
         assert hung_up == [True, False, True, True]
@@ -293,3 +350,77 @@ class TestClusterHello:
         assert len(strangers) == 2
         assert all("'P1'" in text and "'P9'" in text for text in strangers)
         assert "'P1'" in duplicate and "'P2'" in duplicate
+
+
+class TestClusterSocket:
+    """The same listener after a good hello: one loop reads the socket to
+    its end through the codec's ``FrameSplitter``."""
+
+    class Actor:
+        """Records what the socket loop routes to the actor."""
+        state = None
+
+        def __init__(self):
+            self.handled = []
+
+        def handle(self, message):
+            self.handled.append(message)
+
+    def serve(self, *writes):
+        """Dial, send *writes* one ``write()`` each, close; returns the
+        node once its socket loop has ended."""
+        async def scenario():
+            node = _NodeProcess(TestClusterHello.SPEC, conn=None)
+            node.actor = self.Actor()
+            server = await asyncio.start_server(node._accept, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            _, writer = await asyncio.open_connection("127.0.0.1", port)
+            for data in writes:
+                writer.write(data)
+                await writer.drain()
+                await asyncio.sleep(0.01)
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            await asyncio.wait_for(asyncio.gather(*node._tasks), timeout=5)
+            for accepted in node.writers.values():
+                accepted.close()
+            return node
+
+        return asyncio.run(scenario())
+
+    PROPOSAL = Proposal(sender="P2", receiver="P1", beta=Fraction(5, 3), xid=1)
+
+    def test_frames_behind_the_hello_are_routed_however_they_are_cut(self):
+        stream = encode_hello("P2") + encode_any(self.PROPOSAL) * 3
+        for cut in (len(stream), 5, len(encode_hello("P2")) + 3):
+            node = self.serve(stream[:cut], stream[cut:])
+            assert node.failures == []          # clean EOF between frames
+            assert node.actor.handled == [self.PROPOSAL] * 3
+
+    def test_a_corrupt_frame_fails_the_node_with_a_typed_error(self):
+        node = self.serve(encode_hello("P2"),
+                          garbled(encode_any(self.PROPOSAL)))
+        (failure,) = node.failures
+        assert isinstance(failure, CodecError) and failure.recoverable
+        assert node.actor.handled == [] and node.engine_done.is_set()
+
+    def test_an_oversized_prefix_fails_the_node(self):
+        node = self.serve(encode_hello("P2"),
+                          FRAME_HEADER.pack(MAX_FRAME + 1, 0) + b"junk")
+        (failure,) = node.failures
+        assert isinstance(failure, CodecError) and not failure.recoverable
+
+    def test_eof_inside_a_frame_fails_the_node(self):
+        node = self.serve(encode_hello("P2"),
+                          encode_any(self.PROPOSAL)[:-3])
+        (failure,) = node.failures
+        assert type(failure) is ProtocolError and "mid-frame" in str(failure)
+
+    def test_eof_before_the_hello_is_a_refused_hello(self):
+        for prefix in (b"", encode_hello("P2")[:-3]):
+            node = self.serve(prefix)
+            (failure,) = node.failures
+            assert isinstance(failure, TaskPlaneError)
+            assert "refused a hello" in str(failure)
+            assert node.writers == {}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import json
 import random
 import socket
 import warnings
@@ -31,8 +30,8 @@ from repro.protocol.messages import Acknowledgment, Proposal
 from repro.protocol.retry import RetryPolicy
 from repro.runtime import Runtime, Session, TcpTransport, negotiate
 from repro.runtime import transport as transport_module
-from repro.runtime.codec import (FRAME_HEADER, MAX_FRAME, encode_blob,
-                                 encode_frame)
+from repro.runtime.codec import (FRAME_HEADER, MAX_FRAME, encode_any,
+                                 encode_blob, encode_hello)
 from repro.taskplane import make_task
 
 
@@ -169,15 +168,11 @@ class TestHandshake:
                                                       monkeypatch):
         """P2 dials its parent P0 but sends *case* instead of its hello:
         ``start()`` cannot complete the edge, so it must fail — typed —
-        and leave no listener, socket or task behind.  (The transport
-        frames nothing but hellos with ``encode_blob``; messages go
-        through ``encode_any``.)"""
-        def hello_of(body: bytes) -> bytes:
-            if json.loads(body) == {"hello": "P2"}:
-                return BAD_HELLOS[case]
-            return encode_blob(body)
+        and leave no listener, socket or task behind."""
+        def hello_of(name) -> bytes:
+            return BAD_HELLOS[case] if name == "P2" else encode_hello(name)
 
-        monkeypatch.setattr(transport_module, "encode_blob", hello_of)
+        monkeypatch.setattr(transport_module, "encode_hello", hello_of)
 
         async def scenario():
             tree = small_tree()
@@ -199,8 +194,8 @@ class TestHandshake:
 
     def test_a_failed_handshake_surfaces_through_the_runtime(self,
                                                              monkeypatch):
-        monkeypatch.setattr(transport_module, "encode_blob",
-                            lambda body: encode_blob(b'{"hello":"P9"}'))
+        monkeypatch.setattr(transport_module, "encode_hello",
+                            lambda name: encode_hello("P9"))
         transport = TcpTransport()
         with pytest.raises(ProtocolError, match="bad handshake"):
             Runtime(small_tree(), transport).run()
@@ -284,13 +279,13 @@ class TestHostileOctets:
             transport, mailboxes = await started(small_tree(),
                                                  quarantine_after=3)
             raw = transport._writers[("P0", "P1")].transport
-            bad = garbled_crc(encode_frame(proposal()))
-            raw.write(bad + bad + encode_frame(proposal(7)) + bad + bad)
+            bad = garbled_crc(encode_any(proposal()))
+            raw.write(bad + bad + encode_any(proposal(7)) + bad + bad)
             first = await asyncio.wait_for(mailboxes["P1"].get(), 5.0)
             assert first.xid == 7
             await settle(lambda: transport.corrupt_frames == 4)
             assert not transport.quarantined       # 2, reset, 2
-            raw.write(bad + encode_frame(proposal(8)))
+            raw.write(bad + encode_any(proposal(8)))
             await settle(lambda: transport.quarantined)
             await transport.close()
             return transport, mailboxes
@@ -300,14 +295,31 @@ class TestHostileOctets:
         assert transport.corrupt_frames == 5
         assert mailboxes["P1"].empty()             # xid 8 came too late
 
+    def test_a_well_framed_lie_is_one_more_corrupt_frame(self):
+        """``"x": true`` passes the CRC and parses as JSON; it is no
+        transaction id (``True == 1`` would match a pending xid 1)."""
+        async def scenario():
+            transport, mailboxes = await started(small_tree())
+            raw = transport._writers[("P0", "P1")].transport
+            raw.write(encode_blob(
+                b'{"t":"prop","s":"P0","r":"P1","v":"5/3","x":true}')
+                + encode_any(proposal(7)))
+            first = await asyncio.wait_for(mailboxes["P1"].get(), 5.0)
+            await transport.close()
+            return transport, mailboxes, first
+
+        transport, mailboxes, first = asyncio.run(scenario())
+        assert first == proposal(7) and mailboxes["P1"].empty()
+        assert transport.corrupt_frames == 1 and not transport.quarantined
+
     def test_eof_inside_a_frame_is_a_dead_stream_and_clean_eof_is_not(self):
         async def scenario():
             transport, _ = await started(small_tree())
             cut = transport._writers[("P0", "P1")].transport
-            cut.write(encode_frame(proposal())[:-3])
+            cut.write(encode_any(proposal())[:-3])
             cut.close()
             clean = transport._writers[("P0", "P2")].transport
-            clean.write(encode_frame(Proposal(sender="P0", receiver="P2",
+            clean.write(encode_any(Proposal(sender="P0", receiver="P2",
                                               beta=Fraction(1), xid=1)))
             clean.close()
             await settle(lambda: len(transport._ends) == 2)
@@ -550,15 +562,13 @@ class TestReconcile:
         """P4 is grafted under P2, but what arrives on P2's new listener
         names a stranger: the reconcile fails typed and takes the edges it
         had kept down with it."""
-        def hello_of(body: bytes) -> bytes:
-            if json.loads(body) == {"hello": "P4"}:
-                return encode_blob(b'{"hello":"P9"}')
-            return encode_blob(body)
+        def hello_of(name) -> bytes:
+            return encode_hello("P9" if name == "P4" else name)
 
         async def scenario():
             tree = small_tree()
             transport, _ = await started(tree)
-            monkeypatch.setattr(transport_module, "encode_blob", hello_of)
+            monkeypatch.setattr(transport_module, "encode_hello", hello_of)
             tree.add_node("P4", w=3, parent="P2", c=1)
             mailboxes = {node: asyncio.Queue() for node in tree.nodes()}
             before = asyncio.all_tasks()

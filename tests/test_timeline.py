@@ -28,7 +28,7 @@ from repro.core.allocation import from_bw_first
 from repro.core.bwfirst import bw_first
 from repro.core.incremental import IncrementalSolver, _IFrame, _Sol
 from repro.core.rates import is_infinite
-from repro.core.timeline import IntTimeline, denominator_lcm, timeline_for, tree_periods_scaled
+from repro.core.timeline import IntTimeline, denominator_lcm, timeline_for
 from repro.exceptions import ScheduleError, SimulationError
 from repro.platform.tree import Tree
 from repro.schedule.eventdriven import build_schedules
@@ -38,6 +38,8 @@ from repro.sim.base import Controller
 from repro.sim.simulator import Simulation, simulate
 from repro.telemetry import Registry
 from repro.telemetry.core import NULL
+
+from .fraction_oracles import tree_periods_fraction
 
 SEEDS = list(range(25))
 
@@ -98,7 +100,7 @@ class TestKernelEquivalence:
     def test_scaled_periods_equal_fraction_periods(self, seed):
         tree = random_tree(seed)
         allocation, periods, _ = solved(tree)
-        assert tree_periods_scaled(allocation) == periods
+        assert periods == tree_periods_fraction(allocation)
 
     @pytest.mark.parametrize("seed", SEEDS[:8])
     def test_lean_trace_end_time_matches(self, seed):
