@@ -51,8 +51,8 @@ runtime-smoke:
 		PYTHONPATH=src python -m repro runtime $$tmp/fig4.json \
 			--transport tcp && \
 		PYTHONPATH=src pytest tests/test_runtime.py \
-			tests/test_tcp_edges.py tests/test_codec_splitter.py \
-			tests/test_wire_structure.py \
+			tests/test_tcp_edges.py tests/test_warm_negotiation.py \
+			tests/test_codec_splitter.py tests/test_wire_structure.py \
 			benchmarks/bench_e25_runtime.py -q && \
 		python3 benchmarks/e2e/__main__.py --workload wire-tcp --smoke && \
 		python3 benchmarks/e2e/__main__.py --workload wire-inproc --smoke"

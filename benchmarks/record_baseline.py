@@ -34,7 +34,7 @@ from repro.core.incremental import IncrementalSolver
 from repro.platform.examples import paper_figure4_tree
 from repro.platform.generators import random_tree, smooth_tree
 from repro.protocol import run_protocol
-from repro.runtime import negotiate
+from repro.runtime import Session, negotiate
 from repro.schedule.eventdriven import build_schedules
 from repro.schedule.periods import global_period, tree_periods
 from repro.sim import KERNELS
@@ -122,6 +122,25 @@ def record_e25(sizes=(14, 50)):
                 node_evals=len(result.visited),
             ))
             print(f"e25 {label}/{path}: {wall*1e3:.2f}ms")
+    # a session that remembers: six spread-out leaves of the recovery
+    # workload's tree pruned one by one (the warm gate's steps); the exact
+    # count recorded is the messages each re-negotiation exchanged
+    tree = smooth_tree(120, 1)
+    leaves = sorted(tree.leaves(), key=str)
+    with Session("tcp") as session:
+        session.negotiate(tree)
+        for step, leaf in enumerate(leaves[::len(leaves) // 6][:6], 1):
+            tree.remove_subtree(leaf)
+            result, wall = timed(lambda: session.negotiate(tree.copy()))
+            records.append(dict(
+                params=dict(platform="smooth120", nodes=len(tree),
+                            path="tcp-session", step=step, count="messages",
+                            cold=bw_first(tree).message_count),
+                wall_s=round(wall, 6),
+                node_evals=result.messages,
+            ))
+            print(f"e25 smooth120/tcp-session step {step}: "
+                  f"{result.messages} msgs, {wall*1e3:.2f}ms")
     return records
 
 

@@ -140,6 +140,12 @@ class RecoveryReport:
         return self.telemetry.value("recovery.renegotiation_bytes")
 
     @property
+    def renegotiation_notices(self) -> int:
+        """Of the messages, the notices that went ahead of warm
+        re-negotiations (executed path only)."""
+        return self.telemetry.value("recovery.renegotiation_notices")
+
+    @property
     def retransmissions(self) -> int:
         """Proposals retransmitted across every negotiation."""
         return self.telemetry.value("recovery.retransmissions")
@@ -387,7 +393,7 @@ def resilient_run(
     final_allocation = old_allocation
     recovery_span = None
     corrupted_total = initial_net.corrupted
-    reneg_messages = reneg_bytes = 0
+    reneg_messages = reneg_bytes = reneg_notices = 0
     retransmissions = initial.retransmissions
     dropped = initial.dropped
     duplicated = initial.duplicated
@@ -586,8 +592,10 @@ def resilient_run(
                     # one transport under every epoch: a re-negotiation
                     # dials the edges its epoch added, not the platform
                     session = Session(runtime)
+                    session.learn(initial)
                 renegotiation = session.negotiate(
                     snapshot, retry=policy, trace_id=run_trace,
+                    reference=new_result,
                 )
                 vtime = sequential_completion_time(
                     renegotiation, latency_factor=latency_factor
@@ -639,14 +647,16 @@ def resilient_run(
                                       throughput=new_allocation.throughput)
 
             # --- analytic actions for the simulation -----------------------
-            # every renegotiation transaction costs one control job on the
-            # proposing parent's send port and one on the acknowledging child's
+            # every transaction the renegotiation exchanged costs one control
+            # job on the proposing parent's send port and one on the
+            # acknowledging child's; a notice one on the child's
             jobs = []
-            for node, actor in renegotiation.actors.items():
-                for child, _beta, _theta in actor.transactions:
-                    latency = snapshot.c(child) * latency_factor
-                    jobs.append((node, latency))
-                    jobs.append((child, latency))
+            for node, child, _beta, _theta in renegotiation.exchanged:
+                latency = snapshot.c(child) * latency_factor
+                jobs.append((node, latency))
+                jobs.append((child, latency))
+            for child in renegotiation.notices:
+                jobs.append((child, snapshot.c(child) * latency_factor))
             port_jobs.append((start, jobs))
             switches.append((
                 switch,
@@ -668,6 +678,7 @@ def resilient_run(
             epoch_bytes = octets if octets else renegotiation.bytes
             reneg_messages += renegotiation.messages
             reneg_bytes += epoch_bytes
+            reneg_notices += len(renegotiation.notices)
             retransmissions += renegotiation.retransmissions
             dropped += renegotiation.dropped
             duplicated += renegotiation.duplicated
@@ -781,6 +792,7 @@ def resilient_run(
         ("recovery.heartbeats", monitor.heartbeats),
         ("recovery.renegotiation_messages", reneg_messages),
         ("recovery.renegotiation_bytes", reneg_bytes),
+        ("recovery.renegotiation_notices", reneg_notices),
         ("recovery.retransmissions", retransmissions),
         ("recovery.dropped", dropped),
         ("recovery.duplicated", duplicated),

@@ -27,6 +27,15 @@ at-least-once retransmission over a lossy control plane safe:
 * a late or duplicate acknowledgment of an already-settled transaction is
   ignored, so a child declared dead by timeout cannot corrupt the parent's
   state when its answer finally arrives.
+
+Inside a :class:`~repro.runtime.runtime.Session` an actor may be booted
+with a :attr:`~NodeActor.memory`: the λ it was offered, the θ it answered
+and the transactions it settled in the session's last negotiation, kept
+only while its subtree is unchanged.  Algorithm 1 is deterministic, so
+offered that very λ again it answers that very θ without proposing to
+anyone; offered anything else it runs Algorithm 1 as if it remembered
+nothing.  The duplicate-delivery state above is never remembered: it
+starts empty in every run.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tupl
 
 from ..core.rates import ONE, ZERO
 from ..exceptions import ProtocolError
-from .messages import Acknowledgment, Message, Proposal
+from .messages import Acknowledgment, Message, Notice, Proposal
 
 #: Callback an actor uses to hand a message to the transport.
 SendFn = Callable[[Message], None]
@@ -91,6 +100,12 @@ class NodeActor:
         #: settled transaction xids (parent role; late/duplicate ack → drop)
         self._settled: Set[int] = set()
         self.transactions: List[Tuple[Hashable, Fraction, Fraction]] = []
+        #: ``(λ, θ, transactions)`` of the session's last negotiation, on a
+        #: node whose subtree has not changed since; ``None`` everywhere else
+        self.memory: Optional[tuple] = None
+        #: this run exchanged none of :attr:`transactions`: they, λ and θ
+        #: are the remembered ones
+        self.remembered = False
 
     # ------------------------------------------------------------------
     def handle(self, message: Message) -> None:
@@ -99,6 +114,13 @@ class NodeActor:
             self._on_proposal(message)
         elif isinstance(message, Acknowledgment):
             self._on_ack(message)
+        elif isinstance(message, Notice):
+            # who remembers was boot's decision: a notice is what that costs
+            # on the wire, checked for where it came from and otherwise inert
+            if all(message.sender != child for child, _cost in self.children):
+                raise ProtocolError(
+                    f"{self.name!r} received a notice from non-child "
+                    f"{message.sender!r}", node=self.name)
         else:
             raise ProtocolError(
                 f"{self.name!r}: unknown message {message!r}", node=self.name
@@ -140,13 +162,32 @@ class NodeActor:
             raise ProtocolError(
                 f"{self.name!r}: negative proposal {message.beta}", node=self.name
             )
-        self.lam = message.beta
-        self.alpha = min(self.rate, message.beta)
-        self.delta = message.beta - self.alpha
-        self.tau = ONE
-        self._cursor = 0
         self._proposal_xid = message.xid
+        if self.memory is not None and self.memory[0] == message.beta:
+            self.recall()
+            self._cursor = len(self.children)  # nobody is left to ask
+        else:
+            self.lam = message.beta
+            self.alpha = min(self.rate, message.beta)
+            self.delta = message.beta - self.alpha
+            self.tau = ONE
+            self._cursor = 0
         self._advance()
+
+    def recall(self) -> None:
+        """Stand where the remembered negotiation left this node — same λ
+        over the same subtree, hence the same α, δ = θ, τ and transactions,
+        none of them exchanged in this run."""
+        lam, theta, transactions = self.memory
+        cost = dict(self.children)
+        self.lam = lam
+        self.alpha = min(self.rate, lam)
+        self.delta = theta
+        self.tau = ONE - sum((beta - back) * cost[child]
+                             for child, beta, back in transactions)
+        self.transactions = list(transactions)
+        self.remembered = True
+        self.state = DONE
 
     def _on_ack(self, message: Acknowledgment) -> None:
         if message.xid is not None and message.xid in self._settled:

@@ -24,6 +24,13 @@ one causally-ordered trace (``repro trace --stitch``).  The trace id is
 an observability envelope, not protocol payload: :func:`wire_size`
 deliberately excludes it, keeping the model byte counts identical whether
 or not a run is being watched (real TCP octet counters do include it).
+
+A third type carries no number at all.  Inside a
+:class:`~repro.runtime.runtime.Session` a node remembers what it answered
+last time; a node whose own data changed sends a :class:`Notice` up every
+edge between it and the root before the negotiation starts — what the
+remembered answers above it cost to give up.  A notice is a bare header on
+the wire (:func:`wire_size` charges the 8 bytes).
 """
 
 from __future__ import annotations
@@ -55,7 +62,16 @@ class Acknowledgment:
     trace: Optional[str] = None
 
 
-Message = object  # Proposal | Acknowledgment
+@dataclass(frozen=True, slots=True)
+class Notice:
+    """Before phase one: ``sender``'s subtree changed since the last
+    negotiation, so its parent ``receiver`` cannot answer from memory."""
+
+    sender: Hashable
+    receiver: Hashable
+
+
+Message = object  # Proposal | Acknowledgment | Notice
 
 
 def _varint(n: int) -> int:
@@ -68,8 +84,11 @@ def wire_size(message: Message) -> int:
 
     The payload is a numerator/denominator pair, each varint-encoded; we
     charge one byte per 7 bits, with a 1-byte minimum per integer.  A
-    transaction id, when present, is one more varint.
+    transaction id, when present, is one more varint.  A :class:`Notice`
+    is the header alone.
     """
+    if isinstance(message, Notice):
+        return 8
     value = message.beta if isinstance(message, Proposal) else message.theta
     size = 8 + _varint(value.numerator) + _varint(value.denominator)
     if message.xid is not None:

@@ -41,14 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, Hashable, Mapping, Optional
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..core.bwfirst import BWFirstResult, bw_first, root_proposal
 from ..exceptions import ProtocolError, SimulationError
 from ..platform.tree import Tree
 from ..telemetry.core import Registry, Span
 from .actor import DONE, NodeActor
-from .messages import Acknowledgment, Message, Proposal
+from .messages import Acknowledgment, Message, Notice, Proposal
 from .network import Network
 from .retry import RetryPolicy
 
@@ -72,6 +72,8 @@ class ProtocolResult:
     telemetry: Registry = field(default_factory=Registry, repr=False)
     #: distributed-trace id of this negotiation (None when untraced)
     trace_id: Optional[str] = None
+    #: the nodes that sent their parent a :class:`Notice` before this run
+    notices: Tuple[Hashable, ...] = ()
 
     @property
     def completion_time(self) -> Fraction:
@@ -119,6 +121,56 @@ class ProtocolResult:
         return frozenset(
             name for name, actor in self.actors.items() if actor.lam is not None
         )
+
+    @property
+    def exchanged(self) -> List[Tuple[Hashable, Hashable, Fraction, Fraction]]:
+        """The ``(parent, child, β, θ)`` transactions this run put on the
+        wire — all of ``actors``' transactions in a cold run; in a warm one
+        those of a node that answered from memory, and of everybody below
+        it, are reported there but were not exchanged again."""
+        return [(name, *transaction) for name, actor in self.actors.items()
+                if not actor.remembered for transaction in actor.transactions]
+
+
+class Standing:
+    """What the nodes of a platform hold between the negotiations of one
+    :class:`~repro.runtime.runtime.Session`.
+
+    ``records[node]`` is ``(rate, children, memory)``: the local data the
+    node's actor was last built from — its computing rate and its children
+    with their link costs, in bandwidth order: one level of
+    :meth:`IncrementalSolver.fingerprint
+    <repro.core.incremental.IncrementalSolver.fingerprint>`'s key, with the
+    child's *name* where the key has the child's fingerprint, because a
+    remembered transaction names the child it was settled with — and
+    ``(λ, θ, transactions)`` of the last proposal it answered (``None`` if
+    it never got one).  A node is **clean** while that local data and every
+    child's are what they were; only a clean node is handed its memory.
+    Nothing of a run's duplicate-delivery state is kept.  Records outlive
+    the node's presence on the platform, so a subtree that returns as it
+    left finds its memory again.
+    """
+
+    def __init__(self) -> None:
+        self.root: Optional[Hashable] = None
+        self.records: Dict[Hashable, tuple] = {}
+
+    def learn(self, result: "ProtocolResult", dirty=frozenset()) -> None:
+        """Remember every answer given in the negotiation *result* reports
+        (*dirty*: the nodes its boot found changed) — or, if it gave
+        somebody up, nothing at all: a timed-out child is no child the
+        next negotiation may count on staying silent."""
+        records = self.records
+        if result.timeouts:
+            records.clear()
+            return
+        self.root = result.tree.root
+        for node, actor in result.actors.items():
+            if actor.lam is not None and not actor.remembered:
+                records[node] = (actor.rate, actor.children, (
+                    actor.lam, actor.delta, tuple(actor.transactions)))
+            elif node in dirty or node not in records:
+                records[node] = (actor.rate, actor.children, None)
 
 
 class Negotiation:
@@ -186,6 +238,15 @@ class Negotiation:
         self._open_spans: Dict[tuple, Span] = {}
         #: per node: the span of the transaction that activated it
         self._inbound: Dict[Hashable, Span] = {}
+        #: a session's memory, assigned by the driver that carries one before
+        #: :meth:`boot`; ``None`` is a cold negotiation that learns nothing
+        self.standing: Optional[Standing] = None
+        #: what :meth:`boot` found changed, root-ward closed, and the notices
+        #: that pay for it — the driver sends them ahead of the seed
+        self._dirty: set = set()
+        self.notices: List[Notice] = []
+        #: transactions answered from memory in this run
+        self.remembered = 0
 
     def boot(self, send: Callable[[Message], None]) -> Proposal:
         """Create one actor per platform node, all sending through *send*,
@@ -208,8 +269,47 @@ class Negotiation:
                           for child in tree.children_by_bandwidth(node)],
                 send=send,
             )
+        if self.standing is not None:
+            self._recollect()
         return Proposal(sender=VIRTUAL_PARENT, receiver=tree.root,
                         beta=self.t_max, xid=0, trace=self.trace_id)
+
+    def _recollect(self) -> None:
+        """Hand every clean actor its memory; every other node that was
+        known notifies its parent.  A dead child or another master voids
+        what was remembered: parents must find out by asking."""
+        standing, actors = self.standing, self.actors
+        if self.failed or standing.root != self.tree.root:
+            standing.records.clear()
+        records, dirty = standing.records, self._dirty
+        for node in reversed(list(actors)):  # children before parents
+            actor = actors[node]
+            record = records.get(node)
+            if (record is None or record[0] != actor.rate
+                    or record[1] != actor.children
+                    or any(child in dirty for child, _cost in actor.children)):
+                dirty.add(node)
+                if record is not None and actor.parent != VIRTUAL_PARENT:
+                    self.notices.append(Notice(node, actor.parent))
+            else:
+                actor.memory = record[2]
+
+    def _restore(self) -> None:
+        """The root has answered.  Below a node that answered from memory
+        nobody was asked: each of them stands where the remembered
+        negotiation left it — exactly where a cold run would."""
+        actors = self.actors
+        stack = [actor for actor in actors.values() if actor.remembered]
+        self.remembered = len(stack)
+        while stack:
+            for child, beta, _theta in stack.pop().transactions:
+                actor = actors[child]
+                if actor.memory is None or actor.memory[0] != beta:
+                    raise ProtocolError(
+                        f"{child!r} does not remember the proposal its parent "
+                        "remembers making", node=child)
+                actor.recall()
+                stack.append(actor)
 
     @property
     def throughput(self) -> Fraction:
@@ -261,12 +361,17 @@ class Negotiation:
                 raise ProtocolError("virtual parent expected an acknowledgment")
             if self.theta is None:
                 self.theta = message.theta
+                if self.standing is not None:
+                    self._restore()
             self._close_span((VIRTUAL_PARENT, self.tree.root, message.xid),
-                             "acked", theta=message.theta)
+                             self._outcome(message), theta=message.theta)
             return
         if node in self.failed:
             return
-        actor = self.actors[node]
+        actor = self.actors.get(node)
+        if actor is None:
+            raise ProtocolError(f"{message!r} is addressed to nobody on this "
+                                "platform")
         if self.spans_on:
             if isinstance(message, Proposal):
                 if actor.lam is None:
@@ -277,8 +382,15 @@ class Negotiation:
             elif isinstance(message, Acknowledgment):
                 if actor.is_pending(message.sender, message.xid):
                     self._close_span((node, message.sender, message.xid),
-                                     "acked", theta=message.theta)
+                                     self._outcome(message),
+                                     theta=message.theta)
         actor.handle(message)
+
+    def _outcome(self, ack: Acknowledgment) -> str:
+        """A span's outcome tag: was *ack* answered from memory?"""
+        sender = self.actors.get(ack.sender)
+        return ("remembered" if sender is not None and sender.remembered
+                else "acked")
 
     def expire(self, sender: Hashable, child: Hashable, xid) -> None:
         """The timer armed for *sender*'s proposal to *child* ran out:
@@ -327,7 +439,11 @@ class Negotiation:
             )
         if not excluded:
             for node, outcome in reference.outcomes.items():
-                actor = self.actors[node]
+                actor = self.actors.get(node)
+                if actor is None:
+                    raise ProtocolError(
+                        f"verification reference visits {node!r}, which is "
+                        "not on the negotiated platform", node=node)
                 if actor.lam != outcome.lam or (
                     actor.state == DONE and actor.theta != outcome.theta
                 ):
@@ -353,6 +469,9 @@ class Negotiation:
             "protocol.timeouts": self.timeouts,
             **counters,
         }
+        if self.standing is not None:
+            tallies["protocol.notices"] = len(self.notices)
+            tallies["protocol.remembered"] = self.remembered
         visited = sum(1 for actor in actors if actor.lam is not None)
         view = Registry()  # per-result backing store for the tally attributes
         registries = (view,) if self.telemetry is None else (view, self.telemetry)
@@ -365,14 +484,18 @@ class Negotiation:
             for (parent, child), count in edge_octets.items():
                 registry.counter("runtime.tcp.edge_octets",
                                  edge=f"{parent}->{child}").inc(count)
-        return ProtocolResult(
+        result = ProtocolResult(
             tree=self.tree,
             throughput=self.throughput,
             t_max=self.t_max,
             actors=self.actors,
             telemetry=view,
             trace_id=self.trace_id,
+            notices=tuple(notice.sender for notice in self.notices),
         )
+        if self.standing is not None:
+            self.standing.learn(result, self._dirty)
+        return result
 
 
 def run_protocol(

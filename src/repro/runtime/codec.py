@@ -7,9 +7,11 @@ the 4-byte CRC32 of the body — and then a compact JSON object:
 
     {"t": "prop", "s": "P0", "r": "P1", "v": "5/3", "x": 2}
     {"t": "ack",  "s": "P1", "r": "P0", "v": "1/3", "x": 2}
+    {"t": "note", "s": "P1", "r": "P0"}
 
-* ``t`` — message type, ``"prop"`` (:class:`~repro.protocol.messages.Proposal`)
-  or ``"ack"`` (:class:`~repro.protocol.messages.Acknowledgment`);
+* ``t`` — message type, ``"prop"`` (:class:`~repro.protocol.messages.Proposal`),
+  ``"ack"`` (:class:`~repro.protocol.messages.Acknowledgment`) or ``"note"``
+  (:class:`~repro.protocol.messages.Notice`, which has ``s`` and ``r`` only);
 * ``s`` / ``r`` — sender / receiver node names.  TCP transport requires
   names JSON can round-trip losslessly (strings, ints, bools, None) — the
   in-proc transport has no such restriction because it never serialises;
@@ -61,13 +63,15 @@ from functools import partial
 from typing import Callable, Dict, Optional
 
 from ..exceptions import CodecError, ProtocolError
-from ..protocol.messages import Acknowledgment, Message, Proposal
+from ..protocol.messages import Acknowledgment, Message, Notice, Proposal
 
-#: Control frame kinds owned by this module.  Extension kinds (the task
-#: plane's payload frames) add their decoders to the same table via
-#: :func:`register_frame_kind` and share the same length|CRC32|body
-#: framing, so control and payload traffic can interleave on one connection.
-CONTROL_KINDS = ("prop", "ack")
+#: Control message class → wire kind: the one place a control kind is
+#: spelled.  Extension kinds (the task plane's payload frames) add their
+#: decoders to the table these seed (:func:`register_frame_kind`) and share
+#: the same length|CRC32|body framing, so control and payload traffic can
+#: interleave on one connection.
+_CONTROL = {Proposal: "prop", Acknowledgment: "ack", Notice: "note"}
+CONTROL_KINDS = tuple(_CONTROL.values())
 
 #: struct format of the frame header: body length + CRC32 of the body.
 FRAME_HEADER = struct.Struct(">II")
@@ -99,21 +103,17 @@ def _check_name(name) -> None:
 
 
 def encode_message(message: Message) -> bytes:
-    """Serialise one Proposal/Acknowledgment to a JSON frame body."""
-    if isinstance(message, Proposal):
-        kind, value = "prop", message.beta
-    elif isinstance(message, Acknowledgment):
-        kind, value = "ack", message.theta
-    else:
+    """Serialise one control message to a JSON frame body."""
+    kind = _CONTROL.get(type(message))
+    if kind is None:
         raise ProtocolError(f"cannot encode {message!r}")
     _check_name(message.sender)
     _check_name(message.receiver)
-    payload = {
-        "t": kind,
-        "s": message.sender,
-        "r": message.receiver,
-        "v": str(Fraction(value)),
-    }
+    payload = {"t": kind, "s": message.sender, "r": message.receiver}
+    if isinstance(message, Notice):
+        return _dump(payload)
+    payload["v"] = str(Fraction(
+        message.beta if isinstance(message, Proposal) else message.theta))
     if message.xid is not None:
         payload["x"] = message.xid
     if message.trace is not None:
@@ -187,6 +187,8 @@ def parse_rational(text) -> Fraction:
 # bodies: one table of kinds
 # ----------------------------------------------------------------------
 def _decode_control(cls, payload: dict) -> Message:
+    if cls is Notice:
+        return cls(read_name(payload, "s"), read_name(payload, "r"))
     xid = payload.get("x")
     if xid is not None:
         xid = read_int(payload, "x")
@@ -199,9 +201,7 @@ def _decode_control(cls, payload: dict) -> Message:
 
 #: wire kind → decoder of the parsed body, for every kind on the wire
 _DECODERS: Dict[str, Callable[[dict], object]] = {
-    "prop": partial(_decode_control, Proposal),
-    "ack": partial(_decode_control, Acknowledgment),
-}
+    kind: partial(_decode_control, cls) for cls, kind in _CONTROL.items()}
 
 
 def register_frame_kind(kind: str, decoder: Callable[[dict], object]) -> None:
@@ -259,7 +259,7 @@ def encode_any(obj) -> bytes:
     a registered kind).  Control and payload frames share the same
     length|CRC32 framing, so they interleave freely on one socket.
     """
-    if isinstance(obj, (Proposal, Acknowledgment)):
+    if type(obj) in _CONTROL:
         return encode_blob(encode_message(obj))
     to_payload = getattr(obj, "to_payload", None)
     if to_payload is None:

@@ -45,13 +45,15 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
+from ..core.bwfirst import BWFirstResult
 from ..core.rates import ZERO, as_fraction
 from ..exceptions import ProtocolError
 from ..platform.tree import Tree
 from ..protocol.actor import NodeActor
 from ..protocol.messages import Message
 from ..protocol.retry import RetryPolicy
-from ..protocol.runner import VIRTUAL_PARENT, Negotiation, ProtocolResult
+from ..protocol.runner import (VIRTUAL_PARENT, Negotiation, ProtocolResult,
+                               Standing)
 from ..telemetry.core import Registry
 from .transport import InProcTransport, TcpTransport, Transport
 
@@ -114,7 +116,15 @@ class Runtime:
       CI job on a dead socket;
     * *telemetry* — span + counter instrumentation, same schema as the
       simulated runner (``protocol.*`` counters, one ``transaction`` span
-      per Proposal→Ack exchange, tagged proposer/β/θ/xid/outcome).
+      per Proposal→Ack exchange, tagged proposer/β/θ/xid/outcome);
+    * *reference* — an already-computed centralised
+      :class:`~repro.core.bwfirst.BWFirstResult` of this platform and
+      proposal (:func:`~repro.protocol.runner.run_protocol`'s contract):
+      *verify* checks against it instead of running ``bw_first`` again,
+      and raises :class:`~repro.exceptions.ProtocolError` when it was
+      solved for another ``t_max`` or visits a node this platform lacks.
+      A run that quarantined a link verifies against its own solve of
+      what is left.
     """
 
     def __init__(
@@ -131,6 +141,7 @@ class Runtime:
         telemetry: Optional[Registry] = None,
         trace_id: Optional[str] = None,
         close_transport: bool = True,
+        reference: Optional[BWFirstResult] = None,
     ):
         if base_timeout <= 0:
             raise ProtocolError("base_timeout must be positive")
@@ -143,6 +154,7 @@ class Runtime:
         self.base_timeout = base_timeout
         self.deadline = deadline
         self.telemetry = telemetry
+        self.reference = reference
         #: when False the transport (and its sockets) survive
         #: :meth:`arun`, so a task plane can reuse the negotiated
         #: connections for payload frames — see ``repro.taskplane``
@@ -207,7 +219,12 @@ class Runtime:
     async def arun(self) -> ProtocolResult:
         """Async entry point: negotiate once, return the result.  May be
         awaited again: every run starts from fresh actors, attempt counts
-        and spans, and reports its own traffic only."""
+        and spans, remembers nothing and reports its own traffic only."""
+        return await self._arun(None)
+
+    async def _arun(self, standing: Optional[Standing]) -> ProtocolResult:
+        """:meth:`arun`, on what a :class:`Session` remembers: clean actors
+        boot with their memory, the run's answers are learnt into it."""
         tree, transport = self.tree, self.transport
         self._done = asyncio.get_running_loop().create_future()
         #: the run-queue: arrived messages and timer expiries — (sender,
@@ -217,12 +234,14 @@ class Runtime:
         self._t0 = time.monotonic_ns()
         sent_before, edges_before = self._traffic()
         core = self._negotiation(self.trace_id)
+        core.standing = standing
         self.actors = core.actors
 
         # every receiver's mailbox is the one run-queue
         await transport.start(
             tree, dict.fromkeys((*tree.nodes(), VIRTUAL_PARENT), self._queue))
-        self._outgoing[:] = [core.boot(self._outgoing.append)]
+        seed = core.boot(self._outgoing.append)
+        self._outgoing[:] = [*core.notices, seed]
         dispatcher = asyncio.ensure_future(self._dispatch(core))
         try:
             await asyncio.wait_for(asyncio.shield(self._done),
@@ -243,7 +262,10 @@ class Runtime:
                 await transport.close()
 
         if self.verify:
-            core.check(self.failed | frozenset(transport.quarantined), None)
+            # a link quarantined during the run is a platform the caller's
+            # reference could not know: that one is solved for here
+            core.check(self.failed | frozenset(transport.quarantined),
+                       None if transport.quarantined else self.reference)
         sent, by_edge = self._traffic()
         sent.subtract(sent_before)         # keeps the zeros
         sent["runtime.quarantined"] = len(transport.quarantined)
@@ -294,14 +316,25 @@ class Session:
     created by the first negotiation.  A context manager; :meth:`close` is
     idempotent.
 
+    The nodes outlive a negotiation too.  The session carries a
+    :class:`~repro.protocol.runner.Standing`: what every node answered last
+    time.  In the next negotiation a node whose subtree is unchanged and
+    which is offered the same β answers the same θ without forwarding, so
+    the run exchanges what the change reaches, not the platform; every
+    other known node on a root-to-change path first sends its parent one
+    :class:`~repro.protocol.messages.Notice`.  The result is the cold
+    one — every node's λ, θ and transactions — and says what was
+    :attr:`~repro.protocol.runner.ProtocolResult.exchanged`.
+
     Reuse is **fenced**.  Every run's actors count their xids from 0 and
     the traversal is deterministic, so a duplicate ``Acknowledgment`` of
     run *k* still sitting in a socket buffer would match the xid run
     *k + 1* is waiting for on that edge and be accepted with a stale θ.
     Therefore a negotiation that raised, or whose result reports a
     retransmission, timeout, drop or duplicate, leaves nothing behind: the
-    session closes the transport (and its loop) and the next negotiation
-    dials afresh.  The fence lives here and not in :meth:`Runtime.arun`
+    session closes the transport (and its loop), forgets what the nodes
+    remembered, and the next negotiation dials afresh and runs cold.  The
+    fence lives here and not in :meth:`Runtime.arun`
     because the task plane takes the sockets over after lossy negotiations
     on purpose.
     """
@@ -309,6 +342,7 @@ class Session:
     def __init__(self, transport: Union[str, Transport] = "inproc"):
         self.transport = _make_transport(transport)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._standing = Standing()
 
     def negotiate(self, tree: Tree, **runtime_kwargs) -> ProtocolResult:
         """``Runtime(tree, self.transport, **runtime_kwargs)`` run once on
@@ -319,7 +353,8 @@ class Session:
         if self._loop is None:
             self._loop = asyncio.new_event_loop()
         try:
-            result = self._loop.run_until_complete(runtime.arun())
+            result = self._loop.run_until_complete(
+                runtime._arun(self._standing))
         except BaseException:
             self.close()
             raise
@@ -328,8 +363,17 @@ class Session:
             self.close()
         return result
 
+    def learn(self, result: ProtocolResult) -> None:
+        """Take what the nodes answered in *result* — a negotiation of the
+        platform made elsewhere, say by
+        :func:`~repro.protocol.runner.run_protocol` — for what they
+        remember, in place of whatever this session's own runs left."""
+        self._standing = Standing()
+        self._standing.learn(result)
+
     def close(self) -> None:
-        """Close the transport, then the loop."""
+        """Close the transport, then the loop; remember nothing."""
+        self._standing = Standing()
         loop, self._loop = self._loop, None
         if loop is None:
             return
@@ -355,9 +399,10 @@ def sequential_completion_time(
 
     The depth-first protocol keeps exactly one message in flight, so the
     simulated completion time is the plain sum of every message's link
-    latency: two crossings (Proposal + Acknowledgment) per settled
-    transaction, at ``c(child)·latency_factor + fixed_latency`` each; the
-    virtual-parent link is free.  This maps a runtime negotiation — whose
+    latency: two crossings (Proposal + Acknowledgment) per transaction
+    the run exchanged and one per notice sent ahead of it, at
+    ``c(child)·latency_factor + fixed_latency`` each; the virtual-parent
+    link is free.  This maps a runtime negotiation — whose
     own ``completion_time`` is wall seconds — back onto a virtual
     timeline, which is how :func:`repro.faults.recovery.resilient_run`
     schedules the post-recovery switch when the re-negotiation ran over a
@@ -368,7 +413,8 @@ def sequential_completion_time(
     fixed = as_fraction(fixed_latency)
     tree = result.tree
     total = ZERO
-    for actor in result.actors.values():
-        for child, _beta, _theta in actor.transactions:
-            total += 2 * (tree.c(child) * factor + fixed)
+    for _parent, child, _beta, _theta in result.exchanged:
+        total += 2 * (tree.c(child) * factor + fixed)
+    for child in result.notices:
+        total += tree.c(child) * factor + fixed
     return total

@@ -57,7 +57,8 @@ from ..exceptions import CodecError, ProtocolError, ReproError
 from ..faults.inject import LinkFaultDecider
 from ..faults.plan import FaultPlan
 from ..platform.tree import Tree
-from ..protocol.messages import Acknowledgment, Message, Proposal, wire_size
+from ..protocol.messages import (Acknowledgment, Message, Notice, Proposal,
+                                 wire_size)
 from .codec import (FrameSplitter, decode_body, decode_hello, encode_any,
                     encode_hello)
 
@@ -67,7 +68,7 @@ def _is_control(message) -> bool:
     byte accounting of :func:`~repro.protocol.messages.wire_size`; payload
     (task-plane) frames bypass both — their faults are injected by the
     task plane itself, where retransmission lives."""
-    return isinstance(message, (Proposal, Acknowledgment))
+    return isinstance(message, (Proposal, Acknowledgment, Notice))
 
 
 class Transport(ABC):
@@ -156,6 +157,11 @@ class InProcTransport(Transport):
         self._decider = LinkFaultDecider(self._decision_plan)
         self._streaks: Dict[Hashable, int] = {}
         self._late: List[asyncio.TimerHandle] = []
+
+    async def start(self, tree: Tree,
+                    mailboxes: Mapping[Hashable, Any]) -> None:
+        await self.close()  # a copy still delayed belonged to the last run
+        await super().start(tree, mailboxes)
 
     async def send(self, message: Message) -> None:
         self.messages_sent += 1

@@ -642,12 +642,23 @@ class TestSession:
 
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])
     def test_a_session_is_negotiate_over_and_over(self, transport):
+        """The same result every time; the first run's traffic is the
+        one-shot's, and on an unchanged platform every later one is the
+        root answering the virtual parent from memory."""
         tree = smooth_tree(30, 3)
         one_shot = negotiate(tree, transport)
         with Session(transport) as session:
-            for _ in range(3):
+            for run in range(3):
                 result = session.negotiate(tree, verify=True)
                 assert result.throughput == one_shot.throughput
+                assert result.visited == one_shot.visited
+                for name, actor in one_shot.actors.items():
+                    mine = result.actors[name]
+                    assert (mine.lam, mine.transactions) \
+                        == (actor.lam, actor.transactions), name
+                if run:
+                    assert result.messages == 2 and not result.exchanged
+                    continue
                 for name in ("protocol.messages", "protocol.bytes",
                              "runtime.tcp.octets"):
                     assert (result.telemetry.value(name)
@@ -736,22 +747,48 @@ class TestSupervisedSession:
         return FaultPlan(crashes=crashes, seed=seed,
                          rejoins=(NodeRejoin(victims[0], Fraction(8)),))
 
+    @staticmethod
+    def platforms(tree: Tree, plan: FaultPlan):
+        """The platform after each epoch of a dash plan."""
+        live, stash = tree.copy(), {}
+        for crash in plan.crashes:
+            node = crash.node
+            stash[node] = live.parent(node), live.c(node), live.subtree(node)
+            live.remove_subtree(node)
+            yield live.copy()
+        for rejoin in plan.rejoins:
+            live.add_subtree(*stash[rejoin.node])
+            yield live.copy()
+
     def test_the_dash_plan_dials_every_edge_once_and_one_again(self):
+        """...and says what each epoch changed: 22 + 199 + 109 + 24
+        messages (12 of them notices) where four cold negotiations of the
+        same four platforms — still gated, as one-shots — say 944."""
         tree = smooth_tree(120, 1)
+        plan = self.dash_plan(tree, 1)
         transport = TcpTransport()
         reports = []
         warned = leaked(lambda: reports.append(resilient_run(
-            tree, self.dash_plan(tree, 1), runtime=transport,
+            tree, plan, runtime=transport,
             settle_periods=1, after_periods=2)))
         (report,) = reports
         assert warned == []
         assert [e.kind for e in report.epochs] == ["prune"] * 3 + ["rejoin"]
         assert transport.dials == 118 + 0 + 0 + 1
-        assert report.renegotiation_messages == 944
-        assert report.renegotiation_bytes == 57_861
-        assert report.heartbeats == 49_166
+        assert [e.messages for e in report.epochs] == [22, 199, 109, 24]
+        assert [e.bytes for e in report.epochs] == [1157, 12_044, 6640, 1299]
+        assert report.renegotiation_messages == 354
+        assert report.renegotiation_bytes == 21_140
+        assert report.renegotiation_notices == 2 + 7 + 1 + 2
+        assert report.heartbeats == 49_162   # the last switch comes sooner
         assert report.rate_after == report.new_optimum
         assert not transport._ends and transport._servers == {}
+        cold = [negotiate(platform, "tcp")
+                for platform in self.platforms(tree, plan)]
+        assert [r.messages for r in cold] == [238, 236, 234, 236]
+        assert sum(r.messages for r in cold) == 944
+        assert sum(r.telemetry.value("runtime.tcp.octets")
+                   for r in cold) == 57_861
 
     def test_a_failover_epoch_over_tcp_heals_exactly(self):
         tree = smooth_tree(30, 4)

@@ -64,3 +64,18 @@ def test_the_hello_key_is_spelled_in_the_codec_only():
 def test_nothing_reads_a_frame_with_exact_reads():
     for path, text in sources():
         assert not lines_with(text, "readexactly"), path
+
+
+def test_a_control_kind_is_spelled_in_the_codecs_one_table():
+    """``_CONTROL`` maps each control message class to its wire kind; the
+    encoder, the decoder table and ``CONTROL_KINDS`` are derived from it."""
+    from repro.runtime.codec import _CONTROL, _DECODERS, CONTROL_KINDS
+
+    assert CONTROL_KINDS == tuple(_CONTROL.values()) == ("prop", "ack", "note")
+    assert set(CONTROL_KINDS) <= set(_DECODERS)
+    (table,) = lines_with(CODEC.read_text(), "_CONTROL = {")
+    for path, text in sources():
+        spelled = [node.lineno for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.Constant)
+                   and node.value in CONTROL_KINDS]
+        assert spelled == ([table] * 3 if path == CODEC else []), path
