@@ -14,10 +14,13 @@ bench:
 bench-tables:
 	pytest benchmarks/ -s
 
-# quick end-to-end check of the fault-injection + self-healing subsystem
+# quick end-to-end check of the fault-injection + self-healing subsystem;
+# tests/test_fault_seam.py keeps the one seam one (three carriers, one set
+# of books; every verdict == the oracle; no second statement in src/)
 faults-smoke:
 	PYTHONPATH=src pytest benchmarks/bench_e23_fault_recovery.py \
-		tests/test_faults.py tests/test_fault_recovery.py \
+		tests/test_faults.py tests/test_fault_seam.py \
+		tests/test_fault_recovery.py \
 		tests/test_detect.py tests/test_protocol_lossy.py -q
 
 # quick end-to-end check of the telemetry layer: exporters via the CLI,

@@ -1,18 +1,14 @@
 """Applying a :class:`~repro.faults.plan.FaultPlan` to both execution layers.
 
-* :class:`LinkFaultDecider` turns the plan's probabilities into concrete
-  per-message verdicts.  Decisions for **numbered** messages are addressed
-  by the message's transaction id (``xid``) and its per-``xid`` occurrence
-  count — a retransmission is a fresh draw, but delivery *order* plays no
-  part in the address, so a reordering or genuinely concurrent transport
-  (:mod:`repro.runtime`) suffers the identical fault trace as the
-  deterministic simulated one.  Unnumbered messages (``xid=None``, the
-  original fire-and-forget protocol) fall back to the per-link send
-  ordinal.
+* :class:`LinkFaultDecider` is the one fault seam: every carrier of
+  frames — :class:`FaultyNetwork` here, the wall-clock transports of
+  :mod:`repro.runtime.transport`, the task plane's transmit filter — asks
+  it what the plan does to a frame and tells it what arrived.  The rule
+  is stated on the class and nowhere else.
 * :class:`FaultyNetwork` wraps the protocol transport: control messages
-  crossing a real tree link are dropped or duplicated according to the
-  plan's per-link probabilities, and their latency is stretched inside
-  degradation windows.
+  crossing a real tree link are dropped, garbled or duplicated as the
+  decider says, and their latency is stretched inside degradation windows
+  (here only: only virtual time has a latency to stretch).
 * :func:`apply_to_simulation` arms the steady-state simulator: node crashes
   are scheduled at their virtual times and the plan's degradation windows
   are installed as the simulator's link-time factor.
@@ -24,7 +20,7 @@ models the application invoking its local root, not a network link.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional
 
 from ..exceptions import ProtocolError
 from ..platform.tree import Tree
@@ -34,83 +30,128 @@ from ..sim.simulator import Simulation
 from .plan import FaultPlan
 
 
+#: what :meth:`LinkFaultDecider.judge` answers besides a number of copies
+LOST, GARBLED = 0, -1
+
+
+def link_child(tree: Tree, a: Hashable, b: Hashable) -> Optional[Hashable]:
+    """The child endpoint of tree link ``a↔b`` — the name every per-link
+    rate, streak and quarantine entry is kept under.  ``None`` when an
+    endpoint is outside the tree: the virtual parent seeding the root is
+    the application calling its local master, never a network link."""
+    if a not in tree or b not in tree:
+        return None
+    if tree.parent(b) == a:
+        return b
+    if tree.parent(a) == b:
+        return a
+    raise ProtocolError(f"{a!r} and {b!r} are not adjacent")
+
+
 class LinkFaultDecider:
-    """Stateful addressing of a plan's per-message fault decisions.
+    """What a plan does to one frame on one link — asked by every carrier.
 
-    One decider serves one run of one transport.  For every message
-    crossing a real tree link it produces a ``(drop, duplicate)`` verdict
-    pair; both verdicts of a message share one address, so the plan's
-    independent ``"drop"`` / ``"duplicate"`` streams line up exactly as
-    they did when decisions were keyed by send ordinal.
+    The rule, stated here and nowhere else:
 
-    The address of a numbered message is
-    ``(sender, receiver, "xid", xid, occurrence)`` where *occurrence*
-    counts prior transmissions of the same ``xid`` on the same directed
-    link — a pure function of the message's own retransmission history,
-    immune to cross-transaction reordering.  Unnumbered messages use the
-    legacy per-link ordinal address ``(sender, receiver, ordinal)``.
+    * **drop beats corrupt beats duplicate.**  A frame is *lost*, or else
+      arrives *garbled* (it fails the receiver's integrity check), or else
+      arrives clean, once or — duplicated — twice.  A garbled frame is
+      never duplicated.
+    * **three named streams, one address.**  Each stream's draw is
+      ``plan.decision(stream, *address)``, a pure function of the plan's
+      seed and the address, compared with that stream's rate on the link.
+      A stream whose rate is zero cannot hit and is not drawn — which
+      changes no other draw.
+    * **the streak is per link.**  Consecutive garbled frames on a link
+      count up whichever way they travel, any clean frame on it resets the
+      count, and a lost frame — never received — leaves it alone.  With
+      *quarantine_after* = K, the K-th in a row makes the link hostile.
+
+    The address of a numbered control frame is
+    ``(sender, receiver, "xid", xid, occurrence)``, *occurrence* counting
+    earlier transmissions of that ``xid`` on that directed link: a
+    retransmission is a fresh draw, and delivery order plays no part, so a
+    concurrent transport suffers the fault trace the simulated one does.
+    An unnumbered frame (``xid=None``) is addressed by its per-link send
+    ordinal, ``(sender, receiver, ordinal)``; a task frame by
+    ``(str(child), task_id, attempt)`` under the ``task_`` streams.
     """
 
-    def __init__(self, plan: FaultPlan):
+    def __init__(self, plan: Optional[FaultPlan] = None,
+                 quarantine_after: Optional[int] = None):
+        if quarantine_after is not None and quarantine_after < 1:
+            raise ProtocolError("quarantine_after must be >= 1")
         self.plan = plan
-        #: per-directed-link ordinals for unnumbered (xid=None) messages
-        self._ordinals: Dict[Tuple[Hashable, Hashable], int] = {}
-        #: per-(link, xid) transmission counts for numbered messages
-        self._occurrences: Dict[Tuple[Hashable, Hashable, int], int] = {}
+        self.quarantine_after = quarantine_after
+        #: child → consecutive garbled frames on its link; an entry exists
+        #: only while the count is not zero, so the book is falsy when
+        #: every link is clean
+        self.streaks: Dict[Hashable, int] = {}
+        #: transmissions so far per address less its last coordinate: per
+        #: directed link (unnumbered frames), per link and xid (numbered)
+        self._sent: Dict[tuple, int] = {}
 
     def coordinates(self, message: Message) -> tuple:
         """The decision address of this transmission (consumes one slot)."""
-        a, b = message.sender, message.receiver
         xid = getattr(message, "xid", None)
-        if xid is None:
-            ordinal = self._ordinals.get((a, b), 0)
-            self._ordinals[(a, b)] = ordinal + 1
-            return (a, b, ordinal)
-        occurrence = self._occurrences.get((a, b, xid), 0)
-        self._occurrences[(a, b, xid)] = occurrence + 1
-        return (a, b, "xid", xid, occurrence)
+        stem = (message.sender, message.receiver)
+        if xid is not None:
+            stem += ("xid", xid)
+        count = self._sent[stem] = self._sent.get(stem, -1) + 1
+        return stem + (count,)
 
-    def full_verdict_at(
-        self, child: Hashable, coordinates: tuple,
-        corrupt_rate: Optional[Fraction] = None,
-    ) -> Tuple[bool, bool, bool]:
-        """``(drop, corrupt, duplicate)`` at already-consumed *coordinates*.
+    def _fate(self, prefix: str, address: tuple, drop: Fraction,
+              corrupt: Fraction, duplicate: Fraction) -> int:
+        """The one place a draw meets a rate, in the one precedence."""
+        draw = self.plan.decision
+        if drop and draw(prefix + "drop", *address) < drop:
+            return LOST
+        if corrupt and draw(prefix + "corrupt", *address) < corrupt:
+            return GARBLED
+        if duplicate and draw(prefix + "duplicate", *address) < duplicate:
+            return 2
+        return 1
 
-        The three verdicts draw from three independent named streams
-        sharing one address, so adding the ``"corrupt"`` stream leaves the
-        drop/duplicate trace of every pre-existing plan untouched.
-        *corrupt_rate* overrides the plan's static
-        :meth:`~repro.faults.plan.FaultPlan.link_corrupt` — the simulated
-        network passes the windowed
-        :meth:`~repro.faults.plan.FaultPlan.corruption_rate` at its
-        virtual now; wall-clock transports have no now and use the static
-        rate.
+    def judge(self, child: Hashable, coordinates: tuple, now=None) -> int:
+        """:data:`LOST`, :data:`GARBLED` or the number of clean copies of
+        the control frame at *coordinates* on the link above *child*.
+
+        A carrier on virtual time passes its *now* and gets the plan's
+        windowed :meth:`~repro.faults.plan.FaultPlan.corruption_rate`; a
+        wall-clock carrier has no such now and gets the static rate.
         """
         plan = self.plan
-        rate = plan.link_corrupt(child) if corrupt_rate is None else (
-            corrupt_rate
-        )
-        drop = plan.decision("drop", *coordinates) < plan.link_drop(child)
-        corrupt = plan.decision("corrupt", *coordinates) < rate
-        duplicate = (
-            plan.decision("duplicate", *coordinates)
-            < plan.link_duplicate(child)
-        )
-        return drop, corrupt, duplicate
-
-    def full_verdict(
-        self, child: Hashable, message: Message,
-        corrupt_rate: Optional[Fraction] = None,
-    ) -> Tuple[bool, bool, bool]:
-        """``(drop, corrupt, duplicate)`` for this transmission."""
-        return self.full_verdict_at(
-            child, self.coordinates(message), corrupt_rate
+        return self._fate(
+            "", coordinates, plan.link_drop(child),
+            plan.link_corrupt(child) if now is None
+            else plan.corruption_rate(child, now),
+            plan.link_duplicate(child),
         )
 
-    def verdict(self, child: Hashable, message: Message) -> Tuple[bool, bool]:
-        """``(drop, duplicate)`` for this transmission over *child*'s link."""
-        drop, _corrupt, duplicate = self.full_verdict(child, message)
-        return drop, duplicate
+    def judge_task(self, child: Hashable, task_id: int, attempt: int) -> int:
+        """:data:`LOST`, :data:`GARBLED` or ``1`` for one send of a task
+        frame to *child*.  Each resend is a fresh draw, so a deterministic
+        plan cannot doom one task forever."""
+        plan = self.plan
+        return self._fate("task_", (str(child), task_id, attempt),
+                          plan.task_drop, plan.task_corrupt, 0)
+
+    def delay(self, seed: int, copy: int, coordinates: tuple) -> float:
+        """The uniform ``[0, 1)`` delivery-delay draw of one copy of the
+        frame at *coordinates*; *seed* stands in for a plan's when the
+        carrier has none."""
+        plan = self.plan if self.plan is not None else FaultPlan(seed=seed)
+        return plan.decision("delay", copy, *coordinates)
+
+    def received(self, child: Hashable, clean: bool) -> bool:
+        """Book one frame that arrived on the link above *child*; true
+        when it is the *quarantine_after*-th garbled one in a row."""
+        if clean:
+            self.streaks.pop(child, None)
+            return False
+        streak = self.streaks[child] = self.streaks.get(child, 0) + 1
+        return (self.quarantine_after is not None
+                and streak >= self.quarantine_after)
 
 
 class FaultyNetwork(Network):
@@ -121,7 +162,7 @@ class FaultyNetwork(Network):
     still count toward ``messages_sent``/``bytes_sent`` — the sender paid
     for the transmission; the receiver just never saw it.
 
-    Hostile plans add the payload-integrity check: a corrupt verdict means
+    Hostile plans add the payload-integrity check: a garbled verdict means
     the receiver's checksum failed, so the message is counted in
     ``corrupted`` and discarded before its handler runs (observably a
     drop, but fed to the quarantine policy).  With *quarantine_after* set,
@@ -152,32 +193,18 @@ class FaultyNetwork(Network):
         super().__init__(
             tree, latency_factor=latency_factor, fixed_latency=fixed_latency
         )
-        if quarantine_after is not None and quarantine_after < 1:
-            raise ProtocolError("quarantine_after must be >= 1")
         self.plan = plan
         self.time_offset = Fraction(time_offset)
-        self.quarantine_after = quarantine_after
         self.dropped = 0
         self.duplicated = 0
         self.corrupted = 0
         #: child endpoint → virtual time its link was declared hostile
         self.quarantined: Dict[Hashable, Fraction] = {}
-        self._streaks: Dict[Hashable, int] = {}
-        self._decider = LinkFaultDecider(plan)
-
-    def _child_endpoint(self, a: Hashable, b: Hashable) -> Optional[Hashable]:
-        """The child side of link ``a↔b``, or ``None`` off the tree."""
-        if a not in self.tree or b not in self.tree:
-            return None  # virtual-parent traffic: never perturbed
-        if self.tree.parent(b) == a:
-            return b
-        if self.tree.parent(a) == b:
-            return a
-        return None
+        self._decider = LinkFaultDecider(plan, quarantine_after)
 
     def send(self, message: Message) -> None:
         a, b = message.sender, message.receiver
-        child = self._child_endpoint(a, b)
+        child = link_child(self.tree, a, b)
         if child is None:
             super().send(message)
             return
@@ -187,31 +214,27 @@ class FaultyNetwork(Network):
         self.messages_sent += 1
         self.bytes_sent += wire_size(message)
         now = self.time_offset + self.engine.now
-        drop, corrupt, duplicate = self._decider.full_verdict(
-            child, message, self.plan.corruption_rate(child, now)
-        )
-        if drop:
+        decider = self._decider
+        copies = decider.judge(child, decider.coordinates(message), now)
+        if copies == LOST:
             self.dropped += 1
-            return  # never received: the corruption streak is untouched
-        if corrupt:
+            return
+        if copies == GARBLED:
             # integrity check fails at the receiver: count, streak, discard
             self.corrupted += 1
-            streak = self._streaks.get(child, 0) + 1
-            self._streaks[child] = streak
-            if (self.quarantine_after is not None
-                    and streak >= self.quarantine_after
+            if (decider.received(child, False)
                     and child not in self.quarantined):
                 self.quarantined[child] = now
             return
-        self._streaks[child] = 0
+        if decider.streaks:
+            decider.received(child, True)
         latency = self.link_latency(a, b) * self.plan.degradation_factor(
             child, now
         )
         handler = self._handlers[b]
-        self.engine.schedule_in(latency, lambda: handler(message))
-        if duplicate:
-            # the spurious copy arrives right behind the original
-            self.duplicated += 1
+        # a spurious copy arrives right behind the original
+        self.duplicated += copies - 1
+        for _ in range(copies):
             self.engine.schedule_in(latency, lambda: handler(message))
 
 

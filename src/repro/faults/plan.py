@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Hashable, Optional, Tuple
 
 from ..core.rates import as_fraction
-from ..exceptions import FaultError
+from ..exceptions import FaultError, PlatformError
 from ..platform.tree import Tree
 
 
@@ -287,8 +287,7 @@ class FaultPlan:
 
         The static part of the hostile model: the per-link override if one
         exists, else the global rate.  Windowed :class:`Corruption` bursts
-        are on top of this — see :meth:`corruption_rate`.  Wall-clock
-        transports, which have no virtual ``now``, use only this part.
+        are on top of this — see :meth:`corruption_rate`.
         """
         override = self._link(child)
         return override.corrupt if override is not None else self.corrupt
@@ -321,23 +320,11 @@ class FaultPlan:
         return factor
 
     @property
-    def lossy(self) -> bool:
-        """Whether any link can drop or duplicate control messages."""
-        if self.drop > 0 or self.duplicate > 0:
-            return True
-        return any(l.drop > 0 or l.duplicate > 0 for l in self.links)
-
-    @property
     def hostile(self) -> bool:
         """Whether any link can garble control messages."""
         if self.corrupt > 0 or self.corruptions:
             return True
         return any(l.corrupt > 0 for l in self.links)
-
-    @property
-    def data_faulty(self) -> bool:
-        """Whether the task data plane suffers drops or corruption."""
-        return self.task_drop > 0 or self.task_corrupt > 0
 
     # ------------------------------------------------------------------
     # deterministic decisions
@@ -345,10 +332,12 @@ class FaultPlan:
     def decision(self, *coordinates) -> float:
         """A uniform ``[0, 1)`` draw addressed by *coordinates*.
 
-        The draw is a pure function of ``(seed, coordinates)`` — e.g.
-        ``plan.decision("drop", parent, child, n)`` for the n-th message on
-        a link — so callers never share RNG state and the fault trace is
-        reproducible however the run is interleaved.
+        The draw is a pure function of ``(seed, coordinates)`` — the
+        generator is seeded with the seed and the ``repr`` of every
+        coordinate, joined by ``|`` — so callers never share RNG state and
+        the fault trace is reproducible however the run is interleaved.
+        What the coordinates of a frame are, and what a draw is compared
+        with, is :class:`~repro.faults.inject.LinkFaultDecider`'s to say.
         """
         key = f"{self.seed}|" + "|".join(repr(c) for c in coordinates)
         return random.Random(key).random()
@@ -398,108 +387,119 @@ class FaultPlan:
     def to_json(self) -> str:
         """Serialize losslessly (Fractions as ``"p/q"`` strings)."""
 
-        def frac(x: Fraction) -> str:
-            return str(x)
+        def frac(x: Optional[Fraction]) -> Optional[str]:
+            return None if x is None else str(x)
 
         payload = {
             "seed": self.seed,
-            "crashes": [
-                {"node": c.node, "time": frac(c.time)} for c in self.crashes
-            ],
-            "drop": frac(self.drop),
-            "duplicate": frac(self.duplicate),
-            "corrupt": frac(self.corrupt),
-            "links": [
-                {
-                    "child": l.child,
-                    "drop": frac(l.drop),
-                    "duplicate": frac(l.duplicate),
-                    "corrupt": frac(l.corrupt),
-                }
-                for l in self.links
-            ],
-            "degradations": [
-                {
-                    "child": d.child,
-                    "factor": frac(d.factor),
-                    "start": frac(d.start),
-                    "end": frac(d.end),
-                }
-                for d in self.degradations
-            ],
-            "rejoins": [
-                {"node": r.node, "time": frac(r.time)} for r in self.rejoins
-            ],
-            "failover": (
-                None if self.failover is None
-                else {"time": frac(self.failover.time)}
-            ),
-            "corruptions": [
-                {
-                    "child": w.child,
-                    "rate": frac(w.rate),
-                    "start": frac(w.start),
-                    "end": None if w.end is None else frac(w.end),
-                }
-                for w in self.corruptions
-            ],
-            "task_drop": frac(self.task_drop),
-            "task_corrupt": frac(self.task_corrupt),
+            "failover": (None if self.failover is None
+                         else {"time": frac(self.failover.time)}),
         }
+        for rate in _RATES:
+            payload[rate] = frac(getattr(self, rate))
+        for key, (_, name, required, optional) in _RECORDS.items():
+            payload[key] = [
+                {name: getattr(record, name),
+                 **{f: frac(getattr(record, f)) for f in (*required, *optional)}}
+                for record in getattr(self, key)
+            ]
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        """Inverse of :meth:`to_json`."""
-        payload = json.loads(text)
-        return cls(
-            seed=payload.get("seed", 0),
-            crashes=tuple(
-                NodeCrash(node=c["node"], time=Fraction(c["time"]))
-                for c in payload.get("crashes", ())
-            ),
-            drop=Fraction(payload.get("drop", 0)),
-            duplicate=Fraction(payload.get("duplicate", 0)),
-            corrupt=Fraction(payload.get("corrupt", 0)),
-            links=tuple(
-                LinkFaults(
-                    child=l["child"],
-                    drop=Fraction(l.get("drop", 0)),
-                    duplicate=Fraction(l.get("duplicate", 0)),
-                    corrupt=Fraction(l.get("corrupt", 0)),
-                )
-                for l in payload.get("links", ())
-            ),
-            degradations=tuple(
-                LinkDegradation(
-                    child=d["child"],
-                    factor=Fraction(d["factor"]),
-                    start=Fraction(d["start"]),
-                    end=Fraction(d["end"]),
-                )
-                for d in payload.get("degradations", ())
-            ),
-            rejoins=tuple(
-                NodeRejoin(node=r["node"], time=Fraction(r["time"]))
-                for r in payload.get("rejoins", ())
-            ),
-            failover=(
-                None if payload.get("failover") is None
-                else RootFailover(time=Fraction(payload["failover"]["time"]))
-            ),
-            corruptions=tuple(
-                Corruption(
-                    child=w["child"],
-                    rate=Fraction(w["rate"]),
-                    start=Fraction(w.get("start", 0)),
-                    end=(None if w.get("end") is None
-                         else Fraction(w["end"])),
-                )
-                for w in payload.get("corruptions", ())
-            ),
-            task_drop=Fraction(payload.get("task_drop", 0)),
-            task_corrupt=Fraction(payload.get("task_corrupt", 0)),
-        )
+        """Inverse of :meth:`to_json`.  Fails closed: text that is not
+        JSON, a value of the wrong shape, a missing or unparseable field
+        and a key :meth:`to_json` never writes each raise
+        :class:`~repro.exceptions.FaultError` naming the key."""
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise FaultError(f"a fault plan must be JSON: {exc}") from exc
+        plan = _Fields(payload, "plan")
+        seed = plan.take("seed", 0)
+        if type(seed) is not int:  # bool is no seed, nor is 1.5
+            raise FaultError(f"plan: 'seed' is no integer: {seed!r}")
+        built = {"seed": seed}
+        failover = plan.take("failover", None)
+        if failover is not None:
+            fields = _Fields(failover, "plan: failover")
+            built["failover"] = RootFailover(time=fields.rational("time"))
+            fields.close()
+        for rate in _RATES:
+            built[rate] = plan.rational(rate, 0)
+        for key, schema in _RECORDS.items():
+            built[key] = plan.records(key, *schema)
+        plan.close()
+        return cls(**built)
+
+
+#: The serialized form of a plan, stated once for :meth:`FaultPlan.to_json`
+#: and :meth:`FaultPlan.from_json`: the global rates, and per list of
+#: records its class, its node-name field, its required rationals and its
+#: optional ones with their defaults.
+_RATES = ("drop", "duplicate", "corrupt", "task_drop", "task_corrupt")
+_RECORDS = {
+    "crashes": (NodeCrash, "node", ("time",), {}),
+    "rejoins": (NodeRejoin, "node", ("time",), {}),
+    "links": (LinkFaults, "child", (),
+              {"drop": 0, "duplicate": 0, "corrupt": 0}),
+    "degradations": (LinkDegradation, "child",
+                     ("factor", "start", "end"), {}),
+    "corruptions": (Corruption, "child", ("rate",),
+                    {"start": 0, "end": None}),
+}
+_REQUIRED = object()
+
+
+class _Fields:
+    """One JSON object of a serialized plan, read key by key: every read
+    checks what it takes, and :meth:`close` refuses whatever nobody took —
+    a misspelt ``"task_dorp"`` is an error, not a fault-free plan."""
+
+    def __init__(self, value, where: str):
+        if not isinstance(value, dict):
+            raise FaultError(f"{where} must be a JSON object, got {value!r}")
+        self.left, self.where = dict(value), where
+
+    def take(self, key: str, default=_REQUIRED):
+        if key not in self.left and default is _REQUIRED:
+            raise FaultError(f"{self.where} has no {key!r}")
+        return self.left.pop(key, default)
+
+    def rational(self, key: str, default=_REQUIRED) -> Optional[Fraction]:
+        """The exact rational under *key* (``"p/q"``, a number — never a
+        ``bool``); ``None`` only where that is the *default*."""
+        raw = self.take(key, default)
+        if raw is None and default is None:
+            return None
+        try:
+            return as_fraction(raw)
+        except PlatformError as exc:
+            raise FaultError(f"{self.where}: bad {key!r}: {exc}") from exc
+
+    def records(self, key: str, record, name: str, required, optional):
+        """One *record* per object of the list under *key*."""
+        raw = self.take(key, ())
+        if not isinstance(raw, (list, tuple)):
+            raise FaultError(f"{self.where}: {key!r} must be a list, got {raw!r}")
+        built = []
+        for index, item in enumerate(raw):
+            fields = _Fields(item, f"{self.where}: {key}[{index}]")
+            node = fields.take(name)
+            if isinstance(node, bool) or not isinstance(node, (str, int)):
+                raise FaultError(
+                    f"{fields.where}: {name!r} is no node name: {node!r}")
+            built.append(record(
+                **{name: node},
+                **{f: fields.rational(f) for f in required},
+                **{f: fields.rational(f, d) for f, d in optional.items()}))
+            fields.close()
+        return tuple(built)
+
+    def close(self) -> None:
+        if self.left:
+            raise FaultError(
+                f"{self.where} has unknown key {min(self.left, key=repr)!r}")
 
 
 def random_plan(

@@ -28,16 +28,19 @@ written — in total (``octets_sent``) and per directed edge
 (``octets_by_edge``), which the runtime surfaces as
 ``runtime.tcp.edge_octets`` counters for the live dashboard.
 
-Hostile faults ride the same plan: a corruption probability garbles the
-control payload on the wire (literally, for TCP — a flipped body byte the
-CRC32 of :mod:`repro.runtime.codec` catches at the receiver; by an
-equivalent integrity-check model for in-proc frames, which never
-serialise).  Corrupted frames are counted in ``corrupt_frames`` and
-discarded **before** any actor state machine sees them; retransmission
-recovers, exactly as for a drop.  With ``quarantine_after=K``, a link
-that delivers K *consecutive* corrupt frames is declared hostile: its
-child endpoint joins ``quarantined``, the receiver stops listening to the
-edge (a firewall — later frames, valid or not, are counted in
+What a plan does to a control frame — lost, garbled or *n* clean copies —
+and when a streak of garbled frames makes a link hostile is decided by the
+one :class:`~repro.faults.inject.LinkFaultDecider` the base class holds,
+the rule the simulated network follows; the transports carry it out.  A
+garbled frame is damaged on the wire (literally, for TCP — a flipped body
+byte the CRC32 of :mod:`repro.runtime.codec` catches at the receiver; by
+an equivalent integrity-check model for in-proc frames, which never
+serialise), counted in ``corrupt_frames`` and discarded **before** any
+actor state machine sees it; retransmission recovers, exactly as for a
+drop.  With ``quarantine_after=K``, the K-th *consecutive* corrupt frame
+on a link — counted **per link**, not per receiving end — puts its child
+endpoint in ``quarantined``: the receiver stops listening to the edge (a
+firewall — later frames, valid or not, are counted in
 ``quarantine_dropped``), and the parent's retry timeouts then prune the
 child exactly as if it had crashed.
 
@@ -54,7 +57,7 @@ from functools import partial
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import CodecError, ProtocolError, ReproError
-from ..faults.inject import LinkFaultDecider
+from ..faults.inject import GARBLED, LOST, LinkFaultDecider, link_child
 from ..faults.plan import FaultPlan
 from ..platform.tree import Tree
 from ..protocol.messages import (Acknowledgment, Message, Notice, Proposal,
@@ -74,8 +77,11 @@ def _is_control(message) -> bool:
 class Transport(ABC):
     """Delivers protocol messages into their receivers' mailboxes."""
 
-    def __init__(self) -> None:
+    def __init__(self, plan: Optional[FaultPlan] = None,
+                 quarantine_after: Optional[int] = None) -> None:
         self.tree: Optional[Tree] = None
+        #: the one fault seam: *plan*'s verdicts and the per-link streak
+        self._decider = LinkFaultDecider(plan, quarantine_after)
         #: receiver → anything with ``put_nowait``; looked up per delivery
         self.mailboxes: Mapping[Hashable, Any] = {}
         self.messages_sent = 0
@@ -88,6 +94,16 @@ class Transport(ABC):
         self.dead_streams = 0
         self.payload_frames = 0
         self.quarantined: Set[Hashable] = set()
+
+    @property
+    def plan(self) -> Optional[FaultPlan]:
+        """The fault plan staged on this transport; assign ``None`` to
+        carry every later frame unharmed."""
+        return self._decider.plan
+
+    @plan.setter
+    def plan(self, plan: Optional[FaultPlan]) -> None:
+        self._decider.plan = plan
 
     async def start(self, tree: Tree,
                     mailboxes: Mapping[Hashable, Any]) -> None:
@@ -109,24 +125,12 @@ class Transport(ABC):
             raise ProtocolError(f"no mailbox for {message.receiver!r}")
         mailbox.put_nowait(message)
 
-    def _on_tree_link(self, message: Message) -> Optional[Hashable]:
-        """The child endpoint of the message's link, ``None`` off-tree."""
-        tree = self.tree
-        a, b = message.sender, message.receiver
-        if a not in tree or b not in tree:
-            return None  # virtual-parent traffic: always local, never faulty
-        if tree.parent(b) == a:
-            return b
-        if tree.parent(a) == b:
-            return a
-        raise ProtocolError(f"{a!r} and {b!r} are not adjacent")
-
 
 class InProcTransport(Transport):
     """In-process delivery, optionally lossy and delayed.
 
-    *plan* applies the fault plan's per-link drop/duplication model; its
-    decisions are keyed by message ``xid`` and occurrence
+    *plan* applies the fault plan's per-link loss model; its decisions are
+    keyed by message ``xid`` and occurrence
     (:class:`~repro.faults.inject.LinkFaultDecider`), so the fault trace is
     the same one :class:`~repro.faults.inject.FaultyNetwork` injects into
     the simulated negotiation — concurrency cannot change which messages
@@ -134,28 +138,18 @@ class InProcTransport(Transport):
     per message, exercising reordering; with ``max_delay=0`` delivery is
     immediate and in send order.
 
-    *quarantine_after* arms the hostile-fault policy: K consecutive
-    corrupt frames on a link quarantine its child endpoint (see the module
-    docstring).  The in-proc path never serialises, so "corrupt" here
-    means the receiver-side integrity check fails — the frame is counted
-    and discarded before delivery, identically to the TCP transport's
-    CRC32 rejection and the simulated network's payload check.
+    *quarantine_after* arms the per-link quarantine of the module
+    docstring; a quarantined link swallows every later send.
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None,
                  max_delay: float = 0.0, seed: int = 0,
                  quarantine_after: Optional[int] = None):
-        super().__init__()
+        super().__init__(plan, quarantine_after)
         if max_delay < 0:
             raise ProtocolError("max_delay must be >= 0")
-        if quarantine_after is not None and quarantine_after < 1:
-            raise ProtocolError("quarantine_after must be >= 1")
-        self.plan = plan
         self.max_delay = max_delay
-        self.quarantine_after = quarantine_after
-        self._decision_plan = plan if plan is not None else FaultPlan(seed=seed)
-        self._decider = LinkFaultDecider(self._decision_plan)
-        self._streaks: Dict[Hashable, int] = {}
+        self.seed = seed
         self._late: List[asyncio.TimerHandle] = []
 
     async def start(self, tree: Tree,
@@ -168,7 +162,7 @@ class InProcTransport(Transport):
         control = _is_control(message)
         if control:
             self.bytes_sent += wire_size(message)
-        child = self._on_tree_link(message)
+        child = link_child(self.tree, message.sender, message.receiver)
         if child is not None and child in self.quarantined:
             self.quarantine_dropped += 1
             return
@@ -178,44 +172,34 @@ class InProcTransport(Transport):
             self.payload_frames += 1
             self._deliver_local(message)
             return
+        decider = self._decider
+        if child is None or (decider.plan is None and not self.max_delay):
+            self._deliver_local(message)
+            return
+        coordinates = decider.coordinates(message)
         copies = 1
-        coordinates = None
-        if child is not None and (self.plan is not None or self.max_delay):
-            coordinates = self._decider.coordinates(message)
-        if child is not None and self.plan is not None and (
-            self.plan.lossy or self.plan.hostile
-        ):
-            drop, corrupt, duplicate = self._decider.full_verdict_at(
-                child, coordinates
-            )
-            if drop:
+        if decider.plan is not None:
+            copies = decider.judge(child, coordinates)
+            if copies == LOST:
                 self.dropped += 1
-                return  # never received: the corruption streak is untouched
-            if corrupt:
+                return
+            if copies == GARBLED:
                 self.corrupted_sent += 1
                 self.corrupt_frames += 1
-                self._note_corrupt(child)
+                if decider.received(child, False):
+                    self.quarantined.add(child)
                 return
-            self._streaks[child] = 0
-            if duplicate:
-                self.duplicated += 1
-                copies = 2
+            if decider.streaks:
+                decider.received(child, True)
+            self.duplicated += copies - 1
         for copy in range(copies):
-            if child is not None and self.max_delay:
-                delay = self.max_delay * self._decision_plan.decision(
-                    "delay", copy, *coordinates
-                )
+            if self.max_delay:
+                delay = self.max_delay * decider.delay(
+                    self.seed, copy, coordinates)
                 self._late.append(asyncio.get_running_loop().call_later(
                     delay, self._deliver_local, message))
             else:
                 self._deliver_local(message)
-
-    def _note_corrupt(self, child: Hashable) -> None:
-        streak = self._streaks.get(child, 0) + 1
-        self._streaks[child] = streak
-        if (self.quarantine_after is not None
-                and streak >= self.quarantine_after):
-            self.quarantined.add(child)
 
     async def close(self) -> None:
         for handle in self._late:
@@ -232,8 +216,9 @@ class _EdgeEnd(asyncio.Protocol):
     that dialled.
 
     Hostile bytes stop here: a recoverable :class:`CodecError` skips the
-    frame and feeds the quarantine streak, a non-recoverable one firewalls
-    the edge.  No actor ever sees a frame that failed validation — at
+    frame and feeds the link's quarantine streak (kept by the hub's
+    decider, so both ends of an edge count into one), a non-recoverable
+    one firewalls the edge.  No actor ever sees a frame that failed validation — at
     worst the peer's retries time out, which is the crash-detection path.
     """
 
@@ -243,7 +228,6 @@ class _EdgeEnd(asyncio.Protocol):
         self.hello_due = peer is None
         self.edge_child = owner  # an accepting end learns it from the hello
         self.splitter = FrameSplitter()
-        self.streak = 0
         self.deaf = False  # firewalled, refused or leaving: discard input
         self.resumed: Optional[asyncio.Future] = None  # set while paused
 
@@ -277,15 +261,14 @@ class _EdgeEnd(asyncio.Protocol):
                     self._refuse(exc)
                     return
                 hub.corrupt_frames += 1
-                self.streak += 1
-                limit = hub.quarantine_after
-                if not exc.recoverable or (limit is not None
-                                           and self.streak >= limit):
-                    # framing lost or a hostile link: retries will prune
+                hostile = hub._decider.received(self.edge_child, False)
+                if hostile or not exc.recoverable:
+                    # a hostile link or framing lost: retries will prune
                     hub.quarantined.add(self.edge_child)
                     self.deaf = True
                 continue
-            self.streak = 0
+            if hub._decider.streaks:
+                hub._decider.received(self.edge_child, True)
             if self.edge_child in hub.quarantined:
                 hub.quarantine_dropped += 1
             else:
@@ -369,9 +352,10 @@ class TcpTransport(Transport):
 
     *plan* stages the fault plan **at the sender** — TCP itself never
     loses data: a dropped frame is never written, a duplicated one is
-    written twice, a corrupted one has a body byte flipped after its CRC32
-    was computed, so it dies in the receiver's ``data_received`` — real
-    garbled octets on a real socket, never reaching an actor.
+    written twice, a corrupted one is written once with a body byte flipped
+    after its CRC32 was computed, so it dies in the receiver's
+    ``data_received`` — real garbled octets on a real socket, never
+    reaching an actor.
     *quarantine_after* arms the receiver-side firewall described in the
     module docstring.
     """
@@ -380,17 +364,12 @@ class TcpTransport(Transport):
                  plan: Optional[FaultPlan] = None,
                  quarantine_after: Optional[int] = None,
                  ports: Optional[Dict[Hashable, int]] = None):
-        super().__init__()
-        if quarantine_after is not None and quarantine_after < 1:
-            raise ProtocolError("quarantine_after must be >= 1")
+        super().__init__(plan, quarantine_after)
         self.host = host
-        self.plan = plan
-        self.quarantine_after = quarantine_after
         #: requested listener port per node (0 = ephemeral); after
         #: :meth:`start`, :attr:`bound_ports` holds every listener's port
         self.ports: Dict[Hashable, int] = dict(ports or {})
         self.bound_ports: Dict[Hashable, int] = {}
-        self._decider = LinkFaultDecider(plan) if plan is not None else None
         self.octets_sent = 0
         #: real octets written per directed edge (sender, receiver) — the
         #: dashboard's per-edge traffic panel reads this via the runtime's
@@ -421,7 +400,11 @@ class TcpTransport(Transport):
         # an edge stays only while both its ends are up: a socket that died
         # since the last run took its ends out of _writers as they noticed
         kept = {(p, c) for p, c in edges if self._up(p, c) and self._up(c, p)}
-        self.quarantined.intersection_update(c for _, c in kept)
+        kept_children = {c for _, c in kept}
+        self.quarantined &= kept_children
+        streaks = self._decider.streaks
+        for child in streaks.keys() - kept_children:
+            del streaks[child]
         try:
             closing = self._servers.keys() - set(listeners)
             for node in closing:
@@ -491,7 +474,7 @@ class TcpTransport(Transport):
         control = _is_control(message)
         if control:
             self.bytes_sent += wire_size(message)
-        child = self._on_tree_link(message)
+        child = link_child(self.tree, message.sender, message.receiver)
         if child is None:
             self._deliver_local(message)
             return
@@ -500,25 +483,23 @@ class TcpTransport(Transport):
         if end is None:
             raise ProtocolError(f"no socket for edge {edge!r}")
         copies = 1
-        corrupt = False
+        decider = self._decider
         if not control:
             self.payload_frames += 1
-        elif self._decider is not None:
-            drop, corrupt, duplicate = self._decider.full_verdict(
-                child, message
-            )
-            if drop:
+        elif decider.plan is not None:
+            copies = decider.judge(child, decider.coordinates(message))
+            if copies == LOST:
                 self.dropped += 1
                 return
-            if duplicate:
+            if copies == 2:
                 self.duplicated += 1
-                copies = 2
         frame = encode_any(message)
-        if corrupt:
+        if copies == GARBLED:
             # flip a body bit *after* the CRC header was computed: the
             # receiver's checksum fails and the frame dies in its splitter
             self.corrupted_sent += 1
             frame = frame[:-1] + bytes([frame[-1] ^ 0x01])
+            copies = 1
         if end.transport.is_closing():
             raise ConnectionResetError(f"socket of edge {edge!r} lost")
         for _ in range(copies):

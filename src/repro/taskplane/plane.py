@@ -50,6 +50,7 @@ from ..core.allocation import Allocation, from_bw_first
 from ..core.bwfirst import bw_first
 from ..core.rates import ZERO
 from ..exceptions import TaskPlaneError
+from ..faults.inject import GARBLED, LOST, LinkFaultDecider
 from ..faults.plan import FaultPlan
 from ..platform.tree import Tree
 from ..protocol.messages import Acknowledgment, Proposal
@@ -121,7 +122,7 @@ class TaskPlaneNode:
         self.all_children = list(all_children)
         self.alpha = alpha
         self.time_scale = time_scale
-        self.plan = plan
+        self._decider = LinkFaultDecider(plan)
         self.registry = registry
         self.resend_timeout = resend_timeout
         self.is_root = parent is None
@@ -440,29 +441,23 @@ class TaskPlaneNode:
 
     async def _transmit(self, frame: TaskFrame, child: Hashable,
                         attempt: int) -> None:
-        """Send one task frame through the seeded data-plane fault filter.
-
-        Decisions are keyed by ``(stream, child, task_id, attempt)``: each
-        resend rolls fresh dice, so a deterministic plan cannot doom one
-        task forever — exactly how the control plane's xid+occurrence keys
-        guarantee retries eventually win.
-        """
-        plan = self.plan
-        if plan is not None and plan.task_drop > 0 and plan.decision(
-                "task_drop", str(child), frame.task_id, attempt
-        ) < plan.task_drop:
-            self.injected_drops += 1
-            return  # the resend sweep recovers
-        if plan is not None and plan.task_corrupt > 0 and plan.decision(
-                "task_corrupt", str(child), frame.task_id, attempt
-        ) < plan.task_corrupt:
-            # garble the payload *before* encoding: every transport CRC on
-            # the path passes, only the end-to-end checksum can catch it
-            self.injected_corruptions += 1
-            garbled = bytes([frame.payload[0] ^ 0xFF]) + frame.payload[1:]
-            frame = TaskFrame(sender=frame.sender, receiver=frame.receiver,
-                              task_id=frame.task_id, payload=garbled,
-                              crc=frame.crc, kind=frame.kind)
+        """Send one task frame through the plan's data-plane verdict
+        (:meth:`~repro.faults.inject.LinkFaultDecider.judge_task`)."""
+        decider = self._decider
+        if decider.plan is not None:
+            fate = decider.judge_task(child, frame.task_id, attempt)
+            if fate == LOST:
+                self.injected_drops += 1
+                return  # the resend sweep recovers
+            if fate == GARBLED:
+                # garble the payload *before* encoding: every transport CRC
+                # on the path passes, only the end-to-end checksum catches it
+                self.injected_corruptions += 1
+                garbled = bytes([frame.payload[0] ^ 0xFF]) + frame.payload[1:]
+                frame = TaskFrame(sender=frame.sender,
+                                  receiver=frame.receiver,
+                                  task_id=frame.task_id, payload=garbled,
+                                  crc=frame.crc, kind=frame.kind)
         await self.send(frame)
 
     async def _sweep_loop(self) -> None:

@@ -13,50 +13,68 @@ import pytest
 from repro.telemetry.dash import Dashboard, run_dash_workload
 
 
-def read_sse(url, want, deadline_s=30.0):
-    """Read SSE blocks from *url* until every event kind in *want* has
-    been seen (or the deadline passes); returns {kind: first payload}."""
-    events = {}
-    conn = urllib.request.urlopen(url, timeout=deadline_s)
-    buf = b""
-    deadline = time.monotonic() + deadline_s
-    try:
-        while time.monotonic() < deadline and not want <= set(events):
-            chunk = conn.read(1)
+class SseStream:
+    """One open ``/events`` connection, read block by block."""
+
+    def __init__(self, url, deadline_s=30.0):
+        self.conn = urllib.request.urlopen(url, timeout=deadline_s)
+        self.buf = b""
+        self.events = {}
+
+    def read_until(self, want, deadline_s=30.0):
+        """Read SSE blocks until every event kind in *want* has been seen
+        (or the deadline passes); returns {kind: first payload}."""
+        deadline = time.monotonic() + deadline_s
+        while time.monotonic() < deadline and not want <= set(self.events):
+            chunk = self.conn.read(1)
             if not chunk:
                 break
-            buf += chunk
-            while b"\n\n" in buf:
-                block, buf = buf.split(b"\n\n", 1)
+            self.buf += chunk
+            while b"\n\n" in self.buf:
+                block, self.buf = self.buf.split(b"\n\n", 1)
                 lines = block.decode("utf-8").splitlines()
                 kind = next((l[7:] for l in lines
                              if l.startswith("event: ")), None)
                 data = next((l[6:] for l in lines
                              if l.startswith("data: ")), None)
                 if kind is not None:
-                    events.setdefault(kind, json.loads(data))
-    finally:
-        conn.close()
-    return events
+                    self.events.setdefault(kind, json.loads(data))
+        return self.events
 
 
 @pytest.fixture(scope="module")
-def dash():
-    """One dashboard + completed workload shared by the module's tests."""
+def board():
     board = Dashboard(host="127.0.0.1", port=0, interval=0.2,
                       baseline_dir=".").start()
+    yield board
+    board.stop()
+
+
+@pytest.fixture(scope="module")
+def stream(board):
+    """Subscribed before the story starts: the dashboard keeps no backlog,
+    and with imports warm all of the 30-node story's epochs are pushed
+    within ~40 ms of the worker starting.  The handler registers its queue
+    before it writes ``hello``, so once that is read no push can be missed."""
+    stream = SseStream(f"http://127.0.0.1:{board.port}/events")
+    assert "hello" in stream.read_until({"hello"})
+    yield stream
+    stream.conn.close()
+
+
+@pytest.fixture(scope="module")
+def dash(board, stream):
+    """One dashboard + completed workload shared by the module's tests."""
     worker = threading.Thread(
         target=run_dash_workload, args=(board.registry,),
         kwargs=dict(nodes=30, seed=2, state=board.workload), daemon=True)
     worker.start()
     yield board
     worker.join(timeout=60)
-    board.stop()
 
 
-def test_sse_streams_epoch_and_metric_events(dash):
-    url = f"http://127.0.0.1:{dash.port}/events"
-    events = read_sse(url, want={"hello", "metrics", "epoch"})
+def test_sse_streams_epoch_and_metric_events(dash, stream):
+    events = stream.read_until({"hello", "metrics", "epoch"})
     assert {"hello", "metrics", "epoch"} <= set(events)
 
     epoch = events["epoch"]

@@ -371,8 +371,7 @@ class TestFaultPlanDataPlane:
         plan = FaultPlan(seed=5, task_drop=Fraction(1, 8),
                          task_corrupt=Fraction(1, 12))
         assert FaultPlan.from_json(plan.to_json()) == plan
-        assert plan.data_faulty
-        assert not FaultPlan(seed=5).data_faulty
+        assert FaultPlan(seed=5).task_drop == FaultPlan().task_corrupt == 0
 
     def test_rates_are_validated(self):
         from repro.exceptions import FaultError

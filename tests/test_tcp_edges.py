@@ -678,7 +678,7 @@ class TestSession:
             assert dirty.throughput == bw_first(tree).throughput
             assert not session.transport._ends
             assert session.transport._servers == {}
-            session.transport.plan = session.transport._decider = None
+            session.transport.plan = None
             clean = session.negotiate(tree)
             assert clean.telemetry.value("runtime.tcp.dials") == edges
             assert clean.throughput == bw_first(tree).throughput

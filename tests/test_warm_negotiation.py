@@ -296,8 +296,6 @@ def test_after_a_lossy_negotiation_the_next_one_is_cold(transport):
         assert lossy.throughput == cold.throughput
         assert session._standing.records == {} and session._loop is None
         session.transport.plan = None
-        session.transport._decider = None if transport == "tcp" \
-            else type(session.transport._decider)(FaultPlan(seed=0))
         after = session.negotiate(tree)
         same_as_cold(after, tree, transport)
         assert (after.messages, after.notices) == (cold.messages, ())
