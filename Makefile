@@ -122,12 +122,14 @@ chaos-smoke:
 # multi-process cluster substrates, including under seeded payload faults.
 # The cluster reads its sockets through the codec's FrameSplitter, so the
 # splitter's differential property and the one-wire structural checks run
-# here too.  `timeout` hard-bounds the wall clock so a wedged socket or a
-# stalled child process fails fast instead of hanging CI.
+# here too, beside the one-dispatcher structural checks of the engine.
+# `timeout` hard-bounds the wall clock so a wedged socket or a stalled
+# child process fails fast instead of hanging CI.
 taskplane-smoke:
 	timeout 540 sh -c "\
 		PYTHONPATH=src pytest benchmarks/bench_e30_taskplane.py \
 			tests/test_taskplane.py tests/test_taskplane_tcp.py \
+			tests/test_taskplane_structure.py \
 			tests/test_codec_splitter.py tests/test_wire_structure.py -q && \
 		PYTHONPATH=src python -m repro exec --transport inproc --tasks 60 && \
 		PYTHONPATH=src python -m repro chaos --data-plane --sequences 3"

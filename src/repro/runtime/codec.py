@@ -90,8 +90,15 @@ _RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 _NAME_TYPES = (str, int, type(None))
 
 
+#: The one compact encoder every frame body goes through.  ``json.dumps``
+#: with non-default separators builds a fresh ``JSONEncoder`` per call —
+#: more than half the cost of dumping a frame; this one is built once and
+#: writes the same bytes.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _dump(payload: dict) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return _ENCODE(payload).encode("utf-8")
 
 
 def _check_name(name) -> None:

@@ -6,7 +6,7 @@ maps each receiver to one and is read on every delivery, so whoever owns
 a live transport re-points it by assigning another mapping.  The
 :class:`~repro.runtime.runtime.Runtime` maps every receiver to its one
 run-queue; the task plane, taking the connections over, maps each node to
-its engine's inbox.  Two implementations:
+its engine, which is its own mailbox.  Two implementations:
 
 * :class:`InProcTransport` — no wire at all.  Optionally applies a
   :class:`~repro.faults.plan.FaultPlan`'s control-plane loss model and a

@@ -33,8 +33,8 @@ into the codec's :class:`~repro.runtime.codec.FrameSplitter`, the one
 place a frame's header, bound and checksum are checked.  Frame routing
 inside a process is type-based: control messages
 (:class:`Proposal`/:class:`Acknowledgment`) go straight to the actor,
-everything else into the engine's inbox — the same socket carries both,
-distinguished only by the codec's ``kind`` tag.
+everything else into the engine, which is its own mailbox — the same
+socket carries both, distinguished only by the codec's ``kind`` tag.
 """
 
 from __future__ import annotations
@@ -116,10 +116,10 @@ class _NodeProcess:
         self.conn = conn
         self.is_root = spec.parent is None
         self.writers: Dict[Hashable, asyncio.StreamWriter] = {}
-        self.inbox: asyncio.Queue = asyncio.Queue()
-        self.outbox: asyncio.Queue = asyncio.Queue()
         self.actor: Optional[NodeActor] = None
         self.engine: Optional[TaskPlaneNode] = None
+        #: payload frames that raced the engine's construction
+        self._early: list = []
         self.engine_done = asyncio.Event()
         self.negotiated: Optional[asyncio.Future] = None
         self.hellos = asyncio.Event()
@@ -141,30 +141,24 @@ class _NodeProcess:
         if self._t0 is None:
             self._t0 = asyncio.get_event_loop().time()
 
-    # -- send paths ----------------------------------------------------
+    # -- send paths: straight onto the receiver's socket, in call order --
+    def _write(self, message) -> asyncio.StreamWriter:
+        writer = self.writers.get(message.receiver)
+        if writer is None:
+            raise TaskPlaneError(f"{self.spec.name!r} has no connection to "
+                                 f"{message.receiver!r}")
+        writer.write(encode_any(message))
+        return writer
+
     def actor_send(self, message: Message) -> None:
-        if message.receiver == VIRTUAL_PARENT:
-            if isinstance(message, Acknowledgment) \
-                    and not self.negotiated.done():
-                self.negotiated.set_result(message.theta)
-            return
-        self.outbox.put_nowait(message)
+        if message.receiver != VIRTUAL_PARENT:
+            self._write(message)
+        elif isinstance(message, Acknowledgment) \
+                and not self.negotiated.done():
+            self.negotiated.set_result(message.theta)
 
     async def engine_send(self, frame) -> None:
-        self.outbox.put_nowait(frame)
-
-    async def _pump(self) -> None:
-        """Single ordered writer per process: route by receiver."""
-        while True:
-            message = await self.outbox.get()
-            writer = self.writers.get(message.receiver)
-            if writer is None:
-                raise TaskPlaneError(
-                    f"{self.spec.name!r} has no connection to "
-                    f"{message.receiver!r}"
-                )
-            writer.write(encode_any(message))
-            await writer.drain()
+        await self._write(frame).drain()
 
     # -- socket reader -------------------------------------------------
     async def _serve(self, reader: asyncio.StreamReader, writer,
@@ -226,7 +220,10 @@ class _NodeProcess:
                 # allocation settled tree-wide
                 self._ensure_engine()
             self.start_clock()
-            self.inbox.put_nowait(obj)
+            if self.engine is not None:
+                self.engine.put_nowait(obj)
+            else:
+                self._early.append(obj)
 
     def _accept(self, reader: asyncio.StreamReader, writer) -> None:
         self._spawn(self._serve(reader, writer, greeted=False))
@@ -239,14 +236,9 @@ class _NodeProcess:
             raise
         except BaseException as exc:  # noqa: BLE001 - fail the whole node
             self.failures.append(exc)
-            self._fail_fast()
-
-    def _fail_fast(self) -> None:
-        if self.engine is not None:
-            self.engine.done.set()
-        self.engine_done.set()
-        if self.negotiated is not None and not self.negotiated.done():
-            self.negotiated.set_exception(self.failures[-1])
+            self.engine_done.set()
+            if self.negotiated is not None and not self.negotiated.done():
+                self.negotiated.set_exception(exc)
 
     def _spawn(self, coroutine) -> None:
         self._tasks.append(asyncio.ensure_future(self._guard(coroutine)))
@@ -283,7 +275,6 @@ class _NodeProcess:
             await writer.drain()
             self.writers[spec.parent] = writer
             self._spawn(self._serve(reader, writer, greeted=True))
-        self._spawn(self._pump())
 
         if spec.all_children:
             await asyncio.wait_for(self.hellos.wait(), timeout=spec.deadline)
@@ -314,7 +305,7 @@ class _NodeProcess:
             if spec.duration is not None:
                 timer = loop.call_later(spec.duration,
                                         self.engine.stop_generation)
-            self.engine._maybe_kick()
+            self.engine.wake()
 
         try:
             await asyncio.wait_for(self.engine_done.wait(),
@@ -329,7 +320,7 @@ class _NodeProcess:
         self.conn.send(("stats", spec.name, self.engine.stats()))
 
         # drain-and-close: quiescence is already guaranteed by the Stop
-        # cascade; flush what the pump wrote, then drop the sockets
+        # cascade; flush what was written, then drop the sockets
         for writer in self.writers.values():
             try:
                 await writer.drain()
@@ -345,19 +336,20 @@ class _NodeProcess:
 
     def _ensure_engine(self) -> None:
         """Build and start the engine exactly once, *after* the local
-        allocation is known (the inbox buffers any frames that raced it)."""
+        allocation is known; frames that raced it are its first burst."""
         if self.engine is not None:
             return
-        engine = self._build_engine()
-        self.engine = engine
-        for coroutine in engine.loops():
-            self._spawn(coroutine)
+        self.engine = self._build_engine()
+        for frame in self._early:
+            self.engine.put_nowait(frame)
+        self._early.clear()
 
-        async def watch():
-            await engine.done.wait()
+        async def drained(dispatcher):
+            await dispatcher
             self.engine_done.set()
 
-        self._spawn(watch())
+        for coroutine in self.engine.loops():
+            self._spawn(drained(coroutine))
 
     def _build_engine(self) -> TaskPlaneNode:
         """Engine config from the *actor's own* negotiated state.
@@ -384,7 +376,6 @@ class _NodeProcess:
             spec.name,
             clock=self.clock,
             send=self.engine_send,
-            inbox=self.inbox,
             parent=spec.parent,
             links=links,
             all_children=list(spec.all_children),

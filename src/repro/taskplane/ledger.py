@@ -26,16 +26,23 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 
+#: "whoever the copy is held for" — the sweep's resend, which answers nobody
+_HOLDER = object()
+
+
 class RetentionBuffer:
     """Held copies of dispatched tasks, until the child acknowledges."""
 
-    __slots__ = ("_held", "attempts")
+    __slots__ = ("_held", "attempts", "strays")
 
     def __init__(self) -> None:
         #: task_id → (frame, child, last_send_time)
         self._held: Dict[int, Tuple[object, Hashable, float]] = {}
         #: task_id → sends so far (keys the seeded per-attempt fault rolls)
         self.attempts: Dict[int, int] = {}
+        #: acks and naks refused because another child than the one the
+        #: copy is held for sent them
+        self.strays = 0
 
     def __len__(self) -> int:
         return len(self._held)
@@ -47,10 +54,22 @@ class RetentionBuffer:
         self._held[frame.task_id] = (frame, child, now)
         return attempt
 
-    def touch(self, task_id: int, now: float) -> Optional[Tuple[object, Hashable, int]]:
-        """Bump the attempt counter for a resend of *task_id*; ``None`` if
-        the entry was already released (a stale ``tnak``)."""
+    def _answered(self, task_id: int, child: Hashable) -> Optional[tuple]:
+        """The entry *child*'s ack or nak of *task_id* answers: ``None``
+        when nothing is held (stale) or it is held for somebody else — the
+        only copy is not given up, or resent, on a stranger's word."""
         entry = self._held.get(task_id)
+        if entry is not None and child is not _HOLDER and entry[1] != child:
+            self.strays += 1
+            return None
+        return entry
+
+    def touch(self, task_id: int, now: float, child: Hashable = _HOLDER,
+              ) -> Optional[Tuple[object, Hashable, int]]:
+        """Bump the attempt counter for a resend of *task_id* — the sweep's,
+        or the one *child* asked for; ``None`` if the entry was already
+        released (a stale ``tnak``) or is held for another child."""
+        entry = self._answered(task_id, child)
         if entry is None:
             return None
         frame, child, _ = entry
@@ -59,10 +78,12 @@ class RetentionBuffer:
         self._held[task_id] = (frame, child, now)
         return frame, child, attempt
 
-    def release(self, task_id: int) -> bool:
-        """Drop the retention copy on ack; ``False`` if already released."""
-        released = self._held.pop(task_id, None) is not None
+    def release(self, task_id: int, child: Hashable = _HOLDER) -> bool:
+        """Drop the retention copy on *child*'s ack; ``False`` if already
+        released, or held for another child."""
+        released = self._answered(task_id, child) is not None
         if released:
+            del self._held[task_id]
             self.attempts.pop(task_id, None)
         return released
 
@@ -70,6 +91,10 @@ class RetentionBuffer:
         """Task ids whose last send is older than *timeout* seconds."""
         return [task_id for task_id, (_, _, sent) in self._held.items()
                 if now - sent >= timeout]
+
+    def next_due(self, timeout: float) -> float:
+        """When the first held copy becomes :meth:`due` (one is held)."""
+        return min(sent for _, _, sent in self._held.values()) + timeout
 
 
 class DeliveryLog:

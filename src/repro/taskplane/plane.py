@@ -1,34 +1,42 @@
 """The task data plane: real payloads executed under the negotiated rates.
 
-One :class:`TaskPlaneNode` engine per platform node, four event loops each:
+One :class:`TaskPlaneNode` engine per platform node, one coroutine per
+engine: a **dispatcher** serving one run-queue.  The engine *is* its node's
+mailbox — a transport's ``put_nowait`` appends the frame and resolves the
+dispatcher's waiter — and whatever is timed arrives in the same queue, as a
+marker pushed by a ``call_later`` somebody waits for.  Nothing polls.  One
+pass of the dispatcher is a **burst**:
 
-* **recv** — dispatches inbound frames: task delivery (end-to-end payload
-  checksum → ``tack`` or ``tnak``, first-delivery dedup), acks/naks into
-  the retention buffer, credit grants, result relay toward the root, the
-  Stop/Stopped drain cascade.  Stray control :class:`Message`\\ s left over
+* **frames** — every queued item goes to its handler, one table keyed by
+  type: task delivery (end-to-end payload checksum → ``tack`` or ``tnak``,
+  first-delivery dedup), acks/naks into the retention buffer (only from the
+  child the copy is held for), credit grants, result relay toward the root,
+  the Stop/Stopped cascade.  Stray control :class:`Message`\\ s left over
   from negotiation on a reused transport are counted and ignored;
-* **router** — demand-driven stride scheduling: the ready sinks are the
-  local worker (when idle, weight ``α``) and each active child (when a
-  send credit is available, weight ``η_out``); the sink with the smallest
-  ``served/weight`` progress receives the next task.  Long-run, dispatch
-  proportions converge to the solver's exact split, which is what makes
-  measured throughput converge to ``λ_root − θ_root``;
-* **port** — serialises child transfers on the single send port, pacing
-  ``c_child · time_scale`` wall seconds per task against an absolute
-  ``busy_until`` horizon (sleep overshoot cannot accumulate into rate
-  drift), then transmits through the seeded data-plane fault filter;
-* **worker** — paces ``time_scale / r`` per task (full speed; the router's
-  proportions throttle it down to exactly ``α``), executes the payload,
-  reports the result up the tree.
+* **route**, once per burst — rate-conformant stride scheduling
+  (:class:`_Sink`) over the local worker and the credited children: long-run,
+  dispatch proportions converge to the solver's exact split, which is what
+  makes measured throughput converge to ``λ_root − θ_root``;
+* **serve** — the send port and the worker are two deques of slots on an
+  absolute ``busy_until`` horizon (``c_child · time_scale`` wall seconds per
+  transfer; ``time_scale / r`` per execution — full speed, the router's
+  proportions throttle it down to exactly ``α``).  A head whose slot has
+  ended is served in line — transmitted through the seeded data-plane fault
+  filter, or executed and reported up the tree; any other head is what its
+  deque's one timer waits for;
+* **settle** — once generation has stopped, ``completed == generated`` and
+  every retention copy is released, the root sends Stop to *all* children
+  (active or not, so every engine exits through the tree protocol); a child
+  drains locally, cascades Stop, collects Stopped from its whole subtree
+  and only then reports Stopped upward;
+* **write** — what the burst produced goes out in the order produced.
+  Per-edge FIFO (in-proc delivery, TCP per socket) guarantees a child's
+  last result precedes its Stopped, so the accounting the root asserted
+  cannot be overtaken by shutdown.
 
-A root-only **drain watch** closes the books: once generation has stopped,
-``completed == generated`` and every retention copy is released, it sends
-Stop to *all* children (active or not, so every engine exits through the
-tree protocol); a child drains locally, cascades Stop, collects Stopped
-from its whole subtree and only then reports Stopped upward.  Per-edge
-FIFO ordering (asyncio queues in-proc, TCP per socket) guarantees a
-child's last result precedes its Stopped, so the accounting the root
-asserted cannot be overtaken by shutdown.
+Four timers, each armed only while somebody waits for it: ``port`` and
+``cpu`` for the head of their deque, ``rate`` while only its rate cap keeps
+a sink from a task, ``sweep`` while a retention copy is outstanding.
 
 :class:`TaskPlane` orchestrates a run on one event loop: negotiate with
 the real :class:`~repro.runtime.runtime.Runtime` (``close_transport=False``
@@ -41,8 +49,10 @@ optimum and peak buffer occupancy to the analytic bound.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Hashable, List, Optional, Union
 
 from ..analysis.buffers import taskplane_buffer_bounds
@@ -87,8 +97,40 @@ class ChildLink:
     capacity: int        # the child's analytic buffer capacity
 
 
+class _Sink:
+    """Where the router can put a task, with its stride and token-bucket
+    books: the local CPU (``link`` is ``None``; ready when idle, weight
+    ``α``) or an active child (ready with a send credit, weight ``η_out``).
+    The ready sink with the smallest ``served / weight`` gets the next task,
+    compared as ``served · stride`` (``stride``: ``1/weight`` scaled to an
+    integer).
+
+    Work-conserving stride alone mis-shapes the mix on saturated ports:
+    whenever the fast child is briefly out of credits, the slow
+    (expensive-link) children absorb its slots and the port wastes its 100%
+    duty cycle on costly transfers.  Capping each sink at its allocated
+    ``rate`` (tasks per wall second) plus a ``burst`` — the child's buffer
+    capacity, which fills the start-up pipeline — keeps the long-run mix
+    exactly the solver's.  The worker's burst is its two slots, one task
+    executing and one prefetched: the busy_until pacing starts the
+    prefetched slot exactly where the running one ends, so hand-off latency
+    cannot shave the compute rate."""
+
+    __slots__ = ("link", "stride", "served", "rate", "burst", "cost")
+
+    def __init__(self, link: Optional[ChildLink], weight: Fraction,
+                 stride: int, burst: int, time_scale: float):
+        self.link = link
+        self.stride = stride
+        self.served = 0
+        self.rate = float(weight) / time_scale
+        self.burst = burst
+        #: wall seconds one transfer occupies the send port
+        self.cost = float(link.c) * time_scale if link is not None else 0.0
+
+
 class TaskPlaneNode:
-    """The per-node engine; see the module docstring for the loops."""
+    """The per-node engine; see the module docstring for the burst."""
 
     def __init__(
         self,
@@ -96,7 +138,6 @@ class TaskPlaneNode:
         *,
         clock: Callable[[], float],
         send: Callable,                 # async: transport.send
-        inbox: asyncio.Queue,
         parent: Optional[Hashable],
         links: List[ChildLink],         # active children (η_out > 0)
         all_children: List[Hashable],   # every tree child (for Stop)
@@ -116,14 +157,13 @@ class TaskPlaneNode:
         self.name = name
         self.clock = clock
         self.send = send
-        self.inbox = inbox
         self.parent = parent
-        self.links = links
+        self.links = {link.name: link for link in links}
         self.all_children = list(all_children)
-        self.alpha = alpha
-        self.time_scale = time_scale
         self._decider = LinkFaultDecider(plan)
         self.registry = registry
+        #: the disabled telemetry path is one truth test per hook
+        self._live = registry.enabled
         self.resend_timeout = resend_timeout
         self.is_root = parent is None
         self.ledger = ledger
@@ -137,71 +177,93 @@ class TaskPlaneNode:
         self.delivery = DeliveryLog()
         self.worker = (WorkerPool(rate, time_scale, keep_results)
                        if alpha > 0 else None)
-        self._worker_pending = 0
+        # the sinks in the order ties go: the worker, then the children by
+        # bandwidth; integer strides from the weights scaled once to a
+        # common denominator
+        sinks = [(None, alpha, 2)] if alpha > 0 else []
+        sinks += [(link, link.eta, link.capacity) for link in links]
+        scale = lcm(*(weight.denominator for _, weight, _ in sinks))
+        scaled = [weight.numerator * (scale // weight.denominator)
+                  for _, weight, _ in sinks]
+        self._sinks = [
+            _Sink(link, weight, lcm(*scaled) // integer, burst, time_scale)
+            for (link, weight, burst), integer in zip(sinks, scaled)]
+        #: the paced resources: (slot end, task frame[, child]) in the order
+        #: routed, served from the head
+        self._port, self._cpu = deque(), deque()
         self._port_busy_until = 0.0
-        self._port_queue: asyncio.Queue = asyncio.Queue()
-        self._worker_queue: asyncio.Queue = asyncio.Queue()
-        self._kick = asyncio.Event()
-        self._served: Dict[Hashable, int] = {}
-        #: per-sink dispatch rates in tasks per wall second — the router's
-        #: token buckets.  Work-conserving stride alone mis-shapes the mix
-        #: on saturated ports: whenever the fast child is briefly out of
-        #: credits, the slow (expensive-link) children absorb its slots
-        #: and the port wastes its 100% duty cycle on costly transfers.
-        #: Capping each sink at its allocated rate (+ a burst of its
-        #: buffer capacity, which fills the start-up pipeline) keeps the
-        #: long-run mix exactly the solver's.
-        self._alpha_ps = float(alpha) / time_scale if alpha > 0 else 0.0
-        self._eta_ps = {l.name: float(l.eta) / time_scale for l in links}
         self._next_eligible: Optional[float] = None
+
+        #: the run-queue (frames, and the markers of timers that expired),
+        #: what the burst wrote, the armed timers as marker → (handle, due)
+        self._queue: deque = deque()
+        self._out: list = []
+        self._timers: Dict[str, tuple] = {}
+        self._waiter: Optional[asyncio.Future] = None
+        self._handlers = {
+            TaskFrame: self._on_task,
+            DeliveryAck: self._on_ack,
+            ResendRequest: self._on_nak,
+            CreditGrant: self._on_credit,
+            ResultReport: self._on_result,
+            Stop: self._on_stop,
+            Stopped: self._on_stopped,
+            Proposal: self._on_stray,      # negotiation leftovers, harmless
+            Acknowledgment: self._on_stray,
+            str: self._on_marker,
+        }
+
         self.generation_stopped = max_tasks == 0
         #: wall time the root's supply dried up — the end of the honest
         #: throughput-measurement window (the drain tail runs at the pace
         #: of the slowest subtree, not at steady-state rate)
         self.generation_stopped_at: Optional[float] = None
-        self._stop_received = asyncio.Event()
+        self._stop_received = self._stop_sent = False
         self._stopped_children: set = set()
-        self._all_stopped = asyncio.Event()
-        self.done = asyncio.Event()
+        self.done = False
 
-        # counters surfaced in the report and on the registry
-        self.resends = 0
-        self.resend_requests = 0       # tnaks this node issued
-        self.injected_drops = 0
-        self.injected_corruptions = 0
-        self.stray_control = 0
-        self.relayed_results = 0
+        # counters surfaced in the report (resend_requests: tnaks issued)
+        self.resends = self.resend_requests = self.stray_control = 0
+        self.injected_drops = self.injected_corruptions = 0
 
     # ------------------------------------------------------------------
-    # what a launcher needs: the loops to run, the supply switch, the books
+    # what a launcher needs: the mailbox, the coroutine to run, the supply
+    # switch, the books
     # ------------------------------------------------------------------
+    def put_nowait(self, item) -> None:
+        """The mailbox a transport delivers into: queue *item* — a frame,
+        or the marker of a timer that expired — and wake the dispatcher."""
+        self._queue.append(item)
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def wake(self) -> None:
+        """Have the dispatcher look again: run a burst with no frame."""
+        self.put_nowait("wake")
+
     def loops(self) -> list:
         """The engine's coroutines, one task each, for whoever launches it
-        (the in-process plane, a cluster node process)."""
-        loops = [self._recv_loop(), self._router_loop(), self._port_loop(),
-                 self._sweep_loop(), self._drain_loop()]
-        if self.worker is not None:
-            loops.append(self._worker_loop())
-        return loops
+        (the in-process plane, a cluster node process): the dispatcher."""
+        return [self._dispatch()]
 
     def stop_generation(self) -> None:
         """The root's supply dries up — *max_tasks* generated, or the
         launcher's *duration* timer: stamp the end of the measurement
-        window (once) and wake the router."""
+        window (once) and have the drain condition looked at."""
         if not self.generation_stopped:
             self.generation_stopped = True
             self.generation_stopped_at = self.clock()
-        self._maybe_kick()
+        self.wake()
 
     def stats(self) -> dict:
         """This engine's counters, picklable; the root's carry the ledger.
         :meth:`TaskPlaneReport.from_stats` sums them over the platform."""
         stats = {
-            "resends": self.resends,
-            "resend_requests": self.resend_requests,
-            "injected_drops": self.injected_drops,
-            "injected_corruptions": self.injected_corruptions,
-            "stray_control": self.stray_control,
+            **{key: getattr(self, key) for key in (
+                "resends", "resend_requests", "injected_drops",
+                "injected_corruptions", "stray_control")},
+            "stray_acks": self.retention.strays,
             "peak": self.buffer.peak if self.buffer is not None else None,
             "worker_completed": (self.worker.completed
                                  if self.worker is not None else None),
@@ -218,92 +280,152 @@ class TaskPlaneNode:
         return stats
 
     # ------------------------------------------------------------------
+    # the dispatcher
+    # ------------------------------------------------------------------
+    async def _dispatch(self) -> None:
+        """The engine's one task and single ordered writer: serve what is
+        queued, advance the schedule, write what that produced, and wait —
+        for a delivery or for a timer somebody armed — only with nothing
+        queued.  Returns once the node has drained and said so."""
+        loop = asyncio.get_running_loop()
+        queue, handlers, out, send = (self._queue, self._handlers, self._out,
+                                      self.send)
+        try:
+            while True:
+                while queue:
+                    item = queue.popleft()
+                    handler = handlers.get(type(item))
+                    if handler is None:
+                        raise TaskPlaneError(f"{self.name!r} received "
+                                             f"unroutable frame {item!r}")
+                    handler(item)
+                self._advance(self.clock())
+                for frame in out:
+                    await send(frame)
+                out.clear()
+                if self.done:
+                    return
+                if not queue:
+                    self._waiter = loop.create_future()
+                    try:
+                        await self._waiter
+                    finally:
+                        self._waiter = None
+        finally:
+            for handle, _ in self._timers.values():
+                handle.cancel()
+            self._timers.clear()
+
+    def _arm(self, marker: str, due: float, now: float) -> None:
+        """Have *marker* queued at clock time *due*, unless it already is
+        to be no later than that."""
+        armed = self._timers.get(marker)
+        if armed is not None:
+            if armed[1] <= due:
+                return
+            armed[0].cancel()
+        self._timers[marker] = (asyncio.get_running_loop().call_later(
+            due - now, self.put_nowait, marker), due)
+
+    def _on_marker(self, marker: str) -> None:
+        """A timer expired (or a launcher's :meth:`wake`): the burst looks
+        at everything anyway; only the sweep has work of its own."""
+        self._timers.pop(marker, None)
+        if marker == "sweep":
+            now = self.clock()
+            for task_id in self.retention.due(now, self.resend_timeout):
+                self._resend(self.retention.touch(task_id, now))
+
+    def _advance(self, now: float) -> None:
+        """The end of a burst, on one reading of the clock: route, serve
+        the heads whose slot has ended — an execution that ended freed a
+        worker slot, so route again; *now* is fixed, so the rate caps and
+        the horizons end the loop — arm what the rest waits for, settle."""
+        port, cpu, retention = self._port, self._cpu, self.retention
+        while True:
+            self._route(now)
+            while port and port[0][0] <= now:
+                _, frame, child = port.popleft()
+                self._transmit(frame, child, retention.hold(frame, child, now))
+            if not cpu or cpu[0][0] > now:
+                break
+            self._complete(cpu.popleft()[1])
+        if port:
+            self._arm("port", port[0][0], now)
+        if cpu:
+            self._arm("cpu", cpu[0][0], now)
+        if len(retention) and "sweep" not in self._timers:
+            self._arm("sweep", retention.next_due(self.resend_timeout), now)
+        self._settle()
+
+    # ------------------------------------------------------------------
     # frame handling
     # ------------------------------------------------------------------
-    async def _recv_loop(self) -> None:
-        while True:
-            frame = await self.inbox.get()
-            if isinstance(frame, TaskFrame):
-                await self._on_task(frame)
-            elif isinstance(frame, DeliveryAck):
-                self.retention.release(frame.task_id)
-                self._maybe_kick()
-            elif isinstance(frame, ResendRequest):
-                await self._on_nak(frame)
-            elif isinstance(frame, CreditGrant):
-                link = self._link(frame.sender)
-                self.credits.grant(link.name, frame.amount, link.capacity)
-                self._maybe_kick()
-            elif isinstance(frame, ResultReport):
-                await self._on_result(frame)
-            elif isinstance(frame, Stop):
-                self._stop_received.set()
-            elif isinstance(frame, Stopped):
-                self._stopped_children.add(frame.sender)
-                if set(self.all_children) <= self._stopped_children:
-                    self._all_stopped.set()
-            elif isinstance(frame, (Proposal, Acknowledgment)):
-                self.stray_control += 1   # negotiation leftovers, harmless
-            else:
-                raise TaskPlaneError(
-                    f"{self.name!r} received unroutable frame {frame!r}"
-                )
-
-    def _link(self, child: Hashable) -> ChildLink:
-        for link in self.links:
-            if link.name == child:
-                return link
-        raise TaskPlaneError(f"{child!r} is not an active child of {self.name!r}")
-
-    async def _on_task(self, frame: TaskFrame) -> None:
+    def _on_task(self, frame: TaskFrame) -> None:
         if self.is_root:
             raise TaskPlaneError("the root does not receive task frames")
         if not frame.intact:
             # payload corrupted end-to-end: ask the parent's retention copy
             self.resend_requests += 1
-            await self.send(ResendRequest(sender=self.name, receiver=frame.sender,
-                                          task_id=frame.task_id))
+            self._out.append(ResendRequest(self.name, frame.sender,
+                                           frame.task_id))
             return
-        if not self.delivery.first_delivery(frame.task_id):
-            # duplicate delivery (resend raced a late ack): re-ack, drop
-            await self.send(DeliveryAck(sender=self.name, receiver=frame.sender,
-                                        task_id=frame.task_id))
-            return
-        self.buffer.put(frame)
+        if self.delivery.first_delivery(frame.task_id):
+            self.buffer.put(frame)
+            if self._live:
+                self._publish_depth()
+        # else a duplicate delivery (resend raced a late ack): re-ack, drop
+        self._out.append(DeliveryAck(self.name, frame.sender, frame.task_id))
+
+    def _on_ack(self, frame: DeliveryAck) -> None:
+        self.retention.release(frame.task_id, frame.sender)
+
+    def _on_nak(self, frame: ResendRequest) -> None:
+        # None: already released by a racing ack (a stale nak), or a stray
+        self._resend(self.retention.touch(frame.task_id, self.clock(),
+                                          frame.sender))
+
+    def _resend(self, entry: Optional[tuple]) -> None:
+        if entry is not None:
+            self.resends += 1
+            if self._live:
+                self.registry.counter("taskplane.resends").inc()
+            self._transmit(*entry)
+
+    def _on_credit(self, frame: CreditGrant) -> None:
+        link = self.links.get(frame.sender)
+        if link is None:
+            raise TaskPlaneError(
+                f"{frame.sender!r} is not an active child of {self.name!r}")
+        self.credits.grant(link.name, frame.amount, link.capacity)
+
+    def _on_result(self, frame: ResultReport) -> None:
+        if self.is_root:
+            self._record_completed(frame.task_id)
+        else:
+            self._out.append(ResultReport(self.name, self.parent,
+                                          frame.task_id, frame.origin))
+
+    def _on_stop(self, frame: Stop) -> None:
+        self._stop_received = True
+
+    def _on_stopped(self, frame: Stopped) -> None:
+        self._stopped_children.add(frame.sender)
+
+    def _on_stray(self, frame) -> None:
+        self.stray_control += 1
+
+    def _record_completed(self, task_id: int) -> None:
+        if self.ledger.record_completed(task_id, self.clock()) and self._live:
+            self.registry.counter("taskplane.completions").inc()
+
+    def _publish_depth(self) -> None:
         self.registry.gauge("taskplane.buffer_depth",
                             node=str(self.name)).set(self.buffer.depth)
-        await self.send(DeliveryAck(sender=self.name, receiver=frame.sender,
-                                    task_id=frame.task_id))
-        self._maybe_kick()
-
-    async def _on_nak(self, frame: ResendRequest) -> None:
-        entry = self.retention.touch(frame.task_id, self.clock())
-        if entry is None:
-            return  # already released by a racing ack: stale nak
-        held, child, attempt = entry
-        self.resends += 1
-        self.registry.counter("taskplane.resends").inc()
-        await self._transmit(held, child, attempt)
-
-    async def _on_result(self, frame: ResultReport) -> None:
-        if self.is_root:
-            if self.ledger.record_completed(frame.task_id, self.clock()):
-                self.registry.counter("taskplane.completions").inc()
-            self._maybe_kick()
-        else:
-            self.relayed_results += 1
-            await self.send(ResultReport(sender=self.name, receiver=self.parent,
-                                         task_id=frame.task_id,
-                                         origin=frame.origin))
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def _tasks_available(self) -> bool:
-        if self.is_root:
-            return not self.generation_stopped
-        return self.buffer.depth > 0
-
     def _next_task(self) -> TaskFrame:
         if self.is_root:
             task_id = self.ledger.record_generated()
@@ -314,133 +436,74 @@ class TaskPlaneNode:
             return make_task(self.name, self.name, task_id, payload,
                              kind=self.exec_kind)
         frame = self.buffer.get()
-        self.registry.gauge("taskplane.buffer_depth",
-                            node=str(self.name)).set(self.buffer.depth)
+        if self._live:
+            self._publish_depth()
         return frame
 
-    def _note_eligible_at(self, when: float) -> None:
-        if self._next_eligible is None or when < self._next_eligible:
-            self._next_eligible = when
-
-    def _pick_sink(self):
+    def _pick_sink(self, now: float) -> Optional[_Sink]:
         """Rate-conformant stride scheduling; ``None`` when no sink may
-        take a task right now (out of credits, busy, or over rate)."""
-        now = self.clock()
+        take a task right now (out of credits, busy, or over rate — the
+        last leaves in ``_next_eligible`` when the first token accrues)."""
         best = None
-        best_progress = None
         self._next_eligible = None
-        # the worker keeps one task executing and one prefetched: the
-        # busy_until pacing starts the prefetched slot exactly where the
-        # running one ends, so router hand-off latency cannot shave the
-        # compute rate
-        if self.worker is not None and self._worker_pending < 2:
-            served = self._served.get("cpu", 0)
-            if served < self._alpha_ps * now + 2:
-                best = "cpu"
-                best_progress = Fraction(served) / self.alpha
-            else:
-                self._note_eligible_at((served - 1) / self._alpha_ps)
-        for link in self.links:
-            if self.credits.available(link.name) <= 0:
+        for sink in self._sinks:
+            if sink.link is None:
+                if len(self._cpu) >= 2:
+                    continue
+            elif self.credits.available(sink.link.name) <= 0:
                 continue
-            served = self._served.get(link.name, 0)
-            rate = self._eta_ps[link.name]
-            if served >= rate * now + link.capacity:
-                self._note_eligible_at((served - link.capacity + 1) / rate)
-                continue
-            progress = Fraction(served) / link.eta
-            if best_progress is None or progress < best_progress:
-                best, best_progress = link, progress
+            if sink.served >= sink.rate * now + sink.burst:
+                eligible = (sink.served - sink.burst + 1) / sink.rate
+                if self._next_eligible is None \
+                        or eligible < self._next_eligible:
+                    self._next_eligible = eligible
+            elif best is None or \
+                    sink.served * sink.stride < best.served * best.stride:
+                best = sink
         return best
 
-    async def _router_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            # clear *before* dispatching: an event landing mid-dispatch
-            # re-sets the flag and the wait below returns immediately — a
-            # clear-after-dispatch would lose that wakeup and stall a poll
-            self._kick.clear()
-            while self._tasks_available():
-                sink = self._pick_sink()
-                if sink is None:
-                    break
-                frame = self._next_task()
-                if not self.is_root:
-                    # the slot frees the moment the task leaves the buffer
-                    await self.send(CreditGrant(sender=self.name,
-                                                receiver=self.parent))
-                if sink == "cpu":
-                    self._served["cpu"] = self._served.get("cpu", 0) + 1
-                    self._worker_pending += 1
-                    self._worker_queue.put_nowait((frame, self.clock()))
-                else:
-                    self._served[sink.name] = self._served.get(sink.name, 0) + 1
-                    self.credits.spend(sink.name)
-                    forwarded = TaskFrame(sender=self.name, receiver=sink.name,
-                                          task_id=frame.task_id,
-                                          payload=frame.payload,
-                                          crc=frame.crc, kind=frame.kind)
-                    self._port_queue.put_nowait(
-                        (forwarded, sink, self.clock())
-                    )
-            timeout = 0.05
-            if self._next_eligible is not None:
-                # a sink is blocked purely by its rate cap: wake exactly
-                # when its next token accrues instead of a blind poll
-                until = self._next_eligible - self.clock()
-                timeout = min(timeout, max(0.001, until))
-            # a timer that kicks, not ``asyncio.wait_for``: when the event
-            # and a cancellation land in the same loop pass, wait_for (3.11)
-            # returns normally — the cancellation is swallowed and this
-            # loop outlives its plane, whose shutdown then never returns
-            timer = loop.call_later(timeout, self._kick.set)
-            try:
-                await self._kick.wait()
-            finally:
-                timer.cancel()
-
-    def _maybe_kick(self) -> None:
-        self._kick.set()
+    def _route(self, now: float) -> None:
+        """Hand tasks to sinks while there is one of each; a sink blocked
+        purely by its rate cap is woken for exactly when its next token
+        accrues."""
+        while (not self.generation_stopped if self.is_root
+               else self.buffer.depth):
+            sink = self._pick_sink(now)
+            if sink is None:
+                if self._next_eligible is not None:
+                    self._arm("rate", self._next_eligible, now)
+                return
+            frame = self._next_task()
+            if not self.is_root:
+                # the slot frees the moment the task leaves the buffer
+                self._out.append(CreditGrant(self.name, self.parent))
+            sink.served += 1
+            # a slot is anchored at its arrival or the previous horizon,
+            # never at a (possibly late) wake-up — see WorkerPool.slot
+            if sink.link is None:
+                self._cpu.append((self.worker.slot(now), frame))
+                continue
+            child = sink.link.name
+            self.credits.spend(child)
+            self._port_busy_until = max(now, self._port_busy_until) + sink.cost
+            self._port.append((self._port_busy_until, TaskFrame(
+                self.name, child, frame.task_id, frame.payload, frame.crc,
+                frame.kind), child))
 
     # ------------------------------------------------------------------
     # the paced resources
     # ------------------------------------------------------------------
-    async def _port_loop(self) -> None:
-        while True:
-            frame, link, queued = await self._port_queue.get()
-            # anchor the slot at enqueue time / previous horizon, never at
-            # the (possibly late) wake-up — see WorkerPool.slot
-            start = queued if queued > self._port_busy_until \
-                else self._port_busy_until
-            finish = start + float(link.c) * self.time_scale
-            self._port_busy_until = finish
-            delay = finish - self.clock()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            attempt = self.retention.hold(frame, link.name, self.clock())
-            await self._transmit(frame, link.name, attempt)
+    def _complete(self, frame: TaskFrame) -> None:
+        """The worker's slot ended: execute, report the result upward."""
+        self.worker.execute(frame)
+        if self.is_root:
+            self._record_completed(frame.task_id)
+        else:
+            self._out.append(ResultReport(self.name, self.parent,
+                                          frame.task_id, self.name))
 
-    async def _worker_loop(self) -> None:
-        while True:
-            frame, queued = await self._worker_queue.get()
-            finish = self.worker.slot(queued)
-            delay = finish - self.clock()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            self.worker.execute(frame)
-            self._worker_pending -= 1
-            self._maybe_kick()
-            if self.is_root:
-                if self.ledger.record_completed(frame.task_id, self.clock()):
-                    self.registry.counter("taskplane.completions").inc()
-            else:
-                await self.send(ResultReport(sender=self.name,
-                                             receiver=self.parent,
-                                             task_id=frame.task_id,
-                                             origin=self.name))
-
-    async def _transmit(self, frame: TaskFrame, child: Hashable,
-                        attempt: int) -> None:
+    def _transmit(self, frame: TaskFrame, child: Hashable,
+                  attempt: int) -> None:
         """Send one task frame through the plan's data-plane verdict
         (:meth:`~repro.faults.inject.LinkFaultDecider.judge_task`)."""
         decider = self._decider
@@ -454,59 +517,34 @@ class TaskPlaneNode:
                 # on the path passes, only the end-to-end checksum catches it
                 self.injected_corruptions += 1
                 garbled = bytes([frame.payload[0] ^ 0xFF]) + frame.payload[1:]
-                frame = TaskFrame(sender=frame.sender,
-                                  receiver=frame.receiver,
-                                  task_id=frame.task_id, payload=garbled,
-                                  crc=frame.crc, kind=frame.kind)
-        await self.send(frame)
-
-    async def _sweep_loop(self) -> None:
-        """Resend retention entries whose ack is overdue."""
-        interval = self.resend_timeout / 2
-        while True:
-            await asyncio.sleep(interval)
-            now = self.clock()
-            for task_id in self.retention.due(now, self.resend_timeout):
-                entry = self.retention.touch(task_id, now)
-                if entry is None:
-                    continue
-                frame, child, attempt = entry
-                self.resends += 1
-                self.registry.counter("taskplane.resends").inc()
-                await self._transmit(frame, child, attempt)
+                frame = replace(frame, payload=garbled)
+        self._out.append(frame)
 
     # ------------------------------------------------------------------
     # shutdown cascade
     # ------------------------------------------------------------------
     def _quiescent(self) -> bool:
-        return (
-            (self.buffer is None or self.buffer.depth == 0)
-            and self._worker_pending == 0
-            and len(self.retention) == 0
-            and self._port_queue.empty()
-        )
+        return not (self._cpu or self._port or len(self.retention)
+                    or (self.buffer is not None and self.buffer.depth))
 
-    async def _drain_loop(self) -> None:
-        """Root: close the books, then cascade Stop.  Child: await Stop,
-        drain locally, cascade, report Stopped upward."""
-        if self.is_root:
-            while not (self.generation_stopped
-                       and self.ledger.outstanding == 0
-                       and self._quiescent()):
-                await asyncio.sleep(self.time_scale)
-        else:
-            await self._stop_received.wait()
-            while not self._quiescent():
-                await asyncio.sleep(self.time_scale)
-        for child in self.all_children:
-            await self.send(Stop(sender=self.name, receiver=child))
-        if self.all_children:
-            await self._all_stopped.wait()
-        if not self.is_root:
-            completed = self.worker.completed if self.worker else 0
-            await self.send(Stopped(sender=self.name, receiver=self.parent,
-                                    completed=completed))
-        self.done.set()
+    def _settle(self) -> None:
+        """Root: close the books, then cascade Stop.  Child: once told to
+        stop, drain locally, cascade, and with the whole subtree stopped
+        report Stopped upward."""
+        if not self._stop_sent:
+            told = self._stop_received if not self.is_root else (
+                self.generation_stopped and self.ledger.outstanding == 0)
+            if not (told and self._quiescent()):
+                return
+            self._stop_sent = True
+            self._out.extend(Stop(self.name, child)
+                             for child in self.all_children)
+        if self._stopped_children.issuperset(self.all_children):
+            if not self.is_root:
+                self._out.append(Stopped(
+                    self.name, self.parent,
+                    self.worker.completed if self.worker else 0))
+            self.done = True
 
 
 @dataclass
@@ -531,6 +569,7 @@ class TaskPlaneReport:
     completions_per_sec: Optional[float]
     wall_seconds: float
     worker_completed: Dict[str, int] = field(default_factory=dict)
+    stray_acks: int = 0              # acks / naks refused: not the holder's
 
     @classmethod
     def from_stats(cls, stats: Dict[Hashable, dict], root: Hashable, *,
@@ -540,9 +579,6 @@ class TaskPlaneReport:
         order): counters summed, the ledger and the wall from *root*."""
         books = stats[root]
         rate = books["rate"]
-
-        def total(key: str) -> int:
-            return sum(s[key] for s in stats.values())
 
         def per_node(key: str) -> Dict[str, int]:
             return {str(node): s[key] for node, s in stats.items()
@@ -556,11 +592,9 @@ class TaskPlaneReport:
             generated=books["generated"],
             completed=books["completed"],
             duplicates=books["duplicates"],
-            resends=total("resends"),
-            resend_requests=total("resend_requests"),
-            injected_drops=total("injected_drops"),
-            injected_corruptions=total("injected_corruptions"),
-            stray_control=total("stray_control"),
+            **{key: sum(s[key] for s in stats.values()) for key in (
+                "resends", "resend_requests", "injected_drops",
+                "injected_corruptions", "stray_control", "stray_acks")},
             peak_occupancy=per_node("peak"),
             bounds={str(node): bound for node, bound in bounds.items()},
             measured_rate=None if rate is None else rate * time_scale,
@@ -593,28 +627,16 @@ class TaskPlaneReport:
         return ratio is not None and abs(ratio - 1.0) <= tolerance
 
     def to_json(self) -> dict:
-        return {
-            "transport": self.transport,
-            "nodes": self.nodes,
-            "optimal_throughput": str(self.optimal_throughput),
-            "time_scale": self.time_scale,
-            "generated": self.generated,
-            "completed": self.completed,
-            "lost": self.lost,
-            "duplicates": self.duplicates,
-            "resends": self.resends,
-            "resend_requests": self.resend_requests,
-            "injected_drops": self.injected_drops,
-            "injected_corruptions": self.injected_corruptions,
-            "measured_rate": self.measured_rate,
-            "completions_per_sec": self.completions_per_sec,
-            "convergence": self.convergence,
-            "occupancy_ok": self.occupancy_ok(),
-            "peak_occupancy": self.peak_occupancy,
-            "bounds": self.bounds,
-            "wall_seconds": self.wall_seconds,
-            "worker_completed": self.worker_completed,
-        }
+        out = {key: getattr(self, key) for key in (
+            "transport", "nodes", "optimal_throughput", "time_scale",
+            "generated", "completed", "lost", "duplicates", "resends",
+            "resend_requests", "injected_drops", "injected_corruptions",
+            "stray_acks", "measured_rate", "completions_per_sec",
+            "convergence", "occupancy_ok", "peak_occupancy", "bounds",
+            "wall_seconds", "worker_completed")}
+        out["optimal_throughput"] = str(self.optimal_throughput)
+        out["occupancy_ok"] = self.occupancy_ok()
+        return out
 
 
 class TaskPlane:
@@ -678,16 +700,10 @@ class TaskPlane:
         allocation = self.allocation
         if allocation is None:
             allocation = from_bw_first(bw_first(tree))
-        periods = tree_periods(allocation)
-        bounds = taskplane_buffer_bounds(periods, tree.root)
+        bounds = taskplane_buffer_bounds(tree_periods(allocation), tree.root)
 
         transport = _make_transport(self.transport)
         await Runtime(tree, transport, close_transport=False).arun()
-        # same loop, so the sockets stay usable: from here on they deliver
-        # into the engines' inboxes, no longer into the runtime's run-queue
-        inboxes = {node: asyncio.Queue() for node in tree.nodes()}
-        transport.mailboxes = inboxes
-
         loop = asyncio.get_running_loop()
         t0 = loop.time()
 
@@ -708,7 +724,6 @@ class TaskPlane:
                 node,
                 clock=clock,
                 send=transport.send,
-                inbox=inboxes[node],
                 parent=parent,
                 links=links,
                 all_children=list(tree.children(node)),
@@ -728,39 +743,23 @@ class TaskPlane:
         for node, bound in bounds.items():
             self.registry.gauge("taskplane.buffer_bound",
                                 node=str(node)).set(bound)
+        # same loop, so the sockets stay usable: from here on they deliver
+        # into the engines, no longer into the runtime's run-queue
+        transport.mailboxes = self.nodes
 
-        tasks: List[asyncio.Task] = []
-        failure: List[BaseException] = []
-
-        async def guard(coroutine):
-            try:
-                await coroutine
-            except asyncio.CancelledError:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - fail the run
-                failure.append(exc)
-                for engine in self.nodes.values():
-                    engine.done.set()
-
-        for engine in self.nodes.values():
-            tasks.extend(asyncio.ensure_future(guard(coroutine))
-                         for coroutine in engine.loops())
-
+        tasks = [asyncio.ensure_future(coroutine)
+                 for engine in self.nodes.values()
+                 for coroutine in engine.loops()]
         timer = None
         if self.duration is not None:
             timer = loop.call_later(self.duration,
                                     self.nodes[tree.root].stop_generation)
-
         try:
-            await asyncio.wait_for(
-                asyncio.gather(*(e.done.wait() for e in self.nodes.values())),
-                timeout=self.deadline,
-            )
-        except asyncio.TimeoutError:
-            raise TaskPlaneError(
-                f"task plane did not drain within {self.deadline}s — a hung "
-                "transport or a fault plan beyond the resend budget"
-            ) from None
+            # every dispatcher returns once its node has drained; the first
+            # one to raise fails the run
+            finished, running = await asyncio.wait(
+                tasks, timeout=self.deadline,
+                return_when=asyncio.FIRST_EXCEPTION)
         finally:
             if timer is not None:
                 timer.cancel()
@@ -768,8 +767,14 @@ class TaskPlane:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
             await transport.close()
-        if failure:
-            raise failure[0]
+        for task in finished:
+            if task.exception() is not None:
+                raise task.exception()
+        if running:
+            raise TaskPlaneError(
+                f"task plane did not drain within {self.deadline}s — a hung "
+                "transport or a fault plan beyond the resend budget"
+            )
 
         for engine in self.nodes.values():
             if engine.worker is not None and engine.worker.results:

@@ -16,6 +16,7 @@ import asyncio
 import dataclasses
 import json
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,17 +29,24 @@ from repro.core.bwfirst import bw_first
 from repro.exceptions import CodecError, ProtocolError, TaskPlaneError
 from repro.faults.plan import FaultPlan
 from repro.platform.examples import paper_figure4_tree
-from repro.platform.generators import random_tree
-from repro.protocol.messages import Proposal
-from repro.runtime.codec import FRAME_HEADER, decode_body, encode_any, \
-    register_frame_kind
+from repro.platform.generators import random_tree, smooth_tree
+from repro.protocol.messages import Acknowledgment, Notice, Proposal
+from repro.runtime.codec import (FRAME_HEADER, _dump, decode_body, encode_any,
+                                 encode_message, parse_body,
+                                 register_frame_kind)
+from repro.runtime.transport import InProcTransport, TcpTransport
 from repro.schedule.periods import tree_periods
 from repro.taskplane import (BoundedBuffer, ClusterPlane, CreditAccount,
                              CreditGrant, DeliveryAck, DeliveryLog, NodeSpec,
                              ResendRequest, ResultReport, RetentionBuffer,
                              Stop, Stopped, TaskFrame, TaskLedger, TaskPlane,
-                             TaskPlaneNode, WorkerPool, make_task, payload_crc)
+                             TaskPlaneNode, WorkerPool, make_task, payload_crc,
+                             run_plane)
 from repro.taskplane.frames import FRAME_KINDS
+from repro.taskplane.plane import ChildLink
+from repro.telemetry.core import NullRegistry, Registry
+
+from .taskplane_oracles import FractionRouter
 
 
 def round_trip(frame):
@@ -149,6 +157,28 @@ class TestFrames:
     def test_control_kinds_are_reserved(self):
         with pytest.raises(ProtocolError):
             register_frame_kind("prop", lambda payload: payload)
+
+    CONTROL = [
+        Proposal(sender="P0", receiver="P1", beta=Fraction(10, 9), xid=2),
+        Proposal(sender="P0", receiver=3, beta=Fraction(5), xid=None,
+                 trace="t-1"),
+        Acknowledgment(sender="P1", receiver="P0", theta=Fraction(1, 3),
+                       xid=2, trace="t-é"),
+        Notice(sender="P1", receiver="P0"),
+    ]
+
+    def test_the_prebuilt_encoder_writes_json_dumps_bytes(self):
+        """Every frame body goes through one compact encoder built once;
+        it writes what ``json.dumps(..., separators=(",", ":"))`` wrote."""
+        payloads = [frame.to_payload() for frame in self.SPECIMENS]
+        payloads += [parse_body(encode_message(m)) for m in self.CONTROL]
+        payloads += [{"hello": "P\u00e9"}, {"hello": None}, {"hello": 7}]
+        for payload in payloads:
+            assert _dump(payload) == json.dumps(
+                payload, separators=(",", ":")).encode("utf-8")
+        for message in self.CONTROL:
+            assert _dump(parse_body(encode_message(message))) \
+                == encode_message(message)
 
 
 # ----------------------------------------------------------------------
@@ -339,28 +369,237 @@ def test_plane_is_a_real_execution_substrate(two_level_tree):
     assert plane.results == {i: i * i for i in range(16)}
 
 
-def test_a_kick_cannot_swallow_the_router_loops_cancellation():
-    """A kick and the plane's shutdown in the same loop pass: the router
-    must end cancelled.  On ``asyncio.wait_for`` (3.11) it returned from
-    the wait normally and ran on, so a plane failing mid-traffic — an
-    oversized payload at ``send()`` — never finished closing."""
-    async def scenario():
-        loop = asyncio.get_running_loop()
-        engine = TaskPlaneNode(
-            "P0", clock=loop.time, send=None, inbox=asyncio.Queue(),
-            parent=None, links=[], all_children=[], alpha=Fraction(0),
-            rate=Fraction(1), capacity=1, time_scale=0.01,
-            ledger=TaskLedger(), max_tasks=0)
-        router = asyncio.ensure_future(engine._router_loop())
-        await asyncio.sleep(0.01)           # parked on its kick
-        engine._maybe_kick()
-        router.cancel()
-        await asyncio.wait({router}, timeout=2)
-        ended = router.done()
-        router.cancel()
-        return ended
+# ----------------------------------------------------------------------
+# one dispatcher per engine: what a running plane owns, in what order it
+# dispatches, how it ends
+# ----------------------------------------------------------------------
+def bare_engine(**overrides) -> TaskPlaneNode:
+    """A root engine nobody runs: its books, no loop."""
+    config = dict(clock=lambda: 0.0, send=None, parent=None, links=[],
+                  all_children=[], alpha=Fraction(0), rate=Fraction(1),
+                  capacity=1, time_scale=0.01, ledger=TaskLedger(),
+                  max_tasks=None)
+    config.update(overrides)
+    return TaskPlaneNode("P0", **config)
 
-    assert asyncio.run(scenario())
+
+def test_a_frame_cannot_swallow_the_dispatchers_cancellation():
+    """A frame and the plane's shutdown in the same loop pass: the
+    dispatcher must end cancelled, not serve the frame and wait again.  (Its
+    predecessor, a router loop on ``asyncio.wait_for`` (3.11), returned from
+    the wait normally and ran on, so a plane failing mid-traffic — an
+    oversized payload at ``send()`` — never finished closing.)"""
+    async def scenario():
+        engine = bare_engine(clock=asyncio.get_running_loop().time,
+                             all_children=["P1"])
+        (coroutine,) = engine.loops()
+        dispatcher = asyncio.ensure_future(coroutine)
+        await asyncio.sleep(0.01)           # parked on its waiter
+        assert engine._waiter is not None
+        engine.put_nowait(Stopped(sender="P9", receiver="P0"))
+        dispatcher.cancel()
+        await asyncio.wait({dispatcher}, timeout=2)
+        ended = dispatcher.done() and dispatcher.cancelled()
+        dispatcher.cancel()
+        return ended, engine
+
+    ended, engine = asyncio.run(scenario())
+    assert ended
+    assert len(engine._queue) == 1 and not engine._timers   # never served
+
+
+class TestOwnedTasks:
+    @staticmethod
+    async def census(nodes: int, base):
+        """Run a small plane on ``smooth_tree(nodes)``; at every task the
+        root mints, count the asyncio tasks the plane owns and the engines
+        that have a timer armed though no task ever reached them."""
+        tree = smooth_tree(nodes, 2)
+        before, owned, idle_armed = asyncio.all_tasks(), [], []
+        plane = None
+
+        def probe(task_id: int) -> bytes:
+            owned.append(len(asyncio.all_tasks() - before))
+            idle_armed.append([
+                name for name, engine in plane.nodes.items()
+                if engine._timers and engine.parent is not None
+                and not engine.delivery._seen])
+            return b"payload!"
+
+        plane = TaskPlane(tree, base(), time_scale=0.002, max_tasks=24,
+                          payload_factory=probe)
+        report = await plane.arun()
+        assert report.lost == 0 and len(owned) == 24
+        return plane, set(owned), idle_armed
+
+    @pytest.mark.parametrize("base", [InProcTransport, TcpTransport],
+                             ids=["inproc", "tcp"])
+    def test_one_task_per_engine_at_any_tree_size(self, base):
+        """No task per loop, per queue or per armed timer: mid-run, the
+        plane owns one task per engine at 12 nodes and at 400."""
+        for nodes in (12, 400):
+            _, owned, _ = asyncio.run(self.census(nodes, base))
+            assert owned == {nodes}
+
+    def test_an_engine_nothing_reaches_arms_no_timer(self):
+        """Most of a 400-node platform is never visited by the schedule:
+        those engines park on their waiter with no timer armed until their
+        Stop arrives, and nobody leaves a timer behind."""
+        plane, _, idle_armed = asyncio.run(self.census(400, InProcTransport))
+        assert not any(idle_armed)
+        unvisited = [engine for engine in plane.nodes.values()
+                     if not engine.delivery._seen and not engine.is_root]
+        assert len(unvisited) > 300
+        assert all(engine.done and not engine._timers
+                   for engine in plane.nodes.values())
+
+
+class TestDispatchOrder:
+    """Stride progress is compared in integers; the order is the one the
+    ``Fraction`` comparison gave (``tests/taskplane_oracles.py``)."""
+
+    def twins(self, tree, node, time_scale):
+        allocation = from_bw_first(bw_first(tree))
+        alpha = allocation.alpha.get(node, Fraction(0))
+        links = [ChildLink(name=child, c=tree.c(child),
+                           eta=allocation.eta_out[(node, child)],
+                           capacity=3 + index)
+                 for index, child in enumerate(tree.children_by_bandwidth(node))
+                 if allocation.eta_out.get((node, child), 0) > 0]
+        engine = bare_engine(links=links, alpha=alpha, rate=tree.rate(node),
+                             time_scale=time_scale)
+        oracle = FractionRouter(
+            alpha, [(l.name, l.eta, l.capacity) for l in links], time_scale)
+        return engine, oracle
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_fixed_arrival_script_is_served_in_the_fraction_order(self, seed):
+        tree = paper_figure4_tree() if seed == 0 else random_tree(9, seed=seed)
+        rng = random.Random(seed)
+        time_scale, dispatched = 0.003, 0
+        for node in tree.nodes():
+            engine, oracle = self.twins(tree, node, time_scale)
+            if not engine._sinks:
+                continue
+            served, armed, pick = [], [], engine._pick_sink
+            engine._arm = lambda marker, due, now: armed.append((marker, due))
+
+            def spy(now):
+                sink = pick(now)
+                if sink is not None:
+                    served.append("cpu" if sink.link is None
+                                  else sink.link.name)
+                return sink
+
+            engine._pick_sink = spy
+            now = 0.0
+            for _ in range(300):
+                now += rng.random() * 2 * time_scale
+                # the script: credits come back, executions end
+                for name, link in engine.links.items():
+                    spent = link.capacity - engine.credits.available(name)
+                    back = rng.randint(0, spent)
+                    if back:
+                        engine.credits.grant(name, back, link.capacity)
+                        oracle.credits[name] += back
+                for _ in range(rng.randint(0, len(engine._cpu))):
+                    engine._cpu.popleft()
+                    oracle.worker_pending -= 1
+                del served[:], armed[:]
+                engine._route(now)
+                assert served == oracle.route(now), (node, now)
+                # woken for exactly when the first blocked sink's token accrues
+                assert armed == ([("rate", oracle.next_eligible)]
+                                 if oracle.next_eligible is not None else [])
+            dispatched += sum(sink.served for sink in engine._sinks)
+        assert dispatched > 300
+
+
+class TestStrayAcks:
+    def test_retention_refuses_another_childs_word(self):
+        retention = RetentionBuffer()
+        frame = make_task("P0", "P1", 4, b"x")
+        retention.hold(frame, "P1", now=1.0)
+        assert not retention.release(4, "P2")            # forged ack
+        assert retention.touch(4, 2.0, "P2") is None     # forged nak
+        assert retention.touch(4, 2.0, None) is None     # a child named null
+        assert retention.strays == 3 and len(retention) == 1
+        assert retention.touch(4, 2.0, "P1") == (frame, "P1", 2)
+        assert retention.release(4, "P1") and retention.strays == 3
+        assert not retention.release(4, "P2")            # stale, no stray
+        assert retention.strays == 3
+
+    def test_a_forged_ack_cannot_delete_the_only_copy(self, paper_tree):
+        """Between a staged ``task_drop`` and the sweep that recovers it,
+        every sibling 'acknowledges' every copy the root holds for somebody
+        else.  Before PR 24 the first such ack released the copy: the
+        dropped task was never resent and the run hung to its deadline."""
+        root = paper_tree.root
+        forged = []
+
+        class Forging(InProcTransport):
+            async def send(self, message):
+                await super().send(message)
+                engine = plane.nodes.get(root)     # None: still negotiating
+                if message.receiver != root or engine is None or engine.done:
+                    return
+                for task_id, (_, child, _) in list(
+                        engine.retention._held.items()):
+                    if child != message.sender:
+                        forged.append(task_id)
+                        await super().send(DeliveryAck(
+                            sender=message.sender, receiver=root,
+                            task_id=task_id))
+
+        plan = FaultPlan(seed=3, task_drop=Fraction(1, 5))
+        plane = TaskPlane(paper_tree, Forging(), max_tasks=60, plan=plan,
+                          time_scale=0.004, resend_timeout=0.1, deadline=30)
+        report = plane.run()
+        assert report.injected_drops > 0 and forged
+        assert 0 < report.stray_acks <= len(forged)   # the rest were stale
+        assert report.lost == 0 and report.duplicates == 0
+        assert report.completed == 60 and report.resends > 0
+
+
+class TestTelemetryPath:
+    def test_the_disabled_path_looks_nothing_up_per_task(self, paper_tree):
+        class Counting(NullRegistry):
+            lookups = 0
+
+            def gauge(self, name, **labels):
+                Counting.lookups += 1
+                return super().gauge(name, **labels)
+
+            counter = gauge
+
+        built = []
+
+        def payload(task_id: int) -> bytes:
+            built.append(Counting.lookups)     # engines exist by now
+            return b"12345678"
+
+        report = run_plane(paper_tree, "inproc", max_tasks=200,
+                           time_scale=0.0005, registry=Counting(),
+                           payload_factory=payload)
+        assert report.completed == 200
+        assert Counting.lookups == built[0] > 0    # the bounds, at the build
+
+    def test_an_enabled_registry_reports_what_it_did(self, paper_tree):
+        registry = Registry()
+        plan = FaultPlan(seed=7, task_drop=Fraction(1, 10))
+        report = run_plane(paper_tree, "inproc", max_tasks=80, plan=plan,
+                           time_scale=0.002, registry=registry,
+                           resend_timeout=0.1)
+        assert registry.value("taskplane.completions") == 80
+        assert registry.value("taskplane.resends") == report.resends > 0
+        depth = {dict(g.labels)["node"]: g.value for g in registry.gauges()
+                 if g.name == "taskplane.buffer_depth"}
+        # a series per node a task reached, none for the root or the idle
+        assert set(depth) == {node for node, peak
+                              in report.peak_occupancy.items() if peak}
+        assert set(depth.values()) == {0}          # drained
+        assert {c.name for c in registry.counters()} == {
+            "taskplane.completions", "taskplane.resends"}
 
 
 # ----------------------------------------------------------------------

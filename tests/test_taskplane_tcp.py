@@ -13,7 +13,6 @@ connected child may introduce itself.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from repro.faults.plan import FaultPlan
 from repro.platform.examples import paper_figure4_tree
 from repro.platform.tree import Tree
 from repro.protocol.messages import Acknowledgment, Proposal
+from repro.runtime import codec
 from repro.runtime.codec import (FRAME_HEADER, MAX_FRAME, encode_any,
                                  encode_blob, encode_hello)
 from repro.runtime.transport import InProcTransport, TcpTransport
@@ -235,19 +235,20 @@ class TestSenderSideBound:
 
 @pytest.mark.parametrize("name", ["tcp", "inproc"])
 def test_a_payload_frame_is_serialised_once_per_tcp_send(name, monkeypatch):
-    """``json.dumps`` sees a payload frame once per TCP send and never on
-    the in-proc transport (``_Frame.wire_size`` used to serialise every
-    frame once more on every ``send()``, on both, for a counter nobody
-    read)."""
+    """The codec's one dump (``_dump``: every frame body goes through it,
+    and through its one prebuilt encoder) sees a payload frame once per TCP
+    send and never on the in-proc transport (``_Frame.wire_size`` used to
+    serialise every frame once more on every ``send()``, on both, for a
+    counter nobody read)."""
     dumped = []
-    real_dumps = json.dumps
+    real_dump = codec._dump
 
-    def counting_dumps(obj, *args, **kwargs):
-        if isinstance(obj, dict) and obj.get("t") in FRAME_KINDS:
-            dumped.append(obj["t"])
-        return real_dumps(obj, *args, **kwargs)
+    def counting_dump(payload):
+        if payload.get("t") in FRAME_KINDS:
+            dumped.append(payload["t"])
+        return real_dump(payload)
 
-    monkeypatch.setattr(json, "dumps", counting_dumps)
+    monkeypatch.setattr(codec, "_dump", counting_dump)
     transport = TcpTransport() if name == "tcp" else InProcTransport()
     report = TaskPlane(small_tree(), transport, max_tasks=40,
                        time_scale=0.001).run()
