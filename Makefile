@@ -77,7 +77,10 @@ runtime-smoke:
 # int64 fallback, and that a 3000-node run recording every completion,
 # arrival and release costs at most 1.35x the counts-only run of the same
 # process with no row lost (tests/test_trace_columns.py pins what the
-# columnar trace reads back).  A second pytest leg re-runs every suite that drives the
+# columnar trace reads back), and that a 3000-node run over 8 global
+# periods costs at most 1.4x one over 4 (periods after the first repeated
+# boundary are written, not stepped; tests/test_period_replication.py holds
+# them == to the stepping reference).  A second pytest leg re-runs every suite that drives the
 # simulator with REPRO_NO_NUMPY=1 — "array" is the default kernel, so
 # these execute the pure-Python duration tables on hosts without numpy —
 # and the end-to-end benchmark's coldscale workload runs at smoke scale so
@@ -91,11 +94,13 @@ perf-smoke:
 			'benchmarks/bench_e31_arraykernel.py::test_e31_perf_smoke_gate' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_100k_nodes_million_events' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_recording_ratio_gate' \
+			'benchmarks/bench_e31_arraykernel.py::test_e31_replication_ratio_gate' \
 			tests/test_incremental.py tests/test_timeline.py \
-			tests/test_trace_columns.py tests/test_plan_exact.py -q && \
+			tests/test_trace_columns.py tests/test_period_replication.py \
+			tests/test_plan_exact.py -q && \
 		PYTHONPATH=src REPRO_NO_NUMPY=1 pytest \
 			tests/test_engine.py tests/test_timeline.py \
-			tests/test_trace_columns.py \
+			tests/test_trace_columns.py tests/test_period_replication.py \
 			tests/test_simulator.py tests/test_faults.py \
 			tests/test_fault_recovery.py tests/test_online.py -q && \
 		PYTHONPATH=src python -m repro bench-incr --nodes 200 --mutations 5 && \

@@ -16,6 +16,12 @@ it is than the ``Fraction`` reference is E27's gate
 * **100k nodes, ≥1M events** — a seven-period 100k-node run (>1.2M
   events) completes in single-digit seconds without a single int64
   fallback; the run is gated inside ``make perf-smoke``'s hard timeout;
+* **periods the kernel does not step** — once two global-period
+  boundaries hold the same state the kernel writes the remaining whole
+  periods as shifted columns, so ``run()`` over 8 periods may cost at most
+  ``E31_REPLICATION_RATIO`` × ``run()`` over 4 in the same process
+  (stepping every period reads ≈ 2×), and its ``processed`` count must
+  equal the stepped count of the same run with telemetry on;
 * **what recording costs** — the trace is written as (tick, dense id)
   columns and decoded on read, so a run that records every completion,
   arrival and release may cost at most ``E31_RECORDING_RATIO`` × the
@@ -41,6 +47,7 @@ from repro.schedule.eventdriven import build_schedules
 from repro.schedule.periods import global_period, tree_periods
 from repro.sim import KERNELS
 from repro.sim.simulator import Simulation
+from repro.telemetry import Registry
 from repro.util.text import render_table
 
 from .conftest import emit
@@ -55,6 +62,8 @@ E31_PACING = "burst"
 E31_EVENTS = 437_835  # engine.processed at E31_NODES × E31_PERIODS (recorded)
 E31_RATIO_NODES = 3000
 E31_RECORDING_RATIO = 1.35  # 1.66 when every event built a Fraction; ≈ 1.1 now
+E31_REPLICATION_PERIODS = (4, 8)
+E31_REPLICATION_RATIO = 1.4  # ≈ 2 when every period is stepped
 
 
 def e31_setup(nodes=E31_NODES, seed=E31_SEED, periods=E31_PERIODS):
@@ -94,6 +103,22 @@ def best_counts_run(tree, schedules, periods, horizon, pacing=E31_PACING,
     return best, sim, result
 
 
+def kernel_columns(sim, result, wall=None):
+    """The columns every E31 table prints about one run: events processed,
+    of which stepped and replicated, and the boundary replication began at
+    (in global periods)."""
+    engine = sim.engine
+    period = global_period(sim.periods)
+    start = ("-" if result.periodic_from is None
+             else f"{result.periodic_from / period}T")
+    row = [str(engine.processed), str(engine.processed - engine.replicated),
+           str(engine.replicated), start]
+    return row if wall is None else [f"{wall:.3f}"] + row
+
+
+KERNEL_HEADERS = ["events", "stepped", "replicated", "periodic from"]
+
+
 def test_e31_traces_exactly_equal():
     """Spot check: full traces (segments on) are bit-identical between the
     production kernel and the reference under burst pacing too."""
@@ -118,9 +143,9 @@ def test_e31_10k_nodes_exact_counts():
         f"E31: {E31_NODES}-node simulator, burst pacing, horizon "
         f"{E31_PERIODS} global periods (seed {E31_SEED})",
         render_table(
-            ["best-of-3 run() s", "events", "tasks", "backend"],
-            [[f"{wall:.3f}", str(sim.engine.processed),
-              str(result.trace.completed), sim.backend]],
+            ["best-of-3 run() s", *KERNEL_HEADERS, "tasks", "backend"],
+            [kernel_columns(sim, result, wall)
+             + [str(result.trace.completed), sim.backend]],
         ),
     )
     assert sim.engine.processed == E31_EVENTS
@@ -140,8 +165,10 @@ def test_e31_100k_nodes_million_events():
     emit(
         f"E31: {E31_BIG_NODES}-node array kernel, horizon "
         f"{E31_BIG_PERIODS} global periods (seed {E31_SEED})",
-        f"run(): {dt:.2f}s CPU, {sim.engine.processed} events, "
-        f"{result.trace.completed} tasks, "
+        f"run(): {dt:.2f}s CPU, "
+        + ", ".join(f"{header} {value}" for header, value in zip(
+            KERNEL_HEADERS, kernel_columns(sim, result)))
+        + f", {result.trace.completed} tasks, "
         f"backend={sim.backend}, "
         f"int64 fallbacks={sim.int64_fallbacks}",
     )
@@ -188,10 +215,10 @@ def test_e31_recording_ratio_gate():
         f"E31: what recording costs, {E31_RATIO_NODES} nodes, even pacing, "
         f"{E31_PERIODS} global periods (seed {E31_SEED})",
         render_table(
-            ["counts-only s", "events recorded s", "ratio", "events",
-             "rows"],
+            ["counts-only s", "events recorded s", "ratio",
+             *KERNEL_HEADERS, "rows"],
             [[f"{best[False]:.3f}", f"{best[True]:.3f}", f"{ratio:.2f}",
-              str(sim.engine.processed),
+              *kernel_columns(sim, result),
               str(len(trace.completions) + len(trace.arrivals)
                   + len(trace.releases))]],
         ),
@@ -204,3 +231,50 @@ def test_e31_recording_ratio_gate():
     assert ratio <= E31_RECORDING_RATIO, (
         f"recording events costs {ratio:.2f}x a counts-only run "
         f"(bar {E31_RECORDING_RATIO}x)")
+
+
+def test_e31_replication_ratio_gate():
+    """Periods the kernel does not step: at 3000 nodes with even pacing,
+    ``run()`` over 8 global periods costs at most ``E31_REPLICATION_RATIO``
+    × ``run()`` over 4 (best of three each, alternated, GC paused) — the
+    periods after the first repeated boundary are written, not stepped —
+    and the 8-period run counts exactly the events of the same run with
+    telemetry on, which steps every one."""
+    tree, periods, schedules, _ = e31_setup(nodes=E31_RATIO_NODES)
+    period = Fraction(global_period(periods))
+    best, runs = {}, {}
+    for _ in range(E31_REPEATS):
+        for count in E31_REPLICATION_PERIODS:
+            wall, sim, result = best_counts_run(
+                tree, schedules, periods, period * count, pacing="even",
+                repeats=1)
+            if count not in best or wall < best[count]:
+                best[count] = wall
+            runs[count] = (sim, result)
+    short, long = E31_REPLICATION_PERIODS
+    ratio = best[long] / best[short]
+    stepped = Simulation(tree, dict(schedules), dict(periods),
+                         horizon=period * long, root_pacing="even",
+                         record_segments=False, record_buffers=False,
+                         record_events=False, telemetry=Registry())
+    stepped_result = stepped.run()
+    emit(
+        f"E31: periods the kernel does not step, {E31_RATIO_NODES} nodes, "
+        f"even pacing (seed {E31_SEED})",
+        render_table(
+            ["periods", "best-of-3 run() s", *KERNEL_HEADERS],
+            [[str(count), *kernel_columns(*runs[count], best[count])]
+             for count in E31_REPLICATION_PERIODS]
+            + [[f"{long}, telemetry on", "-",
+                *kernel_columns(stepped, stepped_result)]],
+        ) + f"\n{long} / {short} periods: {ratio:.2f} "
+            f"(bar {E31_REPLICATION_RATIO})",
+    )
+    sim, result = runs[long]
+    assert sim.engine.replicated > 0 and stepped.engine.replicated == 0
+    assert sim.engine.processed == stepped.engine.processed
+    assert result.trace.completed == stepped_result.trace.completed
+    assert result.end_time == stepped_result.end_time
+    assert ratio <= E31_REPLICATION_RATIO, (
+        f"8 global periods cost {ratio:.2f}x 4 (bar "
+        f"{E31_REPLICATION_RATIO}x): periods are being stepped again")

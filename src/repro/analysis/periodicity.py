@@ -16,7 +16,8 @@ this checkable with equality:
   is periodic for good (the strict start-up length).
 
 Used by the tests to prove the simulator truly cycles, and by
-:mod:`repro.analysis.phases` consumers who want the strong notion.
+:mod:`repro.analysis.phases` consumers who want the strong notion.  A
+trace recorded without segments raises :class:`~repro.exceptions.TraceError`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Tuple
 
+from ..exceptions import TraceError
 from ..sim.tracing import Trace
 
 #: A normalised busy pattern: {(node, kind, peer): [(rel_start, rel_end), …]}
@@ -37,6 +39,7 @@ def segments_in_window(trace: Trace, start, end) -> Pattern:
     Segments are clipped to the window and expressed relative to *start*,
     so two windows with identical activity produce equal patterns.
     """
+    _require_segments(trace)
     lo, hi = Fraction(start), Fraction(end)
     pattern: Pattern = {}
     for seg in trace.segments:
@@ -50,6 +53,13 @@ def segments_in_window(trace: Trace, start, end) -> Pattern:
         intervals.sort()
         _merge(intervals)
     return pattern
+
+
+def _require_segments(trace: Trace) -> None:
+    if not trace.record_segments:
+        raise TraceError(
+            "strict periodicity compares busy segments, but this trace was "
+            "recorded without the 'segments' stream (record_segments=False)")
 
 
 def _merge(intervals: List[Tuple[Fraction, Fraction]]) -> None:
@@ -81,6 +91,7 @@ def periodic_from(trace: Trace, period, stop_time,
     matches at the tail.  Returns ``None`` when the trace never becomes
     strictly periodic (e.g. a heuristic baseline).
     """
+    _require_segments(trace)
     t = Fraction(period)
     horizon = Fraction(stop_time)
     count = int((horizon / t))

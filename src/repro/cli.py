@@ -478,8 +478,7 @@ def _cmd_bench_timeline(args: argparse.Namespace) -> int:
     schedules = build_schedules(allocation, periods=periods)
     horizon = Fraction(global_period(periods)) * args.periods
 
-    wall = {}
-    tasks = {}
+    wall, tasks, split = {}, {}, {}
     with _profiled(args):
         for kernel, simulation_class in KERNELS.items():
             best = None
@@ -498,6 +497,12 @@ def _cmd_bench_timeline(args: argparse.Namespace) -> int:
                 best = dt if best is None else min(best, dt)
             wall[kernel] = best
             tasks[kernel] = result.trace.completed
+            # the array kernel writes the periods after two equal
+            # global-period boundaries instead of stepping them
+            engine = sim.engine
+            split[kernel] = (engine.processed,
+                             engine.processed - engine.replicated,
+                             engine.replicated, result.periodic_from)
     speedup = wall["fraction"] / max(wall["array"], 1e-12)
 
     solver = IncrementalSolver(smooth_tree(args.nodes, args.seed))
@@ -522,6 +527,10 @@ def _cmd_bench_timeline(args: argparse.Namespace) -> int:
             wall_s_fraction=round(wall["fraction"], 6),
             wall_s_array=round(wall["array"], 6),
             tasks=tasks["array"],
+            events=split["array"][0], events_stepped=split["array"][1],
+            events_replicated=split["array"][2],
+            periodic_from=(None if split["array"][3] is None
+                           else str(split["array"][3])),
             simulator_speedup=round(speedup, 3),
             fragments_full=full_frags,
             fragments_recomputed=incr_frags,
@@ -530,8 +539,10 @@ def _cmd_bench_timeline(args: argparse.Namespace) -> int:
         ), indent=2))
         return 0
     print(render_table(
-        ["kernel", f"best-of-{args.repeats} run() s", "tasks"],
-        [[kernel, f"{wall[kernel]:.4f}", str(tasks[kernel])]
+        ["kernel", f"best-of-{args.repeats} run() s", "tasks", "events",
+         "stepped", "replicated", "periodic from"],
+        [[kernel, f"{wall[kernel]:.4f}", str(tasks[kernel]),
+          *map(str, split[kernel])]
          for kernel in ("fraction", "array")]))
     print(f"\nsimulator speedup over {args.periods} global period(s): "
           f"{speedup:.2f}x")

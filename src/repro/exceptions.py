@@ -39,6 +39,11 @@ class SimulationError(ReproError):
     """
 
 
+class TraceError(ReproError):
+    """A trace lacks the stream an analysis reads (strict periodicity of a
+    trace recorded without segments would otherwise read "from 0")."""
+
+
 class ProtocolError(ReproError):
     """The distributed BW-First protocol received an out-of-order message.
 

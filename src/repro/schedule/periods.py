@@ -221,6 +221,8 @@ def global_period(
     """
     total = 1
     for node, p in periods.items():
+        if total % p.t_full == 0:
+            continue  # most nodes repeat a period already folded in
         total = lcm_ints([total, p.t_full])
         if max_bits is not None and total.bit_length() > max_bits:
             if tree is not None and node in tree:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..analysis.periodicity import periodic_from, segments_in_window
-from ..exceptions import ScheduleError
+from ..exceptions import ScheduleError, TraceError
 from ..sim.simulator import SimulationResult
 from ..sim.tracing import COMPUTE, RECV, SEND
 
@@ -87,11 +87,14 @@ def extract_timetable(result: SimulationResult, period) -> Timetable:
     Uses :func:`repro.analysis.periodicity.periodic_from` to locate the
     first window from which the trace repeats exactly; raises
     :class:`~repro.exceptions.ScheduleError` when the run never became
-    periodic (horizon too short).
+    periodic (horizon too short) or recorded no segments.
     """
     t = Fraction(period)
     stop = result.stop_time if result.stop_time is not None else result.end_time
-    origin = periodic_from(result.trace, t, stop_time=stop)
+    try:
+        origin = periodic_from(result.trace, t, stop_time=stop)
+    except TraceError as exc:
+        raise ScheduleError(f"no timetable: {exc}") from exc
     if origin is None:
         raise ScheduleError(
             "the trace never became strictly periodic; extend the horizon"

@@ -93,6 +93,9 @@ class SimulationResult:
     end_time: Fraction
     tasks_lost: int = 0  # tasks destroyed by node crashes (incl. in flight)
     failed_at: Mapping[Hashable, Fraction] = field(default_factory=dict)
+    #: the global-period boundary whose state the next one repeated, after
+    #: which whole periods were written, not stepped (``None``: all stepped)
+    periodic_from: Optional[Fraction] = field(default=None, compare=False)
 
     @property
     def completed(self) -> int:
@@ -353,7 +356,7 @@ class SimulationBase:
         if self.telemetry is not None and self.horizon is not None:
             self.telemetry.gauge("sim.horizon").set(self.horizon)
         self._schedule_period(0)
-        self.engine.run_all(max_events=self.max_events)
+        periodic_from = self._drive()
         if self.telemetry is not None:
             self.telemetry.gauge("sim.events_processed").set(
                 self.engine.processed)
@@ -370,4 +373,11 @@ class SimulationBase:
             end_time=self.trace.end_time,
             tasks_lost=self.tasks_lost,
             failed_at=dict(self.failed_at),
+            periodic_from=periodic_from,
         )
+
+    def _drive(self) -> Optional[Fraction]:
+        """Run the engine dry, stepping every event; return where the run
+        stopped being stepped (never, here)."""
+        self.engine.run_all(max_events=self.max_events)
+        return None

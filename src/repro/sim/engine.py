@@ -20,6 +20,7 @@ production simulator — same public clock API, same ``(time, seq)`` order.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
@@ -79,6 +80,7 @@ class Engine:
     """Heap-based event loop over exact rational time."""
 
     __slots__ = ("_now", "_heap", "_seq", "_processed", "_stale")
+    replicated = 0  # events written rather than stepped: see ArrayEngine
 
     def __init__(self) -> None:
         self._now: Fraction = Fraction(0)
@@ -243,7 +245,8 @@ class ArrayEngine(Engine):
     sequence number would have put it.
     """
 
-    __slots__ = ("timeline", "_buckets", "_tick_heap", "_size", "_cur_tick")
+    __slots__ = ("timeline", "_buckets", "_tick_heap", "_size", "_cur_tick",
+                 "_timers_fired", "replicated")
 
     def __init__(self, timeline) -> None:
         super().__init__()
@@ -253,6 +256,9 @@ class ArrayEngine(Engine):
         self._tick_heap: List[int] = []
         self._size = 0
         self._cur_tick = 0
+        self._timers_fired = 0  # anything not compiled into the simulator
+        #: events in ``processed`` that :meth:`skip` wrote, none stepped
+        self.replicated = 0
         timeline.on_rescale(self._rescale)
 
     @property
@@ -348,11 +354,31 @@ class ArrayEngine(Engine):
         else:
             bucket[:0] = rest
 
-    def run_all(self, max_events: Optional[int] = None) -> None:
+    def skip(self, delta: int, events: int, before: int) -> None:
+        """Jump *delta* ticks ahead without stepping: the clock and every
+        bucket before tick *before* move (none may land on a bucket left
+        behind), and *events* count as processed — and as
+        :attr:`replicated`.  In place: the compiled handlers hold both."""
+        moved = {t + delta if t < before else t: b
+                 for t, b in self._buckets.items()}
+        self._buckets.clear()
+        self._buckets.update(moved)
+        self._tick_heap[:] = sorted(moved)
+        self._now += delta
+        self._cur_tick += delta
+        self._processed += events
+        self.replicated += events
+
+    def run_all(self, max_events: Optional[int] = None,
+                until: Optional[int] = None) -> None:
+        """Drain the queue — or, with *until*, every bucket before that
+        tick (the simulator stops at its period boundaries)."""
         count = 0
         pop = heapq.heappop
-        while self._tick_heap:
-            tick = pop(self._tick_heap)
+        heap = self._tick_heap  # identity-stable: swaps happen in place
+        stop = math.inf if until is None else until
+        while heap and heap[0] < stop:
+            tick = pop(heap)
             # None: the bucket was retired by _compact (stale heap tick)
             # or this tick is a duplicate heap entry from a re-push
             entries = self._buckets.pop(tick, None)
@@ -379,6 +405,7 @@ class ArrayEngine(Engine):
                                 self._stale -= 1
                             continue
                         timer._fired = True
+                        self._timers_fired += 1
                     if not advanced:
                         self._now = self._cur_tick
                         advanced = True
@@ -435,6 +462,7 @@ class ArrayEngine(Engine):
         self._size -= 1
         if timer is not None:
             timer._fired = True
+            self._timers_fired += 1
         self._now = tick
         self._processed += 1
         fn(arg)

@@ -85,11 +85,11 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional
 from ..core.allocation import Allocation
 from ..core.rates import ZERO, is_infinite
 from ..core.timeline import dense_index, timeline_for
-from ..exceptions import SimulationError
+from ..exceptions import ScheduleError, SimulationError
 from ..platform.tree import Tree
 from ..schedule.eventdriven import NodeSchedule, build_schedules
 from ..schedule.local import interleaved_order
-from ..schedule.periods import NodePeriods, tree_periods
+from ..schedule.periods import NodePeriods, global_period, tree_periods
 from ..telemetry.core import Registry
 from .base import (
     BufferedStartController,
@@ -704,14 +704,15 @@ class Simulation(SimulationBase):
                         tel.counter("sim.busy_time", node=name,
                                     resource="send").inc(frac(duration))
 
-                    def ctrl_done(_arg, i=i, callback=callback):
+                    def ctrl_done(i=i, callback=callback):
                         sending[i] = 0
                         if callback is not None:
                             callback()
                         try_send(i)
                         try_compute(i)
 
-                    engine.defer(end, ctrl_done)
+                    # a Timer: its callback may change anything (see _drive)
+                    engine.push(end, ctrl_done)
                     return
             queue = send_queue[i]
             if not queue:
@@ -878,6 +879,123 @@ class Simulation(SimulationBase):
         self._release = release
         self._try_compute = try_compute
         self._try_send = try_send
+
+    # ------------------------------------------------------------------
+    # periods the kernel does not step
+    # ------------------------------------------------------------------
+    def _drive(self) -> Optional[Fraction]:
+        """Step to each global-period boundary ``k·T``; once two consecutive
+        boundaries hold the same state (Lemma 1: the run repeats from
+        there), write the whole periods left as shifted copies of the last
+        one, then step the rest; return the first of the two boundaries.
+        Telemetry, a horizon under ``3T`` or a ``T`` beyond
+        ``MAX_PERIOD_BITS`` step every event."""
+        engine, first = self.engine, self.engine.processed
+
+        def left():  # the livelock guard counts written events too
+            if self.max_events is not None:
+                return self.max_events - (engine.processed - first)
+
+        period = found = previous = None
+        if self.telemetry is None and self.horizon is not None:
+            try:
+                period = global_period(self.periods)
+            except ScheduleError:
+                pass
+        if period is not None and self.horizon < 3 * period:
+            period = None  # too short to compare two boundaries and write
+        k = 1
+        while period is not None and (k + 1) * period <= self.horizon:
+            at = self._units(k * period)
+            engine.run_all(left(), until=at)
+            if not engine.pending:  # drained: nothing left to write
+                break
+            state = self._boundary(at)
+            if state and previous and state[0] == previous[0]:
+                whole = self._replicate(previous, state, self._units(period),
+                                        left())
+                if whole:
+                    found = found or Fraction((k - 1) * period)
+                    k, state = k + whole, None
+            previous = state
+            k += 1
+        engine.run_all(left())
+        return found
+
+    def _boundary(self, at: int) -> Optional[tuple]:
+        """The exact state at tick *at*, every earlier bucket drained —
+        what the handlers read, pending kernel events relative to *at* —
+        then the counters and how far the pending events may move.  None
+        unless only the compiled kernel moves: default routing and compute
+        gating, no link factor, no queued control job, no dead node."""
+        flags = self._route_flags
+        if not (flags[0] and flags[1] and self._link_factor is None
+                and self._dead.find(1) < 0
+                and not any(self._control_jobs.values())):
+            return None
+        next_period = self._next_period
+        releases = (self._release, self._release_slow)
+        buckets = self.engine._buckets
+        pending, chains, timer_at, last = [], [], None, at
+        for tick in sorted(buckets):
+            for j, (fn, arg, timer) in enumerate(buckets[tick]):
+                if timer is not None:  # not a kernel event: bounds the shift
+                    timer_at = tick if timer_at is None else timer_at
+                    continue
+                if fn == next_period:  # its bunch counter k is absolute
+                    chains.append((buckets[tick], j, arg[0]))
+                    arg = arg[1:]
+                elif fn in releases:  # a chain off the grid (reconfigured)
+                    return None
+                pending.append((tick - at, fn, arg))
+                last = tick
+        # a shift may move no kernel event onto or past the first Timer
+        reach = self._horizon_units - at
+        if timer_at is not None:
+            reach = min(reach, timer_at - last - 1)
+        tail = self.trace._tail
+        key = (self.engine._timers_fired, self._timeline.scale, tail[0] - at,
+               bytes(self._computing), bytes(self._sending),
+               bytes(self._receiving), tuple(self._compute_queue),
+               tuple(self._buffered), tuple(map(tuple, self._send_queue)),
+               tuple([a % len(r) if r else a
+                      for a, r in zip(self._arrivals, self._routes)]),
+               tuple(pending))
+        return (key, list(self._arrivals), self._released, tail[1],
+                self.engine.processed,
+                {n: len(cols[0]) for n, cols in self.trace._cols.items()},
+                chains, last, reach)
+
+    def _replicate(self, previous: tuple, state: tuple, span: int,
+                   events_left: Optional[int]) -> int:
+        """Write as many copies of the period between two equal boundaries
+        as the reach, the supply and the event budget admit — trace rows
+        shifted, counters advanced by the per-period delta, pending events
+        moved ahead — and return how many."""
+        _, arrived, released, unrecorded, processed, rows, chains, _, _ = \
+            previous
+        _, _, _, _, now_processed, now_rows, now_chains, last, reach = state
+        events = now_processed - processed
+        released = self._released - released
+        whole = reach // span
+        if self.supply is not None and released:
+            whole = min(whole, (self.supply - self._released) // released)
+        if events_left is not None:
+            whole = min(whole, events_left // max(events, 1))
+        if whole <= 0:
+            return 0
+        arrivals = self._arrivals
+        arrivals[:] = [a + whole * (a - b) for a, b in zip(arrivals, arrived)]
+        self._released += whole * released
+        tail = self.trace._tail
+        tail[0] += whole * span
+        tail[1] += whole * (tail[1] - unrecorded)
+        self.trace.repeat(rows, now_rows, whole, span)
+        self.engine.skip(whole * span, whole * events, before=last + 1)
+        for (bucket, j, k), (_, _, k0) in zip(now_chains, chains):
+            fn, arg, _ = bucket[j]
+            bucket[j] = (fn, (k + whole * (k - k0),) + arg[1:], None)
+        return whole
 
     # ------------------------------------------------------------------
     # fault injection and online reconfiguration: the state-touching halves

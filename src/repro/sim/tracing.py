@@ -56,6 +56,16 @@ _STREAMS = {
 }
 
 
+def _shifted(ticks, shift):
+    """*ticks* moved by *shift*, a run of equal ticks sharing one int (as
+    the events of one bucket share the clock's)."""
+    last = moved = None
+    for t in ticks:
+        if t != last:
+            last, moved = t, t + shift
+        yield moved
+
+
 class _View(Sequence):
     """Read-only, always-current window on one stream of a :class:`Trace`:
     compares ``==`` to the list of its rows, offers no way to write."""
@@ -150,6 +160,18 @@ class Trace:
         """Key columns of stream *name* for the production hot handlers
         (which then own the ``record_*`` checks and the ``_tail`` cell)."""
         return self._cols[name]
+
+    def repeat(self, start: Mapping[str, int], stop: Mapping[str, int],
+               times: int, shift) -> None:
+        """Append rows ``start[s]:stop[s]`` of every stream *s* *times*
+        more, the j-th copy's time keys moved by ``j·shift`` — a period of
+        an exactly periodic run, written instead of stepped."""
+        for name, (kinds, _) in _STREAMS.items():
+            for kind, col in zip(kinds, self._cols[name]):
+                block = col[start[name]:stop[name]]
+                for j in range(1, times + 1):
+                    col.extend(_shifted(block, j * shift) if kind == "t"
+                               else block)
 
     def _append(self, name: str, *keys) -> None:
         for col, key in zip(self._cols[name], keys):

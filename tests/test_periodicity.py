@@ -12,8 +12,10 @@ from repro.analysis.periodicity import (
 )
 from repro.baselines import simulate_greedy
 from repro.core import bw_first, from_bw_first
+from repro.exceptions import ScheduleError, TraceError
 from repro.platform.generators import fork
 from repro.schedule.periods import tree_periods
+from repro.schedule.timetable import extract_timetable
 from repro.sim import simulate
 from repro.sim.tracing import COMPUTE, Trace
 
@@ -71,6 +73,32 @@ class TestStrictPeriodicity:
     def test_too_short_trace_returns_none(self, paper_tree):
         result = simulate(paper_tree, horizon=PERIOD)
         assert periodic_from(result.trace, PERIOD, stop_time=PERIOD) is None
+
+
+class TestWithoutSegments:
+    """Strict periodicity reads busy segments: a trace recorded without
+    them used to look "periodic from 0" (the Fig. 4 tree over 8 periods
+    said 0 where the same run with segments says 72) and handed
+    ``extract_timetable`` a window-0 timetable.  It fails closed now."""
+
+    @pytest.mark.parametrize("recording", [
+        dict(record_segments=False),
+        dict(record_segments=False, record_buffers=False,
+             record_events=False),
+    ])
+    def test_raises_naming_the_stream(self, paper_tree, recording):
+        full = simulate(paper_tree, horizon=8 * PERIOD)
+        assert periodic_from(full.trace, PERIOD,
+                             stop_time=full.stop_time) == 2 * PERIOD
+        lean = simulate(paper_tree, horizon=8 * PERIOD, **recording)
+        with pytest.raises(TraceError, match="segments"):
+            periodic_from(lean.trace, PERIOD, stop_time=lean.stop_time)
+        with pytest.raises(TraceError, match="segments"):
+            is_periodic(lean.trace, PERIOD, at=6 * PERIOD)
+        with pytest.raises(TraceError, match="segments"):
+            periodic_from(lean.trace, PERIOD, stop_time=PERIOD)  # too short
+        with pytest.raises(ScheduleError, match="segments"):
+            extract_timetable(lean, PERIOD)
 
 
 class TestProp3Bound:
