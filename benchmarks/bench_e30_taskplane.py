@@ -11,7 +11,11 @@ actual task payloads under the negotiated BW-First schedule must
   exceeds the analytic bound from ``analysis/buffers.py`` (χ_in + 2);
 * **account exactly** — zero lost and zero duplicated results, including
   under seeded payload faults (dropped task frames, corrupted payloads),
-  on both the in-process and the multi-process TCP substrates.
+  on both the in-process and the multi-process TCP substrates;
+* **write a burst at once** — unpaced, the Fig. 4 TCP plane makes at most
+  1.6 socket writes per completed task (one per edge a burst touches,
+  ≈ 1.2; a write per frame would be ≈ 4.7), counted by wrapping the
+  transport's socket writes here, not by a counter in ``src/``.
 """
 
 from fractions import Fraction
@@ -19,6 +23,7 @@ from fractions import Fraction
 from repro.faults.chaos import data_plane_sweep
 from repro.faults.plan import FaultPlan
 from repro.platform.examples import paper_figure4_tree
+from repro.runtime.transport import TcpTransport
 from repro.taskplane import run_cluster, run_plane
 from repro.util.text import render_table
 
@@ -26,6 +31,7 @@ from .conftest import emit
 
 TOLERANCE = 0.3
 CLUSTER_TOLERANCE = 0.35
+WRITES_PER_TASK = 1.6
 
 
 def _check(report, tolerance=TOLERANCE):
@@ -66,6 +72,47 @@ def test_e30_taskplane_gate(benchmark, paper_tree):
             [_row(inproc), _row(tcp)],
         ),
     )
+
+
+class _CountedWrites:
+    """An edge end's socket, its ``write`` calls counted."""
+
+    def __init__(self, socket, tally):
+        self.socket, self.tally = socket, tally
+
+    def write(self, data):
+        self.tally.writes += 1
+        self.socket.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.socket, name)
+
+
+class _WriteCountingTcp(TcpTransport):
+    """Counts every socket write once the edges are connected (the
+    negotiation's included: 16 on Fig. 4)."""
+
+    writes = 0
+
+    async def start(self, tree, mailboxes):
+        await super().start(tree, mailboxes)
+        for end in self._ends:
+            end.transport = _CountedWrites(end.transport, self)
+
+
+def test_e30_tcp_writes_per_task_gate(paper_tree):
+    """A count, not a clock: the unpaced plane hands the transport its
+    whole burst and TCP writes each edge's frames with one ``write``."""
+    transport = _WriteCountingTcp()
+    report = run_plane(paper_tree, transport, time_scale=2e-5, max_tasks=2000)
+    assert report.completed == 2000 and report.lost == 0
+    per_task = transport.writes / report.completed
+    frames = transport.messages_sent / report.completed
+    assert per_task <= WRITES_PER_TASK, (
+        f"{per_task:.2f} socket writes per task (bound {WRITES_PER_TASK})")
+    emit("E30: socket writes per task, unpaced Fig. 4 TCP plane",
+         f"{per_task:.2f} writes for {frames:.2f} frames per task "
+         f"(bound {WRITES_PER_TASK})")
 
 
 def test_e30_cluster_gate(benchmark):

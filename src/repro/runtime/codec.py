@@ -80,10 +80,11 @@ FRAME_HEADER = struct.Struct(">II")
 #: at the sender and by :class:`FrameSplitter` at the receiver.
 MAX_FRAME = 1 << 20
 
-#: The exact shape of a wire rational: optional sign, digits, optional
-#: ``/digits``.  ``Fraction()`` itself accepts much more (floats in
-#: scientific notation, decimals); the wire format does not.
-_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
+#: The shape of a wire rational: optional sign, ASCII digits, optional
+#: ``/digits``, matched in full.  ``Fraction()`` itself accepts much more
+#: (floats in scientific notation, decimals, any Unicode digit); the wire
+#: format does not.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 #: What a node name may be on the wire: the JSON scalars, which round-trip
 #: losslessly and hash (``bool`` is an ``int``).
@@ -99,6 +100,23 @@ _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 def _dump(payload: dict) -> bytes:
     return _ENCODE(payload).encode("utf-8")
+
+
+class _Names(dict):
+    """``str`` name → its JSON bytes, written by the one encoder on first
+    use.  Only ``str`` keys are kept: ``True == 1`` share a hash key, yet
+    JSON writes ``true`` and ``1``."""
+
+    def __missing__(self, name) -> bytes:
+        encoded = _ENCODE(name).encode("utf-8")
+        if type(name) is str:
+            self[name] = encoded
+        return encoded
+
+
+#: ``encode_name(name) -> bytes``: a node name as ``_dump`` writes it; what
+#: the payload frames' fixed-shape bodies format their names with
+encode_name = _Names().__getitem__
 
 
 def _check_name(name) -> None:
@@ -131,9 +149,13 @@ def encode_message(message: Message) -> bytes:
 # ----------------------------------------------------------------------
 # the readers: one per rule, shared by every decoder
 # ----------------------------------------------------------------------
+_PARSE = json.JSONDecoder().raw_decode
+
+
 def parse_body(body: bytes) -> dict:
     """Parse a frame body into its JSON object, hardened against hostile
-    bytes: every malformation raises a recoverable
+    bytes: every malformation — whitespace or anything else before or
+    after the one object included — raises a recoverable
     :class:`~repro.exceptions.CodecError`.  The one body parser — control
     and payload frames, the hello and the federation's requests."""
     try:
@@ -141,9 +163,11 @@ def parse_body(body: bytes) -> dict:
     except UnicodeDecodeError as exc:
         raise CodecError(f"non-UTF-8 frame body {body[:80]!r}") from exc
     try:
-        payload = json.loads(text)
+        payload, end = _PARSE(text)
     except ValueError as exc:
         raise CodecError(f"undecodable frame {body[:80]!r}") from exc
+    if end != len(text):  # the encoder writes no byte around the object
+        raise CodecError(f"bytes after the frame's object {body[:80]!r}")
     if not isinstance(payload, dict):
         raise CodecError(f"frame body is not an object: {body[:80]!r}")
     return payload
@@ -175,19 +199,24 @@ def read_int(payload: dict, key: str, lo: Optional[int] = None,
 
 
 def parse_rational(text) -> Fraction:
-    """Parse a wire rational (``"n"`` or ``"n/d"``), hardened.
+    """Parse a wire rational, hardened: exactly what ``str(Fraction)``
+    writes (``"n"`` or ``"n/d"`` in lowest terms, ``d > 1``, no ``-0``, no
+    leading zero) and nothing else.
 
     The public face of the codec's rational validation — the federation
     service parses request payloads with it so a hostile or corrupted
     field raises a recoverable :class:`~repro.exceptions.CodecError`
     exactly like a malformed control frame would.
     """
-    if not isinstance(text, str) or not _RATIONAL.match(text):
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise CodecError(f"malformed wire rational {text!r}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CodecError(f"malformed wire rational {text!r}") from exc
+    if str(value) != text:
+        raise CodecError(f"non-canonical wire rational {text!r}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -226,9 +255,11 @@ def register_frame_kind(kind: str, decoder: Callable[[dict], object]) -> None:
     _DECODERS[kind] = decoder
 
 
-def decode_body(body: bytes) -> object:
+def decode_body(body: bytes, edge: Optional[tuple] = None) -> object:
     """Decode one frame body: a control :class:`Message` or any registered
-    extension frame (see :func:`register_frame_kind`).
+    extension frame (see :func:`register_frame_kind`).  With *edge* — the
+    ``(sender, receiver)`` of the socket end it arrived on — a frame naming
+    another edge is refused: a child cannot speak for its sibling.
 
     Every malformation raises :class:`~repro.exceptions.CodecError` (always
     recoverable here: by the time a body exists the framing held).
@@ -238,7 +269,11 @@ def decode_body(body: bytes) -> object:
     decoder = _DECODERS.get(kind) if isinstance(kind, str) else None
     if decoder is None:
         raise CodecError(f"unknown frame type {kind!r}")
-    return decoder(payload)
+    frame = decoder(payload)
+    if edge is not None and (frame.sender, frame.receiver) != edge:
+        raise CodecError(f"a {kind!r} frame from {frame.sender!r} to "
+                         f"{frame.receiver!r} arrived on the edge {edge!r}")
+    return frame
 
 
 # ----------------------------------------------------------------------
@@ -262,16 +297,16 @@ def encode_blob(body: bytes, max_frame: int = MAX_FRAME) -> bytes:
 
 def encode_any(obj) -> bytes:
     """Frame any wire object: a control :class:`Message` or an extension
-    frame exposing ``to_payload()`` (a JSON-ready dict whose ``"t"`` names
-    a registered kind).  Control and payload frames share the same
-    length|CRC32 framing, so they interleave freely on one socket.
+    frame exposing ``to_body()`` (the compact JSON body of a registered
+    kind, as ``_dump`` would write it).  Control and payload frames share
+    the same length|CRC32 framing, so they interleave freely on one socket.
     """
     if type(obj) in _CONTROL:
         return encode_blob(encode_message(obj))
-    to_payload = getattr(obj, "to_payload", None)
-    if to_payload is None:
+    to_body = getattr(obj, "to_body", None)
+    if to_body is None:
         raise ProtocolError(f"cannot encode {obj!r}")
-    return encode_blob(_dump(to_payload()))
+    return encode_blob(to_body())
 
 
 def encode_hello(name) -> bytes:

@@ -15,8 +15,9 @@ its engine, which is its own mailbox.  Two implementations:
   on a real event loop;
 * :class:`TcpTransport` — one loopback TCP socket per tree edge, both
   directions on the same socket, carrying the length|CRC32-framed JSON of
-  :mod:`repro.runtime.codec`; each end decodes frames synchronously into
-  its owner's mailbox.  Who listens, the handshake and the shutdown order
+  :mod:`repro.runtime.codec`; a ``send`` of a burst writes each edge's
+  frames with one ``write``, and each end decodes frames synchronously —
+  refusing one that names another edge — into its owner's mailbox.  Who listens, the handshake and the shutdown order
   are described on the class.
 
 Both transports tally ``messages_sent``, ``bytes_sent`` (control messages
@@ -112,8 +113,9 @@ class Transport(ABC):
         self.mailboxes = mailboxes
 
     @abstractmethod
-    async def send(self, message: Message) -> None:
-        """Route one message toward its receiver's mailbox."""
+    async def send(self, *messages: Message) -> None:
+        """Route *messages*, in order, toward their receivers' mailboxes —
+        one message (the Runtime's sends) or a task-plane burst."""
 
     async def close(self) -> None:
         """Graceful shutdown: flush in-flight traffic, release resources."""
@@ -157,7 +159,11 @@ class InProcTransport(Transport):
         await self.close()  # a copy still delayed belonged to the last run
         await super().start(tree, mailboxes)
 
-    async def send(self, message: Message) -> None:
+    async def send(self, *messages: Message) -> None:
+        for message in messages:
+            self._carry(message)
+
+    def _carry(self, message: Message) -> None:
         self.messages_sent += 1
         control = _is_control(message)
         if control:
@@ -255,7 +261,7 @@ class _EdgeEnd(asyncio.Protocol):
                 if self.hello_due:
                     self._hello(body)
                     continue
-                message = decode_body(body)
+                message = decode_body(body, (self.peer, self.owner))
             except CodecError as exc:
                 if self.hello_due:
                     self._refuse(exc)
@@ -469,46 +475,56 @@ class TcpTransport(Transport):
             await self._all_left
 
     # ------------------------------------------------------------------
-    async def send(self, message: Message) -> None:
-        self.messages_sent += 1
-        control = _is_control(message)
-        if control:
-            self.bytes_sent += wire_size(message)
-        child = link_child(self.tree, message.sender, message.receiver)
-        if child is None:
-            self._deliver_local(message)
-            return
-        edge = (message.sender, message.receiver)
-        end = self._writers.get(edge)
-        if end is None:
-            raise ProtocolError(f"no socket for edge {edge!r}")
-        copies = 1
+    async def send(self, *messages: Message) -> None:
+        """Encode *messages* in order and write each edge's frames with one
+        ``write`` (per-edge FIFO: the octets are the concatenation of the
+        frames); back-pressure is awaited once, after the writes."""
+        bursts: Dict[Tuple[Hashable, Hashable], List[bytes]] = {}
         decider = self._decider
-        if not control:
-            self.payload_frames += 1
-        elif decider.plan is not None:
-            copies = decider.judge(child, decider.coordinates(message))
-            if copies == LOST:
-                self.dropped += 1
-                return
-            if copies == 2:
-                self.duplicated += 1
-        frame = encode_any(message)
-        if copies == GARBLED:
-            # flip a body bit *after* the CRC header was computed: the
-            # receiver's checksum fails and the frame dies in its splitter
-            self.corrupted_sent += 1
-            frame = frame[:-1] + bytes([frame[-1] ^ 0x01])
+        for message in messages:
+            self.messages_sent += 1
+            control = _is_control(message)
+            if control:
+                self.bytes_sent += wire_size(message)
+            child = link_child(self.tree, message.sender, message.receiver)
+            if child is None:
+                self._deliver_local(message)
+                continue
+            edge = (message.sender, message.receiver)
+            if edge not in self._writers:
+                raise ProtocolError(f"no socket for edge {edge!r}")
             copies = 1
-        if end.transport.is_closing():
-            raise ConnectionResetError(f"socket of edge {edge!r} lost")
-        for _ in range(copies):
-            end.transport.write(frame)
-        octets = copies * len(frame)
-        self.octets_sent += octets
-        self.octets_by_edge[edge] = self.octets_by_edge.get(edge, 0) + octets
-        if end.resumed is not None:
-            await end.resumed  # back-pressure: the socket buffer is full
+            if not control:
+                self.payload_frames += 1
+            elif decider.plan is not None:
+                copies = decider.judge(child, decider.coordinates(message))
+                if copies == LOST:
+                    self.dropped += 1
+                    continue
+                if copies == 2:
+                    self.duplicated += 1
+            frame = encode_any(message)
+            if copies == GARBLED:
+                # flip a body bit *after* the CRC header was computed: the
+                # receiver's checksum fails and the frame dies in its splitter
+                self.corrupted_sent += 1
+                frame = frame[:-1] + bytes([frame[-1] ^ 0x01])
+                copies = 1
+            bursts.setdefault(edge, []).extend([frame] * copies)
+        writers = self._writers
+        for edge, frames in bursts.items():
+            transport = writers[edge].transport
+            if transport.is_closing():
+                raise ConnectionResetError(f"socket of edge {edge!r} lost")
+            octets = b"".join(frames)
+            transport.write(octets)
+            self.octets_sent += len(octets)
+            self.octets_by_edge[edge] = (self.octets_by_edge.get(edge, 0)
+                                         + len(octets))
+        for edge in bursts:
+            resumed = writers[edge].resumed
+            if resumed is not None:
+                await resumed  # back-pressure: the socket buffer is full
 
     async def close(self) -> None:
         """Stop listening, hang up every edge (:meth:`_hang_up`) and wait

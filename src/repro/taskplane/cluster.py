@@ -142,53 +142,56 @@ class _NodeProcess:
             self._t0 = asyncio.get_event_loop().time()
 
     # -- send paths: straight onto the receiver's socket, in call order --
-    def _write(self, message) -> asyncio.StreamWriter:
-        writer = self.writers.get(message.receiver)
+    def _write(self, receiver, octets) -> asyncio.StreamWriter:
+        writer = self.writers.get(receiver)
         if writer is None:
             raise TaskPlaneError(f"{self.spec.name!r} has no connection to "
-                                 f"{message.receiver!r}")
-        writer.write(encode_any(message))
+                                 f"{receiver!r}")
+        writer.write(octets)
         return writer
 
     def actor_send(self, message: Message) -> None:
         if message.receiver != VIRTUAL_PARENT:
-            self._write(message)
+            self._write(message.receiver, encode_any(message))
         elif isinstance(message, Acknowledgment) \
                 and not self.negotiated.done():
             self.negotiated.set_result(message.theta)
 
-    async def engine_send(self, frame) -> None:
-        await self._write(frame).drain()
+    async def engine_send(self, *frames) -> None:
+        bursts: Dict[Hashable, List[bytes]] = {}  # one write, one drain each
+        for frame in frames:
+            bursts.setdefault(frame.receiver, []).append(encode_any(frame))
+        for receiver, chunks in bursts.items():
+            await self._write(receiver, b"".join(chunks)).drain()
 
     # -- socket reader -------------------------------------------------
     async def _serve(self, reader: asyncio.StreamReader, writer,
-                     greeted: bool) -> None:
+                     peer: Optional[Hashable] = None) -> None:
         """Read one socket to its end.  On an accepted socket the first
-        frame must be the hello of the child that dialled (*greeted* is
-        false until then); whatever goes wrong before that — no hello, a
-        bad one, a name :meth:`_admit` refuses — hangs up and is reported
-        as a refused hello.  Afterwards a corrupt frame or an EOF inside
-        one fails this node (the caller's guard), and an EOF between
-        frames is the peer having drained and closed."""
+        frame must be the hello of the child that dialled (*peer* is None
+        until then); whatever goes wrong before that — no hello, a bad one,
+        a name :meth:`_admit` refuses — hangs up and is reported as a
+        refused hello.  Afterwards a corrupt frame, one naming another edge
+        or an EOF inside one fails this node (the caller's guard), and an
+        EOF between frames is the peer having drained and closed."""
         splitter = FrameSplitter()
         try:
             while True:
                 data = await reader.read(1 << 16)
                 splitter.feed(data)
                 while (body := splitter.next_body()) is not None:
-                    if greeted:
-                        self._route(decode_body(body))
+                    if peer is not None:
+                        self._route(decode_body(body, (peer, self.spec.name)))
                     else:
-                        self._admit(decode_hello(body), writer)
-                        greeted = True
+                        peer = self._admit(decode_hello(body), writer)
                 if not data:
                     if splitter.pending:
                         raise ProtocolError("connection closed mid-frame")
-                    if not greeted:
+                    if peer is None:
                         raise ProtocolError("connection closed before hello")
                     return
         except Exception as exc:  # noqa: BLE001 - reject bad dials
-            if greeted:
+            if peer is not None:
                 raise
             writer.close()
             raise TaskPlaneError(
@@ -196,7 +199,7 @@ class _NodeProcess:
                 f"{type(exc).__name__}: {exc}"
             ) from exc
 
-    def _admit(self, child: Hashable, writer) -> None:
+    def _admit(self, child: Hashable, writer) -> Hashable:
         """Fail closed: only a not yet connected child of this node may
         introduce itself — a stranger, a second dial under a connected
         name or the parent's own name would replace a legitimate writer."""
@@ -205,6 +208,7 @@ class _NodeProcess:
         self.writers[child] = writer
         if set(self.spec.all_children) <= set(self.writers):
             self.hellos.set()
+        return child
 
     def _route(self, obj) -> None:
         if isinstance(obj, (Proposal, Acknowledgment)):
@@ -226,7 +230,7 @@ class _NodeProcess:
                 self._early.append(obj)
 
     def _accept(self, reader: asyncio.StreamReader, writer) -> None:
-        self._spawn(self._serve(reader, writer, greeted=False))
+        self._spawn(self._serve(reader, writer))
 
     # -- lifecycle -----------------------------------------------------
     async def _guard(self, coroutine) -> None:
@@ -274,7 +278,7 @@ class _NodeProcess:
             writer.write(encode_hello(spec.name))
             await writer.drain()
             self.writers[spec.parent] = writer
-            self._spawn(self._serve(reader, writer, greeted=True))
+            self._spawn(self._serve(reader, writer, spec.parent))
 
         if spec.all_children:
             await asyncio.wait_for(self.hellos.wait(), timeout=spec.deadline)

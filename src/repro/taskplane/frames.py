@@ -25,13 +25,13 @@ traffic interleave on one connection:
   cascade.  The root sends Stop only after exact accounting closed, so a
   child's Stop can never overtake work it still owes.
 
-Payload bytes cross the JSON wire as base64 (``b64encode`` is
-deterministic and binary-safe); everything else is the compact JSON the
-control codec already speaks.  Each kind is declared once (:func:`_wire`:
-field → wire key → validating reader) and both directions are derived from
-that declaration; the readers are the codec's, so every malformed field
-raises a recoverable :class:`~repro.exceptions.CodecError` and hostile
-bytes die in reader loops exactly like corrupt control frames.
+Payload bytes cross the JSON wire as base64 (deterministic and
+binary-safe); everything else is the compact JSON the control codec
+already speaks.  Each kind is declared once (:func:`_wire`: field → wire
+key → validating reader → shape) and both directions are derived from that
+declaration; the readers are the codec's, so every malformed field raises
+a recoverable :class:`~repro.exceptions.CodecError` and hostile bytes die
+in reader loops exactly like corrupt control frames.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ from functools import partial
 from operator import attrgetter
 from typing import Hashable
 
-from ..exceptions import CodecError
-from ..runtime.codec import read_int, read_name, register_frame_kind
+from ..exceptions import CodecError, ProtocolError
+from ..runtime.codec import (encode_name, read_int, read_name,
+                             register_frame_kind)
 
 #: Allowed execution kinds of a task payload: opaque bytes (the default —
 #: the plane just moves and "computes" them) or a pickled ``(fn, args)``
@@ -86,40 +87,49 @@ def _read_bytes(payload: dict, key: str) -> bytes:
         raise CodecError(f"undecodable task payload {raw[:40]!r}") from exc
 
 
-def _write_bytes(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
+def _exact_int(value) -> int:
+    if type(value) is not int:  # %d would write True as 1 and 1.5 as 1
+        raise ProtocolError(f"integer field holds {value!r}")
+    return value
+
+
+#: The shape of a field in its kind's body template: the placeholder, and
+#: what turns the field's value into what the placeholder formats.
+_NAME = (b"%s", encode_name)                   # a JSON scalar (names, kind)
+_INT = (b"%d", _exact_int)
+_BYTES = (b'"%s"', partial(binascii.b2a_base64, newline=False))
 
 
 def _wire(kind: str, /, **wire):
     """Class decorator — the one declaration of a payload frame kind:
-    ``field=(wire key, reader)`` or ``(wire key, reader, writer)`` for every
-    dataclass field, in order.  Derives ``to_payload()`` (what
-    :func:`~repro.runtime.codec.encode_any` serialises, once per send) and
+    ``field=(wire key, reader, shape)`` for every dataclass field, in
+    order.  Derives ``to_body()`` (what
+    :func:`~repro.runtime.codec.encode_any` frames, once per TCP send) and
     the decoder registered for *kind*; every field is required on the wire.
-    Both are assembled here, once per kind: a frame costs no per-field
-    Python on the way out, and one reader call per field on the way in.
+    Both are assembled here, once per kind: the body is one ``bytes``
+    template ``%`` the field values, byte for byte what the codec's JSON
+    encoder would write for the frame's dict; the way in is one reader
+    call per field.
     """
-    keys = ("t",) + tuple(spec[0] for spec in wire.values())
+    template = b"{%s}" % b",".join([b'"t":' + encode_name(kind)] + [
+        encode_name(key) + b":" + shape[0] for key, _, shape in wire.values()])
     values = attrgetter(*wire)
     readers = tuple(spec[:2] for spec in wire.values())
-    writers = tuple((spec[0], spec[2]) for spec in wire.values()
-                    if len(spec) == 3)
+    writers = tuple(shape[1] for _, _, shape in wire.values())
 
     def declare(cls):
         if tuple(wire) != tuple(f.name for f in fields(cls)):
             raise TypeError(f"{cls.__name__}: wire declaration {tuple(wire)} "
                             "does not match the dataclass fields")
 
-        def to_payload(self) -> dict:
-            payload = dict(zip(keys, (kind,) + values(self)))
-            for key, write in writers:
-                payload[key] = write(payload[key])
-            return payload
+        def to_body(self) -> bytes:
+            return template % tuple([write(value) for write, value
+                                     in zip(writers, values(self))])
 
         def decode(payload: dict):
             return cls(*[read(payload, key) for key, read in readers])
 
-        cls.to_payload = to_payload
+        cls.to_body = to_body
         FRAME_KINDS[kind] = cls
         register_frame_kind(kind, decode)
         return cls
@@ -127,13 +137,13 @@ def _wire(kind: str, /, **wire):
     return declare
 
 
-_EDGE = {"sender": ("s", read_name), "receiver": ("r", read_name)}
-_TASK_ID = ("id", read_int)
+_EDGE = {"sender": ("s", read_name, _NAME),
+         "receiver": ("r", read_name, _NAME)}
+_TASK_ID = ("id", _read_count, _INT)
 
 
-@_wire("task", **_EDGE, task_id=_TASK_ID,
-       payload=("p", _read_bytes, _write_bytes), crc=("c", _read_crc),
-       kind=("k", _read_exec_kind))
+@_wire("task", **_EDGE, task_id=_TASK_ID, payload=("p", _read_bytes, _BYTES),
+       crc=("c", _read_crc, _INT), kind=("k", _read_exec_kind, _NAME))
 @dataclass(frozen=True, slots=True)
 class TaskFrame:
     """One task payload in flight on a tree edge (parent → child)."""
@@ -178,7 +188,7 @@ class ResendRequest:
     task_id: int
 
 
-@_wire("tcr", **_EDGE, amount=("n", _read_grant))
+@_wire("tcr", **_EDGE, amount=("n", _read_grant, _INT))
 @dataclass(frozen=True, slots=True)
 class CreditGrant:
     """Child → parent: *amount* buffer slots freed; you may send again."""
@@ -188,7 +198,7 @@ class CreditGrant:
     amount: int = 1
 
 
-@_wire("tres", **_EDGE, task_id=_TASK_ID, origin=("o", read_name))
+@_wire("tres", **_EDGE, task_id=_TASK_ID, origin=("o", read_name, _NAME))
 @dataclass(frozen=True, slots=True)
 class ResultReport:
     """Hop-by-hop relay of a completed task toward the root's ledger."""
@@ -208,7 +218,7 @@ class Stop:
     receiver: Hashable
 
 
-@_wire("tdone", **_EDGE, completed=("n", _read_count))
+@_wire("tdone", **_EDGE, completed=("n", _read_count, _INT))
 @dataclass(frozen=True, slots=True)
 class Stopped:
     """Child → parent: my whole subtree has drained and exited."""

@@ -117,13 +117,15 @@ class DeliveryLog:
 class TaskLedger:
     """Root-side generation/completion records with duplicate suppression."""
 
-    __slots__ = ("generated", "completions", "duplicates")
+    __slots__ = ("generated", "completions", "duplicates", "strays")
 
     def __init__(self) -> None:
         self.generated = 0
         #: task_id → wall-clock completion time (seconds since plane start)
         self.completions: Dict[int, float] = {}
         self.duplicates = 0
+        #: results refused because their task id was never minted here
+        self.strays = 0
 
     def record_generated(self) -> int:
         """Mint the next task id."""
@@ -132,7 +134,12 @@ class TaskLedger:
         return task_id
 
     def record_completed(self, task_id: int, now: float) -> bool:
-        """``False`` (and counted) if this result already arrived."""
+        """``False`` (and counted) if this result already arrived, or is
+        for a task id outside ``[0, generated)`` — it would close the books
+        early and hide a lost task."""
+        if not 0 <= task_id < self.generated:
+            self.strays += 1
+            return False
         if task_id in self.completions:
             self.duplicates += 1
             return False

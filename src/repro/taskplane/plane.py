@@ -29,10 +29,10 @@ pass of the dispatcher is a **burst**:
   (active or not, so every engine exits through the tree protocol); a child
   drains locally, cascades Stop, collects Stopped from its whole subtree
   and only then reports Stopped upward;
-* **write** — what the burst produced goes out in the order produced.
-  Per-edge FIFO (in-proc delivery, TCP per socket) guarantees a child's
-  last result precedes its Stopped, so the accounting the root asserted
-  cannot be overtaken by shutdown.
+* **write** — what the burst produced leaves in one ``send(*frames)``, in
+  the order produced.  Per-edge FIFO (in-proc delivery, TCP per socket)
+  guarantees a child's last result precedes its Stopped, so the accounting
+  the root asserted cannot be overtaken by shutdown.
 
 Four timers, each armed only while somebody waits for it: ``port`` and
 ``cpu`` for the head of their deque, ``rate`` while only its rate cap keeps
@@ -137,7 +137,7 @@ class TaskPlaneNode:
         name: Hashable,
         *,
         clock: Callable[[], float],
-        send: Callable,                 # async: transport.send
+        send: Callable,                 # async send(*frames): a burst
         parent: Optional[Hashable],
         links: List[ChildLink],         # active children (η_out > 0)
         all_children: List[Hashable],   # every tree child (for Stop)
@@ -273,7 +273,7 @@ class TaskPlaneNode:
             stats.update(
                 generated=ledger.generated,
                 completed=ledger.completed,
-                duplicates=ledger.duplicates,
+                duplicates=ledger.duplicates, stray_results=ledger.strays,
                 rate=ledger.steady_rate(until=self.generation_stopped_at),
                 wall=self.clock(),
             )
@@ -300,9 +300,9 @@ class TaskPlaneNode:
                                              f"unroutable frame {item!r}")
                     handler(item)
                 self._advance(self.clock())
-                for frame in out:
-                    await send(frame)
-                out.clear()
+                if out:
+                    await send(*out)
+                    out.clear()
                 if self.done:
                     return
                 if not queue:
@@ -570,6 +570,7 @@ class TaskPlaneReport:
     wall_seconds: float
     worker_completed: Dict[str, int] = field(default_factory=dict)
     stray_acks: int = 0              # acks / naks refused: not the holder's
+    stray_results: int = 0           # results refused: a task never minted
 
     @classmethod
     def from_stats(cls, stats: Dict[Hashable, dict], root: Hashable, *,
@@ -589,9 +590,8 @@ class TaskPlaneReport:
             nodes=len(stats),
             optimal_throughput=optimal_throughput,
             time_scale=time_scale,
-            generated=books["generated"],
-            completed=books["completed"],
-            duplicates=books["duplicates"],
+            **{key: books[key] for key in (
+                "generated", "completed", "duplicates", "stray_results")},
             **{key: sum(s[key] for s in stats.values()) for key in (
                 "resends", "resend_requests", "injected_drops",
                 "injected_corruptions", "stray_control", "stray_acks")},
@@ -631,9 +631,9 @@ class TaskPlaneReport:
             "transport", "nodes", "optimal_throughput", "time_scale",
             "generated", "completed", "lost", "duplicates", "resends",
             "resend_requests", "injected_drops", "injected_corruptions",
-            "stray_acks", "measured_rate", "completions_per_sec",
-            "convergence", "occupancy_ok", "peak_occupancy", "bounds",
-            "wall_seconds", "worker_completed")}
+            "stray_acks", "stray_results", "measured_rate",
+            "completions_per_sec", "convergence", "occupancy_ok",
+            "peak_occupancy", "bounds", "wall_seconds", "worker_completed")}
         out["optimal_throughput"] = str(self.optimal_throughput)
         out["occupancy_ok"] = self.occupancy_ok()
         return out

@@ -1,4 +1,4 @@
-"""The task plane's router as it was before PR 24, as an oracle.
+"""Two pieces of the task plane as they were, as oracles.
 
 Until PR 24 ``TaskPlaneNode._pick_sink`` compared ``Fraction(served) /
 weight`` per sink per routing decision and its router loop kept the books
@@ -7,13 +7,56 @@ worker).  Production now compares ``served · stride`` in integers;
 :class:`FractionRouter` is the old body, unchanged apart from taking its
 clock and its events as arguments, and is what
 ``tests/test_taskplane.py::TestDispatchOrder`` compares the engine against.
-Do not optimise it.
+
+A payload frame used to be serialised as a dict (``to_payload()``)
+through the codec's JSON encoder; production now formats one fixed-shape
+``bytes`` template per kind (``to_body()``).  :func:`oracle_payload` is
+the dict form, spelled out per kind rather than read from the frames'
+declarations, and ``_dump(oracle_payload(frame))`` is what ``to_body()``
+must equal byte for byte.
+
+Do not optimise either.
 """
 
 from __future__ import annotations
 
+import base64
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+
+from repro.taskplane.frames import (CreditGrant, DeliveryAck, ResendRequest,
+                                    ResultReport, Stop, Stopped, TaskFrame)
+
+#: frame class → wire kind, then (wire key, field) in declaration order
+WIRE_FORMAT = {
+    TaskFrame: ("task", (("s", "sender"), ("r", "receiver"), ("id", "task_id"),
+                         ("p", "payload"), ("c", "crc"), ("k", "kind"))),
+    DeliveryAck: ("tack", (("s", "sender"), ("r", "receiver"),
+                           ("id", "task_id"))),
+    ResendRequest: ("tnak", (("s", "sender"), ("r", "receiver"),
+                             ("id", "task_id"))),
+    CreditGrant: ("tcr", (("s", "sender"), ("r", "receiver"),
+                          ("n", "amount"))),
+    ResultReport: ("tres", (("s", "sender"), ("r", "receiver"),
+                            ("id", "task_id"), ("o", "origin"))),
+    Stop: ("tstop", (("s", "sender"), ("r", "receiver"))),
+    Stopped: ("tdone", (("s", "sender"), ("r", "receiver"),
+                        ("n", "completed"))),
+}
+
+
+def oracle_payload(frame) -> dict:
+    """The JSON-ready dict a payload frame's body is the compact dump of:
+    ``"t"`` first, then every field under its wire key, payload bytes as
+    base64 text."""
+    kind, keys = WIRE_FORMAT[type(frame)]
+    payload = {"t": kind}
+    for key, name in keys:
+        value = getattr(frame, name)
+        if name == "payload":
+            value = base64.b64encode(value).decode("ascii")
+        payload[key] = value
+    return payload
 
 
 class FractionRouter:

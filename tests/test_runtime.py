@@ -19,6 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bwfirst import bw_first
 from repro.exceptions import ProtocolError
@@ -26,7 +28,7 @@ from repro.faults.plan import FaultPlan
 from repro.platform.examples import paper_figure4_tree
 from repro.platform.generators import random_tree, smooth_tree
 from repro.platform.tree import Tree
-from repro.protocol.messages import Acknowledgment, Proposal
+from repro.protocol.messages import Acknowledgment, Notice, Proposal
 from repro.protocol.network import Network
 from repro.protocol.retry import RetryPolicy
 from repro.protocol.runner import VIRTUAL_PARENT, Negotiation, run_protocol
@@ -41,6 +43,7 @@ from repro.runtime import (
     negotiate,
     sequential_completion_time,
 )
+from repro.runtime.codec import parse_rational
 from repro.telemetry import Registry
 
 
@@ -200,6 +203,45 @@ class TestHostileBytes:
                             dict(good, **{key: None})):
                 decoded = decode_body(json.dumps(payload).encode())
                 assert (decoded.xid if key == "x" else decoded.trace) is None
+
+    @pytest.mark.parametrize("body", [
+        b' {"t":"note","s":"a","r":"b"}',
+        b'{"t":"note","s":"a","r":"b"}\n',
+        b'{"t":"note","s":"a","r":"b"}{}',
+        b'{"t":"note","s":"a","r":"b"} ',
+        b"",
+    ], ids=["leading", "newline", "second-object", "trailing", "empty"])
+    def test_nothing_may_surround_the_one_object(self, body):
+        """The encoder writes one compact object and nothing else; a body
+        with any byte before or after it is malformed."""
+        from repro.runtime import CodecError
+
+        assert decode_body(b'{"t":"note","s":"a","r":"b"}') == Notice("a", "b")
+        with pytest.raises(CodecError) as excinfo:
+            decode_body(body)
+        assert excinfo.value.recoverable
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions())
+    def test_every_rational_the_encoder_writes_parses_back(self, value):
+        assert parse_rational(str(value)) == value
+        message = Proposal(sender="a", receiver="b", beta=value, xid=1)
+        assert decode_body(encode_message(message)).beta == value
+
+    @pytest.mark.parametrize("text", [
+        "5\n", "\u0665/\u0663", "\uff15", "2/4", "007", "-0", "3/1", "0/5",
+        "+5", "5/", "/5", "1/0", "-1/-2", "1/-2", " 5", "5 ", "1_000", "",
+        5, None,
+    ])
+    def test_a_non_canonical_rational_is_refused(self, text):
+        """Exactly what ``str(Fraction)`` writes: ASCII digits, lowest
+        terms, no ``/1``, no ``-0``, no leading zero, matched in full (``$``
+        used to match before a trailing newline, ``\\d`` any Unicode digit)."""
+        from repro.runtime import CodecError
+
+        with pytest.raises(CodecError) as excinfo:
+            parse_rational(text)
+        assert excinfo.value.recoverable
 
     def test_codec_error_is_a_protocol_error(self):
         from repro.runtime import CodecError
@@ -755,14 +797,15 @@ class TestHandOver:
             late = Acknowledgment(sender="P1", receiver="P0",
                                   theta=Fraction(0), xid=0)
 
-            async def send(self, message):
+            async def send(self, *messages):
+                # ahead of the first burst of payload frames, in it
                 stale, self.late = self.late, None
                 if stale is not None and not isinstance(
-                        message, (Proposal, Acknowledgment)):
-                    await super().send(stale)
+                        messages[0], (Proposal, Acknowledgment)):
+                    messages = (stale, *messages)
                 else:
                     self.late = stale
-                await super().send(message)
+                await super().send(*messages)
 
         report = run_plane(paper_tree, LateDuplicate(), max_tasks=30,
                            time_scale=0.005)

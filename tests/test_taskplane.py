@@ -32,7 +32,7 @@ from repro.platform.examples import paper_figure4_tree
 from repro.platform.generators import random_tree, smooth_tree
 from repro.protocol.messages import Acknowledgment, Notice, Proposal
 from repro.runtime.codec import (FRAME_HEADER, _dump, decode_body, encode_any,
-                                 encode_message, parse_body,
+                                 encode_blob, encode_message, parse_body,
                                  register_frame_kind)
 from repro.runtime.transport import InProcTransport, TcpTransport
 from repro.schedule.periods import tree_periods
@@ -42,11 +42,11 @@ from repro.taskplane import (BoundedBuffer, ClusterPlane, CreditAccount,
                              Stop, Stopped, TaskFrame, TaskLedger, TaskPlane,
                              TaskPlaneNode, WorkerPool, make_task, payload_crc,
                              run_plane)
-from repro.taskplane.frames import FRAME_KINDS
+from repro.taskplane.frames import EXEC_KINDS, FRAME_KINDS
 from repro.taskplane.plane import ChildLink
 from repro.telemetry.core import NullRegistry, Registry
 
-from .taskplane_oracles import FractionRouter
+from .taskplane_oracles import WIRE_FORMAT, FractionRouter, oracle_payload
 
 
 def round_trip(frame):
@@ -135,7 +135,7 @@ class TestFrames:
         """Every kind × every field × {missing, wrong type, unhashable,
         JSON ``true`` where a number or string belongs}: a recoverable
         ``CodecError``, never another exception and never a frame."""
-        good = frame.to_payload()
+        good = oracle_payload(frame)
         assert decode_body(json.dumps(good).encode()) == frame
         fields = [key for key in good if key != "t"]
         assert fields
@@ -170,7 +170,7 @@ class TestFrames:
     def test_the_prebuilt_encoder_writes_json_dumps_bytes(self):
         """Every frame body goes through one compact encoder built once;
         it writes what ``json.dumps(..., separators=(",", ":"))`` wrote."""
-        payloads = [frame.to_payload() for frame in self.SPECIMENS]
+        payloads = [oracle_payload(frame) for frame in self.SPECIMENS]
         payloads += [parse_body(encode_message(m)) for m in self.CONTROL]
         payloads += [{"hello": "P\u00e9"}, {"hello": None}, {"hello": 7}]
         for payload in payloads:
@@ -179,6 +179,52 @@ class TestFrames:
         for message in self.CONTROL:
             assert _dump(parse_body(encode_message(message))) \
                 == encode_message(message)
+
+    def test_the_oracle_covers_the_frame_table(self):
+        assert set(WIRE_FORMAT) == set(FRAME_KINDS.values())
+        for cls, (kind, keys) in WIRE_FORMAT.items():
+            assert FRAME_KINDS[kind] is cls
+            assert [name for _, name in keys] == [
+                f.name for f in dataclasses.fields(cls)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_body_is_the_dump_of_the_oracle_dict(self, data):
+        """``to_body()`` — one ``bytes`` template ``%`` the fields — writes
+        exactly what the JSON encoder writes for the frame's dict, for every
+        kind and every name JSON can carry: ``str`` (non-ASCII, quotes,
+        control characters), ``int``, ``None`` and ``bool``, whose ``True``
+        shares ``1``'s hash but not its JSON."""
+        names = st.one_of(st.text(max_size=8), st.integers(), st.none(),
+                          st.booleans(),
+                          st.sampled_from(["P0", "Pé", "日本", 'q"\\']))
+        count = st.integers(min_value=0, max_value=1 << 40)
+        cls = data.draw(st.sampled_from(sorted(WIRE_FORMAT,
+                                               key=lambda c: c.__name__)))
+        values = {f.name: data.draw(names) for f in dataclasses.fields(cls)
+                  if f.name in ("sender", "receiver", "origin")}
+        if cls is TaskFrame:
+            frame = make_task(**values, task_id=data.draw(count),
+                              payload=data.draw(st.binary(max_size=80)),
+                              kind=data.draw(st.sampled_from(EXEC_KINDS)))
+        else:
+            for f in dataclasses.fields(cls):
+                if f.name not in values:
+                    values[f.name] = data.draw(
+                        count if f.name != "amount" else count.map(
+                            lambda n: n + 1))
+            frame = cls(**values)
+        body = frame.to_body()
+        assert body == _dump(oracle_payload(frame))
+        assert encode_any(frame) == encode_blob(body)
+        assert round_trip(frame) == frame
+
+    @pytest.mark.parametrize("value", [True, 1.0, "7", None])
+    def test_an_integer_field_holds_an_int_or_is_refused(self, value):
+        """``%d`` would write ``True`` as 1 and 1.5 as 1 — a frame its
+        reader would refuse (or misread) is refused where it is written."""
+        with pytest.raises(ProtocolError, match="integer field"):
+            DeliveryAck(sender="P1", receiver="P0", task_id=value).to_body()
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +341,16 @@ class TestLedger:
         assert ledger.duplicates == 1
         assert ledger.completed == 1
         assert ledger.outstanding == 2
+
+    def test_a_result_for_a_task_never_minted_is_refused(self):
+        ledger = TaskLedger()
+        for _ in range(3):
+            ledger.record_generated()
+        for task_id in (-1, 3, 10**9):
+            assert not ledger.record_completed(task_id, now=1.0)
+        assert ledger.strays == 3 and ledger.completed == 0
+        assert ledger.record_completed(2, now=1.0) and ledger.strays == 3
+        assert ledger.outstanding == 2 and ledger.duplicates == 0
 
     def test_steady_rate_window(self):
         ledger = TaskLedger()
@@ -538,18 +594,20 @@ class TestStrayAcks:
         forged = []
 
         class Forging(InProcTransport):
-            async def send(self, message):
-                await super().send(message)
+            async def send(self, *messages):
+                await super().send(*messages)
                 engine = plane.nodes.get(root)     # None: still negotiating
-                if message.receiver != root or engine is None or engine.done:
-                    return
-                for task_id, (_, child, _) in list(
-                        engine.retention._held.items()):
-                    if child != message.sender:
-                        forged.append(task_id)
-                        await super().send(DeliveryAck(
-                            sender=message.sender, receiver=root,
-                            task_id=task_id))
+                for message in messages:
+                    if (message.receiver != root or engine is None
+                            or engine.done):
+                        continue
+                    for task_id, (_, child, _) in list(
+                            engine.retention._held.items()):
+                        if child != message.sender:
+                            forged.append(task_id)
+                            await super().send(DeliveryAck(
+                                sender=message.sender, receiver=root,
+                                task_id=task_id))
 
         plan = FaultPlan(seed=3, task_drop=Fraction(1, 5))
         plane = TaskPlane(paper_tree, Forging(), max_tasks=60, plan=plan,
@@ -559,6 +617,36 @@ class TestStrayAcks:
         assert 0 < report.stray_acks <= len(forged)   # the rest were stale
         assert report.lost == 0 and report.duplicates == 0
         assert report.completed == 60 and report.resends > 0
+
+
+class TestStrayResults:
+    def test_a_forged_result_changes_neither_completed_nor_lost(
+            self, paper_tree):
+        """A child reports two results the root never minted — one far out
+        of range, one the root is still to mint.  A ledger that took them
+        recorded both as completions: the first closed the books a task
+        early (``lost`` read -1), the second made the real result a
+        duplicate."""
+        root, forged = paper_tree.root, []
+
+        class Forging(InProcTransport):
+            async def send(self, *messages):
+                await super().send(*messages)
+                engine = plane.nodes.get(root)     # None: still negotiating
+                if forged or engine is None or not engine.ledger.generated:
+                    return
+                child = paper_tree.children(root)[0]
+                forged.extend([10**9, engine.ledger.generated + 5])
+                await super().send(*(ResultReport(child, root, task_id, child)
+                                     for task_id in forged))
+
+        plane = TaskPlane(paper_tree, Forging(), max_tasks=40,
+                          time_scale=0.002)
+        report = plane.run()
+        assert forged and report.stray_results == 2
+        assert (report.completed, report.lost, report.duplicates) \
+            == (40, 0, 0)
+        assert report.to_json()["stray_results"] == 2
 
 
 class TestTelemetryPath:

@@ -2,9 +2,10 @@
 
 Until PR 24 a task-plane engine was six coroutines around an
 ``asyncio.Queue`` inbox, two more queues and an ``Event``, with three
-polls; and every frame body built its own ``JSONEncoder``.  These checks
-read ``src/`` and fail when a loop, a queue, a poll or a per-frame encoder
-grows back.
+polls; and every frame body built its own ``JSONEncoder``.  A payload
+frame used to be a dict dumped through that encoder.  These checks read
+``src/`` and fail when a loop, a queue, a poll, a per-frame encoder or a
+dumped payload frame grows back.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.taskplane import TaskLedger, TaskPlaneNode
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 PLANE = SRC / "taskplane" / "plane.py"
 CODEC = SRC / "runtime" / "codec.py"
+FRAMES = SRC / "taskplane" / "frames.py"
 
 OLD_NAMES = ("_router_loop", "_recv_loop", "_port_loop", "_worker_loop",
              "_sweep_loop", "_drain_loop", "_port_queue", "_worker_queue")
@@ -76,6 +78,20 @@ def test_no_frame_body_builds_its_own_encoder():
              if isinstance(call, ast.Call)
              and dotted(call.func) == "json.JSONEncoder"]
     assert len(built) == 1
+
+
+def test_a_payload_frame_is_formatted_not_dumped():
+    """A payload frame's body is its kind's ``bytes`` template; the dict
+    form (``to_payload``) lives on only as the oracle in
+    ``tests/taskplane_oracles.py``."""
+    for path in sorted(SRC.rglob("*.py")):
+        assert "to_payload" not in path.read_text(encoding="utf-8"), path
+    tree = ast.parse(FRAMES.read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"json", "_dump", "_ENCODE"}
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    assert "json" not in modules
 
 
 def test_the_old_loops_are_gone_not_switchable():

@@ -194,6 +194,42 @@ def test_small_plane_over_tcp():
     assert report.occupancy_ok()
 
 
+def test_a_child_cannot_speak_for_its_sibling():
+    """Between a staged ``task_drop`` and the sweep that recovers it, every
+    child that writes to the root also writes, on its own socket, a
+    ``tack`` for every copy the root holds for a sibling — claiming to *be*
+    that sibling.  A root that took the claimed sender on trust released
+    the sibling's only copy of a dropped task, which was never resent, and
+    the run hung to its deadline.  The frame names another edge than the
+    one it arrived on, so it dies in the reader as a corrupt frame."""
+    tree = paper_figure4_tree()
+    root, forged = tree.root, []
+
+    class Forging(TcpTransport):
+        async def send(self, *messages):
+            await super().send(*messages)
+            engine = plane.nodes.get(root)     # None: still negotiating
+            if engine is None or engine.done:
+                return
+            for child in {m.sender for m in messages if m.receiver == root}:
+                for task_id, (_, holder, _) in list(
+                        engine.retention._held.items()):
+                    if holder != child:
+                        forged.append(task_id)
+                        self._writers[(child, root)].transport.write(
+                            encode_any(DeliveryAck(holder, root, task_id)))
+
+    plan = FaultPlan(seed=3, task_drop=Fraction(1, 5))
+    transport = Forging()
+    plane = TaskPlane(tree, transport, max_tasks=60, plan=plan,
+                      time_scale=0.004, resend_timeout=0.1, deadline=30)
+    report = plane.run()
+    assert report.injected_drops > 0 and report.resends > 0 and forged
+    assert transport.corrupt_frames == len(forged)
+    assert report.stray_acks == 0         # none reached an engine
+    assert (report.completed, report.lost, report.duplicates) == (60, 0, 0)
+
+
 # ----------------------------------------------------------------------
 # the size bound holds on both sides; a frame is serialised once
 # ----------------------------------------------------------------------
@@ -235,25 +271,47 @@ class TestSenderSideBound:
 
 @pytest.mark.parametrize("name", ["tcp", "inproc"])
 def test_a_payload_frame_is_serialised_once_per_tcp_send(name, monkeypatch):
-    """The codec's one dump (``_dump``: every frame body goes through it,
-    and through its one prebuilt encoder) sees a payload frame once per TCP
-    send and never on the in-proc transport (``_Frame.wire_size`` used to
-    serialise every frame once more on every ``send()``, on both, for a
-    counter nobody read)."""
-    dumped = []
-    real_dump = codec._dump
+    """A payload frame's one serialisation is its ``to_body()``: once per
+    frame TCP sends, and never on the in-proc transport (``_Frame.wire_size``
+    used to serialise every frame once more on every ``send()``, on both,
+    for a counter nobody read)."""
+    bodies = []
 
-    def counting_dump(payload):
-        if payload.get("t") in FRAME_KINDS:
-            dumped.append(payload["t"])
-        return real_dump(payload)
+    def counting(real):
+        def to_body(frame):
+            bodies.append(type(frame))
+            return real(frame)
+        return to_body
 
-    monkeypatch.setattr(codec, "_dump", counting_dump)
+    for cls in FRAME_KINDS.values():
+        monkeypatch.setattr(cls, "to_body", counting(cls.to_body))
     transport = TcpTransport() if name == "tcp" else InProcTransport()
     report = TaskPlane(small_tree(), transport, max_tasks=40,
                        time_scale=0.001).run()
     assert report.completed == 40 and transport.payload_frames > 4 * 40 // 2
-    assert len(dumped) == (transport.payload_frames if name == "tcp" else 0)
+    assert len(bodies) == (transport.payload_frames if name == "tcp" else 0)
+
+
+def test_no_payload_frame_reaches_the_json_encoder(monkeypatch):
+    """The codec's one ``JSONEncoder`` still writes hellos, control frames
+    and, on first use, a name; a payload frame's body is its kind's
+    template."""
+    encoded = []
+    real = codec._ENCODE
+
+    def spy(value):
+        encoded.append(value)
+        return real(value)
+
+    monkeypatch.setattr(codec, "_ENCODE", spy)
+    transport = TcpTransport()
+    report = run_plane(small_tree(), transport, max_tasks=30,
+                       time_scale=0.001)
+    assert report.completed == 30 and transport.payload_frames > 30
+    assert {value.get("t", "hello") for value in encoded
+            if isinstance(value, dict)} == {"hello", "prop", "ack"}
+    assert all(isinstance(value, (dict, str, int, type(None)))
+               for value in encoded)
 
 
 # ----------------------------------------------------------------------
@@ -405,6 +463,22 @@ class TestClusterSocket:
         (failure,) = node.failures
         assert isinstance(failure, CodecError) and failure.recoverable
         assert node.actor.handled == [] and node.engine_done.is_set()
+
+    @pytest.mark.parametrize("forged", [
+        Proposal(sender="P9", receiver="P1", beta=Fraction(5, 3), xid=1),
+        DeliveryAck(sender="P0", receiver="P1", task_id=0),
+        DeliveryAck(sender="P2", receiver="P0", task_id=0),
+    ], ids=["stranger", "its-parent", "to-its-parent"])
+    def test_a_frame_naming_another_edge_fails_the_node(self, forged):
+        """The socket P2 dialled carries frames from P2 to P1, nothing
+        else: a frame that names another edge fails the node like a
+        corrupt one."""
+        node = self.serve(encode_hello("P2") + encode_any(self.PROPOSAL)
+                          + encode_any(forged))
+        (failure,) = node.failures
+        assert isinstance(failure, CodecError) and failure.recoverable
+        assert "arrived on the edge" in str(failure)
+        assert node.actor.handled == [self.PROPOSAL] and node.engine is None
 
     def test_an_oversized_prefix_fails_the_node(self):
         node = self.serve(encode_hello("P2"),

@@ -32,7 +32,7 @@ from repro.runtime import Runtime, Session, TcpTransport, negotiate
 from repro.runtime import transport as transport_module
 from repro.runtime.codec import (FRAME_HEADER, MAX_FRAME, encode_any,
                                  encode_blob, encode_hello)
-from repro.taskplane import make_task
+from repro.taskplane import DeliveryAck, make_task
 
 
 def small_tree() -> Tree:
@@ -311,6 +311,32 @@ class TestHostileOctets:
         transport, mailboxes, first = asyncio.run(scenario())
         assert first == proposal(7) and mailboxes["P1"].empty()
         assert transport.corrupt_frames == 1 and not transport.quarantined
+
+    def test_a_frame_naming_another_edge_is_one_more_corrupt_frame(self):
+        """A frame belongs to the edge it arrived on: on the socket from
+        P0 to P1, a frame claiming P2 as its sender — or addressed to P2 —
+        is refused like a garbled one and feeds the link's streak."""
+        async def scenario():
+            transport, mailboxes = await started(small_tree(),
+                                                 quarantine_after=2)
+            raw = transport._writers[("P0", "P1")].transport
+            for forged in (Proposal(sender="P2", receiver="P1",
+                                    beta=Fraction(1), xid=1),
+                           Proposal(sender="P0", receiver="P2",
+                                    beta=Fraction(1), xid=1)):
+                raw.write(encode_any(forged) + encode_any(proposal(7)))
+                first = await asyncio.wait_for(mailboxes["P1"].get(), 5.0)
+                assert first == proposal(7) and not transport.quarantined
+            raw.write(encode_any(DeliveryAck(sender="P2", receiver="P1",
+                                             task_id=0)) * 2)
+            await settle(lambda: transport.quarantined)
+            await transport.close()
+            return transport, mailboxes
+
+        transport, mailboxes = asyncio.run(scenario())
+        assert transport.corrupt_frames == 4
+        assert transport.quarantined == {"P1"}
+        assert mailboxes["P1"].empty() and mailboxes["P2"].empty()
 
     def test_eof_inside_a_frame_is_a_dead_stream_and_clean_eof_is_not(self):
         async def scenario():
