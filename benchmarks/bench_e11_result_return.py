@@ -4,8 +4,8 @@ The paper's final contribution: merging the result-return time into the
 task-send time is wrong once the master's *receive port* is modelled.  On
 the 3-node platform (w=1, send 0.5, return 0.5):
 
-* the true two-port optimum is **2 tasks per time unit** (LP, exact), and a
-  dedicated fork simulator achieves it in execution;
+* the true two-port optimum is **2 tasks per time unit** (LP, exact), and
+  the general two-port executor achieves it in execution;
 * the merged model yields only **1** through the bandwidth-centric
   machinery.
 """
@@ -17,9 +17,9 @@ from repro.core.lp import lp_throughput_exact
 from repro.extensions.result_return import (
     return_lp_throughput,
     section9_counterexample,
-    simulate_fork_with_returns,
     uniform_return_platform,
 )
+from repro.extensions.return_sim import simulate_with_returns
 from repro.platform.examples import paper_figure4_tree, section9_platform
 from repro.util.text import render_table
 
@@ -42,10 +42,11 @@ def test_counterexample(benchmark):
 
 def test_execution_achieves_two(benchmark):
     platform = uniform_return_platform(section9_platform())
-    trace = benchmark.pedantic(
-        simulate_fork_with_returns, args=(platform, 60), rounds=1, iterations=1
+    result = benchmark.pedantic(
+        simulate_with_returns, args=(platform,), kwargs={"horizon": 60},
+        rounds=1, iterations=1,
     )
-    assert measured_rate(trace, F(30), F(60)) == 2
+    assert measured_rate(result.trace, F(30), F(60)) == 2
 
 
 def test_general_tree_execution_vs_lp(paper_tree):
@@ -55,8 +56,6 @@ def test_general_tree_execution_vs_lp(paper_tree):
     impatience with large ones — see `examples/result_return.py`), so the
     better of the two is compared against the LP bound.
     """
-    from repro.extensions.return_sim import simulate_with_returns
-
     platform = uniform_return_platform(paper_tree, ratio=1)
     lp = return_lp_throughput(platform)
     rates = {}

@@ -1,7 +1,8 @@
 """Extensions beyond the paper's core: its future-work and discussion items.
 
 * :mod:`~repro.extensions.result_return` — the Section 9 two-port model and
-  counterexample;
+  counterexample; :mod:`~repro.extensions.return_sim` executes it on any
+  tree;
 * :mod:`~repro.extensions.dynamic` — drift + re-negotiation scenarios;
 * :mod:`~repro.extensions.makespan` — the finite-N makespan heuristic;
 * :mod:`~repro.extensions.infinite` — BW-First on lazily-generated infinite
@@ -43,7 +44,6 @@ from .result_return import (
     merged_model_throughput,
     return_lp_throughput,
     section9_counterexample,
-    simulate_fork_with_returns,
     uniform_return_platform,
 )
 
@@ -78,7 +78,6 @@ __all__ = [
     "merged_model_throughput",
     "CounterexampleReport",
     "section9_counterexample",
-    "simulate_fork_with_returns",
     "ReturnSimulation",
     "ReturnSimResult",
     "simulate_with_returns",

@@ -21,23 +21,22 @@ with the exact simplex.  On the paper's 3-node example
 (``w = 1``, ``c = d = 1/2``) it yields **2 tasks per time unit**, while the
 merged model (``c' = c + d = 1``) run through the bandwidth-centric
 machinery yields only **1** — the counterexample, reproduced by experiment
-E11.  A small dedicated fork simulator (:func:`simulate_fork_with_returns`)
-confirms the rate 2 is actually achievable in execution, not just in the LP.
+E11.  The general two-port executor
+(:func:`repro.extensions.return_sim.simulate_with_returns`) confirms the
+rate 2 is actually achievable in execution, not just in the LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Hashable, List, Mapping
 
 from ..core.bwfirst import bw_first
 from ..core.rates import ONE, ZERO, as_cost
 from ..core.simplex import solve_lp
-from ..exceptions import PlatformError, SimulationError
+from ..exceptions import PlatformError
 from ..platform.tree import Tree
-from ..sim.engine import Engine
-from ..sim.tracing import COMPUTE, RECV, SEND, Trace
 
 
 @dataclass(frozen=True)
@@ -176,132 +175,3 @@ def section9_counterexample() -> CounterexampleReport:
         separate_ports=return_lp_throughput(platform),
         merged_model=merged_model_throughput(platform),
     )
-
-
-# ----------------------------------------------------------------------
-# execution-level confirmation: a dedicated fork simulator with returns
-# ----------------------------------------------------------------------
-def simulate_fork_with_returns(
-    platform: ReturnPlatform,
-    horizon,
-    max_events: int = 2_000_000,
-) -> Trace:
-    """Simulate a *fork* platform (master + leaf children) with returns.
-
-    Scope: one-level trees only — enough to confirm the Section 9 rate in
-    actual execution.  Each child pipeline is: receive a task (its receive
-    port + master's send port), compute it, return the result (its send
-    port + master's receive port, FIFO-arbitrated among children).  The
-    master eagerly keeps every child fed (one task queued ahead).
-
-    Returns the trace; completions are counted at *result arrival* at the
-    master, the moment a task is truly finished for the application.
-    """
-    tree = platform.tree
-    master = tree.root
-    children = list(tree.children(master))
-    for child in children:
-        if not tree.is_leaf(child):
-            raise SimulationError("simulate_fork_with_returns needs a fork platform")
-    hor = Fraction(horizon)
-
-    engine = Engine()
-    trace = Trace()
-
-    master_send_busy = [False]
-    master_recv_busy = [False]
-    return_queue: List[Hashable] = []  # children waiting to return a result
-    feed_queue: List[Hashable] = []    # children owed a task, FIFO
-
-    # per child: tasks buffered (not yet computed), computing?, results ready
-    buffered: Dict[Hashable, int] = {c: 0 for c in children}
-    computing: Dict[Hashable, bool] = {c: False for c in children}
-    results: Dict[Hashable, int] = {c: 0 for c in children}
-    child_send_busy: Dict[Hashable, bool] = {c: False for c in children}
-    in_flight_to: Dict[Hashable, int] = {c: 0 for c in children}
-
-    def want_feed(child: Hashable) -> bool:
-        # keep one task computing and one buffered ahead
-        backlog = buffered[child] + in_flight_to[child] + (1 if computing[child] else 0)
-        return backlog < 2
-
-    def pump_master_send() -> None:
-        if master_send_busy[0] or engine.now >= hor:
-            return
-        for child in children:
-            if child in feed_queue:
-                continue
-            if want_feed(child):
-                feed_queue.append(child)
-        if not feed_queue:
-            return
-        child = feed_queue.pop(0)
-        master_send_busy[0] = True
-        in_flight_to[child] += 1
-        start = engine.now
-        end = start + tree.c(child)
-        trace.add_segment(master, SEND, start, end, peer=child)
-        trace.add_segment(child, RECV, start, end, peer=master)
-
-        def done(ch=child):
-            master_send_busy[0] = False
-            in_flight_to[ch] -= 1
-            buffered[ch] += 1
-            trace.add_arrival(engine.now, ch)
-            trace.add_buffer_delta(engine.now, ch, +1)
-            pump_child(ch)
-            pump_master_send()
-
-        engine.schedule_at(end, done)
-
-    def pump_child(child: Hashable) -> None:
-        # start computing
-        if not computing[child] and buffered[child] > 0:
-            computing[child] = True
-            buffered[child] -= 1
-            start = engine.now
-            end = start + tree.w(child)
-            trace.add_segment(child, COMPUTE, start, end)
-
-            def compute_done(ch=child):
-                computing[ch] = False
-                results[ch] += 1
-                if ch not in return_queue:
-                    return_queue.append(ch)
-                pump_returns()
-                pump_child(ch)
-                pump_master_send()
-
-            engine.schedule_at(end, compute_done)
-
-    def pump_returns() -> None:
-        if master_recv_busy[0]:
-            return
-        for i, child in enumerate(return_queue):
-            if child_send_busy[child] or results[child] == 0:
-                continue
-            return_queue.pop(i)
-            master_recv_busy[0] = True
-            child_send_busy[child] = True
-            results[child] -= 1
-            start = engine.now
-            end = start + platform.d(child)
-            trace.add_segment(child, SEND, start, end, peer=master)
-            trace.add_segment(master, RECV, start, end, peer=child)
-
-            def done(ch=child):
-                master_recv_busy[0] = False
-                child_send_busy[ch] = False
-                trace.add_completion(engine.now, ch)
-                trace.add_buffer_delta(engine.now, ch, -1)
-                if results[ch] > 0 and ch not in return_queue:
-                    return_queue.append(ch)
-                pump_returns()
-                pump_master_send()
-
-            engine.schedule_at(end, done)
-            return
-
-    pump_master_send()
-    engine.run_all(max_events=max_events)
-    return trace

@@ -8,7 +8,9 @@
 * :mod:`~repro.sim.reference` — the independent ``Fraction`` oracle the
   production kernel is tested against;
 * :mod:`~repro.sim.base` — what the two share: controllers, the result
-  record, fault / reconfiguration entry points.
+  record, fault / reconfiguration entry points;
+* :mod:`~repro.sim.farm` — the demand-driven task farm the baselines and
+  the result-return executor are policies on.
 """
 
 from .engine import Engine

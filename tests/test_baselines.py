@@ -13,6 +13,8 @@ from repro.baselines import (
 )
 from repro.core.bwfirst import bw_first
 from repro.exceptions import SimulationError
+from repro.extensions.result_return import uniform_return_platform
+from repro.extensions.return_sim import simulate_with_returns
 from repro.platform.generators import fork
 from repro.platform.tree import Tree
 from repro.sim import simulate
@@ -61,8 +63,12 @@ class TestDemandDriven:
             simulate_demand_driven(paper_tree)
 
     def test_slack_validated(self, paper_tree):
-        with pytest.raises(SimulationError):
-            simulate_demand_driven(paper_tree, slack=0, horizon=10)
+        for bad in ({"slack": 0}, {"slack": 1.5}, {"slack": True},
+                    {"request_latency_factor": -1}, {"horizon": -5},
+                    {"supply": -3}):
+            name = next(iter(bad))
+            with pytest.raises(SimulationError, match=name):
+                simulate_demand_driven(paper_tree, **{"horizon": 10, **bad})
 
     def test_more_buffering_than_event_driven(self, paper_tree):
         horizon = 10 * 36
@@ -114,8 +120,11 @@ class TestGreedy:
         assert result.completed == 25
 
     def test_window_validated(self, paper_tree):
-        with pytest.raises(SimulationError):
-            simulate_greedy(paper_tree, window=0, horizon=10)
+        for bad in ({"window": 0}, {"window": 1.5}, {"window": False},
+                    {"horizon": -5}, {"supply": -3}):
+            name = next(iter(bad))
+            with pytest.raises(SimulationError, match=name):
+                simulate_greedy(paper_tree, **{"horizon": 10, **bad})
 
     def test_requires_horizon_or_supply(self, paper_tree):
         with pytest.raises(SimulationError):
@@ -128,6 +137,29 @@ class TestGreedy:
         result = simulate_greedy(t, horizon=400)
         late = measured_rate(result.trace, 200, 400)
         assert late < optimal
+
+
+FARMS = {
+    "greedy": simulate_greedy,
+    "demand-driven": simulate_demand_driven,
+    "returns": lambda tree, **kw: simulate_with_returns(
+        uniform_return_platform(tree), **kw),
+}
+
+
+class TestSupplyCut:
+    """One rule for every farm: ``stop_time`` is the first moment the root
+    wanted a task and the supply refused it."""
+
+    @pytest.mark.parametrize("farm", sorted(FARMS))
+    def test_stop_time_is_the_first_refusal(self, paper_tree, farm):
+        result = FARMS[farm](paper_tree, supply=25)
+        assert result.stop_time >= max(t for t, _ in result.trace.releases)
+        assert result.wind_down == result.end_time - result.stop_time
+        if farm == "greedy":
+            # greedy used to stamp the exhaustion instead: the last
+            # release at 22, a wind-down of 59
+            assert (result.stop_time, result.wind_down) == (24, 57)
 
 
 class TestBaselineTelemetry:

@@ -5,15 +5,15 @@ from fractions import Fraction
 import pytest
 
 from repro.analysis import measured_rate
-from repro.exceptions import PlatformError, SimulationError
+from repro.exceptions import PlatformError
 from repro.extensions.result_return import (
     ReturnPlatform,
     merged_model_throughput,
     return_lp_throughput,
     section9_counterexample,
-    simulate_fork_with_returns,
     uniform_return_platform,
 )
+from repro.extensions.return_sim import simulate_with_returns
 from repro.platform.examples import section9_platform
 from repro.platform.generators import fork
 from repro.platform.tree import Tree
@@ -31,8 +31,8 @@ class TestCounterexample:
 
     def test_execution_confirms_rate_two(self):
         platform = uniform_return_platform(section9_platform())
-        trace = simulate_fork_with_returns(platform, horizon=60)
-        assert measured_rate(trace, 30, 60) == 2
+        result = simulate_with_returns(platform, horizon=60)
+        assert measured_rate(result.trace, 30, 60) == 2
 
 
 class TestReturnPlatform:
@@ -85,10 +85,8 @@ class TestReturnLP:
 
 
 class TestForkSimulator:
-    def test_rejects_deep_trees(self, paper_tree):
-        platform = uniform_return_platform(paper_tree)
-        with pytest.raises(SimulationError):
-            simulate_fork_with_returns(platform, horizon=10)
+    """The general two-port executor on forks: the evidence the deleted
+    fork-only simulator used to carry."""
 
     def test_compute_limited_platform(self):
         # slow children: the ports are not the bottleneck
@@ -96,8 +94,8 @@ class TestForkSimulator:
         t.add_node("a", w=4, parent="m", c=F(1, 4))
         t.add_node("b", w=4, parent="m", c=F(1, 4))
         platform = uniform_return_platform(t, ratio=1)
-        trace = simulate_fork_with_returns(platform, horizon=100)
-        assert measured_rate(trace, 60, 100) == F(1, 2)
+        result = simulate_with_returns(platform, horizon=100)
+        assert measured_rate(result.trace, 60, 100) == F(1, 2)
 
     def test_rate_never_exceeds_lp(self):
         t = Tree("m")
@@ -105,5 +103,15 @@ class TestForkSimulator:
         t.add_node("b", w=2, parent="m", c=F(1, 2))
         platform = uniform_return_platform(t, ratio=1)
         lp = return_lp_throughput(platform)
-        trace = simulate_fork_with_returns(platform, horizon=120)
-        assert measured_rate(trace, 60, 120) <= lp
+        result = simulate_with_returns(platform, horizon=120)
+        assert measured_rate(result.trace, 60, 120) <= lp
+
+    def test_reaches_the_lp_on_a_three_child_fork(self):
+        # the fork-only simulator reached 17/20 here
+        t = fork(weights=[1, 1, 1], costs=["1/2", 1, 2], root_w="inf")
+        platform = uniform_return_platform(t, ratio=1)
+        assert return_lp_throughput(platform) == F(3, 2)
+        for patient in (True, False):
+            result = simulate_with_returns(platform, horizon=120,
+                                           patient=patient)
+            assert measured_rate(result.trace, 60, 120) == F(3, 2)

@@ -25,15 +25,6 @@ class TestSection9:
         result = simulate_with_returns(platform, horizon=60)
         assert measured_rate(result.trace, 30, 60) == 2
 
-    def test_agrees_with_fork_simulator(self):
-        from repro.extensions.result_return import simulate_fork_with_returns
-
-        platform = uniform_return_platform(section9_platform())
-        general = simulate_with_returns(platform, horizon=60)
-        fork_trace = simulate_fork_with_returns(platform, horizon=60)
-        assert (measured_rate(general.trace, 30, 60)
-                == measured_rate(fork_trace, 30, 60))
-
 
 class TestGeneralTrees:
     def test_never_exceeds_lp(self, paper_tree):
@@ -104,8 +95,11 @@ class TestPortDiscipline:
         platform = uniform_return_platform(section9_platform())
         with pytest.raises(SimulationError):
             simulate_with_returns(platform)  # neither horizon nor supply
-        with pytest.raises(SimulationError):
-            simulate_with_returns(platform, slack=0, horizon=10)
+        for bad in ({"slack": 0}, {"slack": 1.5}, {"slack": True},
+                    {"horizon": -5}, {"supply": -3}, {"supply": 2.5}):
+            name = next(iter(bad))
+            with pytest.raises(SimulationError, match=name):
+                simulate_with_returns(platform, **{"horizon": 10, **bad})
 
     def test_switch_root_only_relays(self):
         # master is a switch: all completions come from the children
