@@ -73,18 +73,17 @@ runtime-smoke:
 # the Fraction marks kept in tests/fraction_oracles.py (~6x) at ==, and
 # tests/test_plan_exact.py pins the chain's outputs.  The E31 gate asserts the
 # 10k-node counts-only run agrees with an event-recording run and that a
-# 100k-node, >=1M-event run completes inside the timeout, both without an
-# int64 fallback, and that a 3000-node run recording every completion,
+# 100k-node, >=1M-event run completes inside the timeout, and that a
+# 3000-node run recording every completion,
 # arrival and release costs at most 1.35x the counts-only run of the same
 # process with no row lost (tests/test_trace_columns.py pins what the
 # columnar trace reads back), and that a 3000-node run over 8 global
 # periods costs at most 1.4x one over 4 (periods after the first repeated
 # boundary are written, not stepped; tests/test_period_replication.py holds
-# them == to the stepping reference).  A second pytest leg re-runs every suite that drives the
-# simulator with REPRO_NO_NUMPY=1 — "array" is the default kernel, so
-# these execute the pure-Python duration tables on hosts without numpy —
-# and the end-to-end benchmark's coldscale workload runs at smoke scale so
-# its own rate == optimum check guards every PR.
+# them == to the stepping reference); tests/test_sim_structure.py keeps the
+# duration tables plain int lists.  The end-to-end benchmark's coldscale
+# workload runs at smoke scale so its own rate == optimum check guards
+# every PR.
 perf-smoke:
 	timeout 600 sh -c "\
 		PYTHONPATH=src pytest \
@@ -97,12 +96,7 @@ perf-smoke:
 			'benchmarks/bench_e31_arraykernel.py::test_e31_replication_ratio_gate' \
 			tests/test_incremental.py tests/test_timeline.py \
 			tests/test_trace_columns.py tests/test_period_replication.py \
-			tests/test_plan_exact.py -q && \
-		PYTHONPATH=src REPRO_NO_NUMPY=1 pytest \
-			tests/test_engine.py tests/test_timeline.py \
-			tests/test_trace_columns.py tests/test_period_replication.py \
-			tests/test_simulator.py tests/test_faults.py \
-			tests/test_fault_recovery.py tests/test_online.py -q && \
+			tests/test_plan_exact.py tests/test_sim_structure.py -q && \
 		PYTHONPATH=src python -m repro bench-incr --nodes 200 --mutations 5 && \
 		PYTHONPATH=src python -m repro bench-timeline --nodes 200 && \
 		python3 benchmarks/e2e/__main__.py --workload coldscale --smoke"

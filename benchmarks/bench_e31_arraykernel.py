@@ -14,8 +14,8 @@ it is than the ``Fraction`` reference is E27's gate
   periods) and must equal the recorded ``BENCH_e31_arraykernel.json``
   value: a change means kernel behaviour changed, not the host;
 * **100k nodes, ≥1M events** — a seven-period 100k-node run (>1.2M
-  events) completes in single-digit seconds without a single int64
-  fallback; the run is gated inside ``make perf-smoke``'s hard timeout;
+  events) completes in single-digit seconds; the run is gated inside
+  ``make perf-smoke``'s hard timeout;
 * **periods the kernel does not step** — once two global-period
   boundaries hold the same state the kernel writes the remaining whole
   periods as shifted columns, so ``run()`` over 8 periods may cost at most
@@ -136,20 +136,19 @@ def test_e31_traces_exactly_equal():
 
 
 def test_e31_10k_nodes_exact_counts():
-    """10k nodes, three periods: the recorded event count, in int64."""
+    """10k nodes, three periods: the recorded event count."""
     tree, periods, schedules, horizon = e31_setup()
     wall, sim, result = best_counts_run(tree, schedules, periods, horizon)
     emit(
         f"E31: {E31_NODES}-node simulator, burst pacing, horizon "
         f"{E31_PERIODS} global periods (seed {E31_SEED})",
         render_table(
-            ["best-of-3 run() s", *KERNEL_HEADERS, "tasks", "backend"],
+            ["best-of-3 run() s", *KERNEL_HEADERS, "tasks"],
             [kernel_columns(sim, result, wall)
-             + [str(result.trace.completed), sim.backend]],
+             + [str(result.trace.completed)]],
         ),
     )
     assert sim.engine.processed == E31_EVENTS
-    assert sim.int64_fallbacks == 0, "10k-scale family must stay in int64"
 
 
 def test_e31_100k_nodes_million_events():
@@ -168,30 +167,25 @@ def test_e31_100k_nodes_million_events():
         f"run(): {dt:.2f}s CPU, "
         + ", ".join(f"{header} {value}" for header, value in zip(
             KERNEL_HEADERS, kernel_columns(sim, result)))
-        + f", {result.trace.completed} tasks, "
-        f"backend={sim.backend}, "
-        f"int64 fallbacks={sim.int64_fallbacks}",
+        + f", {result.trace.completed} tasks",
     )
     assert sim.engine.processed >= 1_000_000, (
         f"only {sim.engine.processed} events — below the 1M-event bar")
     assert result.trace.completed > 0
-    assert sim.int64_fallbacks == 0, "10k-scale family must stay in int64"
 
 
 def test_e31_perf_smoke_gate():
     """The CI regression gate, sized for slow runners: at 10k nodes over a
     one-period horizon the counts-only run reports the same completed
-    tasks and end time as a run that records every event, without leaving
-    int64."""
+    tasks and end time as a run that records every event."""
     tree, periods, schedules, horizon = e31_setup(periods=1)
-    _, sim, lean = best_counts_run(tree, schedules, periods, horizon,
-                                   repeats=1)
+    _, _, lean = best_counts_run(tree, schedules, periods, horizon,
+                                 repeats=1)
     full = Simulation(tree, dict(schedules), dict(periods), horizon=horizon,
                       root_pacing=E31_PACING, record_segments=False,
                       record_buffers=False).run()
     assert lean.trace.completed == len(full.trace.completions) > 0
     assert lean.trace.end_time == full.trace.end_time
-    assert sim.int64_fallbacks == 0, "10k-scale family must stay in int64"
 
 
 def test_e31_recording_ratio_gate():

@@ -25,7 +25,6 @@ from .phases import (
     node_steady_entry,
     startup_efficiency,
     startup_length,
-    winddown_length,
 )
 from .compare import (
     STRATEGIES,
@@ -66,7 +65,6 @@ __all__ = [
     "render_gantt",
     "startup_length",
     "startup_efficiency",
-    "winddown_length",
     "node_steady_entry",
     "simulation_metrics",
     "simulation_report",

@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from ..sim.simulator import SimulationResult
 from ..sim.tracing import Trace
 
 
@@ -67,11 +66,6 @@ def startup_efficiency(
     expected = Fraction(optimal_rate) * w
     done = trace.completions_in(Fraction(0), w)
     return Fraction(done) / expected
-
-
-def winddown_length(result: SimulationResult) -> Optional[Fraction]:
-    """Time between the supply cut and the last completion (alias)."""
-    return result.wind_down
 
 
 def winddown_sweep(

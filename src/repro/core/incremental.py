@@ -52,7 +52,7 @@ import os
 from fractions import Fraction
 from hashlib import blake2b
 from itertools import islice
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..exceptions import PlatformError, ScheduleError
 from ..platform.tree import Tree
@@ -931,27 +931,24 @@ class IncrementalSolver:
 
 
 def resolve_solver(
-    solver: Union[None, str, IncrementalSolver],
+    solver: Optional[IncrementalSolver],
     tree: Tree,
     telemetry=None,
-) -> Optional[IncrementalSolver]:
+) -> IncrementalSolver:
     """Normalise a ``solver=`` argument of the re-negotiation entry points.
 
-    ``None`` or ``"incremental"`` build a fresh :class:`IncrementalSolver`
-    on *tree*; ``"full"`` returns ``None`` (callers then run plain
-    :func:`~repro.core.bwfirst.bw_first`); an existing solver instance is
-    used as-is — its working tree must equal *tree*, so a caller-managed
-    cache survives across calls.
+    ``None`` builds a fresh :class:`IncrementalSolver` on *tree*; an
+    existing solver instance is used as-is — its working tree must equal
+    *tree*, so a caller-managed cache survives across calls.  Anything
+    else raises :class:`~repro.exceptions.ScheduleError`.
     """
-    if solver is None or solver == "incremental":
+    if solver is None:
         return IncrementalSolver(tree, telemetry=telemetry)
-    if solver == "full":
-        return None
-    if isinstance(solver, IncrementalSolver):
-        if solver.tree != tree:
-            raise ScheduleError(
-                "the supplied IncrementalSolver's tree differs from the "
-                "platform being solved")
-        return solver
-    raise ScheduleError(f"unknown solver {solver!r} "
-                        "(expected 'incremental', 'full', or an IncrementalSolver)")
+    if not isinstance(solver, IncrementalSolver):
+        raise ScheduleError(f"unknown solver {solver!r} "
+                            "(expected None or an IncrementalSolver)")
+    if solver.tree != tree:
+        raise ScheduleError(
+            "the supplied IncrementalSolver's tree differs from the "
+            "platform being solved")
+    return solver

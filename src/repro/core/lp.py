@@ -29,8 +29,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Hashable, List, Tuple
 
-import numpy as np
-
 from ..exceptions import SolverError
 from ..platform.tree import Tree
 from .rates import ONE, ZERO
@@ -134,6 +132,7 @@ def lp_solution_exact(tree: Tree):
 
 def lp_throughput(tree: Tree) -> float:
     """Optimal steady-state throughput by scipy's HiGHS (floating point)."""
+    import numpy as np
     from scipy.optimize import linprog
 
     c, a_ub, b_ub, a_eq, b_eq, _, _ = build_lp(tree)

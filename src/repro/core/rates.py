@@ -20,10 +20,16 @@ This module centralises:
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
 from ..exceptions import PlatformError
+
+#: a decimal exponent in a rational string, checked before ``Fraction``
+#: expands it: ``"1e100000000"`` (11 bytes) would build a 330-Mbit int
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+_MAX_EXPONENT = 1000
 
 #: Sentinel for an infinite processing time (a node with no computing power,
 #: e.g. a network switch).  Comparisons like ``Fraction(3) < INFINITY`` work
@@ -53,9 +59,9 @@ def as_fraction(value: FractionLike) -> Fraction:
       ``1/10`` (the value the user wrote) rather than the ugly binary
       expansion ``Fraction(0.1)`` would produce.
 
-    Raises :class:`~repro.exceptions.PlatformError` for NaN/inf floats and
-    unparseable strings; use :data:`INFINITY` explicitly for infinite
-    weights.
+    Raises :class:`~repro.exceptions.PlatformError` for NaN/inf floats,
+    unparseable strings and decimal exponents beyond ±1000; use
+    :data:`INFINITY` explicitly for infinite weights.
     """
     if isinstance(value, Fraction):
         return value
@@ -71,6 +77,12 @@ def as_fraction(value: FractionLike) -> Fraction:
             )
         return Fraction(repr(value))
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
+                raise PlatformError(
+                    f"the exponent of {value!r} exceeds ±{_MAX_EXPONENT}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

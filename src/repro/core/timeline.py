@@ -133,7 +133,7 @@ def timeline_for(tree, schedules=(), horizon: Optional[Fraction] = None,
     release spacing ``T^w/Ψ``, the horizon and any *extra* values (e.g.
     planned fault times).  Non-root consumption periods are deliberately
     left out: clock-free nodes never convert them to ticks, and folding
-    10k of them into the lcm can blow the scale past int64 for no benefit
+    10k of them into the lcm grows every tick into a huge int for no benefit
     (a reconfiguration that promotes another node's grid triggers one
     adaptive rescale instead).  Values that appear only mid-run (injected
     latencies, degradation factors) also rescale adaptively.

@@ -144,27 +144,24 @@ def adapt(
     ``allocation=``) and the actual one is handed to
     :func:`~repro.protocol.runner.run_protocol` as its verification
     reference — the seed version solved each platform twice.  *solver*
-    (see :func:`~repro.core.incremental.resolve_solver`) additionally
-    makes the actual-platform solve incremental over the believed one by
-    default; ``"full"`` keeps the two independent ``bw_first`` runs.
+    (``None`` or a caller's
+    :class:`~repro.core.incremental.IncrementalSolver`, see
+    :func:`~repro.core.incremental.resolve_solver`) makes the
+    actual-platform solve incremental over the believed one; a drifted
+    topology falls back to a full ``bw_first`` of *actual*.
     """
     inc = resolve_solver(solver, believed)
-    old_result = bw_first(believed) if inc is None else inc.solve()
+    old_result = inc.solve()
     old_allocation = from_bw_first(old_result)
-    old_periods = old_schedules = None
-    if inc is not None:
-        # reconstruct through the fragment cache *before* apply_platform
-        # invalidates the solver's snapshot
-        old_periods, old_schedules = inc.schedule_builder().build(old_allocation)
-    if inc is None:
+    # reconstruct through the fragment cache *before* apply_platform
+    # invalidates the solver's snapshot
+    old_periods, old_schedules = inc.schedule_builder().build(old_allocation)
+    try:
+        inc.apply_platform(actual)
+    except PlatformError:  # drifted topology: fall back to a full solve
         new_result = bw_first(actual)
     else:
-        try:
-            inc.apply_platform(actual)
-        except PlatformError:  # drifted topology: fall back to a full solve
-            new_result = bw_first(actual)
-        else:
-            new_result = inc.solve()
+        new_result = inc.solve()
     degraded = degraded_rate(believed, actual, periods_to_run=periods_to_run,
                              allocation=old_allocation,
                              periods=old_periods, schedules=old_schedules)

@@ -33,13 +33,11 @@ from typing import List, Optional, Tuple
 
 from ..analysis.throughput import measured_rate
 from ..core.allocation import from_bw_first
-from ..core.bwfirst import bw_first
 from ..core.incremental import resolve_solver
 from ..exceptions import SimulationError
 from ..platform.tree import Tree
 from ..protocol.runner import run_protocol
-from ..schedule.eventdriven import build_schedules
-from ..schedule.periods import global_period, tree_periods
+from ..schedule.periods import global_period
 from ..sim.simulator import Simulation
 from ..telemetry.core import Registry
 
@@ -101,38 +99,31 @@ def online_renegotiation(
     period) is the timeline resolution.  Pass ``telemetry=`` to mirror the
     run's ``online.*`` counters into an external registry.
 
-    *solver* picks the centralised solver (see
-    :func:`~repro.core.incremental.resolve_solver`): the default
-    ``"incremental"`` solves the believed platform once, applies the drift
-    as in-place ``w``/``c`` edits and re-solves only the dirty paths from
-    cache, also handing the re-negotiation its verification reference;
-    ``"full"`` restores the two from-scratch ``bw_first`` runs.
+    *solver* is ``None`` (a fresh solver) or a caller's
+    :class:`~repro.core.incremental.IncrementalSolver` (see
+    :func:`~repro.core.incremental.resolve_solver`): it solves the believed
+    platform once, applies the drift as in-place ``w``/``c`` edits and
+    re-solves only the dirty paths from cache, also handing the
+    re-negotiation its verification reference.  *actual* must have
+    *believed*'s topology — every node under the same parent — else
+    :class:`~repro.exceptions.SimulationError`.
     """
-    if set(believed.nodes()) != set(actual.nodes()):
+    if set(believed.nodes()) != set(actual.nodes()) or any(
+            actual.parent(node) != believed.parent(node)
+            for node in actual.nodes()):
         raise SimulationError("believed and actual platforms must share topology")
 
     inc = resolve_solver(solver, believed, telemetry=telemetry)
-    old_result = bw_first(believed) if inc is None else inc.solve()
-    old_allocation = from_bw_first(old_result)
-    if inc is None:
-        old_periods = tree_periods(old_allocation)
-        old_schedules = build_schedules(old_allocation, periods=old_periods)
-    else:
-        # fragment-caching reconstruction: the post-drift rebuild below
-        # then recomputes only the drifted nodes' root paths
-        old_periods, old_schedules = inc.schedule_builder().build(old_allocation)
+    old_allocation = from_bw_first(inc.solve())
+    # fragment-caching reconstruction: the post-drift rebuild below then
+    # recomputes only the drifted nodes' root paths
+    old_periods, old_schedules = inc.schedule_builder().build(old_allocation)
     old_t = global_period(old_periods, telemetry=telemetry, tree=believed)
 
-    if inc is None:
-        new_result = bw_first(actual)
-        new_allocation = from_bw_first(new_result)
-        new_periods = tree_periods(new_allocation)
-        new_schedules = build_schedules(new_allocation, periods=new_periods)
-    else:
-        inc.apply_platform(actual)  # dirty-path re-fingerprint, cache kept
-        new_result = inc.solve()
-        new_allocation = from_bw_first(new_result)
-        new_periods, new_schedules = inc.schedule_builder().build(new_allocation)
+    inc.apply_platform(actual)  # dirty-path re-fingerprint, cache kept
+    new_result = inc.solve()
+    new_allocation = from_bw_first(new_result)
+    new_periods, new_schedules = inc.schedule_builder().build(new_allocation)
     new_t = global_period(new_periods, telemetry=telemetry, tree=actual)
 
     t_drift = Fraction(old_t * drift_periods)

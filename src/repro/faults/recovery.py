@@ -51,15 +51,13 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..analysis.throughput import measured_rate
 from ..core.allocation import from_bw_first
-from ..core.bwfirst import bw_first
 from ..core.incremental import resolve_solver
 from ..core.rates import ZERO, as_fraction
 from ..exceptions import FaultError
 from ..platform.tree import Tree
 from ..protocol.retry import RetryPolicy
 from ..protocol.runner import run_protocol
-from ..schedule.eventdriven import build_schedules
-from ..schedule.periods import global_period, tree_periods
+from ..schedule.periods import global_period
 from ..sim.simulator import kernel_class
 from ..telemetry.core import Registry
 from .detect import HeartbeatMonitor, detection_time
@@ -257,16 +255,14 @@ def resilient_run(
     recorded into *telemetry* (their wall-clock timestamps would not lie
     on the virtual timeline); its tallies still are.
 
-    *solver* picks the centralised reference solver (see
-    :func:`~repro.core.incremental.resolve_solver`): the default
-    ``"incremental"`` solves the full tree once, then mutates in place —
-    pruning crashed subtrees, re-rooting on failover, grafting rejoined
-    subtrees back — and re-solves only the dirty path from cache, so a
-    rejoin *revives* the subtree's pre-crash fingerprints instead of
-    recomputing them.  ``"full"`` restores from-scratch solves; an
-    :class:`~repro.core.incremental.IncrementalSolver` instance (seeded
-    with *tree*) carries its cache across calls.  Either way the rates are
-    exactly equal — the solvers are interchangeable by construction.
+    *solver* is the centralised reference solver (see
+    :func:`~repro.core.incremental.resolve_solver`): ``None`` builds a
+    fresh :class:`~repro.core.incremental.IncrementalSolver`, which solves
+    the full tree once, then mutates in place — pruning crashed subtrees,
+    re-rooting on failover, grafting rejoined subtrees back — and re-solves
+    only the dirty path from cache, so a rejoin *revives* the subtree's
+    pre-crash fingerprints instead of recomputing them; an instance (seeded
+    with *tree*) carries its cache across calls.
     """
     plan.validate(tree)
     simulation_class = kernel_class(kernel)
@@ -302,7 +298,7 @@ def resilient_run(
     # initial negotiation (latency-modelled, lossy/hostile control plane)
     # ------------------------------------------------------------------
     inc = resolve_solver(solver, tree, telemetry=telemetry)
-    old_result = bw_first(tree) if inc is None else inc.solve()
+    old_result = inc.solve()
 
     initial_net = FaultyNetwork(
         tree, plan, latency_factor=latency_factor,
@@ -318,13 +314,9 @@ def resilient_run(
     )
 
     old_allocation = from_bw_first(old_result)
-    if inc is None:
-        old_periods = tree_periods(old_allocation)
-        old_schedules = build_schedules(old_allocation, periods=old_periods)
-    else:
-        # fragment-caching reconstruction: each epoch's rebuild below then
-        # recomputes only the paths the mutation dirtied
-        old_periods, old_schedules = inc.schedule_builder().build(old_allocation)
+    # fragment-caching reconstruction: each epoch's rebuild below then
+    # recomputes only the paths the mutation dirtied
+    old_periods, old_schedules = inc.schedule_builder().build(old_allocation)
     old_t = global_period(old_periods, telemetry=telemetry, tree=tree)
 
     # ------------------------------------------------------------------
@@ -411,11 +403,8 @@ def resilient_run(
             parent, cost = live.parent(node), live.c(node)
             stash[node] = (parent, cost, snapshot)
             cut_at[node] = start
-            if inc is None:
-                live.remove_subtree(node)
-            else:
-                inc.prune(node)
-                live.remove_subtree(node)
+            inc.prune(node)
+            live.remove_subtree(node)
             return True
         if node in stash:
             return False  # already out (e.g. quarantined before crashing)
@@ -485,11 +474,8 @@ def resilient_run(
                     book_away(node, snapshot,
                               start if parent in live else None)
                     if parent in live:
-                        if inc is None:
-                            live.add_subtree(parent, cost, snapshot)
-                        else:
-                            inc.graft(parent, cost, snapshot.copy())
-                            live.add_subtree(parent, cost, snapshot)
+                        inc.graft(parent, cost, snapshot.copy())
+                        live.add_subtree(parent, cost, snapshot)
                         rejoined.append(node)
                         changed = True
                         epoch_nodes = (node,)
@@ -507,11 +493,8 @@ def resilient_run(
                         "platform is gone"
                     )
                 new_root_name = candidates[0]
-                if inc is None:
-                    live.failover_root(new_root_name)
-                else:
-                    inc.failover(new_root_name)
-                    live.failover_root(new_root_name)
+                inc.failover(new_root_name)
+                live.failover_root(new_root_name)
                 failover_done = True
                 changed = True
                 epoch_nodes = (new_root_name,)
@@ -520,7 +503,7 @@ def resilient_run(
                 continue
 
             # --- re-solve the mutated platform -----------------------------
-            new_result = inc.solve() if inc is not None else bw_first(live.copy())
+            new_result = inc.solve()
             snapshot = live.copy()
 
             # --- spans: narrate the epoch ----------------------------------
@@ -628,14 +611,9 @@ def resilient_run(
                 switch = ready
 
             new_allocation = from_bw_first(new_result)
-            if inc is None:
-                new_periods = tree_periods(new_allocation)
-                new_schedules = build_schedules(new_allocation,
-                                                periods=new_periods)
-            else:
-                new_periods, new_schedules = inc.schedule_builder().build(
-                    new_allocation
-                )
+            new_periods, new_schedules = inc.schedule_builder().build(
+                new_allocation
+            )
             new_t = global_period(new_periods, telemetry=telemetry, tree=snapshot)
 
             if spans_on:

@@ -50,18 +50,25 @@ def tree_from_dict(data: Dict) -> Tree:
     nodes = data.get("nodes")
     if not nodes:
         raise PlatformError("repro-tree document has no nodes")
-    first = nodes[0]
-    if "parent" in first:
-        raise PlatformError("first node of a repro-tree document must be the root")
-    tree = Tree(first["name"], _parse_weight(first["w"]))
-    for entry in nodes[1:]:
+    tree = None
+    for entry in nodes:
+        if not isinstance(entry, dict):
+            raise PlatformError(f"node entry {entry!r} is not an object")
+        for key in ("name", "parent"):
+            try:
+                hash(entry.get(key))
+            except TypeError:
+                raise PlatformError(
+                    f"node entry {entry!r}: {key} is not hashable") from None
         try:
-            tree.add_node(
-                entry["name"],
-                _parse_weight(entry["w"]),
-                parent=entry["parent"],
-                c=entry["c"],
-            )
+            if tree is None:
+                if "parent" in entry:
+                    raise PlatformError(
+                        "first node of a repro-tree document must be the root")
+                tree = Tree(entry["name"], _parse_weight(entry["w"]))
+            else:
+                tree.add_node(entry["name"], _parse_weight(entry["w"]),
+                              parent=entry["parent"], c=entry["c"])
         except KeyError as exc:
             raise PlatformError(f"node entry {entry!r} is missing field {exc}") from None
     return tree

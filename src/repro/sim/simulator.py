@@ -46,9 +46,8 @@ everything runs — and is benchmarked — on:
 * **per-node state lives in flat parallel arrays** indexed by a dense
   node id (:func:`~repro.core.timeline.dense_index`), from the constructor
   on: ``bytearray`` flags (dead/computing/sending/receiving/overlap),
-  plain-int lists (compute queue depth, arrival/buffer counters), send
-  queues of dense child ids and :class:`DurationTable` tick tables for
-  compute/transfer durations;
+  plain-int lists (compute queue depth, arrival/buffer counters,
+  compute/transfer durations in ticks) and send queues of dense child ids;
 * **the event loop is the bucketed** :class:`~repro.sim.engine.ArrayEngine`
   — same-tick events drain in one batch, and the hot events are scheduled
   as ``(handler, small_arg)`` pairs: no Timer, no closure, no per-event
@@ -58,10 +57,10 @@ everything runs — and is benchmarked — on:
   list indexes instead of a dict walk through schedule objects (a custom
   :class:`Controller` transparently takes the generic per-event path).
 
-Duration tables are int64-packed for bulk rescales — numpy when
-importable (the ``repro[fast]`` extra), ``array('q')`` otherwise or under
-``REPRO_NO_NUMPY=1`` — and fall back to exact Python ints on overflow:
-see :class:`DurationTable` and :attr:`Simulation.backend`.
+Lemma 1's periods are lcms of rational rates, so the tick scale has no
+bound: the duration tables are plain lists of exact Python ints, loaded
+and rescaled by slice assignment so the compiled handlers keep their
+identity.
 
 :class:`~repro.sim.reference.ReferenceSimulation` is the independent
 ``Fraction``-per-event oracle.  The two are **bit-identical** — same
@@ -74,13 +73,10 @@ reconfiguration and mid-run rescales — property-tested across 25 seeds in
 
 from __future__ import annotations
 
-import os
-import warnings
-from array import array
 from collections import deque
 from fractions import Fraction
 from heapq import heappush
-from typing import Callable, Dict, Hashable, List, Mapping, Optional
+from typing import Callable, Hashable, List, Mapping, Optional
 
 from ..core.allocation import Allocation
 from ..core.rates import ZERO, is_infinite
@@ -100,97 +96,6 @@ from .base import (
 from .engine import ArrayEngine
 from .reference import ReferenceSimulation
 from .tracing import COMPUTE, CTRL, RECV, SEND
-
-
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
-_I64_MAX = 2**63 - 1
-
-
-def _numpy():
-    """The numpy module, or ``None`` when absent or disabled via the
-    ``REPRO_NO_NUMPY`` environment variable (checked per call so tests and
-    the no-numpy CI leg can flip it without reimporting)."""
-    if _np is None or os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    return _np
-
-
-class DurationTable:
-    """Per-node integer tick durations: int64 bulk storage + exact reads.
-
-    ``values`` is *always* a plain Python list of exact ints — the hot
-    path indexes it directly, so no ``np.int64`` (whose arithmetic can
-    silently wrap) ever reaches tick math.  The packed store (numpy int64
-    array or ``array('q')``) is the bulk layer: :meth:`rescale` multiplies
-    it in one vectorised operation and regenerates ``values`` via
-    ``tolist()``.  When a value would exceed int64 — a huge denominator
-    joining the timeline mid-run — the table drops to ``mode="object"``
-    (plain-int bulk loop) and reports the fallback once through
-    *on_fallback*; exactness is never at stake, only the bulk speed.
-
-    ``values`` keeps its identity for the table's lifetime (every update
-    is a slice assignment): the compiled hot handlers close over it.
-    """
-
-    __slots__ = ("values", "mode", "_store", "_on_fallback")
-
-    def __init__(self, size: int, on_fallback: Optional[Callable] = None):
-        self.values: List[int] = [0] * size
-        self._on_fallback = on_fallback
-        self._store = None
-        self.mode = "object"  # until the first load() packs it
-
-    def load(self, values) -> None:
-        """Replace every duration (construction, failover, platform swap)."""
-        self.values[:] = [int(v) for v in values]
-        np = _numpy()
-        try:
-            if np is not None:
-                self._store = np.array(self.values, dtype=np.int64)
-                self.mode = "numpy"
-            else:
-                self._store = array("q", self.values)
-                self.mode = "array"
-        except (OverflowError, ValueError):
-            # values too large to pack
-            self._to_object()
-
-    def _to_object(self) -> None:
-        self._store = None
-        self.mode = "object"
-        hook = self._on_fallback
-        if hook is not None:
-            self._on_fallback = None  # report each table's fallback once
-            hook()
-
-    def rescale(self, factor: int) -> None:
-        """Multiply every duration by a positive int *factor* (a timeline
-        scale growth), falling back to object mode on int64 overflow."""
-        mode = self.mode
-        if mode == "numpy":
-            store = self._store
-            if len(store) == 0:
-                return
-            if int(store.max()) * factor > _I64_MAX:
-                self._to_object()
-            else:
-                store *= factor
-                self.values[:] = store.tolist()
-                return
-        elif mode == "array":
-            try:
-                self._store = array("q", (v * factor for v in self.values))
-            except OverflowError:
-                self._to_object()
-            else:
-                self.values[:] = self._store.tolist()
-                return
-        # object mode (possibly just entered): exact, unbounded
-        self.values[:] = [v * factor for v in self.values]
 
 
 class Simulation(SimulationBase):
@@ -259,9 +164,9 @@ class Simulation(SimulationBase):
         self._buffered = [0] * n  # tasks currently held at the node
         self._send_queue = [deque() for _ in range(n)]
         self._w_frac: List = [None] * n
-        self._int64_fallbacks = 0
-        self._w_ticks = DurationTable(n, self._note_int64_fallback)
-        self._cost_ticks = DurationTable(n, self._note_int64_fallback)
+        # exact ticks, updated in place: the compiled handlers close over them
+        self._w_ticks: List[int] = [0] * n
+        self._cost_ticks: List[int] = [0] * n
         self._routes: List[Optional[list]] = [None] * n
         # one-element / two-element cells: the compiled handlers (see
         # _bind_hot) close over these lists, so a value that moves mid-run
@@ -319,8 +224,8 @@ class Simulation(SimulationBase):
             w_ticks[i] = t
         for i, t in zip(edges, ticks[len(finite):]):
             cost_ticks[i] = t
-        self._w_ticks.load(w_ticks)
-        self._cost_ticks.load(cost_ticks)
+        self._w_ticks[:] = w_ticks
+        self._cost_ticks[:] = cost_ticks
         self._root_idx = index[tree.root]
         self._rebuild_routes()
 
@@ -330,8 +235,8 @@ class Simulation(SimulationBase):
         (The engine rescaled its clock and queue already — it registered
         first.)  Multiplication by a positive int preserves all orderings,
         so state machines in flight are unaffected."""
-        self._w_ticks.rescale(factor)
-        self._cost_ticks.rescale(factor)
+        self._w_ticks[:] = [v * factor for v in self._w_ticks]
+        self._cost_ticks[:] = [v * factor for v in self._cost_ticks]
         if self._horizon_units is not None:
             self._horizon_units *= factor
         if self._grid_cache is not None:
@@ -345,33 +250,6 @@ class Simulation(SimulationBase):
             self.telemetry.counter("timeline.rescales").inc()
             self.telemetry.gauge("timeline.scale_bits").set(
                 self._timeline.scale.bit_length())
-
-    # ------------------------------------------------------------------
-    # int64 overflow fallback reporting
-    # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """Bulk storage of the duration tables: ``"numpy"``, ``"array"``
-        (``array('q')``: numpy absent or ``REPRO_NO_NUMPY`` set) or
-        ``"object"`` while a tick magnitude exceeds int64."""
-        modes = (self._w_ticks.mode, self._cost_ticks.mode)
-        return "object" if "object" in modes else modes[0]
-
-    @property
-    def int64_fallbacks(self) -> int:
-        """How many duration tables fell back to arbitrary-precision ints."""
-        return self._int64_fallbacks
-
-    def _note_int64_fallback(self) -> None:
-        self._int64_fallbacks += 1
-        if self._int64_fallbacks == 1:
-            warnings.warn(
-                "kernel='array': tick magnitudes exceeded int64; duration "
-                "tables fell back to exact arbitrary-precision ints "
-                "(results stay exact, bulk rescales lose vectorisation)",
-                RuntimeWarning, stacklevel=3)
-        if self.telemetry is not None:
-            self.telemetry.counter("sim.int64_fallbacks").inc()
 
     # ------------------------------------------------------------------
     # precompiled routing
@@ -537,7 +415,7 @@ class Simulation(SimulationBase):
         attributes, and these handlers run once per task movement — the
         whole point of the array layout.  Everything captured here is
         identity-stable for the simulation's lifetime: the state arrays
-        and duration ``values`` lists are only ever updated in place, the
+        and duration lists are only ever updated in place, the
         engine swaps its bucket dict/heap in place on compaction and
         rescale, and the route table and flag/segment cells are list
         objects whose contents (not identity) change on reconfiguration.
@@ -562,8 +440,8 @@ class Simulation(SimulationBase):
         arrivals = self._arrivals
         buffered = self._buffered
         send_queue = self._send_queue
-        w_vals = self._w_ticks.values
-        cost_vals = self._cost_ticks.values
+        w_vals = self._w_ticks
+        cost_vals = self._cost_ticks
         w_frac = self._w_frac
         routes = self._routes
         flags = self._route_flags

@@ -17,7 +17,7 @@ from repro.core.incremental import IncrementalSolver, resolve_solver
 from repro.exceptions import PlatformError, ProtocolError, ScheduleError
 from repro.extensions.dynamic import adapt, perturb
 from repro.extensions.online import online_renegotiation
-from repro.faults import FaultPlan, NodeCrash, resilient_run
+from repro.faults import FaultPlan, NodeCrash, NodeRejoin, resilient_run
 from repro.platform.examples import paper_figure4_tree
 from repro.platform.generators import random_tree
 from repro.platform.tree import Tree
@@ -273,10 +273,12 @@ class TestMutators:
 
 class TestResolveSolver:
     def test_defaults_and_strings(self):
+        """None builds a fresh solver; the retired strings are rejected."""
         tree = paper_figure4_tree()
         assert isinstance(resolve_solver(None, tree), IncrementalSolver)
-        assert isinstance(resolve_solver("incremental", tree), IncrementalSolver)
-        assert resolve_solver("full", tree) is None
+        for name in ("full", "incremental"):
+            with pytest.raises(ScheduleError, match=repr(name)):
+                resolve_solver(name, tree)
 
     def test_instance_passthrough_and_mismatch(self):
         tree = paper_figure4_tree()
@@ -291,8 +293,8 @@ class TestResolveSolver:
 
 
 class TestWiringParity:
-    """solver="incremental" (the default) must be observationally identical
-    to solver="full" in every re-negotiation entry point."""
+    """Every re-negotiation entry point solves incrementally; each answer
+    must equal a from-scratch ``bw_first`` of the platform it describes."""
 
     def small_tree(self):
         t = Tree("root", w=2)
@@ -302,17 +304,33 @@ class TestWiringParity:
         t.add_node("b1", 3, parent="b", c=1)
         return t
 
+    @pytest.mark.parametrize("entry", ["resilient_run", "online", "adapt"])
+    def test_retired_full_solver_rejected(self, entry):
+        tree = self.small_tree()
+        call = {
+            "resilient_run": lambda: resilient_run(
+                tree, FaultPlan(crashes=(NodeCrash("a", F(5)),)),
+                solver="full"),
+            "online": lambda: online_renegotiation(tree, tree, solver="full"),
+            "adapt": lambda: adapt(tree, tree, solver="full"),
+        }[entry]
+        with pytest.raises(ScheduleError, match="'full'"):
+            call()
+
     def test_resilient_run_parity(self):
         tree = self.small_tree()
-        plan = FaultPlan(crashes=(NodeCrash("a", F(5)),), seed=1)
-        fast = resilient_run(tree, plan)  # default: incremental
-        full = resilient_run(tree, plan, solver="full")
-        assert fast.old_optimum == full.old_optimum
-        assert fast.new_optimum == full.new_optimum
-        assert fast.rate_after == full.rate_after
-        assert fast.t_switched == full.t_switched
-        assert fast.timeline == full.timeline
-        assert fast.survivors == full.survivors
+        plan = FaultPlan(crashes=(NodeCrash("a", F(5)), NodeCrash("b1", F(9))),
+                         rejoins=(NodeRejoin("a", F(30)),), seed=1)
+        report = resilient_run(tree, plan)
+        assert report.old_optimum == bw_first(tree).throughput
+        platforms = [tree.without_subtrees({"a"}),
+                     tree.without_subtrees({"a", "b1"}),
+                     tree.without_subtrees({"b1"})]
+        assert [e.kind for e in report.epochs] == ["prune", "prune", "rejoin"]
+        for epoch, platform in zip(report.epochs, platforms):
+            assert epoch.optimum == bw_first(platform).throughput
+        assert set(report.survivors.nodes()) == set(platforms[-1].nodes())
+        assert report.rate_after == report.new_optimum == report.epochs[-1].optimum
 
     def test_resilient_run_accepts_caller_managed_solver(self):
         tree = self.small_tree()
@@ -327,21 +345,33 @@ class TestWiringParity:
         believed = paper_figure4_tree()
         actual = perturb(believed, edge_factors={"P1": 3},
                          node_factors={"P8": 2})
-        fast = online_renegotiation(believed, actual)
-        full = online_renegotiation(believed, actual, solver="full")
-        assert fast.old_optimum == full.old_optimum
-        assert fast.new_optimum == full.new_optimum
-        assert fast.rate_recovered == full.rate_recovered
-        assert fast.timeline == full.timeline
+        report = online_renegotiation(believed, actual)
+        assert report.old_optimum == bw_first(believed).throughput
+        assert report.new_optimum == bw_first(actual).throughput
+        assert report.rate_recovered == report.new_optimum
 
-    def test_adapt_parity_and_single_solve(self):
+    def test_adapt_parity_and_single_solve(self, monkeypatch):
+        from repro.extensions import dynamic
+
+        calls = []
+        monkeypatch.setattr(dynamic, "bw_first",
+                            lambda tree: calls.append(tree) or bw_first(tree))
         believed = paper_figure4_tree()
         actual = perturb(believed, edge_factors={"P2": 2})
-        fast = adapt(believed, actual)
-        full = adapt(believed, actual, solver="full")
-        assert fast.old_throughput == full.old_throughput
-        assert fast.new_throughput == full.new_throughput
-        assert fast.degraded_throughput == full.degraded_throughput
+        report = adapt(believed, actual)
+        assert calls == []  # both platforms solved by the one solver
+        assert report.old_throughput == bw_first(believed).throughput
+        assert report.new_throughput == bw_first(actual).throughput
+        assert report.renegotiation.throughput == report.new_throughput
+        assert report.degraded_throughput == dynamic.degraded_rate(
+            believed, actual)
+        calls.clear()
+        # a drifted topology: the incremental solver refuses, one full solve
+        grown = actual.copy()
+        grown.add_node("P12", 2, parent="P3", c=1)
+        report = adapt(believed, grown)
+        assert calls == [grown]
+        assert report.new_throughput == bw_first(grown).throughput
 
 
 class TestRunProtocolReference:

@@ -64,6 +64,17 @@ class TestOnlineScenario:
         with pytest.raises(SimulationError):
             online_renegotiation(believed, other)
 
+    def test_same_nodes_under_another_parent_rejected(self):
+        """The node sets match, the parents do not: P5 moved under P2."""
+        believed = paper_figure4_tree()
+        moved = believed.copy()
+        moved.remove_subtree("P5")
+        moved.add_node("P5", believed.w("P5"), parent="P2",
+                       c=believed.c("P5"))
+        assert set(moved.nodes()) == set(believed.nodes())
+        with pytest.raises(SimulationError, match="share topology"):
+            online_renegotiation(believed, moved)
+
 
 class TestControlPlaneTraffic:
     def test_control_segments_recorded(self, scenario):

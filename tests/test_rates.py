@@ -1,6 +1,7 @@
 """Unit tests for repro.core.rates (exact rational helpers)."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,23 @@ class TestAsFraction:
     def test_bad_type(self):
         with pytest.raises(PlatformError):
             as_fraction([1, 2])
+
+    @pytest.mark.parametrize("text", ["1e100000000", "1E-100000000",
+                                      " 2.5e+1001 ", "1e1_000_000",
+                                      "1e" + "9" * 5000])
+    def test_huge_exponent_fails_fast_naming_the_value(self, text):
+        start = time.perf_counter()
+        with pytest.raises(PlatformError, match="exponent") as info:
+            as_fraction(text)
+        assert time.perf_counter() - start < 0.05
+        assert text[:11] in str(info.value)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e3", Fraction(1000)), ("2.5E-3", Fraction(1, 400)),
+        ("1e1000", Fraction(10) ** 1000), ("1e-0_1000", Fraction(1, 10**1000)),
+    ])
+    def test_exponent_within_bound_parses(self, text, value):
+        assert as_fraction(text) == value
 
 
 class TestWeightsAndCosts:

@@ -58,6 +58,21 @@ class TestDictRoundTrip:
                 "nodes": [{"name": "r", "w": "1"}, {"name": "a", "w": "1"}],
             })
 
+    @pytest.mark.parametrize("nodes", [
+        [{"name": "r", "w": "1"}, "x"],
+        ["x"],
+        [{"name": ["a"], "w": "1"}],
+        [{"name": "r", "w": "1"},
+         {"name": ["a"], "w": "1", "parent": "r", "c": "1"}],
+        [{"name": "r", "w": "1"},
+         {"name": "a", "w": "1", "parent": {"r": 1}, "c": "1"}],
+        [{"w": "1"}],
+    ])
+    def test_rejects_malformed_entries(self, nodes):
+        with pytest.raises(PlatformError):
+            tree_from_dict({"format": "repro-tree", "version": 1,
+                            "nodes": nodes})
+
 
 class TestFiles:
     def test_save_load(self, tmp_path, paper_tree):

@@ -319,35 +319,67 @@ class TestRetiredSchedules:
 
 
 # ----------------------------------------------------------------------
-# array-kernel specifics: backend fallbacks, counts-only mode, overflow
+# array-kernel specifics: exact int durations, counts-only mode
 # ----------------------------------------------------------------------
+#: both kernels on one tree in a fresh interpreter that cannot import numpy
+NO_NUMPY_RUN = """
+import json, sys
+sys.modules["numpy"] = None  # every `import numpy` now raises ImportError
+from fractions import Fraction
+from repro.platform.serialization import tree_from_dict
+from repro.sim.simulator import simulate
+tree, horizon = tree_from_dict(json.loads(sys.argv[1])), Fraction(sys.argv[2])
+a, f = (simulate(tree, horizon=horizon, kernel=k).trace
+        for k in ("array", "fraction"))
+print(all(getattr(a, name) == getattr(f, name) for name in (
+    "segments", "completions", "arrivals", "buffer_deltas", "releases",
+    "end_time")))
+"""
+
+
 class TestArrayKernel:
     @pytest.mark.parametrize("seed", SEEDS[:6])
-    def test_no_numpy_fallback_bit_identical(self, seed, monkeypatch):
-        """With numpy disabled the array kernel runs on array('q') duration
-        tables and must still match the Fraction reference exactly."""
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    def test_no_numpy_fallback_bit_identical(self, seed):
+        """The simulator needs no numpy and has no fallback: on a host
+        without it the array kernel still equals the Fraction reference."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.platform.serialization import tree_to_dict
+
         tree = random_tree(seed)
         _, periods, _ = solved(tree)
         horizon = Fraction(global_period(periods))
-        ra = simulate(tree, horizon=horizon, kernel="array")
-        rf = simulate(tree, horizon=horizon, kernel="fraction")
-        assert_traces_equal(ra.trace, rf.trace)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_RUN,
+             json.dumps(tree_to_dict(tree)), str(horizon)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "True"
 
-    def test_backend_selection(self, monkeypatch):
-        import importlib.util
-        import os
-
-        have_numpy = importlib.util.find_spec("numpy") is not None
+    def test_duration_tables_are_exact_int_lists(self):
+        """The tick tables are plain lists of Python ints: a rescale
+        multiplies them in place, so the compiled handlers keep reading
+        the current values."""
         tree = random_tree(0)
         _, periods, schedules = solved(tree)
         sim = Simulation(tree, schedules, periods, horizon=Fraction(5))
-        use_numpy = have_numpy and not os.environ.get("REPRO_NO_NUMPY")
-        assert sim.backend == ("numpy" if use_numpy else "array")
-        assert sim.int64_fallbacks == 0
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        sim = Simulation(tree, schedules, periods, horizon=Fraction(5))
-        assert sim.backend == "array"
+        w_ticks, cost_ticks = sim._w_ticks, sim._cost_ticks
+        sim._units(Fraction(1, 7919))  # a foreign denominator: rescale
+        assert sim._w_ticks is w_ticks and sim._cost_ticks is cost_ticks
+        scale = sim._timeline.scale
+        assert scale % 7919 == 0
+        for name in tree.nodes():
+            i = sim._index[name]
+            assert type(w_ticks[i]) is int and type(cost_ticks[i]) is int
+            if not is_infinite(tree.w(name)):
+                assert w_ticks[i] == tree.w(name) * scale
+            if tree.parent(name) is not None:
+                assert cost_ticks[i] == tree.c(name) * scale
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_counts_only_matches_full(self, seed):
@@ -385,31 +417,32 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("no_numpy", [False, True])
     def test_int64_overflow_falls_back_exactly(self, no_numpy, monkeypatch):
-        """A mid-run rescale past 2^63 drops the duration tables to exact
-        object ints: warn once, count the fallback, never a wrong answer."""
+        """A mid-run rescale past 2^64 ticks is plain int arithmetic, so
+        there is nothing to fall back to: no warning, no numpy needed
+        (``no_numpy`` blocks its import for the run), and the trace
+        equals the Fraction reference."""
+        import sys
+        import warnings
+
         if no_numpy:
-            monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+            monkeypatch.setitem(sys.modules, "numpy", None)
         tree = random_tree(3)
         _, periods, schedules = solved(tree)
         t = Fraction(global_period(periods))
-        huge = Fraction(1, (1 << 64) + 13)  # denominator beyond int64
+        huge = Fraction(1, (1 << 64) + 13)
         node = next(iter(schedules))
-        results = {}
+        sims, results = {}, {}
         for kernel in ("array", "fraction"):
-            registry = Registry()
-            sim = KERNELS[kernel](tree, dict(schedules), dict(periods),
-                                  horizon=2 * t, telemetry=registry)
+            sim = sims[kernel] = KERNELS[kernel](
+                tree, dict(schedules), dict(periods), horizon=2 * t,
+                telemetry=Registry())
             sim.engine.schedule_at(
                 t * Fraction(1, 3),
                 lambda s=sim: s.inject_control(node, huge))
-            if kernel == "array":
-                with pytest.warns(RuntimeWarning, match="int64"):
-                    results[kernel] = sim.run()
-                assert sim.int64_fallbacks >= 1
-                assert sim.backend == "object"
-                assert registry.value("sim.int64_fallbacks") >= 1
-            else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 results[kernel] = sim.run()
+        assert min(sims["array"]._w_ticks) > 1 << 64
         assert_traces_equal(results["array"].trace,
                             results["fraction"].trace)
 
@@ -556,8 +589,8 @@ class TestIntTimeline:
         """The initial scale covers every duration converted up front: node
         weights, edge costs, the *root* grid and the horizon.  Non-root
         consumption periods are deliberately excluded (clock-free nodes
-        never convert them; including 10k of them blows the scale past
-        int64) — they are covered adaptively if a reconfiguration ever
+        never convert them; including 10k of them blows up every tick
+        value) — they are covered adaptively if a reconfiguration ever
         promotes them."""
         tree = random_tree(5)
         _, periods, schedules = solved(tree)

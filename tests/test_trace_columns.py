@@ -7,8 +7,7 @@ stories of ``tests/test_timeline.py`` under every legal ``record_*``
 combination, the bisecting window query against the naive scan on every
 kind of bound, views read mid-run and across a rescale, the read-only
 contract of the views, the stand-alone ``add_*`` path the baselines use,
-and ``==`` / ``repr`` of whole traces.  ``make perf-smoke`` runs this file
-a second time under ``REPRO_NO_NUMPY=1``.
+and ``==`` / ``repr`` of whole traces.
 """
 
 from __future__ import annotations
