@@ -135,17 +135,19 @@ taskplane-smoke:
 
 # the multi-tenant federation gate: the federation suite (shared-subtree
 # bit-exactness through the cross-tenant memo, the fail-closed int wire
-# form, one ask + one publish per solve, shard crash retry, memo death,
-# bad-op containment, ring / wire / planner units) plus the E32 gates
+# form, one ask + one publish per solve, each shard's own store, shard
+# crash retry, bad-op containment, ring / wire / planner units), the
+# structural test that keeps the memo process deleted, plus the E32 gates
 # (federated churn strictly beats N isolated full solvers with
 # cross-tenant hits; memo round trips during the churn <= re-solves
 # served, a count; best-of-3 federated wall < isolated-incremental in the
 # same run, a ratio), then a small
 # `repro federate bench` run through the CLI.  `timeout` hard-bounds the
-# wall clock so a wedged shard worker or memo socket fails fast.
+# wall clock so a wedged shard worker fails fast.
 federation-smoke:
 	timeout 540 sh -c "\
 		PYTHONPATH=src pytest tests/test_federation.py \
+			tests/test_federation_structure.py \
 			benchmarks/bench_e32_federation.py -q && \
 		PYTHONPATH=src python -m repro federate bench --tenants 4 \
 			--nodes 80 --mutations 6 --batch 3 --json > /dev/null"

@@ -6,7 +6,7 @@ three modes over identical trees and identical mutation streams — see
 
 * **federated** — the sharded service: per-tenant mutations coalesced per
   batch window into one incremental re-solve, subtree solutions shared
-  across tenants through the content-addressed memo service;
+  across a shard's tenants through its content-addressed memo store;
 * **isolated-full** — the gate's baseline: one full ``bw_first`` per
   tenant per mutation, nothing shared, nothing batched;
 * **isolated-incremental** — the nearest baseline: per-tenant

@@ -37,8 +37,8 @@ Sub-commands:
   schedule fragments the incremental builder splices from cache on
   single-leaf prune churn (experiment E27);
 * ``federate serve|bench`` — the multi-tenant federation: tenant trees
-  sharded over worker processes, re-solve batching and the shared
-  cross-tenant memo service; ``bench`` runs the E32 federated-vs-isolated
+  sharded over worker processes, re-solve batching and a cross-tenant
+  memo store in each shard; ``bench`` runs the E32 federated-vs-isolated
   churn comparison, ``serve`` keeps a federation under synthetic churn
   (optionally with the live dashboard's federation panel);
 * ``example`` — the whole pipeline on the built-in reconstruction of the
@@ -1012,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bench: mutations coalesced per flush (default 4)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--no-memo", action="store_true",
-                   help="bench: disable the shared memo service")
+                   help="bench: no memo store in the shards")
     p.add_argument("--json", action="store_true",
                    help="bench: machine-readable record")
     p.add_argument("--batch-window", type=float, default=0.05,

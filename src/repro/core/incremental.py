@@ -289,10 +289,9 @@ class IncrementalSolver:
     ``REPRO_MEMO_CAP`` environment variable, then
     :data:`MAX_EXACT_PER_ENTRY`).
 
-    *shared* plugs in a cross-process memo backend — any object with
-    ``fetch(digests, tenant=...) -> {digest: entry}`` and
-    ``publish(updates, tenant=...)`` (the federation memo service's
-    :class:`~repro.federation.memo.SharedMemoClient` or
+    *shared* plugs in a memo store shared between solvers — any object
+    with ``fetch(digests, tenant=...) -> {digest: entry}`` and
+    ``publish(updates, tenant=...)`` (a federation shard's
     :class:`~repro.federation.memo.InlineMemoStore`).  The store is spoken
     to at most twice per :meth:`solve`: one ``fetch`` at the top, for the
     in-window fingerprints that appeared since the last solve and have no
@@ -425,7 +424,7 @@ class IncrementalSolver:
 
         Unlike the interned fingerprint (an id local to this solver), the
         digest is stable across processes and solver lifetimes — the key of
-        the federation memo service.  Computed lazily and memoized per
+        the federation memo store.  Computed lazily and memoized per
         fingerprint; iterative, so arbitrarily deep chains are fine.
         """
         return self._fp_digest(self._fp[node])

@@ -14,10 +14,10 @@ ROADMAP's "millions of users" shape.  Three mechanisms carry the load:
   re-fingerprint and one incremental solve, and each flush sends one
   framed request per shard regardless of how many tenants it touches;
 * **memo sharing** (:mod:`~repro.federation.memo`) — a content-addressed
-  ``(digest, β) → solution`` store shared by every shard, so a solve on
-  one tenant's subtree answers any other tenant's identical subtree for
-  free (PR 4's fingerprints make this exact: equal content ⇒ equal
-  BW-First solution).
+  ``(digest, β) → solution`` store in each shard worker, so a solve on
+  one tenant's subtree answers any other tenant's identical subtree on
+  the same shard for free (subtree fingerprints make this exact: equal
+  content ⇒ equal BW-First solution).
 
 Requests and replies reuse the runtime codec's length+CRC32 framing over
 ``multiprocessing`` pipes, crashes of a shard worker are detected,
@@ -29,14 +29,12 @@ surface; ``benchmarks/bench_e32_federation.py`` gates exactness,
 cross-tenant hits and throughput against the N-isolated-solvers baseline.
 """
 
-from .memo import InlineMemoStore, MemoService, SharedMemoClient
+from .memo import InlineMemoStore
 from .ring import HashRing
 from .service import FederationService, matches_reference
 
 __all__ = [
     "HashRing",
-    "MemoService",
-    "SharedMemoClient",
     "InlineMemoStore",
     "FederationService",
     "matches_reference",

@@ -3,8 +3,8 @@
 One scenario, three modes over identical tenant trees and identical
 seeded mutation streams:
 
-* **federated** — the sharded service with batching and the shared memo
-  store: every churn round queues ``batch`` leaf mutations per tenant and
+* **federated** — the sharded service with batching and a memo store in
+  each shard: every churn round queues ``batch`` leaf mutations per tenant and
   one explicit :meth:`~repro.federation.service.FederationService.flush`
   re-solves everything (explicit rounds, not wall-clock windows, so the
   request count is deterministic);
@@ -21,12 +21,12 @@ seeded mutation streams:
 
 Tenants come in **templated families** (``tenants`` ids over
 ``templates`` distinct trees), the multi-application shape the ROADMAP
-names: identical onboarding trees are exactly where the cross-tenant
+names: identical trees on one shard are exactly where the cross-tenant
 store pays, and the gate asserts ``cross_tenant_hits > 0``.  Mutations
 draw new leaf weights from the smooth-tree pool, so trees stay in the
-cheap-timeline regime throughout.  ``memo_round_trips`` counts the
-synchronous store fetches the shards made during the churn — at most one
-per re-solve, which the gate asserts too.
+cheap-timeline regime throughout.  ``memo_round_trips`` counts the store
+fetches the shards made during the churn — at most one per re-solve,
+which the gate asserts too.
 
 Exactness is verified *outside* the timed loops: after the churn, every
 tenant's served solution must equal ``bw_first`` on an independently
@@ -34,9 +34,8 @@ replayed tree bit for bit.
 
 Determinism for ``make bench-check``: the federated record's
 ``node_evals`` is the number of re-solve requests served (a pure function
-of the parameters), not solver evals — concurrent shards race on the
-shared store, so eval counts may differ run to run; the isolated modes
-count real node evaluations, which are sequential and exact.
+of the parameters); the isolated modes count real node evaluations,
+which are sequential and exact.
 """
 
 from __future__ import annotations

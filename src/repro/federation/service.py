@@ -17,9 +17,9 @@
   flush costs one round trip per shard regardless of tenant count.
   :meth:`serve` runs flushes on a wall-clock window for the live service;
   benches call :meth:`flush` explicitly for determinism;
-* the **memo service** — one shared cross-tenant solution store
-  (:class:`~repro.federation.memo.MemoService`, or its inline flavour for
-  single-process runs), handed to every shard.
+* the **memo stores** — each shard worker owns one cross-tenant solution
+  store (:class:`~repro.federation.memo.InlineMemoStore`) shared by its
+  tenants' solvers; :meth:`stats` sums their counters.
 
 Telemetry (optional): ``federation.resolves`` / ``federation.mutations``
 / ``federation.batches`` counters labelled per shard,
@@ -37,7 +37,6 @@ from ..exceptions import PlatformError, ProtocolError
 from ..platform.serialization import tree_from_dict, tree_to_dict
 from ..platform.tree import Tree
 from ..runtime.codec import parse_rational
-from .memo import InlineMemoStore, MemoService
 from .ring import HashRing
 from .shard import shard_main
 from .wire import recv_frame_timeout, send_frame
@@ -59,9 +58,9 @@ class _Tenant:
 class _Shard:
     """The service-side handle of one worker process."""
 
-    def __init__(self, shard_id: str, memo_address, memo_authkey):
+    def __init__(self, shard_id: str, memo: bool):
         self.shard_id = shard_id
-        self._memo = (memo_address, memo_authkey)
+        self.memo = memo
         self.process = None
         self.conn = None
         self.respawns = -1  # first spawn is not a respawn
@@ -72,7 +71,7 @@ class _Shard:
         parent, child = mp.Pipe()
         self.process = mp.Process(
             target=shard_main,
-            args=(child, self.shard_id, self._memo[0], self._memo[1]),
+            args=(child, self.shard_id, self.memo),
             daemon=True, name=f"repro-shard-{self.shard_id}",
         )
         self.process.start()
@@ -112,10 +111,9 @@ class _Shard:
 class FederationService:
     """Serve many tenant trees from sharded workers with a shared cache.
 
-    *memo* selects the cross-tenant store: ``"service"`` (its own process,
-    the default), ``"inline"`` (in-service store — shards being separate
-    processes cannot reach it, so this only shares within the service
-    process itself; meant for tests) or ``None`` (no sharing).
+    *memo* selects the cross-tenant store: ``"service"`` (the default)
+    gives every shard worker one store shared by its tenants, ``None``
+    gives it none.
     """
 
     def __init__(self, shards: int = 2, memo: Optional[str] = "service",
@@ -126,21 +124,13 @@ class FederationService:
         self._telemetry = telemetry
         self._batch_window = batch_window
         self._max_retries = max_retries
-        self._memo_service: Optional[MemoService] = None
-        self._memo_final: Optional[dict] = None
-        memo_address = memo_authkey = None
-        if memo == "service":
-            self._memo_service = MemoService()
-            memo_address = self._memo_service.address
-            memo_authkey = self._memo_service.authkey
-        elif memo == "inline":
-            self.inline_memo = InlineMemoStore()
-        elif memo is not None:
+        if memo not in ("service", None):
             raise PlatformError(f"unknown memo mode {memo!r}")
+        self._memo = memo is not None
         shard_ids = [f"s{i}" for i in range(shards)]
         self.ring = HashRing(shard_ids)
         self._shards: Dict[str, _Shard] = {
-            sid: _Shard(sid, memo_address, memo_authkey) for sid in shard_ids
+            sid: _Shard(sid, self._memo) for sid in shard_ids
         }
         self._tenants: Dict[str, _Tenant] = {}
         self._lock = threading.RLock()
@@ -381,7 +371,9 @@ class FederationService:
 
     def stats(self) -> dict:
         """Service + per-shard + memo statistics; refreshes the federation
-        gauges the dash panel reads."""
+        gauges the dash panel reads.  ``memo`` sums the live shards'
+        stores (a respawned shard's counters start from zero), or is
+        ``None`` without stores."""
         with self._lock:
             shards = {}
             for shard_id in sorted(self._shards):
@@ -392,10 +384,11 @@ class FederationService:
                 except (ProtocolError, PlatformError):
                     shards[shard_id] = {"shard": shard_id, "dead": True}
             memo = None
-            if self._memo_service is not None:
-                memo = self._memo_service.stats()  # None once it has died
-            elif getattr(self, "inline_memo", None) is not None:
-                memo = self.inline_memo.stats()
+            if self._memo:
+                memo = {}
+                for info in shards.values():
+                    for key, value in (info.get("memo") or {}).items():
+                        memo[key] = memo.get(key, 0) + value
             if memo:
                 self._gauge("federation.memo.hits", memo["hits"])
                 self._gauge("federation.memo.misses", memo["misses"])
@@ -432,8 +425,8 @@ class FederationService:
         self._serve_thread.start()
 
     def stop(self) -> dict:
-        """Stop serving, shut every worker down, stop the memo service.
-        Returns the final :meth:`stats` snapshot."""
+        """Stop serving and shut every worker down.  Returns the final
+        :meth:`stats` snapshot."""
         self._stop_event.set()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5)
@@ -442,10 +435,6 @@ class FederationService:
             final = self.stats()
             for shard in self._shards.values():
                 shard.stop()
-            if self._memo_service is not None:
-                self._memo_final = self._memo_service.stop()
-                final["memo"] = self._memo_final or final["memo"]
-                self._memo_service = None
             return final
 
     def __enter__(self) -> "FederationService":

@@ -24,12 +24,14 @@ service, one request at a time:
   hook (die mid-batch after applying ops, before acking — exactly the
   window the service's retry must cover), and orderly exit.
 
-Every solver on the shard shares one :class:`SharedMemoClient` (through
-:class:`_ShardMemo`), so a subtree solved for any tenant anywhere in the
-federation answers this shard's identical subtrees too.  What the solves
-of a ``batch`` publish is written to the memo socket as one frame *after*
-the reply is on the pipe; ``onboard`` publishes *before* it replies, so a
-family's next tenant, on whichever shard, finds the solutions there.
+Every solver on the shard shares the shard's one
+:class:`~repro.federation.memo.InlineMemoStore` (through
+:class:`_ShardMemo`), so a subtree solved for any of the shard's tenants
+answers its other tenants' identical subtrees too.  What a request's
+solves publish enters the store *after* the reply is on the pipe and
+before the next request is read: off the mutation's critical path, yet
+seen by every later request.  A respawned worker starts with an empty
+store.
 
 Requests are idempotent from the service's point of view because the
 service only advances its authoritative per-tenant state on *ack*: a
@@ -47,7 +49,7 @@ from ..core.incremental import IncrementalSolver
 from ..platform.serialization import tree_from_dict, tree_to_dict
 from ..protocol.planner import plan_proposal
 from ..runtime.codec import parse_rational
-from .memo import SharedMemoClient
+from .memo import InlineMemoStore
 from .wire import recv_frame, send_frame
 
 
@@ -70,29 +72,29 @@ def result_payload(result) -> dict:
 
 
 class _ShardMemo:
-    """The memo client as a shard's solvers see it: ``fetch`` and ``betas``
-    go straight through, ``publish`` only queues, and the shard decides
-    when :meth:`flush` serialises the queue and writes it as one frame.
+    """The shard's store as its solvers see it: ``fetch`` and ``betas`` go
+    straight through, ``publish`` only queues, and the shard decides when
+    :meth:`flush` merges the queue in — after the reply is on the pipe.
 
     A fetch does not flush.  Within one batch a shard's tenants therefore
     do not see each other's solutions *of that batch* through the store
     (from the next request on they do); flushing before every fetch would
-    put all but the last solve's serialisation back in front of the ack.
+    put all but the last solve's publish back in front of the ack.
     """
 
-    def __init__(self, client: SharedMemoClient):
-        self.client = client
-        self.fetch = client.fetch
-        self.betas = client.betas
+    def __init__(self):
+        self.store = InlineMemoStore()
+        self.fetch = self.store.fetch
+        self.betas = self.store.betas
         self._unsent: List[tuple] = []  # (tenant, updates) per solve
 
     def publish(self, updates, tenant=None) -> None:
         self._unsent.append((tenant, updates))
 
     def flush(self) -> None:
-        if self._unsent:
-            unsent, self._unsent = self._unsent, []
-            self.client.publish_groups(unsent)
+        unsent, self._unsent = self._unsent, []
+        for tenant, updates in unsent:
+            self.store.publish(updates, tenant=tenant)
 
 
 class _ShardState:
@@ -133,8 +135,6 @@ class _ShardState:
             summary.update(throughput=str(result.throughput),
                            t_max=str(result.t_max),
                            evals=solver.last_evals)
-            if self.shared is not None:
-                self.shared.flush()  # in the store before the reply leaves
         return summary
 
     def _apply_op(self, solver: IncrementalSolver, op) -> None:
@@ -188,8 +188,7 @@ class _ShardState:
         info = dict(self.stats)
         info["shard"] = self.shard_id
         info["tenants"] = len(self.solvers)
-        info["memo_errors"] = (0 if self.shared is None
-                               else self.shared.client.errors)
+        info["memo"] = None if self.shared is None else self.shared.store.stats()
         solver_stats: Dict[str, int] = {}
         for solver in self.solvers.values():
             for key, value in solver.stats.items():
@@ -198,12 +197,10 @@ class _ShardState:
         return info
 
 
-def shard_main(conn, shard_id: str, memo_address: Optional[str],
-               memo_authkey: Optional[bytes]) -> None:
+def shard_main(conn, shard_id: str, memo: bool) -> None:
     """The worker process entry point: serve framed requests until
-    ``shutdown`` or the pipe closes."""
-    shared = (_ShardMemo(SharedMemoClient(memo_address, memo_authkey))
-              if memo_address else None)
+    ``shutdown`` or the pipe closes.  *memo* gives the shard its store."""
+    shared = _ShardMemo() if memo else None
     state = _ShardState(shard_id, shared)
     while True:
         try:
@@ -247,5 +244,3 @@ def shard_main(conn, shard_id: str, memo_address: Optional[str],
             break
         if shared is not None:
             shared.flush()  # after the ack: off the mutation's critical path
-    if shared is not None:
-        shared.client.close()

@@ -43,6 +43,9 @@ def tree_to_dict(tree: Tree) -> Dict:
 
 def tree_from_dict(data: Dict) -> Tree:
     """Rebuild a :class:`Tree` from the output of :func:`tree_to_dict`."""
+    if not isinstance(data, dict):
+        raise PlatformError(
+            f"a repro-tree document is a JSON object, not {type(data).__name__}")
     if data.get("format") != "repro-tree":
         raise PlatformError("not a repro-tree document")
     if data.get("version") != FORMAT_VERSION:
@@ -82,7 +85,9 @@ def save_tree(tree: Tree, path: Union[str, Path]) -> None:
 def load_tree(path: Union[str, Path]) -> Tree:
     """Read a tree previously written by :func:`save_tree`."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise PlatformError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PlatformError(f"{path}: invalid JSON: {exc}") from exc
     return tree_from_dict(data)

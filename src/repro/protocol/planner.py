@@ -18,9 +18,9 @@ their admissibility), and the planner merely orders the choice —
    replay, zero node evaluations);
 2. a candidate at or above the root's **saturation threshold** with a
    saturated memo (same: full replay);
-3. a candidate the **shared memo service** has an answer for, when a
-   federation store is attached (a remote replay: one fetch instead of a
-   solve);
+3. a candidate the **shared memo store** has an answer for, when a
+   federation store is attached (a replay of another tenant's solve: one
+   fetch instead of a solve);
 4. otherwise the caller's *default*, or the smallest candidate (smallest
    keeps the nominal period — and hence buffer bounds — tightest).
 

@@ -433,9 +433,12 @@ class Negotiation:
                 f"this negotiation proposed {self.t_max}"
             )
         if reference.throughput != self.throughput:
+            timeouts = (f"; {self.timeouts} transaction(s) closed by timeout"
+                        if self.timeouts else "")
             raise ProtocolError(
                 f"distributed protocol negotiated {self.throughput}, "
                 f"centralised BW-First computes {reference.throughput}"
+                f"{timeouts}"
             )
         if not excluded:
             for node, outcome in reference.outcomes.items():

@@ -8,8 +8,8 @@ second tenant replaying the first tenant's published solutions
 the consistent-hash ring, the framed wire codec, the memo merge
 discipline, the fail-closed int wire form of a solution, the store
 protocol (one ask and one publish per solve), the cache-aware proposal
-planner, the memo-cap knobs, the clone fast path, request batching, crash
-recovery of a shard worker killed mid-batch, a memo process killed mid-run
+planner, the memo-cap knobs, the clone fast path, request batching, the
+store each shard owns, crash recovery of a shard worker killed mid-batch
 and one tenant's bad op contained to that tenant.
 """
 
@@ -17,7 +17,6 @@ import json
 import multiprocessing
 import random
 import threading
-import time
 from fractions import Fraction
 from itertools import count, islice
 
@@ -29,7 +28,7 @@ from repro.core.incremental import (IncrementalSolver, MEMO_CAP_ENV,
 from repro.exceptions import (CodecError, PlatformError, ProtocolError,
                               ScheduleError)
 from repro.federation import (FederationService, HashRing, InlineMemoStore,
-                              MemoService, matches_reference)
+                              matches_reference)
 from repro.federation import wire
 from repro.federation.memo import MemoState
 from repro.federation.wire import decode_blob
@@ -101,22 +100,6 @@ class TestSharedSubtreeProperty:
         assert solver_b.stats["hits_shared"] > 0
         assert registry.value("incr.hit.shared") > 0
         assert store.stats()["cross_tenant_hits"] > 0
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_replay_through_real_memo_service(self, seed):
-        tree_a, tree_b = _shared_pair(seed)
-        service = MemoService()
-        try:
-            solver_a = IncrementalSolver(tree_a, shared=service.client(),
-                                         tenant="a", shared_min_size=1)
-            assert_exact(solver_a, tree_a)
-            solver_b = IncrementalSolver(tree_b, shared=service.client(),
-                                         tenant="b", shared_min_size=1)
-            assert_exact(solver_b, tree_b)
-            assert solver_b.stats["hits_shared"] > 0
-            assert service.stats()["cross_tenant_hits"] > 0
-        finally:
-            service.stop()
 
     def test_size_window_gates_fetch_and_publish(self):
         tree_a, tree_b = _shared_pair(42)
@@ -588,13 +571,6 @@ def _names_on(shard, n, shards=("s0", "s1")):
                         if ring.shard_for(name) == shard), n))
 
 
-def _wait_for(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "timed out"
-        time.sleep(0.01)
-
-
 class TestFederationService:
     def _trees(self, n, nodes=40, templates=2, seed=9):
         base = [smooth_tree(nodes, seed=seed + k) for k in range(templates)]
@@ -602,7 +578,7 @@ class TestFederationService:
 
     def _spanning_trees(self, templates=2, nodes=40, seed=9):
         """One tenant per shard for each template: every template spans
-        both shards, so sharing has to cross the process boundary."""
+        both shards, and no shard holds two tenants of one template."""
         base = [smooth_tree(nodes, seed=seed + k) for k in range(templates)]
         trees = {}
         for shard in ("s0", "s1"):
@@ -612,7 +588,7 @@ class TestFederationService:
 
     def test_batch_coalesces_mutations_into_one_resolve(self):
         trees = self._trees(1)
-        with FederationService(shards=1, memo="inline") as service:
+        with FederationService(shards=1, memo="service") as service:
             service.onboard("t0", trees["t0"])
             before = service.stats()["service"]["resolves"]
             leaves = trees["t0"].leaves()
@@ -633,75 +609,61 @@ class TestFederationService:
             assert {service.ring.shard_for(t) for t in trees} == {"s0", "s1"}
             for tenant in sorted(trees):
                 service.onboard(tenant, trees[tenant])
-            # a template's second tenant sits on the other shard and finds
-            # the first's solutions in the store: onboard publishes before
-            # it replies, so this is deterministic
-            assert service.stats()["memo"]["cross_tenant_hits"] > 0
             rng = random.Random(11)
-            for _ in range(3):
+            for step in range(4):
                 for tenant in sorted(trees):
                     leaf = rng.choice(trees[tenant].leaves())
-                    w = rng.choice((2048, 3072, 4096))
-                    service.mutate(tenant, ["set_w", leaf, str(w)])
-                    trees[tenant].set_w(leaf, w)
-                service.flush()
+                    if step == 1:  # a structural op between weight changes
+                        service.mutate(tenant, ["prune", leaf])
+                        trees[tenant].remove_subtree(leaf)
+                    else:
+                        w = rng.choice((2048, 3072, 4096))
+                        service.mutate(tenant, ["set_w", leaf, str(w)])
+                        trees[tenant].set_w(leaf, w)
+                assert len(service.flush()) == len(trees)
             for tenant in sorted(trees):
                 assert matches_reference(service.result(tenant),
                                          bw_first(trees[tenant]))
+            stats = service.stats()
+            stores = [s["memo"] for s in stats["shards"].values()]
+            assert len(stores) == 2 and stores[0]["fetches"] > 0
+            assert stats["memo"] == {key: sum(store[key] for store in stores)
+                                     for key in stores[0]}
 
-    def test_same_mutation_on_the_other_shard_is_answered_by_the_store(self):
+    def test_same_mutation_on_the_same_shard_hits_the_store(self):
         tree = smooth_tree(40, seed=9)
-        first, second = _names_on("s0", 1) + _names_on("s1", 1)
+        first, second = _names_on("s0", 2)
         with FederationService(shards=2, memo="service") as service:
             service.onboard(first, tree)
             service.onboard(second, tree)
             leaf = tree.leaves()[0]
             w = 4096 if tree.w(leaf) != 4096 else 2048
-            published = service.stats()["memo"]["publishes"]
             service.mutate(first, ["set_w", leaf, str(w)])
             (served_first,) = service.flush()
-            # the shard writes its publishes after the ack: wait for them
-            _wait_for(lambda: service.stats()["memo"]["publishes"] > published)
+            # the shard merged the first's publishes after its ack, before
+            # it read the next request
             service.mutate(second, ["set_w", leaf, str(w)])
             (served_second,) = service.flush()
-            assert served_first["shard"] != served_second["shard"]
+            assert served_first["shard"] == served_second["shard"] == "s0"
             assert served_second["evals"] < served_first["evals"]
+            assert service.stats()["memo"]["cross_tenant_hits"] > 0
             tree.set_w(leaf, w)
             for tenant in (first, second):
                 assert matches_reference(service.result(tenant),
                                          bw_first(tree))
 
-    def test_memo_death_degrades_to_no_store(self):
-        tree = smooth_tree(40, seed=9)
-        tenants = _names_on("s0", 1) + _names_on("s1", 1)
-        trees = {t: tree.copy() for t in tenants}
-        with FederationService(shards=2, memo="service") as service:
-            for tenant in tenants:
-                service.onboard(tenant, trees[tenant])
-            memo = service._memo_service._process
-            memo.terminate()
-            memo.join(timeout=5)
-            assert not memo.is_alive()
-            for w in ("2048", "3072", "4096"):
-                for tenant in tenants:
-                    leaf = trees[tenant].leaves()[0]
-                    if w == "2048":  # the structural op of the bug report
-                        service.mutate(tenant, ["prune", leaf])
-                        trees[tenant].remove_subtree(leaf)
-                    else:
-                        service.mutate(tenant, ["set_w", leaf, w])
-                        trees[tenant].set_w(leaf, int(w))
-                assert len(service.flush()) == 2
-            for tenant in tenants:
-                assert matches_reference(service.result(tenant),
-                                         bw_first(trees[tenant]))
+    def test_no_store_and_the_inline_mode_is_refused(self):
+        with FederationService(shards=1, memo=None) as service:
+            service.onboard("t0", smooth_tree(40, seed=9))
             stats = service.stats()
             assert stats["memo"] is None
-            assert all(s["memo_errors"] > 0 for s in stats["shards"].values())
+            assert stats["shards"]["s0"]["memo"] is None
+        with pytest.raises(PlatformError, match="unknown memo mode 'inline'"):
+            FederationService(shards=1, memo="inline")
 
     def test_bad_op_is_contained_to_its_tenant(self):
         trees = {"ta": smooth_tree(40, seed=9), "tb": smooth_tree(40, seed=10)}
-        with FederationService(shards=1, memo="inline") as service:
+        with FederationService(shards=1, memo="service") as service:
             for tenant in sorted(trees):
                 service.onboard(tenant, trees[tenant])
             leaf_a = trees["ta"].leaves()[0]
@@ -743,14 +705,14 @@ class TestFederationService:
 
     def test_duplicate_tenant_rejected(self):
         trees = self._trees(1)
-        with FederationService(shards=1, memo="inline") as service:
+        with FederationService(shards=1, memo=None) as service:
             service.onboard("t0", trees["t0"])
             with pytest.raises(PlatformError):
                 service.onboard("t0", trees["t0"])
 
     def test_template_onboarding_uses_clone_fast_path(self):
         trees = self._trees(4, templates=1)
-        with FederationService(shards=1, memo="inline") as service:
+        with FederationService(shards=1, memo="service") as service:
             for tenant in sorted(trees):
                 service.onboard(tenant, trees[tenant])
             shard_stats = service.stats()["shards"]["s0"]

@@ -86,6 +86,22 @@ class TestFiles:
         with pytest.raises(PlatformError):
             load_tree(path)
 
+    def test_load_non_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"format": "repro-tree", "name": "caf\xe9"}')
+        with pytest.raises(PlatformError, match="latin1.json"):
+            load_tree(path)
+
+    @pytest.mark.parametrize("document, kind", [
+        ("[1, 2]", "list"), ('"repro-tree"', "str"), ("7", "int"),
+        ("null", "NoneType"),
+    ])
+    def test_load_non_object_names_the_type(self, tmp_path, document, kind):
+        path = tmp_path / "scalar.json"
+        path.write_text(document)
+        with pytest.raises(PlatformError, match=f"not {kind}"):
+            load_tree(path)
+
 
 class TestDot:
     def test_contains_nodes_and_edges(self, paper_tree):
