@@ -134,11 +134,12 @@ taskplane-smoke:
 		PYTHONPATH=src python -m repro chaos --data-plane --sequences 3"
 
 # the multi-tenant federation gate: the federation suite (shared-subtree
-# bit-exactness through the cross-tenant memo, the fail-closed int wire
-# form, one ask + one publish per solve, each shard's own store, shard
-# crash retry, bad-op containment, ring / wire / planner units), the
-# structural test that keeps the memo process deleted, plus the E32 gates
-# (federated churn strictly beats N isolated full solvers with
+# bit-exactness through the cross-tenant memo, a store that holds the
+# solvers' own solutions and the solver's fail-closed intake of an entry,
+# one ask + one publish per solve, each shard's own store, shard crash
+# retry, bad-op containment, ring / wire / planner units), the structural
+# test that keeps the memo process and the int wire form deleted, plus
+# the E32 gates (federated churn strictly beats N isolated full solvers with
 # cross-tenant hits; memo round trips during the churn <= re-solves
 # served, a count; best-of-3 federated wall < isolated-incremental in the
 # same run, a ratio), then a small

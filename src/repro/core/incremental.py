@@ -70,14 +70,14 @@ MAX_EXACT_PER_ENTRY = 64
 MEMO_CAP_ENV = "REPRO_MEMO_CAP"
 
 #: Subtrees smaller than this many nodes skip the shared memo store:
-#: hashing, shipping and decoding an entry costs several node evaluations,
-#: so sharing only pays above the break-even size (tunable per solver with
+#: digesting and asking about them costs more than solving them, so sharing
+#: only pays above the break-even size (tunable per solver with
 #: ``shared_min_size=``; in-process stores in tests use 1).
 SHARED_MIN_SIZE = 16
 
-#: Subtrees larger than this many nodes also skip the shared store: a
-#: published payload is the *whole* recursive solution, so shipping, say,
-#: a churned root entry would serialise the full tree on every solve.
+#: Subtrees larger than this many nodes also skip the shared store: they
+#: are mostly a tenant's own churned root paths, whose entries no other
+#: tenant asks for and which would crowd the store's FIFO.
 #: Because the policy is uniform, a client knows oversized digests are
 #: never stored and does not ask for them.  Large shared structures still
 #: replay almost for free: their in-window descendants are published, so
@@ -99,92 +99,6 @@ def _default_memo_cap() -> int:
     if cap < 1:
         raise ScheduleError(f"{MEMO_CAP_ENV}={raw!r} must be >= 1")
     return cap
-
-
-#: ints per node record of the wire form: λ, α, θ, τ as ``num, den`` pairs,
-#: then ``evals`` and the child count; each child's record is preceded by
-#: its transaction's β and acknowledged θ (two more pairs)
-_NODE_INTS = 10
-_TXN_INTS = 4
-
-
-def sol_to_wire(sol: "_Sol") -> List[int]:
-    """Serialise a cached solution to one flat preorder list of ints.
-
-    Every rational travels as its exact ``num, den`` pair, so a shared-memo
-    round trip loses no precision and parses no text.  Iterative: a chain
-    of any height serialises without recursion.
-    """
-    out: List[int] = []
-    stack = [((), sol)]
-    while stack:
-        head, cur = stack.pop()
-        out += head
-        lam, alpha, theta, tau = cur.lam, cur.alpha, cur.theta, cur.tau
-        out += (lam.numerator, lam.denominator,
-                alpha.numerator, alpha.denominator,
-                theta.numerator, theta.denominator,
-                tau.numerator, tau.denominator, cur.evals, len(cur.txns))
-        for beta, ack, child in reversed(cur.txns):
-            stack.append(((beta.numerator, beta.denominator,
-                           ack.numerator, ack.denominator), child))
-    return out
-
-
-def _wire_fraction(num, den) -> Fraction:
-    # ``type(x) is int`` on purpose: a bool is an int to isinstance
-    if type(num) is not int or type(den) is not int or den <= 0:
-        raise ScheduleError(f"malformed shared-memo rational {num!r}/{den!r}")
-    return Fraction(num, den)
-
-
-def _wire_pair(pair) -> Fraction:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ScheduleError(f"malformed shared-memo rational {pair!r}")
-    return _wire_fraction(*pair)
-
-
-def sol_from_wire(wire) -> "_Sol":
-    """Inverse of :func:`sol_to_wire`.  Fails closed: a payload that is not
-    a list, holds anything but ``int`` (``bool`` included), has a
-    denominator ≤ 0, a negative child count or one the data does not cover,
-    an ``evals`` that is not one more than its children's, or carries
-    trailing data raises :class:`~repro.exceptions.ScheduleError`."""
-    if not isinstance(wire, (list, tuple)):
-        raise ScheduleError(f"malformed shared-memo solution {wire!r}")
-    size = len(wire)
-    pos = 0
-    # ancestors still missing children: their record so far, plus the β and
-    # acknowledged θ of the child being read
-    open_nodes: list = []
-    while True:
-        if pos + _NODE_INTS > size:
-            raise ScheduleError("truncated shared-memo solution")
-        evals, kids = wire[pos + 8], wire[pos + 9]
-        if type(evals) is not int or type(kids) is not int or kids < 0:
-            raise ScheduleError(
-                f"malformed shared-memo counts {evals!r}, {kids!r}")
-        rationals = [_wire_fraction(wire[i], wire[i + 1])
-                     for i in range(pos, pos + 8, 2)]
-        txns: list = []
-        pos += _NODE_INTS
-        while len(txns) == kids:  # all children in: close the node
-            if evals != 1 + sum(child.evals for _, _, child in txns):
-                raise ScheduleError(f"malformed shared-memo evals {evals!r}")
-            sol = _Sol(*rationals, tuple(txns), evals)
-            if not open_nodes:
-                if pos != size:
-                    raise ScheduleError(
-                        "trailing data after a shared-memo solution")
-                return sol
-            rationals, evals, kids, txns, beta, ack = open_nodes.pop()
-            txns.append((beta, ack, sol))
-        if pos + _TXN_INTS > size:
-            raise ScheduleError("truncated shared-memo solution")
-        open_nodes.append((rationals, evals, kids, txns,
-                           _wire_fraction(wire[pos], wire[pos + 1]),
-                           _wire_fraction(wire[pos + 2], wire[pos + 3])))
-        pos += _TXN_INTS
 
 
 class _Sol:
@@ -232,23 +146,27 @@ class _Entry:
         return dup
 
     @classmethod
-    def from_wire(cls, payload, cap: int) -> "_Entry":
-        """Decode a store entry — ``{"sat": ints, "thr": (num, den),
-        "exact": {(num, den): ints}}``, at most *cap* exact memos kept.
-        Any malformation raises :class:`~repro.exceptions.ScheduleError`."""
+    def from_store(cls, payload, cap: int) -> "_Entry":
+        """Adopt a store entry — ``{"sat": solution, "thr": threshold,
+        "exact": {β: solution}}``, holding the publishers' own solutions —
+        keeping at most *cap* exact memos.  Solutions are immutable, so they
+        are shared, not copied.  A payload of any other shape raises
+        :class:`~repro.exceptions.ScheduleError`."""
         if not isinstance(payload, dict):
+            raise ScheduleError(f"malformed shared-memo entry {payload!r}")
+        sat, threshold = payload.get("sat"), payload.get("thr")
+        exact = payload.get("exact") or {}
+        well_formed = (isinstance(exact, dict)
+                       and all(isinstance(sol, _Sol) for sol in exact.values())
+                       and (sat is None or isinstance(sat, _Sol)
+                            and isinstance(threshold, Fraction)))
+        if not well_formed:
             raise ScheduleError(f"malformed shared-memo entry {payload!r}")
         entry = cls()
         entry.shared = True
-        sat, threshold = payload.get("sat"), payload.get("thr")
-        if sat is not None and threshold is not None:
-            entry.sat = sol_from_wire(sat)
-            entry.sat_threshold = _wire_pair(threshold)
-        exact = payload.get("exact") or {}
-        if not isinstance(exact, dict):
-            raise ScheduleError(f"malformed shared-memo exact map {exact!r}")
-        for beta, wire in islice(exact.items(), cap):
-            entry.exact[_wire_pair(beta)] = sol_from_wire(wire)
+        if sat is not None:
+            entry.sat, entry.sat_threshold = sat, threshold
+        entry.exact = dict(islice(exact.items(), cap))
         return entry
 
 
@@ -292,14 +210,15 @@ class IncrementalSolver:
     *shared* plugs in a memo store shared between solvers — any object
     with ``fetch(digests, tenant=...) -> {digest: entry}`` and
     ``publish(updates, tenant=...)`` (a federation shard's
-    :class:`~repro.federation.memo.InlineMemoStore`).  The store is spoken
-    to at most twice per :meth:`solve`: one ``fetch`` at the top, for the
-    in-window fingerprints that appeared since the last solve and have no
-    local entry (lookups then read the local cache only), and one
-    ``publish`` at the end carrying every solution computed on the way,
-    each sent once.  A fingerprint is never asked about again, so a store
-    entry that gains a new β later is not seen by a solver that already
-    knows the fingerprint.  *tenant* labels this solver's traffic for the
+    :class:`~repro.federation.memo.MemoState`).  Both carry the solver's
+    own solution objects and exact rationals, never a serialised form.
+    The store is spoken to at most twice per :meth:`solve`: one ``fetch``
+    at the top, for the in-window fingerprints that appeared since the
+    last solve and have no local entry (lookups then read the local cache
+    only), and one ``publish`` at the end carrying every solution computed
+    on the way, each sent once.  A fingerprint is never asked about again,
+    so a store entry that gains a new β later is not seen by a solver that
+    already knows the fingerprint.  *tenant* labels this solver's traffic for the
     store's cross-tenant accounting.
 
     *like* is the template fast path: when the supplied *tree* compares
@@ -341,7 +260,7 @@ class IncrementalSolver:
         # _unasked: (node, fingerprint) pairs interned since the last solve;
         # _outbox: (digest, β | None, threshold | None, solution) computed
         # by the running solve; _shared_published: their (fingerprint, β)
-        # keys, so each solution crosses the process boundary once
+        # keys, so each solution is published once
         self._unasked: Optional[List[Tuple[Hashable, int]]] = None
         self._outbox: list = []
         self._shared_published: set = set()
@@ -673,7 +592,7 @@ class IncrementalSolver:
         for digest, payload in found.items():
             fp = wanted.get(digest)
             if fp is not None:
-                self._cache[fp] = _Entry.from_wire(payload, self._memo_cap)
+                self._cache[fp] = _Entry.from_store(payload, self._memo_cap)
 
     def _queue_publish(self, fp: int, beta: Optional[Fraction],
                        threshold: Optional[Fraction], sol: _Sol) -> None:

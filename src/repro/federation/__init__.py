@@ -29,13 +29,11 @@ surface; ``benchmarks/bench_e32_federation.py`` gates exactness,
 cross-tenant hits and throughput against the N-isolated-solvers baseline.
 """
 
-from .memo import InlineMemoStore
 from .ring import HashRing
 from .service import FederationService, matches_reference
 
 __all__ = [
     "HashRing",
-    "InlineMemoStore",
     "FederationService",
     "matches_reference",
 ]

@@ -18,7 +18,7 @@
   :meth:`serve` runs flushes on a wall-clock window for the live service;
   benches call :meth:`flush` explicitly for determinism;
 * the **memo stores** — each shard worker owns one cross-tenant solution
-  store (:class:`~repro.federation.memo.InlineMemoStore`) shared by its
+  store (:class:`~repro.federation.memo.MemoState`) shared by its
   tenants' solvers; :meth:`stats` sums their counters.
 
 Telemetry (optional): ``federation.resolves`` / ``federation.mutations``

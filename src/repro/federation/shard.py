@@ -25,7 +25,7 @@ service, one request at a time:
   window the service's retry must cover), and orderly exit.
 
 Every solver on the shard shares the shard's one
-:class:`~repro.federation.memo.InlineMemoStore` (through
+:class:`~repro.federation.memo.MemoState` (through
 :class:`_ShardMemo`), so a subtree solved for any of the shard's tenants
 answers its other tenants' identical subtrees too.  What a request's
 solves publish enters the store *after* the reply is on the pipe and
@@ -49,7 +49,7 @@ from ..core.incremental import IncrementalSolver
 from ..platform.serialization import tree_from_dict, tree_to_dict
 from ..protocol.planner import plan_proposal
 from ..runtime.codec import parse_rational
-from .memo import InlineMemoStore
+from .memo import MemoState
 from .wire import recv_frame, send_frame
 
 
@@ -83,7 +83,7 @@ class _ShardMemo:
     """
 
     def __init__(self):
-        self.store = InlineMemoStore()
+        self.store = MemoState()
         self.fetch = self.store.fetch
         self.betas = self.store.betas
         self._unsent: List[tuple] = []  # (tenant, updates) per solve
@@ -188,7 +188,7 @@ class _ShardState:
         info = dict(self.stats)
         info["shard"] = self.shard_id
         info["tenants"] = len(self.solvers)
-        info["memo"] = None if self.shared is None else self.shared.store.stats()
+        info["memo"] = None if self.shared is None else self.shared.store.snapshot()
         solver_stats: Dict[str, int] = {}
         for solver in self.solvers.values():
             for key, value in solver.stats.items():

@@ -48,9 +48,14 @@ def tree_from_dict(data: Dict) -> Tree:
             f"a repro-tree document is a JSON object, not {type(data).__name__}")
     if data.get("format") != "repro-tree":
         raise PlatformError("not a repro-tree document")
-    if data.get("version") != FORMAT_VERSION:
-        raise PlatformError(f"unsupported repro-tree version {data.get('version')!r}")
+    version = data.get("version")
+    # ``type(...) is int``: ``true`` and ``1.0`` compare equal to 1
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise PlatformError(f"unsupported repro-tree version {version!r}")
     nodes = data.get("nodes")
+    if not isinstance(nodes, list):
+        raise PlatformError(
+            f"repro-tree nodes are a JSON array, not {type(nodes).__name__}")
     if not nodes:
         raise PlatformError("repro-tree document has no nodes")
     tree = None

@@ -50,38 +50,37 @@ def plan_proposal(
     *solver* supplies the root fingerprint's memo state
     (:meth:`~repro.core.incremental.IncrementalSolver.memoised_betas`);
     *shared*, when given, is a federation memo store exposing
-    ``betas(digest) -> {"saturated_above": str | None, "exact": [str, …]}``
-    and is consulted only if the local cache prefers nothing.  Returns the
-    chosen candidate (never anything outside *candidates* — admissibility
-    is the caller's contract), falling back to *default* if supplied and
-    admissible, else the smallest candidate.
+    ``betas(digest) -> {"saturated_above": β | None, "exact": [β, …]}``
+    (exact rationals) and is consulted only if the local cache prefers
+    nothing.  Returns the chosen candidate (never anything outside
+    *candidates* — admissibility is the caller's contract), falling back
+    to *default* if supplied and admissible, else the smallest candidate.
     """
     cands = sorted({Fraction(c) for c in candidates})
     if not cands:
         raise ScheduleError("plan_proposal needs at least one candidate")
     root = solver.tree.root
-    info = solver.memoised_betas(root)
-    exact = set(info["exact"])
+    choice = _covered(cands, solver.memoised_betas(root))
+    if choice is None and shared is not None:
+        choice = _covered(cands, shared.betas(solver.digest(root)) or {})
+    if choice is not None:
+        return choice
+    if default is not None and Fraction(default) in cands:
+        return Fraction(default)
+    return cands[0]
+
+
+def _covered(cands, info: dict) -> Optional[Fraction]:
+    """The first of the sorted *cands* that *info* — ``{"saturated_above":
+    threshold | None, "exact": [β, …]}`` — answers from memory: an exact
+    memo first, then saturated coverage."""
+    exact = set(info.get("exact", ()))
     for beta in cands:
         if beta in exact:
             return beta
-    threshold = info["saturated_above"]
+    threshold = info.get("saturated_above")
     if threshold is not None:
         for beta in cands:
             if beta >= threshold:
                 return beta
-    if shared is not None:
-        remote = shared.betas(solver.digest(root)) or {}
-        exact = {Fraction(b) for b in remote.get("exact", ())}
-        for beta in cands:
-            if beta in exact:
-                return beta
-        thr = remote.get("saturated_above")
-        if thr is not None:
-            threshold = Fraction(thr)
-            for beta in cands:
-                if beta >= threshold:
-                    return beta
-    if default is not None and Fraction(default) in cands:
-        return Fraction(default)
-    return cands[0]
+    return None

@@ -6,8 +6,9 @@ BW-First solutions when solved through the shared memo store, with the
 second tenant replaying the first tenant's published solutions
 (``incr.hit.shared`` > 0) instead of recomputing them.  On top of that:
 the consistent-hash ring, the framed wire codec, the memo merge
-discipline, the fail-closed int wire form of a solution, the store
-protocol (one ask and one publish per solve), the cache-aware proposal
+discipline, solutions held as the solvers' own objects and the
+solver's fail-closed intake of a store entry, the store protocol (one ask
+and one publish per solve), the cache-aware proposal
 planner, the memo-cap knobs, the clone fast path, request batching, the
 store each shard owns, crash recovery of a shard worker killed mid-batch
 and one tenant's bad op contained to that tenant.
@@ -23,12 +24,10 @@ from itertools import count, islice
 import pytest
 
 from repro.core.bwfirst import bw_first
-from repro.core.incremental import (IncrementalSolver, MEMO_CAP_ENV,
-                                    sol_from_wire, sol_to_wire)
+from repro.core.incremental import IncrementalSolver, MEMO_CAP_ENV, _Sol
 from repro.exceptions import (CodecError, PlatformError, ProtocolError,
                               ScheduleError)
-from repro.federation import (FederationService, HashRing, InlineMemoStore,
-                              matches_reference)
+from repro.federation import FederationService, HashRing, matches_reference
 from repro.federation import wire
 from repro.federation.memo import MemoState
 from repro.federation.wire import decode_blob
@@ -89,7 +88,7 @@ class TestSharedSubtreeProperty:
     @pytest.mark.parametrize("seed", range(10))
     def test_cross_tenant_replay_is_bit_exact(self, seed):
         tree_a, tree_b = _shared_pair(seed)
-        store = InlineMemoStore()
+        store = MemoState()
         registry = Registry()
         solver_a = IncrementalSolver(tree_a, shared=store, tenant="a",
                                      shared_min_size=1)
@@ -99,11 +98,11 @@ class TestSharedSubtreeProperty:
         assert_exact(solver_b, tree_b)
         assert solver_b.stats["hits_shared"] > 0
         assert registry.value("incr.hit.shared") > 0
-        assert store.stats()["cross_tenant_hits"] > 0
+        assert store.stats["cross_tenant_hits"] > 0
 
     def test_size_window_gates_fetch_and_publish(self):
         tree_a, tree_b = _shared_pair(42)
-        store = InlineMemoStore()
+        store = MemoState()
         solver_a = IncrementalSolver(tree_a, shared=store, tenant="a",
                                      shared_min_size=len(tree_a) + 1)
         solver_a.solve()
@@ -112,7 +111,7 @@ class TestSharedSubtreeProperty:
                                      shared_min_size=len(tree_b) + 1)
         solver_b.solve()
         assert solver_b.stats["shared_fetches"] == 0
-        assert store.stats()["fetches"] == 0
+        assert store.stats["fetches"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -215,56 +214,9 @@ class TestWire:
 # ----------------------------------------------------------------------
 # memo state: merge discipline, eviction, accounting
 # ----------------------------------------------------------------------
-def _leaf_wire(lam, alpha, theta, tau=0):
-    """The int wire form of a childless one-eval solution."""
-    return [lam, 1, alpha, 1, theta, 1, tau, 1, 1, 0]
-
-
-ONE_EVAL = _leaf_wire(1, 1, 0)
-
-
-class TestMemoState:
-    def test_lower_saturation_threshold_wins(self):
-        state = MemoState()
-        state.publish([("d1", None, (7, 1), _leaf_wire(9, 3, 6))])
-        state.publish([("d1", None, (5, 1), _leaf_wire(5, 3, 2))])
-        state.publish([("d1", None, (11, 2), _leaf_wire(8, 3, 5))])
-        assert state.betas("d1")["saturated_above"] == F(5)
-        assert state.fetch(["d1"])["d1"]["sat"] == _leaf_wire(5, 3, 2)
-
-    def test_exact_cap_never_displaces(self):
-        state = MemoState(exact_cap=2)
-        state.publish([("d1", (1, 1), None, ONE_EVAL),
-                       ("d1", (2, 1), None, ONE_EVAL)])
-        state.publish([("d1", (3, 1), None, ONE_EVAL)])
-        assert state.betas("d1")["exact"] == [F(1), F(2)]
-
-    def test_fifo_eviction_bounds_entries(self):
-        state = MemoState(max_entries=3)
-        for i in range(5):
-            state.publish([(f"d{i}", (1, 1), None, ONE_EVAL)])
-        assert len(state.entries) == 3
-        assert state.stats["evictions"] == 2
-        assert "d0" not in state.entries and "d4" in state.entries
-
-    def test_cross_tenant_accounting(self):
-        state = MemoState()
-        state.publish([("d1", (1, 1), None, ONE_EVAL)], tenant="a")
-        assert set(state.fetch(["d1", "d2"], tenant="a")) == {"d1"}
-        assert state.stats["cross_tenant_hits"] == 0
-        state.fetch(["d1"], tenant="b")
-        assert state.stats["cross_tenant_hits"] == 1
-        assert state.stats["round_trips"] == 2
-        assert (state.stats["fetches"], state.stats["misses"]) == (3, 1)
-
-    def test_sol_wire_round_trip(self):
-        wire = [9, 2, 3, 1, 3, 2, 0, 1, 2, 1,
-                3, 1, 3, 2] + _leaf_wire(3, 3, 0, 1)
-        sol = sol_from_wire(wire)
-        assert (sol.lam, sol.alpha, sol.theta, sol.evals) == (F(9, 2), 3, F(3, 2), 2)
-        (beta, ack, child), = sol.txns
-        assert (beta, ack, child.alpha, child.txns) == (3, F(3, 2), 3, ())
-        assert sol_to_wire(sol) == wire
+def _leaf(lam, alpha, theta, tau=0):
+    """A childless one-eval solution."""
+    return _Sol(F(lam), F(alpha), F(theta), F(tau), (), 1)
 
 
 def _root_solution(solver):
@@ -274,73 +226,150 @@ def _root_solution(solver):
     return next(iter(entry.exact.values()))
 
 
+def _window_solver(tree, store, tenant):
+    """A solver that shares every subtree of *tree* through *store*."""
+    return IncrementalSolver(tree, shared=store, tenant=tenant,
+                             shared_min_size=1, shared_max_size=None)
+
+
+class TestMemoState:
+    def test_lower_saturation_threshold_wins(self):
+        state = MemoState()
+        low = _leaf(5, 3, 2)
+        state.publish([("d1", None, F(7), _leaf(9, 3, 6))])
+        state.publish([("d1", None, F(5), low)])
+        state.publish([("d1", None, F(11, 2), _leaf(8, 3, 5))])
+        assert state.betas("d1")["saturated_above"] == F(5)
+        assert state.fetch(["d1"])["d1"]["sat"] is low
+
+    def test_exact_cap_never_displaces(self):
+        state = MemoState(exact_cap=2)
+        state.publish([("d1", F(1), None, _leaf(1, 1, 0)),
+                       ("d1", F(2), None, _leaf(2, 1, 1))])
+        state.publish([("d1", F(3), None, _leaf(3, 1, 2))])
+        assert state.betas("d1")["exact"] == [F(1), F(2)]
+
+    def test_fifo_eviction_bounds_entries(self):
+        state = MemoState(max_entries=3)
+        for i in range(5):
+            state.publish([(f"d{i}", F(1), None, _leaf(1, 1, 0))])
+        assert len(state.entries) == 3
+        assert state.stats["evictions"] == 2
+        assert "d0" not in state.entries and "d4" in state.entries
+
+    def test_cross_tenant_accounting(self):
+        state = MemoState()
+        state.publish([("d1", F(1), None, _leaf(1, 1, 0))], tenant="a")
+        assert set(state.fetch(["d1", "d2"], tenant="a")) == {"d1"}
+        assert state.stats["cross_tenant_hits"] == 0
+        state.fetch(["d1"], tenant="b")
+        assert state.stats["cross_tenant_hits"] == 1
+        assert state.stats["round_trips"] == 2
+        assert (state.stats["fetches"], state.stats["misses"]) == (3, 1)
+
+    def test_sol_wire_round_trip(self):
+        """A solution's round trip through the state: the publisher's own
+        object and exact threshold come back — nothing is serialised."""
+        tree = random_tree(12, seed=3)
+        state = MemoState()
+        solver = _window_solver(tree, state, "a")
+        solver.solve()
+        local = solver._cache[solver.fingerprint(tree.root)]
+        entry = state.fetch([solver.digest(tree.root)])[solver.digest(tree.root)]
+        if local.sat is not None:
+            assert entry["sat"] is local.sat
+            assert entry["thr"] == local.sat_threshold
+        for beta, sol in local.exact.items():
+            assert entry["exact"][beta] is sol
+
+
 class TestSolutionWireForm:
-    """``sol_to_wire`` / ``sol_from_wire``: flat ints, exact, fail-closed."""
+    """What passes between a solver and the store: the solutions
+    themselves (exact, shared between solvers, never serialised), and the
+    solver's intake, which refuses an entry of any other shape."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_round_trip_replays_equal(self, seed):
         tree = random_tree(6 + seed % 25, seed=seed)
         ref = bw_first(tree)
-        solver = IncrementalSolver(tree)
-        solver.solve()
-        wire = sol_to_wire(_root_solution(solver))
-        assert all(type(x) is int for x in wire)
-        decoded = sol_from_wire(wire)
-        assert sol_to_wire(decoded) == wire
-        outcomes, log = {}, []
-        solver._emit(tree.root, decoded, ref.t_max, ref.t_max - ref.throughput,
-                     outcomes, log)
-        assert outcomes == ref.outcomes
-        assert tuple(log) == ref.transactions
+        store = MemoState()
+        first = _window_solver(tree, store, "a")
+        first.solve()
+        entry = store.entries[first.digest(tree.root)]
+        published = _root_solution(first)
+        assert any(sol is published
+                   for sol in (entry["sat"], *entry["exact"].values()))
+        second = _window_solver(tree.copy(), store, "b")
+        got = second.solve()
+        assert second.last_evals == 0 and second.stats["hits_shared"] == 1
+        assert got.outcomes == ref.outcomes
+        assert got.transactions == ref.transactions
 
-    def _wire(self):
-        solver = IncrementalSolver(random_tree(12, seed=3))
-        solver.solve()
-        wire = sol_to_wire(_root_solution(solver))
-        assert wire[9] > 0  # the root opened children: nested records follow
-        return wire
+    @staticmethod
+    def _reply_with(slot, threshold):
+        """Solve against a real store's reply in which the *slot*-th entry
+        carries a saturated solution with *threshold*."""
+        tree = smooth_tree(60, seed=2)
+        store = MemoState()
+        _window_solver(tree, store, "a").solve()
+
+        class Corrupting:
+            def fetch(self, digests, tenant=None):
+                found = store.fetch(digests, tenant=tenant)
+                digest, entry = list(found.items())[slot]
+                found[digest] = dict(entry, sat=entry["sat"] or _leaf(1, 1, 0),
+                                     thr=threshold)
+                return found
+
+            def publish(self, updates, tenant=None):
+                pass
+
+        _window_solver(tree.copy(), Corrupting(), "b").solve()
 
     @pytest.mark.parametrize("bad", [True, 1.0, "1", None])
     @pytest.mark.parametrize("slot", [0, 1, 8, 9, 10, 20])
     def test_non_int_rejected(self, slot, bad):
-        wire = self._wire()
-        wire[slot] = bad
-        with pytest.raises(ScheduleError):
-            sol_from_wire(wire)
-
-    def test_truncated_and_trailing_rejected(self):
-        wire = self._wire()
-        for cut in (0, 5, 10, 12, len(wire) - 1):
-            with pytest.raises(ScheduleError):
-                sol_from_wire(wire[:cut])
-        with pytest.raises(ScheduleError):
-            sol_from_wire(wire + [1])
+        """A threshold that is not an exact rational, in any entry of a
+        reply (the first, the ninth, the twenty-first…), fails the solve
+        closed."""
+        with pytest.raises(ScheduleError, match="malformed shared-memo"):
+            self._reply_with(slot, bad)
 
     @pytest.mark.parametrize("den", [0, -1])
     def test_bad_denominator_rejected(self, den):
-        for slot in (1, 7, 11):  # λ, τ, the first transaction's β
-            wire = self._wire()
-            wire[slot] = den
-            with pytest.raises(ScheduleError):
-                sol_from_wire(wire)
+        """A threshold still in the retired ``(num, den)`` form is refused,
+        never divided — a zero or negative denominator included."""
+        with pytest.raises(ScheduleError, match="malformed shared-memo"):
+            self._reply_with(1, (7, den))
 
-    @pytest.mark.parametrize("count", [-1, 10 ** 9])
-    def test_bad_child_count_rejected(self, count):
-        wire = self._wire()
-        wire[9] = count
-        with pytest.raises(ScheduleError):
-            sol_from_wire(wire)
+    @staticmethod
+    def _solve_against(payload):
+        """Solve a tree against a store that answers every digest with
+        *payload*."""
+        class Hostile:
+            def fetch(self, digests, tenant=None):
+                return {d: payload for d in digests}
 
-    def test_evals_that_do_not_add_up_rejected(self):
-        wire = self._wire()
-        wire[8] += 1  # no longer 1 + the children's
-        with pytest.raises(ScheduleError):
-            sol_from_wire(wire)
+            def publish(self, updates, tenant=None):
+                pass
+
+        IncrementalSolver(smooth_tree(40, seed=2), shared=Hostile(),
+                          shared_min_size=1).solve()
 
     def test_old_string_form_rejected(self):
-        for payload in (["9", "3", "6", "0", [], 1], {"sat": []}, "9/2", 7):
-            with pytest.raises(ScheduleError):
-                sol_from_wire(payload)
+        """Serialised forms — the old strings, the retired flat ints — and
+        an inexact threshold fail the solve closed instead of replaying."""
+        solver = IncrementalSolver(random_tree(12, seed=3))
+        solver.solve()
+        sol = _root_solution(solver)
+        for payload in (["9", "3", "6", "0", [], 1], "9/2", 7, {"sat": []},
+                        {"sat": [9, 2, 3, 1, 3, 2, 0, 1, 1, 0], "thr": F(7)},
+                        {"exact": {F(1): [1, 1, 1, 1, 0, 1, 0, 1, 1, 0]}},
+                        {"exact": [sol]},
+                        {"sat": sol}, {"sat": sol, "thr": 7.0},
+                        {"sat": sol, "thr": "7"}):
+            with pytest.raises(ScheduleError, match="malformed shared-memo"):
+                self._solve_against(payload)
 
     def test_malformed_store_entry_fails_the_solve_closed(self):
         tree = smooth_tree(40, seed=2)
@@ -359,9 +388,9 @@ class TestSolutionWireForm:
 
     def test_deep_chain_round_trips_without_recursion(self):
         # only the two top subtrees are in the window: every published
-        # payload is a whole subtree, so a chain is quadratic otherwise
+        # solution is a whole subtree, which the second solver replays
         tree = chain(3000, w=10000, c=F(1, 10))
-        store = InlineMemoStore()
+        store = MemoState()
         first = IncrementalSolver(tree, shared=store, tenant="a",
                                   shared_min_size=3000, shared_max_size=None)
         ref = first.solve()
@@ -378,7 +407,7 @@ class TestSolutionWireForm:
 # ----------------------------------------------------------------------
 # the store protocol: one ask, one publish per solve
 # ----------------------------------------------------------------------
-class _CountingStore(InlineMemoStore):
+class _CountingStore(MemoState):
     def __init__(self):
         super().__init__()
         self.calls = []
@@ -407,7 +436,7 @@ class TestStoreProtocol:
             assert store.calls.count("fetch") <= 1
             assert store.calls.count("publish") <= 1
             assert store.calls == sorted(store.calls)  # asked, then told
-        assert store.stats()["publishes"] == solver.stats["shared_publishes"] > 0
+        assert store.stats["publishes"] == solver.stats["shared_publishes"] > 0
 
     def test_no_store_traffic_when_nothing_in_the_window_is_new(self):
         tree = smooth_tree(120, seed=8)
@@ -475,7 +504,7 @@ class TestPlanner:
 
     def test_consults_shared_store(self):
         tree_a, tree_b = _shared_pair(5)
-        store = InlineMemoStore()
+        store = MemoState()
         solver_a = IncrementalSolver(tree_a, shared=store, tenant="a",
                                      shared_min_size=1)
         solver_a.solve()

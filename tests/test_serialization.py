@@ -67,11 +67,36 @@ class TestDictRoundTrip:
         [{"name": "r", "w": "1"},
          {"name": "a", "w": "1", "parent": {"r": 1}, "c": "1"}],
         [{"w": "1"}],
+        # impossible platforms: zero denominators, w = 0 / c = 0, and
+        # cycles (parents come before children, so a cycle names a parent
+        # not yet seen)
+        [{"name": "r", "w": "1/0"}],
+        [{"name": "r", "w": "1"},
+         {"name": "a", "w": "1", "parent": "r", "c": "3/0"}],
+        [{"name": "r", "w": "0"}],
+        [{"name": "r", "w": "-2"}],
+        [{"name": "r", "w": "1"},
+         {"name": "a", "w": "1", "parent": "r", "c": "0"}],
+        [{"name": "r", "w": "1"},
+         {"name": "a", "w": "1", "parent": "b", "c": "1"},
+         {"name": "b", "w": "1", "parent": "a", "c": "1"}],
+        [{"name": "r", "w": "1"},
+         {"name": "a", "w": "1", "parent": "a", "c": "1"}],
+        [{"name": "r", "w": "1"},
+         {"name": "r", "w": "1", "parent": "r", "c": "1"}],
+        # not an array at all
+        5, True, 1.5, "r", {"name": "r", "w": "1"}, None,
     ])
     def test_rejects_malformed_entries(self, nodes):
         with pytest.raises(PlatformError):
             tree_from_dict({"format": "repro-tree", "version": 1,
                             "nodes": nodes})
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_rejects_a_version_that_only_equals_one(self, version):
+        with pytest.raises(PlatformError, match="unsupported"):
+            tree_from_dict({"format": "repro-tree", "version": version,
+                            "nodes": [{"name": "r", "w": "1"}]})
 
 
 class TestFiles:
