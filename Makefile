@@ -71,7 +71,11 @@ runtime-smoke:
 # fewer schedule fragments than a full rebuild; its cold-plan twin asserts
 # build_schedules on the integer interleave strictly beats the same call on
 # the Fraction marks kept in tests/fraction_oracles.py (~6x) at ==, and
-# tests/test_plan_exact.py pins the chain's outputs.  The E31 gate asserts the
+# tests/test_plan_exact.py pins the chain's outputs.  Two same-run ratio
+# gates, equality asserted beside each ratio: IncrementalSolver.rate() at
+# most 0.8x solve() on churn batches of a 240-node tree (~0.7), and the
+# integer Allocation.check at most 0.6x the Fraction oracle on a 3000-node
+# tree (~0.2).  The E31 gate asserts the
 # 10k-node counts-only run agrees with an event-recording run and that a
 # 100k-node, >=1M-event run completes inside the timeout, and that a
 # 3000-node run recording every completion,
@@ -88,8 +92,10 @@ perf-smoke:
 	timeout 600 sh -c "\
 		PYTHONPATH=src pytest \
 			'benchmarks/bench_e26_incremental.py::test_e26_perf_smoke_gate' \
+			'benchmarks/bench_e26_incremental.py::test_e26_rate_over_solve_ratio_gate' \
 			'benchmarks/bench_e27_timeline.py::test_e27_perf_smoke_gate' \
 			'benchmarks/bench_e27_timeline.py::test_e27_cold_plan_gate' \
+			'benchmarks/bench_e27_timeline.py::test_e27_integer_check_ratio_gate' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_perf_smoke_gate' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_100k_nodes_million_events' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_recording_ratio_gate' \

@@ -14,13 +14,20 @@ on average.  ``test_e26_perf_smoke_gate`` is the coarse CI gate on a small
 tree: strictly fewer evals, no wall-clock threshold.  The recorded
 baselines live in ``BENCH_e26_incremental.json`` (see
 ``benchmarks/record_baseline.py`` and ``docs/perf.md``).
+
+``test_e26_rate_over_solve_ratio_gate`` is the same-run ratio gate of
+``IncrementalSolver.rate()``: the solve's loop without the replay, timed
+against ``solve()`` on churn-shaped mutation batches of a 240-node smooth
+tree, at equal answers and equal misses.
 """
 
+import gc
 import random
+import time
 
 from repro.core.bwfirst import bw_first
 from repro.core.incremental import IncrementalSolver
-from repro.platform.generators import random_tree
+from repro.platform.generators import random_tree, smooth_tree
 from repro.util.text import render_table
 
 from .conftest import emit
@@ -156,3 +163,77 @@ def test_e26_perf_smoke_gate():
     assert solver.last_evals < len(ref.outcomes), (
         f"node_evals(incremental)={solver.last_evals} must be < "
         f"node_evals(full)={len(ref.outcomes)}")
+
+
+#: the churn workload's shape: four ops a batch, mostly leaf weights drawn
+#: from the smooth pool, the rest edge costs
+CHURN_WEIGHTS = (2048, 3072, 4096, 6144)
+CHURN_BATCHES = 24
+#: rate() must cost at most this share of solve(): eight runs on a shared
+#: 2-core x86-64 container read 0.62–0.72 (0.69, 0.67, 0.67, 0.72, 0.66,
+#: 0.62, 0.69, 0.69)
+RATE_OVER_SOLVE = 0.8
+
+
+def churn_batches(tree, batches=CHURN_BATCHES, seed=E26_SEED):
+    """Seeded four-op batches (``(method, node, value)``) valid on *tree*."""
+    rng = random.Random(seed)
+    mirror = tree.copy()
+    out = []
+    for _ in range(batches):
+        batch = []
+        for _ in range(4):
+            if rng.random() < 0.8:
+                node = rng.choice([n for n in mirror.leaves()
+                                   if n != mirror.root])
+                op = ("set_w", node, rng.choice(CHURN_WEIGHTS))
+            else:
+                node = rng.choice([n for n in mirror.nodes()
+                                   if n != mirror.root])
+                op = ("set_c", node, rng.choice((1, 2)))
+            getattr(mirror, op[0])(op[1], op[2])
+            batch.append(op)
+        out.append(batch)
+    return out
+
+
+def test_e26_rate_over_solve_ratio_gate():
+    """Best-of-5 ``rate()`` over a churn stream ≤ 0.8 × best-of-5
+    ``solve()`` over the same stream, with every ``rate()`` equal to the
+    paired ``solve()``'s ``(t_max, throughput)`` at the same
+    ``last_evals``.  The two solvers take turns batch by batch, so host
+    noise lands on both."""
+    tree = smooth_tree(240, E26_SEED)
+    batches = churn_batches(tree)
+    best = {"rate": None, "solve": None}
+    for _ in range(5):
+        solvers = {"rate": IncrementalSolver(tree),
+                   "solve": IncrementalSolver(tree)}
+        for solver in solvers.values():
+            solver.solve()
+        spent = dict.fromkeys(solvers, 0.0)
+        for batch in batches:
+            answers = {}
+            for how, solver in solvers.items():
+                for method, node, value in batch:
+                    getattr(solver, method)(node, value)
+                gc.collect()
+                gc.disable()
+                try:
+                    t0 = time.process_time()
+                    answers[how] = getattr(solver, how)()
+                    spent[how] += time.process_time() - t0
+                finally:
+                    gc.enable()
+            result = answers["solve"]
+            assert answers["rate"] == (result.t_max, result.throughput)
+            assert solvers["rate"].last_evals == solvers["solve"].last_evals
+        for how, seconds in spent.items():
+            best[how] = seconds if best[how] is None else min(best[how], seconds)
+    ratio = best["rate"] / best["solve"]
+    emit("E26: rate() vs solve() on churn batches (smooth_tree(240))",
+         f"best-of-5 over {len(batches)} batches: rate {best['rate'] * 1e3:.1f} "
+         f"ms, solve {best['solve'] * 1e3:.1f} ms (ratio {ratio:.2f}, "
+         f"bar <= {RATE_OVER_SOLVE})")
+    assert ratio <= RATE_OVER_SOLVE, (
+        f"rate() costs {ratio:.2f} x solve() (bar {RATE_OVER_SOLVE})")

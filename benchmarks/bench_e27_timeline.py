@@ -23,7 +23,9 @@ coarse CI gate (strictly-faster array kernel + strictly-fewer fragment
 recomputes, small sizes, best-of-3 ``process_time``) and
 ``test_e27_cold_plan_gate`` its twin for the cold Section 6 reconstruction
 (integer interleave strictly faster than the ``Fraction`` marks it
-replaced, at ``==``); recorded baselines live in
+replaced, at ``==``), and ``test_e27_integer_check_ratio_gate`` holds
+``Allocation.check``'s integer constraints against the rational oracle
+it replaced, at an equal verdict; recorded baselines live in
 ``BENCH_e27_timeline.json`` (see ``benchmarks/record_baseline.py`` and
 ``docs/perf.md``).
 """
@@ -33,7 +35,7 @@ import random
 import time
 from fractions import Fraction
 
-from repro.core.allocation import from_bw_first
+from repro.core.allocation import Allocation, from_bw_first
 from repro.core.bwfirst import bw_first
 from repro.core.incremental import IncrementalSolver
 from repro.platform.generators import smooth_tree
@@ -43,7 +45,8 @@ from repro.schedule.periods import global_period, tree_periods
 from repro.sim import KERNELS
 from repro.util.text import render_table
 
-from tests.fraction_oracles import interleaved_order_fraction
+from repro.exceptions import ScheduleError
+from tests.fraction_oracles import check_fraction, interleaved_order_fraction
 
 from .conftest import emit
 
@@ -228,3 +231,53 @@ def test_e27_cold_plan_gate():
     assert integer < rational, (
         f"integer interleave ({integer:.3f}s) must beat the Fraction "
         f"marks ({rational:.3f}s)")
+
+
+#: Allocation.check must cost at most this share of the Fraction oracle:
+#: five runs on a shared 2-core x86-64 container read 0.16–0.25 (0.16,
+#: 0.19, 0.25, 0.22, 0.24)
+CHECK_OVER_FRACTION = 0.6
+
+
+def test_e27_integer_check_ratio_gate():
+    """The CI regression gate for the integer ``Allocation.check``: on one
+    3000-node tree, best-of-5 CPU time ≤ 0.6 × best-of-5
+    ``check_fraction`` (the rational body it replaced, kept in
+    ``tests/fraction_oracles.py``), with the same verdict on the solved
+    allocation and the same message on the same allocation nudged by one
+    rate."""
+    allocation = from_bw_first(bw_first(smooth_tree(3000, E27_SEED)))
+
+    best = {Allocation.check: None, check_fraction: None}
+    for _ in range(5):  # alternated, so host noise lands on both
+        for check, seconds in best.items():
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                check(allocation)
+                dt = time.process_time() - t0
+            finally:
+                gc.enable()
+            best[check] = dt if seconds is None else min(seconds, dt)
+    integer, rational = best[Allocation.check], best[check_fraction]
+    node = max(allocation.alpha, key=allocation.alpha.get)
+    nudged = Allocation(allocation.tree,
+                        {**allocation.alpha,
+                         node: allocation.alpha[node] + Fraction(1, 7)},
+                        allocation.eta_in, allocation.eta_out)
+    messages = []
+    for check in (Allocation.check, check_fraction):
+        try:
+            check(nudged)
+        except ScheduleError as exc:
+            messages.append(str(exc))
+    assert len(messages) == 2 and messages[0] == messages[1], messages
+    ratio = integer / rational
+    emit("E27: Allocation.check, 3000 nodes",
+         f"integer {integer * 1e3:.1f} ms, Fraction oracle "
+         f"{rational * 1e3:.1f} ms (ratio {ratio:.2f}, bar <= "
+         f"{CHECK_OVER_FRACTION})")
+    assert ratio <= CHECK_OVER_FRACTION, (
+        f"Allocation.check costs {ratio:.2f} x check_fraction "
+        f"(bar {CHECK_OVER_FRACTION})")

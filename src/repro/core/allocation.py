@@ -18,6 +18,7 @@ schedule-reconstruction layer (:mod:`repro.schedule`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,7 +27,7 @@ from typing import Dict, Hashable, Mapping, Tuple
 from ..exceptions import ScheduleError
 from ..platform.tree import Tree
 from .bwfirst import BWFirstResult
-from .rates import ONE, ZERO
+from .rates import ZERO, is_infinite
 
 
 @dataclass(frozen=True)
@@ -72,43 +73,59 @@ class Allocation:
         the first violated constraint; returns silently when the allocation
         is feasible.
 
-        Under BW-First most nodes of a large tree are idle, so rates are
-        tested for truth before any rational arithmetic is spent on them:
-        a zero rate is non-negative, within every capacity, and adds nothing
-        to a sum or a port.  Every constraint is still decided for every
-        node and every edge — two zeros are equal, so an edge is skipped
-        only when *both* its ends read zero.
+        Every rate ``x`` is scaled once to the integer ``x·D``, ``D`` the
+        lcm of the rates' denominators, so every constraint of every node
+        and every edge is decided on ints: ``α·D·w ≤ D``,
+        ``η_in·D = α·D + Σ η_i·D``, ``η_in·D·c ≤ D`` and
+        ``Σ η_i·D·c_i ≤ D``, each ``w`` and ``c`` cross-multiplied by its
+        own numerator and denominator.  ``Fraction`` arithmetic is spent
+        only on formatting the error of a failing constraint.
         """
         tree, root = self.tree, self.tree.root
         alphas, eta_ins, eta_outs = self.alpha, self.eta_in, self.eta_out
-        for node in tree.nodes():
-            alpha = alphas.get(node, ZERO)
-            eta_in = eta_ins.get(node, ZERO)
-            if alpha or eta_in:
-                if alpha < 0 or eta_in < 0:
-                    raise ScheduleError(f"negative activity at node {node!r}")
-                # compute capacity: α ≤ r  (α·w ≤ 1)
-                if alpha > tree.rate(node):
-                    raise ScheduleError(
-                        f"node {node!r} computes {alpha} > its rate {tree.rate(node)}"
-                    )
+        scale = math.lcm(*{rate.denominator for rates in (alphas, eta_ins, eta_outs)
+                           for rate in rates.values()})
 
-            # conservation (equation 1)
-            out_total = ZERO
-            port_time = ZERO
+        def scaled(rates):
+            return {key: rate.numerator * (scale // rate.denominator)
+                    for key, rate in rates.items()}
+
+        alpha_d, eta_in_d, eta_out_d = scaled(alphas), scaled(eta_ins), scaled(eta_outs)
+        for node in tree.nodes():
+            alpha = alpha_d.get(node, 0)
+            eta_in = eta_in_d.get(node, 0)
+            if alpha < 0 or eta_in < 0:
+                raise ScheduleError(f"negative activity at node {node!r}")
+            # compute capacity: α ≤ r  (α·w ≤ 1)
+            if alpha:
+                w = tree.w(node)
+                if is_infinite(w) or alpha * w.numerator > scale * w.denominator:
+                    raise ScheduleError(
+                        f"node {node!r} computes {alphas[node]} > its rate "
+                        f"{tree.rate(node)}")
+
+            # conservation (equation 1); the send port's time Σ η_i·c_i is
+            # port_time / (D · port_den), port_den the lcm of the c's so far
+            out_total = 0
+            port_time, port_den = 0, 1
             for child in tree.children(node):
-                sent = eta_outs.get((node, child), ZERO)
-                received = eta_ins.get(child, ZERO)
-                if sent or received:
-                    if sent < 0:
-                        raise ScheduleError(f"negative send rate on {node!r}->{child!r}")
-                    if sent != received:
-                        raise ScheduleError(
-                            f"edge {node!r}->{child!r}: parent sends {sent} but child "
-                            f"receives {received}"
-                        )
+                sent = eta_out_d.get((node, child), 0)
+                received = eta_in_d.get(child, 0)
+                if sent < 0:
+                    raise ScheduleError(f"negative send rate on {node!r}->{child!r}")
+                if sent != received:
+                    raise ScheduleError(
+                        f"edge {node!r}->{child!r}: parent sends "
+                        f"{eta_outs.get((node, child), ZERO)} but child "
+                        f"receives {eta_ins.get(child, ZERO)}"
+                    )
+                if sent:
                     out_total += sent
-                    port_time += sent * tree.c(child)
+                    c = tree.c(child)
+                    den = math.lcm(port_den, c.denominator)
+                    port_time = (port_time * (den // port_den)
+                                 + sent * c.numerator * (den // c.denominator))
+                    port_den = den
 
             if node == root:
                 if eta_in:
@@ -116,20 +133,23 @@ class Allocation:
             elif alpha or eta_in or out_total:
                 if eta_in != alpha + out_total:
                     raise ScheduleError(
-                        f"conservation violated at {node!r}: receives {eta_in}, "
-                        f"consumes {alpha} + {out_total}"
+                        f"conservation violated at {node!r}: receives "
+                        f"{eta_ins.get(node, ZERO)}, consumes "
+                        f"{alphas.get(node, ZERO)} + {Fraction(out_total, scale)}"
                     )
                 # receive port: one incoming link, c·η_in ≤ 1
-                if eta_in * tree.c(node) > ONE:
+                c = tree.c(node)
+                if eta_in * c.numerator > scale * c.denominator:
                     raise ScheduleError(
                         f"receive port of {node!r} over-subscribed: "
-                        f"{eta_in} × {tree.c(node)} > 1"
+                        f"{eta_ins[node]} × {c} > 1"
                     )
 
             # send port: Σ c_i·η_i ≤ 1
-            if port_time and port_time > ONE:
+            if port_time > scale * port_den:
                 raise ScheduleError(
-                    f"send port of {node!r} over-subscribed ({port_time} > 1)"
+                    f"send port of {node!r} over-subscribed "
+                    f"({Fraction(port_time, scale * port_den)} > 1)"
                 )
 
     def is_feasible(self) -> bool:

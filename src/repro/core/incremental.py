@@ -31,12 +31,18 @@ Three regimes answer from cache without running Algorithm 1's loop:
   answers every larger proposal.
 * **exact** — otherwise, solutions are memoized per exact ``β``.
 
-On a hit the solver *replays* the cached solution — copying node outcomes
-and renumbering transactions in global open order — so the produced
-:class:`~repro.core.bwfirst.BWFirstResult` is **identical** (outcome by
-outcome, transaction by transaction, including the Figure 4(b) indices) to
-a fresh ``bw_first`` run, as the property tests assert.  Replay is pure
-bookkeeping; only cache *misses* run rational arithmetic, so the solver's
+The loop builds only cached solutions: a hit contributes its solution
+object and its accepted rate ``λ − θ`` (stored with the solution, so the
+parent subtracts nothing), a miss runs Algorithm 1 for one node.
+:meth:`IncrementalSolver.solve` then *replays* the root's solution once —
+copying node outcomes and numbering transactions in global open order —
+so the produced :class:`~repro.core.bwfirst.BWFirstResult` is
+**identical** (outcome by outcome, transaction by transaction, including
+the Figure 4(b) indices) to a fresh ``bw_first`` run, as the property
+tests assert.  :meth:`IncrementalSolver.rate` is the same loop without the
+replay or the result-tree snapshot, for callers that read only the
+throughput.  Replay is pure bookkeeping, paid once and only when a log is
+asked for; only cache *misses* run rational arithmetic, so the solver's
 cost after a mutation is proportional to the dirty path, not the tree.
 
 ``node_evals`` (``solver.last_evals``) counts exactly those misses — the
@@ -108,10 +114,11 @@ class _Sol:
     order (BW-First opens children consecutively from the front of that
     order, so ``txns[i]`` always belongs to the i-th child).  ``evals`` is
     the number of node evaluations a fresh solve of this subtree performed
-    — what a cache hit saves.
+    — what a cache hit saves.  ``accepted`` is ``λ − θ``, what the subtree
+    consumes: the same for every proposal a saturated solution answers.
     """
 
-    __slots__ = ("lam", "alpha", "theta", "tau", "txns", "evals")
+    __slots__ = ("lam", "alpha", "theta", "tau", "txns", "evals", "accepted")
 
     def __init__(self, lam, alpha, theta, tau, txns, evals):
         self.lam = lam
@@ -120,6 +127,7 @@ class _Sol:
         self.tau = tau
         self.txns = txns
         self.evals = evals
+        self.accepted = lam - theta
 
 
 class _Entry:
@@ -173,21 +181,30 @@ class _Entry:
 class _IFrame:
     """One activation of Algorithm 1 inside the incremental solve."""
 
-    __slots__ = ("node", "lam", "alpha", "delta", "tau", "kids", "next_i",
-                 "pending", "collected", "saturated", "max_need")
+    __slots__ = ("node", "lam", "alpha", "offered", "delta", "tau", "kids",
+                 "next_i", "pending", "txns", "evals", "saturated", "max_need")
 
     def __init__(self, node, lam, rate, kids):
         self.node = node
         self.lam = lam
         self.alpha = min(rate, lam)
-        self.delta = lam - self.alpha
+        self.offered = self.delta = lam - self.alpha  # δ before any child
         self.tau = ONE
         self.kids = kids
         self.next_i = 0
-        self.pending = None  # (log index, child, c, β) of the open txn
-        self.collected: List[Tuple[Transaction, _Sol]] = []
+        self.pending = None  # edge cost c of the open transaction
+        self.txns: List[Tuple[Fraction, Fraction, _Sol]] = []  # (β, θ, sol)
+        self.evals = 1  # this node plus its children's subtree solutions
         self.saturated = True
         self.max_need = ZERO  # max over opens of consumed_before + τ·b
+
+    def close(self, beta: Fraction, theta: Fraction, sol: "_Sol", c: Fraction) -> None:
+        """Close the transaction with a child that answered *sol* to *beta*
+        over an edge of cost *c*."""
+        self.txns.append((beta, theta, sol))
+        self.evals += sol.evals
+        self.delta -= sol.accepted
+        self.tau -= sol.accepted * c
 
 
 class IncrementalSolver:
@@ -530,7 +547,7 @@ class IncrementalSolver:
         Returns ``(sol, θ)``: the solution to replay and the acknowledgment
         the parent should close with (for a saturated hit θ is shifted to
         the offered λ; the replayed internals are identical by the
-        saturation property).
+        saturation property, and so is ``sol.accepted``).
         """
         self.stats["lookups"] += 1
         rate = self._rate(node)
@@ -544,7 +561,7 @@ class IncrementalSolver:
             sat = entry.sat
             if sat is not None and beta >= entry.sat_threshold:
                 self._hit(entry, "saturated", sat)
-                return sat, beta - (sat.lam - sat.theta)
+                return sat, beta - sat.accepted
             sol = entry.exact.get(beta)
             if sol is not None:
                 self._hit(entry, "exact", sol)
@@ -700,6 +717,27 @@ class IncrementalSolver:
     def solve(self, proposal: Optional[Fraction] = None) -> BWFirstResult:
         """Run BW-First on the current tree, answering from cache wherever a
         clean subtree allows; exactly equal to ``bw_first`` on this tree."""
+        lam_root, sol, theta_root = self._solve_root(proposal)
+        outcomes: Dict[Hashable, NodeOutcome] = {}
+        log: List[Transaction] = []
+        self._emit(self._tree.root, sol, lam_root, theta_root, outcomes, log)
+        return BWFirstResult(
+            tree=self._result_tree(), t_max=lam_root,
+            throughput=lam_root - theta_root,
+            outcomes=outcomes, transactions=tuple(log),
+        )
+
+    def rate(self, proposal: Optional[Fraction] = None) -> Tuple[Fraction, Fraction]:
+        """``(t_max, throughput)`` of the current tree: the loop of
+        :meth:`solve` — same misses, cache and store traffic, same
+        :attr:`last_evals` — without replaying outcomes and transactions
+        or snapshotting the tree."""
+        lam_root, _, theta_root = self._solve_root(proposal)
+        return lam_root, lam_root - theta_root
+
+    def _solve_root(self, proposal: Optional[Fraction]) -> Tuple[Fraction, _Sol, Fraction]:
+        """The one loop behind :meth:`solve` and :meth:`rate`: build (or
+        find) the root's cached solution; returns ``(λ_root, sol, θ_root)``."""
         tree = self._tree
         lam_root = root_proposal(tree) if proposal is None else proposal
         if lam_root < 0:
@@ -709,42 +747,26 @@ class IncrementalSolver:
         self.stats["solves"] += 1
         if self._unasked:
             self._ask_store()
-        outcomes: Dict[Hashable, NodeOutcome] = {}
-        log: List[Transaction] = []
-        evals = 0
 
         hit = self._lookup(tree.root, lam_root)
         if hit is not None:
-            sol, theta_root = hit
-            self._emit(tree.root, sol, lam_root, theta_root, outcomes, log)
             self.last_evals = 0
-            return BWFirstResult(
-                tree=self._result_tree(), t_max=lam_root,
-                throughput=lam_root - theta_root,
-                outcomes=outcomes, transactions=tuple(log),
-            )
+            sol, theta_root = hit
+            return lam_root, sol, theta_root
 
         edge_cost = tree.edge_cost
         stack = [_IFrame(tree.root, lam_root, self._rate(tree.root),
                          self._kids(tree.root))]
-        evals += 1
-        returned: Optional[Tuple[Fraction, _Sol]] = None
+        evals = 1
+        returned: Optional[_Sol] = None  # the solution of the frame just popped
 
         while stack:
             frame = stack[-1]
 
             if frame.pending is not None:
-                index, child, c, beta = frame.pending
-                frame.pending = None
-                theta, child_sol = returned
+                c, frame.pending = frame.pending, None
+                frame.close(returned.lam, returned.theta, returned, c)
                 returned = None
-                txn = Transaction(index=index, parent=frame.node, child=child,
-                                  proposal=beta, ack=theta)
-                log[index] = txn
-                frame.collected.append((txn, child_sol))
-                accepted = beta - theta
-                frame.delta -= accepted
-                frame.tau -= accepted * c
 
             opened = False
             while frame.delta > 0 and frame.tau > 0 and frame.next_i < len(frame.kids):
@@ -757,47 +779,29 @@ class IncrementalSolver:
                     beta = frame.delta
                 else:
                     beta = cap
-                need = (frame.lam - frame.alpha - frame.delta) + cap
-                if need > frame.max_need:
-                    frame.max_need = need
-                index = len(log)
-                log.append(None)  # placeholder, filled when the txn closes
+                if frame.saturated:  # the threshold matters only then
+                    need = (frame.offered - frame.delta) + cap
+                    if need > frame.max_need:
+                        frame.max_need = need
                 hit = self._lookup(child, beta)
                 if hit is None:
-                    frame.pending = (index, child, c, beta)
+                    frame.pending = c
                     stack.append(_IFrame(child, beta, self._rate(child),
                                          self._kids(child)))
                     evals += 1
                     opened = True
                     break
                 sol, theta = hit
-                self._emit(child, sol, beta, theta, outcomes, log)
-                txn = Transaction(index=index, parent=frame.node, child=child,
-                                  proposal=beta, ack=theta)
-                log[index] = txn
-                frame.collected.append((txn, sol))
-                accepted = beta - theta
-                frame.delta -= accepted
-                frame.tau -= accepted * c
+                frame.close(beta, theta, sol, c)
             if opened:
                 continue
 
-            # node done: record outcome, cache the solution, ack the parent
-            txns = tuple(t for t, _ in frame.collected)
-            outcomes[frame.node] = NodeOutcome(
-                node=frame.node, lam=frame.lam, alpha=frame.alpha,
-                theta=frame.delta, tau=frame.tau, transactions=txns,
-            )
-            sol = _Sol(
-                frame.lam, frame.alpha, frame.delta, frame.tau,
-                tuple((t.proposal, t.ack, s) for t, s in frame.collected),
-                1 + sum(s.evals for _, s in frame.collected),
-            )
-            self._store(frame, sol)
-            returned = (frame.delta, sol)
+            # node done: cache the solution, ack the parent
+            returned = _Sol(frame.lam, frame.alpha, frame.delta, frame.tau,
+                            tuple(frame.txns), frame.evals)
+            self._store(frame, returned)
             stack.pop()
 
-        theta_root, _ = returned
         self.last_evals = evals
         self.stats["evals"] += evals
         self._count("incr.evals", evals)
@@ -806,11 +810,7 @@ class IncrementalSolver:
             self.stats["shared_publishes"] += len(updates)
             self._count("incr.shared.publish", len(updates))
             self._shared.publish(updates, tenant=self._tenant)
-        return BWFirstResult(
-            tree=self._result_tree(), t_max=lam_root,
-            throughput=lam_root - theta_root,
-            outcomes=outcomes, transactions=tuple(log),
-        )
+        return lam_root, returned, returned.theta
 
     # ------------------------------------------------------------------
     # introspection

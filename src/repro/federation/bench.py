@@ -13,7 +13,9 @@ seeded mutation streams:
   nothing shared, nothing batched;
 * **isolated-incremental** — the *nearest* baseline: per-tenant
   :class:`~repro.core.incremental.IncrementalSolver` in this process with
-  no cross-tenant sharing, one solve per mutation.  What the shards,
+  no cross-tenant sharing, one solve per mutation, answered by
+  :meth:`~repro.core.incremental.IncrementalSolver.rate` as the shards
+  answer theirs, so both modes do the same work.  What the shards,
   batching and the shared store buy over PR 4's incrementality alone; the
   E32 gate asserts the federated churn beats it in the same run.  Like
   the federated mode, its churn wall excludes onboarding (building the
@@ -174,7 +176,7 @@ def run_federation_bench(tenants: int = 8, shards: int = 2, nodes: int = 240,
     solvers = {}
     for tenant in sorted(trees):
         solvers[tenant] = IncrementalSolver(trees[tenant])
-        solvers[tenant].solve()
+        solvers[tenant].rate()
     incr_onboard_wall = time.perf_counter() - start
     start = time.perf_counter()
     incr_evals = 0
@@ -182,7 +184,7 @@ def run_federation_bench(tenants: int = 8, shards: int = 2, nodes: int = 240,
         solver = solvers[tenant]
         for op in streams[tenant]:
             solver.set_w(op[1], int(op[2]))
-            solver.solve()
+            solver.rate()
             incr_evals += solver.last_evals
     incr_wall = time.perf_counter() - start
     result["isolated_incremental"] = {

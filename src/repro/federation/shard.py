@@ -5,21 +5,26 @@ exact ``"n/d"`` rationals) over a duplex pipe with the federation
 service, one request at a time:
 
 * ``onboard`` — build an :class:`~repro.core.incremental.IncrementalSolver`
-  for a tenant from its serialised tree.  Trees are canonicalised and
+  for a tenant from its serialised tree and, unless told not to, answer
+  its rate (like ``batch``, below).  Trees are canonicalised and
   remembered: a later tenant onboarding an *identical* tree clones the
   first one's solver (:meth:`~repro.core.incremental.IncrementalSolver.clone`)
   instead of re-fingerprinting from scratch — the template fast path;
 * ``batch`` — the coalesced flush: a list of per-tenant requests, each
   carrying *all* of that tenant's pending mutations and asking for one
-  solve.  Applying the ops back to back re-fingerprints each dirty
+  solve, answered by rate
+  (:meth:`~repro.core.incremental.IncrementalSolver.rate`: the reply
+  carries only ``throughput`` / ``t_max``, so no outcome or transaction
+  is built).  Applying the ops back to back re-fingerprints each dirty
   root-path once per op but solves only once, which is the point of the
   batch window.  An optional ``candidates`` list invokes cache-aware
   proposal planning (:func:`~repro.protocol.plan_proposal`).  A tenant
   whose ops or solve fail is reported in its own result (``error``, the
   failing ``op``) and the batch's other tenants are still served;
 * ``result`` — the tenant's full current solution (outcomes +
-  transactions), used by exactness verification.  It re-solves, which by
-  then is a pure cache replay;
+  transactions), used by exactness verification.  It re-solves with
+  :meth:`~repro.core.incremental.IncrementalSolver.solve`, which by then
+  is a pure cache replay;
 * ``stats`` / ``chaos`` / ``shutdown`` — introspection, the crash-test
   hook (die mid-batch after applying ops, before acking — exactly the
   window the service's retry must cover), and orderly exit.
@@ -129,11 +134,10 @@ class _ShardState:
         self.stats["onboards"] += 1
         summary = {"tenant": tenant, "nodes": len(list(solver.tree.nodes()))}
         if solve:
-            result = solver.solve()
+            t_max, throughput = solver.rate()
             self.stats["resolves"] += 1
             self.stats["evals"] += solver.last_evals
-            summary.update(throughput=str(result.throughput),
-                           t_max=str(result.t_max),
+            summary.update(throughput=str(throughput), t_max=str(t_max),
                            evals=solver.last_evals)
         return summary
 
@@ -168,7 +172,7 @@ class _ShardState:
                     proposal = plan_proposal(
                         solver, [parse_rational(c) for c in candidates],
                         shared=self.shared)
-                result = solver.solve(proposal)
+                t_max, throughput = solver.rate(proposal)
             except Exception as exc:  # contained: one bad tenant ≠ a bad batch
                 results.append({"tenant": tenant, "op": op,
                                 "error": f"{type(exc).__name__}: {exc}"})
@@ -177,8 +181,8 @@ class _ShardState:
             self.stats["evals"] += solver.last_evals
             results.append({
                 "tenant": tenant,
-                "throughput": str(result.throughput),
-                "t_max": str(result.t_max),
+                "throughput": str(throughput),
+                "t_max": str(t_max),
                 "proposal": None if proposal is None else str(proposal),
                 "evals": solver.last_evals,
             })

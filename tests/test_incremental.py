@@ -39,6 +39,32 @@ def assert_exact_equal(solver, tree, tag=""):
     assert got.tree == tree, tag
 
 
+def suite_tree(seed, rng):
+    """The mutation suite's platform for *seed*, drawn from *rng*."""
+    return random_tree(
+        rng.randrange(5, 45), seed=seed,
+        max_children=rng.choice([2, 3, 4]),
+        w_numerator_range=(1, 40), c_numerator_range=(1, 6),
+        switch_probability=0.15 if seed % 4 == 0 else 0.0,
+    )
+
+
+def twin_rngs(seed):
+    """Two generators in the same state: the same draws for two solvers."""
+    rng = random.Random(seed)
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return rng, twin
+
+
+def cache_state(solver):
+    """Every memoised answer, by fingerprint: what a later solve can hit."""
+    return ({fp: (entry.sat_threshold if entry.sat is not None else None,
+                  sorted(entry.exact))
+             for fp, entry in solver._cache.items()},
+            solver.stats["evictions"])
+
+
 def random_mutation(solver, rng, salt):
     """Apply one random mutation through the solver; returns its kind."""
     tree = solver.tree
@@ -90,12 +116,7 @@ class TestExactEquality:
         after *every* step (the ISSUE's cache-correctness property)."""
         for seed in range(50):
             rng = random.Random(seed)
-            tree = random_tree(
-                rng.randrange(5, 45), seed=seed,
-                max_children=rng.choice([2, 3, 4]),
-                w_numerator_range=(1, 40), c_numerator_range=(1, 6),
-                switch_probability=0.15 if seed % 4 == 0 else 0.0,
-            )
+            tree = suite_tree(seed, rng)
             solver = IncrementalSolver(tree)
             assert_exact_equal(solver, solver.tree, f"seed {seed} initial")
             assert_exact_equal(solver, solver.tree, f"seed {seed} warm")
@@ -103,6 +124,68 @@ class TestExactEquality:
                 random_mutation(solver, rng, salt=1000 * seed + step)
                 assert_exact_equal(
                     solver, solver.tree, f"seed {seed} step {step}")
+
+
+class TestRate:
+    """``rate()`` is ``solve()``'s loop without the replay: the same
+    answer, the same misses and the same cache it leaves behind."""
+
+    def test_rate_matches_bw_first_on_the_mutation_suite(self):
+        for seed in range(50):
+            rng, twin = twin_rngs(seed)
+            tree = suite_tree(seed, rng)
+            assert suite_tree(seed, twin) == tree
+            by_rate, by_solve = IncrementalSolver(tree), IncrementalSolver(tree)
+            for step in range(-1, 6):
+                if step >= 0:
+                    random_mutation(by_rate, rng, salt=1000 * seed + step)
+                    random_mutation(by_solve, twin, salt=1000 * seed + step)
+                ref = bw_first(by_rate.tree)
+                tag = f"seed {seed} step {step}"
+                assert by_rate.rate() == (ref.t_max, ref.throughput), tag
+                assert by_solve.solve().throughput == ref.throughput, tag
+                assert by_rate.last_evals == by_solve.last_evals, tag
+                assert by_rate.stats == by_solve.stats, tag
+                assert cache_state(by_rate) == cache_state(by_solve), tag
+
+    def test_proposal_override(self):
+        tree = paper_figure4_tree()
+        solver = IncrementalSolver(tree)
+        for p in (F(0), F(1, 2), F(3), bw_first(tree).t_max * 2):
+            ref = bw_first(tree, proposal=p)
+            assert solver.rate(proposal=p) == (p, ref.throughput)
+        with pytest.raises(ScheduleError):
+            solver.rate(proposal=F(-1))
+
+    @pytest.mark.parametrize("order", ["rate", "solve", "rate+solve",
+                                       "solve+rate", "rate+rate", "random"])
+    def test_interleaving_leaves_the_same_cache(self, order):
+        """Whatever mix of ``rate()`` and ``solve()`` runs between two
+        mutations, the next ``solve()`` equals ``bw_first`` and the cache
+        (entries, thresholds, exact memos, evictions) equals that of a
+        solver that only ever called ``solve()`` — with a memo cap of 2 so
+        evictions happen."""
+        for seed in range(50):
+            rng, twin = twin_rngs(seed)
+            tree = suite_tree(seed, rng)
+            suite_tree(seed, twin)  # keep the twin's draws in step
+            mixed = IncrementalSolver(tree, memo_cap=2)
+            plain = IncrementalSolver(tree, memo_cap=2)
+            calls = random.Random(-seed)
+            for step in range(-1, 6):
+                if step >= 0:
+                    random_mutation(mixed, rng, salt=1000 * seed + step)
+                    random_mutation(plain, twin, salt=1000 * seed + step)
+                plan = (order if order != "random" else "+".join(
+                    calls.choice(["rate", "solve"])
+                    for _ in range(calls.randrange(1, 4)))).split("+")
+                for call in plan:
+                    getattr(mixed, call)()
+                plain.solve()
+                tag = f"seed {seed} step {step} {plan}"
+                assert cache_state(mixed) == cache_state(plain), tag
+                assert_exact_equal(mixed, mixed.tree, tag)
+                assert cache_state(mixed) == cache_state(plain), tag
 
 
 class TestFingerprints:

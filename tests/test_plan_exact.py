@@ -13,8 +13,10 @@ moved:
 * **differential properties** — the interleave, ``scaled_integer``, the
   per-node periods and ``Allocation.check`` against their oracles on
   seeded random inputs, ties and degenerate cases included;
-* **fail-closed cases** — hand-broken allocations the zero-node dispatch
-  of ``Allocation.check`` must still reject.
+* **fail-closed cases** — hand-broken allocations ``Allocation.check``,
+  which decides every constraint on integers over one common
+  denominator, must still reject with the oracle's message (a hypothesis
+  property adds perturbed random allocations).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.allocation import Allocation, from_bw_first
 from repro.core.bwfirst import bw_first
@@ -410,6 +414,79 @@ class TestCheckFailsClosed:
             assert str(got.value) == str(exc)
         else:
             allocation.check()
+
+
+#: a prime-free denominator far beyond any machine word
+HUGE = 10 ** 40 + 1
+
+
+def verdict(check, allocation):
+    """``None`` when *check* passes, else the exact error message."""
+    try:
+        check(allocation)
+    except ScheduleError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def perturbed_allocations(draw):
+    """A solved random tree — edge costs over denominators 1..6, switches,
+    optionally one weight over ``10**40 + 1`` — plus an idle branch, with
+    either one rate replaced or a conserved flow routed through the idle
+    branch up to (or just past) its receive and send ports."""
+    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+    tree = random_tree(draw(st.integers(min_value=1, max_value=14)), seed,
+                       switch_probability=draw(st.sampled_from([0.0, 0.3])))
+    if draw(st.booleans()):
+        node = draw(st.sampled_from(sorted(tree.nodes())))
+        if not tree.is_switch(node):
+            tree.set_w(node, tree.w(node) * F(HUGE, HUGE - 1))
+    good = from_bw_first(bw_first(tree))
+    tree = tree.copy()
+    parent = draw(st.sampled_from(sorted(tree.nodes())))
+    # idle receives at most 2/7 (c = 7/2); it and idle.leaf share 1/4 on
+    # the idle -> idle.leaf link (c = 4)
+    tree.add_node("idle", w=F(5, 3), parent=parent, c=F(7, 2))
+    tree.add_node("idle.leaf", w=F(1, 5), parent="idle", c=4)
+    tree.add_node("idle.switch", w=float("inf"), parent="idle", c=1)
+    rates = {"alpha": dict(good.alpha), "eta_in": dict(good.eta_in),
+             "eta_out": dict(good.eta_out)}
+    idle = ("idle", "idle.leaf", "idle.switch")
+    edges = ((parent, "idle"), ("idle", "idle.leaf"), ("idle", "idle.switch"))
+    if draw(st.booleans()):  # the idle branch spelled out, or left missing
+        rates["alpha"].update(dict.fromkeys(idle, F(0)))
+        rates["eta_in"].update(dict.fromkeys(idle, F(0)))
+        rates["eta_out"].update(dict.fromkeys(edges, F(0)))
+    name = draw(st.sampled_from(["none", "alpha", "eta_in", "eta_out", "flow"]))
+    if name == "flow":
+        x = draw(st.sampled_from([F(1, 4), F(2, 7), F(2, 7) + F(1, HUGE)]))
+        y = draw(st.sampled_from([F(0), F(1, 4), F(1, 4) + F(1, HUGE), x]))
+        rates["alpha"][parent] = rates["alpha"].get(parent, F(0)) - x
+        rates["eta_out"][edges[0]] = rates["eta_in"]["idle"] = x
+        rates["alpha"]["idle"] = x - y
+        rates["eta_out"][edges[1]] = rates["eta_in"]["idle.leaf"] = y
+        rates["alpha"]["idle.leaf"] = y
+    elif name != "none":
+        mapping = rates[name]
+        keys = sorted(mapping, key=repr) + (
+            list(idle) if name != "eta_out" else list(edges))
+        key = draw(st.sampled_from(keys))
+        old = mapping.get(key, F(0))
+        mapping[key] = draw(st.sampled_from([
+            old + F(1, 7), F(0), -old - F(1, 3), F(5), old + F(1, HUGE),
+            old - F(1, HUGE), old * F(HUGE, HUGE - 1), F(1, HUGE),
+        ]))
+    return Allocation(tree=tree, **rates)
+
+
+class TestIntegerCheck:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(allocation=perturbed_allocations())
+    def test_verdict_and_message_equal_the_oracle(self, allocation):
+        assert verdict(Allocation.check, allocation) == verdict(
+            check_fraction, allocation)
 
 
 class TestSmallFixes:
