@@ -71,9 +71,11 @@ runtime-smoke:
 # fewer schedule fragments than a full rebuild; its cold-plan twin asserts
 # build_schedules on the integer interleave strictly beats the same call on
 # the Fraction marks kept in tests/fraction_oracles.py (~6x) at ==, and
-# tests/test_plan_exact.py pins the chain's outputs.  Two same-run ratio
+# tests/test_plan_exact.py pins the chain's outputs.  Three same-run ratio
 # gates, equality asserted beside each ratio: IncrementalSolver.rate() at
-# most 0.8x solve() on churn batches of a 240-node tree (~0.7), and the
+# most 0.8x solve() on churn batches of a 240-node tree (~0.3), one rate()
+# evaluation at most 0.7x one bw_first evaluation on the same batches
+# (~0.4; the loop runs on int pairs, bw_first on Fraction), and the
 # integer Allocation.check at most 0.6x the Fraction oracle on a 3000-node
 # tree (~0.2).  The E31 gate asserts the
 # 10k-node counts-only run agrees with an event-recording run and that a
@@ -93,6 +95,7 @@ perf-smoke:
 		PYTHONPATH=src pytest \
 			'benchmarks/bench_e26_incremental.py::test_e26_perf_smoke_gate' \
 			'benchmarks/bench_e26_incremental.py::test_e26_rate_over_solve_ratio_gate' \
+			'benchmarks/bench_e26_incremental.py::test_e26_rate_per_eval_gate' \
 			'benchmarks/bench_e27_timeline.py::test_e27_perf_smoke_gate' \
 			'benchmarks/bench_e27_timeline.py::test_e27_cold_plan_gate' \
 			'benchmarks/bench_e27_timeline.py::test_e27_integer_check_ratio_gate' \

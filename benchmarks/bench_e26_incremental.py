@@ -19,6 +19,9 @@ baselines live in ``BENCH_e26_incremental.json`` (see
 ``IncrementalSolver.rate()``: the solve's loop without the replay, timed
 against ``solve()`` on churn-shaped mutation batches of a 240-node smooth
 tree, at equal answers and equal misses.
+``test_e26_rate_per_eval_gate`` prices one node evaluation of that loop,
+which runs on int pairs, against one of ``bw_first``, which runs on
+``Fraction``, on the same batches in the same run.
 """
 
 import gc
@@ -171,7 +174,7 @@ CHURN_WEIGHTS = (2048, 3072, 4096, 6144)
 CHURN_BATCHES = 24
 #: rate() must cost at most this share of solve(): eight runs on a shared
 #: 2-core x86-64 container read 0.62–0.72 (0.69, 0.67, 0.67, 0.72, 0.66,
-#: 0.62, 0.69, 0.69)
+#: 0.62, 0.69, 0.69) with the loop on Fraction, 0.32–0.34 on int pairs
 RATE_OVER_SOLVE = 0.8
 
 
@@ -237,3 +240,58 @@ def test_e26_rate_over_solve_ratio_gate():
          f"bar <= {RATE_OVER_SOLVE})")
     assert ratio <= RATE_OVER_SOLVE, (
         f"rate() costs {ratio:.2f} x solve() (bar {RATE_OVER_SOLVE})")
+
+
+#: one node evaluation of rate() must cost at most this share of one of
+#: bw_first: the int-pair loop read 0.39–0.46 on a shared 2-core x86-64
+#: container, the Fraction loop it replaced 1.26–1.47
+RATE_PER_EVAL_OVER_BW_FIRST = 0.7
+
+
+def test_e26_rate_per_eval_gate():
+    """Best-of-5 ``rate()`` µs per node evaluation ≤ 0.7 × best-of-5
+    ``bw_first`` µs per node evaluation, over the same churn stream of
+    ``smooth_tree(240)`` in the same run, with every ``rate()`` equal to
+    ``bw_first``'s ``(t_max, throughput)``.  A ``rate()`` evaluation is a
+    miss (``last_evals``), a ``bw_first`` one a visited node; the two take
+    turns batch by batch, so host noise lands on both."""
+    tree = smooth_tree(240, E26_SEED)
+    batches = churn_batches(tree)
+    best = {"rate": None, "bw_first": None}
+    for _ in range(5):
+        solver = IncrementalSolver(tree)
+        solver.solve()
+        mirror = tree.copy()
+        spent = dict.fromkeys(best, 0.0)
+        evals = dict.fromkeys(best, 0)
+        for batch in batches:
+            for method, node, value in batch:
+                getattr(solver, method)(node, value)
+                getattr(mirror, method)(node, value)
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                answer = solver.rate()
+                t1 = time.process_time()
+                ref = bw_first(mirror)
+                t2 = time.process_time()
+            finally:
+                gc.enable()
+            assert answer == (ref.t_max, ref.throughput)
+            spent["rate"] += t1 - t0
+            spent["bw_first"] += t2 - t1
+            evals["rate"] += solver.last_evals
+            evals["bw_first"] += len(ref.outcomes)
+        for how, seconds in spent.items():
+            best[how] = seconds if best[how] is None else min(best[how], seconds)
+    per_eval = {how: best[how] / evals[how] * 1e6 for how in best}
+    ratio = per_eval["rate"] / per_eval["bw_first"]
+    emit("E26: rate() vs bw_first per node evaluation (smooth_tree(240))",
+         f"best-of-5 over {len(batches)} batches: rate {per_eval['rate']:.1f} "
+         f"us x {evals['rate']} evals, bw_first {per_eval['bw_first']:.1f} us "
+         f"x {evals['bw_first']} evals (ratio {ratio:.2f}, "
+         f"bar <= {RATE_PER_EVAL_OVER_BW_FIRST})")
+    assert ratio <= RATE_PER_EVAL_OVER_BW_FIRST, (
+        f"a rate() evaluation costs {ratio:.2f} x a bw_first one "
+        f"(bar {RATE_PER_EVAL_OVER_BW_FIRST})")

@@ -24,11 +24,14 @@ Three regimes answer from cache without running Algorithm 1's loop:
 * **absorption** — ``β ≤ r``: the node keeps everything (``α = β``,
   ``θ = 0``, no transactions).  O(1), closed form, never a miss.
 * **saturation** — when every child decision of a solve was port-limited
-  (``δ ≥ τ·b`` at each open) and the loop ended by exhausting children or
-  send-port time, the internal solution is *constant in λ* above the
-  threshold ``S = r + max_k(consumed_before_k + τ_k·b_k)`` and
+  (``δ ≥ τ·b`` at each open), the internal solution is *constant in λ*
+  above the threshold ``S = r + max_k(consumed_before_k + τ_k·b_k)`` and
   ``θ(λ) = λ − C`` with ``C`` the consumed capacity.  One cached solve
-  answers every larger proposal.
+  answers every larger proposal.  That maximum is always the first
+  open's ``τ_1·b_1 = b_1``: with children in increasing ``c`` and
+  ``τ ≥ 0``, ``consumed_before_k + τ_k·b_k ≤ A + (1 − A·c_1)/c_k ≤ 1/c_1``
+  for any ``A ≤ 1/c_1`` consumed before.  So ``S`` is the subtree's own
+  ``t_max``, ``r + b_1`` (``r`` for a leaf).
 * **exact** — otherwise, solutions are memoized per exact ``β``.
 
 The loop builds only cached solutions: a hit contributes its solution
@@ -42,8 +45,19 @@ the Figure 4(b) indices) to a fresh ``bw_first`` run, as the property
 tests assert.  :meth:`IncrementalSolver.rate` is the same loop without the
 replay or the result-tree snapshot, for callers that read only the
 throughput.  Replay is pure bookkeeping, paid once and only when a log is
-asked for; only cache *misses* run rational arithmetic, so the solver's
-cost after a mutation is proportional to the dirty path, not the tree.
+asked for, so the solver's cost after a mutation is proportional to the
+dirty path, not the tree.
+
+Cache *misses* run Algorithm 1's arithmetic (a lookup compares, a
+saturated hit subtracts once) on reduced ``(numerator, denominator)`` int
+pairs — one ``math.gcd`` per operation, comparisons by
+cross-multiplication — and the rates cache, the saturation thresholds,
+the exact-β memo keys and every cached solution hold the same pairs.
+``Fraction`` appears only at the boundary: the root proposal coming in,
+``rate()`` / ``solve()`` going out (the replay builds one per distinct
+value), and the shared store and the planner, which speak exact
+rationals.  ``bw_first`` stays on ``Fraction``: it is the independent
+oracle the solver is tested ``==`` against.
 
 ``node_evals`` (``solver.last_evals``) counts exactly those misses — the
 benchmark currency of ``benchmarks/bench_e26_incremental.py`` and the
@@ -58,12 +72,13 @@ import os
 from fractions import Fraction
 from hashlib import blake2b
 from itertools import islice
+from math import gcd
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..exceptions import PlatformError, ScheduleError
 from ..platform.tree import Tree
-from .bwfirst import BWFirstResult, NodeOutcome, Transaction, bw_first, root_proposal
-from .rates import ONE, ZERO, format_fraction
+from .bwfirst import BWFirstResult, NodeOutcome, Transaction, bw_first
+from .rates import format_fraction, is_infinite
 
 #: exact-β memo entries kept per fingerprint before the map is reset — a
 #: memory bound for adversarial churn; saturation/absorption hits (the
@@ -107,41 +122,79 @@ def _default_memo_cap() -> int:
     return cap
 
 
+def _sub(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
+    """``a − b`` on pairs with positive denominators, reduced with one
+    ``gcd``."""
+    n = an * bd - bn * ad
+    d = ad * bd
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _add(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
+    """``a + b`` on pairs with positive denominators, reduced with one
+    ``gcd``."""
+    n = an * bd + bn * ad
+    d = ad * bd
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+class _Exact(dict):
+    """Reduced pair → its ``Fraction``, built on first use: the replay's
+    one conversion per distinct value."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair: Tuple[int, int]) -> Fraction:
+        value = self[pair] = Fraction(*pair)
+        return value
+
+
 class _Sol:
     """One cached subtree solution: the full recursive outcome at one λ.
 
-    ``txns`` holds ``(β, θ, child_sol)`` per opened child, in bandwidth
-    order (BW-First opens children consecutively from the front of that
-    order, so ``txns[i]`` always belongs to the i-th child).  ``evals`` is
-    the number of node evaluations a fresh solve of this subtree performed
-    — what a cache hit saves.  ``accepted`` is ``λ − θ``, what the subtree
-    consumes: the same for every proposal a saturated solution answers.
+    Every rational is a reduced ``(numerator, denominator)`` pair of ints
+    held in two slots, denominator positive: λ (``lam_*``), α, θ, τ and
+    ``acc_*``, the accepted rate ``λ − θ`` — what the subtree consumes,
+    the same for every proposal a saturated solution answers.  ``txns``
+    holds ``(β_n, β_d, θ_n, θ_d, child_sol)`` per opened child, in
+    bandwidth order (BW-First opens children consecutively from the front
+    of that order, so ``txns[i]`` always belongs to the i-th child).
+    ``evals`` is the number of node evaluations a fresh solve of this
+    subtree performed — what a cache hit saves.
     """
 
-    __slots__ = ("lam", "alpha", "theta", "tau", "txns", "evals", "accepted")
+    __slots__ = ("lam_n", "lam_d", "alpha_n", "alpha_d", "theta_n", "theta_d",
+                 "tau_n", "tau_d", "acc_n", "acc_d", "txns", "evals")
 
-    def __init__(self, lam, alpha, theta, tau, txns, evals):
-        self.lam = lam
-        self.alpha = alpha
-        self.theta = theta
-        self.tau = tau
+    def __init__(self, lam_n, lam_d, alpha_n, alpha_d, theta_n, theta_d,
+                 tau_n, tau_d, txns, evals):
+        self.lam_n, self.lam_d = lam_n, lam_d
+        self.alpha_n, self.alpha_d = alpha_n, alpha_d
+        self.theta_n, self.theta_d = theta_n, theta_d
+        self.tau_n, self.tau_d = tau_n, tau_d
         self.txns = txns
         self.evals = evals
-        self.accepted = lam - theta
+        if theta_n:
+            self.acc_n, self.acc_d = _sub(lam_n, lam_d, theta_n, theta_d)
+        else:
+            self.acc_n, self.acc_d = lam_n, lam_d
 
 
 class _Entry:
     """Cache line of one fingerprint: a saturated solution + exact-β memos.
 
-    ``shared`` marks a line that came from the shared store, so answers
-    served from it count as ``hits_shared``."""
+    ``sat_threshold`` and the keys of ``exact`` are reduced ``(n, d)``
+    pairs.  ``shared`` marks a line that came from the shared store, so
+    answers served from it count as ``hits_shared``."""
 
     __slots__ = ("sat", "sat_threshold", "exact", "shared")
 
     def __init__(self):
         self.sat: Optional[_Sol] = None
-        self.sat_threshold: Optional[Fraction] = None
-        self.exact: Dict[Fraction, _Sol] = {}
+        self.sat_threshold: Optional[Tuple[int, int]] = None
+        self.exact: Dict[Tuple[int, int], _Sol] = {}
         self.shared = False
 
     def copy(self, cap: int) -> "_Entry":
@@ -156,16 +209,20 @@ class _Entry:
     @classmethod
     def from_store(cls, payload, cap: int) -> "_Entry":
         """Adopt a store entry — ``{"sat": solution, "thr": threshold,
-        "exact": {β: solution}}``, holding the publishers' own solutions —
-        keeping at most *cap* exact memos.  Solutions are immutable, so they
-        are shared, not copied.  A payload of any other shape raises
-        :class:`~repro.exceptions.ScheduleError`."""
+        "exact": {β: solution}}``, holding the publishers' own solutions
+        and exact ``Fraction`` β and threshold — keeping at most *cap*
+        exact memos.  Solutions are immutable, so they are shared, not
+        copied.  The whole payload is checked before any value is
+        converted: one of any other shape, a β or threshold that is not a
+        ``Fraction`` included (a float ``0.5`` would hash-equal ``1/2``),
+        raises :class:`~repro.exceptions.ScheduleError`."""
         if not isinstance(payload, dict):
             raise ScheduleError(f"malformed shared-memo entry {payload!r}")
         sat, threshold = payload.get("sat"), payload.get("thr")
         exact = payload.get("exact") or {}
         well_formed = (isinstance(exact, dict)
-                       and all(isinstance(sol, _Sol) for sol in exact.values())
+                       and all(isinstance(beta, Fraction) and isinstance(sol, _Sol)
+                               for beta, sol in exact.items())
                        and (sat is None or isinstance(sat, _Sol)
                             and isinstance(threshold, Fraction)))
         if not well_formed:
@@ -173,38 +230,50 @@ class _Entry:
         entry = cls()
         entry.shared = True
         if sat is not None:
-            entry.sat, entry.sat_threshold = sat, threshold
-        entry.exact = dict(islice(exact.items(), cap))
+            entry.sat = sat
+            entry.sat_threshold = (threshold.numerator, threshold.denominator)
+        entry.exact = {(beta.numerator, beta.denominator): sol
+                       for beta, sol in islice(exact.items(), cap)}
         return entry
 
 
 class _IFrame:
-    """One activation of Algorithm 1 inside the incremental solve."""
+    """One activation of Algorithm 1 inside the incremental solve, on
+    reduced ``(n, d)`` pairs like :class:`_Sol`."""
 
-    __slots__ = ("node", "lam", "alpha", "offered", "delta", "tau", "kids",
-                 "next_i", "pending", "txns", "evals", "saturated", "max_need")
+    __slots__ = ("node", "lam_n", "lam_d", "alpha_n", "alpha_d",
+                 "delta_n", "delta_d", "tau_n", "tau_d", "kids", "next_i",
+                 "pending", "txns", "evals", "saturated")
 
-    def __init__(self, node, lam, rate, kids):
+    def __init__(self, node, lam_n, lam_d, rate_n, rate_d, kids):
         self.node = node
-        self.lam = lam
-        self.alpha = min(rate, lam)
-        self.offered = self.delta = lam - self.alpha  # δ before any child
-        self.tau = ONE
+        self.lam_n, self.lam_d = lam_n, lam_d
+        if rate_n * lam_d < lam_n * rate_d:  # α = r, δ = λ − r
+            self.alpha_n, self.alpha_d = rate_n, rate_d
+            self.delta_n, self.delta_d = _sub(lam_n, lam_d, rate_n, rate_d)
+        else:  # α = λ, δ = 0
+            self.alpha_n, self.alpha_d = lam_n, lam_d
+            self.delta_n, self.delta_d = 0, 1
+        self.tau_n = self.tau_d = 1
         self.kids = kids
         self.next_i = 0
-        self.pending = None  # edge cost c of the open transaction
-        self.txns: List[Tuple[Fraction, Fraction, _Sol]] = []  # (β, θ, sol)
+        self.pending = None  # (c_n, c_d) of the open transaction's edge
+        self.txns: List[tuple] = []  # (β_n, β_d, θ_n, θ_d, sol)
         self.evals = 1  # this node plus its children's subtree solutions
-        self.saturated = True
-        self.max_need = ZERO  # max over opens of consumed_before + τ·b
+        self.saturated = True  # every open so far was port-limited
 
-    def close(self, beta: Fraction, theta: Fraction, sol: "_Sol", c: Fraction) -> None:
-        """Close the transaction with a child that answered *sol* to *beta*
-        over an edge of cost *c*."""
-        self.txns.append((beta, theta, sol))
+    def close(self, beta_n: int, beta_d: int, theta_n: int, theta_d: int,
+              sol: "_Sol", c_n: int, c_d: int) -> None:
+        """Close the transaction with a child that answered *sol* to β
+        (acknowledging θ) over an edge of cost ``c``: ``δ −= a``,
+        ``τ −= a·c`` with ``a`` the child's accepted rate."""
+        self.txns.append((beta_n, beta_d, theta_n, theta_d, sol))
         self.evals += sol.evals
-        self.delta -= sol.accepted
-        self.tau -= sol.accepted * c
+        an, ad = sol.acc_n, sol.acc_d
+        if an:
+            self.delta_n, self.delta_d = _sub(self.delta_n, self.delta_d, an, ad)
+            self.tau_n, self.tau_d = _sub(self.tau_n, self.tau_d,
+                                          an * c_n, ad * c_d)
 
 
 class IncrementalSolver:
@@ -296,7 +365,7 @@ class IncrementalSolver:
             self._fp: Dict[Hashable, int] = {}
             self._key_of: Dict[int, tuple] = {}  # reverse of _intern
             self._kids_cache: Dict[Hashable, Tuple[Hashable, ...]] = {}
-            self._rate_cache: Dict[Hashable, Fraction] = {}
+            self._rate_cache: Dict[Hashable, Tuple[int, int]] = {}
             self._digest_of: Dict[int, str] = {}  # fp → content digest (lazy)
             self._size_of: Dict[int, int] = {}  # fp → subtree node count (lazy)
             self._fingerprint_all()
@@ -332,11 +401,26 @@ class IncrementalSolver:
             self._kids_cache[node] = kids
         return kids
 
-    def _rate(self, node: Hashable) -> Fraction:
+    def _rate(self, node: Hashable) -> Tuple[int, int]:
+        """``r = 1/w`` as a reduced pair (``0/1`` for a switch)."""
         rate = self._rate_cache.get(node)
         if rate is None:
-            rate = self._rate_cache[node] = self._tree.rate(node)
+            w = self._tree.w(node)
+            rate = (0, 1) if is_infinite(w) else (w.denominator, w.numerator)
+            self._rate_cache[node] = rate
         return rate
+
+    def _capacity(self, node: Hashable) -> Tuple[int, int]:
+        """*node*'s subtree ``t_max``: ``r`` plus the fastest child link's
+        bandwidth (the first child's in bandwidth order), ``r`` for a leaf
+        — :func:`~repro.core.bwfirst.root_proposal` at the root, and the
+        saturation threshold of a saturated solution."""
+        rate_n, rate_d = self._rate(node)
+        kids = self._kids(node)
+        if not kids:
+            return rate_n, rate_d
+        c = self._tree.edge_cost(node, kids[0])
+        return _add(rate_n, rate_d, c.denominator, c.numerator)
 
     def _compute_fp(self, node: Hashable) -> int:
         tree = self._tree
@@ -541,31 +625,33 @@ class IncrementalSolver:
         if amount and self._telemetry is not None:
             self._telemetry.counter(name).inc(amount)
 
-    def _lookup(self, node: Hashable, beta: Fraction):
-        """A cached answer for (*node*, *beta*), or ``None`` on a miss.
+    def _lookup(self, node: Hashable, beta_n: int, beta_d: int):
+        """A cached answer for (*node*, β), or ``None`` on a miss.
 
-        Returns ``(sol, θ)``: the solution to replay and the acknowledgment
-        the parent should close with (for a saturated hit θ is shifted to
-        the offered λ; the replayed internals are identical by the
-        saturation property, and so is ``sol.accepted``).
+        Returns ``(sol, θ_n, θ_d)``: the solution to replay and the
+        acknowledgment the parent should close with (for a saturated hit θ
+        is shifted to the offered λ; the replayed internals are identical by
+        the saturation property, and so is the accepted rate).
         """
         self.stats["lookups"] += 1
-        rate = self._rate(node)
-        if beta <= rate:
+        rate_n, rate_d = self._rate(node)
+        if beta_n * rate_d <= rate_n * beta_d:
             self.stats["hits_absorbed"] += 1
             self.stats["evals_saved"] += 1
             self._count("incr.hit.absorbed")
-            return _Sol(beta, beta, ZERO, ONE, (), 1), ZERO
+            return _Sol(beta_n, beta_d, beta_n, beta_d, 0, 1, 1, 1, (), 1), 0, 1
         entry = self._cache.get(self._fp[node])
         if entry is not None:
             sat = entry.sat
-            if sat is not None and beta >= entry.sat_threshold:
-                self._hit(entry, "saturated", sat)
-                return sat, beta - sat.accepted
-            sol = entry.exact.get(beta)
+            if sat is not None:
+                thr_n, thr_d = entry.sat_threshold
+                if beta_n * thr_d >= thr_n * beta_d:
+                    self._hit(entry, "saturated", sat)
+                    return (sat, *_sub(beta_n, beta_d, sat.acc_n, sat.acc_d))
+            sol = entry.exact.get((beta_n, beta_d))
             if sol is not None:
                 self._hit(entry, "exact", sol)
-                return sol, sol.theta
+                return sol, sol.theta_n, sol.theta_d
         self.stats["misses"] += 1
         self._count("incr.miss")
         return None
@@ -611,25 +697,30 @@ class IncrementalSolver:
             if fp is not None:
                 self._cache[fp] = _Entry.from_store(payload, self._memo_cap)
 
-    def _queue_publish(self, fp: int, beta: Optional[Fraction],
-                       threshold: Optional[Fraction], sol: _Sol) -> None:
+    def _queue_publish(self, fp: int, beta: Optional[Tuple[int, int]],
+                       threshold: Optional[Tuple[int, int]], sol: _Sol) -> None:
+        """Queue *sol* for the end-of-solve publish, once per (fp, β); the
+        store holds β and the threshold as ``Fraction``s."""
         key = (fp, beta)
         if key not in self._shared_published and self._shared_eligible(fp):
             self._shared_published.add(key)
-            self._outbox.append((self._fp_digest(fp), beta, threshold, sol))
+            self._outbox.append((
+                self._fp_digest(fp),
+                None if beta is None else Fraction(*beta),
+                None if threshold is None else Fraction(*threshold), sol))
 
     def _store(self, frame: _IFrame, sol: _Sol) -> None:
         fp = self._fp[frame.node]
         entry = self._cache.get(fp)
         if entry is None:
             entry = self._cache[fp] = _Entry()
-        exhausted = frame.next_i >= len(frame.kids)
-        if frame.saturated and (frame.tau <= 0 or exhausted):
-            # every child decision was port-limited and the loop did not end
-            # early on δ→0 with children left: above S = r + max_need the
+        if frame.saturated:
+            # every child decision was port-limited, so the loop ended on
+            # exhausted children or τ = 0 (δ reaching 0 at a port-limited
+            # open takes τ to 0 with it): above the subtree's t_max the
             # internals are constant and θ(λ) = λ − C
             entry.sat = sol
-            entry.sat_threshold = self._rate(frame.node) + frame.max_need
+            entry.sat_threshold = self._capacity(frame.node)
             if self._shared is not None:
                 self._queue_publish(fp, None, entry.sat_threshold, sol)
         else:
@@ -649,22 +740,28 @@ class IncrementalSolver:
                         f"{self.stats['lookups']} lookups) — proposal "
                         "diversity is defeating the exact-hit cache"
                     )
-            entry.exact[frame.lam] = sol
+            beta = (frame.lam_n, frame.lam_d)
+            entry.exact[beta] = sol
             if self._shared is not None:
-                self._queue_publish(fp, frame.lam, None, sol)
+                self._queue_publish(fp, beta, None, sol)
 
     # ------------------------------------------------------------------
     # replay (cache hit → outcomes + renumbered transactions, no arithmetic)
     # ------------------------------------------------------------------
     def _emit(self, node: Hashable, sol: _Sol, lam: Fraction, theta: Fraction,
               outcomes: Dict, log: List) -> None:
+        """Replay *sol* (answering λ = *lam* with θ = *theta*) from *node*
+        down into *outcomes* and *log*, building one ``Fraction`` per
+        distinct value."""
+        made = _Exact()
         stack = [[node, sol, lam, theta, 0, []]]
         while stack:
             top = stack[-1]
             cur, cur_sol, cur_lam, cur_theta, i, collected = top
             if i < len(cur_sol.txns):
                 top[4] = i + 1
-                beta, th, child_sol = cur_sol.txns[i]
+                beta_n, beta_d, th_n, th_d, child_sol = cur_sol.txns[i]
+                beta, th = made[beta_n, beta_d], made[th_n, th_d]
                 child = self._kids(cur)[i]
                 txn = Transaction(index=len(log), parent=cur, child=child,
                                   proposal=beta, ack=th)
@@ -673,8 +770,9 @@ class IncrementalSolver:
                 stack.append([child, child_sol, beta, th, 0, []])
             else:
                 outcomes[cur] = NodeOutcome(
-                    node=cur, lam=cur_lam, alpha=cur_sol.alpha,
-                    theta=cur_theta, tau=cur_sol.tau,
+                    node=cur, lam=cur_lam,
+                    alpha=made[cur_sol.alpha_n, cur_sol.alpha_d],
+                    theta=cur_theta, tau=made[cur_sol.tau_n, cur_sol.tau_d],
                     transactions=tuple(collected),
                 )
                 stack.pop()
@@ -717,7 +815,8 @@ class IncrementalSolver:
     def solve(self, proposal: Optional[Fraction] = None) -> BWFirstResult:
         """Run BW-First on the current tree, answering from cache wherever a
         clean subtree allows; exactly equal to ``bw_first`` on this tree."""
-        lam_root, sol, theta_root = self._solve_root(proposal)
+        lam_root, sol, theta_n, theta_d = self._solve_root(proposal)
+        theta_root = Fraction(theta_n, theta_d)
         outcomes: Dict[Hashable, NodeOutcome] = {}
         log: List[Transaction] = []
         self._emit(self._tree.root, sol, lam_root, theta_root, outcomes, log)
@@ -732,30 +831,38 @@ class IncrementalSolver:
         :meth:`solve` — same misses, cache and store traffic, same
         :attr:`last_evals` — without replaying outcomes and transactions
         or snapshotting the tree."""
-        lam_root, _, theta_root = self._solve_root(proposal)
-        return lam_root, lam_root - theta_root
+        lam_root, _, theta_n, theta_d = self._solve_root(proposal)
+        return lam_root, Fraction(*_sub(lam_root.numerator, lam_root.denominator,
+                                        theta_n, theta_d))
 
-    def _solve_root(self, proposal: Optional[Fraction]) -> Tuple[Fraction, _Sol, Fraction]:
+    def _solve_root(self, proposal: Optional[Fraction]) -> Tuple[Fraction, _Sol, int, int]:
         """The one loop behind :meth:`solve` and :meth:`rate`: build (or
-        find) the root's cached solution; returns ``(λ_root, sol, θ_root)``."""
+        find) the root's cached solution; returns ``(λ_root, sol, θ_n,
+        θ_d)``.  Only λ_root is a ``Fraction``: Algorithm 1 runs on the
+        reduced int pairs of :class:`_IFrame`."""
         tree = self._tree
-        lam_root = root_proposal(tree) if proposal is None else proposal
-        if lam_root < 0:
-            raise ScheduleError(
-                f"root proposal must be non-negative (got {lam_root})")
+        if proposal is None:  # the virtual parent's t_max
+            lam_n, lam_d = self._capacity(tree.root)
+            lam_root = Fraction(lam_n, lam_d)
+        else:
+            lam_root = Fraction(proposal)
+            if lam_root < 0:
+                raise ScheduleError(
+                    f"root proposal must be non-negative (got {lam_root})")
+            lam_n, lam_d = lam_root.numerator, lam_root.denominator
 
         self.stats["solves"] += 1
         if self._unasked:
             self._ask_store()
 
-        hit = self._lookup(tree.root, lam_root)
+        hit = self._lookup(tree.root, lam_n, lam_d)
         if hit is not None:
             self.last_evals = 0
-            sol, theta_root = hit
-            return lam_root, sol, theta_root
+            return (lam_root, *hit)
 
         edge_cost = tree.edge_cost
-        stack = [_IFrame(tree.root, lam_root, self._rate(tree.root),
+        lookup = self._lookup
+        stack = [_IFrame(tree.root, lam_n, lam_d, *self._rate(tree.root),
                          self._kids(tree.root))]
         evals = 1
         returned: Optional[_Sol] = None  # the solution of the frame just popped
@@ -764,40 +871,44 @@ class IncrementalSolver:
             frame = stack[-1]
 
             if frame.pending is not None:
-                c, frame.pending = frame.pending, None
-                frame.close(returned.lam, returned.theta, returned, c)
+                (c_n, c_d), frame.pending = frame.pending, None
+                frame.close(returned.lam_n, returned.lam_d, returned.theta_n,
+                            returned.theta_d, returned, c_n, c_d)
                 returned = None
 
             opened = False
-            while frame.delta > 0 and frame.tau > 0 and frame.next_i < len(frame.kids):
-                child = frame.kids[frame.next_i]
+            node, kids = frame.node, frame.kids
+            while frame.delta_n > 0 and frame.tau_n > 0 and frame.next_i < len(kids):
+                child = kids[frame.next_i]
                 frame.next_i += 1
-                c = edge_cost(frame.node, child)
-                cap = frame.tau / c
-                if frame.delta < cap:
+                c = edge_cost(node, child)
+                c_n, c_d = c.numerator, c.denominator
+                # cap = τ·b = τ / c
+                n, d = frame.tau_n * c_d, frame.tau_d * c_n
+                g = gcd(n, d)
+                cap_n, cap_d = n // g, d // g
+                delta_n, delta_d = frame.delta_n, frame.delta_d
+                if delta_n * cap_d < cap_n * delta_d:
                     frame.saturated = False
-                    beta = frame.delta
+                    beta_n, beta_d = delta_n, delta_d
                 else:
-                    beta = cap
-                if frame.saturated:  # the threshold matters only then
-                    need = (frame.offered - frame.delta) + cap
-                    if need > frame.max_need:
-                        frame.max_need = need
-                hit = self._lookup(child, beta)
+                    beta_n, beta_d = cap_n, cap_d
+                hit = lookup(child, beta_n, beta_d)
                 if hit is None:
-                    frame.pending = c
-                    stack.append(_IFrame(child, beta, self._rate(child),
+                    frame.pending = (c_n, c_d)
+                    stack.append(_IFrame(child, beta_n, beta_d, *self._rate(child),
                                          self._kids(child)))
                     evals += 1
                     opened = True
                     break
-                sol, theta = hit
-                frame.close(beta, theta, sol, c)
+                sol, theta_n, theta_d = hit
+                frame.close(beta_n, beta_d, theta_n, theta_d, sol, c_n, c_d)
             if opened:
                 continue
 
             # node done: cache the solution, ack the parent
-            returned = _Sol(frame.lam, frame.alpha, frame.delta, frame.tau,
+            returned = _Sol(frame.lam_n, frame.lam_d, frame.alpha_n, frame.alpha_d,
+                            frame.delta_n, frame.delta_d, frame.tau_n, frame.tau_d,
                             tuple(frame.txns), frame.evals)
             self._store(frame, returned)
             stack.pop()
@@ -810,7 +921,7 @@ class IncrementalSolver:
             self.stats["shared_publishes"] += len(updates)
             self._count("incr.shared.publish", len(updates))
             self._shared.publish(updates, tenant=self._tenant)
-        return lam_root, returned, returned.theta
+        return lam_root, returned, returned.theta_n, returned.theta_d
 
     # ------------------------------------------------------------------
     # introspection
@@ -828,8 +939,9 @@ class IncrementalSolver:
         if entry is None:
             return {"saturated_above": None, "exact": []}
         return {
-            "saturated_above": entry.sat_threshold if entry.sat is not None else None,
-            "exact": sorted(entry.exact),
+            "saturated_above": (Fraction(*entry.sat_threshold)
+                                if entry.sat is not None else None),
+            "exact": sorted(Fraction(n, d) for n, d in entry.exact),
         }
 
     def cache_info(self) -> Dict[str, int]:

@@ -215,8 +215,8 @@ class TestWire:
 # memo state: merge discipline, eviction, accounting
 # ----------------------------------------------------------------------
 def _leaf(lam, alpha, theta, tau=0):
-    """A childless one-eval solution."""
-    return _Sol(F(lam), F(alpha), F(theta), F(tau), (), 1)
+    """A childless one-eval solution (integer rates: every denominator is 1)."""
+    return _Sol(lam, 1, alpha, 1, theta, 1, tau, 1, (), 1)
 
 
 def _root_solution(solver):
@@ -278,9 +278,9 @@ class TestMemoState:
         entry = state.fetch([solver.digest(tree.root)])[solver.digest(tree.root)]
         if local.sat is not None:
             assert entry["sat"] is local.sat
-            assert entry["thr"] == local.sat_threshold
-        for beta, sol in local.exact.items():
-            assert entry["exact"][beta] is sol
+            assert entry["thr"] == F(*local.sat_threshold)
+        for (num, den), sol in local.exact.items():
+            assert entry["exact"][F(num, den)] is sol
 
 
 class TestSolutionWireForm:
@@ -370,6 +370,18 @@ class TestSolutionWireForm:
                         {"sat": sol, "thr": "7"}):
             with pytest.raises(ScheduleError, match="malformed shared-memo"):
                 self._solve_against(payload)
+
+    @pytest.mark.parametrize("key", [0.5, 1, True, "1/2", (1, 2)])
+    def test_non_fraction_beta_key_rejected(self, key):
+        """An exact memo keyed by anything but a ``Fraction`` is refused
+        before any value is converted: a float ``0.5`` hash-equals
+        ``Fraction(1, 2)`` and would otherwise answer it, and an int pair
+        is the solver's own key form, not the store's."""
+        solver = IncrementalSolver(random_tree(12, seed=3))
+        solver.solve()
+        sol = _root_solution(solver)
+        with pytest.raises(ScheduleError, match="malformed shared-memo"):
+            self._solve_against({"exact": {F(3): sol, key: sol}})
 
     def test_malformed_store_entry_fails_the_solve_closed(self):
         tree = smooth_tree(40, seed=2)

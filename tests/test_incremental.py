@@ -11,15 +11,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.bwfirst import bw_first
-from repro.core.incremental import IncrementalSolver, resolve_solver
+from repro.core.bwfirst import bw_first, root_proposal
+from repro.core.incremental import IncrementalSolver, _Sol, resolve_solver
+from repro.core.rates import INFINITY
 from repro.exceptions import PlatformError, ProtocolError, ScheduleError
 from repro.extensions.dynamic import adapt, perturb
 from repro.extensions.online import online_renegotiation
 from repro.faults import FaultPlan, NodeCrash, NodeRejoin, resilient_run
+from repro.federation.memo import MemoState
 from repro.platform.examples import paper_figure4_tree
-from repro.platform.generators import random_tree
+from repro.platform.generators import random_tree, smooth_tree
 from repro.platform.tree import Tree
 from repro.protocol.runner import run_protocol
 from repro.telemetry.core import Registry
@@ -186,6 +190,216 @@ class TestRate:
                 assert cache_state(mixed) == cache_state(plain), tag
                 assert_exact_equal(mixed, mixed.tree, tag)
                 assert cache_state(mixed) == cache_state(plain), tag
+
+
+#: non-integer rationals whose reciprocals coincide with one another
+#: (``w = 1/2`` computes at the bandwidth of ``c = 1/2``), so bandwidth
+#: ties, ``β = r`` and proposals exactly at a saturation threshold come up
+#: often on two to four nodes; ``INFINITY`` makes a switch
+_WEIGHTS = (F(5, 3), F(2, 7), F(1, 2), F(2), F(7, 4), F(3, 5), INFINITY)
+_COSTS = (F(5, 3), F(2, 7), F(1, 2), F(1), F(7, 4), F(3, 5))
+
+
+@st.composite
+def rational_trees(draw, max_nodes=6):
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    tree = Tree("n0", draw(st.sampled_from(_WEIGHTS)))
+    for i in range(1, n):
+        parent = f"n{draw(st.integers(min_value=0, max_value=i - 1))}"
+        tree.add_node(f"n{i}", draw(st.sampled_from(_WEIGHTS)), parent=parent,
+                      c=draw(st.sampled_from(_COSTS)))
+    return tree
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("set_w"), st.integers(0, 99), st.sampled_from(_WEIGHTS)),
+    st.tuples(st.just("set_c"), st.integers(0, 99), st.sampled_from(_COSTS)),
+    st.tuples(st.just("prune"), st.integers(0, 99)),
+    st.tuples(st.just("graft"), st.integers(0, 99), st.sampled_from(_COSTS),
+              st.sampled_from(_WEIGHTS)),
+    st.tuples(st.just("propose"),
+              st.sampled_from(["rate", "threshold", "below", "above", "zero"])),
+    st.tuples(st.just("propose"), st.just("scaled"),
+              st.sampled_from([F(1, 3), F(1, 2), F(5, 7), F(9, 7), F(2)])),
+)
+
+
+def _proposal(solver, kind, scale=None):
+    """A root proposal at, just below or just above the root's absorption
+    bound or memoised saturation threshold, or *scale* × ``t_max``
+    (``None``: the default)."""
+    tree = solver.tree
+    rate = tree.rate(tree.root)
+    threshold = solver.memoised_betas(tree.root)["saturated_above"]
+    if kind == "default":
+        return None
+    if kind == "rate":
+        return rate
+    if kind == "zero":
+        return F(0)
+    if kind == "scaled":
+        return scale * root_proposal(tree)
+    if threshold is None:
+        return None
+    if kind == "threshold":
+        return threshold
+    if kind == "below":
+        return max(threshold - F(1, 7), F(0))
+    return threshold + F(1, 7)
+
+
+def _apply(solver, op, graft_no):
+    """Apply *op* (drawn from ``_OPS``) through *solver*; its indices wrap."""
+    tree = solver.tree
+    nonroot = [n for n in tree.nodes() if n != tree.root]
+    kind = op[0]
+    if kind == "set_w":
+        nodes = list(tree.nodes())
+        solver.set_w(nodes[op[1] % len(nodes)], op[2])
+    elif kind == "set_c" and nonroot:
+        solver.set_c(nonroot[op[1] % len(nonroot)], op[2])
+    elif kind == "prune" and nonroot:
+        solver.prune(nonroot[op[1] % len(nonroot)])
+    elif kind == "graft":
+        nodes = list(tree.nodes())
+        sub = Tree(f"g{graft_no}", op[3])
+        sub.add_node(f"g{graft_no}x", F(5, 3), parent=f"g{graft_no}", c=op[2])
+        solver.graft(nodes[op[1] % len(nodes)], op[2], sub)
+
+
+class TestIntPairDifferential:
+    """The solver's loop runs on int pairs; ``bw_first`` stays on
+    ``Fraction`` and is the oracle.  Non-integer rates and costs, switches,
+    ties and proposals exactly at the thresholds, through mutations,
+    ``clone()`` and a shared store."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(tree=rational_trees(), ops=st.lists(_OPS, max_size=10))
+    def test_equal_to_bw_first(self, tree, ops):
+        store = MemoState()
+        by_solve = IncrementalSolver(tree)
+        by_rate = IncrementalSolver(tree)
+        sharing = [IncrementalSolver(tree, shared=store, tenant=tenant,
+                                     shared_min_size=1, shared_max_size=None)
+                   for tenant in ("a", "b")]
+        by_solve.solve()
+        by_rate.rate()
+        cloned = by_solve.clone(memo_cap=2)
+        solvers = [by_solve, by_rate, cloned, *sharing]
+        proposal = None
+        for step, op in enumerate([("propose", "default"), *ops]):
+            if op[0] == "propose":
+                proposal = _proposal(by_solve, *op[1:])
+            else:
+                for solver in solvers:
+                    _apply(solver, op, step)
+            current = by_solve.tree
+            ref = bw_first(current, proposal=proposal)
+            tag = f"step {step} {op} proposal {proposal}"
+            assert by_rate.rate(proposal) == (ref.t_max, ref.throughput), tag
+            for solver in solvers[:1] + solvers[2:]:
+                assert solver.tree == current, tag
+                got = solver.solve(proposal)
+                assert got.t_max == ref.t_max, tag
+                assert got.throughput == ref.throughput, tag
+                assert got.outcomes == ref.outcomes, tag
+                assert got.transactions == ref.transactions, tag
+            assert by_rate.last_evals == by_solve.last_evals, tag
+
+    def test_exact_memos_are_keyed_by_reduced_pairs(self):
+        """Proposals that share a numerator (or a denominator) are distinct
+        exact memos — locally and after a round trip through a store."""
+        tree = Tree("m")  # a switch: every proposal below t_max = 7/2 is
+        tree.add_node("a", F(5, 3), parent="m", c=F(2, 7))  # an exact memo
+        tree.add_node("b", F(1, 2), parent="m", c=F(7, 4))
+        proposals = [F(2, 3), F(2, 5), F(3, 5), F(4, 5), F(2, 3), F(2, 5)]
+        store = MemoState()
+        first, second = (IncrementalSolver(tree, shared=store, tenant=tenant,
+                                           shared_min_size=1)
+                         for tenant in ("a", "b"))
+        for solver in (first, second):
+            for proposal in proposals:
+                ref = bw_first(tree, proposal=proposal)
+                got = solver.solve(proposal)
+                assert got.outcomes == ref.outcomes, proposal
+                assert got.transactions == ref.transactions, proposal
+        assert first.stats["hits_exact"] == 2
+        assert second.stats["hits_shared"] == len(proposals)
+
+
+def _fractions_in(sol, seen):
+    """Every slot of every solution reachable from *sol* that holds a
+    ``Fraction`` (each solution visited once)."""
+    found, stack = [], [sol]
+    while stack:
+        cur = stack.pop()
+        if id(cur) in seen:
+            continue
+        seen.add(id(cur))
+        for slot in _Sol.__slots__:
+            value = getattr(cur, slot)
+            if slot == "txns":
+                for txn in value:
+                    found += [v for v in txn[:4] if not isinstance(v, int)]
+                    stack.append(txn[4])
+            elif not isinstance(value, int):
+                found.append((slot, value))
+    return found
+
+
+class TestIntegerLoop:
+    """What keeps the int-pair loop an int-pair loop: a warmed ``rate()``
+    builds no ``Fraction`` but its two answers, and nothing cached is
+    one."""
+
+    @pytest.mark.parametrize("tree", [smooth_tree(240, 1),
+                                      random_tree(80, seed=7),
+                                      paper_figure4_tree()])
+    def test_rate_builds_no_fraction_beyond_its_answers(self, tree,
+                                                        monkeypatch):
+        """Every ``Fraction`` built during the call is counted — by
+        ``repro.core.incremental`` or by ``fractions`` itself on behalf of
+        an arithmetic operator — through a patched constructor."""
+        solver = IncrementalSolver(tree)
+        solver.solve()
+        leaf = tree.leaves()[-1]
+        solver.set_w(leaf, tree.w(leaf) * F(3, 2))
+        built = []
+        construct = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return construct(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        answer = solver.rate()
+        monkeypatch.undo()
+        ref = bw_first(solver.tree)
+        assert answer == (ref.t_max, ref.throughput)
+        assert solver.last_evals > 0
+        assert len(built) <= 2, built
+
+    def test_no_cached_value_is_a_fraction(self):
+        tree = random_tree(60, seed=4, switch_probability=0.2)
+        solver = IncrementalSolver(tree, memo_cap=3)
+        for proposal in (None, F(7, 3), F(1, 9)):
+            solver.solve(proposal)
+        leaf = tree.leaves()[0]
+        solver.set_c(leaf, F(2, 7))
+        solver.rate()
+        seen = set()
+        pairs = list(solver._rate_cache.values())
+        for entry in solver._cache.values():
+            pairs += entry.exact
+            if entry.sat is not None:
+                pairs.append(entry.sat_threshold)
+                assert _fractions_in(entry.sat, seen) == []
+            for sol in entry.exact.values():
+                assert _fractions_in(sol, seen) == []
+        assert seen
+        assert all(type(n) is int and type(d) is int and d > 0
+                   for n, d in pairs), pairs
 
 
 class TestFingerprints:

@@ -641,12 +641,12 @@ class TestGlobalPeriodGuard:
 class TestEvictionWarning:
     def _force_evictions(self, inc, count=1):
         """Drive the per-β memo of the root entry over its cap."""
-        sol = _Sol(Fraction(1), Fraction(1), Fraction(0), Fraction(1), (), 1)
+        sol = _Sol(1, 1, 1, 1, 0, 1, 1, 1, (), 1)
         stores = 0
         root = inc.tree.root
         while inc.stats["evictions"] < count:
             stores += 1
-            frame = _IFrame(root, Fraction(stores, 997), Fraction(1, 2), ())
+            frame = _IFrame(root, stores, 997, 1, 2, ())
             frame.saturated = False
             inc._store(frame, sol)
 
