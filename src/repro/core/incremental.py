@@ -56,8 +56,10 @@ the exact-β memo keys and every cached solution hold the same pairs.
 ``Fraction`` appears only at the boundary: the root proposal coming in,
 ``rate()`` / ``solve()`` going out (the replay builds one per distinct
 value), and the shared store and the planner, which speak exact
-rationals.  ``bw_first`` stays on ``Fraction``: it is the independent
-oracle the solver is tested ``==`` against.
+rationals.  The pair helpers live in :mod:`repro.core.rates`, shared with
+the negotiation's :class:`~repro.protocol.actor.NodeActor`.  ``bw_first``
+stays on ``Fraction``: it is the independent oracle the solver is tested
+``==`` against.
 
 ``node_evals`` (``solver.last_evals``) counts exactly those misses — the
 benchmark currency of ``benchmarks/bench_e26_incremental.py`` and the
@@ -78,7 +80,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from ..exceptions import PlatformError, ScheduleError
 from ..platform.tree import Tree
 from .bwfirst import BWFirstResult, NodeOutcome, Transaction, bw_first
-from .rates import format_fraction, is_infinite
+from .rates import format_fraction, is_infinite, pair_add, pair_sub
 
 #: exact-β memo entries kept per fingerprint before the map is reset — a
 #: memory bound for adversarial churn; saturation/absorption hits (the
@@ -122,24 +124,6 @@ def _default_memo_cap() -> int:
     return cap
 
 
-def _sub(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
-    """``a − b`` on pairs with positive denominators, reduced with one
-    ``gcd``."""
-    n = an * bd - bn * ad
-    d = ad * bd
-    g = gcd(n, d)
-    return n // g, d // g
-
-
-def _add(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
-    """``a + b`` on pairs with positive denominators, reduced with one
-    ``gcd``."""
-    n = an * bd + bn * ad
-    d = ad * bd
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 class _Exact(dict):
     """Reduced pair → its ``Fraction``, built on first use: the replay's
     one conversion per distinct value."""
@@ -177,7 +161,7 @@ class _Sol:
         self.txns = txns
         self.evals = evals
         if theta_n:
-            self.acc_n, self.acc_d = _sub(lam_n, lam_d, theta_n, theta_d)
+            self.acc_n, self.acc_d = pair_sub(lam_n, lam_d, theta_n, theta_d)
         else:
             self.acc_n, self.acc_d = lam_n, lam_d
 
@@ -250,7 +234,7 @@ class _IFrame:
         self.lam_n, self.lam_d = lam_n, lam_d
         if rate_n * lam_d < lam_n * rate_d:  # α = r, δ = λ − r
             self.alpha_n, self.alpha_d = rate_n, rate_d
-            self.delta_n, self.delta_d = _sub(lam_n, lam_d, rate_n, rate_d)
+            self.delta_n, self.delta_d = pair_sub(lam_n, lam_d, rate_n, rate_d)
         else:  # α = λ, δ = 0
             self.alpha_n, self.alpha_d = lam_n, lam_d
             self.delta_n, self.delta_d = 0, 1
@@ -271,9 +255,10 @@ class _IFrame:
         self.evals += sol.evals
         an, ad = sol.acc_n, sol.acc_d
         if an:
-            self.delta_n, self.delta_d = _sub(self.delta_n, self.delta_d, an, ad)
-            self.tau_n, self.tau_d = _sub(self.tau_n, self.tau_d,
-                                          an * c_n, ad * c_d)
+            self.delta_n, self.delta_d = pair_sub(self.delta_n, self.delta_d,
+                                                  an, ad)
+            self.tau_n, self.tau_d = pair_sub(self.tau_n, self.tau_d,
+                                              an * c_n, ad * c_d)
 
 
 class IncrementalSolver:
@@ -420,7 +405,7 @@ class IncrementalSolver:
         if not kids:
             return rate_n, rate_d
         c = self._tree.edge_cost(node, kids[0])
-        return _add(rate_n, rate_d, c.denominator, c.numerator)
+        return pair_add(rate_n, rate_d, c.denominator, c.numerator)
 
     def _compute_fp(self, node: Hashable) -> int:
         tree = self._tree
@@ -647,7 +632,8 @@ class IncrementalSolver:
                 thr_n, thr_d = entry.sat_threshold
                 if beta_n * thr_d >= thr_n * beta_d:
                     self._hit(entry, "saturated", sat)
-                    return (sat, *_sub(beta_n, beta_d, sat.acc_n, sat.acc_d))
+                    return (sat, *pair_sub(beta_n, beta_d,
+                                           sat.acc_n, sat.acc_d))
             sol = entry.exact.get((beta_n, beta_d))
             if sol is not None:
                 self._hit(entry, "exact", sol)
@@ -832,8 +818,9 @@ class IncrementalSolver:
         :attr:`last_evals` — without replaying outcomes and transactions
         or snapshotting the tree."""
         lam_root, _, theta_n, theta_d = self._solve_root(proposal)
-        return lam_root, Fraction(*_sub(lam_root.numerator, lam_root.denominator,
-                                        theta_n, theta_d))
+        return lam_root, Fraction(*pair_sub(lam_root.numerator,
+                                            lam_root.denominator,
+                                            theta_n, theta_d))
 
     def _solve_root(self, proposal: Optional[Fraction]) -> Tuple[Fraction, _Sol, int, int]:
         """The one loop behind :meth:`solve` and :meth:`rate`: build (or

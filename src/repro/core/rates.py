@@ -14,7 +14,10 @@ This module centralises:
 * :func:`as_fraction` — tolerant conversion of user input to ``Fraction``,
 * :func:`rate_of` / :func:`time_of` — the ``r = 1/w`` duality with the
   conventions ``1/inf = 0`` and ``1/0 = inf`` from the paper,
-* lcm helpers over fractions (used by Lemma 1 to build integer periods).
+* lcm helpers over fractions (used by Lemma 1 to build integer periods),
+* :func:`pair_sub` / :func:`pair_add` — exact arithmetic on reduced
+  ``(numerator, denominator)`` int pairs, for the loops that run
+  Algorithm 1 without a ``Fraction`` per operation.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Tuple, Union
 
 from ..exceptions import PlatformError
 
@@ -135,6 +138,24 @@ def time_of(rate: Fraction) -> Union[Fraction, float]:
     if rate == 0:
         return INFINITY
     return ONE / rate
+
+
+def pair_sub(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
+    """``a − b`` on pairs with positive denominators, reduced with one
+    ``gcd``."""
+    n = an * bd - bn * ad
+    d = ad * bd
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def pair_add(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
+    """``a + b`` on pairs with positive denominators, reduced with one
+    ``gcd``."""
+    n = an * bd + bn * ad
+    d = ad * bd
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def lcm_ints(values: Iterable[int]) -> int:

@@ -21,6 +21,7 @@ deterministic tie-break when two children have equal communication times.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -286,8 +287,14 @@ class Tree:
         insertion order, which keeps every algorithm deterministic.
         """
         kids = self._children[name]
-        order = sorted(range(len(kids)), key=lambda i: (self._edge_cost[(name, kids[i])], i))
-        return [kids[i] for i in order]
+        if len(kids) < 2:
+            return list(kids)
+        costs = [self._edge_cost[(name, kid)] for kid in kids]
+        # each c compared exactly as the integer c·L over the common
+        # denominator L: a stable sort of plain ints, ties in insertion order
+        common = math.lcm(*[cost.denominator for cost in costs])
+        keys = [cost.numerator * (common // cost.denominator) for cost in costs]
+        return [kids[i] for i in sorted(range(len(kids)), key=keys.__getitem__)]
 
     def ancestors(self, name: NodeId) -> List[NodeId]:
         """Proper ancestors of *name*, nearest first (parent, …, root)."""

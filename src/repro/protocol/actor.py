@@ -36,6 +36,18 @@ offered that very λ again it answers that very θ without proposing to
 anyone; offered anything else it runs Algorithm 1 as if it remembered
 nothing.  The duplicate-delivery state above is never remembered: it
 starts empty in every run.
+
+Algorithm 1 runs on exact integer pairs: δ and τ are held as reduced
+``(numerator, denominator)`` ints, and the computing rate and a child's
+link cost are read as such a pair where they are used, so a subtraction
+costs one ``math.gcd`` and a comparison (the cap ``τ/c``, ``min(δ, τ/c)``,
+``δ ≤ 0``, ``τ ≤ 0``, ``θ ∈ [0, β]``, ``α = min(r, λ)``) two products.
+``Fraction`` stays at the boundary: the β or θ a message carries is read
+once through ``numerator`` / ``denominator``, and each message sent
+carries one ``Fraction`` — the very object :attr:`lam`,
+:attr:`transactions` and the duplicate-answer cache then hold.
+:attr:`delta`, :attr:`tau`, :attr:`theta` and :attr:`accepted` stay
+``Fraction``-valued, built on read.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from ..core.rates import ONE, ZERO
+from ..core.rates import ZERO, pair_sub
 from ..exceptions import ProtocolError
 from .messages import Acknowledgment, Message, Notice, Proposal
 
@@ -57,6 +69,12 @@ DONE = "done"
 
 class NodeActor:
     """The BW-First state machine of one platform node."""
+
+    __slots__ = ("name", "rate", "parent", "children", "_send", "trace",
+                 "state", "lam", "alpha", "_dn", "_dd", "_tn", "_td",
+                 "_theta", "_cursor", "_next_xid", "_pending",
+                 "_proposal_xid", "_answered", "_settled", "transactions",
+                 "memory", "remembered")
 
     def __init__(
         self,
@@ -86,13 +104,18 @@ class NodeActor:
 
         self.state = IDLE
         self.lam: Optional[Fraction] = None
+        #: min(r, λ): whichever of the two it is, never a new Fraction
         self.alpha = ZERO
-        self.delta = ZERO
-        self.tau = ONE
+        #: δ = _dn/_dd and τ = _tn/_td, reduced, denominators positive
+        self._dn, self._dd = 0, 1
+        self._tn = self._td = 1
+        #: the θ this node acknowledged, once DONE
+        self._theta: Optional[Fraction] = None
         self._cursor = 0
         self._next_xid = 0
-        #: the transaction awaiting its child's answer: (child, β, xid)
-        self._pending: Optional[Tuple[Hashable, Fraction, Optional[int]]] = None
+        #: the transaction awaiting its child's answer:
+        #: (child, β, xid, c_n, c_d) — the edge's cost rides along
+        self._pending: Optional[tuple] = None
         #: xid of the proposal this node is currently answering (child role)
         self._proposal_xid: Optional[int] = None
         #: answered proposals, xid → θ (child role; duplicate → re-ack)
@@ -158,33 +181,50 @@ class NodeActor:
                 node=self.name,
                 pending=self._pending,
             )
-        if message.beta < 0:
+        beta = message.beta
+        bn, bd = beta.numerator, beta.denominator
+        if bn < 0:
             raise ProtocolError(
-                f"{self.name!r}: negative proposal {message.beta}", node=self.name
+                f"{self.name!r}: negative proposal {beta}", node=self.name
             )
         self._proposal_xid = message.xid
-        if self.memory is not None and self.memory[0] == message.beta:
-            self.recall()
-            self._cursor = len(self.children)  # nobody is left to ask
-        else:
-            self.lam = message.beta
-            self.alpha = min(self.rate, message.beta)
-            self.delta = message.beta - self.alpha
-            self.tau = ONE
-            self._cursor = 0
+        if self.memory is not None and self.memory[0] == beta:
+            self.recall()  # nobody is left to ask
+            self._answer(self._theta)
+            return
+        self.lam = beta
+        rate = self.rate
+        rn, rd = rate.numerator, rate.denominator
+        if rn * bd < bn * rd:  # α = r, δ = λ − r
+            self.alpha = rate
+            self._dn, self._dd = pair_sub(bn, bd, rn, rd)
+        else:  # α = λ, δ = 0
+            self.alpha = beta
+            self._dn, self._dd = 0, 1
+        self._tn = self._td = 1
+        self._cursor = 0
         self._advance()
 
     def recall(self) -> None:
         """Stand where the remembered negotiation left this node — same λ
         over the same subtree, hence the same α, δ = θ, τ and transactions,
-        none of them exchanged in this run."""
+        none of them exchanged in this run.  A memory is only handed to a
+        node whose children are what they were, and BW-First opens them in
+        bandwidth order, so the i-th remembered transaction is the i-th
+        child's."""
         lam, theta, transactions = self.memory
-        cost = dict(self.children)
+        tn = td = 1
+        for (_child, beta, back), (_kid, cost) in zip(transactions,
+                                                      self.children):
+            an, ad = pair_sub(beta.numerator, beta.denominator,
+                              back.numerator, back.denominator)
+            tn, td = pair_sub(tn, td, an * cost.numerator,
+                              ad * cost.denominator)
         self.lam = lam
         self.alpha = min(self.rate, lam)
-        self.delta = theta
-        self.tau = ONE - sum((beta - back) * cost[child]
-                             for child, beta, back in transactions)
+        self._dn, self._dd = theta.numerator, theta.denominator
+        self._tn, self._td = tn, td
+        self._theta = theta
         self.transactions = list(transactions)
         self.remembered = True
         self.state = DONE
@@ -197,7 +237,7 @@ class NodeActor:
                 f"{self.name!r} received an unexpected acknowledgment",
                 node=self.name,
             )
-        child, beta, xid = self._pending
+        child, beta, xid, _cn, _cd = self._pending
         if message.sender != child or (
             xid is not None and message.xid != xid
         ):
@@ -208,7 +248,8 @@ class NodeActor:
                 pending=self._pending,
             )
         theta = message.theta
-        if theta < 0 or theta > beta:
+        tn = theta.numerator
+        if tn < 0 or tn * beta.denominator > beta.numerator * theta.denominator:
             raise ProtocolError(
                 f"{self.name!r}: child {child!r} acked {theta} of {beta}",
                 node=self.name,
@@ -217,14 +258,18 @@ class NodeActor:
         self._settle(theta)
 
     def _settle(self, theta: Fraction) -> None:
-        child, beta, xid = self._pending
+        """Close the pending transaction on θ: ``δ −= a``, ``τ −= a·c`` with
+        ``a = β − θ`` what the child accepted."""
+        child, beta, xid, cn, cd = self._pending
         self._pending = None
         if xid is not None:
             self._settled.add(xid)
-        accepted = beta - theta
-        self.delta -= accepted
-        cost = dict(self.children)[child]
-        self.tau -= accepted * cost
+        an, ad = pair_sub(beta.numerator, beta.denominator,
+                          theta.numerator, theta.denominator)
+        if an:
+            self._dn, self._dd = pair_sub(self._dn, self._dd, an, ad)
+            self._tn, self._td = pair_sub(self._tn, self._td,
+                                          an * cn, ad * cd)
         self.transactions.append((child, beta, theta))
         self._advance()
 
@@ -233,7 +278,7 @@ class NodeActor:
         """Whether the transaction with *child* (and *xid*) is still open."""
         if self.state != AWAITING_CHILD or self._pending is None:
             return False
-        pending_child, _beta, pending_xid = self._pending
+        pending_child, _beta, pending_xid, _cn, _cd = self._pending
         if pending_child != child:
             return False
         return xid is None or pending_xid == xid
@@ -242,7 +287,7 @@ class NodeActor:
         """Retransmit the pending proposal verbatim (same β, same xid)."""
         if self.state != AWAITING_CHILD or self._pending is None:
             return
-        child, beta, xid = self._pending
+        child, beta, xid, _cn, _cd = self._pending
         self._send(Proposal(sender=self.name, receiver=child, beta=beta,
                             xid=xid, trace=self.trace))
 
@@ -260,37 +305,44 @@ class NodeActor:
         """
         if not self.is_pending(child, xid):
             return
-        _child, beta, _xid = self._pending
-        self._settle(beta)
+        self._settle(self._pending[1])
 
     def _advance(self) -> None:
         """Open the next child transaction, or acknowledge the parent."""
-        while self._cursor < len(self.children):
-            if self.delta <= 0 or self.tau <= 0:
-                break
+        dn, dd, tn, td = self._dn, self._dd, self._tn, self._td
+        if self._cursor < len(self.children) and dn > 0 and tn > 0:
             child, cost = self.children[self._cursor]
+            cn, cd = cost.numerator, cost.denominator
             self._cursor += 1
-            beta = min(self.delta, self.tau / cost)
+            # β = min(δ, τ/c), τ/c = (τ_n·c_d) / (τ_d·c_n)
+            qn, qd = tn * cd, td * cn
+            beta = (Fraction(dn, dd) if dn * qd <= qn * dd
+                    else Fraction(qn, qd))
             xid: Optional[int] = None
             if self._proposal_xid is not None:
                 # numbered negotiation: number our own transactions too
                 xid = self._next_xid
                 self._next_xid += 1
-            self._pending = (child, beta, xid)
+            self._pending = (child, beta, xid, cn, cd)
             self.state = AWAITING_CHILD
             self._send(
                 Proposal(sender=self.name, receiver=child, beta=beta, xid=xid,
                          trace=self.trace)
             )
             return
+        self._answer(Fraction(dn, dd) if dn else ZERO)
+
+    def _answer(self, theta: Fraction) -> None:
+        """Acknowledge the parent's proposal with θ: this node is done."""
         self.state = DONE
+        self._theta = theta
         if self._proposal_xid is not None:
-            self._answered[self._proposal_xid] = self.delta
+            self._answered[self._proposal_xid] = theta
         self._send(
             Acknowledgment(
                 sender=self.name,
                 receiver=self.parent,
-                theta=self.delta,
+                theta=theta,
                 xid=self._proposal_xid,
                 trace=self.trace,
             )
@@ -298,15 +350,27 @@ class NodeActor:
 
     # ------------------------------------------------------------------
     @property
+    def delta(self) -> Fraction:
+        """δ: what is left of λ to offer the children (θ once DONE)."""
+        if self.state == DONE:
+            return self._theta
+        return Fraction(self._dn, self._dd)
+
+    @property
+    def tau(self) -> Fraction:
+        """τ: the unused fraction of the send port."""
+        return Fraction(self._tn, self._td)
+
+    @property
     def theta(self) -> Fraction:
         """The acknowledgment this node returned (valid once DONE)."""
         if self.state != DONE:
             raise ProtocolError(f"{self.name!r} has not finished", node=self.name)
-        return self.delta
+        return self._theta
 
     @property
     def accepted(self) -> Fraction:
         """λ − θ: the rate this node's subtree absorbs (valid once DONE)."""
         if self.state != DONE or self.lam is None:
             raise ProtocolError(f"{self.name!r} has not finished", node=self.name)
-        return self.lam - self.delta
+        return self.lam - self._theta

@@ -74,23 +74,20 @@ class Notice:
 Message = object  # Proposal | Acknowledgment | Notice
 
 
-def _varint(n: int) -> int:
-    n = abs(int(n))
-    return max((n.bit_length() + 6) // 7, 1)
-
-
 def wire_size(message: Message) -> int:
     """Bytes to encode the message: 8-byte header + the rational payload.
 
     The payload is a numerator/denominator pair, each varint-encoded; we
-    charge one byte per 7 bits, with a 1-byte minimum per integer.  A
-    transaction id, when present, is one more varint.  A :class:`Notice`
-    is the header alone.
+    charge one byte per 7 bits of magnitude, with a 1-byte minimum per
+    integer.  A transaction id, when present, is one more varint.  A
+    :class:`Notice` is the header alone.
     """
     if isinstance(message, Notice):
         return 8
     value = message.beta if isinstance(message, Proposal) else message.theta
-    size = 8 + _varint(value.numerator) + _varint(value.denominator)
+    # a denominator is ≥ 1; a zero numerator or xid still costs its byte
+    size = (8 + ((value.numerator.bit_length() + 6) // 7 or 1)
+            + (value.denominator.bit_length() + 6) // 7)
     if message.xid is not None:
-        size += _varint(message.xid)
+        size += (message.xid.bit_length() + 6) // 7 or 1
     return size

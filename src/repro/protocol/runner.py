@@ -44,6 +44,7 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..core.bwfirst import BWFirstResult, bw_first, root_proposal
+from ..core.rates import as_fraction
 from ..exceptions import ProtocolError, SimulationError
 from ..platform.tree import Tree
 from ..telemetry.core import Registry, Span
@@ -205,6 +206,8 @@ class Negotiation:
         if tree.root in failed:
             raise ProtocolError("the root cannot be failed: nothing can negotiate")
         self.tree = tree
+        if proposal is not None:
+            proposal = as_fraction(proposal)  # once: actors read its numerator
         self.proposal = proposal
         self.t_max = root_proposal(tree) if proposal is None else proposal
         self.failed = failed
@@ -265,7 +268,7 @@ class Negotiation:
                 name=node,
                 rate=tree.rate(node),
                 parent=parent if parent is not None else VIRTUAL_PARENT,
-                children=[(child, tree.c(child))
+                children=[(child, tree.edge_cost(node, child))
                           for child in tree.children_by_bandwidth(node)],
                 send=send,
             )

@@ -87,3 +87,25 @@ def fork_specs(draw, max_children: int = 6):
         (f"c{i}", draw(small_fractions), draw(small_fractions)) for i in range(k)
     ]
     return parent_rate, children
+
+
+#: non-integer rationals whose reciprocals coincide with one another
+#: (``w = 1/2`` computes at the bandwidth of ``c = 1/2``), so bandwidth
+#: ties, ``β = r`` and proposals exactly at a saturation threshold come up
+#: often on two to four nodes; ``INFINITY`` makes a switch
+RATIONAL_COSTS = (Fraction(5, 3), Fraction(2, 7), Fraction(1, 2), Fraction(1),
+                  Fraction(7, 4), Fraction(3, 5))
+RATIONAL_WEIGHTS = (Fraction(5, 3), Fraction(2, 7), Fraction(1, 2), Fraction(2),
+                    Fraction(7, 4), Fraction(3, 5), INFINITY)
+
+
+@st.composite
+def rational_trees(draw, max_nodes=6):
+    """A tree of up to *max_nodes* nodes drawn from those pools."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    tree = Tree("n0", draw(st.sampled_from(RATIONAL_WEIGHTS)))
+    for i in range(1, n):
+        parent = f"n{draw(st.integers(min_value=0, max_value=i - 1))}"
+        tree.add_node(f"n{i}", draw(st.sampled_from(RATIONAL_WEIGHTS)),
+                      parent=parent, c=draw(st.sampled_from(RATIONAL_COSTS)))
+    return tree

@@ -4,7 +4,8 @@ Until PR 14 these were the production code of ``repro.core.rates``,
 ``repro.schedule.local``, ``repro.schedule.periods`` and
 ``repro.core.allocation``: one ``Fraction`` per interleave mark, two per
 ``scaled_integer`` product, rational adds and multiplies on every node of
-``Allocation.check``.  Production now does the same work on integer
+``Allocation.check`` — and later the ``(Fraction, i)`` sort of
+``Tree.children_by_bandwidth``.  Production now does the same work on integer
 numerators and denominators; these copies stay, unchanged, as what the
 property tests (``tests/test_plan_exact.py``) and the same-run ratio gate
 (``benchmarks/bench_e27_timeline.py::test_e27_cold_plan_gate``) compare it
@@ -20,6 +21,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.core.allocation import Allocation
 from repro.core.rates import ONE, ZERO, lcm_denominators, lcm_ints
 from repro.exceptions import ScheduleError
+from repro.platform.tree import Tree
 from repro.schedule.periods import NodePeriods
 
 
@@ -48,6 +50,16 @@ def interleaved_order_fraction(
             marks.append((k * delta, count, index[dest], dest))
     marks.sort(key=lambda m: (m[0], m[1], m[2]))
     return tuple(m[3] for m in marks)
+
+
+def children_by_bandwidth_fraction(tree: Tree, name: Hashable) -> List[Hashable]:
+    """The bandwidth-centric order as one ``(Fraction, insertion index)``
+    key per child — what ``Tree.children_by_bandwidth`` sorted on before
+    its integer keys ``c·L``."""
+    kids = list(tree.children(name))
+    order = sorted(range(len(kids)),
+                   key=lambda i: (tree.edge_cost(name, kids[i]), i))
+    return [kids[i] for i in order]
 
 
 def scaled_integer_fraction(value: Fraction, period: Union[int, Fraction]) -> int:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.core.bwfirst import bw_first, root_proposal
 from repro.core.incremental import IncrementalSolver, _Sol, resolve_solver
-from repro.core.rates import INFINITY
 from repro.exceptions import PlatformError, ProtocolError, ScheduleError
 from repro.extensions.dynamic import adapt, perturb
 from repro.extensions.online import online_renegotiation
@@ -27,6 +26,8 @@ from repro.platform.generators import random_tree, smooth_tree
 from repro.platform.tree import Tree
 from repro.protocol.runner import run_protocol
 from repro.telemetry.core import Registry
+
+from .conftest import RATIONAL_COSTS, RATIONAL_WEIGHTS, rational_trees
 
 F = Fraction
 
@@ -192,31 +193,14 @@ class TestRate:
                 assert cache_state(mixed) == cache_state(plain), tag
 
 
-#: non-integer rationals whose reciprocals coincide with one another
-#: (``w = 1/2`` computes at the bandwidth of ``c = 1/2``), so bandwidth
-#: ties, ``β = r`` and proposals exactly at a saturation threshold come up
-#: often on two to four nodes; ``INFINITY`` makes a switch
-_WEIGHTS = (F(5, 3), F(2, 7), F(1, 2), F(2), F(7, 4), F(3, 5), INFINITY)
-_COSTS = (F(5, 3), F(2, 7), F(1, 2), F(1), F(7, 4), F(3, 5))
-
-
-@st.composite
-def rational_trees(draw, max_nodes=6):
-    n = draw(st.integers(min_value=1, max_value=max_nodes))
-    tree = Tree("n0", draw(st.sampled_from(_WEIGHTS)))
-    for i in range(1, n):
-        parent = f"n{draw(st.integers(min_value=0, max_value=i - 1))}"
-        tree.add_node(f"n{i}", draw(st.sampled_from(_WEIGHTS)), parent=parent,
-                      c=draw(st.sampled_from(_COSTS)))
-    return tree
-
-
 _OPS = st.one_of(
-    st.tuples(st.just("set_w"), st.integers(0, 99), st.sampled_from(_WEIGHTS)),
-    st.tuples(st.just("set_c"), st.integers(0, 99), st.sampled_from(_COSTS)),
+    st.tuples(st.just("set_w"), st.integers(0, 99),
+              st.sampled_from(RATIONAL_WEIGHTS)),
+    st.tuples(st.just("set_c"), st.integers(0, 99),
+              st.sampled_from(RATIONAL_COSTS)),
     st.tuples(st.just("prune"), st.integers(0, 99)),
-    st.tuples(st.just("graft"), st.integers(0, 99), st.sampled_from(_COSTS),
-              st.sampled_from(_WEIGHTS)),
+    st.tuples(st.just("graft"), st.integers(0, 99),
+              st.sampled_from(RATIONAL_COSTS), st.sampled_from(RATIONAL_WEIGHTS)),
     st.tuples(st.just("propose"),
               st.sampled_from(["rate", "threshold", "below", "above", "zero"])),
     st.tuples(st.just("propose"), st.just("scaled"),

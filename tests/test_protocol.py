@@ -4,10 +4,13 @@ import heapq
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.bwfirst import bw_first
-from repro.exceptions import ProtocolError
-from repro.platform.generators import chain, random_tree
+from repro.exceptions import PlatformError, ProtocolError
+from repro.faults import FaultPlan
+from repro.platform.generators import chain, random_tree, smooth_tree
 from repro.platform.tree import Tree
 from repro.protocol import (
     Acknowledgment,
@@ -20,7 +23,10 @@ from repro.protocol import (
     wire_size,
 )
 from repro.protocol.runner import VIRTUAL_PARENT
+from repro.runtime import InProcTransport, Session, TcpTransport, negotiate
 from repro.telemetry import NULL, Registry
+
+from .conftest import RATIONAL_COSTS, RATIONAL_WEIGHTS, rational_trees
 
 F = Fraction
 
@@ -320,3 +326,203 @@ class TestNegotiation:
             assert run_protocol(tree).throughput == bw_first(tree).throughput
         with pytest.raises(AssertionError, match="passive path"):
             run_protocol(paper_tree, retry=RetryPolicy())
+
+
+# ----------------------------------------------------------------------
+# the proposal a caller hands in
+# ----------------------------------------------------------------------
+DRIVERS = {
+    "simulated": run_protocol,
+    "inproc": lambda tree, **kwargs: negotiate(tree, "inproc", **kwargs),
+    "tcp": lambda tree, transport="tcp", **kwargs: negotiate(tree, transport,
+                                                             **kwargs),
+}
+
+
+class TestProposalBoundary:
+    """A proposal is converted once, where a negotiation is set up: what
+    ``as_fraction`` accepts negotiates as that exact rational, what it
+    refuses is refused before any actor is built or socket dialled."""
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("proposal", [0.001, "1/1000"])
+    def test_converted_to_the_exact_rational(self, paper_tree, driver,
+                                             proposal):
+        result = DRIVERS[driver](paper_tree, proposal=proposal, verify=True)
+        assert type(result.t_max) is Fraction
+        assert result.t_max == result.throughput == F(1, 1000)
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("proposal", [True, float("nan")],
+                             ids=["bool", "nan"])
+    def test_refused_before_anything_moves(self, paper_tree, driver,
+                                           proposal):
+        transport = TcpTransport()
+        kwargs = {"transport": transport} if driver == "tcp" else {}
+        with pytest.raises(PlatformError):
+            DRIVERS[driver](paper_tree, proposal=proposal, **kwargs)
+        assert transport.dials == 0
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_negative_is_a_protocol_error(self, paper_tree, driver):
+        with pytest.raises(ProtocolError, match="negative proposal"):
+            DRIVERS[driver](paper_tree, proposal=-1)
+
+
+# ----------------------------------------------------------------------
+# the int-pair actors against the rational oracle
+# ----------------------------------------------------------------------
+def assert_algorithm_1(result, reference, failed=frozenset()):
+    """Every actor holds ``bw_first``'s λ, α, θ, τ and transactions, in
+    order (a transaction given up on a *failed* child aside); a node the
+    oracle does not visit was never proposed to."""
+    for node, actor in result.actors.items():
+        outcome = reference.outcomes.get(node)
+        if outcome is None:
+            assert actor.lam is None, node
+            continue
+        assert (actor.lam, actor.alpha, actor.theta, actor.tau) \
+            == (outcome.lam, outcome.alpha, outcome.theta, outcome.tau), node
+        assert [t for t in actor.transactions if t[0] not in failed] \
+            == [(t.child, t.proposal, t.ack) for t in outcome.transactions], \
+            node
+
+
+#: t_max, 0, the root's own rate, or on / ±1/7 around the cap ``r + b``
+#: at which the i-th root child (bandwidth order) gets exactly ``τ/c``
+_ROOT_PROPOSALS = st.one_of(
+    st.sampled_from([("t_max",), ("zero",), ("rate",)]),
+    st.tuples(st.just("cap"), st.integers(0, 6),
+              st.sampled_from([F(-1, 7), F(0), F(1, 7)])),
+)
+
+
+def _root_proposal(tree, kind):
+    if kind[0] == "t_max":
+        return None
+    if kind[0] == "zero":
+        return F(0)
+    rate = tree.rate(tree.root)
+    kids = tree.children_by_bandwidth(tree.root)
+    if kind[0] == "rate" or not kids:
+        return rate
+    child = kids[kind[1] % len(kids)]
+    return max(rate + 1 / tree.c(child) + kind[2], F(0))
+
+
+#: (kind, node index, value) changes for the session driver
+_CHANGES = st.lists(st.one_of(
+    st.tuples(st.just("set_w"), st.integers(0, 99),
+              st.sampled_from(RATIONAL_WEIGHTS)),
+    st.tuples(st.just("set_c"), st.integers(0, 99),
+              st.sampled_from(RATIONAL_COSTS)),
+    st.tuples(st.just("prune"), st.integers(0, 99), st.none()),
+    st.tuples(st.just("graft"), st.integers(0, 99),
+              st.sampled_from(RATIONAL_COSTS)),
+), max_size=3)
+
+
+def _change(tree, change, step):
+    kind, index, value = change
+    nodes = list(tree.nodes())
+    nonroot = nodes[1:]
+    if kind == "set_w":
+        tree.set_w(nodes[index % len(nodes)], value)
+    elif kind == "set_c" and nonroot:
+        tree.set_c(nonroot[index % len(nonroot)], value)
+    elif kind == "prune" and nonroot:
+        tree.remove_subtree(nonroot[index % len(nonroot)])
+    elif kind == "graft":
+        branch = Tree(f"g{step}", F(7, 4))
+        branch.add_node(f"g{step}x", F(2, 7), parent=f"g{step}", c=F(5, 3))
+        tree.add_subtree(nodes[index % len(nodes)], value, branch)
+
+
+class TestIntPairDifferential:
+    """The actors run Algorithm 1 on int pairs; ``bw_first`` stays on
+    ``Fraction`` and is the oracle — through every driver, under loss and
+    duplication, around dead nodes and from a session's memory."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(tree=rational_trees(max_nodes=7), kind=_ROOT_PROPOSALS,
+           dead=st.integers(0, 6), seed=st.integers(0, 2**16),
+           changes=_CHANGES)
+    def test_every_actor_is_algorithm_1(self, tree, kind, dead, seed,
+                                        changes):
+        proposal = _root_proposal(tree, kind)
+        reference = bw_first(tree, proposal=proposal)
+        assert_algorithm_1(run_protocol(tree, proposal=proposal), reference)
+        assert_algorithm_1(negotiate(tree, proposal=proposal), reference)
+        lossy = InProcTransport(plan=FaultPlan(
+            seed=seed, drop=F(1, 10), duplicate=F(1, 5)))
+        assert_algorithm_1(negotiate(
+            tree, lossy, proposal=proposal, retry=RetryPolicy(max_retries=20),
+            base_timeout=0.01), reference)
+
+        nonroot = list(tree.nodes())[1:]
+        if nonroot:
+            failed = frozenset({nonroot[dead % len(nonroot)]})
+            result = run_protocol(tree, proposal=proposal, failed=failed)
+            # the survivors are offered what the whole platform was
+            survivors = tree.without_subtrees(failed)
+            assert_algorithm_1(
+                result, bw_first(survivors, proposal=result.t_max), failed)
+
+        with Session("inproc") as session:
+            for step, change in enumerate([None, *changes]):
+                if change is not None:
+                    _change(tree, change, step)
+                result = session.negotiate(tree.copy(), proposal=proposal)
+                assert_algorithm_1(result, bw_first(tree, proposal=proposal))
+
+
+class TestIntPairActor:
+    """What keeps the negotiation on int pairs: a ``Fraction`` per message
+    sent and per node's rate, none in the arithmetic."""
+
+    def test_a_negotiation_builds_a_fraction_per_message(self, monkeypatch):
+        """Every ``Fraction`` built during a warmed in-proc negotiation is
+        counted — by the actors, the runtime, or by ``fractions`` itself
+        on behalf of an operator — through a patched constructor."""
+        tree = smooth_tree(500, 1)
+        negotiate(tree, verify=False)
+        built = []
+        construct = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return construct(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        result = negotiate(tree, verify=False)
+        monkeypatch.undo()
+        assert result.throughput == bw_first(tree).throughput
+        assert (result.messages, result.bytes) == (1000, 12938)
+        assert len(built) <= result.messages + len(tree) + 32, len(built)
+
+    def test_no_arithmetic_slot_holds_a_fraction(self):
+        tree = random_tree(40, seed=5, switch_probability=0.2)
+        sent = []
+        core = Negotiation(tree, None, frozenset(), None, None, None, None,
+                           now=lambda: 0, allowance=lambda node: 1)
+        sent.append(core.boot(sent.append))
+        while sent:
+            core.deliver(sent.pop(0))
+            for actor in core.actors.values():
+                held = [actor._dn, actor._dd, actor._tn, actor._td]
+                if actor._pending is not None:
+                    held += actor._pending[3:]
+                assert all(type(value) is int for value in held)
+        assert core.throughput == bw_first(tree).throughput
+        core.check(frozenset(), None)
+
+    def test_messages_carry_the_values_the_actors_hold(self):
+        """A proposal's β is the object the child's λ and the parent's
+        transaction hold; the ack's θ is the child's ``theta``."""
+        result = run_protocol(random_tree(30, seed=2))
+        actors = result.actors
+        for node, actor in actors.items():
+            for child, beta, theta in actor.transactions:
+                assert actors[child].lam is beta
+                assert actors[child].theta is theta

@@ -1,12 +1,16 @@
 """Unit tests for the Tree platform model."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from repro.core.rates import INFINITY
 from repro.exceptions import PlatformError
+from repro.platform.generators import random_tree, smooth_tree
 from repro.platform.tree import Tree, validate_tree
+
+from .fraction_oracles import children_by_bandwidth_fraction
 
 
 @pytest.fixture
@@ -143,6 +147,29 @@ class TestTraversals:
         t.add_node("a", w=1, parent="R", c=2)
         t.add_node("b", w=1, parent="R", c=2)
         assert t.children_by_bandwidth("R") == ["a", "b"]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_children_by_bandwidth_equals_the_fraction_sort(self, seed):
+        """Integer keys ``c·L`` order a fork exactly as the rational keys
+        did: ψ-style ties (``k/(ψ+1)`` written over many ``ψ``) beside
+        unrelated denominators up to 10⁴, ties in insertion order."""
+        rng = random.Random(seed)
+        ratios = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                  for _ in range(3)]
+        pool = [Fraction(k * m, (psi + 1) * m)
+                for k, psi in ((r.numerator, r.denominator - 1) for r in ratios)
+                for m in (1, rng.randint(2, 10**4 // (psi + 1)))]
+        pool += [Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4))
+                 for _ in range(3)]
+        t = Tree("R", w=1)
+        for i in range(rng.randint(2, 60)):
+            t.add_node(f"k{i}", w=1, parent="R", c=rng.choice(pool))
+        assert t.children_by_bandwidth("R") \
+            == children_by_bandwidth_fraction(t, "R")
+        for other in (random_tree(80, seed=seed), smooth_tree(60, seed)):
+            for node in other.nodes():
+                assert other.children_by_bandwidth(node) \
+                    == children_by_bandwidth_fraction(other, node)
 
     def test_ancestors(self, tree):
         assert tree.ancestors("P4") == ["P1", "P0"]
