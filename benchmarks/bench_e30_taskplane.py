@@ -74,20 +74,6 @@ def test_e30_taskplane_gate(benchmark, paper_tree):
     )
 
 
-class _CountedWrites:
-    """An edge end's socket, its ``write`` calls counted."""
-
-    def __init__(self, socket, tally):
-        self.socket, self.tally = socket, tally
-
-    def write(self, data):
-        self.tally.writes += 1
-        self.socket.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self.socket, name)
-
-
 class _WriteCountingTcp(TcpTransport):
     """Counts every socket write once the edges are connected (the
     negotiation's included: 16 on Fig. 4)."""
@@ -97,7 +83,13 @@ class _WriteCountingTcp(TcpTransport):
     async def start(self, tree, mailboxes):
         await super().start(tree, mailboxes)
         for end in self._ends:
-            end.transport = _CountedWrites(end.transport, self)
+            end.write = self._counted(end.write)
+
+    def _counted(self, write):
+        def counted(data):
+            self.writes += 1
+            write(data)
+        return counted
 
 
 def test_e30_tcp_writes_per_task_gate(paper_tree):

@@ -15,10 +15,13 @@ its engine, which is its own mailbox.  Two implementations:
   on a real event loop;
 * :class:`TcpTransport` — one loopback TCP socket per tree edge, both
   directions on the same socket, carrying the length|CRC32-framed JSON of
-  :mod:`repro.runtime.codec`; a ``send`` of a burst writes each edge's
-  frames with one ``write``, and each end decodes frames synchronously —
-  refusing one that names another edge — into its owner's mailbox.  Who listens, the handshake and the shutdown order
-  are described on the class.
+  :mod:`repro.runtime.codec`.  Sockets are plain non-blocking sockets the
+  event loop watches with ``add_reader``: a ``send`` of a burst hands
+  each edge's frames to its socket with one ``send`` call, and each end
+  decodes what it reads synchronously — refusing a frame that names
+  another edge — into its owner's mailbox.  Who listens, how an edge is
+  paired, the handshake and the shutdown order are described on the
+  class.
 
 Both transports tally ``messages_sent``, ``bytes_sent`` (control messages
 only: the *model* bytes of :func:`~repro.protocol.messages.wire_size`, so
@@ -53,8 +56,8 @@ network's convention.
 from __future__ import annotations
 
 import asyncio
+import socket
 from abc import ABC, abstractmethod
-from functools import partial
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import CodecError, ProtocolError, ReproError
@@ -213,29 +216,59 @@ class InProcTransport(Transport):
         self._late.clear()
 
 
-class _EdgeEnd(asyncio.Protocol):
-    """*owner*'s end of one edge's socket: ``data_received`` splits frames
+#: the write buffer an end may hold before ``send`` waits for it to drain,
+#: and the level at which it stops waiting (asyncio's defaults)
+_HIGH_WATER, _LOW_WATER = 64 * 1024, 16 * 1024
+#: one read's worth; every end reads into the hub's one buffer of this size
+#: (a fresh 256 KiB ``recv`` per read can cost an mmap and a munmap)
+_READ_SIZE = 256 * 1024
+#: how long pairing waits for its own connection to reach the accept queue
+#: (on loopback it is there when ``connect`` returns)
+_ACCEPT_WAIT = 5.0
+
+
+class _EdgeEnd:
+    """*owner*'s end of one edge: a non-blocking socket read through the
+    loop's ``add_reader``.  :meth:`data_received` splits frames
     synchronously out of one buffer and puts the decoded messages straight
     into the mailbox the hub maps *owner* to at that moment.  A dialling
     (child) end is built knowing its *peer*; on an accepted (parent) end
     *peer* is ``None`` until the first frame, the hello naming the child
     that dialled.
 
+    :meth:`write` hands octets to the socket at once; what it does not
+    take is buffered and flushed when the socket is writable, and above
+    ``_HIGH_WATER`` buffered octets :meth:`pause_writing` sets the
+    ``resumed`` future ``send`` awaits, resolved at ``_LOW_WATER``.  On EOF
+    the end closes; :meth:`close` flushes the buffer, then closes the
+    socket.
+
     Hostile bytes stop here: a recoverable :class:`CodecError` skips the
     frame and feeds the link's quarantine streak (kept by the hub's
     decider, so both ends of an edge count into one), a non-recoverable
-    one firewalls the edge.  No actor ever sees a frame that failed validation — at
-    worst the peer's retries time out, which is the crash-detection path.
+    one firewalls the edge.  No actor ever sees a frame that failed
+    validation — at worst the peer's retries time out, which is the
+    crash-detection path.
     """
 
     def __init__(self, hub: "TcpTransport", owner: Hashable,
-                 peer: Optional[Hashable]):
-        self.hub, self.owner, self.peer = hub, owner, peer
+                 peer: Optional[Hashable], sock: socket.socket):
+        self.hub, self.owner, self.peer, self.sock = hub, owner, peer, sock
         self.hello_due = peer is None
         self.edge_child = owner  # an accepting end learns it from the hello
         self.splitter = FrameSplitter()
         self.deaf = False  # firewalled, refused or leaving: discard input
+        self.closing = False
         self.resumed: Optional[asyncio.Future] = None  # set while paused
+        self.outgoing = bytearray()  # written, not yet taken by the socket
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # the loop is handed the descriptor, not the socket: a selector
+        # formats its key into every miss, and a socket's repr is syscalls
+        self.fd = sock.fileno()
+        self.loop = hub._loop
+        self.loop.add_reader(self.fd, self._readable)
+        hub._ends.add(self)
 
     @property
     def edge(self) -> Tuple[Optional[Hashable], Hashable]:
@@ -245,11 +278,27 @@ class _EdgeEnd(asyncio.Protocol):
             return (self.peer, self.owner)
         return (self.owner, self.edge_child)
 
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        self.hub._ends.add(self)
+    # -- reading --------------------------------------------------------
+    def _readable(self) -> None:
+        inbox = self.hub._inbox
+        try:
+            size = self.sock.recv_into(inbox)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._lost()
+            return
+        if not size:
+            self.eof_received()
+            self.close()
+            return
+        try:
+            self.data_received(inbox[:size])
+        except Exception:
+            self._lost()
+            raise
 
-    def data_received(self, data: bytes) -> None:
+    def data_received(self, data: memoryview) -> None:
         hub, splitter = self.hub, self.splitter
         if not self.deaf:
             splitter.feed(data)
@@ -302,7 +351,7 @@ class _EdgeEnd(asyncio.Protocol):
         """Hang up on a bad hello and fail a :meth:`TcpTransport.start`
         still waiting (a later stranger is just hung up on)."""
         self.deaf = True
-        self.transport.close()
+        self.close()
         if not self.hub._ready.done():
             failure = ProtocolError(
                 f"bad handshake on {self.owner!r}'s listener")
@@ -315,15 +364,71 @@ class _EdgeEnd(asyncio.Protocol):
         elif not self.deaf and self.splitter.pending:
             self.hub.dead_streams += 1  # peer vanished mid-frame
 
+    # -- writing --------------------------------------------------------
+    def write(self, data: bytes) -> None:
+        outgoing = self.outgoing
+        if not outgoing:
+            try:
+                sent = self.sock.send(data)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
+                self._lost()
+                return
+            if sent == len(data):
+                return
+            data = memoryview(data)[sent:]
+            self.loop.add_writer(self.fd, self._writable)
+        outgoing += data
+        if len(outgoing) > _HIGH_WATER and self.resumed is None:
+            self.pause_writing()
+
+    def _writable(self) -> None:
+        outgoing = self.outgoing
+        try:
+            sent = self.sock.send(outgoing)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._lost()
+            return
+        del outgoing[:sent]
+        if self.resumed is not None and len(outgoing) <= _LOW_WATER:
+            self.resume_writing()
+        if not outgoing:
+            self.loop.remove_writer(self.fd)
+            if self.closing:
+                self._lost()
+
     def pause_writing(self) -> None:
-        self.resumed = asyncio.get_running_loop().create_future()
+        self.resumed = self.loop.create_future()
 
     def resume_writing(self) -> None:
         self.resumed.set_result(None)
         self.resumed = None
 
-    def connection_lost(self, exc) -> None:
-        hub = self.hub
+    # -- closing --------------------------------------------------------
+    def close(self) -> None:
+        """Stop reading; close the socket once the buffer is flushed."""
+        if self.closing:
+            return
+        self.closing = True
+        self.loop.remove_reader(self.fd)
+        if not self.outgoing:
+            self._lost()
+
+    def _lost(self) -> None:
+        """Close the socket now and take the end out of the hub's books."""
+        hub, sock = self.hub, self.sock
+        if sock.fileno() < 0:
+            return
+        if not self.closing:
+            self.closing = True
+            self.loop.remove_reader(self.fd)
+        if self.outgoing:
+            self.loop.remove_writer(self.fd)
+            self.outgoing.clear()
+        sock.close()
         if self.resumed is not None:
             self.resume_writing()
         hub._ends.discard(self)
@@ -344,17 +449,22 @@ class TcpTransport(Transport):
     run left connected after that: edges the platform lost are hung up and
     waited for, listeners close on nodes that left or lost their last child
     and open on nodes that just became internal, and only edges not yet
-    connected are dialled (``dials`` counts them), concurrently, each from
-    its child endpoint, which introduces itself with a hello frame; a
-    listener accepts only a hello naming a not yet connected child of its
-    owner in *that* tree.  An edge whose socket died in between is simply
-    dialled again, and a dropped edge takes its quarantine entry and
-    corruption streak with it.  Start returns once every edge is connected
-    in both directions, so the negotiation never races the handshake; if a
-    dial or a handshake fails it closes everything — kept edges included —
-    and raises.  Reuse needs the event loop the sockets were opened on
+    connected are dialled (``dials`` counts them).  A listener is a plain
+    listening socket; an edge is paired in one synchronous stretch — its
+    child's socket connects (loopback: done when ``connect`` returns) and
+    the parent's listener accepts until that very connection comes out;
+    whoever was queued before it is a stranger, read like one.  The child
+    then introduces itself with a hello frame, and a listener accepts only
+    a hello naming a not yet connected child of its owner in *that* tree.
+    An edge whose socket died in between is simply dialled again, and a
+    dropped edge takes its quarantine entry and corruption streak with it.
+    Start returns once every edge's hello has been accepted, so the
+    negotiation never races the handshake; if a dial or a handshake fails
+    it closes everything — kept edges included — and raises.  Reuse needs
+    the event loop the sockets were opened on
     (:class:`~repro.runtime.runtime.Session` holds both).  Each end of an
-    edge is one :class:`asyncio.Protocol`; the transport owns no tasks.
+    edge is one ``_EdgeEnd`` owning its socket (``TCP_NODELAY``, read
+    through ``add_reader``); the transport owns no tasks.
 
     *plan* stages the fault plan **at the sender** — TCP itself never
     loses data: a dropped frame is never written, a duplicated one is
@@ -382,7 +492,11 @@ class TcpTransport(Transport):
         #: ``runtime.tcp.edge_octets`` counters
         self.octets_by_edge: Dict[Tuple[Hashable, Hashable], int] = {}
         self.dials = 0  # sockets opened, over every start()
-        self._servers: Dict[Hashable, asyncio.AbstractServer] = {}
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: what an end's read lands in before its splitter copies it out
+        self._inbox = memoryview(bytearray(_READ_SIZE))
+        #: node → its listening socket
+        self._servers: Dict[Hashable, socket.socket] = {}
         #: the end each directed edge (sender, receiver) writes through
         self._writers: Dict[Tuple[Hashable, Hashable], _EdgeEnd] = {}
         self._ends: Set[_EdgeEnd] = set()  # open connections, greeted or not
@@ -398,7 +512,7 @@ class TcpTransport(Transport):
     async def start(self, tree: Tree,
                     mailboxes: Mapping[Hashable, Any]) -> None:
         await super().start(tree, mailboxes)
-        loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         edges = [(tree.parent(n), n) for n in tree.nodes()
                  if tree.parent(n) is not None]
         listeners = [n for n in tree.nodes()
@@ -414,41 +528,32 @@ class TcpTransport(Transport):
         try:
             closing = self._servers.keys() - set(listeners)
             for node in closing:
-                self._servers[node].close()
+                self._unlisten(node)
             gone = [end for end in self._ends if end.edge not in kept]
             for end in gone:
                 end.deaf = True  # its owner may have no mailbox any more
             await self._hang_up(gone)
             for node in closing:
-                await self._servers.pop(node).wait_closed()
                 del self.bound_ports[node]
+            family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
             for node in listeners:
                 if node in self._servers:
                     continue
-                # all children dial at once: an accept queue shorter than
-                # that drops SYNs and waits out their retransmission
-                server = await loop.create_server(
-                    partial(_EdgeEnd, self, node, None), host=self.host,
-                    port=self.ports.get(node, 0),
+                listener = socket.create_server(
+                    (self.host, self.ports.get(node, 0)), family=family,
                     backlog=max(100, len(tree.children(node))))
-                self._servers[node] = server
-                self.bound_ports[node] = server.sockets[0].getsockname()[1]
+                listener.setblocking(False)
+                self._servers[node] = listener
+                self.bound_ports[node] = listener.getsockname()[1]
+                loop.add_reader(listener.fileno(), self._accept, node, listener)
             new = [edge for edge in edges if edge not in kept]
             self._hellos_due = len(new)
             self.dials += len(new)
             self._ready = loop.create_future()
             if not new:
                 self._ready.set_result(None)
-            dials = await asyncio.gather(*(
-                loop.create_connection(partial(_EdgeEnd, self, child, parent),
-                                       self.host, self.bound_ports[parent])
-                for parent, child in new), return_exceptions=True)
-            for (parent, child), dial in zip(new, dials):
-                if isinstance(dial, BaseException):
-                    raise dial
-                transport, end = dial
-                transport.write(encode_hello(child))
-                self._writers[(child, parent)] = end
+            for parent, child in new:
+                self._pair(parent, child)
             failure = await self._ready
             if failure is not None:
                 raise failure
@@ -456,9 +561,62 @@ class TcpTransport(Transport):
             await self.close()
             raise
 
+    def _pair(self, parent: Hashable, child: Hashable) -> None:
+        """Connect *child* to *parent*'s listener and accept it there, in
+        one synchronous stretch; the child's end says hello, the accepted
+        end reads it like any other."""
+        listener = self._servers[parent]
+        dialler = socket.socket(listener.family)
+        try:
+            dialler.connect(listener.getsockname())
+            accepted = self._accept_own(parent, listener,
+                                        dialler.getsockname())
+        except BaseException:
+            dialler.close()
+            raise
+        end = _EdgeEnd(self, child, parent, dialler)
+        _EdgeEnd(self, parent, None, accepted)
+        end.write(encode_hello(child))
+        self._writers[(child, parent)] = end
+
+    def _accept_own(self, node: Hashable, listener: socket.socket,
+                    address) -> socket.socket:
+        """Accept on *node*'s listener until the connection from *address*
+        comes out; whoever queued before it is a stranger, who must say
+        hello like anybody else."""
+        while True:
+            try:
+                sock, peer = listener.accept()
+            except (BlockingIOError, InterruptedError):
+                listener.settimeout(_ACCEPT_WAIT)  # the last ACK is on its way
+                try:
+                    sock, peer = listener.accept()
+                finally:
+                    listener.setblocking(False)
+            if peer == address:
+                return sock
+            _EdgeEnd(self, node, None, sock)
+
+    def _accept(self, node: Hashable, listener: socket.socket) -> None:
+        """The listener's reader: everybody queued is a stranger."""
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:  # e.g. out of descriptors: strangers wait queued
+                self._loop.remove_reader(listener.fileno())
+                return
+            _EdgeEnd(self, node, None, sock)
+
+    def _unlisten(self, node: Hashable) -> None:
+        listener = self._servers.pop(node)
+        self._loop.remove_reader(listener.fileno())
+        listener.close()
+
     def _up(self, sender: Hashable, receiver: Hashable) -> bool:
         end = self._writers.get((sender, receiver))
-        return end is not None and not end.transport.is_closing()
+        return end is not None and not end.closing
 
     async def _hang_up(self, ends) -> None:
         """Hang up *ends* from their child's end — the parent's end flushes
@@ -467,9 +625,9 @@ class TcpTransport(Transport):
         left on listener ports, tens of thousands of those make every later
         ``bind`` to port 0 crawl."""
         self._leaving = set(ends)
-        for end in self._leaving:
+        for end in list(self._leaving):
             if end.edge_child == end.owner:  # dialled, or never greeted
-                end.transport.close()
+                end.close()
         if self._leaving:
             self._all_left = asyncio.get_running_loop().create_future()
             await self._all_left
@@ -511,27 +669,24 @@ class TcpTransport(Transport):
                 frame = frame[:-1] + bytes([frame[-1] ^ 0x01])
                 copies = 1
             bursts.setdefault(edge, []).extend([frame] * copies)
-        writers = self._writers
+        ends = []
         for edge, frames in bursts.items():
-            transport = writers[edge].transport
-            if transport.is_closing():
+            end = self._writers[edge]
+            if end.closing:
                 raise ConnectionResetError(f"socket of edge {edge!r} lost")
             octets = b"".join(frames)
-            transport.write(octets)
+            end.write(octets)
+            ends.append(end)
             self.octets_sent += len(octets)
             self.octets_by_edge[edge] = (self.octets_by_edge.get(edge, 0)
                                          + len(octets))
-        for edge in bursts:
-            resumed = writers[edge].resumed
-            if resumed is not None:
-                await resumed  # back-pressure: the socket buffer is full
+        for end in ends:
+            if end.resumed is not None:
+                await end.resumed  # back-pressure: the socket buffer is full
 
     async def close(self) -> None:
         """Stop listening, hang up every edge (:meth:`_hang_up`) and wait
         until the last connection is gone."""
-        for server in self._servers.values():
-            server.close()
+        for node in list(self._servers):
+            self._unlisten(node)
         await self._hang_up(self._ends)
-        for server in self._servers.values():
-            await server.wait_closed()
-        self._servers.clear()

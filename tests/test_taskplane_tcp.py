@@ -216,7 +216,7 @@ def test_a_child_cannot_speak_for_its_sibling():
                         engine.retention._held.items()):
                     if holder != child:
                         forged.append(task_id)
-                        self._writers[(child, root)].transport.write(
+                        self._writers[(child, root)].write(
                             encode_any(DeliveryAck(holder, root, task_id)))
 
     plan = FaultPlan(seed=3, task_drop=Fraction(1, 5))

@@ -97,6 +97,27 @@ class TestShape:
 
         assert set(asyncio.run(scenario())) == {"P0", "P1", "P2"}
 
+    def test_both_ends_of_every_edge_set_nodelay(self):
+        """asyncio set ``TCP_NODELAY`` on every socket it opened and the
+        raw ends keep it: with Nagle on, a small frame written while an
+        earlier one is unacknowledged waits for the peer's ACK, which may
+        be delayed.  Pairing runs no task either."""
+        tree = smooth_tree(60, 1)
+
+        async def scenario():
+            before = asyncio.all_tasks()
+            transport, _ = await started(tree)
+            owned = asyncio.all_tasks() - before
+            nodelay = [end.sock.getsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY)
+                       for end in transport._ends]
+            await transport.close()
+            return owned, nodelay
+
+        owned, nodelay = asyncio.run(scenario())
+        assert owned == set()
+        assert len(nodelay) == 2 * (len(tree) - 1) and all(nodelay)
+
     def test_counts_equal_the_stream_transports(self):
         """``messages``, octets and the per-edge octet table of one
         negotiation, as recorded with the StreamReader-based transport
@@ -241,6 +262,99 @@ class TestHandshake:
         assert transport.corrupt_frames == 0 and not transport.quarantined
 
 
+class TestAcceptQueue:
+    """``start`` dials and accepts each edge in one synchronous stretch;
+    whoever else sits in the listener's accept queue is a stranger."""
+
+    def test_a_silent_stranger_ahead_in_the_queue_is_not_the_edge(
+            self, monkeypatch):
+        """P4's own connection is accepted by the pairing, behind the
+        stranger — not left for the listener's reader to find later."""
+        by_reader = []
+        accept = TcpTransport._accept
+
+        def reading(transport, node, listener):
+            before = len(transport._ends)
+            accept(transport, node, listener)
+            by_reader.append(len(transport._ends) - before)
+
+        monkeypatch.setattr(TcpTransport, "_accept", reading)
+
+        async def scenario():
+            tree = small_tree()
+            transport, _ = await started(tree)
+            tree.add_node("P4", w=3, parent="P0", c=1)
+            mailboxes = {node: asyncio.Queue() for node in tree.nodes()}
+            with socket.create_connection(
+                    ("127.0.0.1", transport.bound_ports["P0"])) as stranger:
+                # queued on P0's listener before start() dials P4 there;
+                # awaited directly, start() pairs before the loop polls
+                await transport.start(tree, mailboxes)
+                ungreeted = [end for end in transport._ends if end.hello_due]
+                assert len(ungreeted) == 1
+                assert (ungreeted[0].sock.getpeername()
+                        == stranger.getsockname())
+                parent_end = transport._writers[("P0", "P4")]
+                child_end = transport._writers[("P4", "P0")]
+                assert (parent_end.sock.getpeername()
+                        == child_end.sock.getsockname())
+                await transport.send(Proposal(sender="P0", receiver="P4",
+                                              beta=Fraction(1), xid=1))
+                await transport.send(Acknowledgment(
+                    sender="P4", receiver="P0", theta=Fraction(1), xid=1))
+                got = (await asyncio.wait_for(mailboxes["P4"].get(), 5.0),
+                       await asyncio.wait_for(mailboxes["P0"].get(), 5.0))
+                await transport.close()
+            return transport, got
+
+        transports, got = [], []
+
+        def run():
+            transport, crossed = asyncio.run(scenario())
+            transports.append(transport)
+            got.extend(crossed)
+
+        gc.collect()    # what earlier tests dropped is not this run's leak
+        assert leaked(run) == []
+        (transport,) = transports
+        assert [(m.sender, m.receiver) for m in got] == [("P0", "P4"),
+                                                          ("P4", "P0")]
+        assert transport.dials == 3 + 1
+        assert sum(by_reader) == 0
+        assert not transport._ends and transport._servers == {}
+        assert transport._writers == {}
+
+    def test_a_dial_not_yet_queued_is_waited_for(self, monkeypatch):
+        """On loopback the handshake is complete when ``connect`` returns;
+        should the listener not have queued it yet, pairing waits."""
+        class Late(socket.socket):
+            early = True
+
+            def accept(self):
+                if Late.early:
+                    Late.early = False
+                    raise BlockingIOError
+                return super().accept()
+
+        def create_server(address, **kwargs):
+            sock = real(address, **kwargs)
+            return Late(sock.family, sock.type, fileno=sock.detach())
+
+        real = socket.create_server
+        monkeypatch.setattr(transport_module.socket, "create_server",
+                            create_server)
+
+        async def scenario():
+            transport, mailboxes = await started(small_tree())
+            await transport.send(proposal())
+            delivered = await asyncio.wait_for(mailboxes["P1"].get(), 5.0)
+            await transport.close()
+            return delivered
+
+        assert asyncio.run(scenario()) == proposal()
+        assert not Late.early
+
+
 # ----------------------------------------------------------------------
 # hostile octets on a live edge
 # ----------------------------------------------------------------------
@@ -255,7 +369,7 @@ class TestHostileOctets:
     def test_oversized_prefix_firewalls_the_edge(self):
         async def scenario():
             transport, mailboxes = await started(small_tree())
-            raw = transport._writers[("P0", "P1")].transport
+            raw = transport._writers[("P0", "P1")]
             raw.write(FRAME_HEADER.pack(MAX_FRAME + 1, 0) + b"junk")
             await settle(lambda: transport.quarantined)
             await transport.send(proposal())      # deaf end: discarded
@@ -278,7 +392,7 @@ class TestHostileOctets:
         async def scenario():
             transport, mailboxes = await started(small_tree(),
                                                  quarantine_after=3)
-            raw = transport._writers[("P0", "P1")].transport
+            raw = transport._writers[("P0", "P1")]
             bad = garbled_crc(encode_any(proposal()))
             raw.write(bad + bad + encode_any(proposal(7)) + bad + bad)
             first = await asyncio.wait_for(mailboxes["P1"].get(), 5.0)
@@ -300,7 +414,7 @@ class TestHostileOctets:
         transaction id (``True == 1`` would match a pending xid 1)."""
         async def scenario():
             transport, mailboxes = await started(small_tree())
-            raw = transport._writers[("P0", "P1")].transport
+            raw = transport._writers[("P0", "P1")]
             raw.write(encode_blob(
                 b'{"t":"prop","s":"P0","r":"P1","v":"5/3","x":true}')
                 + encode_any(proposal(7)))
@@ -319,7 +433,7 @@ class TestHostileOctets:
         async def scenario():
             transport, mailboxes = await started(small_tree(),
                                                  quarantine_after=2)
-            raw = transport._writers[("P0", "P1")].transport
+            raw = transport._writers[("P0", "P1")]
             for forged in (Proposal(sender="P2", receiver="P1",
                                     beta=Fraction(1), xid=1),
                            Proposal(sender="P0", receiver="P2",
@@ -341,10 +455,10 @@ class TestHostileOctets:
     def test_eof_inside_a_frame_is_a_dead_stream_and_clean_eof_is_not(self):
         async def scenario():
             transport, _ = await started(small_tree())
-            cut = transport._writers[("P0", "P1")].transport
+            cut = transport._writers[("P0", "P1")]
             cut.write(encode_any(proposal())[:-3])
             cut.close()
-            clean = transport._writers[("P0", "P2")].transport
+            clean = transport._writers[("P0", "P2")]
             clean.write(encode_any(Proposal(sender="P0", receiver="P2",
                                               beta=Fraction(1), xid=1)))
             clean.close()
@@ -362,7 +476,7 @@ class TestHostileOctets:
         async def scenario():
             tree = small_tree()
             transport, mailboxes = await started(tree)
-            raw = transport._writers[("P0", "P1")].transport
+            raw = transport._writers[("P0", "P1")]
             raw.write(FRAME_HEADER.pack(MAX_FRAME + 1, 0) + b"junk")
             await settle(lambda: transport.quarantined)
             await transport.start(tree, mailboxes)     # kept: stays deaf
@@ -398,8 +512,8 @@ class TestBackPressure:
             # loopback's megabytes of kernel buffer would swallow it all
             for edge, option in ((("P0", "P2"), socket.SO_SNDBUF),
                                  (("P2", "P0"), socket.SO_RCVBUF)):
-                transport._writers[edge].transport.get_extra_info(
-                    "socket").setsockopt(socket.SOL_SOCKET, option, 8192)
+                transport._writers[edge].sock.setsockopt(
+                    socket.SOL_SOCKET, option, 8192)
             pauses = 0
             pause = end.pause_writing
 
@@ -617,7 +731,7 @@ class TestReconcile:
             tree = small_tree()
             transport, mailboxes = await started(tree)
             first = dict(transport._writers)
-            transport._writers[end].transport.abort()
+            transport._writers[end].close()
             await transport.start(tree, mailboxes)
             await transport.send(proposal())
             await transport.send(ack())
