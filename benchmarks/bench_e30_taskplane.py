@@ -14,7 +14,7 @@ actual task payloads under the negotiated BW-First schedule must
   on both the in-process and the multi-process TCP substrates;
 * **write a burst at once** — unpaced, the Fig. 4 TCP plane makes at most
   1.6 socket writes per completed task (one per edge a burst touches,
-  ≈ 1.2; a write per frame would be ≈ 4.7), counted by wrapping the
+  ≈ 1.5; a write per frame would be ≈ 4.6), counted by wrapping the
   transport's socket writes here, not by a counter in ``src/``.
 """
 

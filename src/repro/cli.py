@@ -663,8 +663,9 @@ def _cmd_federate(args: argparse.Namespace) -> int:
 def _cmd_exec(args: argparse.Namespace) -> int:
     import json as _json
 
+    from .exceptions import TaskPlaneError
     from .faults.plan import FaultPlan
-    from .taskplane import run_cluster, run_plane
+    from .taskplane import ClusterPlane, TaskPlane
     from .util.text import render_table
 
     tree = _load_platform(args) if args.tree else paper_figure4_tree()
@@ -679,10 +680,13 @@ def _cmd_exec(args: argparse.Namespace) -> int:
     kwargs = dict(max_tasks=tasks, duration=args.duration,
                   time_scale=args.time_scale, plan=plan,
                   deadline=args.deadline)
-    if args.transport == "cluster":
-        report = run_cluster(tree, **kwargs)
-    else:
-        report = run_plane(tree, args.transport, **kwargs)
+    try:
+        plane = (ClusterPlane(tree, **kwargs) if args.transport == "cluster"
+                 else TaskPlane(tree, args.transport, **kwargs))
+    except TaskPlaneError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    report = plane.run()
     if args.json:
         print(_json.dumps(report.to_json(), indent=2))
     else:

@@ -37,12 +37,13 @@ class NodeSchedule:
     ``order`` lists the destination of each task of a bunch: the node's own
     name means "compute locally", anything else is a child to forward to.
     ``quantities`` maps each destination to its ψ; ``bunch == len(order)``.
+    ``periods`` is ``None`` when the node built it from its own rates.
     """
 
     node: Hashable
     quantities: Mapping[Hashable, int]
     order: Tuple[Hashable, ...]
-    periods: NodePeriods
+    periods: Optional[NodePeriods] = None
 
     @property
     def bunch(self) -> int:
@@ -76,20 +77,36 @@ def node_schedule(tree, node: Hashable, p: NodePeriods,
     """
     if not p.bunch:
         return None  # inactive node: nothing to order, so no children to sort
+    return bunch_schedule(node, p.psi_self, p.psi_children,
+                          tree.children_by_bandwidth(node), policy, p)
+
+
+def bunch_schedule(node: Hashable, psi_self: int,
+                   psi_children: Mapping[Hashable, int],
+                   children: Sequence[Hashable],
+                   policy: Policy = interleaved_order,
+                   periods: Optional[NodePeriods] = None,
+                   ) -> Optional[NodeSchedule]:
+    """The schedule of a node that keeps *psi_self* tasks of a bunch and
+    sends ``psi_children[i]`` to each of its *children* (bandwidth order),
+    or ``None`` for an empty bunch.  It reads only the node's own ψ counts
+    (:func:`~repro.schedule.periods.bunch_quantities`)."""
     quantities: Dict[Hashable, int] = {}
     priority: List[Hashable] = []
     # The paper prioritises the node itself with the smallest index; we
     # list self first, then children in bandwidth-centric order.  "Self"
     # enters the priority list only when it computes tasks; a switch
     # (ψ_0 = 0) must not appear in the order.
-    if p.psi_self > 0:
-        quantities[node] = p.psi_self
+    if psi_self > 0:
+        quantities[node] = psi_self
         priority.append(node)
-    for child in tree.children_by_bandwidth(node):
-        count = p.psi_children.get(child, 0)
+    for child in children:
+        count = psi_children.get(child, 0)
         if count > 0:
             quantities[child] = count
             priority.append(child)
+    if not quantities:
+        return None
     order = policy(quantities, priority)
     if len(order) != sum(quantities.values()):
         raise ScheduleError(
@@ -103,7 +120,7 @@ def node_schedule(tree, node: Hashable, p: NodePeriods,
             f"{dict(counts)} != {dict(quantities)}"
         )
     return NodeSchedule(
-        node=node, quantities=quantities, order=order, periods=p
+        node=node, quantities=quantities, order=order, periods=periods
     )
 
 

@@ -93,6 +93,25 @@ class NodePeriods:
             )
 
 
+def bunch_quantities(
+    alpha: Fraction, etas: Mapping[Hashable, Fraction],
+) -> Tuple[int, Dict[Hashable, int], Fraction]:
+    """Equation set (4) from one node's own α and child rates *etas*:
+    ``(ψ_0, {child: ψ_i}, T^w)`` with ``ψ = η·T^w`` and ``T^w`` the
+    minimal consumption period, ``lcm(T^c, T^s)`` reduced by the gcd of the
+    counts (a shared factor means the bunch repeats inside it).  Node-local,
+    so a cluster process derives its schedule from its own actor with it.
+    """
+    t_cs = lcm_denominators([alpha, *etas.values()])
+    psi_self = scaled_integer(alpha, t_cs)
+    psi_children = {ch: scaled_integer(eta, t_cs) for ch, eta in etas.items()}
+    reduction = math.gcd(psi_self, *psi_children.values()) or 1
+    if reduction > 1:
+        psi_self //= reduction
+        psi_children = {ch: n // reduction for ch, n in psi_children.items()}
+    return psi_self, psi_children, Fraction(t_cs, reduction)
+
+
 def node_periods(
     allocation: Allocation,
     node: Hashable,
@@ -143,15 +162,7 @@ def node_periods(
     chi_compute = scaled_integer(alpha, t_full)
     chi_children = {ch: scaled_integer(etas[ch], t_full) for ch in children}
 
-    psi_self = scaled_integer(alpha, t_cs)
-    psi_children = {ch: scaled_integer(etas[ch], t_cs) for ch in children}
-    # reduce to the minimal consumption period: a shared factor in the ψ
-    # counts means the bunch repeats inside lcm(T^c, T^s)
-    reduction = math.gcd(psi_self, *psi_children.values()) or 1
-    if reduction > 1:
-        psi_self //= reduction
-        psi_children = {ch: n // reduction for ch, n in psi_children.items()}
-    t_consume = Fraction(t_cs, reduction)
+    psi_self, psi_children, t_consume = bunch_quantities(alpha, etas)
 
     periods = NodePeriods(
         node=node,

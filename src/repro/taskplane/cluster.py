@@ -14,9 +14,10 @@ simplification: each tree node becomes a separate Python process that
   edges use) — the first frame on the socket;
 * runs the *real* :class:`~repro.protocol.actor.NodeActor` negotiation
   over those sockets — the launcher never tells a node its α/η: every
-  process derives its allocation from its own actor, exactly as the
-  paper's semi-autonomy property demands, and verifies it against the
-  expectations pickled into its spec (Proposition 2 made executable);
+  process derives its allocation, and from it its event-driven schedule,
+  from its own actor, exactly as the paper's semi-autonomy property
+  demands, and verifies it against the expectations pickled into its spec
+  (Proposition 2 made executable);
 * then reuses the very same connections for the task plane: one
   :class:`~repro.taskplane.plane.TaskPlaneNode` engine per process,
   payload frames interleaved on the sockets that carried the
@@ -60,11 +61,12 @@ from ..protocol.messages import Acknowledgment, Message, Proposal
 from ..protocol.runner import VIRTUAL_PARENT
 from ..runtime.codec import (FrameSplitter, decode_body, decode_hello,
                              encode_any, encode_hello)
-from ..schedule.periods import tree_periods
+from ..schedule.eventdriven import bunch_schedule
+from ..schedule.periods import bunch_quantities, tree_periods
 from .frames import EXEC_KINDS
 from .ledger import TaskLedger
 from .plane import (DEFAULT_TIME_SCALE, ChildLink, TaskPlaneNode,
-                    TaskPlaneReport, default_payload)
+                    TaskPlaneReport, check_launch, default_payload)
 
 #: Loopback only: the cluster is a single-host harness.  Changing this to
 #: a routable address would also require authenticating the hello.
@@ -127,19 +129,11 @@ class _NodeProcess:
         self.failures: List[BaseException] = []
         self._tasks: List[asyncio.Task] = []
 
-    # -- clock: anchored lazily at first activity ----------------------
-    # The router's token buckets allow ``rate · now`` dispatches; a clock
-    # running since process start would bank the whole negotiation phase
-    # as burst allowance.  Anchoring at the first task frame (root: at
-    # generation start) keeps the buckets honest.
+    # -- clock: zero when the engine is built.  On the root that is the
+    # end of the negotiation, where the report's ``wall_seconds`` and the
+    # ledger's steady window start.
     def clock(self) -> float:
-        if self._t0 is None:
-            return 0.0
         return asyncio.get_event_loop().time() - self._t0
-
-    def start_clock(self) -> None:
-        if self._t0 is None:
-            self._t0 = asyncio.get_event_loop().time()
 
     # -- send paths: straight onto the receiver's socket, in call order --
     def _write(self, receiver, octets) -> asyncio.StreamWriter:
@@ -223,7 +217,6 @@ class _NodeProcess:
                 # (and only) frame is the Stop cascade, long after the
                 # allocation settled tree-wide
                 self._ensure_engine()
-            self.start_clock()
             if self.engine is not None:
                 self.engine.put_nowait(obj)
             else:
@@ -305,7 +298,6 @@ class _NodeProcess:
             # negotiation settled: *now* the engine may trust the actor's
             # allocation and real work may flow
             self._ensure_engine()
-            self.start_clock()
             if spec.duration is not None:
                 timer = loop.call_later(spec.duration,
                                         self.engine.stop_generation)
@@ -343,6 +335,7 @@ class _NodeProcess:
         allocation is known; frames that raced it are its first burst."""
         if self.engine is not None:
             return
+        self._t0 = asyncio.get_event_loop().time()
         self.engine = self._build_engine()
         for frame in self._early:
             self.engine.put_nowait(frame)
@@ -361,21 +354,13 @@ class _NodeProcess:
         ``NodeActor`` exposes its settled transactions as
         ``(child, beta, theta)`` tuples; ``beta − theta`` is the rate the
         child absorbed — η_out of that edge — and ``actor.alpha`` the
-        local compute share.  The launcher shipped none of these.
+        local compute share.  The launcher shipped none of these, nor the
+        schedule: ψ_i = η_i·T^w is node-local, so the node orders its own
+        bunch from them.
         """
         spec = self.spec
-        actor = self.actor
-        eta_out: Dict[Hashable, Fraction] = {}
-        for child, beta, theta in actor.transactions:
-            eta_out[child] = eta_out.get(child, ZERO) + (beta - theta)
-        c_of = dict(spec.children)
-        links = [
-            ChildLink(name=child, c=c_of[child], eta=eta,
-                      capacity=spec.child_capacity.get(child, 1))
-            for child, _ in spec.children
-            for eta in (eta_out.get(child, ZERO),)
-            if eta > 0
-        ]
+        schedule, links = local_schedule(
+            spec, self.actor.alpha, self.actor.transactions)
         return TaskPlaneNode(
             spec.name,
             clock=self.clock,
@@ -383,7 +368,7 @@ class _NodeProcess:
             parent=spec.parent,
             links=links,
             all_children=list(spec.all_children),
-            alpha=actor.alpha,
+            schedule=schedule,
             rate=spec.rate,
             capacity=spec.capacity,
             time_scale=spec.time_scale,
@@ -418,6 +403,21 @@ class _NodeProcess:
             )
 
 
+def local_schedule(spec: NodeSpec, alpha: Fraction, transactions):
+    """The event-driven schedule and the active links a node derives from
+    its own α and settled ``(child, beta, theta)`` transactions."""
+    eta_out = dict.fromkeys([child for child, _ in spec.children], ZERO)
+    for child, beta, theta in transactions:
+        eta_out[child] += beta - theta
+    psi_self, psi_children, _ = bunch_quantities(alpha, eta_out)
+    schedule = bunch_schedule(spec.name, psi_self, psi_children,
+                              list(eta_out))
+    links = [ChildLink(name=child, c=c,
+                       capacity=spec.child_capacity.get(child, 1))
+             for child, c in spec.children if psi_children[child]]
+    return schedule, links
+
+
 def _node_main(spec: NodeSpec, conn) -> None:
     """Process entry point (module-level: picklable under spawn)."""
     try:
@@ -448,8 +448,7 @@ class ClusterPlane:
         deadline: float = 120.0,
         host: str = DEFAULT_HOST,
     ):
-        if max_tasks is None and duration is None:
-            raise TaskPlaneError("need max_tasks and/or duration to stop")
+        check_launch(max_tasks, duration, time_scale)
         if exec_kind not in EXEC_KINDS:
             raise TaskPlaneError(f"unknown exec kind {exec_kind!r}")
         self.tree = tree

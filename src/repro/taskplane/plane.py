@@ -13,17 +13,20 @@ pass of the dispatcher is a **burst**:
   child the copy is held for), credit grants, result relay toward the root,
   the Stop/Stopped cascade.  Stray control :class:`Message`\\ s left over
   from negotiation on a reused transport are counted and ignored;
-* **route**, once per burst — rate-conformant stride scheduling
-  (:class:`_Sink`) over the local worker and the credited children: long-run,
-  dispatch proportions converge to the solver's exact split, which is what
-  makes measured throughput converge to ``λ_root − θ_root``;
+* **route**, once per burst — the node's event-driven schedule (Section
+  6.2, :class:`~repro.schedule.eventdriven.NodeSchedule`): the j-th task it
+  takes (the root: generates) goes to ``destination(j)``, the worker or a
+  child.  A destination that cannot take it — the worker with both slots
+  in use, a child without a credit — stops routing until a frame or a
+  timer changes that.  Each bunch splits exactly as the solver did, which
+  is what makes measured throughput converge to ``λ_root − θ_root``;
 * **serve** — the send port and the worker are two deques of slots on an
   absolute ``busy_until`` horizon (``c_child · time_scale`` wall seconds per
-  transfer; ``time_scale / r`` per execution — full speed, the router's
-  proportions throttle it down to exactly ``α``).  A head whose slot has
-  ended is served in line — transmitted through the seeded data-plane fault
-  filter, or executed and reported up the tree; any other head is what its
-  deque's one timer waits for;
+  transfer; ``time_scale / r`` per execution — full speed, the schedule's
+  share of the tasks throttles it down to exactly ``α``).  A head whose
+  slot has ended is served in line — transmitted through the seeded
+  data-plane fault filter, or executed and reported up the tree; any other
+  head is what its deque's one timer waits for;
 * **settle** — once generation has stopped, ``completed == generated`` and
   every retention copy is released, the root sends Stop to *all* children
   (active or not, so every engine exits through the tree protocol); a child
@@ -34,9 +37,9 @@ pass of the dispatcher is a **burst**:
   guarantees a child's last result precedes its Stopped, so the accounting
   the root asserted cannot be overtaken by shutdown.
 
-Four timers, each armed only while somebody waits for it: ``port`` and
-``cpu`` for the head of their deque, ``rate`` while only its rate cap keeps
-a sink from a task, ``sweep`` while a retention copy is outstanding.
+Three timers, each armed only while somebody waits for it: ``port`` and
+``cpu`` for the head of their deque, ``sweep`` while a retention copy is
+outstanding.
 
 :class:`TaskPlane` orchestrates a run on one event loop: negotiate with
 the real :class:`~repro.runtime.runtime.Runtime` (``close_transport=False``
@@ -52,13 +55,11 @@ import asyncio
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Dict, Hashable, List, Optional, Union
 
 from ..analysis.buffers import taskplane_buffer_bounds
 from ..core.allocation import Allocation, from_bw_first
 from ..core.bwfirst import bw_first
-from ..core.rates import ZERO
 from ..exceptions import TaskPlaneError
 from ..faults.inject import GARBLED, LOST, LinkFaultDecider
 from ..faults.plan import FaultPlan
@@ -66,6 +67,7 @@ from ..platform.tree import Tree
 from ..protocol.messages import Acknowledgment, Proposal
 from ..runtime.runtime import Runtime, _make_transport, refuse_running_loop
 from ..runtime.transport import Transport
+from ..schedule.eventdriven import NodeSchedule, build_schedules
 from ..schedule.periods import tree_periods
 from ..telemetry.core import NULL, Registry
 from .buffers import BoundedBuffer, CreditAccount
@@ -87,46 +89,28 @@ def default_payload(task_id: int, size: int = 64) -> bytes:
     return (stamp * (size // 8 + 1))[:size]
 
 
+def check_launch(max_tasks: Optional[int], duration: Optional[float],
+                 time_scale: float) -> None:
+    """Refuse, before anything is spawned or dialled, a run no launcher
+    can honour: one with no way to stop, a negative *max_tasks*, a
+    *duration* or a *time_scale* that is not ``> 0`` (NaN included)."""
+    if max_tasks is None and duration is None:
+        raise TaskPlaneError("need max_tasks and/or duration to stop")
+    if max_tasks is not None and max_tasks < 0:
+        raise TaskPlaneError(f"max_tasks must be >= 0, got {max_tasks}")
+    if duration is not None and not duration > 0:
+        raise TaskPlaneError(f"duration must be > 0, got {duration}")
+    if not time_scale > 0:
+        raise TaskPlaneError(f"time_scale must be > 0, got {time_scale}")
+
+
 @dataclass(frozen=True, slots=True)
 class ChildLink:
     """One active tree edge as the parent's engine sees it."""
 
     name: Hashable
     c: Fraction          # transfer time per task (virtual units)
-    eta: Fraction        # negotiated send rate η_out (tasks per unit)
     capacity: int        # the child's analytic buffer capacity
-
-
-class _Sink:
-    """Where the router can put a task, with its stride and token-bucket
-    books: the local CPU (``link`` is ``None``; ready when idle, weight
-    ``α``) or an active child (ready with a send credit, weight ``η_out``).
-    The ready sink with the smallest ``served / weight`` gets the next task,
-    compared as ``served · stride`` (``stride``: ``1/weight`` scaled to an
-    integer).
-
-    Work-conserving stride alone mis-shapes the mix on saturated ports:
-    whenever the fast child is briefly out of credits, the slow
-    (expensive-link) children absorb its slots and the port wastes its 100%
-    duty cycle on costly transfers.  Capping each sink at its allocated
-    ``rate`` (tasks per wall second) plus a ``burst`` — the child's buffer
-    capacity, which fills the start-up pipeline — keeps the long-run mix
-    exactly the solver's.  The worker's burst is its two slots, one task
-    executing and one prefetched: the busy_until pacing starts the
-    prefetched slot exactly where the running one ends, so hand-off latency
-    cannot shave the compute rate."""
-
-    __slots__ = ("link", "stride", "served", "rate", "burst", "cost")
-
-    def __init__(self, link: Optional[ChildLink], weight: Fraction,
-                 stride: int, burst: int, time_scale: float):
-        self.link = link
-        self.stride = stride
-        self.served = 0
-        self.rate = float(weight) / time_scale
-        self.burst = burst
-        #: wall seconds one transfer occupies the send port
-        self.cost = float(link.c) * time_scale if link is not None else 0.0
 
 
 class TaskPlaneNode:
@@ -139,9 +123,9 @@ class TaskPlaneNode:
         clock: Callable[[], float],
         send: Callable,                 # async send(*frames): a burst
         parent: Optional[Hashable],
-        links: List[ChildLink],         # active children (η_out > 0)
+        links: List[ChildLink],         # the children the schedule names
         all_children: List[Hashable],   # every tree child (for Stop)
-        alpha: Fraction,
+        schedule: Optional[NodeSchedule],   # None: the node takes no task
         rate: Fraction,                 # full compute rate r = 1/w
         capacity: int,                  # own inbound buffer bound
         time_scale: float,
@@ -175,24 +159,21 @@ class TaskPlaneNode:
         self.credits = CreditAccount({l.name: l.capacity for l in links})
         self.retention = RetentionBuffer()
         self.delivery = DeliveryLog()
+        destinations = set(schedule.quantities) if schedule else set()
+        if destinations - {name} != self.links.keys():
+            raise TaskPlaneError(f"{name!r}'s schedule sends to other "
+                                 "children than its links lead to")
+        self.schedule = schedule
+        #: j: the tasks taken (the root: generated) and routed so far
+        self._taken = 0
         self.worker = (WorkerPool(rate, time_scale, keep_results)
-                       if alpha > 0 else None)
-        # the sinks in the order ties go: the worker, then the children by
-        # bandwidth; integer strides from the weights scaled once to a
-        # common denominator
-        sinks = [(None, alpha, 2)] if alpha > 0 else []
-        sinks += [(link, link.eta, link.capacity) for link in links]
-        scale = lcm(*(weight.denominator for _, weight, _ in sinks))
-        scaled = [weight.numerator * (scale // weight.denominator)
-                  for _, weight, _ in sinks]
-        self._sinks = [
-            _Sink(link, weight, lcm(*scaled) // integer, burst, time_scale)
-            for (link, weight, burst), integer in zip(sinks, scaled)]
+                       if name in destinations else None)
+        #: wall seconds one transfer to each child occupies the send port
+        self._cost = {link.name: float(link.c) * time_scale for link in links}
         #: the paced resources: (slot end, task frame[, child]) in the order
         #: routed, served from the head
         self._port, self._cpu = deque(), deque()
         self._port_busy_until = 0.0
-        self._next_eligible: Optional[float] = None
 
         #: the run-queue (frames, and the markers of timers that expired),
         #: what the burst wrote, the armed timers as marker → (handle, due)
@@ -339,8 +320,8 @@ class TaskPlaneNode:
     def _advance(self, now: float) -> None:
         """The end of a burst, on one reading of the clock: route, serve
         the heads whose slot has ended — an execution that ended freed a
-        worker slot, so route again; *now* is fixed, so the rate caps and
-        the horizons end the loop — arm what the rest waits for, settle."""
+        worker slot, so route again; *now* is fixed, so the horizons and
+        the credits end the loop — arm what the rest waits for, settle."""
         port, cpu, retention = self._port, self._cpu, self.retention
         while True:
             self._route(now)
@@ -440,55 +421,39 @@ class TaskPlaneNode:
             self._publish_depth()
         return frame
 
-    def _pick_sink(self, now: float) -> Optional[_Sink]:
-        """Rate-conformant stride scheduling; ``None`` when no sink may
-        take a task right now (out of credits, busy, or over rate — the
-        last leaves in ``_next_eligible`` when the first token accrues)."""
-        best = None
-        self._next_eligible = None
-        for sink in self._sinks:
-            if sink.link is None:
-                if len(self._cpu) >= 2:
-                    continue
-            elif self.credits.available(sink.link.name) <= 0:
-                continue
-            if sink.served >= sink.rate * now + sink.burst:
-                eligible = (sink.served - sink.burst + 1) / sink.rate
-                if self._next_eligible is None \
-                        or eligible < self._next_eligible:
-                    self._next_eligible = eligible
-            elif best is None or \
-                    sink.served * sink.stride < best.served * best.stride:
-                best = sink
-        return best
-
     def _route(self, now: float) -> None:
-        """Hand tasks to sinks while there is one of each; a sink blocked
-        purely by its rate cap is woken for exactly when its next token
-        accrues."""
-        while (not self.generation_stopped if self.is_root
-               else self.buffer.depth):
-            sink = self._pick_sink(now)
-            if sink is None:
-                if self._next_eligible is not None:
-                    self._arm("rate", self._next_eligible, now)
+        """Hand the j-th task taken to ``schedule.destination(j)`` while
+        there is a task and that destination can take it: a child while it
+        holds a credit, the worker while fewer than two of its slots are in
+        use — one executing, one prefetched, whose slot starts exactly
+        where the running one ends, so hand-off latency cannot shave the
+        compute rate."""
+        schedule, name = self.schedule, self.name
+        while schedule is not None and (
+                not self.generation_stopped if self.is_root
+                else self.buffer.depth):
+            dest = schedule.destination(self._taken)
+            if dest == name:
+                if len(self._cpu) >= 2:
+                    return
+            elif not self.credits.available(dest):
                 return
             frame = self._next_task()
+            self._taken += 1
             if not self.is_root:
                 # the slot frees the moment the task leaves the buffer
-                self._out.append(CreditGrant(self.name, self.parent))
-            sink.served += 1
+                self._out.append(CreditGrant(name, self.parent))
             # a slot is anchored at its arrival or the previous horizon,
             # never at a (possibly late) wake-up — see WorkerPool.slot
-            if sink.link is None:
+            if dest == name:
                 self._cpu.append((self.worker.slot(now), frame))
                 continue
-            child = sink.link.name
-            self.credits.spend(child)
-            self._port_busy_until = max(now, self._port_busy_until) + sink.cost
+            self.credits.spend(dest)
+            self._port_busy_until = (max(now, self._port_busy_until)
+                                     + self._cost[dest])
             self._port.append((self._port_busy_until, TaskFrame(
-                self.name, child, frame.task_id, frame.payload, frame.crc,
-                frame.kind), child))
+                name, dest, frame.task_id, frame.payload, frame.crc,
+                frame.kind), dest))
 
     # ------------------------------------------------------------------
     # the paced resources
@@ -668,10 +633,7 @@ class TaskPlane:
         deadline: float = 120.0,
         keep_results: bool = False,
     ):
-        if max_tasks is None and duration is None:
-            raise TaskPlaneError("need max_tasks and/or duration to stop")
-        if time_scale <= 0:
-            raise TaskPlaneError("time_scale must be positive")
+        check_launch(max_tasks, duration, time_scale)
         self.tree = tree
         self.transport_name = (transport if isinstance(transport, str)
                                else type(transport).__name__)
@@ -700,7 +662,9 @@ class TaskPlane:
         allocation = self.allocation
         if allocation is None:
             allocation = from_bw_first(bw_first(tree))
-        bounds = taskplane_buffer_bounds(tree_periods(allocation), tree.root)
+        periods = tree_periods(allocation)
+        bounds = taskplane_buffer_bounds(periods, tree.root)
+        schedules = build_schedules(allocation, periods=periods)
 
         transport = _make_transport(self.transport)
         await Runtime(tree, transport, close_transport=False).arun()
@@ -712,14 +676,11 @@ class TaskPlane:
 
         for node in tree.nodes():
             parent = tree.parent(node)
-            links = [
-                ChildLink(name=child, c=tree.c(child),
-                          eta=allocation.eta_out[(node, child)],
-                          capacity=bounds.get(child, 1))
-                for child in tree.children_by_bandwidth(node)
-                if allocation.eta_out.get((node, child), ZERO) > 0
-            ]
-            alpha = allocation.alpha.get(node, ZERO)
+            schedule = schedules.get(node)
+            links = [ChildLink(name=child, c=tree.c(child),
+                               capacity=bounds.get(child, 1))
+                     for child in (schedule.quantities if schedule else ())
+                     if child != node]
             self.nodes[node] = TaskPlaneNode(
                 node,
                 clock=clock,
@@ -727,7 +688,7 @@ class TaskPlane:
                 parent=parent,
                 links=links,
                 all_children=list(tree.children(node)),
-                alpha=alpha,
+                schedule=schedule,
                 rate=tree.rate(node),
                 capacity=bounds.get(node, 1),
                 time_scale=self.time_scale,

@@ -1,12 +1,4 @@
-"""Two pieces of the task plane as they were, as oracles.
-
-Until PR 24 ``TaskPlaneNode._pick_sink`` compared ``Fraction(served) /
-weight`` per sink per routing decision and its router loop kept the books
-around it (a ``served`` dict, the credit account, a pending count for the
-worker).  Production now compares ``served · stride`` in integers;
-:class:`FractionRouter` is the old body, unchanged apart from taking its
-clock and its events as arguments, and is what
-``tests/test_taskplane.py::TestDispatchOrder`` compares the engine against.
+"""What the task plane must do, spelled out independently, as oracles.
 
 A payload frame used to be serialised as a dict (``to_payload()``)
 through the codec's JSON encoder; production now formats one fixed-shape
@@ -15,15 +7,22 @@ the dict form, spelled out per kind rather than read from the frames'
 declarations, and ``_dump(oracle_payload(frame))`` is what ``to_body()``
 must equal byte for byte.
 
+An engine routes the j-th task it takes to ``schedule.destination(j)``
+(Section 6.2).  :func:`replayed_dispatches` is that schedule replayed on
+task counts alone, with no clock and no engine; :class:`DispatchSpy`
+records what the engines of a live plane actually routed, from outside
+the engine, for the two to be compared.
+
 Do not optimise either.
 """
 
 from __future__ import annotations
 
 import base64
-from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Dict, Hashable, List
 
+from repro.taskplane import TaskPlaneNode
 from repro.taskplane.frames import (CreditGrant, DeliveryAck, ResendRequest,
                                     ResultReport, Stop, Stopped, TaskFrame)
 
@@ -59,60 +58,90 @@ def oracle_payload(frame) -> dict:
     return payload
 
 
-class FractionRouter:
-    """*links* are ``(name, eta, capacity)`` in bandwidth order."""
+def replayed_dispatches(tree, schedules, tasks: int
+                        ) -> Dict[Hashable, List[Hashable]]:
+    """Where each node sends the tasks it takes when the root generates
+    *tasks*: the k-th task a node takes goes to ``destination(k)`` (its own
+    name: the local worker), and every task sent to a child is one more
+    that child takes.  Nodes that take no task are absent."""
+    taken = {tree.root: tasks}
+    sequences = {}
+    for node in tree.nodes():              # pre-order: parents first
+        if taken.get(node):
+            sequences[node] = [schedules[node].destination(k)
+                               for k in range(taken[node])]
+            for dest in sequences[node]:
+                if dest != node:
+                    taken[dest] = taken.get(dest, 0) + 1
+    return sequences
 
-    def __init__(self, alpha: Fraction,
-                 links: Sequence[Tuple[Hashable, Fraction, int]],
-                 time_scale: float):
-        self.alpha = alpha
-        self.links = list(links)
-        self.has_worker = alpha > 0
-        self.worker_pending = 0
-        self.credits: Dict[Hashable, int] = {
-            name: capacity for name, _, capacity in links}
-        self.served: Dict[Hashable, int] = {}
-        self.alpha_ps = float(alpha) / time_scale if alpha > 0 else 0.0
-        self.eta_ps = {name: float(eta) / time_scale for name, eta, _ in links}
-        self.next_eligible: Optional[float] = None
 
-    def _note_eligible_at(self, when: float) -> None:
-        if self.next_eligible is None or when < self.next_eligible:
-            self.next_eligible = when
+class _Logged(deque):
+    """A paced deque that logs the destination of every entry appended."""
 
-    def pick(self, now: float):
-        best = None
-        best_progress = None
-        self.next_eligible = None
-        if self.has_worker and self.worker_pending < 2:
-            served = self.served.get("cpu", 0)
-            if served < self.alpha_ps * now + 2:
-                best = "cpu"
-                best_progress = Fraction(served) / self.alpha
-            else:
-                self._note_eligible_at((served - 1) / self.alpha_ps)
-        for name, eta, capacity in self.links:
-            if self.credits[name] <= 0:
-                continue
-            served = self.served.get(name, 0)
-            rate = self.eta_ps[name]
-            if served >= rate * now + capacity:
-                self._note_eligible_at((served - capacity + 1) / rate)
-                continue
-            progress = Fraction(served) / eta
-            if best_progress is None or progress < best_progress:
-                best, best_progress = name, progress
-        return best
+    def __init__(self, log: list, destination):
+        super().__init__()
+        self.log, self.destination = log, destination
 
-    def route(self, now: float) -> List[Hashable]:
-        """The router loop's inner ``while`` under an endless supply: the
-        sinks served at *now*, in order."""
-        order = []
-        while (sink := self.pick(now)) is not None:
-            self.served[sink] = self.served.get(sink, 0) + 1
-            if sink == "cpu":
-                self.worker_pending += 1
-            else:
-                self.credits[sink] -= 1
-            order.append(sink)
-        return order
+    def append(self, entry) -> None:
+        self.log.append(self.destination(entry))
+        super().append(entry)
+
+
+class DispatchSpy:
+    """While entered, every :class:`TaskPlaneNode` built logs where it
+    routes each task (``dispatches[node]``: its own name for the worker,
+    the child for the send port) by having its two paced deques replaced
+    after construction, and counts the routing passes that stopped with a
+    task still to take (``stops[node]``) and, of those, the ones whose
+    head was a child without a credit while the worker or another child
+    could have taken a task (``waits[node]``)."""
+
+    def __init__(self):
+        self.dispatches: Dict[Hashable, list] = {}
+        self.stops: Dict[Hashable, int] = {}
+        self.waits: Dict[Hashable, int] = {}
+
+    def __enter__(self) -> "DispatchSpy":
+        self._init = init = TaskPlaneNode.__init__
+        spy = self
+
+        def spied(engine, name, **kwargs):
+            init(engine, name, **kwargs)
+            log = spy.dispatches.setdefault(name, [])
+            engine._cpu = _Logged(log, lambda entry: name)
+            engine._port = _Logged(log, lambda entry: entry[2])
+            route = engine._route
+
+            def counted(now):
+                route(now)
+                spy._after_route(engine)
+
+            engine._route = counted
+
+        TaskPlaneNode.__init__ = spied
+        return self
+
+    def __exit__(self, *exc) -> None:
+        TaskPlaneNode.__init__ = self._init
+
+    def _after_route(self, engine) -> None:
+        more = (not engine.generation_stopped if engine.is_root
+                else engine.buffer.depth)
+        if engine.schedule is None or not more:
+            return
+        name = engine.name
+        self.stops[name] = self.stops.get(name, 0) + 1
+        head = engine.schedule.destination(engine._taken)
+        if head == name:
+            return                     # the worker is busy: nothing to skip
+        other = (engine.worker is not None and len(engine._cpu) < 2) or any(
+            engine.credits.available(child) for child in engine.links
+            if child != head)
+        if other:
+            self.waits[name] = self.waits.get(name, 0) + 1
+
+    @property
+    def routed(self) -> Dict[Hashable, list]:
+        """The nodes that routed at least one task, with their sequences."""
+        return {node: log for node, log in self.dispatches.items() if log}

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.buffers import taskplane_buffer_bounds
+from repro.cli import main
 from repro.core.allocation import from_bw_first
 from repro.core.bwfirst import bw_first
 from repro.exceptions import CodecError, ProtocolError, TaskPlaneError
@@ -31,10 +32,12 @@ from repro.faults.plan import FaultPlan
 from repro.platform.examples import paper_figure4_tree
 from repro.platform.generators import random_tree, smooth_tree
 from repro.protocol.messages import Acknowledgment, Notice, Proposal
+from repro.protocol.runner import run_protocol
 from repro.runtime.codec import (FRAME_HEADER, _dump, decode_body, encode_any,
                                  encode_blob, encode_message, parse_body,
                                  register_frame_kind)
 from repro.runtime.transport import InProcTransport, TcpTransport
+from repro.schedule.eventdriven import build_schedules
 from repro.schedule.periods import tree_periods
 from repro.taskplane import (BoundedBuffer, ClusterPlane, CreditAccount,
                              CreditGrant, DeliveryAck, DeliveryLog, NodeSpec,
@@ -42,11 +45,13 @@ from repro.taskplane import (BoundedBuffer, ClusterPlane, CreditAccount,
                              Stop, Stopped, TaskFrame, TaskLedger, TaskPlane,
                              TaskPlaneNode, WorkerPool, make_task, payload_crc,
                              run_plane)
+from repro.taskplane.cluster import local_schedule
 from repro.taskplane.frames import EXEC_KINDS, FRAME_KINDS
 from repro.taskplane.plane import ChildLink
 from repro.telemetry.core import NullRegistry, Registry
 
-from .taskplane_oracles import WIRE_FORMAT, FractionRouter, oracle_payload
+from .taskplane_oracles import (WIRE_FORMAT, DispatchSpy, oracle_payload,
+                               replayed_dispatches)
 
 
 def round_trip(frame):
@@ -432,7 +437,7 @@ def test_plane_is_a_real_execution_substrate(two_level_tree):
 def bare_engine(**overrides) -> TaskPlaneNode:
     """A root engine nobody runs: its books, no loop."""
     config = dict(clock=lambda: 0.0, send=None, parent=None, links=[],
-                  all_children=[], alpha=Fraction(0), rate=Fraction(1),
+                  all_children=[], schedule=None, rate=Fraction(1),
                   capacity=1, time_scale=0.01, ledger=TaskLedger(),
                   max_tasks=None)
     config.update(overrides)
@@ -462,6 +467,16 @@ def test_a_frame_cannot_swallow_the_dispatchers_cancellation():
     ended, engine = asyncio.run(scenario())
     assert ended
     assert len(engine._queue) == 1 and not engine._timers   # never served
+
+
+def test_an_engine_refuses_a_schedule_its_links_do_not_match(paper_tree):
+    schedule = build_schedules(from_bw_first(bw_first(paper_tree)))["P0"]
+    links = [ChildLink(child, paper_tree.c(child), 3)
+             for child in schedule.quantities if child != "P0"]
+    assert bare_engine(schedule=schedule, links=links).worker is not None
+    for wrong in (links[1:], links + [ChildLink("P9", Fraction(1), 3)]):
+        with pytest.raises(TaskPlaneError):
+            bare_engine(schedule=schedule, links=wrong)
 
 
 class TestOwnedTasks:
@@ -503,72 +518,129 @@ class TestOwnedTasks:
         Stop arrives, and nobody leaves a timer behind."""
         plane, _, idle_armed = asyncio.run(self.census(400, InProcTransport))
         assert not any(idle_armed)
-        unvisited = [engine for engine in plane.nodes.values()
-                     if not engine.delivery._seen and not engine.is_root]
-        assert len(unvisited) > 300
+        unvisited = {name for name, engine in plane.nodes.items()
+                     if not engine.delivery._seen and not engine.is_root}
+        # the tasks' destinations are fixed by the schedule, not by timing
+        tree = plane.tree
+        reached = replayed_dispatches(
+            tree, build_schedules(from_bw_first(bw_first(tree))), 24)
+        assert unvisited == set(tree.nodes()) - {tree.root} - {
+            dest for sequence in reached.values() for dest in sequence}
+        assert len(unvisited) == 293
         assert all(engine.done and not engine._timers
                    for engine in plane.nodes.values())
 
 
-class TestDispatchOrder:
-    """Stride progress is compared in integers; the order is the one the
-    ``Fraction`` comparison gave (``tests/taskplane_oracles.py``)."""
+class TestDispatchSequence:
+    """Section 6.2, live: on a fault-free run every engine routes the j-th
+    task it takes to ``schedule.destination(j)`` — the sequences a replay
+    of the schedules on task counts alone predicts, node for node."""
 
-    def twins(self, tree, node, time_scale):
-        allocation = from_bw_first(bw_first(tree))
-        alpha = allocation.alpha.get(node, Fraction(0))
-        links = [ChildLink(name=child, c=tree.c(child),
-                           eta=allocation.eta_out[(node, child)],
-                           capacity=3 + index)
-                 for index, child in enumerate(tree.children_by_bandwidth(node))
-                 if allocation.eta_out.get((node, child), 0) > 0]
-        engine = bare_engine(links=links, alpha=alpha, rate=tree.rate(node),
-                             time_scale=time_scale)
-        oracle = FractionRouter(
-            alpha, [(l.name, l.eta, l.capacity) for l in links], time_scale)
-        return engine, oracle
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_every_engine_dispatches_in_destination_order(self, transport,
+                                                          seed):
+        tree = (paper_figure4_tree() if seed is None
+                else random_tree(10, seed=seed))
+        with DispatchSpy() as spy:
+            report = run_plane(tree, transport, max_tasks=60,
+                               time_scale=0.002)
+        assert (report.completed, report.lost) == (60, 0)
+        schedules = build_schedules(from_bw_first(bw_first(tree)))
+        assert spy.routed == replayed_dispatches(tree, schedules, 60)
+        assert spy.routed[tree.root] == [
+            schedules[tree.root].destination(j) for j in range(60)]
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_a_fixed_arrival_script_is_served_in_the_fraction_order(self, seed):
-        tree = paper_figure4_tree() if seed == 0 else random_tree(9, seed=seed)
+    def test_routing_stops_exactly_at_a_head_that_cannot_take(self, seed):
+        """Every node's schedule as an endless supply, driven by a random
+        script of returned credits and ended executions: the tasks go out
+        in ``destination(j)`` order and a pass stops only at a head that
+        cannot take — no later task overtakes a credit-less child."""
+        tree = paper_figure4_tree() if seed == 0 else random_tree(9, seed)
         rng = random.Random(seed)
-        time_scale, dispatched = 0.003, 0
-        for node in tree.nodes():
-            engine, oracle = self.twins(tree, node, time_scale)
-            if not engine._sinks:
-                continue
-            served, armed, pick = [], [], engine._pick_sink
-            engine._arm = lambda marker, due, now: armed.append((marker, due))
-
-            def spy(now):
-                sink = pick(now)
-                if sink is not None:
-                    served.append("cpu" if sink.link is None
-                                  else sink.link.name)
-                return sink
-
-            engine._pick_sink = spy
+        for node, schedule in build_schedules(
+                from_bw_first(bw_first(tree))).items():
+            links = [ChildLink(child, tree.c(child), 1 + index % 3)
+                     for index, child in enumerate(schedule.quantities)
+                     if child != node]
+            with DispatchSpy() as spy:
+                engine = TaskPlaneNode(
+                    node, clock=lambda: 0.0, send=None, parent=None,
+                    links=links, all_children=[l.name for l in links],
+                    schedule=schedule, rate=tree.rate(node), capacity=1,
+                    time_scale=0.003, ledger=TaskLedger())
             now = 0.0
-            for _ in range(300):
-                now += rng.random() * 2 * time_scale
-                # the script: credits come back, executions end
-                for name, link in engine.links.items():
-                    spent = link.capacity - engine.credits.available(name)
-                    back = rng.randint(0, spent)
-                    if back:
-                        engine.credits.grant(name, back, link.capacity)
-                        oracle.credits[name] += back
+            for _ in range(200):
+                now += rng.random() * 0.006
+                for link in links:
+                    spent = link.capacity - engine.credits.available(link.name)
+                    if spent:
+                        engine.credits.grant(link.name, rng.randint(0, spent),
+                                             link.capacity)
                 for _ in range(rng.randint(0, len(engine._cpu))):
                     engine._cpu.popleft()
-                    oracle.worker_pending -= 1
-                del served[:], armed[:]
                 engine._route(now)
-                assert served == oracle.route(now), (node, now)
-                # woken for exactly when the first blocked sink's token accrues
-                assert armed == ([("rate", oracle.next_eligible)]
-                                 if oracle.next_eligible is not None else [])
-            dispatched += sum(sink.served for sink in engine._sinks)
-        assert dispatched > 300
+                sent = spy.dispatches[node]
+                assert sent == [schedule.destination(j)
+                                for j in range(len(sent))], (node, now)
+                head = schedule.destination(len(sent))
+                assert (len(engine._cpu) >= 2 if head == node
+                        else not engine.credits.available(head)), (node, now)
+            assert len(spy.dispatches[node]) > 100
+
+    def test_a_cluster_node_orders_its_bunch_as_the_simulator_does(self):
+        """What a cluster process builds from its own actor's α and
+        transactions is ``build_schedules``' order, and its active links
+        are the children that order names — no process needed: the
+        actors of an in-memory negotiation hold the same state."""
+        for seed in range(50):
+            tree = random_tree(12, seed=seed)
+            schedules = build_schedules(from_bw_first(bw_first(tree)))
+            actors = run_protocol(tree).actors
+            specs, _, _ = ClusterPlane(tree, max_tasks=1)._specs()
+            for node, spec in specs.items():
+                actor = actors[node]
+                schedule, links = local_schedule(spec, actor.alpha,
+                                                 actor.transactions)
+                expected = schedules.get(node)
+                if expected is None:
+                    assert schedule is None and not links, (seed, node)
+                    continue
+                assert schedule.order == expected.order, (seed, node)
+                assert {link.name for link in links} \
+                    == set(expected.quantities) - {node}
+
+
+class TestLaunchArguments:
+    """A run no launcher can honour is refused before anything starts."""
+
+    BAD = [dict(max_tasks=-3), dict(max_tasks=None, duration=-1),
+           dict(max_tasks=None, duration=0.0),
+           dict(max_tasks=None, duration=float("nan")),
+           dict(max_tasks=None), dict(time_scale=0),
+           dict(time_scale=-0.5), dict(time_scale=float("nan"))]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_the_in_process_plane_refuses(self, paper_tree, bad):
+        with pytest.raises(TaskPlaneError):
+            TaskPlane(paper_tree, "inproc", **bad)
+        with pytest.raises(TaskPlaneError):
+            run_plane(paper_tree, **bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_the_cluster_refuses_before_it_spawns(self, paper_tree, bad,
+                                                  monkeypatch):
+        def spawn(*args, **kwargs):
+            raise AssertionError("a process was about to be spawned")
+
+        monkeypatch.setattr("multiprocessing.get_context", spawn)
+        with pytest.raises(TaskPlaneError):
+            ClusterPlane(paper_tree, **bad).run()
+
+    def test_the_cli_exits_non_zero_with_the_message(self, capsys):
+        assert main(["exec", "--tasks", "-3"]) != 0
+        assert "max_tasks must be >= 0, got -3" in capsys.readouterr().err
 
 
 class TestStrayAcks:
