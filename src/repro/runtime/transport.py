@@ -225,6 +225,20 @@ _READ_SIZE = 256 * 1024
 #: how long pairing waits for its own connection to reach the accept queue
 #: (on loopback it is there when ``connect`` returns)
 _ACCEPT_WAIT = 5.0
+_IPV6_LOOPBACK = bytes(15) + b"\x01"
+
+
+def check_loopback(host: str) -> None:
+    """Fail closed on a routable bind: a hello is unauthenticated."""
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    try:
+        address = socket.inet_pton(family, host)
+    except OSError:  # a name, not an address
+        address = b""
+    if not (len(address) == 4 and address[0] == 127
+            or address == _IPV6_LOOPBACK):
+        raise ProtocolError(f"refusing to listen on {host!r}: a hello is "
+                            "unauthenticated, so only on 127.0.0.0/8 or ::1")
 
 
 class _EdgeEnd:
@@ -449,13 +463,14 @@ class TcpTransport(Transport):
     run left connected after that: edges the platform lost are hung up and
     waited for, listeners close on nodes that left or lost their last child
     and open on nodes that just became internal, and only edges not yet
-    connected are dialled (``dials`` counts them).  A listener is a plain
-    listening socket; an edge is paired in one synchronous stretch — its
-    child's socket connects (loopback: done when ``connect`` returns) and
-    the parent's listener accepts until that very connection comes out;
-    whoever was queued before it is a stranger, read like one.  The child
-    then introduces itself with a hello frame, and a listener accepts only
-    a hello naming a not yet connected child of its owner in *that* tree.
+    connected are dialled (``dials`` counts them).  It composes two public
+    halves a process can drive alone for its one node (the cluster does):
+    :meth:`listen` and :meth:`dial`, with :meth:`expect` / :meth:`admitted`
+    waiting for the hellos due.  ``start`` pairs each new edge in one
+    synchronous stretch — dial, then accept on the parent's listener until
+    that very connection comes out; whoever was queued before it is a
+    stranger, read like one.  A listener (loopback only) accepts only a
+    hello naming a not yet connected child of its owner in *that* tree.
     An edge whose socket died in between is simply dialled again, and a
     dropped edge takes its quarantine entry and corruption streak with it.
     Start returns once every edge's hello has been accepted, so the
@@ -512,7 +527,7 @@ class TcpTransport(Transport):
     async def start(self, tree: Tree,
                     mailboxes: Mapping[Hashable, Any]) -> None:
         await super().start(tree, mailboxes)
-        loop = self._loop = asyncio.get_running_loop()
+        self._loop = asyncio.get_running_loop()
         edges = [(tree.parent(n), n) for n in tree.nodes()
                  if tree.parent(n) is not None]
         listeners = [n for n in tree.nodes()
@@ -535,49 +550,71 @@ class TcpTransport(Transport):
             await self._hang_up(gone)
             for node in closing:
                 del self.bound_ports[node]
-            family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
             for node in listeners:
-                if node in self._servers:
-                    continue
-                listener = socket.create_server(
-                    (self.host, self.ports.get(node, 0)), family=family,
-                    backlog=max(100, len(tree.children(node))))
-                listener.setblocking(False)
-                self._servers[node] = listener
-                self.bound_ports[node] = listener.getsockname()[1]
-                loop.add_reader(listener.fileno(), self._accept, node, listener)
+                if node not in self._servers:
+                    self.listen(node)
             new = [edge for edge in edges if edge not in kept]
-            self._hellos_due = len(new)
-            self.dials += len(new)
-            self._ready = loop.create_future()
-            if not new:
-                self._ready.set_result(None)
+            self.expect(len(new))
             for parent, child in new:
                 self._pair(parent, child)
-            failure = await self._ready
-            if failure is not None:
-                raise failure
+            await self.admitted()
         except BaseException:
             await self.close()
             raise
 
-    def _pair(self, parent: Hashable, child: Hashable) -> None:
-        """Connect *child* to *parent*'s listener and accept it there, in
-        one synchronous stretch; the child's end says hello, the accepted
-        end reads it like any other."""
-        listener = self._servers[parent]
-        dialler = socket.socket(listener.family)
+    def listen(self, node: Hashable) -> int:
+        """The listen half: open *node*'s listener and return its port;
+        whoever connects there owes a hello (see :meth:`expect`)."""
+        check_loopback(self.host)
+        loop = self._loop = asyncio.get_running_loop()
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        listener = socket.create_server(
+            (self.host, self.ports.get(node, 0)), family=family,
+            backlog=max(100, len(self.tree.children(node))))
+        listener.setblocking(False)
+        self._servers[node] = listener
+        port = self.bound_ports[node] = listener.getsockname()[1]
+        loop.add_reader(listener.fileno(), self._accept, node, listener)
+        return port
+
+    def dial(self, child: Hashable, address) -> _EdgeEnd:
+        """The dial half: connect *child* to its parent's listener at
+        *address* (a blocking connect: loopback) and say its hello."""
+        parent = self.tree.parent(child)
+        sock = socket.socket(socket.AF_INET6 if ":" in address[0]
+                             else socket.AF_INET)
         try:
-            dialler.connect(listener.getsockname())
-            accepted = self._accept_own(parent, listener,
-                                        dialler.getsockname())
+            sock.connect(address)
         except BaseException:
-            dialler.close()
+            sock.close()
             raise
-        end = _EdgeEnd(self, child, parent, dialler)
-        _EdgeEnd(self, parent, None, accepted)
+        self.dials += 1
+        end = _EdgeEnd(self, child, parent, sock)
         end.write(encode_hello(child))
         self._writers[(child, parent)] = end
+        return end
+
+    def expect(self, hellos: int) -> None:
+        """Arm :meth:`admitted` for the next *hellos* good hellos."""
+        self._hellos_due = hellos
+        self._ready = asyncio.get_running_loop().create_future()
+        if not hellos:
+            self._ready.set_result(None)
+
+    async def admitted(self) -> None:
+        """Wait for the hellos :meth:`expect` armed; a bad hello before the
+        last of them raises its :class:`ProtocolError`."""
+        failure = await self._ready
+        if failure is not None:
+            raise failure
+
+    def _pair(self, parent: Hashable, child: Hashable) -> None:
+        """Dial *child*'s edge and accept it on *parent*'s listener, in
+        one synchronous stretch."""
+        listener = self._servers[parent]
+        end = self.dial(child, listener.getsockname())
+        accepted = self._accept_own(parent, listener, end.sock.getsockname())
+        _EdgeEnd(self, parent, None, accepted)
 
     def _accept_own(self, node: Hashable, listener: socket.socket,
                     address) -> socket.socket:

@@ -6,14 +6,13 @@ transport frames really cross sockets) but not about *failure isolation*
 or scheduling interference.  The cluster launcher removes that last
 simplification: each tree node becomes a separate Python process that
 
-* binds its own listening socket (port 0 → the OS picks), reports the
-  port to the launcher over a :func:`multiprocessing.Pipe`;
-* dials its parent once the launcher has broadcast the address map, and
-  introduces itself with the codec's hello frame
-  (:func:`~repro.runtime.codec.encode_hello`, the one the TCP transport's
-  edges use) — the first frame on the socket;
+* owns one :class:`~repro.runtime.transport.TcpTransport` over the whole
+  tree and is its only mailbox: it listens with the transport's listen
+  half, reports the port over a :func:`multiprocessing.Pipe`, dials its
+  parent with the dial half once the launcher has broadcast the address
+  map, and waits for its children's hellos;
 * runs the *real* :class:`~repro.protocol.actor.NodeActor` negotiation
-  over those sockets — the launcher never tells a node its α/η: every
+  over those edges — the launcher never tells a node its α/η: every
   process derives its allocation, and from it its event-driven schedule,
   from its own actor, exactly as the paper's semi-autonomy property
   demands, and verifies it against the expectations pickled into its spec
@@ -21,7 +20,8 @@ simplification: each tree node becomes a separate Python process that
 * then reuses the very same connections for the task plane: one
   :class:`~repro.taskplane.plane.TaskPlaneNode` engine per process,
   payload frames interleaved on the sockets that carried the
-  negotiation.
+  negotiation, and hangs up with the transport's ``close()`` — child
+  end first, across processes.
 
 The launcher is pure orchestration: spawn, two-phase port exchange,
 release the root, collect per-process stats, aggregate a
@@ -29,13 +29,12 @@ release the root, collect per-process stats, aggregate a
 hangs trips the global deadline; the launcher terminates the fleet and
 raises rather than leaving orphans.
 
-Every socket is read by one loop (:meth:`_NodeProcess._serve`): chunks go
-into the codec's :class:`~repro.runtime.codec.FrameSplitter`, the one
-place a frame's header, bound and checksum are checked.  Frame routing
-inside a process is type-based: control messages
-(:class:`Proposal`/:class:`Acknowledgment`) go straight to the actor,
-everything else into the engine, which is its own mailbox — the same
-socket carries both, distinguished only by the codec's ``kind`` tag.
+The edges follow the transport's rules: a bad hello before every child
+has greeted fails the node, a later stranger is hung up on, a corrupt
+frame or one naming another edge is counted and never routed.  With no
+retry timers here, such a loss ends at the node's deadline, whose error
+names the transport's counts.  Control messages go to the actor,
+everything else into the engine, told apart by the codec's ``kind`` tag.
 """
 
 from __future__ import annotations
@@ -53,14 +52,13 @@ from ..analysis.buffers import taskplane_buffer_bounds
 from ..core.allocation import from_bw_first
 from ..core.bwfirst import bw_first, root_proposal
 from ..core.rates import ZERO
-from ..exceptions import ProtocolError, TaskPlaneError
+from ..exceptions import TaskPlaneError
 from ..faults.plan import FaultPlan
 from ..platform.tree import Tree
 from ..protocol.actor import DONE, IDLE, NodeActor
 from ..protocol.messages import Acknowledgment, Message, Proposal
 from ..protocol.runner import VIRTUAL_PARENT
-from ..runtime.codec import (FrameSplitter, decode_body, decode_hello,
-                             encode_any, encode_hello)
+from ..runtime.transport import TcpTransport, check_loopback
 from ..schedule.eventdriven import bunch_schedule
 from ..schedule.periods import bunch_quantities, tree_periods
 from .frames import EXEC_KINDS
@@ -68,9 +66,12 @@ from .ledger import TaskLedger
 from .plane import (DEFAULT_TIME_SCALE, ChildLink, TaskPlaneNode,
                     TaskPlaneReport, check_launch, default_payload)
 
-#: Loopback only: the cluster is a single-host harness.  Changing this to
-#: a routable address would also require authenticating the hello.
+#: Loopback only: the cluster is a single-host harness, and the hello is
+#: unauthenticated — :func:`~repro.runtime.transport.check_loopback`
+#: refuses anything else before a process is spawned.
 DEFAULT_HOST = "127.0.0.1"
+#: the launcher outwaits its nodes' deadlines, so a node's error arrives
+_GRACE = 2.0
 
 
 @dataclass(frozen=True)
@@ -111,21 +112,24 @@ class NodeSpec:
 
 
 class _NodeProcess:
-    """The asyncio guts of one cluster node (runs inside the child)."""
+    """The asyncio guts of one cluster node (runs inside the child); the
+    only mailbox of the :class:`TcpTransport` holding its edges."""
 
-    def __init__(self, spec: NodeSpec, conn):
+    def __init__(self, spec: NodeSpec, conn, tree: Tree):
         self.spec = spec
         self.conn = conn
         self.is_root = spec.parent is None
-        self.writers: Dict[Hashable, asyncio.StreamWriter] = {}
+        self.transport = TcpTransport(host=spec.host)
+        self.transport.tree = tree
+        self.transport.mailboxes = {spec.name: self}
         self.actor: Optional[NodeActor] = None
         self.engine: Optional[TaskPlaneNode] = None
         #: payload frames that raced the engine's construction
         self._early: list = []
         self.engine_done = asyncio.Event()
         self.negotiated: Optional[asyncio.Future] = None
-        self.hellos = asyncio.Event()
         self._t0: Optional[float] = None
+        self._due = time.monotonic() + spec.deadline
         self.failures: List[BaseException] = []
         self._tasks: List[asyncio.Task] = []
 
@@ -135,74 +139,19 @@ class _NodeProcess:
     def clock(self) -> float:
         return asyncio.get_event_loop().time() - self._t0
 
-    # -- send paths: straight onto the receiver's socket, in call order --
-    def _write(self, receiver, octets) -> asyncio.StreamWriter:
-        writer = self.writers.get(receiver)
-        if writer is None:
-            raise TaskPlaneError(f"{self.spec.name!r} has no connection to "
-                                 f"{receiver!r}")
-        writer.write(octets)
-        return writer
-
     def actor_send(self, message: Message) -> None:
         if message.receiver != VIRTUAL_PARENT:
-            self._write(message.receiver, encode_any(message))
+            self._spawn(self.transport.send(message))
         elif isinstance(message, Acknowledgment) \
                 and not self.negotiated.done():
             self.negotiated.set_result(message.theta)
 
-    async def engine_send(self, *frames) -> None:
-        bursts: Dict[Hashable, List[bytes]] = {}  # one write, one drain each
-        for frame in frames:
-            bursts.setdefault(frame.receiver, []).append(encode_any(frame))
-        for receiver, chunks in bursts.items():
-            await self._write(receiver, b"".join(chunks)).drain()
-
-    # -- socket reader -------------------------------------------------
-    async def _serve(self, reader: asyncio.StreamReader, writer,
-                     peer: Optional[Hashable] = None) -> None:
-        """Read one socket to its end.  On an accepted socket the first
-        frame must be the hello of the child that dialled (*peer* is None
-        until then); whatever goes wrong before that — no hello, a bad one,
-        a name :meth:`_admit` refuses — hangs up and is reported as a
-        refused hello.  Afterwards a corrupt frame, one naming another edge
-        or an EOF inside one fails this node (the caller's guard), and an
-        EOF between frames is the peer having drained and closed."""
-        splitter = FrameSplitter()
+    def put_nowait(self, message) -> None:
+        """The transport's mailbox: every frame a greeted edge decoded."""
         try:
-            while True:
-                data = await reader.read(1 << 16)
-                splitter.feed(data)
-                while (body := splitter.next_body()) is not None:
-                    if peer is not None:
-                        self._route(decode_body(body, (peer, self.spec.name)))
-                    else:
-                        peer = self._admit(decode_hello(body), writer)
-                if not data:
-                    if splitter.pending:
-                        raise ProtocolError("connection closed mid-frame")
-                    if peer is None:
-                        raise ProtocolError("connection closed before hello")
-                    return
-        except Exception as exc:  # noqa: BLE001 - reject bad dials
-            if peer is not None:
-                raise
-            writer.close()
-            raise TaskPlaneError(
-                f"{self.spec.name!r} refused a hello: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-
-    def _admit(self, child: Hashable, writer) -> Hashable:
-        """Fail closed: only a not yet connected child of this node may
-        introduce itself — a stranger, a second dial under a connected
-        name or the parent's own name would replace a legitimate writer."""
-        if child not in self.spec.all_children or child in self.writers:
-            raise TaskPlaneError(f"{child!r} is no unconnected child")
-        self.writers[child] = writer
-        if set(self.spec.all_children) <= set(self.writers):
-            self.hellos.set()
-        return child
+            self._route(message)
+        except Exception as exc:  # noqa: BLE001 - fail the whole node
+            self._fail(exc)
 
     def _route(self, obj) -> None:
         if isinstance(obj, (Proposal, Acknowledgment)):
@@ -222,23 +171,38 @@ class _NodeProcess:
             else:
                 self._early.append(obj)
 
-    def _accept(self, reader: asyncio.StreamReader, writer) -> None:
-        self._spawn(self._serve(reader, writer))
-
     # -- lifecycle -----------------------------------------------------
+    def _fail(self, exc: BaseException) -> None:
+        self.failures.append(exc)
+        self.engine_done.set()
+        if self.negotiated is not None and not self.negotiated.done():
+            self.negotiated.set_exception(exc)
+
     async def _guard(self, coroutine) -> None:
         try:
             await coroutine
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: BLE001 - fail the whole node
-            self.failures.append(exc)
-            self.engine_done.set()
-            if self.negotiated is not None and not self.negotiated.done():
-                self.negotiated.set_exception(exc)
+            self._fail(exc)
 
     def _spawn(self, coroutine) -> None:
         self._tasks.append(asyncio.ensure_future(self._guard(coroutine)))
+
+    async def _within(self, awaitable, what: str):
+        """*awaitable* before the node's deadline, or an error naming the
+        transport's counts of what it refused."""
+        transport = self.transport
+        try:
+            return await asyncio.wait_for(awaitable,
+                                          self._due - time.monotonic())
+        except asyncio.TimeoutError:
+            raise TaskPlaneError(
+                f"{self.spec.name!r} saw no {what} within the "
+                f"{self.spec.deadline}s deadline (corrupt_frames="
+                f"{transport.corrupt_frames}, dead_streams="
+                f"{transport.dead_streams}, quarantined="
+                f"{sorted(transport.quarantined)})") from None
 
     async def _recv_pipe(self):
         """Blocking pipe recv off-loop (the launcher is on the far end)."""
@@ -246,14 +210,23 @@ class _NodeProcess:
             None, self.conn.recv
         )
 
+    def listen(self) -> int:
+        """Open this node's listener, armed for its children's hellos."""
+        self.transport.expect(len(self.spec.all_children))
+        return self.transport.listen(self.spec.name)
+
+    async def connect(self, parent_addr) -> None:
+        """Dial the parent at *parent_addr* (the root has none) and wait
+        for every child's hello on this node's listener."""
+        if parent_addr is not None:
+            self.transport.dial(self.spec.name, parent_addr)
+        await self._within(self.transport.admitted(), "hello of every child")
+
     async def run(self) -> None:
         spec = self.spec
         loop = asyncio.get_event_loop()
         self.negotiated = loop.create_future()
-
-        server = await asyncio.start_server(self._accept, spec.host, 0)
-        port = server.sockets[0].getsockname()[1]
-        self.conn.send(("port", spec.name, port))
+        self.conn.send(("port", spec.name, self.listen()))
 
         kind, parent_addr = await self._recv_pipe()
         if kind != "peers":
@@ -266,15 +239,7 @@ class _NodeProcess:
             children=list(spec.children),
             send=self.actor_send,
         )
-        if parent_addr is not None:
-            reader, writer = await asyncio.open_connection(*parent_addr)
-            writer.write(encode_hello(spec.name))
-            await writer.drain()
-            self.writers[spec.parent] = writer
-            self._spawn(self._serve(reader, writer, spec.parent))
-
-        if spec.all_children:
-            await asyncio.wait_for(self.hellos.wait(), timeout=spec.deadline)
+        await self.connect(parent_addr)
         self.conn.send(("ready", spec.name))
 
         timer = None
@@ -286,9 +251,8 @@ class _NodeProcess:
                 sender=VIRTUAL_PARENT, receiver=spec.name,
                 beta=spec.seed_beta, xid=0,
             ))
-            theta = await asyncio.wait_for(
-                asyncio.shield(self.negotiated), timeout=spec.deadline
-            )
+            theta = await self._within(asyncio.shield(self.negotiated),
+                                       "negotiated θ")
             throughput = spec.seed_beta - theta
             if throughput != spec.expected_throughput:
                 raise TaskPlaneError(
@@ -304,8 +268,7 @@ class _NodeProcess:
             self.engine.wake()
 
         try:
-            await asyncio.wait_for(self.engine_done.wait(),
-                                   timeout=spec.deadline)
+            await self._within(self.engine_done.wait(), "drained engine")
         finally:
             if timer is not None:
                 timer.cancel()
@@ -314,18 +277,9 @@ class _NodeProcess:
 
         self._verify()
         self.conn.send(("stats", spec.name, self.engine.stats()))
-
-        # drain-and-close: quiescence is already guaranteed by the Stop
-        # cascade; flush what was written, then drop the sockets
-        for writer in self.writers.values():
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        server.close()
-        await server.wait_closed()
+        # quiescence is guaranteed by the Stop cascade: hang up from the
+        # child's end, and wait for this node's children to do the same
+        await self.transport.close()
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
@@ -364,7 +318,7 @@ class _NodeProcess:
         return TaskPlaneNode(
             spec.name,
             clock=self.clock,
-            send=self.engine_send,
+            send=self.transport.send,
             parent=spec.parent,
             links=links,
             all_children=list(spec.all_children),
@@ -392,10 +346,11 @@ class _NodeProcess:
                     "centralised solve never visits it"
                 )
             return
-        if actor.state != DONE or actor.lam != spec.expected_lam \
+        done = actor.state == DONE
+        if not done or actor.lam != spec.expected_lam \
                 or actor.theta != spec.expected_theta:
             state = (IDLE if actor.lam is None
-                     else f"λ={actor.lam}, θ={getattr(actor, 'theta', '?')}")
+                     else f"λ={actor.lam}, θ={actor.theta if done else '?'}")
             raise TaskPlaneError(
                 f"{spec.name!r} diverged from Algorithm 1: negotiated "
                 f"{state}, expected λ={spec.expected_lam}, "
@@ -418,10 +373,10 @@ def local_schedule(spec: NodeSpec, alpha: Fraction, transactions):
     return schedule, links
 
 
-def _node_main(spec: NodeSpec, conn) -> None:
+def _node_main(spec: NodeSpec, conn, tree: Tree) -> None:
     """Process entry point (module-level: picklable under spawn)."""
     try:
-        asyncio.run(_NodeProcess(spec, conn).run())
+        asyncio.run(_NodeProcess(spec, conn, tree).run())
     except BaseException:  # noqa: BLE001 - ship the traceback home
         try:
             conn.send(("error", spec.name, traceback.format_exc()))
@@ -449,6 +404,7 @@ class ClusterPlane:
         host: str = DEFAULT_HOST,
     ):
         check_launch(max_tasks, duration, time_scale)
+        check_loopback(host)
         if exec_kind not in EXEC_KINDS:
             raise TaskPlaneError(f"unknown exec kind {exec_kind!r}")
         self.tree = tree
@@ -509,14 +465,14 @@ class ClusterPlane:
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
-        t_deadline = time.monotonic() + self.deadline
+        t_deadline = time.monotonic() + self.deadline + _GRACE
         processes: Dict[Hashable, object] = {}
         pipes: Dict[Hashable, object] = {}
         try:
             for node, spec in specs.items():
                 ours, theirs = ctx.Pipe()
                 process = ctx.Process(target=_node_main,
-                                      args=(spec, theirs), daemon=True)
+                                      args=(spec, theirs, tree), daemon=True)
                 process.start()
                 theirs.close()
                 processes[node] = process

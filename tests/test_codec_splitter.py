@@ -1,8 +1,9 @@
 """FrameSplitter against its reference, ``read_blob`` on a StreamReader.
 
 Every octet that enters a process goes through ``FrameSplitter``: the TCP
-transport's ``data_received``, the task-plane cluster's socket loop, the
-federation's pipes.  ``read_blob`` below is the stream reader the codec
+transport's ``data_received`` — the task-plane cluster's edges included,
+each process assembling its own ``TcpTransport`` — and the federation's
+pipes.  ``read_blob`` below is the stream reader the codec
 shipped until the cluster moved to the splitter — two exact reads per
 frame off an ``asyncio.StreamReader`` — kept here, unchanged, as the
 oracle: both must see the same frames in the same byte stream however it

@@ -5,30 +5,37 @@ transport must (a) interleave control and payload frames on one connection
 without confusing them, (b) keep the fault plan's control-plane loss model
 away from payload frames — the plane owns their faults and retransmission
 — and (c) drain-and-close without orphaning listeners or losing frames
-already written.  The cluster's per-process listener is held to the
-handshake rule the transport's own listeners follow: only a not yet
-connected child may introduce itself.
+already written.  A cluster process's edges are the transport's own,
+assembled from its listen and dial halves, so they follow its rules: only
+a not yet connected child may introduce itself, a stranger after that is
+hung up on, and hostile octets are counted, never routed.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import multiprocessing
+import socket
 import time
 from fractions import Fraction
 
 import pytest
 
-from repro.exceptions import CodecError, ProtocolError, TaskPlaneError
+from repro.exceptions import (CodecError, ProtocolError, ReproError,
+                              TaskPlaneError)
 from repro.faults.plan import FaultPlan
 from repro.platform.examples import paper_figure4_tree
 from repro.platform.tree import Tree
+from repro.protocol.actor import AWAITING_CHILD, NodeActor
 from repro.protocol.messages import Acknowledgment, Proposal
 from repro.runtime import codec
+from repro.runtime import transport as transport_module
 from repro.runtime.codec import (FRAME_HEADER, MAX_FRAME, encode_any,
                                  encode_blob, encode_hello)
 from repro.runtime.transport import InProcTransport, TcpTransport
-from repro.taskplane import (CreditGrant, DeliveryAck, NodeSpec, Stop, Stopped,
-                             TaskPlane, make_task, run_plane)
+from repro.taskplane import (ClusterPlane, CreditGrant, DeliveryAck, NodeSpec,
+                             Stop, Stopped, TaskPlane, make_task, run_plane)
 from repro.taskplane.cluster import _NodeProcess
 from repro.taskplane.frames import FRAME_KINDS
 
@@ -315,64 +322,85 @@ def test_no_payload_frame_reaches_the_json_encoder(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the cluster handshake fails closed
+# a cluster node's edges are TcpTransport's: its listen and dial halves
 # ----------------------------------------------------------------------
 def garbled(blob: bytes) -> bytes:
     return blob[:-1] + bytes([blob[-1] ^ 0xFF])   # body no longer matches CRC
 
 
+def chain() -> Tree:
+    tree = Tree("P0", w=2)
+    tree.add_node("P1", w=2, parent="P0", c=1)
+    tree.add_node("P2", w=4, parent="P1", c=1)
+    return tree
+
+
+async def hung_up_or_admitted(node, reader, legit) -> bool:
+    """Whether the listener hung up on the client behind *reader* (True)
+    or admitted it as ``P2`` (False)."""
+    while (not reader.at_eof()
+           and node.transport._writers.get(("P1", "P2")) is legit):
+        await asyncio.sleep(0.002)
+    if reader.at_eof():
+        assert await asyncio.wait_for(reader.read(), 5) == b""
+        return True
+    return False
+
+
 class TestClusterHello:
-    """One node's listener, in-process: ``P1`` (parent ``P0``, child ``P2``)
-    with its upstream writer in place, as after dialling its parent."""
+    """One node's edges, in-process, assembled as its process assembles
+    them: ``P1`` (parent ``P0``, child ``P2``) listens with the transport's
+    listen half, dials its parent with the dial half and waits for its
+    child's hello."""
 
     SPEC = NodeSpec(name="P1", parent="P0",
                     children=(("P2", Fraction(1)),), all_children=("P2",))
 
     def dial(self, *blobs):
         """Dial the listener once per blob; returns the node, its upstream
-        writer, the writer the legitimate child got (None before its
-        hello) and, per dial, whether the listener hung up on it."""
+        end, the end the legitimate child got (None before its hello), per
+        dial whether the listener hung up on it, and what the wait for the
+        child's hello raised (None once it completed)."""
         async def scenario():
-            node = _NodeProcess(self.SPEC, conn=None)
-            node.writers["P0"] = upstream = object()
-            server = await asyncio.start_server(node._accept, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            clients, hung_up, legit = [], [], None
-
-            async def verdict(failures_before):
-                while (len(node.failures) == failures_before
-                       and node.writers.get("P2") is legit):
-                    await asyncio.sleep(0.002)
-                return len(node.failures) > failures_before
-
-            for blob in blobs:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", port)
-                clients.append(writer)
-                writer.write(blob)
-                refused = await asyncio.wait_for(
-                    verdict(len(node.failures)), timeout=5)
-                if refused:
-                    assert await asyncio.wait_for(reader.read(), 5) == b""
-                else:
-                    legit = legit or node.writers["P2"]
-                hung_up.append(refused)
-            for writer in clients:
-                writer.close()
-            server.close()
-            await server.wait_closed()
-            await asyncio.wait_for(asyncio.gather(*node._tasks), timeout=5)
-            return node, upstream, legit, hung_up
+            node = _NodeProcess(self.SPEC, conn=None, tree=chain())
+            port = node.listen()
+            with socket.create_server(("127.0.0.1", 0)) as parent:
+                connecting = asyncio.ensure_future(
+                    node.connect(parent.getsockname()))
+                await asyncio.sleep(0)
+                upstream = node.transport._writers[("P1", "P0")]
+                clients, hung_up, legit = [], [], None
+                for blob in blobs:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port)
+                    clients.append(writer)
+                    writer.write(blob)
+                    refused = await asyncio.wait_for(
+                        hung_up_or_admitted(node, reader, legit), timeout=5)
+                    if not refused:
+                        legit = legit or node.transport._writers[("P1", "P2")]
+                    hung_up.append(refused)
+                failure = None
+                try:
+                    await asyncio.wait_for(connecting, timeout=5)
+                except ProtocolError as exc:
+                    failure = exc
+                writers = dict(node.transport._writers)
+                for writer in clients:
+                    writer.close()
+                await asyncio.wait_for(node.transport.close(), timeout=5)
+            return node, upstream, legit, hung_up, failure, writers
 
         return asyncio.run(scenario())
 
     def test_the_legitimate_child_is_accepted(self):
-        node, upstream, legit, hung_up = self.dial(encode_hello("P2"))
-        assert hung_up == [False] and node.failures == []
-        assert node.hellos.is_set()
-        assert node.writers == {"P0": upstream, "P2": legit}
+        node, upstream, legit, hung_up, failure, writers = self.dial(
+            encode_hello("P2"))
+        assert hung_up == [False] and failure is None
+        assert node.failures == []
+        assert writers == {("P1", "P0"): upstream, ("P1", "P2"): legit}
 
-    @pytest.mark.parametrize("bad", [
+    BAD = [
         encode_hello("P9"),                                # a stranger
         encode_hello("P2"),                                # a second P2
         encode_hello("P0"),                                # its own parent
@@ -383,40 +411,53 @@ class TestClusterHello:
         garbled(encode_hello("P2")),
         encode_blob(b"\xff\xfe"),
         FRAME_HEADER.pack(MAX_FRAME + 1, 0),
-    ], ids=["stranger", "duplicate", "parent", "self", "unhashable",
-            "missing-key", "non-object", "bad-crc", "not-json", "oversized"])
+    ]
+    IDS = ["stranger", "duplicate", "parent", "self", "unhashable",
+           "missing-key", "non-object", "bad-crc", "not-json", "oversized"]
+
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
     def test_anything_else_is_hung_up_on(self, bad):
-        good = encode_hello("P2")
-        node, upstream, legit, hung_up = self.dial(good, bad)
-        assert hung_up == [False, True]
-        # the impostor replaced nobody: both writers are who they were
-        assert node.writers == {"P0": upstream, "P2": legit}
-        assert node.writers["P0"] is upstream and legit is not None
-        (failure,) = node.failures
-        assert isinstance(failure, TaskPlaneError)
-        assert "'P1'" in str(failure)
+        """After the child greeted, anybody else dialling the listener is
+        a stranger: hung up on, and nothing else happens."""
+        node, upstream, legit, hung_up, failure, writers = self.dial(
+            encode_hello("P2"), bad)
+        assert hung_up == [False, True] and failure is None
+        # the impostor replaced nobody: both ends are who they were
+        assert writers == {("P1", "P0"): upstream, ("P1", "P2"): legit}
+        assert legit is not None and node.failures == []
+        assert node.transport.corrupt_frames == 0
+        assert not node.transport.quarantined
+
+    @pytest.mark.parametrize("bad", BAD[:1] + BAD[2:],
+                             ids=IDS[:1] + IDS[2:])
+    def test_before_the_child_greeted_it_fails_the_wait(self, bad):
+        """The same octets ahead of the child's hello fail the node's wait
+        with the transport's typed error; the child is still admitted."""
+        node, upstream, legit, hung_up, failure, writers = self.dial(
+            bad, encode_hello("P2"))
+        assert hung_up == [True, False]
+        assert isinstance(failure, ProtocolError)
+        assert str(failure) == "bad handshake on 'P1''s listener"
+        assert writers == {("P1", "P0"): upstream, ("P1", "P2"): legit}
 
     def test_the_failure_names_listener_and_claimed_peer(self):
         """The reproducer — P2, a stranger P9, a second P2 — with one more
-        stranger first: a refusal does not keep the real child out."""
+        stranger first: a refusal does not keep the real child out, and
+        only the refusal the wait saw fails the node."""
         good, stranger = encode_hello("P2"), encode_hello("P9")
-        node, upstream, legit, hung_up = self.dial(
+        node, upstream, legit, hung_up, failure, writers = self.dial(
             stranger, good, stranger, good)
         assert hung_up == [True, False, True, True]
-        assert node.hellos.is_set()
-        assert node.writers == {"P0": upstream, "P2": legit}
-        *strangers, duplicate = map(str, node.failures)
-        assert len(strangers) == 2
-        assert all("'P1'" in text and "'P9'" in text for text in strangers)
-        assert "'P1'" in duplicate and "'P2'" in duplicate
+        assert writers == {("P1", "P0"): upstream, ("P1", "P2"): legit}
+        assert "'P1'" in str(failure) and "'P9'" in str(failure.__cause__)
 
 
 class TestClusterSocket:
-    """The same listener after a good hello: one loop reads the socket to
-    its end through the codec's ``FrameSplitter``."""
+    """The same node after its child's hello: the transport's end reads
+    the socket and hands the node, its only mailbox, what it decoded."""
 
     class Actor:
-        """Records what the socket loop routes to the actor."""
+        """Records what the transport routes to the actor."""
         state = None
 
         def __init__(self):
@@ -425,26 +466,35 @@ class TestClusterSocket:
         def handle(self, message):
             self.handled.append(message)
 
+    SPEC = dataclasses.replace(TestClusterHello.SPEC, deadline=1.0)
+
     def serve(self, *writes):
-        """Dial, send *writes* one ``write()`` each, close; returns the
-        node once its socket loop has ended."""
+        """Dial, send *writes* one ``write()`` each, close; once the end
+        is gone, wait for the node's engine until its deadline.  Returns
+        the node and what its waits raised."""
         async def scenario():
-            node = _NodeProcess(TestClusterHello.SPEC, conn=None)
+            node = _NodeProcess(self.SPEC, conn=None, tree=chain())
             node.actor = self.Actor()
-            server = await asyncio.start_server(node._accept, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
+            port = node.listen()
             _, writer = await asyncio.open_connection("127.0.0.1", port)
             for data in writes:
                 writer.write(data)
                 await writer.drain()
                 await asyncio.sleep(0.01)
             writer.close()
-            server.close()
-            await server.wait_closed()
-            await asyncio.wait_for(asyncio.gather(*node._tasks), timeout=5)
-            for accepted in node.writers.values():
-                accepted.close()
-            return node
+
+            async def hung_up():
+                while node.transport._ends:
+                    await asyncio.sleep(0.002)
+
+            await asyncio.wait_for(hung_up(), timeout=5)
+            try:
+                await node.connect(None)
+                await node._within(node.engine_done.wait(), "drained engine")
+            except ReproError as exc:
+                return node, exc
+            finally:
+                await node.transport.close()
 
         return asyncio.run(scenario())
 
@@ -453,16 +503,21 @@ class TestClusterSocket:
     def test_frames_behind_the_hello_are_routed_however_they_are_cut(self):
         stream = encode_hello("P2") + encode_any(self.PROPOSAL) * 3
         for cut in (len(stream), 5, len(encode_hello("P2")) + 3):
-            node = self.serve(stream[:cut], stream[cut:])
+            node, _ = self.serve(stream[:cut], stream[cut:])
             assert node.failures == []          # clean EOF between frames
             assert node.actor.handled == [self.PROPOSAL] * 3
 
     def test_a_corrupt_frame_fails_the_node_with_a_typed_error(self):
-        node = self.serve(encode_hello("P2"),
-                          garbled(encode_any(self.PROPOSAL)))
-        (failure,) = node.failures
-        assert isinstance(failure, CodecError) and failure.recoverable
-        assert node.actor.handled == [] and node.engine_done.is_set()
+        """Counted, never routed; nothing retries in the cluster, so the
+        node fails at its deadline, naming the count."""
+        node, failure = self.serve(encode_hello("P2"),
+                                   garbled(encode_any(self.PROPOSAL)))
+        assert isinstance(failure, TaskPlaneError)
+        assert "'P1' saw no drained engine within the 1.0s deadline" \
+            in str(failure)
+        assert "corrupt_frames=1, dead_streams=0, quarantined=[]" \
+            in str(failure)
+        assert node.actor.handled == [] and node.failures == []
 
     @pytest.mark.parametrize("forged", [
         Proposal(sender="P9", receiver="P1", beta=Fraction(5, 3), xid=1),
@@ -471,31 +526,106 @@ class TestClusterSocket:
     ], ids=["stranger", "its-parent", "to-its-parent"])
     def test_a_frame_naming_another_edge_fails_the_node(self, forged):
         """The socket P2 dialled carries frames from P2 to P1, nothing
-        else: a frame that names another edge fails the node like a
-        corrupt one."""
-        node = self.serve(encode_hello("P2") + encode_any(self.PROPOSAL)
-                          + encode_any(forged))
-        (failure,) = node.failures
-        assert isinstance(failure, CodecError) and failure.recoverable
-        assert "arrived on the edge" in str(failure)
+        else: a frame that names another edge is one more corrupt frame."""
+        node, failure = self.serve(encode_hello("P2")
+                                   + encode_any(self.PROPOSAL)
+                                   + encode_any(forged))
+        assert isinstance(failure, TaskPlaneError)
+        assert "corrupt_frames=1, dead_streams=0" in str(failure)
         assert node.actor.handled == [self.PROPOSAL] and node.engine is None
 
     def test_an_oversized_prefix_fails_the_node(self):
-        node = self.serve(encode_hello("P2"),
-                          FRAME_HEADER.pack(MAX_FRAME + 1, 0) + b"junk")
-        (failure,) = node.failures
-        assert isinstance(failure, CodecError) and not failure.recoverable
+        """Framing lost: the edge is firewalled."""
+        node, failure = self.serve(encode_hello("P2"),
+                                   FRAME_HEADER.pack(MAX_FRAME + 1, 0)
+                                   + b"junk")
+        assert isinstance(failure, TaskPlaneError)
+        assert "corrupt_frames=1, dead_streams=0, quarantined=['P2']" \
+            in str(failure)
 
     def test_eof_inside_a_frame_fails_the_node(self):
-        node = self.serve(encode_hello("P2"),
-                          encode_any(self.PROPOSAL)[:-3])
-        (failure,) = node.failures
-        assert type(failure) is ProtocolError and "mid-frame" in str(failure)
+        node, failure = self.serve(encode_hello("P2"),
+                                   encode_any(self.PROPOSAL)[:-3])
+        assert isinstance(failure, TaskPlaneError)
+        assert "corrupt_frames=0, dead_streams=1" in str(failure)
+        assert node.actor.handled == []
 
     def test_eof_before_the_hello_is_a_refused_hello(self):
         for prefix in (b"", encode_hello("P2")[:-3]):
-            node = self.serve(prefix)
-            (failure,) = node.failures
-            assert isinstance(failure, TaskPlaneError)
-            assert "refused a hello" in str(failure)
-            assert node.writers == {}
+            node, failure = self.serve(prefix)
+            assert type(failure) is ProtocolError
+            assert str(failure) == "bad handshake on 'P1''s listener"
+            assert "before hello" in str(failure.__cause__)
+            assert node.transport._writers == {}
+
+
+class TestClusterNode:
+    def test_a_node_left_awaiting_its_child_reports_the_divergence(self):
+        """``P1`` was proposed λ and proposed on to ``P2``, whose ack never
+        came: the check names what it negotiated, not a raw actor error."""
+        spec = dataclasses.replace(TestClusterHello.SPEC,
+                                   expected_lam=Fraction(5, 3),
+                                   expected_theta=Fraction(0))
+        node = _NodeProcess(spec, conn=None, tree=chain())
+        sent = []
+        node.actor = NodeActor(name="P1", rate=Fraction(1, 2), parent="P0",
+                               children=[("P2", Fraction(1))],
+                               send=sent.append)
+        node.actor.handle(Proposal(sender="P0", receiver="P1",
+                                   beta=Fraction(5, 3), xid=1))
+        assert node.actor.state == AWAITING_CHILD and len(sent) == 1
+        with pytest.raises(TaskPlaneError,
+                           match=r"'P1' diverged from Algorithm 1: "
+                                 r"negotiated λ=5/3, θ=\?, expected "
+                                 r"λ=5/3, θ=0"):
+            node._verify()
+
+    def test_a_stranger_dialling_a_running_node_aborts_nothing(self,
+                                                               monkeypatch):
+        """Any process on the host may dial a cluster node's listener
+        while the run is on; once the node's children have greeted, the
+        stranger — a name from nowhere, or the node's own — is hung up on
+        and the launch completes."""
+        collect, ports, answers = ClusterPlane._collect, {}, []
+
+        def dialling(plane, pipes, expected, t_deadline):
+            got = collect(plane, pipes, expected, t_deadline)
+            if expected == "port":
+                ports.update(got)
+            elif expected == "ready":           # every child has greeted
+                for node, port in ports.items():
+                    for name in ("stranger", node):
+                        with socket.create_connection(("127.0.0.1", port),
+                                                      timeout=5) as dialler:
+                            dialler.sendall(encode_hello(name))
+                            answers.append(dialler.recv(16))
+            return got
+
+        monkeypatch.setattr(ClusterPlane, "_collect", dialling)
+        report = ClusterPlane(paper_figure4_tree(), max_tasks=40,
+                              deadline=60).run()
+        assert answers == [b""] * 2 * len(paper_figure4_tree())
+        assert report.completed == 40
+        assert report.lost == 0 and report.duplicates == 0
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the garbling encoder reaches the nodes by fork")
+    def test_a_refused_frame_fails_the_launch_naming_the_counts(
+            self, monkeypatch):
+        """Nothing in the cluster retries a control frame: a garbled ack is
+        counted by the parent's transport and the launch fails at the
+        deadline with the parent's error, which names the count."""
+        encode = transport_module.encode_any
+
+        def garbling(message):
+            frame = encode(message)
+            if isinstance(message, Acknowledgment) and message.sender == "P2":
+                frame = garbled(frame)
+            return frame
+
+        monkeypatch.setattr(transport_module, "encode_any", garbling)
+        with pytest.raises(TaskPlaneError) as excinfo:
+            ClusterPlane(paper_figure4_tree(), max_tasks=20, deadline=2).run()
+        assert ("'P0' saw no negotiated θ within the 2s deadline "
+                "(corrupt_frames=1, dead_streams=0, quarantined=[])"
+                in str(excinfo.value))

@@ -1,7 +1,8 @@
-"""TcpTransport's edges: who listens, who may say hello, what a failed
-start leaves behind, hostile octets on a live socket, back-pressure, a
-``start`` that reconciles, and the ``Session`` that keeps edges between
-negotiations (alone and under ``resilient_run``).
+"""TcpTransport's edges: who listens (on loopback only), who may say
+hello, what a failed start leaves behind, the listen and dial halves as a
+cluster process assembles them, hostile octets on a live socket,
+back-pressure, a ``start`` that reconciles, and the ``Session`` that keeps
+edges between negotiations (alone and under ``resilient_run``).
 
 Complements ``test_runtime.py`` (negotiations over the transport) and
 ``test_taskplane_tcp.py`` (mixed control + payload traffic): everything
@@ -32,7 +33,8 @@ from repro.runtime import Runtime, Session, TcpTransport, negotiate
 from repro.runtime import transport as transport_module
 from repro.runtime.codec import (FRAME_HEADER, MAX_FRAME, encode_any,
                                  encode_blob, encode_hello)
-from repro.taskplane import DeliveryAck, make_task
+from repro.taskplane import ClusterPlane, DeliveryAck, NodeSpec, make_task
+from repro.taskplane.cluster import _NodeProcess
 
 
 def small_tree() -> Tree:
@@ -353,6 +355,158 @@ class TestAcceptQueue:
 
         assert asyncio.run(scenario()) == proposal()
         assert not Late.early
+
+
+# ----------------------------------------------------------------------
+# the two halves as a cluster process assembles them, one node each
+# ----------------------------------------------------------------------
+def cluster_node(tree: Tree, name) -> _NodeProcess:
+    children = tree.children(name)
+    return _NodeProcess(NodeSpec(name=name, parent=tree.parent(name),
+                                 children=tuple((c, tree.c(c))
+                                                for c in children),
+                                 all_children=tuple(children)),
+                        conn=None, tree=tree)
+
+
+async def assembled(tree: Tree):
+    """Every node of *tree* as its cluster process assembles its edges —
+    its own transport, listen, dial the parent, wait for the children's
+    hellos — all on this loop; each node's frames land in a queue."""
+    nodes = {n: cluster_node(tree, n) for n in tree.nodes()}
+    ports = {n: node.listen() for n, node in nodes.items()}
+    mailboxes = {n: asyncio.Queue() for n in tree.nodes()}
+    for n, node in nodes.items():
+        node.transport.mailboxes = {n: mailboxes[n]}
+    await asyncio.wait_for(asyncio.gather(*(
+        node.connect(None if tree.parent(n) is None
+                     else ("127.0.0.1", ports[tree.parent(n)]))
+        for n, node in nodes.items())), 5.0)
+    return nodes, mailboxes
+
+
+async def hung_up(nodes) -> None:
+    await asyncio.wait_for(asyncio.gather(
+        *(node.transport.close() for node in nodes.values())), 5.0)
+
+
+class TestClusterAssembly:
+    def test_both_ends_of_every_edge_set_nodelay(self):
+        tree = smooth_tree(30, 1)
+
+        async def scenario():
+            nodes, _ = await assembled(tree)
+            ends = [end for node in nodes.values()
+                    for end in node.transport._ends]
+            nodelay = [end.sock.getsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY)
+                       for end in ends]
+            await hung_up(nodes)
+            return nodes, nodelay
+
+        nodes, nodelay = asyncio.run(scenario())
+        assert len(nodelay) == 2 * (len(tree) - 1) and all(nodelay)
+        assert sum(node.transport.dials for node in nodes.values()) \
+            == len(tree) - 1
+        assert not any(node.transport._ends for node in nodes.values())
+
+    def test_a_silent_stranger_ahead_of_the_child_is_not_the_edge(self):
+        """A stranger queued on P0's listener before P1 dials it, saying
+        nothing: P1's hello is admitted behind it all the same."""
+        tree = Tree("P0", w=2)
+        tree.add_node("P1", w=2, parent="P0", c=1)
+
+        async def scenario():
+            root, child = cluster_node(tree, "P0"), cluster_node(tree, "P1")
+            port = root.listen()
+            child.listen()
+            with socket.create_connection(("127.0.0.1", port)) as stranger:
+                await asyncio.wait_for(asyncio.gather(
+                    root.connect(None),
+                    child.connect(("127.0.0.1", port))), 5.0)
+                ungreeted = [end for end in root.transport._ends
+                             if end.hello_due]
+                assert len(ungreeted) == 1
+                assert (ungreeted[0].sock.getpeername()
+                        == stranger.getsockname())
+                parent_end = root.transport._writers[("P0", "P1")]
+                child_end = child.transport._writers[("P1", "P0")]
+                assert (parent_end.sock.getpeername()
+                        == child_end.sock.getsockname())
+                await hung_up({"P0": root, "P1": child})
+            return root, child
+
+        root, child = asyncio.run(scenario())
+        assert (root.transport.dials, child.transport.dials) == (0, 1)
+        assert root.failures == child.failures == []
+
+    def test_a_dial_not_yet_queued_is_waited_for(self, monkeypatch):
+        """The listener's reader finds nothing queued the first time it
+        looks; it looks again when the dial arrives."""
+        class Late(socket.socket):
+            early = True
+
+            def accept(self):
+                if Late.early:
+                    Late.early = False
+                    raise BlockingIOError
+                return super().accept()
+
+        def create_server(address, **kwargs):
+            sock = real(address, **kwargs)
+            return Late(sock.family, sock.type, fileno=sock.detach())
+
+        real = socket.create_server
+        monkeypatch.setattr(transport_module.socket, "create_server",
+                            create_server)
+
+        async def scenario():
+            nodes, mailboxes = await assembled(small_tree())
+            await nodes["P0"].transport.send(proposal())
+            delivered = await asyncio.wait_for(mailboxes["P1"].get(), 5.0)
+            await hung_up(nodes)
+            return delivered
+
+        assert asyncio.run(scenario()) == proposal()
+        assert not Late.early
+
+
+class TestLoopbackOnly:
+    """A hello is unauthenticated, so nothing listens off loopback."""
+
+    @pytest.mark.parametrize("host", ["0.0.0.0", "10.1.2.3", "::", "7f00::1",
+                                      "::ffff:127.0.0.1", "localhost", ""])
+    def test_the_transport_refuses_before_any_bind(self, host, monkeypatch):
+        def create_server(*args, **kwargs):
+            raise AssertionError("a listener was about to be bound")
+
+        monkeypatch.setattr(transport_module.socket, "create_server",
+                            create_server)
+        transport = TcpTransport(host=host)
+        with pytest.raises(ProtocolError, match="refusing to listen on"):
+            Runtime(small_tree(), transport).run()
+        assert transport.dials == 0 and transport.bound_ports == {}
+
+    @pytest.mark.parametrize("host", ["0.0.0.0", "192.168.1.1", "::"])
+    def test_the_cluster_refuses_before_it_spawns(self, host, monkeypatch):
+        def spawn(*args, **kwargs):
+            raise AssertionError("a process was about to be spawned")
+
+        monkeypatch.setattr("multiprocessing.get_context", spawn)
+        with pytest.raises(ProtocolError, match="refusing to listen on"):
+            ClusterPlane(small_tree(), host=host).run()
+
+    def test_any_loopback_address_listens(self):
+        async def scenario():
+            transport, mailboxes = await started(small_tree(),
+                                                 host="127.0.0.2")
+            await transport.send(proposal())
+            delivered = await asyncio.wait_for(mailboxes["P1"].get(), 5.0)
+            await transport.close()
+            return transport, delivered
+
+        transport, delivered = asyncio.run(scenario())
+        assert delivered == proposal() and transport.dials == 3
 
 
 # ----------------------------------------------------------------------

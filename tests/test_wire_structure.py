@@ -3,7 +3,8 @@
 Until PR 20 the codec had two frame readers (``FrameSplitter`` and the
 ``read_blob`` coroutines), the runtime and the cluster two hellos, and
 three modules their own idea of a node name.  These checks read ``src/``
-and fail when a second statement of one of those rules grows back.
+and fail when a second statement of one of those rules grows back — the
+cluster's own socket edge on asyncio streams included.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 CODEC = SRC / "runtime" / "codec.py"
+TRANSPORT = SRC / "runtime" / "transport.py"
 FRAMES = SRC / "taskplane" / "frames.py"
 
 
@@ -79,3 +81,31 @@ def test_a_control_kind_is_spelled_in_the_codecs_one_table():
                    if isinstance(node, ast.Constant)
                    and node.value in CONTROL_KINDS]
         assert spelled == ([table] * 3 if path == CODEC else []), path
+
+
+SOCKET_CALLS = ("socket.socket(", "create_server", ".accept(", "start_server",
+                "open_connection", "create_connection")
+
+
+def test_sockets_are_opened_in_the_transport_only():
+    """One socket edge: whoever listens, dials or accepts goes through
+    ``TcpTransport``'s listen and dial halves."""
+    for path, text in sources():
+        for needle in SOCKET_CALLS:
+            assert path == TRANSPORT or not lines_with(text, needle), (
+                path, needle)
+    assert all(lines_with(TRANSPORT.read_text(), needle)
+               for needle in ("socket.socket(", "create_server", ".accept("))
+
+
+def test_one_function_reads_a_hello():
+    callers = []
+    for path, text in sources():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [(path.name, node.name)
+                            for call in ast.walk(node)
+                            if isinstance(call, ast.Call)
+                            and getattr(call.func, "id", None)
+                            == "decode_hello"]
+    assert callers == [("transport.py", "_hello")]
