@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Dict, Hashable, Mapping, Tuple
 
 from ..exceptions import ScheduleError
@@ -41,9 +42,13 @@ class Allocation:
 
     @cached_property
     def throughput(self) -> Fraction:
-        """Total tasks computed per time unit: ``Σ α_i`` (summed once; the
-        idle nodes' zeros are skipped rather than added)."""
-        return sum(filter(None, self.alpha.values()), ZERO)
+        """Total tasks computed per time unit: ``Σ α_i``, summed once, as
+        ints over the common denominator of the nonzero α's (the idle
+        nodes' zeros are skipped rather than added)."""
+        rates = [rate for rate in self.alpha.values() if rate]
+        scale = math.lcm(*{rate.denominator for rate in rates})
+        return Fraction(sum([rate.numerator * (scale // rate.denominator)
+                             for rate in rates]), scale)
 
     def sends(self, node: Hashable) -> Dict[Hashable, Fraction]:
         """Non-zero per-child send rates of *node*, in child order."""
@@ -70,16 +75,20 @@ class Allocation:
         """Validate conservation and the single-port full-overlap constraints.
 
         Raises :class:`~repro.exceptions.ScheduleError` with a description of
-        the first violated constraint; returns silently when the allocation
-        is feasible.
+        the first violated constraint (in pre-order); returns silently when
+        the allocation is feasible.
 
-        Every rate ``x`` is scaled once to the integer ``x·D``, ``D`` the
-        lcm of the rates' denominators, so every constraint of every node
-        and every edge is decided on ints: ``α·D·w ≤ D``,
-        ``η_in·D = α·D + Σ η_i·D``, ``η_in·D·c ≤ D`` and
-        ``Σ η_i·D·c_i ≤ D``, each ``w`` and ``c`` cross-multiplied by its
-        own numerator and denominator.  ``Fraction`` arithmetic is spent
+        Every nonzero rate ``x`` is scaled once to the integer ``x·D``, ``D``
+        the lcm of their denominators, so every constraint is decided on
+        ints: ``α·D·w ≤ D``, ``η_in·D = α·D + Σ η_i·D``, ``η_in·D·c ≤ D``
+        and ``Σ η_i·D·c_i ≤ D``, each ``w`` and ``c`` cross-multiplied by
+        its own numerator and denominator.  ``Fraction`` arithmetic is spent
         only on formatting the error of a failing constraint.
+
+        A node whose α, η_in and sends are zero, and none of whose children
+        receives, satisfies every constraint, so the walk is pre-order over
+        the nodes some nonzero rate touches and the root paths that lead to
+        them: on a BW-First allocation, the nodes the traversal visited.
         """
         tree, root = self.tree, self.tree.root
         alphas, eta_ins, eta_outs = self.alpha, self.eta_in, self.eta_out
@@ -88,13 +97,27 @@ class Allocation:
                         for rate in rates.values()}
         scale = math.lcm(*denominators)
         factor = {d: scale // d for d in denominators}
+        # only the nonzero rates are kept: a zero breaks no constraint
         alpha_d, eta_in_d, eta_out_d = (
-            {key: rate.numerator * factor[rate.denominator]
-             for key, rate in rates.items()}
+            {key: scaled for key, rate in rates.items()
+             if (scaled := rate.numerator * factor[rate.denominator])}
             for rates in maps)
+        # the nodes some nonzero rate touches, and their ancestors (a
+        # receiving node's edge is decided at its parent)
+        kids, parents = tree.child_lists(), tree.parents()
+        on_path = {*alpha_d, *eta_in_d, *map(itemgetter(0), eta_out_d)}
+        added = on_path
+        while added:
+            added = set(map(parents.get, added)) - on_path
+            added.discard(None)  # the root's
+            on_path |= added
         edge_cost = tree.edge_cost
         cost_in = {}  # c of each edge that carries tasks, for its receiver
-        for node in tree.nodes():
+        stack = [root] if on_path else []
+        while stack:
+            node = stack.pop()
+            children = kids[node]
+            stack.extend(filter(on_path.__contains__, reversed(children)))
             alpha = alpha_d.get(node, 0)
             eta_in = eta_in_d.get(node, 0)
             if alpha < 0 or eta_in < 0:
@@ -111,7 +134,7 @@ class Allocation:
             # port_time / (D · port_den), port_den the lcm of the c's so far
             out_total = 0
             port_time, port_den = 0, 1
-            for child in tree.children(node):
+            for child in children:
                 sent = eta_out_d.get((node, child), 0)
                 received = eta_in_d.get(child, 0)
                 if sent < 0:
@@ -184,24 +207,25 @@ def from_bw_first(result: BWFirstResult) -> Allocation:
         allocation = _splice(before, result, lineage.changed)
         lineage.base = None  # built on: let the older allocation go
     else:
+        # a node BW-First never visited takes no part in the schedule: every
+        # entry starts at zero, in pre-order, and only the visited are set
         tree, outcomes = result.tree, result.outcomes
-        root = tree.root
-        alpha: Dict[Hashable, Fraction] = {}
-        eta_in: Dict[Hashable, Fraction] = {}
-        eta_out: Dict[Tuple[Hashable, Hashable], Fraction] = {}
-        for node in tree.nodes():
-            outcome = outcomes.get(node)
-            if outcome is None:  # never visited: takes no part in the schedule
-                alpha[node] = eta_in[node] = ZERO
-                for child in tree.children(node):
-                    eta_out[(node, child)] = ZERO
-                continue
+        kids = tree.child_lists()
+        nodes = list(tree.nodes())
+        alpha = dict.fromkeys(nodes, ZERO)
+        eta_in = dict.fromkeys(nodes, ZERO)
+        eta_out = dict.fromkeys(
+            [(node, child) for node in nodes for child in kids[node]], ZERO)
+        for node, outcome in outcomes.items():
             alpha[node] = outcome.alpha
-            # the root generates tasks, it does not receive them
-            eta_in[node] = ZERO if node == root else outcome.accepted
-            sent = {t.child: t.accepted for t in outcome.transactions}
-            for child in tree.children(node):
-                eta_out[(node, child)] = sent.get(child, ZERO)
+            eta_in[node] = outcome.accepted
+        # the root generates tasks, it does not receive them
+        eta_in[tree.root] = ZERO
+        # a send is what its child accepted (the child's λ is the
+        # transaction's β, its θ the transaction's ack)
+        for node, outcome in outcomes.items():
+            for txn in outcome.transactions:
+                eta_out[(node, txn.child)] = eta_in[txn.child]
         allocation = Allocation(tree=tree, alpha=alpha, eta_in=eta_in,
                                 eta_out=eta_out)
     allocation.check()

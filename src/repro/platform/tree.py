@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import (Dict, Hashable, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from ..core.rates import (
     INFINITY,
@@ -230,6 +232,20 @@ class Tree:
             return tuple(self._children[name])
         except KeyError:
             raise PlatformError(f"unknown node {name!r}") from None
+
+    def child_lists(self) -> Mapping[NodeId, Sequence[NodeId]]:
+        """Every node's children, in insertion order, as one read-only view.
+
+        For walks over many nodes: :meth:`children` copies a tuple per call,
+        this copies nothing.  The view follows the tree as it changes; the
+        lists it holds must not be modified.
+        """
+        return MappingProxyType(self._children)
+
+    def parents(self) -> Mapping[NodeId, NodeId]:
+        """Every node's parent, the root left out, as one read-only view
+        that follows the tree as it changes (see :meth:`child_lists`)."""
+        return MappingProxyType(self._parent)
 
     def c(self, name: NodeId) -> Fraction:
         """Communication time of the edge from ``parent(name)`` to *name*."""

@@ -90,21 +90,35 @@ def bunch_schedule(node: Hashable, psi_self: int,
     """The schedule of a node that keeps *psi_self* tasks of a bunch and
     sends ``psi_children[i]`` to each of its *children* (bandwidth order),
     or ``None`` for an empty bunch.  It reads only the node's own ψ counts
-    (:func:`~repro.schedule.periods.bunch_quantities`)."""
+    (:func:`~repro.schedule.periods.bunch_quantities`).  A negative ψ, or
+    a ψ for a destination that is not among *children*, is refused."""
     quantities: Dict[Hashable, int] = {}
     priority: List[Hashable] = []
     # The paper prioritises the node itself with the smallest index; we
     # list self first, then children in bandwidth-centric order.  "Self"
     # enters the priority list only when it computes tasks; a switch
     # (ψ_0 = 0) must not appear in the order.
+    if psi_self < 0:
+        raise ScheduleError(f"negative ψ {psi_self} for {node!r} itself")
     if psi_self > 0:
         quantities[node] = psi_self
         priority.append(node)
+    matched = 0
     for child in children:
-        count = psi_children.get(child, 0)
+        count = psi_children.get(child)
+        if count is None:
+            continue
+        matched += 1
+        if count < 0:
+            raise ScheduleError(
+                f"negative ψ {count} for child {child!r} of {node!r}")
         if count > 0:
             quantities[child] = count
             priority.append(child)
+    if matched != len(psi_children):
+        stranger = next(dest for dest in psi_children if dest not in children)
+        raise ScheduleError(
+            f"ψ for {stranger!r}, which is not a child of {node!r}")
     if not quantities:
         return None
     order = policy(quantities, priority)
@@ -140,9 +154,11 @@ def build_schedules(
     tree = allocation.tree
     schedules: Dict[Hashable, NodeSchedule] = {}
     for node in tree.nodes():
-        schedule = node_schedule(tree, node, periods[node], policy)
-        if schedule is not None:
-            schedules[node] = schedule
+        p = periods[node]
+        if p.psi_self or any(p.psi_children.values()):  # else no bunch
+            schedule = node_schedule(tree, node, p, policy)
+            if schedule is not None:
+                schedules[node] = schedule
     return schedules
 
 

@@ -29,8 +29,12 @@ rational; the periods of equation (3) (``T^s``, ``T^c``, ``T``) remain the
 paper's integer lcms.
 
 Everything here is exact: the η rates are rationals in lowest terms, and
-all task counts are integers by construction (checked by
-:func:`~repro.core.rates.scaled_integer`).
+all task counts are integers — by construction where a period is a
+multiple of the rate's denominator, tested (with
+:func:`~repro.core.rates.scaled_integer`'s error) where it need not be.
+A node whose every rate is zero gets its trivial periods without any of
+this arithmetic; under BW-First that is every node the traversal never
+visited (6739 of the 10 000 nodes of ``smooth_tree(10000, 7)``).
 """
 
 from __future__ import annotations
@@ -38,10 +42,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.allocation import Allocation
-from ..core.rates import ONE, ZERO, lcm_denominators, lcm_ints, scaled_integer
+from ..core.rates import ONE, ZERO, lcm_ints, scaled_integer
 from ..exceptions import ScheduleError
 
 
@@ -102,14 +107,33 @@ def bunch_quantities(
     counts (a shared factor means the bunch repeats inside it).  Node-local,
     so a cluster process derives its schedule from its own actor with it.
     """
-    t_cs = lcm_denominators([alpha, *etas.values()])
-    psi_self = scaled_integer(alpha, t_cs)
-    psi_children = {ch: scaled_integer(eta, t_cs) for ch, eta in etas.items()}
-    reduction = math.gcd(psi_self, *psi_children.values()) or 1
+    a_n, t_compute = alpha.numerator, alpha.denominator
+    sends = [(eta.numerator, eta.denominator) for eta in etas.values()]
+    t_send = math.lcm(*[d for _, d in sends])
+    if a_n < 0 or any(n < 0 for n, _ in sends):
+        # the error of the first negative count over T^c ∨ T^s
+        t_cs = math.lcm(t_send, t_compute)
+        for rate in (alpha, *etas.values()):
+            scaled_integer(rate, t_cs)
+    phi = [n * (t_send // d) for n, d in sends]
+    psi_self, psi, _, t_consume = _bunch(a_n, t_compute, phi, t_send)
+    return psi_self, dict(zip(etas, psi)), t_consume
+
+
+def _bunch(a_n: int, t_compute: int, phi: List[int], t_send: int,
+           ) -> Tuple[int, List[int], int, Fraction]:
+    """Equation set (4) on ints for a node computing ``α = a_n / T^c`` and
+    sending the counts *phi* per ``T^s``: ``(ψ_0, [ψ_i], T^c ∨ T^s, T^w)``,
+    the counts over ``T^c ∨ T^s`` reduced by their gcd."""
+    t_cs = math.lcm(t_send, t_compute)
+    to_cs = t_cs // t_send
+    psi_self = a_n * (t_cs // t_compute)
+    psi = [count * to_cs for count in phi]
+    reduction = math.gcd(psi_self, *psi) or 1
     if reduction > 1:
         psi_self //= reduction
-        psi_children = {ch: n // reduction for ch, n in psi_children.items()}
-    return psi_self, psi_children, Fraction(t_cs, reduction)
+        psi = [count // reduction for count in psi]
+    return psi_self, psi, t_cs, Fraction(t_cs, reduction)
 
 
 def node_periods(
@@ -119,52 +143,143 @@ def node_periods(
 ) -> NodePeriods:
     """Compute the :class:`NodePeriods` of *node* given its parent's ``T^s``.
 
-    *parent_send_period* must be ``None`` exactly for the root.
+    *parent_send_period* must be ``None`` exactly for the root, and a
+    positive ``int`` for every other node.
     """
     tree = allocation.tree
-    is_root = node == tree.root
-    if is_root:
-        t_receive: Optional[int] = None
+    if node == tree.root:
+        if parent_send_period is not None:
+            raise ScheduleError(
+                f"the root {node!r} has no parent, so no parent's T^s "
+                f"(got {parent_send_period!r})")
     elif parent_send_period is None:
         raise ScheduleError(f"non-root node {node!r} needs its parent's T^s")
-    else:
-        t_receive = parent_send_period
+    elif (type(parent_send_period) is not int  # bool is an int subclass
+          or parent_send_period <= 0):
+        raise ScheduleError(
+            f"node {node!r}: its parent's T^s must be a positive int "
+            f"(got {parent_send_period!r})")
+    eta_out = allocation.eta_out
+    children = tree.children(node)
+    etas = [eta_out.get((node, child), ZERO) for child in children]
     alpha = allocation.alpha.get(node, ZERO)
     eta_in = allocation.eta_in.get(node, ZERO)
-    children = tree.children(node)
-    eta_out = allocation.eta_out
-    etas: Dict[Hashable, Fraction] = {
-        child: eta_out.get((node, child), ZERO) for child in children
-    }
-    if not (alpha or eta_in or any(etas.values())):
-        # An inactive node — most of a large tree under BW-First.  Every
-        # rate is 0/1, so every period below is 1, every count 0 and
-        # T = lcm{1, 1, T^r} = T^r: say so without nine dicts and a dozen
-        # products (the three mappings are read-only and share one dict).
-        idle = dict.fromkeys(children, 0)
-        return NodePeriods(
-            node=node, t_send=1, t_compute=1, t_receive=t_receive,
-            t_full=1 if is_root else lcm_ints([t_receive]), t_consume=ONE,
-            phi_children=idle, rho=0, phi_in=None if is_root else 0,
-            chi_in=0, chi_compute=0, chi_children=idle,
-            psi_self=0, psi_children=idle,
-        )
+    if alpha or eta_in or any(etas):
+        return _lemma1(node, children, alpha, eta_in, etas, parent_send_period,
+                       {})
+    return _idle(node, parent_send_period, dict.fromkeys(children, 0))
 
-    t_send = lcm_denominators(etas.values()) if children else 1
-    t_compute = alpha.denominator
-    t_cs = lcm_ints([t_send, t_compute])
-    t_full = t_cs if is_root else lcm_ints([t_cs, t_receive])
-    phi_children = {ch: scaled_integer(etas[ch], t_send) for ch in children}
-    rho = scaled_integer(alpha, t_compute)
-    phi_in = None if t_receive is None else scaled_integer(eta_in, t_receive)
 
-    chi_in = scaled_integer(eta_in, t_full)
-    chi_compute = scaled_integer(alpha, t_full)
-    chi_children = {ch: scaled_integer(etas[ch], t_full) for ch in children}
+def tree_periods(allocation: Allocation) -> Dict[Hashable, NodePeriods]:
+    """Compute :class:`NodePeriods` for every node of the allocation's tree.
 
-    psi_self, psi_children, t_consume = bunch_quantities(alpha, etas)
+    Periods are propagated top-down (``T^r`` of a node is the ``T^s`` of its
+    parent) by one pre-order walk.  Nodes with zero activity still get
+    (trivial, all-1) periods so callers need no special-casing; they cost
+    no arithmetic.  The child mappings are read-only: those of every
+    childless node are one empty dict.
+    """
+    tree = allocation.tree
+    alphas, eta_ins, eta_out = (allocation.alpha, allocation.eta_in,
+                                allocation.eta_out)
+    senders = {sender for (sender, _), rate in eta_out.items() if rate}
+    kids = tree.child_lists()
+    result: Dict[Hashable, NodePeriods] = {}
+    # a plan keeps every record, so every map it need not build is one
+    # object fewer for the collector to count and later walk
+    no_children: Dict[Hashable, int] = {}
+    stack: List[Tuple[Hashable, Optional[int]]] = [(tree.root, None)]
+    while stack:
+        node, t_receive = stack.pop()
+        children = kids[node]
+        alpha = alphas.get(node, ZERO)
+        eta_in = eta_ins.get(node, ZERO)
+        if alpha or eta_in or node in senders:
+            etas = [eta_out.get((node, child), ZERO) for child in children]
+            p = result[node] = _lemma1(node, children, alpha, eta_in, etas,
+                                       t_receive, no_children)
+            stack.extend(zip(reversed(children), repeat(p.t_send)))
+        elif children:
+            result[node] = _idle(node, t_receive, dict.fromkeys(children, 0))
+            stack.extend(zip(reversed(children), repeat(1)))
+        else:
+            result[node] = _idle(node, t_receive, no_children)
+    return result
 
-    periods = NodePeriods(
+
+def _record(node: Hashable, **fields) -> NodePeriods:
+    """The :class:`NodePeriods` of *node* with *fields*, without the frozen
+    ``__init__``'s fourteen ``object.__setattr__`` calls (a plan builds one
+    record per node of the tree).  ``node`` is set the slow way so that the
+    instance dict ``vars`` returns is the one sharing the class's keys;
+    ``update`` fills it in place (an empty instance dict would be replaced
+    by a copy of *fields*, two and a half times the memory)."""
+    periods = object.__new__(NodePeriods)
+    object.__setattr__(periods, "node", node)
+    vars(periods).update(fields)
+    return periods
+
+
+def _idle(node: Hashable, t_receive: Optional[int],
+          idle: Dict[Hashable, int]) -> NodePeriods:
+    """The periods of a node whose every rate is 0/1: every period is 1,
+    every count 0, and ``T = lcm{1, 1, T^r} = T^r``.  The three child
+    mappings are read-only and are the one dict *idle*, every child at 0."""
+    return _record(
+        node=node, t_send=1, t_compute=1, t_receive=t_receive,
+        t_full=1 if t_receive is None else t_receive, t_consume=ONE,
+        phi_children=idle, rho=0, phi_in=None if t_receive is None else 0,
+        chi_in=0, chi_compute=0, chi_children=idle,
+        psi_self=0, psi_children=idle,
+    )
+
+
+def _lemma1(node: Hashable, children: Sequence[Hashable], alpha: Fraction,
+            eta_in: Fraction, etas: Sequence[Fraction],
+            t_receive: Optional[int],
+            no_children: Dict[Hashable, int]) -> NodePeriods:
+    """Lemma 1 and equation sets (3)/(4) for one node with some nonzero
+    rate, on each rate's numerator and denominator (*etas* in child order,
+    *t_receive* ``None`` for the root; a childless node's three child
+    mappings are the empty dict *no_children*).
+
+    ``T^s``, ``T^c`` and ``T^c ∨ T^s`` are multiples of the denominators
+    of the rates counted over them, so ``φ``, ``ρ``, ``ψ`` and ``χ_i``, ``χ_0``
+    are integers by construction and non-negative with their numerators;
+    ``η_in`` is counted over the parent's ``T^s`` and over ``T``, which need
+    not be, so those two products are tested.  A failing test raises
+    :func:`~repro.core.rates.scaled_integer`'s error for that product.
+    """
+    a_n, t_compute = alpha.numerator, alpha.denominator
+    sends = [(eta.numerator, eta.denominator) for eta in etas]
+    t_send = math.lcm(*[d for _, d in sends])
+    for eta, (n, _) in zip(etas, sends):
+        if n < 0:
+            scaled_integer(eta, t_send)
+    if a_n < 0:
+        scaled_integer(alpha, t_compute)
+    phi = [n * (t_send // d) for n, d in sends]
+    psi_self, psi, t_cs, t_consume = _bunch(a_n, t_compute, phi, t_send)
+    t_full = t_cs if t_receive is None else math.lcm(t_cs, t_receive)
+    e_n, e_d = eta_in.numerator, eta_in.denominator
+    phi_in = None
+    if t_receive is not None:
+        phi_in, rest = divmod(e_n * t_receive, e_d)
+        if rest or phi_in < 0:
+            scaled_integer(eta_in, t_receive)
+    chi_in, rest = divmod(e_n * t_full, e_d)
+    if rest or chi_in < 0:
+        scaled_integer(eta_in, t_full)
+
+    to_full = t_full // t_send
+    if children:
+        phi_children = dict(zip(children, phi))
+        chi_children = {ch: count * to_full
+                        for ch, count in zip(children, phi)}
+        psi_children = dict(zip(children, psi))
+    else:
+        phi_children = chi_children = psi_children = no_children
+    periods = _record(
         node=node,
         t_send=t_send,
         t_compute=t_compute,
@@ -172,32 +287,16 @@ def node_periods(
         t_full=t_full,
         t_consume=t_consume,
         phi_children=phi_children,
-        rho=rho,
+        rho=a_n,
         phi_in=phi_in,
         chi_in=chi_in,
-        chi_compute=chi_compute,
+        chi_compute=a_n * (t_full // t_compute),
         chi_children=chi_children,
         psi_self=psi_self,
         psi_children=psi_children,
     )
-    periods.check_conservation(is_root)
+    periods.check_conservation(t_receive is None)
     return periods
-
-
-def tree_periods(allocation: Allocation) -> Dict[Hashable, NodePeriods]:
-    """Compute :class:`NodePeriods` for every node of the allocation's tree.
-
-    Periods are propagated top-down (``T^r`` of a node is the ``T^s`` of its
-    parent).  Nodes with zero activity still get (trivial, all-1) periods so
-    callers need no special-casing.
-    """
-    tree = allocation.tree
-    result: Dict[Hashable, NodePeriods] = {}
-    for node in tree.nodes():  # pre-order: parents first
-        parent = tree.parent(node)
-        parent_ts = result[parent].t_send if parent is not None else None
-        result[node] = node_periods(allocation, node, parent_ts)
-    return result
 
 
 #: Default bit-length cap on the synchronized period.  2**4096 time units is

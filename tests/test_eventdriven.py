@@ -6,7 +6,12 @@ from repro.core.allocation import from_bw_first
 from repro.core.bwfirst import bw_first
 from repro.exceptions import ScheduleError
 from repro.platform.tree import Tree
-from repro.schedule.eventdriven import NodeSchedule, build_schedules, describe_schedules
+from repro.schedule.eventdriven import (
+    NodeSchedule,
+    build_schedules,
+    bunch_schedule,
+    describe_schedules,
+)
 from repro.schedule.local import block_order
 from repro.schedule.periods import tree_periods
 
@@ -80,6 +85,30 @@ class TestBuildSchedules:
 
         with pytest.raises(ScheduleError):
             build_schedules(allocation, policy=swapped)
+
+
+class TestBunchScheduleFailsClosed:
+    def test_a_stranger_destination_is_refused(self):
+        # P2 is not among the children: its 3 tasks of the bunch of 6
+        # would vanish from a 3-task order
+        with pytest.raises(ScheduleError, match="'P2'"):
+            bunch_schedule("P0", 1, {"P1": 2, "P2": 3}, ["P1"])
+
+    def test_a_stranger_with_zero_tasks_is_refused(self):
+        with pytest.raises(ScheduleError, match="'P9'"):
+            bunch_schedule("P0", 1, {"P1": 2, "P9": 0}, ["P1"])
+
+    def test_a_negative_child_count_is_refused(self):
+        with pytest.raises(ScheduleError, match="'P1'"):
+            bunch_schedule("P0", 1, {"P1": -2, "P2": 3}, ["P1", "P2"])
+
+    def test_a_negative_own_count_is_refused(self):
+        with pytest.raises(ScheduleError, match="'P0'"):
+            bunch_schedule("P0", -1, {"P1": 2}, ["P1"])
+
+    def test_children_without_a_count_keep_nothing(self):
+        schedule = bunch_schedule("P0", 1, {"P1": 2}, ["P1", "P2"])
+        assert schedule.quantities == {"P0": 1, "P1": 2}
 
 
 class TestNodeSchedule:

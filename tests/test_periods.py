@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.allocation import from_bw_first
 from repro.core.bwfirst import bw_first
+from repro.exceptions import ScheduleError
 from repro.schedule.periods import (
     global_period,
     node_periods,
@@ -110,6 +111,43 @@ class TestNodePeriodsAPI:
 
         with pytest.raises(ScheduleError):
             node_periods(allocation, "P1", parent_send_period=None)
+
+    def test_root_refuses_a_parent_period(self, paper_tree):
+        allocation = from_bw_first(bw_first(paper_tree))
+        with pytest.raises(ScheduleError, match="'P0'"):
+            node_periods(allocation, "P0", parent_send_period=7)
+
+    def test_non_root_refuses_a_zero_parent_period(self, paper_tree):
+        allocation = from_bw_first(bw_first(paper_tree))
+        with pytest.raises(ScheduleError, match="'P1'"):
+            node_periods(allocation, "P1", parent_send_period=0)
+
+    def test_non_root_refuses_a_negative_parent_period(self, paper_tree):
+        allocation = from_bw_first(bw_first(paper_tree))
+        with pytest.raises(ScheduleError, match="'P1'"):
+            node_periods(allocation, "P1", parent_send_period=-4)
+
+    def test_non_root_refuses_a_fractional_parent_period(self, paper_tree):
+        allocation = from_bw_first(bw_first(paper_tree))
+        with pytest.raises(ScheduleError, match="'P1'"):
+            node_periods(allocation, "P1", parent_send_period=F(3, 2))
+
+    def test_non_root_refuses_a_float_parent_period(self, paper_tree):
+        allocation = from_bw_first(bw_first(paper_tree))
+        with pytest.raises(ScheduleError, match="'P1'"):
+            node_periods(allocation, "P1", parent_send_period=2.0)
+
+    def test_non_root_refuses_a_bool_parent_period(self, paper_tree):
+        # True == 1 would pass an int test; T^s is a count, not a flag
+        allocation = from_bw_first(bw_first(paper_tree))
+        with pytest.raises(ScheduleError, match="'P1'"):
+            node_periods(allocation, "P1", parent_send_period=True)
+
+    def test_an_idle_node_refuses_a_bad_parent_period(self, paper_tree):
+        allocation = from_bw_first(bw_first(paper_tree))
+        assert not tree_periods(allocation)["P5"].bunch
+        with pytest.raises(ScheduleError, match="'P5'"):
+            node_periods(allocation, "P5", parent_send_period=0)
 
     def test_minimality_of_send_period(self, paper_periods):
         # no smaller period yields integer counts for every child

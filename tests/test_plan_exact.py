@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import Allocation, from_bw_first
@@ -487,6 +487,93 @@ class TestIntegerCheck:
     def test_verdict_and_message_equal_the_oracle(self, allocation):
         assert verdict(Allocation.check, allocation) == verdict(
             check_fraction, allocation)
+
+
+def all_zero(**edits) -> Allocation:
+    """:func:`depth3_tree` with every rate zero but *edits*."""
+    tree = depth3_tree()
+    rates = {"alpha": dict.fromkeys(tree.nodes(), F(0)),
+             "eta_in": dict.fromkeys(tree.nodes(), F(0)),
+             "eta_out": {(p, c): F(0) for p, c, _ in tree.edges()}}
+    for name, changes in edits.items():
+        rates[name].update(changes)
+    return Allocation(tree=tree, **rates)
+
+
+@st.composite
+def sparse_trees(draw):
+    """A random tree on which BW-First visits at most half the nodes."""
+    tree = random_tree(draw(st.integers(min_value=20, max_value=40)),
+                       draw(st.integers(min_value=0, max_value=10 ** 6)),
+                       switch_probability=draw(st.sampled_from([0.0, 0.3])))
+    assume(2 * len(bw_first(tree).outcomes) <= len(tree))
+    return tree
+
+
+@st.composite
+def sparse_allocations(draw):
+    """The solved allocation of a :func:`sparse_trees` tree, unchanged or
+    with one rate replaced — half the time one of a node or an edge
+    BW-First never visited."""
+    tree = draw(sparse_trees())
+    result = bw_first(tree)
+    good = from_bw_first(result)
+    rates = {"alpha": dict(good.alpha), "eta_in": dict(good.eta_in),
+             "eta_out": dict(good.eta_out)}
+    name = draw(st.sampled_from(["none", "alpha", "eta_in", "eta_out"]))
+    if name != "none":
+        mapping = rates[name]
+        keys = list(mapping)
+        if draw(st.booleans()):
+            keys = [key for key in keys
+                    if (key[1] if name == "eta_out" else key)
+                    not in result.outcomes]
+        key = draw(st.sampled_from(keys))
+        old = mapping[key]
+        mapping[key] = draw(st.sampled_from([
+            old + F(1, 7), F(0), -old - F(1, 3), F(5), F(1, HUGE), -F(1, 8),
+        ]))
+    return Allocation(tree=tree, **rates)
+
+
+class TestVisitedOnlyWalks:
+    """``Allocation.check`` decides constraints only at the nodes a nonzero
+    rate touches, and ``tree_periods`` / ``build_schedules`` spend no
+    arithmetic on idle nodes: what such walks could get wrong."""
+
+    def test_receiving_root_of_an_all_zero_allocation(self):
+        rejected_alike(all_zero(eta_in={"root": F(1, 8)}),
+                       "the root cannot receive tasks")
+
+    def test_negative_send_between_two_all_zero_nodes(self):
+        rejected_alike(all_zero(eta_out={("idle", "leaf"): F(-1, 8)}),
+                       "negative send rate on 'idle'->'leaf'")
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(allocation=sparse_allocations())
+    def test_verdict_and_message_equal_the_oracle(self, allocation):
+        assert verdict(Allocation.check, allocation) == verdict(
+            check_fraction, allocation)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(tree=sparse_trees())
+    def test_iteration_orders_are_pre_order(self, tree):
+        allocation = from_bw_first(bw_first(tree))
+        periods = tree_periods(allocation)
+        schedules = build_schedules(allocation, periods=periods)
+        nodes = list(tree.nodes())
+        assert list(allocation.alpha) == list(allocation.eta_in) == nodes
+        assert list(allocation.eta_out) == [
+            (node, child) for node in nodes for child in tree.children(node)]
+        reference = tree_periods_fraction(allocation)
+        assert list(periods) == list(reference) == nodes
+        assert periods == reference
+        assert list(schedules) == [node for node in nodes
+                                   if reference[node].bunch]
 
 
 class TestSmallFixes:
