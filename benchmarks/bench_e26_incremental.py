@@ -305,8 +305,9 @@ def test_e26_rate_per_eval_gate():
 
 
 #: from_bw_first on a solver's result must cost at most this share of
-#: from_bw_first on bw_first's: ~0.4 on a shared 2-core x86-64 container,
-#: where the spliced call is mostly the full Allocation.check it still runs
+#: from_bw_first on bw_first's: 0.27-0.39 on a shared 2-core x86-64
+#: container, where the spliced call copies the previous allocation's maps
+#: and checks the constraints around the changed nodes only
 SPLICED_ALLOCATION_OVER_COLD = 0.5
 
 

@@ -90,8 +90,43 @@ class Allocation:
         the nodes some nonzero rate touches and the root paths that lead to
         them: on a BW-First allocation, the nodes the traversal visited.
         """
-        tree, root = self.tree, self.tree.root
+        self._check_at(self.alpha, self.eta_in, self.eta_out, None)
+
+    def _check_around(self, changed) -> None:
+        """:meth:`check` for an allocation that differs from one which
+        passed it only at the *changed* nodes (and at nodes no longer in
+        the tree): same verdict, same message.
+
+        A node's constraints read its α, η_in and sends, its children's
+        η_in, its ``w`` and the ``c`` of its edges.  A solver's result
+        names in ``changed`` every node whose entries, ``w``, children or
+        children's ``c`` may differ.  A changed ``c`` into a node is its
+        parent's, and the parent's send port, decided before the node,
+        carries that edge's ``η·c``: the node's receive port cannot fail
+        first.  So only the changed nodes and their root paths (the edge
+        into a node is decided at its parent) are decided, on the entries
+        they read; every other constraint holds as it held before.
+        """
+        tree = self.tree
+        kids = tree.child_lists()
+        nodes = _with_root_paths(
+            tree, {node for node in changed if node in tree})
         alphas, eta_ins, eta_outs = self.alpha, self.eta_in, self.eta_out
+        self._check_at(
+            {node: alphas.get(node, ZERO) for node in nodes},
+            {node: eta_ins.get(node, ZERO)
+             for parent in nodes for node in (parent, *kids[parent])},
+            {(node, child): eta_outs.get((node, child), ZERO)
+             for node in nodes for child in kids[node]},
+            nodes)
+
+    def _check_at(self, alphas, eta_ins, eta_outs, on_path) -> None:
+        """:meth:`check`'s walk over the nodes *on_path* (closed under
+        parents), deciding their constraints from the entries *alphas*,
+        *eta_ins* and *eta_outs* — all of them or those the walk reads.
+        With *on_path* ``None`` it walks the nodes some nonzero entry
+        touches and their root paths."""
+        tree, root = self.tree, self.tree.root
         maps = (alphas, eta_ins, eta_outs)
         denominators = {rate.denominator for rates in maps
                         for rate in rates.values()}
@@ -102,15 +137,13 @@ class Allocation:
             {key: scaled for key, rate in rates.items()
              if (scaled := rate.numerator * factor[rate.denominator])}
             for rates in maps)
-        # the nodes some nonzero rate touches, and their ancestors (a
-        # receiving node's edge is decided at its parent)
-        kids, parents = tree.child_lists(), tree.parents()
-        on_path = {*alpha_d, *eta_in_d, *map(itemgetter(0), eta_out_d)}
-        added = on_path
-        while added:
-            added = set(map(parents.get, added)) - on_path
-            added.discard(None)  # the root's
-            on_path |= added
+        kids = tree.child_lists()
+        if on_path is None:
+            # the nodes some nonzero rate touches, and their ancestors (a
+            # receiving node's edge is decided at its parent)
+            on_path = _with_root_paths(tree, {
+                *alpha_d, *eta_in_d, *map(itemgetter(0), eta_out_d)})
+        alphas, eta_ins, eta_outs = self.alpha, self.eta_in, self.eta_out
         edge_cost = tree.edge_cost
         cost_in = {}  # c of each edge that carries tasks, for its receiver
         stack = [root] if on_path else []
@@ -192,6 +225,17 @@ class Allocation:
         return True
 
 
+def _with_root_paths(tree: Tree, nodes: set) -> set:
+    """*nodes*, updated in place with every ancestor of each."""
+    parents = tree.parents()
+    added = nodes
+    while added:
+        added = set(map(parents.get, added)) - nodes
+        added.discard(None)  # the root's
+        nodes |= added
+    return nodes
+
+
 def from_bw_first(result: BWFirstResult) -> Allocation:
     """Materialise the :class:`Allocation` described by a BW-First run.
 
@@ -199,13 +243,16 @@ def from_bw_first(result: BWFirstResult) -> Allocation:
     carries its lineage: the nodes whose entries may differ from the
     solver's previous result.  When the previous result's allocation was
     built here, this one is that allocation with those nodes rebuilt (see
-    :func:`_splice`).  Either way the full :meth:`Allocation.check` runs.
+    :func:`_splice`), and :meth:`Allocation.check` is decided around them
+    (:meth:`Allocation._check_around`: the previous allocation passed it).
+    Otherwise the full check runs.
     """
     lineage = result._lineage
     before = lineage.base if lineage is not None else None
     if before is not None:
         allocation = _splice(before, result, lineage.changed)
         lineage.base = None  # built on: let the older allocation go
+        allocation._check_around(lineage.changed)
     else:
         # a node BW-First never visited takes no part in the schedule: every
         # entry starts at zero, in pre-order, and only the visited are set
@@ -228,7 +275,7 @@ def from_bw_first(result: BWFirstResult) -> Allocation:
                 eta_out[(node, txn.child)] = eta_in[txn.child]
         allocation = Allocation(tree=tree, alpha=alpha, eta_in=eta_in,
                                 eta_out=eta_out)
-    allocation.check()
+        allocation.check()
     if allocation.throughput != result.throughput:
         raise ScheduleError(
             f"BW-First throughput {result.throughput} does not match the "

@@ -161,13 +161,10 @@ def node_periods(
             f"(got {parent_send_period!r})")
     eta_out = allocation.eta_out
     children = tree.children(node)
-    etas = [eta_out.get((node, child), ZERO) for child in children]
-    alpha = allocation.alpha.get(node, ZERO)
-    eta_in = allocation.eta_in.get(node, ZERO)
-    if alpha or eta_in or any(etas):
-        return _lemma1(node, children, alpha, eta_in, etas, parent_send_period,
-                       {})
-    return _idle(node, parent_send_period, dict.fromkeys(children, 0))
+    sends = any([eta_out.get((node, child), ZERO) for child in children])
+    return _periods(node, children, allocation.alpha.get(node, ZERO),
+                    allocation.eta_in.get(node, ZERO), sends, eta_out,
+                    parent_send_period, {})
 
 
 def tree_periods(allocation: Allocation) -> Dict[Hashable, NodePeriods]:
@@ -182,7 +179,10 @@ def tree_periods(allocation: Allocation) -> Dict[Hashable, NodePeriods]:
     tree = allocation.tree
     alphas, eta_ins, eta_out = (allocation.alpha, allocation.eta_in,
                                 allocation.eta_out)
-    senders = {sender for (sender, _), rate in eta_out.items() if rate}
+    parents = tree.parents()
+    # the nodes with a nonzero send over one of their tree edges
+    senders = {sender for (sender, child), rate in eta_out.items()
+               if rate and parents.get(child) == sender}
     kids = tree.child_lists()
     result: Dict[Hashable, NodePeriods] = {}
     # a plan keeps every record, so every map it need not build is one
@@ -192,19 +192,29 @@ def tree_periods(allocation: Allocation) -> Dict[Hashable, NodePeriods]:
     while stack:
         node, t_receive = stack.pop()
         children = kids[node]
-        alpha = alphas.get(node, ZERO)
-        eta_in = eta_ins.get(node, ZERO)
-        if alpha or eta_in or node in senders:
-            etas = [eta_out.get((node, child), ZERO) for child in children]
-            p = result[node] = _lemma1(node, children, alpha, eta_in, etas,
-                                       t_receive, no_children)
+        p = result[node] = _periods(
+            node, children, alphas.get(node, ZERO), eta_ins.get(node, ZERO),
+            node in senders, eta_out, t_receive, no_children)
+        if children:
             stack.extend(zip(reversed(children), repeat(p.t_send)))
-        elif children:
-            result[node] = _idle(node, t_receive, dict.fromkeys(children, 0))
-            stack.extend(zip(reversed(children), repeat(1)))
-        else:
-            result[node] = _idle(node, t_receive, no_children)
     return result
+
+
+def _periods(node: Hashable, children: Sequence[Hashable], alpha: Fraction,
+             eta_in: Fraction, sends: bool,
+             eta_out: Mapping[Tuple[Hashable, Hashable], Fraction],
+             t_receive: Optional[int],
+             no_children: Dict[Hashable, int]) -> NodePeriods:
+    """The periods of *node*, receiving over its parent's ``T^s``
+    *t_receive*: Lemma 1 when its α, its η_in or a send to one of its
+    *children* (*sends*) is nonzero, else the idle record (the child
+    mappings of a childless node are *no_children*)."""
+    if alpha or eta_in or sends:
+        etas = [eta_out.get((node, child), ZERO) for child in children]
+        return _lemma1(node, children, alpha, eta_in, etas, t_receive,
+                       no_children)
+    return _idle(node, t_receive,
+                 dict.fromkeys(children, 0) if children else no_children)
 
 
 def _record(node: Hashable, **fields) -> NodePeriods:
@@ -213,7 +223,9 @@ def _record(node: Hashable, **fields) -> NodePeriods:
     record per node of the tree).  ``node`` is set the slow way so that the
     instance dict ``vars`` returns is the one sharing the class's keys;
     ``update`` fills it in place (an empty instance dict would be replaced
-    by a copy of *fields*, two and a half times the memory)."""
+    by a copy of *fields*, two and a half times the memory).  Every record
+    must equal, field for field and in field order, the one the class's
+    constructor makes (``tests/test_periods.py::TestRecords``)."""
     periods = object.__new__(NodePeriods)
     object.__setattr__(periods, "node", node)
     vars(periods).update(fields)

@@ -1,5 +1,6 @@
 """Unit tests for Lemma 1 / equation sets (2)–(4) (asynchronous periods)."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from repro.core.allocation import from_bw_first
 from repro.core.bwfirst import bw_first
 from repro.exceptions import ScheduleError
+from repro.platform.generators import random_tree
 from repro.schedule.periods import (
+    NodePeriods,
     global_period,
     node_periods,
     startup_bound,
@@ -157,3 +160,23 @@ class TestNodePeriodsAPI:
             etas = [allocation.eta_out[("P0", ch)] for ch in ("P1", "P2", "P3")]
             if all((e * shorter).denominator == 1 for e in etas):
                 pytest.fail(f"period {shorter} < {p0.t_send} also works")
+
+
+class TestRecords:
+    """``tree_periods`` fills each record's instance dict instead of going
+    through the frozen constructor: every record must be the one the
+    class's own constructor makes from the same fields."""
+
+    def test_records_equal_the_constructors(self):
+        tree = random_tree(30, 0)
+        result = bw_first(tree)
+        kinds = set()
+        for node, record in tree_periods(from_bw_first(result)).items():
+            built = NodePeriods(**{field.name: getattr(record, field.name)
+                                   for field in fields(NodePeriods)})
+            assert type(record) is NodePeriods
+            assert list(vars(record).items()) == list(vars(built).items())
+            kinds.add((node in result.outcomes, bool(tree.children(node))))
+        # visited and idle, inner and leaf
+        assert kinds == {(True, True), (True, False), (False, True),
+                         (False, False)}

@@ -576,6 +576,71 @@ class TestVisitedOnlyWalks:
                                    if reference[node].bunch]
 
 
+@st.composite
+def edited_allocations(draw):
+    """A solved random tree with one edit at one node — a rate of its own,
+    a send of its, its ``w`` or the ``c`` into it — and the nodes an
+    :class:`~repro.core.incremental.IncrementalSolver` would name as
+    changed for that edit (a changed ``c`` dirties the parent, not the
+    node)."""
+    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+    tree = random_tree(draw(st.integers(min_value=2, max_value=14)), seed,
+                       switch_probability=draw(st.sampled_from([0.0, 0.3])))
+    good = from_bw_first(bw_first(tree))
+    tree = tree.copy()
+    rates = {"alpha": dict(good.alpha), "eta_in": dict(good.eta_in),
+             "eta_out": dict(good.eta_out)}
+    node = draw(st.sampled_from(list(tree.nodes())))
+    parent = tree.parent(node)
+    edits = ["alpha", "eta_in", "w"]
+    if tree.children(node):
+        edits.append("eta_out")
+    if parent is not None:
+        edits.append("c")
+    what = draw(st.sampled_from(edits))
+    changed = {node}
+    if what == "w":
+        if tree.is_switch(node):
+            tree.set_w(node, F(1, 3))
+        else:
+            tree.set_w(node, tree.w(node) * draw(st.sampled_from(
+                [F(1, 2), F(2), F(HUGE, HUGE - 1)])))
+    elif what == "c":
+        tree.set_c(node, tree.c(node) * draw(st.sampled_from(
+            [F(1, 2), F(2), F(HUGE, HUGE - 1)])))
+        changed = {parent}
+    else:
+        mapping = rates[what]
+        key = node
+        if what == "eta_out":
+            key = (node, draw(st.sampled_from(tree.children(node))))
+        old = mapping[key]
+        mapping[key] = draw(st.sampled_from([
+            old + F(1, 7), F(0), -old - F(1, 3), F(5), old + F(1, HUGE),
+        ]))
+    return Allocation(tree=tree, **rates), changed
+
+
+class TestCheckAround:
+    """``from_bw_first`` on a solver's result decides ``Allocation.check``
+    only around the nodes the result names as changed, the previous
+    allocation having passed it: the verdict and message must be the full
+    check's."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edited=edited_allocations())
+    def test_verdict_and_message_equal_the_oracle(self, edited):
+        allocation, changed = edited
+        assert verdict(lambda a: a._check_around(changed), allocation) == \
+            verdict(check_fraction, allocation)
+
+    def test_an_empty_change_decides_nothing(self):
+        broken(alpha={"x": F(1)})._check_around(set())
+        with pytest.raises(ScheduleError, match="'x' computes 1"):
+            broken(alpha={"x": F(1)})._check_around({"x"})
+
+
 class TestSmallFixes:
     def test_throughput_is_summed_once(self):
         class CountingDict(dict):
