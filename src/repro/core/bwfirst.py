@@ -35,7 +35,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..exceptions import ScheduleError
 from ..platform.tree import Tree
-from .rates import ONE, ZERO
+from .rates import ONE, ZERO, as_fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,9 +156,10 @@ def bw_first(tree: Tree, proposal: Optional[Fraction] = None) -> BWFirstResult:
     *proposal* overrides the virtual parent's λ for the root; by default it
     is ``t_max = r_root + max{b_i}``.  Supplying a smaller value computes the
     throughput of the tree when the task supply itself is limited (used by
-    the infinite-tree and dynamic-adaptation extensions).
+    the infinite-tree and dynamic-adaptation extensions); it is read
+    through :func:`~repro.core.rates.as_fraction` (``0.001`` is ``1/1000``).
     """
-    lam_root = root_proposal(tree) if proposal is None else proposal
+    lam_root = root_proposal(tree) if proposal is None else as_fraction(proposal)
     if lam_root < 0:
         raise ScheduleError(f"root proposal must be non-negative (got {lam_root})")
 

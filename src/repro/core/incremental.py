@@ -52,18 +52,14 @@ result carries what changed since the previous one (``_lineage``), which
 :func:`~repro.core.allocation.from_bw_first` and the schedule builder use
 to rebuild only those nodes.
 
-Cache *misses* run Algorithm 1's arithmetic (a lookup compares, a
-saturated hit subtracts once) on reduced ``(numerator, denominator)`` int
-pairs — one ``math.gcd`` per operation, comparisons by
-cross-multiplication — and the rates cache, the saturation thresholds,
-the exact-β memo keys and every cached solution hold the same pairs.
-``Fraction`` appears only at the boundary: the root proposal coming in,
-``rate()`` / ``solve()`` going out (the replay builds one per distinct
-value), and the shared store and the planner, which speak exact
-rationals.  The pair helpers live in :mod:`repro.core.rates`, shared with
-the negotiation's :class:`~repro.protocol.actor.NodeActor`.  ``bw_first``
-stays on ``Fraction``: it is the independent oracle the solver is tested
-``==`` against.
+Each cache *miss* runs one :class:`~repro.core.step.Step` — Algorithm
+1's local rule on reduced ``(numerator, denominator)`` int pairs — and
+the rates cache, the saturation thresholds, the exact-β memo keys and
+every cached solution hold the same pairs.  ``Fraction`` appears only at
+the boundary: the root proposal coming in, ``rate()`` / ``solve()`` going
+out (the replay builds one per distinct value), and the shared store and
+the planner.  ``bw_first`` stays on ``Fraction``: it is the independent
+oracle the solver is tested ``==`` against.
 
 ``node_evals`` (``solver.last_evals``) counts exactly those misses — the
 benchmark currency of ``benchmarks/bench_e26_incremental.py`` and the
@@ -78,13 +74,13 @@ import os
 from fractions import Fraction
 from hashlib import blake2b
 from itertools import islice
-from math import gcd
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..exceptions import PlatformError, ScheduleError
 from ..platform.tree import Tree
 from .bwfirst import BWFirstResult, NodeOutcome, Transaction, bw_first
-from .rates import format_fraction, is_infinite, pair_add, pair_sub
+from .rates import as_fraction, format_fraction, is_infinite, pair_add, pair_sub
+from .step import Step, accepted
 
 #: exact-β memo entries kept per fingerprint before the map is reset — a
 #: memory bound for adversarial churn; saturation/absorption hits (the
@@ -173,10 +169,7 @@ class _Sol:
         self.tau_n, self.tau_d = tau_n, tau_d
         self.txns = txns
         self.evals = evals
-        if theta_n:
-            self.acc_n, self.acc_d = pair_sub(lam_n, lam_d, theta_n, theta_d)
-        else:
-            self.acc_n, self.acc_d = lam_n, lam_d
+        self.acc_n, self.acc_d = accepted(lam_n, lam_d, theta_n, theta_d)
 
 
 class _Entry:
@@ -269,44 +262,27 @@ def _same(value: Fraction, n: int, d: int) -> bool:
     return value.numerator == n and value.denominator == d
 
 
-class _IFrame:
-    """One activation of Algorithm 1 inside the incremental solve, on
-    reduced ``(n, d)`` pairs like :class:`_Sol`."""
+class _IFrame(Step):
+    """One activation of Algorithm 1 inside the incremental solve."""
 
-    __slots__ = ("node", "lam_n", "lam_d", "alpha_n", "alpha_d",
-                 "delta_n", "delta_d", "tau_n", "tau_d", "kids", "next_i",
-                 "pending", "txns", "evals", "saturated")
+    __slots__ = ("node", "kids", "next_i", "pending", "txns", "evals")
 
     def __init__(self, node, lam_n, lam_d, rate_n, rate_d, kids):
+        self.open(lam_n, lam_d, rate_n, rate_d)
         self.node = node
-        self.lam_n, self.lam_d = lam_n, lam_d
-        if rate_n * lam_d < lam_n * rate_d:  # α = r, δ = λ − r
-            self.alpha_n, self.alpha_d = rate_n, rate_d
-            self.delta_n, self.delta_d = pair_sub(lam_n, lam_d, rate_n, rate_d)
-        else:  # α = λ, δ = 0
-            self.alpha_n, self.alpha_d = lam_n, lam_d
-            self.delta_n, self.delta_d = 0, 1
-        self.tau_n = self.tau_d = 1
         self.kids = kids
         self.next_i = 0
         self.pending = None  # (c_n, c_d) of the open transaction's edge
         self.txns: List[tuple] = []  # (β_n, β_d, θ_n, θ_d, sol)
         self.evals = 1  # this node plus its children's subtree solutions
-        self.saturated = True  # every open so far was port-limited
 
-    def close(self, beta_n: int, beta_d: int, theta_n: int, theta_d: int,
-              sol: "_Sol", c_n: int, c_d: int) -> None:
+    def settle(self, beta_n: int, beta_d: int, sol: "_Sol", theta_n: int,
+               theta_d: int, c_n: int, c_d: int) -> None:
         """Close the transaction with a child that answered *sol* to β
-        (acknowledging θ) over an edge of cost ``c``: ``δ −= a``,
-        ``τ −= a·c`` with ``a`` the child's accepted rate."""
+        (acknowledging θ) over an edge of cost ``c``."""
         self.txns.append((beta_n, beta_d, theta_n, theta_d, sol))
         self.evals += sol.evals
-        an, ad = sol.acc_n, sol.acc_d
-        if an:
-            self.delta_n, self.delta_d = pair_sub(self.delta_n, self.delta_d,
-                                                  an, ad)
-            self.tau_n, self.tau_d = pair_sub(self.tau_n, self.tau_d,
-                                              an * c_n, ad * c_d)
+        self.close(sol.acc_n, sol.acc_d, c_n, c_d)
 
 
 class IncrementalSolver:
@@ -959,7 +935,7 @@ class IncrementalSolver:
         :attr:`last_evals` — without replaying outcomes and transactions
         or snapshotting the tree."""
         lam_root, _, theta_n, theta_d = self._solve_root(proposal)
-        return lam_root, Fraction(*pair_sub(lam_root.numerator,
+        return lam_root, Fraction(*accepted(lam_root.numerator,
                                             lam_root.denominator,
                                             theta_n, theta_d))
 
@@ -973,7 +949,7 @@ class IncrementalSolver:
             lam_n, lam_d = self._capacity(tree.root)
             lam_root = Fraction(lam_n, lam_d)
         else:
-            lam_root = Fraction(proposal)
+            lam_root = as_fraction(proposal)
             if lam_root < 0:
                 raise ScheduleError(
                     f"root proposal must be non-negative (got {lam_root})")
@@ -1000,39 +976,30 @@ class IncrementalSolver:
 
             if frame.pending is not None:
                 (c_n, c_d), frame.pending = frame.pending, None
-                frame.close(returned.lam_n, returned.lam_d, returned.theta_n,
-                            returned.theta_d, returned, c_n, c_d)
+                frame.settle(returned.lam_n, returned.lam_d, returned,
+                             returned.theta_n, returned.theta_d, c_n, c_d)
                 returned = None
 
-            opened = False
             node, kids = frame.node, frame.kids
+            # a spent step offers nothing: reading its slots first spares
+            # the edge lookup and the call
             while frame.delta_n > 0 and frame.tau_n > 0 and frame.next_i < len(kids):
                 child = kids[frame.next_i]
-                frame.next_i += 1
                 c = edge_cost(node, child)
                 c_n, c_d = c.numerator, c.denominator
-                # cap = τ·b = τ / c
-                n, d = frame.tau_n * c_d, frame.tau_d * c_n
-                g = gcd(n, d)
-                cap_n, cap_d = n // g, d // g
-                delta_n, delta_d = frame.delta_n, frame.delta_d
-                if delta_n * cap_d < cap_n * delta_d:
-                    frame.saturated = False
-                    beta_n, beta_d = delta_n, delta_d
-                else:
-                    beta_n, beta_d = cap_n, cap_d
+                beta_n, beta_d = frame.offer(c_n, c_d)
+                frame.next_i += 1
                 hit = lookup(child, beta_n, beta_d)
                 if hit is None:
                     frame.pending = (c_n, c_d)
-                    stack.append(_IFrame(child, beta_n, beta_d, *self._rate(child),
-                                         self._kids(child)))
+                    stack.append(_IFrame(child, beta_n, beta_d,
+                                         *self._rate(child), self._kids(child)))
                     evals += 1
-                    opened = True
                     break
                 sol, theta_n, theta_d = hit
-                frame.close(beta_n, beta_d, theta_n, theta_d, sol, c_n, c_d)
-            if opened:
-                continue
+                frame.settle(beta_n, beta_d, sol, theta_n, theta_d, c_n, c_d)
+            if frame.pending is not None:
+                continue  # descend into the child just opened
 
             # node done: cache the solution, ack the parent
             returned = _Sol(frame.lam_n, frame.lam_d, frame.alpha_n, frame.alpha_d,

@@ -7,6 +7,8 @@
 * :mod:`~repro.extensions.makespan` — the finite-N makespan heuristic;
 * :mod:`~repro.extensions.infinite` — BW-First on lazily-generated infinite
   trees with certified throughput brackets.
+
+:mod:`~repro.extensions.overlay_search` needs the optional ``nx`` extra.
 """
 
 from .dynamic import AdaptationReport, adapt, degraded_rate, perturb
@@ -25,12 +27,6 @@ from .makespan import (
     steady_state_makespan,
 )
 from .online import OnlineReport, online_renegotiation
-from .overlay_search import (
-    OverlaySearchResult,
-    enumerate_overlays,
-    hill_climb,
-    overlay_from_parents,
-)
 from .multiport import (
     PortGapReport,
     multiport_lp_throughput,
@@ -64,10 +60,6 @@ __all__ = [
     "steady_state_makespan",
     "OnlineReport",
     "online_renegotiation",
-    "OverlaySearchResult",
-    "hill_climb",
-    "enumerate_overlays",
-    "overlay_from_parents",
     "PortGapReport",
     "multiport_throughput",
     "multiport_lp_throughput",

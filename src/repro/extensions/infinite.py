@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
-from ..core.rates import ONE, ZERO, as_weight, rate_of
+from ..core.rates import ZERO, as_cost, as_fraction, as_weight, rate_of
+from ..core.step import Step, accepted
 from ..exceptions import ScheduleError
 from ..platform.tree import Tree
 
@@ -63,6 +64,29 @@ class InfiniteThroughput:
         return self.upper - self.lower
 
 
+class _Visit(Step):
+    """An expanded node: its step, and its children as ``(name, w, c_n,
+    c_d)`` by increasing ``c`` (ties in spec order), read as ``Tree.add_node``
+    reads them.  Offered nothing, it takes its own ``t_max`` (the root)."""
+
+    __slots__ = ("kids", "next_i", "pending")
+
+    def __init__(self, spec: InfiniteTreeSpec, node: Hashable, weight,
+                 lam: Optional[Tuple[int, int]] = None) -> None:
+        kids = sorted(((as_cost(c), name, as_weight(w))
+                       for name, w, c in spec.children(node)),
+                      key=lambda kid: kid[0])
+        self.kids = [(name, w, c.numerator, c.denominator)
+                     for c, name, w in kids]
+        self.next_i = 0
+        self.pending: Optional[Tuple[int, int]] = None  # c of the open edge
+        rate = rate_of(weight)
+        if lam is None:
+            t_max = rate + 1 / kids[0][0] if kids else rate
+            lam = t_max.numerator, t_max.denominator
+        self.open(*lam, rate.numerator, rate.denominator)
+
+
 def infinite_throughput(
     spec: InfiniteTreeSpec,
     tol: Fraction = Fraction(1, 1000),
@@ -73,62 +97,50 @@ def infinite_throughput(
     Returns lower/upper bounds whose gap is at most the sum of cut-off
     proposals.  Raises :class:`~repro.exceptions.ScheduleError` when more
     than *max_nodes* nodes must be expanded (tolerance too small for a
-    too-absorbent tree).
+    too-absorbent tree), and :class:`~repro.exceptions.PlatformError` for
+    a weight or cost a :class:`~repro.platform.tree.Tree` would refuse.
+    The walk keeps its frames on an explicit stack, as ``bw_first`` does.
     """
+    tol = as_fraction(tol)
     if tol <= 0:
         raise ScheduleError("tolerance must be positive")
 
-    visited = 0
-    cut = 0
-    slack = [ZERO]  # total proposal mass given away at cut subtrees
-
-    import sys
-
-    def visit(node: Hashable, weight, lam: Fraction, depth: int) -> Fraction:
-        """Returns θ under the pessimistic (lower-bound) interpretation."""
-        nonlocal visited, cut
-        visited += 1
-        if visited > max_nodes:
-            raise ScheduleError(
-                f"expanded more than {max_nodes} nodes; raise tol or max_nodes"
-            )
-        rate = rate_of(as_weight(weight))
-        alpha = min(rate, lam)
-        delta = lam - alpha
-        tau = ONE
-        kids = sorted(spec.children(node), key=lambda kc: Fraction(kc[2]))
-        for child_name, child_w, child_c in kids:
-            if delta <= 0 or tau <= 0:
+    visited, cut = 1, 0
+    slack = ZERO  # total proposal mass given away at cut subtrees
+    root = _Visit(spec, spec.root, as_weight(spec.root_w))
+    stack = [root]
+    while stack:
+        frame = stack[-1]
+        kids = frame.kids
+        while frame.pending is None and frame.next_i < len(kids):
+            name, w, c_n, c_d = kids[frame.next_i]
+            beta = frame.offer(c_n, c_d)
+            if beta is None:
                 break
-            c = Fraction(child_c)
-            beta = min(delta, tau / c)
-            if beta < tol:
-                # cut: pessimistically the subtree consumes nothing
-                cut += 1
-                slack[0] += beta
+            frame.next_i += 1
+            if beta[0] * tol.denominator < tol.numerator * beta[1]:
+                cut += 1  # pessimistically the cut subtree consumes nothing
+                slack += Fraction(*beta)
                 continue
-            theta = visit(child_name, child_w, beta, depth + 1)
-            accepted = beta - theta
-            delta -= accepted
-            tau -= accepted * c
-        return delta
+            visited += 1
+            if visited > max_nodes:
+                raise ScheduleError(
+                    f"expanded more than {max_nodes} nodes; raise tol or max_nodes"
+                )
+            frame.pending = (c_n, c_d)
+            stack.append(_Visit(spec, name, w, beta))
+        if frame.pending is None:  # done: its parent closes on what it took
+            stack.pop()
+            if stack:
+                parent = stack[-1]
+                parent.close(*accepted(frame.lam_n, frame.lam_d, frame.delta_n,
+                                       frame.delta_d), *parent.pending)
+                parent.pending = None
 
-    # the virtual-parent proposal: r_root + best child bandwidth
-    root_rate = rate_of(as_weight(spec.root_w))
-    kids = spec.children(spec.root)
-    t_max = root_rate
-    if kids:
-        t_max += max(ONE / Fraction(c) for _, _, c in kids)
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, max_nodes + 100))
-    try:
-        theta = visit(spec.root, spec.root_w, t_max, 0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    lower = t_max - theta
-    upper = lower + slack[0]
-    return InfiniteThroughput(lower=lower, upper=upper, visited=visited, cut=cut)
+    lower = Fraction(*accepted(root.lam_n, root.lam_d,
+                               root.delta_n, root.delta_d))
+    return InfiniteThroughput(lower=lower, upper=lower + slack,
+                              visited=visited, cut=cut)
 
 
 def truncate(spec: InfiniteTreeSpec, depth: int) -> Tree:

@@ -10,7 +10,7 @@ Public surface:
 * :mod:`~repro.platform.examples` — the paper's concrete platforms;
 * :mod:`~repro.platform.serialization` — JSON / DOT round-trips;
 * :mod:`~repro.platform.nxinterop` — networkx conversion and overlay-tree
-  extraction.
+  extraction (needs the optional ``nx`` extra; not imported here).
 """
 
 from .builder import TreeBuilder, tree_from_nested
@@ -23,7 +23,7 @@ from .serialization import (
     tree_to_dict,
     tree_to_dot,
 )
-from . import examples, generators, nxinterop
+from . import examples, generators
 
 __all__ = [
     "Tree",
@@ -39,5 +39,4 @@ __all__ = [
     "tree_to_dot",
     "examples",
     "generators",
-    "nxinterop",
 ]

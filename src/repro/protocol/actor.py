@@ -37,16 +37,12 @@ anyone; offered anything else it runs Algorithm 1 as if it remembered
 nothing.  The duplicate-delivery state above is never remembered: it
 starts empty in every run.
 
-Algorithm 1 runs on exact integer pairs: δ and τ are held as reduced
-``(numerator, denominator)`` ints, and the computing rate and a child's
-link cost are read as such a pair where they are used, so a subtraction
-costs one ``math.gcd`` and a comparison (the cap ``τ/c``, ``min(δ, τ/c)``,
-``δ ≤ 0``, ``τ ≤ 0``, ``θ ∈ [0, β]``, ``α = min(r, λ)``) two products.
-``Fraction`` stays at the boundary: the β or θ a message carries is read
-once through ``numerator`` / ``denominator``, and each message sent
-carries one ``Fraction`` — the very object :attr:`lam`,
+Algorithm 1 runs in the actor's :class:`~repro.core.step.Step`, on reduced
+int pairs.  ``Fraction`` stays at the boundary: the β or θ a message
+carries is read once through ``numerator`` / ``denominator``, and each
+message sent carries one ``Fraction`` — the very object :attr:`lam`,
 :attr:`transactions` and the duplicate-answer cache then hold.
-:attr:`delta`, :attr:`tau`, :attr:`theta` and :attr:`accepted` stay
+:attr:`alpha`, :attr:`delta`, :attr:`tau` and :attr:`theta` are
 ``Fraction``-valued, built on read.
 """
 
@@ -55,7 +51,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from ..core.rates import ZERO, pair_sub
+from ..core.rates import ZERO
+from ..core.step import Step, accepted
 from ..exceptions import ProtocolError
 from .messages import Acknowledgment, Message, Notice, Proposal
 
@@ -71,10 +68,9 @@ class NodeActor:
     """The BW-First state machine of one platform node."""
 
     __slots__ = ("name", "rate", "parent", "children", "_send", "trace",
-                 "state", "lam", "alpha", "_dn", "_dd", "_tn", "_td",
-                 "_theta", "_cursor", "_next_xid", "_pending",
-                 "_proposal_xid", "_answered", "_settled", "transactions",
-                 "memory", "remembered")
+                 "state", "lam", "step", "_theta", "_cursor", "_next_xid",
+                 "_pending", "_proposal_xid", "_answered", "_settled",
+                 "transactions", "memory", "remembered")
 
     def __init__(
         self,
@@ -104,11 +100,8 @@ class NodeActor:
 
         self.state = IDLE
         self.lam: Optional[Fraction] = None
-        #: min(r, λ): whichever of the two it is, never a new Fraction
-        self.alpha = ZERO
-        #: δ = _dn/_dd and τ = _tn/_td, reduced, denominators positive
-        self._dn, self._dd = 0, 1
-        self._tn = self._td = 1
+        #: λ, α, δ and τ as reduced int pairs
+        self.step = Step()
         #: the θ this node acknowledged, once DONE
         self._theta: Optional[Fraction] = None
         self._cursor = 0
@@ -193,15 +186,7 @@ class NodeActor:
             self._answer(self._theta)
             return
         self.lam = beta
-        rate = self.rate
-        rn, rd = rate.numerator, rate.denominator
-        if rn * bd < bn * rd:  # α = r, δ = λ − r
-            self.alpha = rate
-            self._dn, self._dd = pair_sub(bn, bd, rn, rd)
-        else:  # α = λ, δ = 0
-            self.alpha = beta
-            self._dn, self._dd = 0, 1
-        self._tn = self._td = 1
+        self.step.open(bn, bd, self.rate.numerator, self.rate.denominator)
         self._cursor = 0
         self._advance()
 
@@ -213,17 +198,15 @@ class NodeActor:
         bandwidth order, so the i-th remembered transaction is the i-th
         child's."""
         lam, theta, transactions = self.memory
-        tn = td = 1
+        step = self.step
+        step.open(lam.numerator, lam.denominator,
+                  self.rate.numerator, self.rate.denominator)
         for (_child, beta, back), (_kid, cost) in zip(transactions,
                                                       self.children):
-            an, ad = pair_sub(beta.numerator, beta.denominator,
-                              back.numerator, back.denominator)
-            tn, td = pair_sub(tn, td, an * cost.numerator,
-                              ad * cost.denominator)
+            step.close(*accepted(beta.numerator, beta.denominator,
+                                 back.numerator, back.denominator),
+                       cost.numerator, cost.denominator)
         self.lam = lam
-        self.alpha = min(self.rate, lam)
-        self._dn, self._dd = theta.numerator, theta.denominator
-        self._tn, self._td = tn, td
         self._theta = theta
         self.transactions = list(transactions)
         self.remembered = True
@@ -264,12 +247,9 @@ class NodeActor:
         self._pending = None
         if xid is not None:
             self._settled.add(xid)
-        an, ad = pair_sub(beta.numerator, beta.denominator,
-                          theta.numerator, theta.denominator)
-        if an:
-            self._dn, self._dd = pair_sub(self._dn, self._dd, an, ad)
-            self._tn, self._td = pair_sub(self._tn, self._td,
-                                          an * cn, ad * cd)
+        a_n, a_d = accepted(beta.numerator, beta.denominator,
+                            theta.numerator, theta.denominator)
+        self.step.close(a_n, a_d, cn, cd)
         self.transactions.append((child, beta, theta))
         self._advance()
 
@@ -309,28 +289,26 @@ class NodeActor:
 
     def _advance(self) -> None:
         """Open the next child transaction, or acknowledge the parent."""
-        dn, dd, tn, td = self._dn, self._dd, self._tn, self._td
-        if self._cursor < len(self.children) and dn > 0 and tn > 0:
+        step = self.step
+        if self._cursor < len(self.children):
             child, cost = self.children[self._cursor]
             cn, cd = cost.numerator, cost.denominator
-            self._cursor += 1
-            # β = min(δ, τ/c), τ/c = (τ_n·c_d) / (τ_d·c_n)
-            qn, qd = tn * cd, td * cn
-            beta = (Fraction(dn, dd) if dn * qd <= qn * dd
-                    else Fraction(qn, qd))
-            xid: Optional[int] = None
-            if self._proposal_xid is not None:
-                # numbered negotiation: number our own transactions too
-                xid = self._next_xid
-                self._next_xid += 1
-            self._pending = (child, beta, xid, cn, cd)
-            self.state = AWAITING_CHILD
-            self._send(
-                Proposal(sender=self.name, receiver=child, beta=beta, xid=xid,
-                         trace=self.trace)
-            )
-            return
-        self._answer(Fraction(dn, dd) if dn else ZERO)
+            offered = step.offer(cn, cd)
+            if offered is not None:
+                self._cursor += 1
+                beta = Fraction(*offered)
+                xid: Optional[int] = None
+                if self._proposal_xid is not None:
+                    # numbered negotiation: number our own transactions too
+                    xid = self._next_xid
+                    self._next_xid += 1
+                self._pending = (child, beta, xid, cn, cd)
+                self.state = AWAITING_CHILD
+                self._send(Proposal(sender=self.name, receiver=child,
+                                    beta=beta, xid=xid, trace=self.trace))
+                return
+        dn = step.delta_n
+        self._answer(Fraction(dn, step.delta_d) if dn else ZERO)
 
     def _answer(self, theta: Fraction) -> None:
         """Acknowledge the parent's proposal with θ: this node is done."""
@@ -350,16 +328,26 @@ class NodeActor:
 
     # ------------------------------------------------------------------
     @property
+    def alpha(self) -> Fraction:
+        """α: :attr:`lam` or :attr:`rate`, whichever the step kept (0
+        before any proposal) — never a new ``Fraction``."""
+        lam, step = self.lam, self.step
+        if lam is None:
+            return ZERO
+        kept = (step.alpha_n, step.alpha_d)
+        return lam if kept == (lam.numerator, lam.denominator) else self.rate
+
+    @property
     def delta(self) -> Fraction:
         """δ: what is left of λ to offer the children (θ once DONE)."""
         if self.state == DONE:
             return self._theta
-        return Fraction(self._dn, self._dd)
+        return Fraction(self.step.delta_n, self.step.delta_d)
 
     @property
     def tau(self) -> Fraction:
         """τ: the unused fraction of the send port."""
-        return Fraction(self._tn, self._td)
+        return Fraction(self.step.tau_n, self.step.tau_d)
 
     @property
     def theta(self) -> Fraction:
@@ -367,10 +355,3 @@ class NodeActor:
         if self.state != DONE:
             raise ProtocolError(f"{self.name!r} has not finished", node=self.name)
         return self._theta
-
-    @property
-    def accepted(self) -> Fraction:
-        """λ − θ: the rate this node's subtree absorbs (valid once DONE)."""
-        if self.state != DONE or self.lam is None:
-            raise ProtocolError(f"{self.name!r} has not finished", node=self.name)
-        return self.lam - self._theta

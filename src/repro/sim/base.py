@@ -223,9 +223,9 @@ class SimulationBase:
                 [d for d in schedule.quantities]
             ):
                 count = schedule.quantities[dest]
-                delta = Fraction(1, count + 1)
+                gap = Fraction(1, count + 1)
                 for k in range(1, count + 1):
-                    marks.append((k * delta, count, i))
+                    marks.append((k * gap, count, i))
             marks.sort()
             return [pos * t_w for pos, _, _ in marks]
         raise SimulationError(f"unknown root pacing {self.root_pacing!r}")

@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 
 from repro.core.bwfirst import bw_first, root_proposal
-from repro.exceptions import ScheduleError
+from repro.core.incremental import IncrementalSolver
+from repro.exceptions import PlatformError, ReproError, ScheduleError
 from repro.platform.examples import (
     PAPER_FIGURE4_THROUGHPUT,
     PAPER_FIGURE4_UNVISITED,
 )
-from repro.platform.generators import chain, fork
+from repro.platform.generators import chain, fork, smooth_tree
 from repro.platform.tree import Tree
+from repro.runtime import negotiate
 
 F = Fraction
 
@@ -111,6 +113,31 @@ class TestEdgeCases:
     def test_negative_proposal_rejected(self, paper_tree):
         with pytest.raises(ScheduleError):
             bw_first(paper_tree, proposal=F(-1))
+
+    @pytest.mark.parametrize("proposal, expected", [
+        (0.001, F(1, 1000)), ("1/1000", F(1, 1000)), (True, PlatformError),
+        (float("nan"), PlatformError), (-1, ReproError)])
+    def test_a_proposal_is_read_alike_on_every_route(self, proposal, expected):
+        """The oracle, both incremental entry points and the negotiation
+        read a root proposal through ``as_fraction``: the same exact
+        ``(t_max, throughput)`` everywhere, or a typed error everywhere."""
+        tree = smooth_tree(20, seed=1)
+        routes = {
+            "bw_first": lambda: bw_first(tree, proposal=proposal),
+            "solve": lambda: IncrementalSolver(tree).solve(proposal),
+            "rate": lambda: IncrementalSolver(tree).rate(proposal),
+            "negotiate": lambda: negotiate(tree, proposal=proposal),
+        }
+        for route, run in routes.items():
+            if isinstance(expected, Fraction):
+                got = run()
+                if not isinstance(got, tuple):
+                    got = (got.t_max, got.throughput)
+                assert got == (expected, expected), route
+                assert all(type(value) is Fraction for value in got), route
+            else:
+                with pytest.raises(expected):
+                    run()
 
     def test_deep_chain_no_recursion_error(self):
         t = chain(3000, w=1, c=1, root_w=1)

@@ -1,11 +1,13 @@
 """Tests for the makespan heuristic and the infinite-tree extension."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from repro.core.bwfirst import bw_first
-from repro.exceptions import ScheduleError
+from repro.core.rates import INFINITY
+from repro.exceptions import PlatformError, ScheduleError
 from repro.extensions.infinite import (
     InfiniteTreeSpec,
     geometric_chain,
@@ -125,3 +127,41 @@ class TestInfinite:
         spec = uniform_binary(w=100, c=F(1, 100))
         with pytest.raises(ScheduleError):
             infinite_throughput(spec, tol=F(1, 10**30), max_nodes=50)
+
+    @pytest.mark.parametrize("w, c", [(1, -1), (1, 0), (1, "x"), (0, 1),
+                                      (-2, 1), ("y", 1)])
+    def test_children_are_validated_like_tree_nodes(self, w, c):
+        """A child's ``w`` and ``c`` are read as ``Tree.add_node`` reads
+        them: a cost of 0, -1 or "x" (or a bad weight) is a typed error,
+        not a silent ``[0, 0]`` bracket or a bare ``ZeroDivisionError``."""
+        def children(node):
+            return [(f"{node}.0", w, c)] if node == "R" else []
+
+        with pytest.raises(PlatformError):
+            Tree("R", 1).add_node("R.0", w, parent="R", c=c)
+        with pytest.raises(PlatformError):
+            infinite_throughput(InfiniteTreeSpec("R", 1, children))
+
+    def test_a_deep_chain_leaves_the_recursion_limit_alone(self):
+        """A chain of switches never spends δ: the walk expands it until it
+        hits ``max_nodes`` — far deeper than Python's recursion limit —
+        without a frame per node and without touching the limit."""
+        def children(node):
+            return [(node + 1, INFINITY, 1)]
+
+        spec = InfiniteTreeSpec(root=0, root_w=1, children=children)
+        limit = sys.getrecursionlimit()
+        with pytest.raises(ScheduleError, match="expanded more than"):
+            infinite_throughput(spec, max_nodes=3 * limit)
+        assert sys.getrecursionlimit() == limit
+
+    def test_a_chain_deeper_than_the_recursion_limit_is_walked(self):
+        depth = 2 * sys.getrecursionlimit()
+
+        def children(node):
+            return [(node + 1, INFINITY if node + 1 < depth else 2, 1)] \
+                if node < depth else []
+
+        result = infinite_throughput(InfiniteTreeSpec(0, 1, children))
+        assert result.visited == depth + 1 and result.cut == 0
+        assert result.lower == result.upper == F(3, 2)

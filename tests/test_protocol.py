@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bwfirst import bw_first
+from repro.core.step import Step
 from repro.exceptions import PlatformError, ProtocolError
 from repro.faults import FaultPlan
 from repro.platform.generators import chain, random_tree, smooth_tree
@@ -477,6 +478,10 @@ class TestIntPairDifferential:
                 assert_algorithm_1(result, bw_first(tree, proposal=proposal))
 
 
+#: the arithmetic slots of an actor's step: λ, α, δ and τ as int pairs
+PAIR_SLOTS = [slot for slot in Step.__slots__ if slot != "saturated"]
+
+
 class TestIntPairActor:
     """What keeps the negotiation on int pairs: a ``Fraction`` per message
     sent and per node's rate, none in the arithmetic."""
@@ -510,7 +515,7 @@ class TestIntPairActor:
         while sent:
             core.deliver(sent.pop(0))
             for actor in core.actors.values():
-                held = [actor._dn, actor._dd, actor._tn, actor._td]
+                held = [getattr(actor.step, slot) for slot in PAIR_SLOTS]
                 if actor._pending is not None:
                     held += actor._pending[3:]
                 assert all(type(value) is int for value in held)
