@@ -71,11 +71,11 @@ runtime-smoke:
 # fewer schedule fragments than a full rebuild; its cold-plan twin asserts
 # build_schedules on the integer interleave strictly beats the same call on
 # the Fraction marks kept in tests/fraction_oracles.py (~6x) at ==, and
-# tests/test_plan_exact.py pins the chain's outputs.  Six same-run ratio
+# tests/test_plan_exact.py pins the chain's outputs.  Seven same-run ratio
 # gates, equality asserted beside each ratio: IncrementalSolver.rate() at
 # most 0.8x solve() on churn batches of a 240-node tree (~0.4), one rate()
-# evaluation at most 0.7x one bw_first evaluation on the same batches
-# (~0.4; the loop runs on int pairs, bw_first on Fraction), the integer
+# evaluation at most 0.7x one bw_first_fraction evaluation on the same
+# batches (~0.4; the loop runs on int pairs, the oracle on Fraction), the integer
 # Allocation.check at most 0.6x the Fraction oracle on a 3000-node tree
 # (~0.2), and on the same churn batches from_bw_first on a solver's result
 # (which rebuilds only the nodes its lineage names) at most 0.5x
@@ -83,7 +83,9 @@ runtime-smoke:
 # build at most 0.6x tree_periods + build_schedules on the same allocation
 # (~0.2), and tree_periods at most 0.25x its Fraction oracle on the
 # coldscale tree, 6739 of whose 10000 nodes BW-First leaves idle (~0.15;
-# ~0.3 while every idle node ran the full per-node call).  The E31 gate
+# ~0.3 while every idle node ran the full per-node call), and bw_first at
+# most 0.6x bw_first_fraction, its Fraction oracle, on that tree (~0.4;
+# both visit the same 3261 nodes).  The E31 gate
 # asserts the
 # 10k-node counts-only run agrees with an event-recording run and that a
 # 100k-node, >=1M-event run completes inside the timeout, and that a
@@ -109,6 +111,7 @@ perf-smoke:
 			'benchmarks/bench_e27_timeline.py::test_e27_integer_check_ratio_gate' \
 			'benchmarks/bench_e27_timeline.py::test_e27_spliced_build_ratio_gate' \
 			'benchmarks/bench_e27_timeline.py::test_e27_idle_periods_ratio_gate' \
+			'benchmarks/bench_e27_timeline.py::test_e27_bw_first_ratio_gate' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_perf_smoke_gate' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_100k_nodes_million_events' \
 			'benchmarks/bench_e31_arraykernel.py::test_e31_recording_ratio_gate' \

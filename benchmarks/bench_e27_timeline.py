@@ -29,7 +29,9 @@ it replaced, at an equal verdict; ``test_e27_spliced_build_ratio_gate``
 holds the fragment-splicing builder against the cold reconstruction on
 E26's churn batches; ``test_e27_idle_periods_ratio_gate`` holds
 ``tree_periods`` on the mostly idle ``coldscale`` tree against the
-rational oracle; recorded baselines live in
+rational oracle, and ``test_e27_bw_first_ratio_gate`` holds ``bw_first``,
+which drives the int-pair ``Step``, against ``bw_first_fraction``, the
+same walk on ``Fraction``, on that tree; recorded baselines live in
 ``BENCH_e27_timeline.json`` (see ``benchmarks/record_baseline.py`` and
 ``docs/perf.md``).
 """
@@ -51,6 +53,7 @@ from repro.util.text import render_table
 
 from repro.exceptions import ScheduleError
 from tests.fraction_oracles import (
+    bw_first_fraction,
     check_fraction,
     interleaved_order_fraction,
     tree_periods_fraction,
@@ -389,3 +392,47 @@ def test_e27_idle_periods_ratio_gate():
     assert ratio <= IDLE_PERIODS_OVER_FRACTION, (
         f"tree_periods costs {ratio:.2f} x tree_periods_fraction "
         f"(bar {IDLE_PERIODS_OVER_FRACTION})")
+
+
+#: bw_first must cost at most this share of bw_first_fraction: the walk
+#: that drives the int-pair Step read 0.36–0.40 on a shared 2-core x86-64
+#: container; 0.6 trips when a Fraction per operation comes back
+BW_FIRST_OVER_FRACTION = 0.6
+
+
+def test_e27_bw_first_ratio_gate():
+    """The CI regression gate for the cold plan's first stage: on
+    ``smooth_tree(10000, 7)`` (the end-to-end ``coldscale`` tree),
+    best-of-5 CPU time of ``bw_first`` ≤ 0.6 × best-of-5
+    ``bw_first_fraction`` (Algorithm 1 on ``Fraction``, kept in
+    ``tests/fraction_oracles.py``), alternated, the collector paused, with
+    ``==`` results: outcomes in their order, transactions, ``t_max`` and
+    throughput."""
+    tree = smooth_tree(10000, 7)
+    best = {bw_first: None, bw_first_fraction: None}
+    results = {}
+    for _ in range(5):  # alternated, so host noise lands on both
+        for walk, seconds in best.items():
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                results[walk] = walk(tree)
+                dt = time.process_time() - t0
+            finally:
+                gc.enable()
+            best[walk] = dt if seconds is None else min(seconds, dt)
+    got, want = results[bw_first], results[bw_first_fraction]
+    assert list(got.outcomes.items()) == list(want.outcomes.items())
+    assert got.transactions == want.transactions
+    assert (got.t_max, got.throughput) == (want.t_max, want.throughput)
+    pairs, rational = best[bw_first], best[bw_first_fraction]
+    ratio = pairs / rational
+    emit(f"E27: bw_first on smooth_tree(10000, 7), {len(got.outcomes)} "
+         f"visited nodes",
+         f"int pairs {pairs * 1e3:.1f} ms, Fraction oracle "
+         f"{rational * 1e3:.1f} ms (ratio {ratio:.2f}, bar <= "
+         f"{BW_FIRST_OVER_FRACTION})")
+    assert ratio <= BW_FIRST_OVER_FRACTION, (
+        f"bw_first costs {ratio:.2f} x bw_first_fraction "
+        f"(bar {BW_FIRST_OVER_FRACTION})")

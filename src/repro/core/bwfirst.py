@@ -24,7 +24,12 @@ experiment E6.
 The implementation is an explicit-stack depth-first walk (heterogeneous
 chains can exceed Python's recursion limit) and records the full transaction
 log, so the distributed-protocol simulation in :mod:`repro.protocol` can be
-validated against it message by message.
+validated against it message by message.  Each visited node's arithmetic is
+one :class:`~repro.core.step.Step` on reduced ``(numerator, denominator)``
+int pairs, as in the incremental solver and the negotiation's actors;
+``Fraction`` appears only in the result.  The same walk on ``Fraction`` is
+kept as the test suite's oracle (``bw_first_fraction`` in
+``tests/fraction_oracles.py``), which production is held ``==`` to.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..exceptions import ScheduleError
 from ..platform.tree import Tree
-from .rates import ONE, ZERO, as_fraction
+from .rates import ZERO, as_fraction, is_infinite
+from .step import Fractions, Step, accepted
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,6 +156,35 @@ def root_proposal(tree: Tree) -> Fraction:
     return tree.root_capacity()
 
 
+def read_proposal(proposal) -> Fraction:
+    """A caller's root proposal, read through
+    :func:`~repro.core.rates.as_fraction`; a negative one is refused with
+    the same :class:`~repro.exceptions.ScheduleError` on every route."""
+    lam = as_fraction(proposal)
+    if lam < 0:
+        raise ScheduleError(f"root proposal must be non-negative (got {lam})")
+    return lam
+
+
+class _Frame(Step):
+    """One activation of Algorithm 1: the node's step, the children it has
+    yet to offer to, the open transaction and the ones it closed."""
+
+    __slots__ = ("node", "children", "pending", "collected")
+
+    def __init__(self, node: Hashable, lam_n: int, lam_d: int, w,
+                 children: List[Hashable]):
+        if is_infinite(w):  # a switch: r = 0
+            self.open(lam_n, lam_d, 0, 1)
+        else:  # r = 1/w
+            self.open(lam_n, lam_d, w.denominator, w.numerator)
+        self.node = node
+        self.children: Iterator[Hashable] = iter(children)
+        #: (index, child, β_n, β_d, c_n, c_d) of the open transaction
+        self.pending: Optional[tuple] = None
+        self.collected: List[Transaction] = []
+
+
 def bw_first(tree: Tree, proposal: Optional[Fraction] = None) -> BWFirstResult:
     """Run the BW-First procedure on *tree* and return the full outcome.
 
@@ -158,87 +193,73 @@ def bw_first(tree: Tree, proposal: Optional[Fraction] = None) -> BWFirstResult:
     throughput of the tree when the task supply itself is limited (used by
     the infinite-tree and dynamic-adaptation extensions); it is read
     through :func:`~repro.core.rates.as_fraction` (``0.001`` is ``1/1000``).
+
+    Each visited node runs one :class:`~repro.core.step.Step` on reduced
+    int pairs; every ``Fraction`` of the outcomes and transactions is
+    built through one :class:`~repro.core.step.Fractions` map, one object
+    per distinct value.
     """
-    lam_root = root_proposal(tree) if proposal is None else as_fraction(proposal)
-    if lam_root < 0:
-        raise ScheduleError(f"root proposal must be non-negative (got {lam_root})")
+    lam_root = (root_proposal(tree) if proposal is None
+                else read_proposal(proposal))
+    weight, edge_cost = tree.w, tree.edge_cost
+    by_bandwidth = tree.children_by_bandwidth
+    made = Fractions()
+    lam_n, lam_d = lam_root.numerator, lam_root.denominator
+    made[lam_n, lam_d] = lam_root
 
     outcomes: Dict[Hashable, NodeOutcome] = {}
-    log: List[Transaction] = []
-
-    # -- explicit-stack depth-first traversal ---------------------------
-    # Each frame mirrors the local state of one activation of Algorithm 1.
-    class _Frame:
-        __slots__ = ("node", "lam", "alpha", "delta", "tau",
-                     "children", "pending", "collected")
-
-        def __init__(self, node: Hashable, lam: Fraction):
-            self.node = node
-            self.lam = lam
-            self.alpha = min(tree.rate(node), lam)
-            self.delta = lam - self.alpha
-            self.tau = ONE
-            self.children: Iterator[Hashable] = iter(tree.children_by_bandwidth(node))
-            self.pending: Optional[Tuple[int, Hashable, Fraction]] = None
-            self.collected: List[Transaction] = []
-
-    stack: List[_Frame] = [_Frame(tree.root, lam_root)]
-    returned_theta: Optional[Fraction] = None  # θ from the frame just popped
+    log: List[Optional[Transaction]] = []
+    root = tree.root
+    stack = [_Frame(root, lam_n, lam_d, weight(root), by_bandwidth(root))]
+    returned: Optional[Tuple[int, int]] = None  # θ from the frame just popped
 
     while stack:
         frame = stack[-1]
 
         if frame.pending is not None:
             # close the transaction with the child that just returned
-            index, child, beta = frame.pending
+            index, child, beta_n, beta_d, c_n, c_d = frame.pending
             frame.pending = None
-            assert returned_theta is not None
-            theta = returned_theta
-            returned_theta = None
-            if theta < 0 or theta > beta:
+            theta_n, theta_d = returned
+            beta, theta = made[beta_n, beta_d], made[theta_n, theta_d]
+            if theta_n < 0 or theta_n * beta_d > beta_n * theta_d:
                 raise ScheduleError(
                     f"child {child!r} acknowledged {theta} of a {beta} proposal"
                 )
-            txn = Transaction(index=index, parent=frame.node, child=child,
-                              proposal=beta, ack=theta)
+            txn = Transaction(index, frame.node, child, beta, theta)
             log[index] = txn
             frame.collected.append(txn)
-            accepted = beta - theta
-            frame.delta -= accepted
-            frame.tau -= accepted * tree.c(child)
+            frame.close(*accepted(beta_n, beta_d, theta_n, theta_d), c_n, c_d)
 
         # open the next transaction, if tasks and port time remain
-        opened = False
-        if frame.delta > 0 and frame.tau > 0:
+        if frame.delta_n > 0 and frame.tau_n > 0:
+            node = frame.node
             for child in frame.children:
-                beta = min(frame.delta, frame.tau * tree.bandwidth(child))
+                c = edge_cost(node, child)
+                c_n, c_d = c.numerator, c.denominator
+                beta_n, beta_d = frame.offer(c_n, c_d)
                 index = len(log)
                 log.append(None)  # placeholder, filled when the txn closes
-                frame.pending = (index, child, beta)
-                stack.append(_Frame(child, beta))
-                opened = True
+                frame.pending = (index, child, beta_n, beta_d, c_n, c_d)
+                stack.append(_Frame(child, beta_n, beta_d, weight(child),
+                                    by_bandwidth(child)))
                 break
-        if opened:
-            continue
+            if frame.pending is not None:
+                continue
 
         # node done: record the outcome and acknowledge the parent
+        returned = frame.delta_n, frame.delta_d
         outcomes[frame.node] = NodeOutcome(
-            node=frame.node,
-            lam=frame.lam,
-            alpha=frame.alpha,
-            theta=frame.delta,
-            tau=frame.tau,
-            transactions=tuple(frame.collected),
-        )
-        returned_theta = frame.delta
+            frame.node, made[frame.lam_n, frame.lam_d],
+            made[frame.alpha_n, frame.alpha_d], made[returned],
+            made[frame.tau_n, frame.tau_d], tuple(frame.collected))
         stack.pop()
 
-    assert returned_theta is not None
-    throughput = lam_root - returned_theta
+    theta_n, theta_d = returned
     return BWFirstResult(
         tree=tree,
         t_max=lam_root,
-        throughput=throughput,
+        throughput=made[accepted(lam_n, lam_d, theta_n, theta_d)],
         outcomes=outcomes,
         transactions=tuple(log),
     )

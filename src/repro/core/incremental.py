@@ -58,8 +58,9 @@ the rates cache, the saturation thresholds, the exact-β memo keys and
 every cached solution hold the same pairs.  ``Fraction`` appears only at
 the boundary: the root proposal coming in, ``rate()`` / ``solve()`` going
 out (the replay builds one per distinct value), and the shared store and
-the planner.  ``bw_first`` stays on ``Fraction``: it is the independent
-oracle the solver is tested ``==`` against.
+the planner.  ``bw_first`` drives the same step without a cache; the
+solver is tested ``==`` against it and against ``bw_first_fraction``, the
+``Fraction`` walk kept in ``tests/fraction_oracles.py``.
 
 ``node_evals`` (``solver.last_evals``) counts exactly those misses — the
 benchmark currency of ``benchmarks/bench_e26_incremental.py`` and the
@@ -78,9 +79,10 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..exceptions import PlatformError, ScheduleError
 from ..platform.tree import Tree
-from .bwfirst import BWFirstResult, NodeOutcome, Transaction, bw_first
-from .rates import as_fraction, format_fraction, is_infinite, pair_add, pair_sub
-from .step import Step, accepted
+from .bwfirst import (BWFirstResult, NodeOutcome, Transaction, bw_first,
+                      read_proposal)
+from .rates import format_fraction, is_infinite, pair_add, pair_sub
+from .step import Fractions, Step, accepted
 
 #: exact-β memo entries kept per fingerprint before the map is reset — a
 #: memory bound for adversarial churn; saturation/absorption hits (the
@@ -122,26 +124,6 @@ def _default_memo_cap() -> int:
     if cap < 1:
         raise ScheduleError(f"{MEMO_CAP_ENV}={raw!r} must be >= 1")
     return cap
-
-
-class _Exact(dict):
-    """Reduced pair → its ``Fraction``, built on first use: the replay's
-    one conversion per distinct value.  A value the previous replay built
-    (*older*, that replay's map) is taken from it instead, so equal values
-    stay one object across replays and two maps are alive at most."""
-
-    __slots__ = ("older",)
-
-    def __init__(self, older: Dict[Tuple[int, int], Fraction]):
-        super().__init__()
-        self.older = older
-
-    def __missing__(self, pair: Tuple[int, int]) -> Fraction:
-        value = self.older.get(pair)
-        if value is None:
-            value = Fraction(*pair)
-        self[pair] = value
-        return value
 
 
 class _Sol:
@@ -815,7 +797,7 @@ class IncrementalSolver:
             outcomes, log = dict(before), before_log
         else:
             before_post = list(before.items())
-            made = _Exact(values)
+            made = Fractions(values)
             post: List[Optional[Tuple[Hashable, NodeOutcome]]] = [None] * sol.evals
             log: List[Optional[Transaction]] = [None] * (sol.evals - 1)
             # (node, sol, λ, θ, pre-order number, depth, previous outcome)
@@ -949,10 +931,7 @@ class IncrementalSolver:
             lam_n, lam_d = self._capacity(tree.root)
             lam_root = Fraction(lam_n, lam_d)
         else:
-            lam_root = as_fraction(proposal)
-            if lam_root < 0:
-                raise ScheduleError(
-                    f"root proposal must be non-negative (got {lam_root})")
+            lam_root = read_proposal(proposal)
             lam_n, lam_d = lam_root.numerator, lam_root.denominator
 
         self.stats["solves"] += 1

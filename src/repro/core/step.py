@@ -4,17 +4,21 @@ Offered λ, a node keeps ``α = min(r, λ)``, has ``δ = λ − α`` to delegate
 and its whole send port, ``τ = 1``; it proposes ``β = min(δ, τ/c)`` to
 each child in bandwidth order, and an answer — the child accepted ``a`` —
 takes ``δ −= a``, ``τ −= a·c``.  :class:`Step` is the one statement of that
-rule outside the :func:`~repro.core.bwfirst.bw_first` oracle, which stays
-on ``Fraction``.  The incremental solver, the negotiation's actors and the
-infinite-tree walk drive it.  Every value is a reduced ``(numerator,
-denominator)`` pair, denominator positive: a subtraction costs one
-``math.gcd`` and a comparison two products.
+rule: :func:`~repro.core.bwfirst.bw_first`, the incremental solver, the
+negotiation's actors and the infinite-tree walk drive it.  Every value is a
+reduced ``(numerator, denominator)`` pair, denominator positive: a
+subtraction costs one ``math.gcd`` and a comparison two products.
+``Fraction`` is built only where a result leaves a walk, through
+:class:`Fractions`, one object per distinct value.  The rule written on
+``Fraction`` — ``bw_first`` as it was — is kept as the test suite's oracle
+(``bw_first_fraction`` in ``tests/fraction_oracles.py``).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
 def accepted(beta_n: int, beta_d: int, theta_n: int,
@@ -25,6 +29,26 @@ def accepted(beta_n: int, beta_d: int, theta_n: int,
     n, d = beta_n * theta_d - theta_n * beta_d, beta_d * theta_d
     g = gcd(n, d)
     return n // g, d // g
+
+
+class Fractions(dict):
+    """Reduced pair → its ``Fraction``, built on first use: a walk's one
+    conversion per distinct value.  A value an earlier map built (*older*)
+    is taken from it instead, so equal values stay one object across the
+    two maps."""
+
+    __slots__ = ("older",)
+
+    def __init__(self, older: Optional[Dict[Tuple[int, int], Fraction]] = None):
+        super().__init__()
+        self.older = {} if older is None else older
+
+    def __missing__(self, pair: Tuple[int, int]) -> Fraction:
+        value = self.older.get(pair)
+        if value is None:
+            value = Fraction(*pair)
+        self[pair] = value
+        return value
 
 
 class Step:

@@ -43,8 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
-from ..core.bwfirst import BWFirstResult, bw_first, root_proposal
-from ..core.rates import as_fraction
+from ..core.bwfirst import BWFirstResult, bw_first, read_proposal, root_proposal
 from ..exceptions import ProtocolError, SimulationError
 from ..platform.tree import Tree
 from ..telemetry.core import Registry, Span
@@ -207,7 +206,7 @@ class Negotiation:
             raise ProtocolError("the root cannot be failed: nothing can negotiate")
         self.tree = tree
         if proposal is not None:
-            proposal = as_fraction(proposal)  # once: actors read its numerator
+            proposal = read_proposal(proposal)  # once: actors read its numerator
         self.proposal = proposal
         self.t_max = root_proposal(tree) if proposal is None else proposal
         self.failed = failed

@@ -1,25 +1,33 @@
-"""The rational-arithmetic bodies of the Section 6 planning chain, as oracles.
+"""The rational-arithmetic bodies of BW-First and the Section 6 planning
+chain, as oracles.
 
 Until PR 14 these were the production code of ``repro.core.rates``,
 ``repro.schedule.local``, ``repro.schedule.periods`` and
 ``repro.core.allocation``: one ``Fraction`` per interleave mark, two per
 ``scaled_integer`` product, rational adds and multiplies on every node of
 ``Allocation.check`` — and later the ``(Fraction, i)`` sort of
-``Tree.children_by_bandwidth``.  Production now does the same work on integer
-numerators and denominators; these copies stay, unchanged, as what the
-property tests (``tests/test_plan_exact.py``) and the same-run ratio gate
-(``benchmarks/bench_e27_timeline.py::test_e27_cold_plan_gate``) compare it
-against.  Do not optimise them.
+``Tree.children_by_bandwidth``.  ``bw_first_fraction`` is
+``repro.core.bwfirst.bw_first`` as it was before it drove the int-pair
+``Step``: Algorithm 1 with every λ, α, δ, τ and β a ``Fraction``.
+Production now does the same work on integer numerators and
+denominators; these copies stay, unchanged, as what the property tests
+(``tests/test_plan_exact.py``, ``tests/test_bwfirst_oracle.py``,
+``tests/test_step.py``) and the same-run ratio gates
+(``benchmarks/bench_e27_timeline.py``, ``bench_e25_runtime.py``,
+``bench_e26_incremental.py``) compare it against.  Do not optimise them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, Hashable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.core.allocation import Allocation
-from repro.core.rates import ONE, ZERO, lcm_denominators, lcm_ints
+from repro.core.bwfirst import (BWFirstResult, NodeOutcome, Transaction,
+                                root_proposal)
+from repro.core.rates import ONE, ZERO, as_fraction, lcm_denominators, lcm_ints
 from repro.exceptions import ScheduleError
 from repro.platform.tree import Tree
 from repro.schedule.periods import NodePeriods
@@ -182,3 +190,99 @@ def check_fraction(allocation: Allocation) -> None:
             raise ScheduleError(
                 f"send port of {node!r} over-subscribed ({port_time} > 1)"
             )
+
+
+def bw_first_fraction(tree: Tree, proposal: Optional[Fraction] = None) -> BWFirstResult:
+    """Run the BW-First procedure on *tree* with ``Fraction`` arithmetic and
+    return the full outcome — ``bw_first``'s body before it drove
+    :class:`~repro.core.step.Step` on int pairs.
+
+    *proposal* overrides the virtual parent's λ for the root; by default it
+    is ``t_max = r_root + max{b_i}``.  Supplying a smaller value computes the
+    throughput of the tree when the task supply itself is limited (used by
+    the infinite-tree and dynamic-adaptation extensions); it is read
+    through :func:`~repro.core.rates.as_fraction` (``0.001`` is ``1/1000``).
+    """
+    lam_root = root_proposal(tree) if proposal is None else as_fraction(proposal)
+    if lam_root < 0:
+        raise ScheduleError(f"root proposal must be non-negative (got {lam_root})")
+
+    outcomes: Dict[Hashable, NodeOutcome] = {}
+    log: List[Transaction] = []
+
+    # -- explicit-stack depth-first traversal ---------------------------
+    # Each frame mirrors the local state of one activation of Algorithm 1.
+    class _Frame:
+        __slots__ = ("node", "lam", "alpha", "delta", "tau",
+                     "children", "pending", "collected")
+
+        def __init__(self, node: Hashable, lam: Fraction):
+            self.node = node
+            self.lam = lam
+            self.alpha = min(tree.rate(node), lam)
+            self.delta = lam - self.alpha
+            self.tau = ONE
+            self.children: Iterator[Hashable] = iter(tree.children_by_bandwidth(node))
+            self.pending: Optional[Tuple[int, Hashable, Fraction]] = None
+            self.collected: List[Transaction] = []
+
+    stack: List[_Frame] = [_Frame(tree.root, lam_root)]
+    returned_theta: Optional[Fraction] = None  # θ from the frame just popped
+
+    while stack:
+        frame = stack[-1]
+
+        if frame.pending is not None:
+            # close the transaction with the child that just returned
+            index, child, beta = frame.pending
+            frame.pending = None
+            assert returned_theta is not None
+            theta = returned_theta
+            returned_theta = None
+            if theta < 0 or theta > beta:
+                raise ScheduleError(
+                    f"child {child!r} acknowledged {theta} of a {beta} proposal"
+                )
+            txn = Transaction(index=index, parent=frame.node, child=child,
+                              proposal=beta, ack=theta)
+            log[index] = txn
+            frame.collected.append(txn)
+            accepted = beta - theta
+            frame.delta -= accepted
+            frame.tau -= accepted * tree.c(child)
+
+        # open the next transaction, if tasks and port time remain
+        opened = False
+        if frame.delta > 0 and frame.tau > 0:
+            for child in frame.children:
+                beta = min(frame.delta, frame.tau * tree.bandwidth(child))
+                index = len(log)
+                log.append(None)  # placeholder, filled when the txn closes
+                frame.pending = (index, child, beta)
+                stack.append(_Frame(child, beta))
+                opened = True
+                break
+        if opened:
+            continue
+
+        # node done: record the outcome and acknowledge the parent
+        outcomes[frame.node] = NodeOutcome(
+            node=frame.node,
+            lam=frame.lam,
+            alpha=frame.alpha,
+            theta=frame.delta,
+            tau=frame.tau,
+            transactions=tuple(frame.collected),
+        )
+        returned_theta = frame.delta
+        stack.pop()
+
+    assert returned_theta is not None
+    throughput = lam_root - returned_theta
+    return BWFirstResult(
+        tree=tree,
+        t_max=lam_root,
+        throughput=throughput,
+        outcomes=outcomes,
+        transactions=tuple(log),
+    )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.bwfirst import bw_first, root_proposal
 from repro.core.incremental import IncrementalSolver
-from repro.exceptions import PlatformError, ReproError, ScheduleError
+from repro.exceptions import PlatformError, ScheduleError
 from repro.platform.examples import (
     PAPER_FIGURE4_THROUGHPUT,
     PAPER_FIGURE4_UNVISITED,
@@ -116,7 +116,7 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("proposal, expected", [
         (0.001, F(1, 1000)), ("1/1000", F(1, 1000)), (True, PlatformError),
-        (float("nan"), PlatformError), (-1, ReproError)])
+        (float("nan"), PlatformError), (-1, ScheduleError)])
     def test_a_proposal_is_read_alike_on_every_route(self, proposal, expected):
         """The oracle, both incremental entry points and the negotiation
         read a root proposal through ``as_fraction``: the same exact

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.bwfirst import bw_first
 from repro.core.step import Step
-from repro.exceptions import PlatformError, ProtocolError
+from repro.exceptions import PlatformError, ProtocolError, ScheduleError
 from repro.faults import FaultPlan
 from repro.platform.generators import chain, random_tree, smooth_tree
 from repro.platform.tree import Tree
@@ -365,9 +365,15 @@ class TestProposalBoundary:
         assert transport.dials == 0
 
     @pytest.mark.parametrize("driver", DRIVERS)
-    def test_negative_is_a_protocol_error(self, paper_tree, driver):
-        with pytest.raises(ProtocolError, match="negative proposal"):
-            DRIVERS[driver](paper_tree, proposal=-1)
+    def test_negative_is_a_schedule_error(self, paper_tree, driver):
+        """Refused as ``bw_first`` and the solver refuse it, before any
+        actor boots or any socket is dialled."""
+        transport = TcpTransport()
+        kwargs = {"transport": transport} if driver == "tcp" else {}
+        with pytest.raises(ScheduleError,
+                           match=r"root proposal must be non-negative \(got -1\)"):
+            DRIVERS[driver](paper_tree, proposal=-1, **kwargs)
+        assert transport.dials == 0
 
 
 # ----------------------------------------------------------------------

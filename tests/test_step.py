@@ -1,8 +1,11 @@
 """One statement of Algorithm 1's local rule: :class:`repro.core.step.Step`.
 
-``bw_first`` runs the rule on ``Fraction`` and is the oracle; the step is
-checked against every outcome it records.  The structural tests keep the
-step the only place outside that oracle where δ and τ are computed.
+``bw_first_fraction`` (``tests/fraction_oracles.py``) runs the rule on
+``Fraction`` and is the oracle; the step is checked against every outcome
+it records.  The structural tests keep the step the only place in ``src/``
+where δ and τ are computed, and keep the four walks that run it —
+``bw_first``, the incremental solver, the actors and the infinite-tree
+walk — free of pair arithmetic of their own.
 """
 
 import ast
@@ -12,18 +15,19 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bwfirst import bw_first
-from repro.core.step import Step, accepted
+from repro.core.step import Fractions, Step, accepted
 
 from .conftest import rational_trees
+from .fraction_oracles import bw_first_fraction
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: the modules that may compute δ and τ: the step and the Fraction oracle
-HOMES = {"core/step.py", "core/bwfirst.py"}
+#: the one module that may compute δ and τ
+HOMES = {"core/step.py"}
 #: the modules that drive a step
-CONSUMERS = ("core/incremental.py", "protocol/actor.py", "extensions/infinite.py")
+CONSUMERS = ("core/bwfirst.py", "core/incremental.py", "protocol/actor.py",
+             "extensions/infinite.py")
 STATE = {"delta", "delta_n", "delta_d", "tau", "tau_n", "tau_d",
          "_dn", "_dd", "_tn", "_td"}
 
@@ -34,7 +38,7 @@ def _pair(value):
 
 
 def _replay(tree, outcome):
-    """Drive a :class:`Step` through one ``bw_first`` outcome: open on λ,
+    """Drive a :class:`Step` through one oracle outcome: open on λ,
     check each offer is the recorded β, close on the recorded answer."""
     step = Step()
     step.open(*_pair(outcome.lam), *_pair(tree.rate(outcome.node)))
@@ -57,7 +61,7 @@ class TestStep:
            scale=st.sampled_from([None, F(0), F(1, 3), F(1), F(7, 5)]))
     def test_replays_every_bw_first_outcome(self, tree, scale):
         proposal = None if scale is None else scale * tree.root_capacity()
-        result = bw_first(tree, proposal=proposal)
+        result = bw_first_fraction(tree, proposal=proposal)
         for outcome in result.outcomes.values():
             step = _replay(tree, outcome)
             assert (step.lam_n, step.lam_d) == _pair(outcome.lam)
@@ -80,6 +84,15 @@ class TestStep:
         assert step.offer(1, 1) is None
         step.open(3, 1, 0, 1)  # a switch: δ = λ
         assert step.offer(1, 4) == (3, 1) and not step.saturated
+
+    def test_fractions_builds_each_value_once(self):
+        made = Fractions()
+        half = made[1, 2]
+        assert half == F(1, 2) and type(half) is Fraction
+        assert made[1, 2] is half and len(made) == 1
+        later = Fractions(made)  # takes what the older map built
+        assert later[1, 2] is half and later[3, 1] == 3
+        assert (3, 1) not in made
 
     def test_accepted(self):
         assert accepted(3, 4, 0, 1) == (3, 4)
